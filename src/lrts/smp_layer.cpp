@@ -1,8 +1,7 @@
 #include "lrts/smp_layer.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "lrts/pool_metrics.hpp"
@@ -66,14 +65,15 @@ struct SmpLayer::NodeState {
   sim::EventHandle comm_event;
   SimTime comm_avail = 0;
 
-  // Outgoing messages queued by workers.
+  // Outgoing messages queued by workers, in enqueue order.
   struct Out {
     int dest_pe = -1;
     void* msg = nullptr;
     std::uint32_t size = 0;
     SimTime ready = 0;  // when the worker finished enqueueing
   };
-  std::deque<Out> outq;
+  std::vector<Out> outq;
+  SimTime outq_min_ready = kNever;  // earliest `ready` in outq
 
   // Credit-stalled control/data messages (per remote-node channel).
   struct Pending {
@@ -110,17 +110,7 @@ struct SmpLayer::NodeState {
 // ---------------------------------------------------------------------------
 
 SmpLayer::SmpLayer() = default;
-SmpLayer::~SmpLayer() {
-  if (std::getenv("UGNIRT_SMPDBG")) {
-    for (auto& n : nodes_) {
-      if (!n) continue;
-      std::fprintf(stderr,
-                   "node %d: outq=%zu backlog=%zu sends=%zu recvs=%zu\n",
-                   n->node, n->outq.size(), n->backlog.size(),
-                   n->sends.size(), n->recvs.size());
-    }
-  }
-}
+SmpLayer::~SmpLayer() = default;
 
 void SmpLayer::ensure_domain(converse::Machine& m) {
   if (domain_) return;
@@ -274,9 +264,6 @@ void SmpLayer::submit(sim::Context& ctx, converse::Pe& src, int dest_pe,
   void* msg = mv.msg;
   const std::uint32_t size = mv.size;
 
-  if (std::getenv("UGNIRT_SMPDBG"))
-    std::fprintf(stderr, "SEND dest=%d size=%u t=%lld\n", dest_pe, size,
-                 (long long)ctx.now());
   if (m.node_of_pe(dest_pe) == src.node()) {
     // Same address space: hand the pointer straight to the peer worker.
     ctx.charge(kSmpPtrSendNs);
@@ -287,6 +274,7 @@ void SmpLayer::submit(sim::Context& ctx, converse::Pe& src, int dest_pe,
   // Lock-and-enqueue to the node's comm thread; the worker is done.
   ctx.charge(kSmpEnqueueNs);
   n.outq.push_back(NodeState::Out{dest_pe, msg, size, ctx.now()});
+  n.outq_min_ready = std::min(n.outq_min_ready, ctx.now());
   comm_wake(n, ctx.now());
 }
 
@@ -360,25 +348,32 @@ void SmpLayer::comm_step(NodeState& n, SimTime t) {
 
   // 2. Stalled sends, then fresh worker traffic.  Workers enqueue with
   // their own cursors, so ready times are not monotonic across the queue:
-  // scan for everything that is ready, keeping relative order.
+  // take everything that is ready, keeping the rest in relative order
+  // (compacted in place).  While the earliest ready time is still ahead
+  // of the cursor nothing can be taken — most steps of a busy-spinning
+  // comm thread — so the scan is skipped.
   comm_flush(ctx, n);
-  std::deque<NodeState::Out> later;
-  while (!n.outq.empty()) {
-    NodeState::Out out = n.outq.front();
-    n.outq.pop_front();
-    if (out.ready > ctx.now()) {
-      later.push_back(out);
-      continue;
+  if (n.outq_min_ready <= ctx.now()) {
+    std::size_t kept = 0;
+    SimTime min_ready = kNever;
+    for (std::size_t i = 0; i < n.outq.size(); ++i) {
+      const NodeState::Out out = n.outq[i];
+      if (out.ready > ctx.now()) {
+        n.outq[kept++] = out;
+        min_ready = std::min(min_ready, out.ready);
+        continue;
+      }
+      ctx.charge(kSmpDequeueNs);
+      c_comm_thread_sends_->inc();
+      if (out.size + 4 <= smsg_cap_) {  // +4: worker routing prefix
+        comm_send(ctx, n, out.dest_pe, kTagData, out.msg, out.size, out.msg);
+        continue;
+      }
+      begin_node_rendezvous(ctx, n, out.dest_pe, out.size, out.msg);
     }
-    ctx.charge(kSmpDequeueNs);
-    c_comm_thread_sends_->inc();
-    if (out.size + 4 <= smsg_cap_) {  // +4: worker routing prefix
-      comm_send(ctx, n, out.dest_pe, kTagData, out.msg, out.size, out.msg);
-      continue;
-    }
-    begin_node_rendezvous(ctx, n, out.dest_pe, out.size, out.msg);
+    n.outq.resize(kept);
+    n.outq_min_ready = min_ready;
   }
-  n.outq.swap(later);
 
   n.comm_avail = ctx.now();
   if (!n.outq.empty() || !n.backlog.empty()) {
@@ -386,7 +381,9 @@ void SmpLayer::comm_step(NodeState& n, SimTime t) {
     SimTime next = n.comm_avail + (n.backlog.empty() ? 0 : 500);
     // A backed-off backlog must not busy-spin before its retry instant.
     if (!n.backlog.empty()) next = std::max(next, n.backlog_retry_at);
-    for (const auto& out : n.outq) next = std::min(next, out.ready);
+    // Waking at the earliest ready time instead of comm_avail would model
+    // a thread that sleeps; the comm thread spins.
+    next = std::min(next, n.outq_min_ready);
     comm_wake(n, std::max(next, n.comm_avail));
   }
   if (n.comm_pending_wake != kNever) {
@@ -600,10 +597,6 @@ void SmpLayer::comm_handle_smsg(sim::Context& ctx, NodeState& n,
     case kTagInit: {
       InitCtrl ctrl;
       std::memcpy(&ctrl, data, sizeof(ctrl));
-      if (std::getenv("UGNIRT_SMPDBG"))
-        std::fprintf(stderr, "INIT node=%d id=%llu size=%u dest=%d t=%lld\n",
-                     n.node, (unsigned long long)ctrl.send_id, ctrl.size,
-                     ctrl.dest_pe, (long long)ctx.now());
       NodeState::LargeRecv lr;
       lr.send_id = ctrl.send_id;
       lr.src_node = node_state(src_inst).node;
@@ -677,10 +670,6 @@ void SmpLayer::comm_handle_completion(sim::Context& ctx, NodeState& n,
   auto it = n.recvs.find(desc->post_id);
   assert(it != n.recvs.end());
   NodeState::LargeRecv& lr = it->second;
-  if (std::getenv("UGNIRT_SMPDBG"))
-    std::fprintf(stderr, "GETDONE node=%d id=%llu dest=%d t=%lld\n", n.node,
-                 (unsigned long long)lr.send_id, lr.dest_pe,
-                 (long long)ctx.now());
   AckCtrl ack{lr.send_id};
   if (trace::enabled())
     trace::emit(trace::Ev::kRdvAck, ctx.now(), 0, lr.src_node,

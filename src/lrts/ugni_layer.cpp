@@ -139,9 +139,9 @@ struct UgniLayer::PeState final : converse::LayerPeState {
   std::deque<std::uint64_t> deferred_gets;
 
   // One-entry endpoint memo for the rx drain loop: bursts of SMSG events
-  // from one peer resolve the endpoint once instead of one hash lookup
-  // per event.  Endpoints are never destroyed while the domain lives, so
-  // the memo cannot dangle.
+  // from one peer resolve the endpoint once instead of one peer-table
+  // probe per event.  Endpoints are never destroyed while the domain
+  // lives, so the memo cannot dangle.
   std::int32_t last_peer = -1;
   ugni::gni_ep_handle_t last_ep = nullptr;
 
@@ -628,7 +628,7 @@ void UgniLayer::handle_smsg(sim::Context& ctx, converse::Pe& pe, PeState& s,
                             int src_inst) {
   ugni::gni_ep_handle_t ep;
   if (src_inst == s.last_peer) {
-    ep = s.last_ep;  // burst from one peer: skip the per-event hash lookup
+    ep = s.last_ep;  // burst from one peer: skip the per-event table probe
   } else {
     ep = s.nic->ep_for_peer(src_inst);
     if (ep) {

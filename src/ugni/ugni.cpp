@@ -1,8 +1,10 @@
 #include "ugni/ugni.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
+#include <utility>
 
 #include "fault/fault.hpp"
 #include "trace/events.hpp"
@@ -96,9 +98,9 @@ void Cq::push(SimTime at, gni_cq_entry_t entry) {
   if (entries_.size() + 1 > max_depth_) max_depth_ = entries_.size() + 1;
   // Insert keeping arrival order (usually appends; out-of-order arrivals
   // happen when a short transfer overtakes a long one).
-  auto it = entries_.end();
-  while (it != entries_.begin() && std::prev(it)->at > at) --it;
-  entries_.insert(it, Timed{at, entry});
+  std::size_t pos = entries_.size();
+  while (pos > 0 && entries_[pos - 1].at > at) --pos;
+  entries_.insert(pos, Timed{at, entry});
   if (notify_) {
     nic_->domain()->scheduler().schedule_at(
         at, [this, at] { notify_(at); });
@@ -114,11 +116,6 @@ Domain::~Domain() {
     delete nic->msgq();
     nic->set_msgq(nullptr);
   }
-}
-
-Nic* Domain::nic_by_inst(std::int32_t inst_id) const {
-  auto it = nic_index_.find(inst_id);
-  return it == nic_index_.end() ? nullptr : it->second;
 }
 
 void Domain::collect_metrics(trace::MetricsRegistry& reg) const {
@@ -145,9 +142,63 @@ void Domain::collect_metrics(trace::MetricsRegistry& reg) const {
   network_->collect_metrics(reg);
 }
 
-Ep* Nic::ep_for_peer(std::int32_t remote_inst) const {
-  auto it = peer_eps_.find(remote_inst);
-  return it == peer_eps_.end() ? nullptr : it->second;
+Ep* PeerTable::insert(std::int32_t peer, Ep* ep) {
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  for (std::size_t i = home(peer);; i = (i + 1) & mask()) {
+    Slot& s = slots_[i];
+    if (s.peer == peer) return std::exchange(s.ep, ep);
+    if (s.peer == kEmpty) {
+      s = Slot{peer, ep};
+      ++size_;
+      return nullptr;
+    }
+  }
+}
+
+Ep* PeerTable::erase(std::int32_t peer) {
+  if (size_ == 0) return nullptr;
+  std::size_t hole = home(peer);
+  while (slots_[hole].peer != peer) {
+    if (slots_[hole].peer == kEmpty) return nullptr;
+    hole = (hole + 1) & mask();
+  }
+  Ep* ep = slots_[hole].ep;
+  // Backward shift: walk the rest of the probe run and pull each entry
+  // into the hole unless its home slot lies cyclically in (hole, j] —
+  // moving it before its home would make it unreachable.
+  for (std::size_t j = (hole + 1) & mask(); slots_[j].peer != kEmpty;
+       j = (j + 1) & mask()) {
+    if (((j - home(slots_[j].peer)) & mask()) >= ((j - hole) & mask())) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  --size_;
+  return ep;
+}
+
+void PeerTable::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  const std::size_t cap = old.empty() ? 4 : 2 * old.size();
+  slots_.assign(cap, Slot{});
+  shift_ = 32 - static_cast<unsigned>(std::countr_zero(cap));
+  size_ = 0;
+  for (const Slot& s : old) {
+    if (s.peer != kEmpty) insert(s.peer, s.ep);
+  }
+}
+
+Ep* Ep::resolve_reverse() {
+  if (reverse_) return reverse_;
+  Nic* remote = nic_->domain()->nic_by_inst(remote_inst_);
+  if (!remote) return nullptr;
+  Ep* rev = remote->ep_for_peer(nic_->inst_id());
+  if (rev && nic_->ep_for_peer(remote_inst_) == this) {
+    reverse_ = rev;
+    rev->reverse_ = this;
+  }
+  return rev;
 }
 
 Ep* Nic::get_or_connect(std::int32_t peer, bool* established_out) {
@@ -221,14 +272,19 @@ const Nic::Region* Nic::region_of(const gni_mem_handle_t& h) const {
 
 gni_return_t GNI_CdmAttach(Domain* domain, std::int32_t inst_id, int node,
                            gni_nic_handle_t* nic_out) {
-  if (!domain || !nic_out || inst_id < 0) return GNI_RC_INVALID_PARAM;
+  if (!domain || !nic_out || inst_id < 0 || inst_id >= kMaxInstId) {
+    return GNI_RC_INVALID_PARAM;
+  }
   if (node < 0 || node >= domain->network().torus().nodes()) {
     return GNI_RC_INVALID_PARAM;
   }
   if (domain->nic_by_inst(inst_id)) return GNI_RC_INVALID_STATE;
   domain->nics_.push_back(std::make_unique<Nic>(domain, inst_id, node));
   *nic_out = domain->nics_.back().get();
-  domain->nic_index_.emplace(inst_id, *nic_out);
+  auto& index = domain->nic_index_;
+  const auto slot = static_cast<std::size_t>(inst_id);
+  if (slot >= index.size()) index.resize(slot + 1, nullptr);
+  index[slot] = *nic_out;
   return GNI_RC_SUCCESS;
 }
 
@@ -312,9 +368,10 @@ gni_return_t GNI_CqErrorRecover(gni_cq_handle_t cq,
     // Insert bypassing Cq::push: recovery must not itself be dropped (the
     // queue has been drained by the owner before recovering) and must not
     // re-roll the fault injector.
-    auto it = cq->entries_.end();
-    while (it != cq->entries_.begin() && std::prev(it)->at > at) --it;
-    cq->entries_.insert(it, Cq::Timed{at, entry});
+    auto& q = cq->entries_;
+    std::size_t pos = q.size();
+    while (pos > 0 && q[pos - 1].at > at) --pos;
+    q.insert(pos, Cq::Timed{at, entry});
     if (cq->entries_.size() > cq->max_depth_) {
       cq->max_depth_ = cq->entries_.size();
     }
@@ -323,23 +380,24 @@ gni_return_t GNI_CqErrorRecover(gni_cq_handle_t cq,
 
   // Dropped SMSG arrival events: every undelivered mailbox message must
   // have exactly one kSmsg event queued; re-synthesize the missing ones.
-  // Peers are visited in sorted order — unordered_map iteration order is
-  // not deterministic across runs and would break trace reproducibility.
+  // Peers are visited in sorted order: the peer table's slot order depends
+  // on its insert/erase history, and re-synthesized events must land in
+  // the same order on every run for traces to stay reproducible.
   if (nic->smsg_rx_cq_ == cq) {
-    std::vector<std::int32_t> peers;
+    std::vector<std::pair<std::int32_t, Ep*>> peers;
     peers.reserve(nic->peer_eps_.size());
-    for (const auto& [peer, ep] : nic->peer_eps_) peers.push_back(peer);
+    nic->peer_eps_.for_each(
+        [&](std::int32_t peer, Ep* ep) { peers.emplace_back(peer, ep); });
     std::sort(peers.begin(), peers.end());
-    for (std::int32_t peer : peers) {
-      Ep* ep = nic->peer_eps_.at(peer);
+    for (const auto& [peer, ep] : peers) {
       std::size_t queued = 0;
-      for (const auto& te : cq->entries_) {
-        if (te.entry.type == CqEventType::kSmsg &&
-            te.entry.source_inst == peer) {
-          ++queued;
-        }
+      for (std::size_t i = 0; i < cq->entries_.size(); ++i) {
+        const gni_cq_entry_t& e = cq->entries_[i].entry;
+        if (e.type == CqEventType::kSmsg && e.source_inst == peer) ++queued;
       }
-      for (const auto& msg : ep->smsg_.rx) {
+      const auto& rx = ep->smsg_.rx;
+      for (std::size_t i = 0; i < rx.size(); ++i) {
+        const auto& msg = rx[i];
         if (msg.delivered) continue;
         if (queued > 0) {
           --queued;  // this message still has its original event
@@ -360,21 +418,14 @@ gni_return_t GNI_CqErrorRecover(gni_cq_handle_t cq,
   // consumed event can never be duplicated here.)  kPostRemote events are
   // not recoverable — nothing on the receiving NIC records them.
   bool serves_tx = false;
-  for (const auto& [peer, ep] : nic->peer_eps_) {
-    if (ep->tx_cq_ == cq) {
-      serves_tx = true;
-      break;
-    }
-  }
+  nic->peer_eps_.for_each(
+      [&](std::int32_t, Ep* ep) { serves_tx = serves_tx || ep->tx_cq_ == cq; });
   if (serves_tx) {
     for (const auto& [internal, desc] : nic->completed_) {
       bool queued = false;
-      for (const auto& te : cq->entries_) {
-        if (te.entry.type == CqEventType::kPostLocal &&
-            te.entry.data == internal) {
-          queued = true;
-          break;
-        }
+      for (std::size_t i = 0; i < cq->entries_.size() && !queued; ++i) {
+        const gni_cq_entry_t& e = cq->entries_[i].entry;
+        queued = e.type == CqEventType::kPostLocal && e.data == internal;
       }
       if (queued) continue;
       gni_cq_entry_t entry;
@@ -475,7 +526,8 @@ gni_return_t GNI_EpBind(gni_ep_handle_t ep, std::int32_t remote_inst_id) {
   if (!ep || remote_inst_id < 0) return GNI_RC_INVALID_PARAM;
   if (ep->bound()) return GNI_RC_INVALID_STATE;
   ep->remote_inst_ = remote_inst_id;
-  ep->nic_->peer_eps_[remote_inst_id] = ep;
+  // A displaced endpoint is no longer its NIC's endpoint for the peer.
+  if (Ep* old = ep->nic_->peer_eps_.insert(remote_inst_id, ep)) old->unlink();
   return GNI_RC_SUCCESS;
 }
 
@@ -492,7 +544,10 @@ gni_return_t GNI_EpDestroy(gni_ep_handle_t ep) {
     --ep->nic_->domain_->smsg_channels_;
     ep->smsg_.initialized = false;
   }
-  if (ep->bound()) ep->nic_->peer_eps_.erase(ep->remote_inst_);
+  // Only endpoints bound in their NIC's table are ever linked.
+  if (ep->bound()) {
+    if (Ep* cur = ep->nic_->peer_eps_.erase(ep->remote_inst_)) cur->unlink();
+  }
   ep->remote_inst_ = -1;
   return GNI_RC_SUCCESS;
 }
@@ -536,12 +591,14 @@ gni_return_t GNI_SmsgSendWTag(gni_ep_handle_t ep, const void* header,
 
   Nic* nic = ep->nic_;
   Domain* dom = nic->domain();
-  Nic* remote = dom->nic_by_inst(ep->remote_inst_);
-  if (!remote) return GNI_RC_INVALID_PARAM;
-  Ep* remote_ep = remote->ep_for_peer(nic->inst_id());
+  Ep* remote_ep = ep->resolve_reverse();
+  if (!remote_ep && !dom->nic_by_inst(ep->remote_inst_)) {
+    return GNI_RC_INVALID_PARAM;  // bound to an instance that never attached
+  }
   if (!remote_ep || !remote_ep->smsg_.initialized) {
     return GNI_RC_INVALID_STATE;  // peer has not set up its mailbox
   }
+  Nic* remote = remote_ep->nic_;
 
   sim::Context& c = ctx();
   if (fault::FaultInjector* f = injector(nic)) {
@@ -606,7 +663,9 @@ gni_return_t GNI_SmsgGetNextWTag(gni_ep_handle_t ep, void** data_out,
   if (!ep || !data_out || !tag_out) return GNI_RC_INVALID_PARAM;
   if (!ep->smsg_.initialized) return GNI_RC_INVALID_PARAM;
   sim::Context& c = ctx();
-  for (auto& msg : ep->smsg_.rx) {
+  auto& rx = ep->smsg_.rx;
+  for (std::size_t i = 0; i < rx.size(); ++i) {
+    auto& msg = rx[i];
     if (msg.delivered) continue;
     if (msg.at > c.now()) break;  // not yet arrived in virtual time
     msg.delivered = true;
@@ -630,21 +689,18 @@ gni_return_t GNI_SmsgRelease(gni_ep_handle_t ep) {
 
   // Return one credit to the sender after a wire delay (piggybacked on the
   // next reverse-direction traffic in real SMSG; modeled as a small event).
-  Nic* nic = ep->nic_;
-  Domain* dom = nic->domain();
-  Nic* remote = dom->nic_by_inst(ep->remote_inst_);
-  if (remote) {
-    Ep* sender_ep = remote->ep_for_peer(nic->inst_id());
-    if (sender_ep) {
-      SimTime prop = static_cast<SimTime>(dom->network().hops(
-                         nic->node(), remote->node())) *
-                     dom->config().hop_ns;
-      SimTime at = ctx().now() + prop;
-      dom->scheduler().schedule_at(at, [sender_ep, remote, at] {
-        ++sender_ep->smsg_.credits;
-        if (remote->credit_notify_) remote->credit_notify_(at);
-      });
-    }
+  if (Ep* sender_ep = ep->resolve_reverse()) {
+    Nic* nic = ep->nic_;
+    Nic* remote = sender_ep->nic_;
+    Domain* dom = nic->domain();
+    SimTime prop = static_cast<SimTime>(dom->network().hops(
+                       nic->node(), remote->node())) *
+                   dom->config().hop_ns;
+    SimTime at = ctx().now() + prop;
+    dom->scheduler().schedule_at(at, [sender_ep, remote, at] {
+      ++sender_ep->smsg_.credits;
+      if (remote->credit_notify_) remote->credit_notify_(at);
+    });
   }
   return GNI_RC_SUCCESS;
 }

@@ -28,10 +28,9 @@
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "gemini/network.hpp"
@@ -181,10 +180,14 @@ struct gni_smsg_attr_t {
 // API functions — signatures shaped after gni_pub.h.
 // ---------------------------------------------------------------------------
 
+/// Exclusive upper bound on NIC instance ids (27x full Hopper's 153,216).
+constexpr std::int32_t kMaxInstId = 1 << 22;
+
 /// GNI_CdmCreate+GNI_CdmAttach equivalent: create a NIC instance bound to a
-/// torus node within the domain.  `inst_id` must be unique in the domain.
-/// Returns: SUCCESS | INVALID_PARAM (null domain/out, bad node, duplicate
-/// inst_id).
+/// torus node within the domain.  `inst_id` must be unique in the domain
+/// and below kMaxInstId (the domain indexes NICs densely by id).
+/// Returns: SUCCESS | INVALID_PARAM (null domain/out, bad node, id out of
+/// range) | INVALID_STATE (duplicate inst_id).
 gni_return_t GNI_CdmAttach(Domain* domain, std::int32_t inst_id, int node,
                            gni_nic_handle_t* nic_out);
 
@@ -353,6 +356,67 @@ gni_return_t post_transaction(Ep* ep, gni_post_descriptor_t* desc,
 // Emulation objects.
 // ---------------------------------------------------------------------------
 
+/// Power-of-two ring FIFO behind SMSG receive mailboxes and CQs.  It holds
+/// no storage while empty: the ring is allocated on the first push and
+/// released whenever a pop drains it, so an idle mailbox or CQ — most
+/// lazily established channels, and every CQ of a freshly built machine —
+/// costs only this object.
+template <typename T>
+class RingFifo {
+ public:
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  /// Slots currently allocated (0 whenever the FIFO is empty).
+  std::size_t capacity() const { return cap_; }
+
+  T& front() { return buf_[head_]; }
+  const T& front() const { return buf_[head_]; }
+  /// The i-th oldest element (0 == front).
+  T& operator[](std::size_t i) { return buf_[(head_ + i) & (cap_ - 1)]; }
+  const T& operator[](std::size_t i) const {
+    return buf_[(head_ + i) & (cap_ - 1)];
+  }
+
+  void push_back(T v) {
+    if (size_ == cap_) grow();
+    (*this)[size_] = std::move(v);
+    ++size_;
+  }
+  /// Insert so that `v` becomes the pos-th element; cost is linear in the
+  /// number of elements after it.
+  void insert(std::size_t pos, T v) {
+    push_back(std::move(v));
+    for (std::size_t i = size_ - 1; i > pos; --i) {
+      std::swap((*this)[i], (*this)[i - 1]);
+    }
+  }
+  void pop_front() {
+    if (--size_ == 0) {
+      buf_.reset();
+      cap_ = 0;
+      head_ = 0;
+      return;
+    }
+    buf_[head_] = T{};
+    head_ = (head_ + 1) & (cap_ - 1);
+  }
+
+ private:
+  void grow() {
+    const std::uint32_t cap = cap_ ? 2 * cap_ : 4;
+    auto buf = std::make_unique<T[]>(cap);
+    for (std::uint32_t i = 0; i < size_; ++i) buf[i] = std::move((*this)[i]);
+    buf_ = std::move(buf);
+    cap_ = cap;
+    head_ = 0;
+  }
+
+  std::unique_ptr<T[]> buf_;
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = 0;
+};
+
 /// A completion queue: a bounded FIFO of events plus an optional notify hook
 /// so the simulated runtime can wake an idle PE when an event lands.
 class Cq {
@@ -393,7 +457,7 @@ class Cq {
   bool overrun_ = false;
   std::size_t max_depth_ = 0;
   std::uint64_t dropped_events_ = 0;
-  std::deque<Timed> entries_;  // kept sorted by arrival time
+  RingFifo<Timed> entries_;  // kept sorted by arrival time
   std::function<void(SimTime)> notify_;
 };
 
@@ -411,7 +475,7 @@ struct SmsgChannelState {
     SimTime at = 0;          // virtual arrival time
     bool delivered = false;  // returned by GetNextWTag, not yet Released
   };
-  std::deque<Msg> rx;
+  RingFifo<Msg> rx;
 };
 
 /// Endpoint: the addressing object for one remote NIC instance.
@@ -424,13 +488,80 @@ class Ep {
   std::int32_t remote_inst() const { return remote_inst_; }
   bool bound() const { return remote_inst_ >= 0; }
 
+  /// The endpoint on the remote NIC bound back to this one, once SMSG
+  /// traffic has linked the pair (nullptr before first use and after
+  /// GNI_EpDestroy on either side).
+  Ep* reverse() const { return reverse_; }
+
  private:
   UGNIRT_UGNI_API_FRIENDS
+
+  /// The reverse endpoint: the link when set, else a lookup through the
+  /// remote NIC that links the pair when this is the endpoint its NIC has
+  /// bound to the peer.  nullptr when the peer has no endpoint bound back.
+  Ep* resolve_reverse();
+  /// Break the reverse link on both sides.
+  void unlink() {
+    if (reverse_) reverse_->reverse_ = nullptr;
+    reverse_ = nullptr;
+  }
 
   Nic* nic_;
   Cq* tx_cq_;
   std::int32_t remote_inst_ = -1;
+  // Linked in pairs: a->reverse_ == b exactly when b->reverse_ == a, and
+  // only while each is the endpoint its NIC has bound to the other.
+  Ep* reverse_ = nullptr;
   SmsgChannelState smsg_;
+};
+
+/// Flat map from peer instance id to the endpoint bound to it: open
+/// addressing with linear probing over a power-of-two slot array
+/// (Fibonacci-hashed home slot, load at most 1/2), backward-shift erase so
+/// no tombstones accumulate, and no storage until the first insert.  Peer
+/// ids are non-negative; -1 marks an empty slot.
+class PeerTable {
+ public:
+  Ep* find(std::int32_t peer) const {
+    if (size_ == 0) return nullptr;
+    for (std::size_t i = home(peer);; i = (i + 1) & mask()) {
+      const Slot& s = slots_[i];
+      if (s.peer == peer) return s.ep;
+      if (s.peer == kEmpty) return nullptr;
+    }
+  }
+  /// Bind `peer` to `ep`; returns the endpoint it displaced, or nullptr.
+  Ep* insert(std::int32_t peer, Ep* ep);
+  /// Unbind `peer`; returns the endpoint it was bound to, or nullptr.
+  Ep* erase(std::int32_t peer);
+
+  std::size_t size() const { return size_; }
+  std::size_t capacity() const { return slots_.size(); }
+
+  /// Visit every live (peer, endpoint) pair in slot order.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (const Slot& s : slots_) {
+      if (s.peer != kEmpty) f(s.peer, s.ep);
+    }
+  }
+
+ private:
+  static constexpr std::int32_t kEmpty = -1;
+  struct Slot {
+    std::int32_t peer = kEmpty;
+    Ep* ep = nullptr;
+  };
+
+  std::size_t mask() const { return slots_.size() - 1; }
+  std::size_t home(std::int32_t peer) const {
+    return (static_cast<std::uint32_t>(peer) * 0x9E3779B9u) >> shift_;
+  }
+  void grow();
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  unsigned shift_ = 32;  // 32 - log2(capacity)
 };
 
 /// A NIC instance: one per simulated process (PE), attached to a torus node.
@@ -460,7 +591,9 @@ class Nic {
   std::size_t active_regions() const { return n_active_regions_; }
 
   /// Endpoint on this NIC bound to `remote_inst`, or nullptr.
-  Ep* ep_for_peer(std::int32_t remote_inst) const;
+  Ep* ep_for_peer(std::int32_t remote_inst) const {
+    return peer_eps_.find(remote_inst);
+  }
 
   /// Defaults used by get_or_connect for lazily created channels: the TX
   /// CQ every new endpoint binds to and the SMSG mailbox attributes both
@@ -478,10 +611,10 @@ class Nic {
   /// pinning no per-pair memory), with both mailbox registrations
   /// charged to the *initiator's* virtual time — the out-of-band
   /// datagram handshake of the real dynamic setup.  Subsequent calls are
-  /// an O(1) hash lookup with no charge.  `established_out` (optional)
-  /// reports whether this call created the channel, so callers can count
-  /// setup work.  Returns nullptr when `peer` is unknown or this NIC has
-  /// no default TX CQ configured.  Requires a current sim context.
+  /// one probe of the flat peer table with no charge.  `established_out`
+  /// (optional) reports whether this call created the channel, so callers
+  /// can count setup work.  Returns nullptr when `peer` is unknown or this
+  /// NIC has no default TX CQ configured.  Requires a current sim context.
   Ep* get_or_connect(std::int32_t peer, bool* established_out = nullptr);
 
   bool connected(std::int32_t peer) const {
@@ -528,7 +661,7 @@ class Nic {
   std::size_t n_active_regions_ = 0;
   std::uint64_t registered_bytes_ = 0;
   std::uint64_t mailbox_bytes_ = 0;
-  std::unordered_map<std::int32_t, Ep*> peer_eps_;  // bound endpoints
+  PeerTable peer_eps_;  // bound endpoints
   std::function<void(SimTime)> credit_notify_;
   // Descriptors completed but not yet claimed via GNI_GetCompleted.
   std::vector<std::pair<std::uint64_t, gni_post_descriptor_t*>> completed_;
@@ -548,9 +681,13 @@ class Domain {
   const gemini::MachineConfig& config() const { return network_->config(); }
   sim::Scheduler& scheduler() const { return network_->scheduler(); }
 
-  /// O(1) instance lookup (hash index) — on the per-send hot path, so it
-  /// must not scan the NIC table (153k NICs at full-machine scale).
-  Nic* nic_by_inst(std::int32_t inst_id) const;
+  /// O(1) instance lookup: one load from a dense table indexed by instance
+  /// id (machine layers attach ids 0..N-1).  SMSG send and release skip it
+  /// once a channel's endpoints are linked (Ep::reverse).
+  Nic* nic_by_inst(std::int32_t inst_id) const {
+    const auto i = static_cast<std::size_t>(inst_id);
+    return inst_id >= 0 && i < nic_index_.size() ? nic_index_[i] : nullptr;
+  }
   std::size_t nic_count() const { return nics_.size(); }
 
   /// Aggregate SMSG mailbox memory across the job (scalability metric).
@@ -574,7 +711,7 @@ class Domain {
 
   gemini::Network* network_;
   std::vector<std::unique_ptr<Nic>> nics_;
-  std::unordered_map<std::int32_t, Nic*> nic_index_;  // inst_id -> NIC
+  std::vector<Nic*> nic_index_;  // inst_id -> NIC (nullptr: unattached)
   std::vector<std::unique_ptr<Ep>> eps_;
   std::vector<std::unique_ptr<Cq>> cqs_;
   std::uint64_t total_mailbox_bytes_ = 0;

@@ -277,6 +277,57 @@ TEST_F(LazyConnectFixture, MailboxAccountingTracksEstablishedChannels) {
   EXPECT_EQ(dom_->smsg_channels(), 0u);
 }
 
+// The first send links the two endpoint halves; GNI_EpDestroy on either
+// side breaks the link, so the survivor's next send finds no endpoint bound
+// back (INVALID_STATE) instead of writing into the destroyed one's mailbox.
+// Reconnecting from the side that lost its endpoint pays the setup bill
+// again, and the next send re-links the pair.
+TEST_F(LazyConnectFixture, EpDestroyOnEitherSideUnlinksAndReconnectRelinks) {
+  const SimTime bill = 2 * dom_->config().reg_cost(mailbox_bytes_per_channel());
+  const std::uint8_t byte = 7;
+  auto send = [&](int from, ugni::gni_ep_handle_t ep) {
+    sim::ScopedContext guard(*ctx_[from]);
+    return ugni::GNI_SmsgSendWTag(ep, &byte, 1, nullptr, 0, 0, 1);
+  };
+  for (int side = 0; side < 2; ++side) {
+    SCOPED_TRACE(side == 0 ? "destroy the initiator's endpoint"
+                           : "destroy the peer's endpoint");
+    const int survivor = 1 - side;
+    ugni::gni_ep_handle_t ep[2] = {};
+    {
+      sim::ScopedContext guard(*ctx_[0]);
+      ep[0] = nic_[0]->get_or_connect(1);
+    }
+    ep[1] = nic_[1]->ep_for_peer(0);
+    ASSERT_NE(ep[0], nullptr);
+    ASSERT_NE(ep[1], nullptr);
+    ASSERT_EQ(send(0, ep[0]), ugni::GNI_RC_SUCCESS);
+    EXPECT_EQ(ep[0]->reverse(), ep[1]);
+    EXPECT_EQ(ep[1]->reverse(), ep[0]);
+
+    ASSERT_EQ(ugni::GNI_EpDestroy(ep[side]), ugni::GNI_RC_SUCCESS);
+    EXPECT_EQ(ep[0]->reverse(), nullptr);
+    EXPECT_EQ(ep[1]->reverse(), nullptr);
+    EXPECT_EQ(send(survivor, ep[survivor]), ugni::GNI_RC_INVALID_STATE);
+
+    bool established = false;
+    ugni::gni_ep_handle_t fresh = nullptr;
+    {
+      sim::ScopedContext guard(*ctx_[side]);
+      const SimTime before = ctx_[side]->now();
+      fresh = nic_[side]->get_or_connect(survivor, &established);
+      EXPECT_EQ(ctx_[side]->now() - before, bill);
+    }
+    ASSERT_NE(fresh, nullptr);
+    EXPECT_NE(fresh, ep[side]);
+    EXPECT_TRUE(established);
+    ASSERT_EQ(send(side, fresh), ugni::GNI_RC_SUCCESS);
+    EXPECT_EQ(fresh->reverse(), ep[survivor]);
+    EXPECT_EQ(ep[survivor]->reverse(), fresh);
+    EXPECT_EQ(send(survivor, ep[survivor]), ugni::GNI_RC_SUCCESS);
+  }
+}
+
 // --------------------------------------------------------- 100k-PE ring ----
 
 /// Ring exchange: every PE sends `msgs` small messages to its right

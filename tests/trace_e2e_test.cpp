@@ -4,6 +4,7 @@
 // This binary has its own main() so it can set UGNIRT_TRACE in the
 // environment before the lazily-initialized TraceSession first reads it.
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -24,7 +25,31 @@
 namespace ugnirt::converse {
 namespace {
 
-constexpr const char* kOutputBase = "trace_e2e_out";
+/// Per-test artifact base "trace_e2e_out.<test name>", removed when the
+/// test ends.  ctest runs each discovered test in its own process, in
+/// parallel under -j, and every process flushes its session: with one
+/// shared base, one test's flush truncated files another was reading.
+class ScopedOutputBase {
+ public:
+  explicit ScopedOutputBase(trace::TraceSession& session)
+      : base_(std::string("trace_e2e_out.") +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()) {
+    session.set_output_base(base_);
+  }
+  ~ScopedOutputBase() {
+    for (const char* ext : {".trace.json", ".events.csv", ".metrics.csv",
+                            ".metrics.json", ".spans.json"}) {
+      std::remove((base_ + ext).c_str());
+    }
+  }
+  ScopedOutputBase(const ScopedOutputBase&) = delete;
+  ScopedOutputBase& operator=(const ScopedOutputBase&) = delete;
+
+  std::string path(const char* ext) const { return base_ + ext; }
+
+ private:
+  std::string base_;
+};
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
@@ -71,7 +96,7 @@ TEST(TraceE2E, SessionIsActiveAndRecords) {
   trace::TraceSession* session = trace::TraceSession::active();
   ASSERT_NE(session, nullptr) << "UGNIRT_TRACE=1 not honored";
   ASSERT_TRUE(trace::enabled());
-  session->set_output_base(kOutputBase);
+  ScopedOutputBase out(*session);
 
   run_traffic();
 
@@ -83,6 +108,7 @@ TEST(TraceE2E, SessionIsActiveAndRecords) {
   EXPECT_GT(ev.count_of(trace::Ev::kRdvAck), 0u);
   EXPECT_GT(ev.count_of(trace::Ev::kMsgExec), 0u);
   EXPECT_GT(ev.count_of(trace::Ev::kMemReg), 0u);
+  session->flush();  // now, so the exit flush leaves no files behind
 }
 
 // Self-sufficient (gtest_discover_tests may run it in its own process):
@@ -90,12 +116,12 @@ TEST(TraceE2E, SessionIsActiveAndRecords) {
 TEST(TraceE2E, FlushedArtifactsAreValid) {
   trace::TraceSession* session = trace::TraceSession::active();
   ASSERT_NE(session, nullptr);
-  session->set_output_base(kOutputBase);
+  ScopedOutputBase out(*session);
   run_traffic();
   session->flush();
 
   // ---- Chrome trace JSON: structural sanity (Perfetto-loadable shape).
-  std::string json = slurp(std::string(kOutputBase) + ".trace.json");
+  std::string json = slurp(out.path(".trace.json"));
   ASSERT_FALSE(json.empty());
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u) << json.substr(0, 40);
   std::int64_t braces = 0, brackets = 0;
@@ -122,12 +148,12 @@ TEST(TraceE2E, FlushedArtifactsAreValid) {
   EXPECT_NE(json.find("\"smsg_send\""), std::string::npos);
 
   // ---- Events CSV.
-  std::string events = slurp(std::string(kOutputBase) + ".events.csv");
+  std::string events = slurp(out.path(".events.csv"));
   EXPECT_EQ(events.rfind("pe,t_ns,dur_ns,event,peer,size", 0), 0u);
 
   // ---- Metrics CSV: header plus a broad counter set spanning the uGNI
   // layer, the mempool, the Gemini network model and the CQs.
-  std::string metrics = slurp(std::string(kOutputBase) + ".metrics.csv");
+  std::string metrics = slurp(out.path(".metrics.csv"));
   std::istringstream in(metrics);
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
@@ -163,7 +189,7 @@ TEST(TraceE2E, SpanArtifactsReconcile) {
   trace::TraceSession* session = trace::TraceSession::active();
   ASSERT_NE(session, nullptr);
   ASSERT_TRUE(trace::spans_enabled()) << "UGNIRT_SPAN_SAMPLE=1 not honored";
-  session->set_output_base(kOutputBase);
+  ScopedOutputBase out(*session);
   run_traffic();
   session->flush();
 
@@ -175,17 +201,17 @@ TEST(TraceE2E, SpanArtifactsReconcile) {
             std::min<std::uint64_t>(col->submits_seen(),
                                     col->config().max_spans));
 
-  std::string spans = slurp(std::string(kOutputBase) + ".spans.json");
+  std::string spans = slurp(out.path(".spans.json"));
   EXPECT_EQ(spans.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_NE(spans.find("\"ph\":\"b\""), std::string::npos);
   EXPECT_NE(spans.find("\"ph\":\"e\""), std::string::npos);
   EXPECT_NE(spans.find("\"deliver\""), std::string::npos);
 
-  std::string mjson = slurp(std::string(kOutputBase) + ".metrics.json");
+  std::string mjson = slurp(out.path(".metrics.json"));
   EXPECT_NE(mjson.find("\"histograms\""), std::string::npos);
   EXPECT_NE(mjson.find("\"span.total_ns\""), std::string::npos);
 
-  std::string metrics = slurp(std::string(kOutputBase) + ".metrics.csv");
+  std::string metrics = slurp(out.path(".metrics.csv"));
   EXPECT_NE(metrics.find("span.stage.transport_post,histogram"),
             std::string::npos);
   EXPECT_NE(metrics.find("span.stage.deliver,histogram"),
@@ -212,8 +238,9 @@ TEST(TraceE2E, SpanArtifactsReconcile) {
 
 int main(int argc, char** argv) {
   // Must happen before the first TraceSession::active() call anywhere.
+  // UGNIRT_TRACE_FILE would override every test's own output base.
   setenv("UGNIRT_TRACE", "1", 1);
-  setenv("UGNIRT_TRACE_FILE", ugnirt::converse::kOutputBase, 1);
+  unsetenv("UGNIRT_TRACE_FILE");
   setenv("UGNIRT_SPAN_SAMPLE", "1", 1);  // sample every message lifecycle
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();

@@ -3,8 +3,11 @@
 // accounting invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <deque>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "sim/context.hpp"
@@ -229,6 +232,140 @@ TEST_F(UgniPropertyFixture, DomainAggregatesMailboxMemory) {
   EXPECT_GT(total, 0u);
   std::uint64_t per = nic_[0]->mailbox_bytes();
   EXPECT_EQ(total, per * kNics);
+}
+
+/// Every live (peer, endpoint) pair the table's iteration yields.
+std::map<std::int32_t, Ep*> contents(const PeerTable& t) {
+  std::map<std::int32_t, Ep*> out;
+  t.for_each([&](std::int32_t peer, Ep* ep) {
+    EXPECT_TRUE(out.emplace(peer, ep).second) << "peer " << peer << " twice";
+  });
+  return out;
+}
+
+// Seeded insert/erase/find churn against a std::map oracle.  The key set
+// mixes a dense id range (long probe runs, the common machine-layer case)
+// with power-of-two strides (ids that collide under a plain mask), and the
+// phases grow the table from empty through several doublings, then erase
+// it back down so backward-shift erase runs over wrapped, clustered runs.
+TEST(PeerTableProperty, MatchesMapOracleUnderSeededChurn) {
+  std::vector<std::int32_t> keys;
+  for (std::int32_t k = 0; k < 300; ++k) keys.push_back(k);
+  for (std::int32_t k = 1; k <= 200; ++k) keys.push_back(k * 4096);
+  std::vector<std::unique_ptr<Ep>> eps;  // distinct endpoint addresses
+  for (int i = 0; i < 16; ++i) {
+    eps.push_back(std::make_unique<Ep>(nullptr, nullptr));
+  }
+
+  PeerTable table;
+  EXPECT_EQ(table.capacity(), 0u);  // no storage before the first insert
+  EXPECT_EQ(table.find(0), nullptr);
+  EXPECT_EQ(table.erase(0), nullptr);
+
+  std::map<std::int32_t, Ep*> oracle;
+  Rng rng(20120521);
+  constexpr int kSteps = 30000;
+  std::size_t peak = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    // Insert-heavy, balanced, then erase-heavy thirds.
+    const std::uint32_t insert_pct = step < kSteps / 3       ? 75
+                                     : step < 2 * kSteps / 3 ? 50
+                                                             : 25;
+    const std::int32_t key =
+        keys[rng.next_below(static_cast<std::uint32_t>(keys.size()))];
+    const auto it = oracle.find(key);
+    Ep* const before = it == oracle.end() ? nullptr : it->second;
+    const std::uint32_t op = rng.next_below(100);
+    if (op < insert_pct) {
+      Ep* ep = eps[rng.next_below(static_cast<std::uint32_t>(eps.size()))].get();
+      ASSERT_EQ(table.insert(key, ep), before) << "insert " << key;
+      oracle[key] = ep;
+    } else if (op < insert_pct + 20) {
+      ASSERT_EQ(table.find(key), before) << "find " << key;
+    } else {
+      ASSERT_EQ(table.erase(key), before) << "erase " << key;
+      oracle.erase(key);
+    }
+    ASSERT_EQ(table.size(), oracle.size());
+    ASSERT_LE(2 * table.size(), table.capacity());  // load factor <= 1/2
+    peak = std::max(peak, table.size());
+    if (step % 211 == 0) {
+      ASSERT_EQ(contents(table), oracle) << "step " << step;
+      for (std::int32_t k : keys) {
+        const auto o = oracle.find(k);
+        ASSERT_EQ(table.find(k), o == oracle.end() ? nullptr : o->second)
+            << "find " << k << " at step " << step;
+      }
+    }
+  }
+  EXPECT_GT(peak, 200u);  // grew through several doublings
+  EXPECT_EQ(contents(table), oracle);
+
+  // Drain completely: every erase must keep the rest reachable.
+  while (!oracle.empty()) {
+    const std::int32_t key = oracle.begin()->first;
+    ASSERT_EQ(table.erase(key), oracle.begin()->second);
+    oracle.erase(oracle.begin());
+    for (const auto& [k, ep] : oracle) ASSERT_EQ(table.find(k), ep);
+  }
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_TRUE(contents(table).empty());
+}
+
+// The FIFO behind SMSG mailboxes and CQs: order is kept across ring
+// wrap-around, growth and positional inserts, an empty FIFO holds no
+// storage, and the ring is released on every drain.
+TEST(RingFifoProperty, KeepsOrderAndReleasesStorageWhenDrained) {
+  RingFifo<std::vector<int>> q;  // elements own heap memory, like Msg
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 0u);
+
+  std::deque<int> oracle;
+  Rng rng(6316);
+  int next = 0;
+  int drains = 0;
+  for (int step = 0; step < 20000; ++step) {
+    // Bursts of mostly-push or mostly-pop so the queue both grows past
+    // several capacities and drains to empty again.
+    const bool pushing = (step / 64) % 2 == 0;
+    if (oracle.empty() || rng.next_below(4) < (pushing ? 3u : 1u)) {
+      if (rng.next_below(4) == 0) {  // sorted-insert path the CQs use
+        const auto pos = rng.next_below(static_cast<std::uint32_t>(oracle.size()) + 1);
+        q.insert(pos, std::vector<int>{next});
+        oracle.insert(oracle.begin() + pos, next++);
+      } else {
+        q.push_back(std::vector<int>{next});
+        oracle.push_back(next++);
+      }
+    } else {
+      ASSERT_EQ(q.front().at(0), oracle.front());
+      q.pop_front();
+      oracle.pop_front();
+      if (oracle.empty()) {
+        ++drains;
+        ASSERT_EQ(q.capacity(), 0u) << "drained FIFO kept its ring";
+      }
+    }
+    ASSERT_EQ(q.size(), oracle.size());
+    ASSERT_EQ(q.empty(), oracle.empty());
+    ASSERT_GE(q.capacity(), q.size());
+    if (!oracle.empty()) {
+      ASSERT_EQ(q[q.size() - 1].at(0), oracle.back());
+    }
+    if (step % 97 == 0) {
+      for (std::size_t i = 0; i < oracle.size(); ++i) {
+        ASSERT_EQ(q[i].at(0), oracle[i]) << "position " << i;
+      }
+    }
+  }
+  EXPECT_GT(drains, 10);
+  while (!oracle.empty()) {
+    ASSERT_EQ(q.front().at(0), oracle.front());
+    q.pop_front();
+    oracle.pop_front();
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 0u);
 }
 
 }  // namespace
