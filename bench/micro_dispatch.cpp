@@ -1,62 +1,20 @@
-// Host hot-path microbenchmarks (google-benchmark): the two A/Bs behind
-// the events/sec overhaul, measured in isolation.
+// Host hot-path microbenchmark (google-benchmark): the engine's callback
+// type measured in isolation.
 //
-//   * BM_EventChurn      — slab-recycling event arena on vs off.  Off
-//     carves a fresh record per event (the no-reuse baseline); on pops
-//     the per-shard freelist, so steady-state scheduling never touches
-//     the allocator.
-//   * BM_SmallFnBind     — SmallFn (72-byte inline SBO) vs std::function
-//     for an engine-sized capture: construct + invoke + destroy.
-//   * BM_DispatchFlood   — converse flat kind-table dispatch vs the
-//     classic branch-per-flag path, driven by the kNeighbor flood (the
-//     fine-grained regime where per-message dispatch overhead shows).
+//   * BM_SmallFnBind — SmallFn (72-byte inline SBO) vs std::function for
+//     an engine-sized capture: construct + invoke + destroy.
 //
-// Like micro_components, these measure *host* performance; virtual-time
-// results are identical across every variant by construction (the trace
-// byte-identity guard in tests/scale_test.cpp holds them to it).
+// Like micro_components, this measures *host* performance only.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <functional>
 
-#include "apps/microbench/microbench.hpp"
-#include "converse/machine.hpp"
-#include "sim/engine.hpp"
 #include "sim/small_fn.hpp"
 
 namespace {
 
 using namespace ugnirt;
-
-void BM_EventChurn(benchmark::State& state) {
-  const bool arena = state.range(0) != 0;
-  constexpr int kTimers = 4096;
-  struct Timer {
-    sim::Engine* eng;
-    std::uint32_t lcg;
-    void operator()() {
-      lcg = lcg * 1664525u + 1013904223u;
-      eng->scheduler(0).schedule_after(64 + (lcg >> 21), *this);
-    }
-  };
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    sim::EngineOptions eo;
-    eo.arena = arena;
-    sim::Engine e(eo);
-    for (int i = 0; i < kTimers; ++i) {
-      e.scheduler(0).schedule_at(
-          i % 977, Timer{&e, static_cast<std::uint32_t>(i) * 2654435761u});
-    }
-    e.run_until(20'000);
-    events = e.executed();
-    benchmark::DoNotOptimize(events);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(events));
-  state.SetLabel(arena ? "arena" : "fresh-carve");
-}
-BENCHMARK(BM_EventChurn)->Arg(0)->Arg(1);
 
 // One engine-typical capture: two pointers + a couple of scalars.
 struct Capture {
@@ -85,26 +43,6 @@ void BM_SmallFnBind(benchmark::State& state) {
   state.SetLabel(small ? "SmallFn" : "std::function");
 }
 BENCHMARK(BM_SmallFnBind)->Arg(0)->Arg(1);
-
-void BM_DispatchFlood(benchmark::State& state) {
-  const bool flat = state.range(0) != 0;
-  converse::MachineOptions o;
-  o.layer = converse::LayerKind::kUgni;
-  o.pes = 16;
-  o.pes_per_node = 1;
-  o.flat_dispatch = flat;
-  std::uint64_t msgs = 0;
-  for (auto _ : state) {
-    apps::bench::KNeighborFloodResult r =
-        apps::bench::charm_kneighbor_flood(o, /*rounds=*/16);
-    msgs = r.messages;
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(msgs));
-  state.SetLabel(flat ? "flat-table" : "classic");
-}
-BENCHMARK(BM_DispatchFlood)->Arg(0)->Arg(1);
 
 }  // namespace
 

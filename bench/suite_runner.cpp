@@ -1,8 +1,9 @@
 // Machine-readable benchmark suite for regression tracking.
 //
 // Runs the core paper scenarios (ping-pong, bandwidth, one-to-all,
-// kNeighbor, small-message flood) plus a kNeighbor PE-count sweep
-// (1k -> 16k PEs) and writes two JSON files for tools/bench_report.py:
+// kNeighbor, small-message flood) plus a ring and kNeighbor PE-count
+// sweep (1k -> 153,216 PEs) and writes two JSON files for
+// tools/bench_report.py:
 //
 //   BENCH_core.json   one metrics object (latency/bandwidth/throughput and
 //                     per-stage span percentiles of an instrumented
@@ -21,12 +22,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "apps/microbench/microbench.hpp"
 #include "bench_util.hpp"
 #include "converse/machine.hpp"
@@ -106,17 +105,6 @@ void with_span_metrics(const std::string& prefix, std::vector<Metric>& out,
   }
 }
 
-double find_value(const std::vector<Metric>& ms, const std::string& name) {
-  for (const Metric& m : ms) {
-    if (m.name == name) return m.value;
-  }
-  return 0;
-}
-
-std::vector<Metric> run_hold_point(int held, sim::QueueKind queue,
-                                   int shards, int threads = 0,
-                                   bool arena = true);
-
 std::vector<Metric> run_core() {
   std::vector<Metric> ms;
 
@@ -170,44 +158,12 @@ std::vector<Metric> run_core() {
     apps::bench::charm_pingpong(ugni_options(), pp);
   });
 
-  // Host hot-path A/Bs (micro_dispatch's headline numbers, captured as
-  // informational trend lines): slab-recycling event arena vs fresh-carve
-  // records on the hold model, and flat kind-table dispatch vs the classic
-  // branch path on the flood.  Virtual-time results are identical across
-  // variants by construction — only the wall-clock rates move.
-  {
-    const std::vector<Metric> on = run_hold_point(
-        16384, sim::QueueKind::kCalendar, 1, 0, /*arena=*/true);
-    const std::vector<Metric> off = run_hold_point(
-        16384, sim::QueueKind::kCalendar, 1, 0, /*arena=*/false);
-    const double r_on = find_value(on, "sim_events_per_wall_sec");
-    const double r_off = find_value(off, "sim_events_per_wall_sec");
-    ms.push_back(
-        {"hold_arena_events_per_wall_sec", r_on, "events/s", "info"});
-    ms.push_back(
-        {"hold_freshcarve_events_per_wall_sec", r_off, "events/s", "info"});
-    ms.push_back(
-        {"arena_speedup_x", r_off > 0 ? r_on / r_off : 0, "x", "info"});
-  }
-  {
-    converse::MachineOptions classic_opts = ugni_options(16);
-    classic_opts.flat_dispatch = false;
-    const auto c0 = std::chrono::steady_clock::now();
-    apps::bench::charm_kneighbor_flood(classic_opts, 64);
-    const double classic_wall = wall_ms_since(c0);
-    ms.push_back({"flood_classic_wall_ms", classic_wall, "ms", "info"});
-    ms.push_back({"flat_dispatch_speedup_x",
-                  flood_wall > 0 ? classic_wall / flood_wall : 0, "x",
-                  "info"});
-  }
-
   return ms;
 }
 
 // ---- scale sweep --------------------------------------------------------
 
-/// One sweep point: `pattern` traffic at `pes` PEs on the `queue` engine
-/// backend.  Patterns:
+/// One sweep point: `pattern` traffic at `pes` PEs.  Patterns:
 ///
 ///   ring       every PE fires kBurst 1 KiB messages at each ring
 ///              neighbor (left and right)
@@ -215,9 +171,9 @@ std::vector<Metric> run_core() {
 ///              k=2 neighbors on both sides (4 destinations)
 ///
 /// Direct machine build so the point can report simulator events/sec and
-/// the layer's mailbox bytes/PE (the full-machine memory curve).
-std::vector<Metric> run_scale_point(int pes, const std::string& pattern,
-                                    sim::QueueKind queue, int shards = 1) {
+/// the layer's mailbox bytes/PE (the full-machine memory curve).  The
+/// engine shard count comes from UGNIRT_SIM_SHARDS via make_machine.
+std::vector<Metric> run_scale_point(int pes, const std::string& pattern) {
   constexpr int kBurst = 4;
   constexpr std::uint32_t kBytes = 1024;
   const int k = pattern == "kneighbor" ? 2 : 1;
@@ -225,8 +181,6 @@ std::vector<Metric> run_scale_point(int pes, const std::string& pattern,
   converse::MachineOptions o = ugni_options(pes);
   o.pes_per_node = 1;
   o.use_pxshm = false;
-  o.sim_queue = queue;
-  o.sim_shards = shards;
   auto m = lrts::make_machine(converse::LayerKind::kUgni, o);
   int h = m->register_handler([](void* msg) { converse::CmiFree(msg); });
 
@@ -272,72 +226,6 @@ std::vector<Metric> run_scale_point(int pes, const std::string& pattern,
   return ms;
 }
 
-/// Hold-model engine benchmark: `held` self-rescheduling timers (the
-/// classic event-queue workload — pending size stays constant at `held`)
-/// driven by the conservative window drive.  This is the pure
-/// events-per-wall-second view of sharding: each shard pops from a small
-/// L2-resident queue instead of one giant pending set, so shards=8 beats
-/// shards=1 on a single core — the speedup is algorithmic (cache + heap
-/// depth), not thread parallelism.  Timers are shard-confined (slab
-/// placement, like the machine's PEs), strides are a deterministic LCG.
-std::vector<Metric> run_hold_point(int held, sim::QueueKind queue,
-                                   int shards, int threads, bool arena) {
-  // 16-byte functor: rescheduling stays in SmallFn's inline buffer.
-  struct Timer {
-    sim::Engine* eng;
-    int shard;
-    std::uint32_t state;
-    void operator()() {
-      state = state * 1664525u + 1013904223u;
-      // Stride 64..2111 ns (mean ~1088): several hundred pops per shard
-      // per 1 us window at 64k+ timers, so barrier costs amortize.
-      eng->scheduler(shard).schedule_after(64 + (state >> 21), *this);
-    }
-  };
-
-  // Wall-clock on a shared 1-core builder is noisy (2-4x swings between
-  // back-to-back runs), so take best-of-3; the virtual-time metrics are
-  // deterministic and identical across repetitions.
-  constexpr int kReps = 3;
-  double best_wall = 0;
-  double events = 0, rounds = 0, violations = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    sim::EngineOptions eo;
-    eo.queue = queue;
-    eo.shards = shards;
-    eo.mode = sim::DriveMode::kWindow;
-    eo.lookahead_ns = 1024;
-    eo.threads = threads;
-    eo.arena = arena;
-    sim::Engine e(eo);
-    for (int i = 0; i < held; ++i) {
-      const int shard = static_cast<int>(
-          static_cast<long long>(i) * e.shards() / held);
-      e.scheduler(shard).schedule_at(
-          i % 977,
-          Timer{&e, shard, static_cast<std::uint32_t>(i) * 2654435761u});
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    e.run_until(20'000);  // ~18 rounds, ~20 events per timer
-    const double wall = wall_ms_since(t0);
-    if (rep == 0 || wall < best_wall) best_wall = wall;
-    events = static_cast<double>(e.executed());
-    rounds = static_cast<double>(e.rounds());
-    violations = static_cast<double>(e.lookahead_violations());
-  }
-  const double wall = best_wall;
-
-  std::vector<Metric> ms;
-  ms.push_back({"sim_events", events, "events", "info"});
-  ms.push_back({"rounds", rounds, "rounds", "info"});
-  ms.push_back({"lookahead_violations", violations, "events", "lower"});
-  ms.push_back({"wall_ms", wall, "ms", "info"});
-  ms.push_back({"sim_events_per_wall_sec",
-                wall > 0 ? events / (wall / 1000.0) : 0, "events/s",
-                "info"});
-  return ms;
-}
-
 // ---- output -------------------------------------------------------------
 
 void write_core(const char* path) {
@@ -349,75 +237,29 @@ void write_core(const char* path) {
   std::printf("wrote %s (%zu metrics)\n", path, ms.size());
 }
 
-/// The committed sweep: 1k -> full Hopper (153,216 PEs).  Ring runs on
-/// both queue backends (the heap column is the calendar's speedup
-/// denominator); the heavier kNeighbor pattern runs on the calendar
-/// backend the big points need.
-struct SweepPoint {
-  int pes;
-  const char* pattern;
-  sim::QueueKind queue;
-  int shards = 1;
-};
-
+/// The committed sweep: ring and kNeighbor at 1k -> full Hopper (153,216
+/// PEs).
 constexpr std::array<int, 5> kSweepPes = {1024, 4096, 16384, 65536, 153216};
-
-std::vector<SweepPoint> sweep_points() {
-  std::vector<SweepPoint> pts;
-  for (int pes : kSweepPes) {
-    pts.push_back({pes, "ring", sim::QueueKind::kHeap});
-    pts.push_back({pes, "ring", sim::QueueKind::kCalendar});
-    pts.push_back({pes, "kneighbor", sim::QueueKind::kCalendar});
-  }
-  // Shard speedup curves (ISSUE: conservative parallel engine): the hold
-  // model at the two big sweep sizes, shards=1 as the denominator.  The
-  // shards=8 rows carry speedup_vs_shards1_x, gated >= 1.5 in CI via
-  // `bench_report.py check`.
-  for (int pes : {65536, 153216}) {
-    for (sim::QueueKind queue :
-         {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-      pts.push_back({pes, "hold", queue, 1});
-      pts.push_back({pes, "hold", queue, 8});
-    }
-  }
-  return pts;
-}
+constexpr std::array<const char*, 2> kSweepPatterns = {"ring", "kneighbor"};
 
 void write_scale(const char* path) {
   std::ofstream out(path);
   out << "{\n  \"suite\": \"scale\",\n  \"schema\": 1,\n  \"sweep\": [\n";
-  const std::vector<SweepPoint> pts = sweep_points();
-  // events/wall-sec of the most recent shards=1 hold row per (pes, queue),
-  // consumed by the matching shards=8 row's speedup metric.
-  double hold_base = 0;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    const SweepPoint& p = pts[i];
-    const bool hold = std::strcmp(p.pattern, "hold") == 0;
-    std::vector<Metric> ms = hold
-        ? run_hold_point(p.pes, p.queue, p.shards)
-        : run_scale_point(p.pes, p.pattern, p.queue, p.shards);
-    if (hold) {
-      const double rate = find_value(ms, "sim_events_per_wall_sec");
-      if (p.shards == 1) {
-        hold_base = rate;
-      } else {
-        ms.push_back({"speedup_vs_shards1_x",
-                      hold_base > 0 ? rate / hold_base : 0, "x", "info"});
-      }
+  bool first = true;
+  for (int pes : kSweepPes) {
+    for (const char* pattern : kSweepPatterns) {
+      const std::vector<Metric> ms = run_scale_point(pes, pattern);
+      if (!first) out << ",\n";
+      first = false;
+      out << "    {\"pes\": " << pes << ", \"pattern\": \"" << pattern
+          << "\", \"metrics\": {\n";
+      write_metrics(out, ms, "      ");
+      out << "    }}";
+      std::printf("scale: %d PEs %s done\n", pes, pattern);
+      std::fflush(stdout);
     }
-    out << "    {\"pes\": " << p.pes << ", \"pattern\": \"" << p.pattern
-        << "\", \"queue\": \"" << sim::to_string(p.queue) << '"';
-    if (p.shards != 1) out << ", \"shards\": " << p.shards;
-    out << ", \"metrics\": {\n";
-    write_metrics(out, ms, "      ");
-    out << "    }}";
-    if (i + 1 < pts.size()) out << ',';
-    out << '\n';
-    std::printf("scale: %d PEs %s/%s shards=%d done\n", p.pes, p.pattern,
-                sim::to_string(p.queue), p.shards);
-    std::fflush(stdout);
   }
-  out << "  ]\n}\n";
+  out << "\n  ]\n}\n";
   std::printf("wrote %s\n", path);
 }
 
@@ -429,21 +271,11 @@ int main(int argc, char** argv) {
   if (which == "scale" || which == "all") write_scale("BENCH_scale.json");
   if (which == "scalepoint") {
     // One point, metrics to stdout — for profiling and ad-hoc probing.
-    // Usage: suite_runner scalepoint <pes> [ring|kneighbor|hold]
-    //                     [heap|calendar] [shards] [threads]
-    // Machine patterns also honor UGNIRT_SIM_SHARDS via make_machine.
+    // Usage: suite_runner scalepoint <pes> [ring|kneighbor]
+    // The engine shard count comes from UGNIRT_SIM_SHARDS.
     const int pes = argc > 2 ? std::atoi(argv[2]) : 16384;
     const std::string pattern = argc > 3 ? argv[3] : "ring";
-    sim::QueueKind queue = sim::QueueKind::kCalendar;
-    if (argc > 4 && !sim::queue_kind_from_string(argv[4], &queue)) {
-      std::fprintf(stderr, "unknown queue '%s'\n", argv[4]);
-      return 2;
-    }
-    const int shards = argc > 5 ? std::atoi(argv[5]) : 1;
-    const int threads = argc > 6 ? std::atoi(argv[6]) : 0;
-    const std::vector<Metric> ms =
-        pattern == "hold" ? run_hold_point(pes, queue, shards, threads)
-                          : run_scale_point(pes, pattern, queue, shards);
+    const std::vector<Metric> ms = run_scale_point(pes, pattern);
     for (const Metric& m : ms) {
       std::printf("%s = %.9g %s\n", m.name.c_str(), m.value, m.unit.c_str());
     }

@@ -57,8 +57,10 @@ class Patch final : public charm::ArrayElement {
   Vec3 lo_;  // box corner of this patch
 
  private:
-  void on_positions(const PosHead& head, const Vec3* pos);
-  void on_migrants(const MigHead& head, const Atom* atoms);
+  // `raw` points into the message payload, which is only 4-byte aligned:
+  // the handlers memcpy the records out rather than read them in place.
+  void on_positions(const PosHead& head, const std::uint8_t* raw);
+  void on_migrants(const MigHead& head, const std::uint8_t* raw);
   void try_compute();
   void try_finish();
   void compute_and_integrate();
@@ -181,32 +183,41 @@ void Patch::receive(int method, const void* payload, std::uint32_t bytes) {
     PosHead head;
     std::memcpy(&head, payload, sizeof(head));
     assert(bytes == sizeof(PosHead) + sizeof(Vec3) * static_cast<std::uint32_t>(head.count));
-    on_positions(head, reinterpret_cast<const Vec3*>(
-                           static_cast<const std::uint8_t*>(payload) +
-                           sizeof(PosHead)));
+    on_positions(head,
+                 static_cast<const std::uint8_t*>(payload) + sizeof(PosHead));
   } else if (method == kMethodMigrants) {
     MigHead head;
     std::memcpy(&head, payload, sizeof(head));
     assert(bytes == sizeof(MigHead) + sizeof(Atom) * static_cast<std::uint32_t>(head.count));
-    on_migrants(head, reinterpret_cast<const Atom*>(
-                          static_cast<const std::uint8_t*>(payload) +
-                          sizeof(MigHead)));
+    on_migrants(head,
+                static_cast<const std::uint8_t*>(payload) + sizeof(MigHead));
   } else {
     assert(false && "unknown patch method");
   }
 }
 
-void Patch::on_positions(const PosHead& head, const Vec3* pos) {
+/// Append `count` records from an unaligned byte buffer to `out`.
+template <typename T>
+void append_unaligned(std::vector<T>& out, const std::uint8_t* raw,
+                      std::int32_t count) {
+  if (count <= 0) return;  // memcpy must not see an empty vector's null data()
+  const std::size_t old = out.size();
+  out.resize(old + static_cast<std::size_t>(count));
+  std::memcpy(out.data() + old, raw,
+              static_cast<std::size_t>(count) * sizeof(T));
+}
+
+void Patch::on_positions(const PosHead& head, const std::uint8_t* raw) {
   auto& slot = ghosts_[head.step];
   slot.first += 1;
-  slot.second.insert(slot.second.end(), pos, pos + head.count);
+  append_unaligned(slot.second, raw, head.count);
   try_compute();
 }
 
-void Patch::on_migrants(const MigHead& head, const Atom* in) {
+void Patch::on_migrants(const MigHead& head, const std::uint8_t* raw) {
   auto& slot = migrants_[head.step];
   slot.first += 1;
-  slot.second.insert(slot.second.end(), in, in + head.count);
+  append_unaligned(slot.second, raw, head.count);
   try_finish();
 }
 

@@ -66,8 +66,8 @@ void Pe::wake(SimTime t) {
   step_scheduled_ = true;
   scheduled_at_ = when;
   // Through the PE's own shard scheduler: a PE's steps are the textbook
-  // shard-local workload, and under the replay drive this is bit-identical
-  // to scheduling on the global engine.
+  // shard-local workload, and the engine's global pop order makes this
+  // bit-identical to scheduling on the global engine.
   step_event_ = ctx_.scheduler().schedule_at(
       when, [this, when] { run_step(when); });
 }
@@ -148,25 +148,9 @@ void Pe::run_step(SimTime t) {
 // Machine
 // ---------------------------------------------------------------------------
 
-namespace {
-sim::EngineOptions engine_options_for(const MachineOptions& o) {
-  sim::EngineOptions eo;
-  eo.queue = o.sim_queue;
-  eo.shards = o.effective_shards();
-  eo.lookahead_ns = o.effective_lookahead_ns();
-  // The runtime layers share state across PEs (the Network's link
-  // schedules, tracer buffers, metrics), so the machine always drives the
-  // engine in replay mode: exact global (time, seq) order, bit-identical
-  // for any shard count.
-  eo.mode = sim::DriveMode::kReplay;
-  eo.arena = o.sim_arena;
-  return eo;
-}
-}  // namespace
-
 Machine::Machine(MachineOptions options, std::unique_ptr<MachineLayer> layer)
     : options_(options),
-      engine_(engine_options_for(options)),
+      engine_(sim::EngineOptions{options.effective_shards()}),
       layer_(std::move(layer)) {
   assert(options_.pes >= 1);
   network_ = std::make_unique<gemini::Network>(
@@ -377,10 +361,6 @@ void Machine::forward_broadcast(Pe& pe, void* msg) {
 }
 
 void Machine::dispatch(Pe& pe, void* msg) {
-  if (!options_.flat_dispatch) {
-    dispatch_classic(pe, msg);
-    return;
-  }
   // Message kind — three flag bits compressed to a table index: the whole
   // classify-then-branch chain becomes one indexed member call whose
   // instantiation has the decisions baked in.
@@ -471,65 +451,6 @@ void Machine::dispatch_batch(Pe& pe, void* msg) {
   assert(ok && "malformed aggregation frame");
   (void)ok;
   layer_->free_msg(pe.ctx(), pe, msg);
-}
-
-void Machine::dispatch_classic(Pe& pe, void* msg) {
-  CmiMsgHeader* h = header_of(msg);
-  if (h->flags & kMsgFlagAggBatch) {
-    // An aggregation batch: deliver every sub-message IN PLACE, inside
-    // this one scheduler step.  This is where the receive-side win comes
-    // from — the full recv overhead (and the scheduler loop that led
-    // here) is paid once per batch; each item costs only the small
-    // per-item dispatch overhead, with zero copies.  Sub-messages are
-    // flagged kMsgFlagNoFree: they live inside the batch buffer, are
-    // runtime-owned, and are valid only for the duration of their
-    // handler call (handlers that retain or relay them go through
-    // Machine::submit, which clones NoFree buffers).  Pack order ==
-    // arrival order, so per-(src,dest) FIFO delivery is preserved.
-    pe.ctx().charge(options_.mc.charm_recv_overhead_ns);
-    const bool ok = aggregation::for_each_submessage(
-        payload_of(msg),
-        h->size - static_cast<std::uint32_t>(kCmiHeaderBytes),
-        [&](const void* sub, std::uint32_t len) {
-          (void)len;
-          void* smsg = const_cast<void*>(sub);
-          CmiMsgHeader* sh = header_of(smsg);
-          sh->flags |= kMsgFlagNoFree;
-          pe.ctx().charge(options_.mc.agg_item_overhead_ns);
-          if (trace::spans_enabled() && sh->span_id != 0) {
-            trace::span_mark(sh->span_id, trace::Stage::kDeliver, pe.id(),
-                             pe.ctx().now());
-          }
-          if ((sh->flags & kMsgFlagBcast) &&
-              static_cast<int>(sh->bcast_root) != pe.id()) {
-            forward_broadcast(pe, smsg);
-          }
-          if (!(sh->flags & kMsgFlagSystem)) {
-            ++qd_processed_[static_cast<std::size_t>(pe.id())];
-          }
-          assert(sh->handler < handlers_.size());
-          handlers_[sh->handler](smsg);
-          ++stats_.msgs_executed;
-        });
-    assert(ok && "malformed aggregation frame");
-    (void)ok;
-    layer_->free_msg(pe.ctx(), pe, msg);
-    return;
-  }
-  if ((h->flags & kMsgFlagBcast) &&
-      static_cast<int>(h->bcast_root) != pe.id()) {
-    forward_broadcast(pe, msg);
-  }
-  if (!(h->flags & kMsgFlagSystem)) {
-    ++qd_processed_[static_cast<std::size_t>(pe.id())];
-  }
-  pe.ctx().charge(options_.mc.charm_recv_overhead_ns);
-  if (trace::spans_enabled() && h->span_id != 0) {
-    trace::span_mark(h->span_id, trace::Stage::kDeliver, pe.id(),
-                     pe.ctx().now());
-  }
-  assert(h->handler < handlers_.size());
-  handlers_[h->handler](msg);
 }
 
 PersistentHandle Machine::create_persistent(int dest_pe,

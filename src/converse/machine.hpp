@@ -106,39 +106,13 @@ struct MachineOptions {
 
   std::uint64_t seed = 0x5eed;
 
-  /// Engine event-queue backend ("sim.queue" config key / UGNIRT_SIM_QUEUE
-  /// env): the binary-heap oracle or the O(1) calendar queue for
-  /// full-machine sweeps.  Backends are bit-identical under a fixed seed;
-  /// this knob only changes wall-clock speed.  Defaults are hermetic —
-  /// environment overrides are applied by lrts::make_machine, not here.
-  sim::QueueKind sim_queue = sim::QueueKind::kHeap;
-
   /// Pending-event-set shards ("sim.shards" / UGNIRT_SIM_SHARDS).  The
   /// machine maps contiguous torus node slabs onto shards (clamped to the
   /// node count) and pins every PE's scheduling to its slab's shard.  The
-  /// runtime drives the engine in replay mode, so results are bit-identical
-  /// for ANY value; >1 trades the one big event queue for several small
-  /// hot ones (the full-machine-sweep wall-clock win).
+  /// engine pops in one global (time, seq) order, so results are
+  /// bit-identical for ANY value; >1 trades the one big event heap for
+  /// several small hot ones (the full-machine-sweep wall-clock win).
   int sim_shards = 1;
-
-  /// Conservative lookahead ("sim.lookahead_ns" / UGNIRT_SIM_LOOKAHEAD_NS)
-  /// handed to the engine.  0 (default) derives it from the Gemini model:
-  /// mc.min_remote_latency_ns(), the one-hop router traversal that lower-
-  /// bounds any cross-node effect.
-  SimTime sim_lookahead_ns = 0;
-
-  /// Recycle engine event records through the per-shard slab arenas
-  /// ("sim.arena" / UGNIRT_SIM_ARENA).  false is the A/B measurement
-  /// baseline (one fresh record per event); scheduling semantics are
-  /// bit-identical either way.
-  bool sim_arena = true;
-
-  /// Dispatch messages through the flat per-kind handler table
-  /// ("sim.flat_dispatch" / UGNIRT_SIM_FLAT_DISPATCH).  false falls back
-  /// to the classic branch chain; both paths charge and trace the exact
-  /// same sequence — the toggle exists for the bit-identity guard test
-  /// and A/B measurement.
-  bool flat_dispatch = true;
 
   /// PEs per node; 0 means "use mc.cores_per_node".  Micro-benchmarks that
   /// place each rank on its own node set this to 1.
@@ -175,12 +149,6 @@ struct MachineOptions {
   int effective_shards() const {
     int s = sim_shards < 1 ? 1 : sim_shards;
     return s > nodes() ? nodes() : s;
-  }
-  /// Lookahead handed to the engine: the explicit knob, or the Gemini
-  /// link-latency floor.
-  SimTime effective_lookahead_ns() const {
-    return sim_lookahead_ns > 0 ? sim_lookahead_ns
-                                : mc.min_remote_latency_ns();
   }
 };
 
@@ -429,15 +397,9 @@ class Machine {
   friend class Pe;
 
   void dispatch(Pe& pe, void* msg);
-  /// The pre-flat-table dispatcher: a branch chain re-reading the flags
-  /// word at every decision.  Kept as the independent reference the
-  /// bit-identity guard test compares the flat table against
-  /// (MachineOptions::flat_dispatch = false).
-  void dispatch_classic(Pe& pe, void* msg);
   /// One flat-table entry: the System/Bcast/AggBatch decisions are baked
   /// into the instantiation, so dispatch costs one indexed indirect call
-  /// instead of the chain.  Charges and trace marks are identical to
-  /// dispatch_classic by construction.
+  /// instead of a branch chain re-reading the flags word.
   template <bool kSystem, bool kBcast, bool kBatch>
   void dispatch_kind(Pe& pe, void* msg);
   void dispatch_batch(Pe& pe, void* msg);

@@ -128,14 +128,6 @@ struct MachineConfig {
   SimTime pxshm_notify_ns = 250;          // fence + flag + queue bookkeeping
   SimTime pxshm_poll_ns = 120;            // receiver-side queue check
 
-  /// Lower bound on the virtual latency of ANY effect crossing nodes: even
-  /// a single-hop zero-byte SMSG pays one router traversal before it can
-  /// touch remote state.  This is the conservative-parallel engine's
-  /// lookahead (sim::EngineOptions::lookahead_ns): events on different
-  /// torus slabs closer together than this cannot causally interact, so
-  /// shards may execute a window of that width independently.
-  SimTime min_remote_latency_ns() const { return hop_ns; }
-
   /// Effective SMSG per-message cap for a job of `pes` PEs: Cray's runtime
   /// shrinks mailboxes as the job grows to bound per-pair memory (§III-C).
   std::uint32_t smsg_max_for_job(int pes) const {

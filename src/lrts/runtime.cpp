@@ -13,7 +13,7 @@ std::unique_ptr<converse::Machine> make_machine(
   // Honor UGNIRT_GEMINI_* / UGNIRT_FAULT_* / UGNIRT_RETRY_* / UGNIRT_AGG_*
   // / UGNIRT_FLOW_* / UGNIRT_SIM_* environment overrides for every model
   // constant, fault knob, retry knob, aggregation knob, flow-control knob
-  // and the engine's queue backend, so experiments and ablations can
+  // and the engine's shard count, so experiments and ablations can
   // retune the machine without rebuilds.
   {
     Config cfg;
@@ -23,11 +23,7 @@ std::unique_ptr<converse::Machine> make_machine(
     options.aggregation.export_to(cfg);
     options.flow.export_to(cfg);
     options.tenancy.export_to(cfg);
-    cfg.set("sim.queue", sim::to_string(options.sim_queue));
     cfg.set("sim.shards", std::to_string(options.sim_shards));
-    cfg.set("sim.lookahead_ns", std::to_string(options.sim_lookahead_ns));
-    cfg.set("sim.arena", options.sim_arena ? "1" : "0");
-    cfg.set("sim.flat_dispatch", options.flat_dispatch ? "1" : "0");
     cfg.apply_env_overrides();
     options.mc = gemini::MachineConfig::from(cfg);
     options.fault = fault::FaultPlan::from(cfg);
@@ -35,13 +31,7 @@ std::unique_ptr<converse::Machine> make_machine(
     options.aggregation = aggregation::AggregationConfig::from(cfg);
     options.flow = flowcontrol::FlowConfig::from(cfg);
     options.tenancy = tenancy::TenancyConfig::from(cfg);
-    sim::queue_kind_from_string(cfg.get_string_or("sim.queue", "heap"),
-                                &options.sim_queue);
     options.sim_shards = static_cast<int>(cfg.get_int_or("sim.shards", 1));
-    options.sim_lookahead_ns =
-        static_cast<SimTime>(cfg.get_int_or("sim.lookahead_ns", 0));
-    options.sim_arena = cfg.get_int_or("sim.arena", 1) != 0;
-    options.flat_dispatch = cfg.get_int_or("sim.flat_dispatch", 1) != 0;
   }
   std::unique_ptr<converse::MachineLayer> layer;
   switch (kind) {

@@ -2,25 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
 #include <cstdlib>
-#include <thread>
 #include <utility>
 
 namespace ugnirt::sim {
-
-namespace {
-
-/// The shard currently executing an event on this thread.  Thread-local so
-/// the threaded window drive gives every worker its own notion of "here";
-/// the engine pointer disambiguates nested engines (benches build several).
-struct ExecutingShard {
-  const Engine* engine = nullptr;
-  int shard = -1;
-};
-thread_local ExecutingShard t_executing;
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // EventHandle
@@ -37,7 +22,7 @@ void EventHandle::cancel() {
       rec_->alive = false;
       // First successful cancel of a not-yet-fired event: it is no longer
       // pending work.
-      live->fetch_sub(1, std::memory_order_relaxed);
+      --*live;
     }
   }
 }
@@ -51,119 +36,43 @@ bool EventHandle::valid() const {
 // Scheduler — the concrete {engine, shard} handle
 // ---------------------------------------------------------------------------
 
-SimTime Scheduler::now() const { return engine_->scheduler_now(shard_); }
+SimTime Scheduler::now() const { return engine_->now(); }
 
 EventHandle Scheduler::schedule_at(SimTime when, SmallFn fn) {
-  return engine_->schedule_from(shard_, when, std::move(fn));
-}
-
-// ---------------------------------------------------------------------------
-// EngineOptions
-// ---------------------------------------------------------------------------
-
-const char* to_string(DriveMode mode) {
-  switch (mode) {
-    case DriveMode::kReplay:
-      return "replay";
-    case DriveMode::kWindow:
-      return "window";
-  }
-  return "replay";
-}
-
-EngineOptions EngineOptions::from_env() {
-  EngineOptions o;
-  o.queue = queue_kind_from_env();
-  if (const char* env = std::getenv("UGNIRT_SIM_SHARDS")) {
-    o.shards = std::max(1, std::atoi(env));
-  }
-  if (const char* env = std::getenv("UGNIRT_SIM_LOOKAHEAD_NS")) {
-    o.lookahead_ns = std::max<SimTime>(1, std::atoll(env));
-  }
-  if (const char* env = std::getenv("UGNIRT_SIM_ARENA")) {
-    o.arena = std::atoi(env) != 0;
-  }
-  return o;
-}
-
-// ---------------------------------------------------------------------------
-// Engine::Shard
-// ---------------------------------------------------------------------------
-
-Engine::Shard::Shard(Engine& engine, int index, QueueKind kind, bool arena)
-    : engine_(&engine),
-      index_(index),
-      queue_(make_event_queue(kind)),
-      live_(std::make_shared<std::atomic<std::int64_t>>(0)),
-      arena_(arena) {}
-
-EventRecord* Engine::Shard::acquire_mailbox_record() {
-  if (mailbox_free_ != nullptr) {
-    EventRecord* rec = mailbox_free_;
-    mailbox_free_ = rec->next_free;
-    rec->next_free = nullptr;
-    return rec;
-  }
-  mailbox_records_.push_back(std::make_unique<EventRecord>());
-  EventRecord* rec = mailbox_records_.back().get();
-  rec->mailbox_owned = true;
-  return rec;
-}
-
-void Engine::Shard::release_record(EventRecord* rec) {
-  if (rec->mailbox_owned) {
-    // Rare path: a mailboxed cross-shard event retired by its target.
-    // The pool mutex also guards the freelist against a concurrent
-    // acquire from another shard's worker mid-round.
-    std::lock_guard<std::mutex> lock(mailbox_mu_);
-    rec->fn.reset();
-    rec->alive = false;
-    ++rec->gen;
-    rec->next_free = mailbox_free_;
-    mailbox_free_ = rec;
-    return;
-  }
-  arena_.release(rec);
+  return engine_->schedule_on(shard_, when, std::move(fn));
 }
 
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
 
+EngineOptions EngineOptions::from_env() {
+  EngineOptions o;
+  if (const char* env = std::getenv("UGNIRT_SIM_SHARDS")) {
+    o.shards = std::max(1, std::atoi(env));
+  }
+  return o;
+}
+
 Engine::Engine(const EngineOptions& options)
-    : queue_kind_(options.queue),
-      mode_(options.mode),
-      lookahead_(std::max<SimTime>(1, options.lookahead_ns)),
-      arena_enabled_(options.arena),
-      global_sched_(this, Scheduler::kCurrentShard) {
+    : global_sched_(this, Scheduler::kCurrentShard) {
   const int nshards = std::max(1, options.shards);
-  threads_ = std::clamp(options.threads, 0, nshards);
   shards_.reserve(static_cast<std::size_t>(nshards));
   shard_scheds_.reserve(static_cast<std::size_t>(nshards));
   for (int i = 0; i < nshards; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(*this, i, options.queue, options.arena));
+    shards_.push_back(std::make_unique<Shard>());
     shard_scheds_.push_back(Scheduler(this, i));
   }
 }
 
-// Queued-but-never-popped callbacks are destroyed by the slab (and
-// mailbox-pool) destructors — EventRecord's SmallFn member owns them — so
-// teardown needs no explicit queue drain.
+// Queued-but-never-popped callbacks are destroyed by the slab destructors
+// — EventRecord's SmallFn member owns them — so teardown needs no
+// explicit queue drain.
 Engine::~Engine() = default;
 
 Scheduler& Engine::scheduler(int shard) {
   assert(shard >= 0 && shard < shards());
   return shard_scheds_[static_cast<std::size_t>(shard)];
-}
-
-SimTime Engine::shard_now(int shard) const {
-  assert(shard >= 0 && shard < shards());
-  return shards_[static_cast<std::size_t>(shard)]->now_;
-}
-
-int Engine::current_shard() const {
-  return t_executing.engine == this ? t_executing.shard : -1;
 }
 
 const EventArena& Engine::arena(int shard) const {
@@ -173,308 +82,95 @@ const EventArena& Engine::arena(int shard) const {
 
 std::size_t Engine::pending() const {
   std::int64_t live = 0;
-  for (const auto& s : shards_) {
-    live += s->live_->load(std::memory_order_relaxed);
-  }
+  for (const auto& s : shards_) live += *s->live_;
   return live > 0 ? static_cast<std::size_t>(live) : 0;
 }
 
-SimTime Engine::scheduler_now(int shard) const {
-  // Under replay the shards execute in one merged global order, so the
-  // engine clock is the honest local time (a shard's own clock only
-  // advances when one of its events pops).  Under the window drive a
-  // pinned scheduler reports the real local clock.
-  if (shard < 0 || mode_ == DriveMode::kReplay) return now_;
-  return shards_[static_cast<std::size_t>(shard)]->now_;
-}
-
-std::uint64_t Engine::next_seq(int scheduling_shard) {
-  if (mode_ == DriveMode::kReplay) {
-    // One global stream: scheduling order == seq order, exactly as the
-    // sequential engine assigned it (replay executes the identical global
-    // sequence, so the assignment is reproducible for any shard count).
-    return next_seq_++;
-  }
-  // Window drive: striped per-shard streams (seq = local * S + shard).
-  // Each stream depends only on its own shard's execution, so equal-time
-  // cross-shard ties break the same way no matter how worker threads
-  // interleave on wall-clock.
-  Shard& s = *shards_[static_cast<std::size_t>(scheduling_shard)];
-  return s.local_seq_++ * static_cast<std::uint64_t>(shards_.size()) +
-         static_cast<std::uint64_t>(scheduling_shard);
-}
-
 EventHandle Engine::schedule_at(SimTime when, SmallFn fn) {
-  return schedule_from(Scheduler::kCurrentShard, when, std::move(fn));
+  return schedule_on(Scheduler::kCurrentShard, when, std::move(fn));
 }
 
-EventHandle Engine::schedule_from(int shard, SimTime when, SmallFn fn) {
-  if (shard < 0) {
-    const int cur = current_shard();
-    shard = cur >= 0 ? cur : 0;
-  }
-  return schedule_on(shard, when, std::move(fn));
-}
-
-EventHandle Engine::schedule_on(int target, SimTime when, SmallFn fn) {
-  assert(target >= 0 && target < shards());
-  Shard& dst = *shards_[static_cast<std::size_t>(target)];
-  const int src = current_shard();
-  const std::uint64_t seq = next_seq(src >= 0 ? src : target);
-
-  if (mode_ == DriveMode::kReplay) {
-    // Replay is single-threaded by contract: plain arithmetic, no
-    // lock-prefixed RMW on the schedule hot path.
-    dst.live_->store(dst.live_->load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
-  } else {
-    dst.live_->fetch_add(1, std::memory_order_relaxed);
-  }
-
-  if (mode_ == DriveMode::kWindow && src >= 0 && src != target) {
-    // Cross-shard while a round drains: the target may already be past
-    // `when` inside this round, so the event parks in the target's
-    // mailbox and merges at the barrier.  The conservative contract makes
-    // that safe: when >= src clock + lookahead >= round floor + lookahead
-    // = horizon, i.e. no shard has drained past it.  A violating schedule
-    // is counted and clamped to the target's clock at merge time.
-    if (when < round_horizon_) {
-      lookahead_violations_.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::lock_guard<std::mutex> lock(dst.mailbox_mu_);
-    EventRecord* rec = dst.acquire_mailbox_record();
-    rec->fn = std::move(fn);
-    rec->alive = true;
-    const std::uint64_t gen = rec->gen;
-    dst.mailbox_.push_back(Event{when, seq, rec});
-    return EventHandle{dst.live_, rec, gen};
-  }
-
-  // Same-shard (or outside execution): straight into the queue.  Clamp to
-  // the local floor so inserts stay monotone for the backends.
-  const SimTime floor = mode_ == DriveMode::kReplay ? now_ : dst.now_;
-  if (when < floor) when = floor;
-  if (src >= 0 && src != target) ++cross_shard_events_;  // replay only
+EventHandle Engine::schedule_on(int shard, SimTime when, SmallFn fn) {
+  if (shard < 0) shard = executing_ >= 0 ? executing_ : 0;
+  assert(shard < shards());
+  Shard& dst = *shards_[static_cast<std::size_t>(shard)];
+  ++*dst.live_;
+  // Clamp to the clock so the heap never holds an event in the past.
+  if (when < now_) when = now_;
   EventRecord* rec = dst.arena_.acquire();
   rec->fn = std::move(fn);
   rec->alive = true;
-  dst.queue_->push(Event{when, seq, rec});
+  // One global sequence stream: scheduling order == seq order, whatever
+  // the shard, so the merged pop order is the same for any shard count.
+  dst.queue_.push(Event{when, next_seq_++, rec});
   return EventHandle{dst.live_, rec, rec->gen};
 }
 
-Engine::Shard* Engine::earliest_shard() {
-  Shard* best = nullptr;
+int Engine::earliest_shard() const {
+  int best = -1;
   const Event* best_head = nullptr;
-  for (auto& s : shards_) {
-    const Event* head = s->queue_->peek_earliest();
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    const Event* head = shards_[i]->queue_.peek_earliest();
     if (!head) continue;
     if (!best_head || head->time < best_head->time ||
         (head->time == best_head->time && head->seq < best_head->seq)) {
-      best = s.get();
+      best = static_cast<int>(i);
       best_head = head;
     }
   }
   return best;
 }
 
-SimTime Engine::earliest_time_global() {
-  SimTime earliest = kNever;
-  for (auto& s : shards_) {
-    earliest = std::min(earliest, s->queue_->earliest_time());
-  }
-  return earliest;
-}
-
 bool Engine::pop_and_run(Shard& shard) {
-  // Replay-only (the window drive drains in drain_shard_to): exactly one
-  // thread runs here, so the counters use plain load/store arithmetic —
-  // no lock-prefixed RMW per event.  The caller owns the t_executing
-  // guard (set once around the drive loop, not once per event).
-  Event ev = shard.queue_->pop_earliest();
+  Event ev = shard.queue_.pop_earliest();
   now_ = ev.time;
-  shard.now_ = ev.time;
   EventRecord* rec = ev.rec;
   if (!rec->alive) {  // tombstone: cancelled, already uncounted
-    shard.release_record(rec);
+    shard.arena_.release(rec);
     return false;
   }
   rec->alive = false;  // fired: a late cancel() must be a no-op
-  shard.live_->store(shard.live_->load(std::memory_order_relaxed) - 1,
-                     std::memory_order_relaxed);
-  executed_.store(executed_.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
+  --*shard.live_;
+  ++executed_;
   rec->fn();
   // Release AFTER the call: the callback may hold a handle to itself
   // (self-cancel is a no-op on alive == false, and the record must not be
   // recycled under it).  The arena only grows during the call — slabs are
   // stable — so `rec` cannot move.
-  shard.release_record(rec);
+  shard.arena_.release(rec);
   return true;
 }
 
-std::uint64_t Engine::run() {
-  return mode_ == DriveMode::kWindow ? run_window(kNever) : run_replay(kNever);
-}
-
 std::uint64_t Engine::run_until(SimTime until) {
-  return mode_ == DriveMode::kWindow ? run_window(until) : run_replay(until);
-}
-
-std::uint64_t Engine::run_replay(SimTime until) {
-  stopped_.store(false, std::memory_order_relaxed);
-  const bool bounded = until != kNever;
+  stopped_ = false;
   std::uint64_t ran = 0;
-  const ExecutingShard prev = t_executing;
+  const int prev = executing_;  // run() may nest inside a callback
   if (shards_.size() == 1) {
     // Sequential fast path: no tournament, exactly the classic engine.
     Shard& s = *shards_[0];
-    t_executing = {this, 0};
-    while (!stopped_.load(std::memory_order_relaxed)) {
-      const Event* head = s.queue_->peek_earliest();
-      if (!head || (bounded && head->time > until)) break;
+    executing_ = 0;
+    while (!stopped_) {
+      const Event* head = s.queue_.peek_earliest();
+      if (!head || head->time > until) break;
       if (pop_and_run(s)) ++ran;
     }
   } else {
-    while (!stopped_.load(std::memory_order_relaxed)) {
-      Shard* s = earliest_shard();
-      if (!s) break;
-      if (bounded && s->queue_->peek_earliest()->time > until) break;
-      t_executing = {this, s->index_};
-      if (pop_and_run(*s)) ++ran;
+    while (!stopped_) {
+      const int i = earliest_shard();
+      if (i < 0) break;
+      Shard& s = *shards_[static_cast<std::size_t>(i)];
+      if (s.queue_.peek_earliest()->time > until) break;
+      executing_ = i;
+      if (pop_and_run(s)) ++ran;
     }
   }
-  t_executing = prev;
-  if (bounded && now_ < until && earliest_time_global() > until) {
-    now_ = until;
-  }
-  return ran;
-}
-
-void Engine::merge_mailboxes() {
-  for (auto& sp : shards_) {
-    Shard& s = *sp;
-    std::vector<Event> arrived;
-    {
-      std::lock_guard<std::mutex> lock(s.mailbox_mu_);
-      arrived.swap(s.mailbox_);
+  executing_ = prev;
+  if (now_ < until) {
+    SimTime earliest = kNever;
+    for (const auto& s : shards_) {
+      earliest = std::min(earliest, s->queue_.earliest_time());
     }
-    cross_shard_events_ += arrived.size();
-    for (Event& ev : arrived) {
-      // A lookahead violation could date the event inside the target's
-      // past; clamping to the shard clock keeps queue inserts monotone.
-      if (ev.time < s.now_) ev.time = s.now_;
-      s.queue_->push(ev);
-    }
-  }
-}
-
-std::uint64_t Engine::drain_shard_to(Shard& shard, SimTime horizon) {
-  std::uint64_t ran = 0;
-  const ExecutingShard prev = t_executing;
-  t_executing = {this, shard.index_};
-  while (!stopped_.load(std::memory_order_relaxed)) {
-    const Event* head = shard.queue_->peek_earliest();
-    if (!head || head->time >= horizon) break;
-    Event ev = shard.queue_->pop_earliest();
-    shard.now_ = ev.time;
-    EventRecord* rec = ev.rec;
-    if (!rec->alive) {
-      shard.release_record(rec);
-      continue;
-    }
-    rec->alive = false;
-    shard.live_->fetch_sub(1, std::memory_order_relaxed);
-    executed_.fetch_add(1, std::memory_order_relaxed);
-    rec->fn();
-    shard.release_record(rec);
-    ++ran;
-  }
-  t_executing = prev;
-  return ran;
-}
-
-std::uint64_t Engine::run_window(SimTime until) {
-  stopped_.store(false, std::memory_order_relaxed);
-  const bool bounded = until != kNever;
-  std::uint64_t ran = 0;
-
-  // Round-synchronization state for the worker pool (threads_ > 0).
-  struct Pool {
-    std::mutex mu;
-    std::condition_variable cv_start;
-    std::condition_variable cv_done;
-    std::uint64_t round = 0;
-    SimTime horizon = 0;
-    int working = 0;
-    bool quit = false;
-    std::uint64_t round_ran = 0;
-  } pool;
-  std::vector<std::thread> workers;
-  const int nthreads = std::min(threads_, shards());
-  if (nthreads > 0) {
-    workers.reserve(static_cast<std::size_t>(nthreads));
-    for (int w = 0; w < nthreads; ++w) {
-      workers.emplace_back([this, w, nthreads, &pool] {
-        std::uint64_t seen = 0;
-        for (;;) {
-          std::unique_lock<std::mutex> lock(pool.mu);
-          pool.cv_start.wait(
-              lock, [&] { return pool.quit || pool.round != seen; });
-          if (pool.quit) return;
-          seen = pool.round;
-          const SimTime horizon = pool.horizon;
-          lock.unlock();
-          std::uint64_t local = 0;
-          for (int s = w; s < shards(); s += nthreads) {
-            local += drain_shard_to(*shards_[static_cast<std::size_t>(s)],
-                                    horizon);
-          }
-          lock.lock();
-          pool.round_ran += local;
-          if (--pool.working == 0) pool.cv_done.notify_one();
-        }
-      });
-    }
-  }
-
-  while (!stopped_.load(std::memory_order_relaxed)) {
-    merge_mailboxes();
-    const SimTime floor = earliest_time_global();
-    if (floor == kNever || (bounded && floor > until)) break;
-    round_floor_ = floor;
-    // Exclusive horizon: every event strictly inside [floor, floor + L)
-    // is independent across shards by the conservative contract.  Bounded
-    // runs still execute events at exactly `until`.
-    SimTime horizon = floor + lookahead_;
-    if (bounded && horizon > until) horizon = until + 1;
-    round_horizon_ = horizon;
-    ++rounds_;
-    if (nthreads > 0) {
-      std::unique_lock<std::mutex> lock(pool.mu);
-      pool.horizon = horizon;
-      pool.working = nthreads;
-      pool.round_ran = 0;
-      ++pool.round;
-      pool.cv_start.notify_all();
-      pool.cv_done.wait(lock, [&] { return pool.working == 0; });
-      ran += pool.round_ran;
-    } else {
-      for (auto& sp : shards_) ran += drain_shard_to(*sp, horizon);
-    }
-    for (auto& sp : shards_) now_ = std::max(now_, sp->now_);
-  }
-
-  if (nthreads > 0) {
-    {
-      std::lock_guard<std::mutex> lock(pool.mu);
-      pool.quit = true;
-    }
-    pool.cv_start.notify_all();
-    for (std::thread& t : workers) t.join();
-  }
-
-  if (bounded && now_ < until && earliest_time_global() > until) {
-    now_ = until;
+    if (earliest > until) now_ = until;
   }
   return ran;
 }

@@ -1,4 +1,4 @@
-// Conservative parallel discrete-event engine with deterministic replay.
+// Discrete-event engine with deterministic replay.
 //
 // Everything in the reproduction runs on virtual time: simulated PEs,
 // the Gemini NIC model, and the runtime protocol state machines schedule
@@ -11,45 +11,20 @@
 // cancellation state — and the queues move 24-byte POD Events that point
 // into it.  schedule_at acquires a record from the freelist, pop releases
 // it back; the heap is touched only when the pending set grows past every
-// slab ever carved (and in the UGNIRT_SIM_ARENA=0 measurement baseline,
-// which carves a fresh record per event).
+// slab ever carved.
 //
 // The pending-event set is PARTITIONED: EngineOptions::shards splits it
-// into independent per-shard queues (each backed by sim::EventQueue — a
-// binary-heap oracle or an O(1) calendar queue), each with its own local
-// virtual clock.  The converse::Machine maps contiguous torus node slabs
-// onto shards, so a shard holds the events of one slab of PEs.  Two
-// drives execute the sharded set:
+// into independent per-shard heaps (sim::EventQueue).  The
+// converse::Machine maps contiguous torus node slabs onto shards, so a
+// shard holds the events of one slab of PEs.  run() pops the globally
+// (time, seq)-minimal event across all shard heaps (a k-way tournament;
+// with one shard this IS the classic sequential engine), so the
+// execution order is bit-exact the same for any shard count: a seeded
+// machine run traces identically at shards = 1, 2, 8.  More shards trade
+// one big heap for several small, cache-resident ones.
 //
-//  * kReplay (default) — pops the globally (time, seq)-minimal event
-//    across all shard queues (a k-way tournament; with one shard this IS
-//    the classic sequential engine).  The execution order is bit-exact
-//    the same for any shard count, which is why a seeded machine run
-//    traces identically at shards = 1, 2, 8: replay is the determinism
-//    oracle, and it is what the full runtime uses (the network model and
-//    trace buffers are shared state that requires the global order).
-//
-//  * kWindow — conservative null-message-free barrier rounds: each round
-//    computes the global floor (earliest pending time over all shards)
-//    and drains every shard independently up to floor + lookahead_ns,
-//    exclusive.  Cross-shard schedules travel through per-shard
-//    mailboxes merged at the round barrier; the conservative contract is
-//    that a cross-shard event is never scheduled closer than `lookahead`
-//    after the scheduling shard's clock (the Machine derives lookahead
-//    from the Gemini link-latency floor, so message latencies satisfy it
-//    by construction).  Violations are counted and clamped, never lost.
-//    Within a round shards are independent, so they may be drained by
-//    worker threads (EngineOptions::threads) — or in-place on one core,
-//    where the win is architectural anyway: each shard pops from a small
-//    hot queue (log(n/S) levels, L2-resident) instead of one giant heap,
-//    which is worth >1.5x events/sec at 64k+ pending events.  Sequence
-//    numbers in this drive are striped (seq = local * shards + shard) so
-//    cross-shard ties break by (time, seq) deterministically no matter
-//    how rounds interleave on wall-clock: window runs are reproducible
-//    run-to-run, and for shard-confined workloads execute the exact
-//    per-shard sequences replay would.  Cross-shard mailbox events use
-//    per-shard mutex-guarded record pools, NOT the target's arena — the
-//    arena is single-owner by contract.
+// The engine is single-threaded: one thread drives run() and every
+// callback runs on it.
 //
 // Scheduling-facing code never sees this class: protocol state machines
 // hold the concrete sim::Scheduler handle (scheduler.hpp), minted by
@@ -57,10 +32,8 @@
 // scheduler(i) (pinned to shard i).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sim/event_arena.hpp"
@@ -71,50 +44,15 @@
 
 namespace ugnirt::sim {
 
-/// How run() executes the sharded pending set.
-enum class DriveMode {
-  kReplay,  ///< exact global (time, seq) order — the determinism oracle
-  kWindow,  ///< conservative lookahead rounds — the parallel drive
-};
-
-const char* to_string(DriveMode mode);
-
-/// Explicit engine construction knobs.  There is deliberately no
-/// env-sniffing default Engine constructor any more: a default-constructed
-/// EngineOptions is the hermetic sequential engine, and the one place that
-/// reads the environment is from_env() — call sites choose which they
-/// mean.
+/// Explicit engine construction knobs.  A default-constructed
+/// EngineOptions is the hermetic sequential engine; the one place that
+/// reads the environment is from_env().
 struct EngineOptions {
-  /// Per-shard pending-set backend ("sim.queue" / UGNIRT_SIM_QUEUE).
-  QueueKind queue = QueueKind::kHeap;
   /// Pending-set partitions ("sim.shards" / UGNIRT_SIM_SHARDS).  Clamped
   /// to >= 1.
   int shards = 1;
-  /// Conservative synchronization window of the kWindow drive
-  /// ("sim.lookahead_ns" / UGNIRT_SIM_LOOKAHEAD_NS): a lower bound on the
-  /// virtual delay of any cross-shard interaction.  Clamped to >= 1 so a
-  /// round always makes progress.  Ignored by kReplay (which needs no
-  /// lookahead: it never reorders).
-  SimTime lookahead_ns = 1;
-  /// Drive for run()/run_until().  The runtime always uses kReplay;
-  /// kWindow is for shard-confined workloads (engine benches/tests).
-  DriveMode mode = DriveMode::kReplay;
-  /// kWindow only: worker threads draining shards within a round.  0 =
-  /// drain in-place on the calling thread (the right choice on one core);
-  /// clamped to <= shards.  Requires the workload's events to touch only
-  /// shard-local state.
-  int threads = 0;
-  /// Recycle event records through the per-shard slab arenas ("sim.arena"
-  /// / UGNIRT_SIM_ARENA).  false is the A/B measurement baseline: one
-  /// fresh record per event (retained until teardown so stale
-  /// EventHandles stay safe), i.e. the old allocation-per-event cost.
-  /// Scheduling semantics are bit-identical either way.
-  bool arena = true;
 
-  /// Options with UGNIRT_SIM_QUEUE / UGNIRT_SIM_SHARDS /
-  /// UGNIRT_SIM_LOOKAHEAD_NS / UGNIRT_SIM_ARENA applied over the defaults
-  /// — the explicit successor of the old env-sniffing Engine default
-  /// constructor.
+  /// Options with UGNIRT_SIM_SHARDS applied over the defaults.
   static EngineOptions from_env();
 };
 
@@ -126,8 +64,7 @@ class Engine final {
   Engine& operator=(const Engine&) = delete;
 
   // ---- scheduling surface ----
-  /// Committed global virtual time: the last executed event's time under
-  /// kReplay; the high-water mark of completed rounds under kWindow.
+  /// Virtual time of the last executed event.
   SimTime now() const { return now_; }
   /// Schedules onto the shard currently executing (shard 0 outside event
   /// execution) — implicit-context protocol code lands its follow-up
@@ -139,35 +76,21 @@ class Engine final {
 
   // ---- sharding surface ----
   int shards() const { return static_cast<int>(shards_.size()); }
-  /// The engine-wide Scheduler handle: now() is the global clock, events
-  /// land on the shard currently executing.  What Machine::scheduler()
-  /// and the network model hold.
+  /// The engine-wide Scheduler handle: events land on the shard currently
+  /// executing.  What Machine::scheduler() and the network model hold.
   Scheduler& scheduler() { return global_sched_; }
-  /// The per-shard Scheduler: now() is the shard's local clock;
-  /// schedule_at targets the shard (cross-shard calls are mailboxed under
-  /// the kWindow drive).
+  /// The Scheduler pinned to one shard.
   Scheduler& scheduler(int shard);
-  /// A shard's local virtual clock (== now() under kReplay).
-  SimTime shard_now(int shard) const;
-  /// The shard currently executing an event, or -1.
-  int current_shard() const;
-  SimTime lookahead() const { return lookahead_; }
-  DriveMode mode() const { return mode_; }
-  /// kWindow: the current (or last) round's global floor — the earliest
-  /// pending time when the round was cut.  Every shard clock is bounded
-  /// by round_floor() + lookahead() while a round drains.
-  SimTime round_floor() const { return round_floor_; }
 
   // ---- driving ----
   /// Run until the pending set drains or stop() is called.
   /// Returns the number of events executed.
-  std::uint64_t run();
+  std::uint64_t run() { return run_until(kNever); }
   /// Run until virtual time exceeds `until` (events at exactly `until`
   /// run).
   std::uint64_t run_until(SimTime until);
-  /// Request run()/run_until() to return after the current event (under
-  /// kWindow with threads, after the current round).
-  void stop() { stopped_.store(true, std::memory_order_relaxed); }
+  /// Request run()/run_until() to return after the current event.
+  void stop() { stopped_ = true; }
 
   // ---- introspection ----
   bool empty() const { return pending() == 0; }
@@ -175,22 +98,8 @@ class Engine final {
   /// excluded (they are not pending work — idle-flush heuristics must not
   /// see them).
   std::size_t pending() const;
-  std::uint64_t executed() const {
-    return executed_.load(std::memory_order_relaxed);
-  }
-  QueueKind queue_kind() const { return queue_kind_; }
-  /// kWindow: completed synchronization rounds.
-  std::uint64_t rounds() const { return rounds_; }
-  /// Events that crossed shards (mailboxed under kWindow; direct-pushed
-  /// under kReplay).
-  std::uint64_t cross_shard_events() const { return cross_shard_events_; }
-  /// Cross-shard schedules that violated the conservative lookahead
-  /// contract (kWindow only; the event is clamped to the target shard's
-  /// clock at the next barrier, never lost or reordered within its shard).
-  std::uint64_t lookahead_violations() const { return lookahead_violations_; }
-  /// Whether records recycle through the slab arenas (UGNIRT_SIM_ARENA).
-  bool arena_enabled() const { return arena_enabled_; }
-  /// Arena occupancy of one shard, for tests and the micro bench.
+  std::uint64_t executed() const { return executed_; }
+  /// Arena occupancy of one shard, for tests.
   const EventArena& arena(int shard) const;
 
  private:
@@ -198,55 +107,25 @@ class Engine final {
 
   /// One pending-set partition.
   struct Shard {
-    Shard(Engine& engine, int index, QueueKind kind, bool arena);
-
-    Engine* engine_;
-    int index_;
-    SimTime now_ = 0;              // local clock: last executed event's time
-    std::uint64_t local_seq_ = 0;  // kWindow striped-seq stream
-    std::unique_ptr<EventQueue> queue_;
-    std::shared_ptr<std::atomic<std::int64_t>> live_;
-    EventArena arena_;  // single-owner: the thread driving this shard
-
-    // kWindow cross-shard arrivals.  Records for mailboxed events come
-    // from this mutex-guarded pool, not the arena — the sender's worker
-    // must not race the owner's freelist.  Pooled records are stable for
-    // the engine's lifetime, so EventHandles to them stay safe.
-    std::mutex mailbox_mu_;
-    std::vector<Event> mailbox_;
-    std::vector<std::unique_ptr<EventRecord>> mailbox_records_;
-    EventRecord* mailbox_free_ = nullptr;
-
-    EventRecord* acquire_mailbox_record();  // caller holds mailbox_mu_
-    void release_record(EventRecord* rec);  // routes arena vs mailbox pool
+    EventQueue queue_;
+    // Live (scheduled, uncancelled, unfired) events.  Shared with every
+    // EventHandle as a weak guard: it expires with the shard.
+    std::shared_ptr<std::int64_t> live_ = std::make_shared<std::int64_t>(0);
+    EventArena arena_;
   };
 
-  SimTime scheduler_now(int shard) const;
-  EventHandle schedule_from(int shard, SimTime when, SmallFn fn);
-  EventHandle schedule_on(int target, SimTime when, SmallFn fn);
-  std::uint64_t next_seq(int scheduling_shard);
-  Shard* earliest_shard();
-  SimTime earliest_time_global();
+  /// Schedule onto `shard`, or onto the executing shard when it is
+  /// Scheduler::kCurrentShard.
+  EventHandle schedule_on(int shard, SimTime when, SmallFn fn);
+  /// Index of the shard holding the (time, seq)-minimal event, or -1.
+  int earliest_shard() const;
   bool pop_and_run(Shard& shard);
-  std::uint64_t run_replay(SimTime until);
-  std::uint64_t run_window(SimTime until);
-  std::uint64_t drain_shard_to(Shard& shard, SimTime horizon);
-  void merge_mailboxes();
 
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;  // kReplay global stream
-  std::atomic<std::uint64_t> executed_{0};
-  std::atomic<bool> stopped_{false};
-  QueueKind queue_kind_;
-  DriveMode mode_;
-  SimTime lookahead_;
-  int threads_;
-  bool arena_enabled_;
-  SimTime round_floor_ = 0;
-  SimTime round_horizon_ = 0;  // exclusive; valid while a round drains
-  std::uint64_t rounds_ = 0;
-  std::uint64_t cross_shard_events_ = 0;
-  std::atomic<std::uint64_t> lookahead_violations_{0};
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  bool stopped_ = false;
+  int executing_ = -1;  // shard of the event being executed, or -1
   std::vector<std::unique_ptr<Shard>> shards_;
   // Stable Scheduler handles (two words each); references returned by
   // scheduler() stay valid for the engine's lifetime.

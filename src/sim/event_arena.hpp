@@ -16,18 +16,8 @@
 // moral equivalent of the old weak_ptr tombstone without the control
 // block, the allocation, or the atomics.
 //
-// recycle=false (UGNIRT_SIM_ARENA=0) is the measurement/debug baseline:
-// every acquire carves a fresh record (slabs still grow, nothing is
-// reused until teardown), which restores one-allocation-per-event
-// behavior for A/B benches while keeping stale handles safe.  The
-// micro_dispatch bench and the scale_test bit-identity guard drive both
-// modes.
-//
-// Thread contract: an arena belongs to one shard and is touched only by
-// whichever thread currently owns that shard (the driving thread under
-// kReplay, the shard's worker inside a kWindow round).  Cross-shard
-// window-mode schedules do NOT use the target's arena — they go through
-// the shard's mutex-guarded mailbox record pool (see engine.cpp).
+// Thread contract: an arena belongs to one shard of an engine, and the
+// engine runs on one thread.
 #pragma once
 
 #include <cstddef>
@@ -46,7 +36,6 @@ struct EventRecord {
   std::uint64_t gen = 0;            ///< bumped on release; stale-handle guard
   EventRecord* next_free = nullptr; ///< intrusive freelist link
   bool alive = false;               ///< flipped false by cancel() or firing
-  bool mailbox_owned = false;       ///< release through the mailbox pool
 };
 
 class EventArena {
@@ -56,7 +45,7 @@ class EventArena {
   /// (unit tests build thousands) stays cheap.
   static constexpr std::size_t kSlabRecords = 512;
 
-  explicit EventArena(bool recycle = true) : recycle_(recycle) {}
+  EventArena() = default;
   EventArena(const EventArena&) = delete;
   EventArena& operator=(const EventArena&) = delete;
 
@@ -81,27 +70,22 @@ class EventArena {
   }
 
   /// Retire a popped record: destroy the callback, invalidate outstanding
-  /// handles (gen bump), recycle (or strand it until teardown in the
-  /// no-recycle baseline).
+  /// handles (gen bump) and push it onto the freelist.
   void release(EventRecord* rec) {
     rec->fn.reset();
     rec->alive = false;
     ++rec->gen;
     --in_use_;
-    if (recycle_) {
-      rec->next_free = free_head_;
-      free_head_ = rec;
-    }
+    rec->next_free = free_head_;
+    free_head_ = rec;
   }
 
-  // Introspection for tests and the micro bench.
+  // Introspection for tests.
   std::size_t slabs() const { return slabs_.size(); }
   std::size_t in_use() const { return in_use_; }
   std::uint64_t acquires() const { return acquires_; }
-  bool recycling() const { return recycle_; }
 
  private:
-  bool recycle_;
   std::vector<std::unique_ptr<EventRecord[]>> slabs_;
   std::size_t next_in_slab_ = 0;
   EventRecord* free_head_ = nullptr;

@@ -18,11 +18,10 @@
 // narrow-surface guarantee never needed virtual dispatch; it needs a
 // type that exposes nothing else, which this is.  Engine::scheduler()
 // returns the engine-wide handle (events land on the shard currently
-// executing) and Engine::scheduler(i) the per-shard one whose now() is
-// that shard's local clock.
+// executing) and Engine::scheduler(i) the one pinned to shard i.  Every
+// handle's now() is the engine clock.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -47,9 +46,6 @@ class EventHandle {
   /// surfaces.  The record pointer is guarded twice: the weak guard
   /// proves the engine (and so the record's slab) is still alive, and
   /// the generation check makes a handle to a recycled record a no-op.
-  /// Must be called from the shard that owns the event (in a threaded
-  /// window drive, the worker draining it) — the tombstone is not
-  /// synchronized against a concurrent pop.
   void cancel();
 
   /// True while the event is still scheduled and uncancelled.
@@ -57,13 +53,13 @@ class EventHandle {
 
  private:
   friend class Engine;
-  EventHandle(std::weak_ptr<std::atomic<std::int64_t>> live, EventRecord* rec,
+  EventHandle(std::weak_ptr<std::int64_t> live, EventRecord* rec,
               std::uint64_t gen)
       : live_(std::move(live)), rec_(rec), gen_(gen) {}
   // The owning shard's live-event counter.  Doubles as the liveness
   // guard: it expires with the shard, so a handle that outlives the
   // engine never touches the (freed) record.
-  std::weak_ptr<std::atomic<std::int64_t>> live_;
+  std::weak_ptr<std::int64_t> live_;
   EventRecord* rec_ = nullptr;
   std::uint64_t gen_ = 0;
 };
@@ -76,8 +72,7 @@ class Scheduler final {
   Scheduler(const Scheduler&) = default;
   Scheduler& operator=(const Scheduler&) = default;
 
-  /// Current virtual time of this scheduling domain (the whole engine, or
-  /// one shard's local clock).  Defined in engine.cpp.
+  /// Current virtual time: the engine clock.  Defined in engine.cpp.
   SimTime now() const;
 
   /// Schedule `fn` at absolute virtual time `when` (clamped to now()).

@@ -1,20 +1,12 @@
-// The conservative parallel engine (ISSUE: sharded pending set behind the
-// Engine/Scheduler API redesign).
+// The sharded engine.
 //
 //  * EngineOptions: explicit construction, env round-trip via from_env().
-//  * Replay drive: the executed (time, seq) sequence is bit-identical for
-//    any shard count — sharding is invisible under replay.
-//  * Window drive: equivalent to replay for shard-confined workloads,
-//    deterministic run-to-run, and conservative — no shard's clock ever
-//    escapes the round's floor + lookahead bound.
-//  * Cross-shard mailboxes: delivered in deterministic global order;
-//    contract violations are counted and clamped, never lost.
+//  * Replay: the executed (time, seq) sequence is bit-identical for any
+//    shard count — sharding is invisible.
 //  * pending() counts live events only (cancelled tombstones excluded).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,9 +19,8 @@ namespace {
 using Log = std::vector<std::pair<SimTime, int>>;
 
 /// A shard-confined workload: `chains` event chains, chain c pinned to
-/// shard c % shards, each hop advancing by a pseudo-random stride.  Any
-/// drive must execute each chain's events in order; equal-time ties
-/// across shards are broken by seq.
+/// shard c % shards, each hop advancing by a pseudo-random stride.
+/// Equal-time ties across shards are broken by seq.
 Log run_chains(const EngineOptions& options, int chains, int hops) {
   Engine e(options);
   Log log;
@@ -57,21 +48,13 @@ Log run_chains(const EngineOptions& options, int chains, int hops) {
 // ----------------------------------------------------------- options ----
 
 TEST(EngineOptions, FromEnvReadsShardKnobs) {
-  ::setenv("UGNIRT_SIM_QUEUE", "calendar", 1);
   ::setenv("UGNIRT_SIM_SHARDS", "4", 1);
-  ::setenv("UGNIRT_SIM_LOOKAHEAD_NS", "250", 1);
   EngineOptions o = EngineOptions::from_env();
-  ::unsetenv("UGNIRT_SIM_QUEUE");
   ::unsetenv("UGNIRT_SIM_SHARDS");
-  ::unsetenv("UGNIRT_SIM_LOOKAHEAD_NS");
-  EXPECT_EQ(o.queue, QueueKind::kCalendar);
   EXPECT_EQ(o.shards, 4);
-  EXPECT_EQ(o.lookahead_ns, 250);
 
   Engine e(o);
-  EXPECT_EQ(e.queue_kind(), QueueKind::kCalendar);
   EXPECT_EQ(e.shards(), 4);
-  EXPECT_EQ(e.lookahead(), 250);
 }
 
 TEST(EngineOptions, DefaultsAreHermeticSequential) {
@@ -79,34 +62,25 @@ TEST(EngineOptions, DefaultsAreHermeticSequential) {
   Engine e{EngineOptions{}};  // must NOT sniff the environment
   ::unsetenv("UGNIRT_SIM_SHARDS");
   EXPECT_EQ(e.shards(), 1);
-  EXPECT_EQ(e.queue_kind(), QueueKind::kHeap);
-  EXPECT_EQ(e.mode(), DriveMode::kReplay);
 }
 
 TEST(EngineOptions, DegenerateValuesAreClamped) {
   EngineOptions o;
   o.shards = -3;
-  o.lookahead_ns = 0;  // would deadlock a window round
-  o.threads = 99;
   Engine e(o);
   EXPECT_EQ(e.shards(), 1);
-  EXPECT_GE(e.lookahead(), 1);
 }
 
-// ------------------------------------------------------ replay drive ----
+// ------------------------------------------------------------ replay ----
 
 TEST(ShardedReplay, ExecutionIsBitIdenticalAcrossShardCounts) {
-  for (QueueKind queue : {QueueKind::kHeap, QueueKind::kCalendar}) {
-    EngineOptions o;
-    o.queue = queue;
-    o.shards = 1;
-    const Log reference = run_chains(o, 24, 40);
-    EXPECT_EQ(reference.size(), 24u * 40u);
-    for (int shards : {2, 3, 8}) {
-      o.shards = shards;
-      EXPECT_EQ(reference, run_chains(o, 24, 40))
-          << to_string(queue) << " shards=" << shards;
-    }
+  EngineOptions o;
+  o.shards = 1;
+  const Log reference = run_chains(o, 24, 40);
+  EXPECT_EQ(reference.size(), 24u * 40u);
+  for (int shards : {2, 3, 8}) {
+    o.shards = shards;
+    EXPECT_EQ(reference, run_chains(o, 24, 40)) << "shards=" << shards;
   }
 }
 
@@ -134,161 +108,6 @@ TEST(ShardedReplay, CrossShardSchedulingKeepsGlobalOrder) {
   for (int i = 0; i <= 20; ++i) {
     EXPECT_EQ(log[static_cast<std::size_t>(i)], std::make_pair(SimTime{5}, i));
   }
-  EXPECT_EQ(e.cross_shard_events(), 20u);
-}
-
-// ------------------------------------------------------ window drive ----
-
-TEST(WindowDrive, MatchesReplayForShardConfinedWork) {
-  for (QueueKind queue : {QueueKind::kHeap, QueueKind::kCalendar}) {
-    EngineOptions o;
-    o.queue = queue;
-    o.shards = 8;
-    o.mode = DriveMode::kReplay;
-    const Log replay = run_chains(o, 24, 40);
-    o.mode = DriveMode::kWindow;
-    o.lookahead_ns = 50;
-    // Same multiset of (time, per-chain-ordered) executions; the global
-    // interleaving legitimately differs, so compare sorted.
-    Log window = run_chains(o, 24, 40);
-    Log replay_sorted = replay;
-    std::sort(replay_sorted.begin(), replay_sorted.end());
-    std::sort(window.begin(), window.end());
-    EXPECT_EQ(replay_sorted, window) << to_string(queue);
-  }
-}
-
-TEST(WindowDrive, DeterministicRunToRun) {
-  EngineOptions o;
-  o.shards = 8;
-  o.mode = DriveMode::kWindow;
-  o.lookahead_ns = 30;
-  EXPECT_EQ(run_chains(o, 16, 64), run_chains(o, 16, 64));
-}
-
-TEST(WindowDrive, ShardClocksNeverExceedLookaheadBound) {
-  EngineOptions o;
-  o.shards = 8;
-  o.mode = DriveMode::kWindow;
-  o.lookahead_ns = 40;
-  Engine e(o);
-  std::uint64_t checks = 0;
-  for (int c = 0; c < 32; ++c) {
-    const int shard = c % e.shards();
-    struct Hop {
-      Engine* eng;
-      std::uint64_t* checks;
-      int shard, c;
-      int i = 0;
-      void operator()() {
-        // The conservative property: while a round drains, NO shard's
-        // clock is past floor + lookahead (exclusive horizon).
-        const SimTime bound = eng->round_floor() + eng->lookahead();
-        for (int s = 0; s < eng->shards(); ++s) {
-          ASSERT_LT(eng->shard_now(s), bound);
-        }
-        ++*checks;
-        if (++i < 50) {
-          eng->scheduler(shard).schedule_after(((c + i) % 7) * 9, *this);
-        }
-      }
-    };
-    e.scheduler(shard).schedule_at((c * 11) % 13, Hop{&e, &checks, shard, c});
-  }
-  e.run();
-  EXPECT_EQ(checks, 32u * 50u);
-  EXPECT_GT(e.rounds(), 1u);
-}
-
-TEST(WindowDrive, CrossShardMailboxDeliversInDeterministicOrder) {
-  auto run_once = [] {
-    EngineOptions o;
-    o.shards = 4;
-    o.mode = DriveMode::kWindow;
-    o.lookahead_ns = 100;
-    Engine e(o);
-    Log log;
-    // Each source shard fires a burst at its peers, honoring the
-    // lookahead contract (delay >= lookahead).
-    for (int s = 0; s < 4; ++s) {
-      e.scheduler(s).schedule_at(s, [&e, &log, s] {
-        for (int peer = 0; peer < 4; ++peer) {
-          if (peer == s) continue;
-          e.scheduler(peer).schedule_after(100 + s, [&e, &log, s, peer] {
-            log.emplace_back(e.scheduler(peer).now(), s * 10 + peer);
-          });
-        }
-      });
-    }
-    e.run();
-    EXPECT_EQ(e.cross_shard_events(), 12u);
-    EXPECT_EQ(e.lookahead_violations(), 0u);
-    return log;
-  };
-  Log a = run_once();
-  EXPECT_EQ(a.size(), 12u);
-  EXPECT_EQ(a, run_once());
-}
-
-TEST(WindowDrive, LookaheadViolationIsCountedAndClamped) {
-  EngineOptions o;
-  o.shards = 2;
-  o.mode = DriveMode::kWindow;
-  o.lookahead_ns = 1000;
-  Engine e(o);
-  bool peer_ran = false;
-  e.scheduler(0).schedule_at(500, [&e, &peer_ran] {
-    // Breaks the contract: targets the other shard INSIDE the current
-    // window.  Must be counted — and still delivered (clamped to the
-    // peer's clock at the barrier), never dropped.
-    e.scheduler(1).schedule_after(1, [&peer_ran] { peer_ran = true; });
-  });
-  const std::uint64_t ran = e.run();
-  EXPECT_EQ(ran, 2u);
-  EXPECT_TRUE(peer_ran);
-  EXPECT_EQ(e.lookahead_violations(), 1u);
-}
-
-TEST(WindowDrive, ThreadedDrainMatchesSerial) {
-  // The TSan target: worker threads drain disjoint shards inside a round.
-  // The workload is shard-confined with per-shard logs, so the only shared
-  // engine state is what the engine itself synchronizes.
-  auto run_threaded = [](int threads) {
-    EngineOptions o;
-    o.shards = 8;
-    o.mode = DriveMode::kWindow;
-    o.lookahead_ns = 60;
-    o.threads = threads;
-    Engine e(o);
-    std::vector<Log> logs(8);
-    std::atomic<std::uint64_t> fired{0};
-    for (int c = 0; c < 32; ++c) {
-      const int shard = c % 8;
-      struct Hop {
-        Engine* eng;
-        Log* log;
-        std::atomic<std::uint64_t>* fired;
-        int shard, c;
-        int i = 0;
-        void operator()() {
-          log->emplace_back(eng->scheduler(shard).now(), c * 1000 + i);
-          fired->fetch_add(1, std::memory_order_relaxed);
-          if (++i < 40) {
-            eng->scheduler(shard).schedule_after(((c * 5 + i) % 6) * 11,
-                                                 *this);
-          }
-        }
-      };
-      e.scheduler(shard).schedule_at(c % 5,
-                                     Hop{&e, &logs[static_cast<std::size_t>(
-                                                 shard)],
-                                         &fired, shard, c});
-    }
-    e.run();
-    EXPECT_EQ(fired.load(), 32u * 40u);
-    return logs;
-  };
-  EXPECT_EQ(run_threaded(0), run_threaded(4));
 }
 
 // ------------------------------------------------- pending() accuracy ----
@@ -340,26 +159,22 @@ TEST(Pending, SumsLiveEventsAcrossShards) {
 // ------------------------------------------------ run control, sharded ----
 
 TEST(ShardedRun, RunUntilAdvancesAllShardClocks) {
-  for (DriveMode mode : {DriveMode::kReplay, DriveMode::kWindow}) {
-    EngineOptions o;
-    o.shards = 4;
-    o.mode = mode;
-    o.lookahead_ns = 25;
-    Engine e(o);
-    std::vector<SimTime> fired;
-    for (int s = 0; s < 4; ++s) {
-      for (SimTime t : {10, 20, 30, 40}) {
-        e.scheduler(s).schedule_at(t + s, [&fired, &e] {
-          fired.push_back(e.now());
-        });
-      }
+  EngineOptions o;
+  o.shards = 4;
+  Engine e(o);
+  std::vector<SimTime> fired;
+  for (int s = 0; s < 4; ++s) {
+    for (SimTime t : {10, 20, 30, 40}) {
+      e.scheduler(s).schedule_at(t + s, [&fired, &e] {
+        fired.push_back(e.now());
+      });
     }
-    e.run_until(25);
-    EXPECT_EQ(fired.size(), 8u) << to_string(mode);  // 10..13, 20..23
-    EXPECT_EQ(e.now(), 25) << to_string(mode);
-    e.run_until(1000);
-    EXPECT_EQ(fired.size(), 16u) << to_string(mode);
   }
+  e.run_until(25);
+  EXPECT_EQ(fired.size(), 8u);  // 10..13, 20..23
+  EXPECT_EQ(e.now(), 25);
+  e.run_until(1000);
+  EXPECT_EQ(fired.size(), 16u);
 }
 
 TEST(ShardedRun, StopInterruptsAndResumes) {

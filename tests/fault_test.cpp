@@ -209,7 +209,8 @@ std::vector<FaultCase> fault_matrix() {
 class FaultMatrixUgni : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FaultMatrixUgni, PingPongDeliversEveryLeg) {
-  const FaultCase& fc = fault_matrix()[GetParam()];
+  // A copy: fault_matrix() returns a temporary vector.
+  const FaultCase fc = fault_matrix()[GetParam()];
   MachineOptions o;
   o.pes = 2;
   o.pes_per_node = 1;  // inter-node so the NIC paths are exercised
@@ -239,7 +240,8 @@ TEST_P(FaultMatrixUgni, PingPongDeliversEveryLeg) {
 }
 
 TEST_P(FaultMatrixUgni, KNeighborZeroLossZeroDuplication) {
-  const FaultCase& fc = fault_matrix()[GetParam()];
+  // A copy: fault_matrix() returns a temporary vector.
+  const FaultCase fc = fault_matrix()[GetParam()];
   MachineOptions o;
   o.pes = 8;
   o.pes_per_node = 2;

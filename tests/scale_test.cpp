@@ -1,9 +1,8 @@
-// Full-machine scale properties (ISSUE: O(1) calendar event queue + lazy
-// per-peer uGNI state).
+// Full-machine scale properties (sharded engine + lazy per-peer uGNI
+// state).
 //
-//  * Backend equivalence: a seeded run produces a bit-identical event
-//    trace whether the engine's pending set is the binary heap or the
-//    calendar queue (MachineOptions::sim_queue).
+//  * Shard equivalence: a seeded run produces a bit-identical event trace
+//    at any engine shard count (MachineOptions::sim_shards).
 //  * First-touch channel setup: ugni::Nic::get_or_connect establishes the
 //    SMSG channel pair lazily, charges the initiator the exact two-mailbox
 //    registration bill once, and is free afterwards.
@@ -40,16 +39,12 @@ using converse::kCmiHeaderBytes;
 using converse::LayerKind;
 using converse::MachineOptions;
 
-// -------------------------------------------------- backend equivalence ----
-
 /// Seeded faulty k-neighbor on the uGNI layer; returns the full event
 /// trace CSV.  The workload exercises SMSG, rendezvous, credit stalls and
 /// retries — and with `all_subsystems`, aggregation and flow control on
-/// top — so any divergence in event order between queue backends or
-/// engine shard counts shows up as a trace mismatch.
-std::string traced_run(sim::QueueKind queue, int shards = 1,
-                       bool all_subsystems = false, bool arena = true,
-                       bool flat_dispatch = true) {
+/// top — so any divergence in event order between engine shard counts
+/// shows up as a trace mismatch.
+std::string traced_run(int shards, bool all_subsystems = false) {
   trace::EventTracer tracer(1u << 18);
   trace::set_tracer(&tracer);
   MachineOptions o;
@@ -57,10 +52,7 @@ std::string traced_run(sim::QueueKind queue, int shards = 1,
   // node slabs; 12 nodes cover the {1, 2, 8} matrix).
   o.pes = 12;
   o.pes_per_node = 1;
-  o.sim_queue = queue;
   o.sim_shards = shards;
-  o.sim_arena = arena;
-  o.flat_dispatch = flat_dispatch;
   o.fault.enabled = true;
   o.fault.seed = 0x5CA1E;
   o.fault.p_smsg_error = 0.2;
@@ -71,7 +63,6 @@ std::string traced_run(sim::QueueKind queue, int shards = 1,
     o.flow.adaptive_routing = true;
   }
   auto m = lrts::make_machine(LayerKind::kUgni, o);
-  EXPECT_EQ(m->engine().queue_kind(), queue);
   EXPECT_EQ(m->engine().shards(), shards);
   const int pes = o.pes;
   std::vector<int> received(static_cast<std::size_t>(pes), 0);
@@ -103,71 +94,27 @@ std::string traced_run(sim::QueueKind queue, int shards = 1,
   return csv.str();
 }
 
-TEST(QueueBackends, SeededTraceIsBitIdenticalAcrossBackends) {
-  std::string heap = traced_run(sim::QueueKind::kHeap);
-  std::string cal = traced_run(sim::QueueKind::kCalendar);
-  EXPECT_FALSE(heap.empty());
-  EXPECT_EQ(heap, cal);
-}
-
 // ------------------------------------------------- sharded determinism ----
 
-/// The replay drive's whole-machine determinism claim: partitioning the
-/// pending set must not change anything observable.  The seeded faulty
-/// run traces bit-identically across shard counts and both queue
-/// backends.
+/// The engine's whole-machine determinism claim: partitioning the pending
+/// set must not change anything observable.  The seeded faulty run traces
+/// bit-identically across shard counts.
 TEST(ShardedReplay, SeededTraceIsBitIdenticalAcrossShardCounts) {
-  const std::string reference = traced_run(sim::QueueKind::kHeap, 1);
+  const std::string reference = traced_run(1);
   EXPECT_FALSE(reference.empty());
-  for (sim::QueueKind queue :
-       {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-    for (int shards : {1, 2, 8}) {
-      EXPECT_EQ(reference, traced_run(queue, shards))
-          << "queue=" << sim::to_string(queue) << " shards=" << shards;
-    }
+  for (int shards : {2, 8}) {
+    EXPECT_EQ(reference, traced_run(shards)) << "shards=" << shards;
   }
-}
-
-/// The hot-path overhaul's ground rule: the slab-recycling event arena
-/// and the flat kind-table dispatch are host-side optimizations ONLY.
-/// The seeded all-subsystems trace must be byte-identical with either
-/// (or both) turned off — any divergence means a virtual charge or an
-/// event ordering leaked out of the host layer.
-TEST(HotPath, ArenaAndFlatDispatchTraceIsBitIdentical) {
-  const std::string reference = traced_run(
-      sim::QueueKind::kHeap, 1, /*all_subsystems=*/true);
-  EXPECT_FALSE(reference.empty());
-  struct Mode {
-    bool arena;
-    bool flat;
-  };
-  for (Mode mode : {Mode{false, true}, Mode{true, false}, Mode{false, false}}) {
-    for (sim::QueueKind queue :
-         {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-      EXPECT_EQ(reference, traced_run(queue, 1, true, mode.arena, mode.flat))
-          << "queue=" << sim::to_string(queue) << " arena=" << mode.arena
-          << " flat_dispatch=" << mode.flat;
-    }
-  }
-  // And across shard counts with both off — the sharded drive must not
-  // depend on the arena's recycling for its ordering either.
-  EXPECT_EQ(reference,
-            traced_run(sim::QueueKind::kCalendar, 8, true, false, false));
 }
 
 /// Same matrix with every optional subsystem armed — faults, aggregation
 /// and congestion control all schedule their own timers and reroute
 /// traffic, so this is the adversarial case for cross-shard ordering.
 TEST(ShardedReplay, AllSubsystemsTraceIsBitIdenticalAcrossShardCounts) {
-  const std::string reference =
-      traced_run(sim::QueueKind::kHeap, 1, /*all_subsystems=*/true);
+  const std::string reference = traced_run(1, /*all_subsystems=*/true);
   EXPECT_FALSE(reference.empty());
-  for (sim::QueueKind queue :
-       {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-    for (int shards : {2, 8}) {
-      EXPECT_EQ(reference, traced_run(queue, shards, true))
-          << "queue=" << sim::to_string(queue) << " shards=" << shards;
-    }
+  for (int shards : {2, 8}) {
+    EXPECT_EQ(reference, traced_run(shards, true)) << "shards=" << shards;
   }
 }
 
@@ -336,7 +283,6 @@ double ring_mailbox_bytes_per_pe(int pes, int msgs) {
   MachineOptions o;
   o.pes = pes;
   o.pes_per_node = 1;
-  o.sim_queue = sim::QueueKind::kCalendar;
   o.use_pxshm = false;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   std::uint64_t received = 0;

@@ -9,6 +9,11 @@ BENCH_scale.json; every metric carries a "better" direction:
   "info"               reported, never gated (wall-clock and other
                        machine-dependent numbers)
 
+compare also fails when the two files disagree on which metrics exist: a
+baseline metric missing from the current results, or a current metric
+the baseline lacks.  Add a new metric to the baseline in the change that
+starts emitting it.
+
 Virtual-time metrics are deterministic, so the committed baselines in
 bench/baselines/ are exact values from a known-good revision; the
 tolerance only absorbs intentional model changes small enough not to
@@ -20,7 +25,7 @@ Usage:
   bench_report.py compare --baseline bench/baselines --current . \
       [--tolerance 0.15] [BENCH_core.json BENCH_scale.json]
   bench_report.py check BENCH_scale.json \
-      --min pes65536.hold.heap.shards8.speedup_vs_shards1_x=1.5
+      --min pes153216.kneighbor.heap.sim_events_per_wall_sec=110000
 """
 
 import argparse
@@ -37,16 +42,11 @@ def flatten(doc):
         for name, m in doc["metrics"].items():
             yield name, m["value"], m.get("better", "info"), m.get("unit", "")
     for point in doc.get("sweep", []):
-        # Scale sweep points are keyed by the full (pes, pattern, queue)
-        # coordinate; older baselines carried only pes.
-        prefix = "pes%d." % point["pes"]
-        if "pattern" in point:
-            prefix = "pes%d.%s.%s." % (
-                point["pes"], point["pattern"], point.get("queue", "heap"))
-            # Sharded points carry an extra coordinate; shards=1 rows omit
-            # the field so pre-shard baseline keys stay stable.
-            if "shards" in point:
-                prefix += "shards%d." % point["shards"]
+        # Scale sweep points are keyed pes<N>.<pattern>.<queue>.  The
+        # engine has one pending-set backend, the heap; rows that omit
+        # the queue field key as heap.
+        prefix = "pes%d.%s.%s." % (
+            point["pes"], point["pattern"], point.get("queue", "heap"))
         for name, m in point["metrics"].items():
             yield (prefix + name, m["value"], m.get("better", "info"),
                    m.get("unit", ""))
@@ -98,7 +98,9 @@ def compare_one(name, base, cur, tolerance):
                 % (name, key, bval, cval, delta * 100.0, better)
             )
     for key in sorted(set(cur) - set(base)):
-        lines.append("  %-44s (new metric: %.3f)" % (key, cur[key][0]))
+        lines.append("  %-44s (new metric: %.3f)  NOT IN BASELINE"
+                     % (key, cur[key][0]))
+        regressions.append("%s: new metric, not in the baseline" % key)
     return regressions, lines
 
 
@@ -152,8 +154,8 @@ def cmd_compare(args):
         print("\n".join(lines))
         all_regressions.extend(regs)
     if all_regressions:
-        print("\nFAIL: %d regression(s) beyond %.0f%%:" % (
-            len(all_regressions), tolerance * 100.0))
+        print("\nFAIL: %d regression(s) or metric mismatch(es) "
+              "(tolerance %.0f%%):" % (len(all_regressions), tolerance * 100.0))
         for r in all_regressions:
             print("  " + r)
         return 1
@@ -177,7 +179,7 @@ def main(argv):
     p_cmp.set_defaults(func=cmd_compare)
 
     p_chk = sub.add_parser(
-        "check", help="gate absolute floors, e.g. shard speedups")
+        "check", help="gate absolute floors, e.g. events/wall-sec")
     p_chk.add_argument("file")
     p_chk.add_argument(
         "--min", action="append", metavar="KEY=VALUE",
