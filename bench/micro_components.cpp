@@ -75,7 +75,8 @@ void BM_MemPoolAllocFree(benchmark::State& state) {
   sim::ScopedContext guard(ctx);
   ugni::gni_nic_handle_t nic = nullptr;
   ugni::GNI_CdmAttach(&dom, 0, 0, &nic);
-  mempool::MemPool pool(nic, 1 << 20);
+  mempool::HostArena arena;
+  mempool::MemPool pool(arena, nic, 1 << 20);
   const std::size_t size = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     void* p = pool.alloc(size);

@@ -171,7 +171,7 @@ void SmpLayer::init_pe(converse::Pe& pe) {
   if (pe.machine().options().use_mempool && !n.pool) {
     // Node-shared pool: created once per node, charged to the first PE.
     n.pool = std::make_unique<mempool::MemPool>(
-        n.nic, pe.machine().options().mc.mempool_init_bytes);
+        arena_, n.nic, pe.machine().options().mc.mempool_init_bytes);
   }
   pe.set_layer_state(nullptr);
 }
@@ -218,35 +218,27 @@ void* SmpLayer::alloc(sim::Context& ctx, converse::Pe& pe,
     }
   }
   ctx.charge(machine_->options().mc.malloc_cost(bytes));
-  return ::operator new[](bytes, std::align_val_t{16});
+  return mempool::MemPool::heap_alloc(bytes);
 }
 
 void SmpLayer::free_msg(sim::Context& ctx, converse::Pe& pe, void* msg) {
-  NodeState& n = node_state(pe.node());
-  if (n.pool) {
-    if (n.pool->owns(msg)) {
-      n.pool->free(msg);
-      return;
-    }
-    // Allocated on another node's pool (can only happen for messages the
-    // comm thread delivered; those are always node-local) — or on the
-    // alloc_pe's node.
-    int owner = header_of(msg)->alloc_pe;
-    if (owner >= 0) {
-      NodeState& o = node_state(machine_->node_of_pe(owner));
-      if (o.pool && o.pool->owns(msg)) {
-        o.pool->free(msg);
-        return;
-      }
-    }
-    // No pool owns it: a heap-fallback buffer from alloc() after a failed
-    // slab registration.
-    ctx.charge(machine_->options().mc.free_base_ns);
-    ::operator delete[](msg, std::align_val_t{16});
+  (void)pe;
+  // The block header names the owning node pool; no owner means a heap
+  // buffer (no pool, or the fallback after a failed slab registration).
+  if (mempool::MemPool* owner = mempool::MemPool::owner_of(msg)) {
+    owner->free(msg);
     return;
   }
   ctx.charge(machine_->options().mc.free_base_ns);
-  ::operator delete[](msg, std::align_val_t{16});
+  mempool::MemPool::heap_free(msg);
+}
+
+void SmpLayer::release_sent(void* msg) {
+  if (mempool::MemPool* owner = mempool::MemPool::owner_of(msg)) {
+    owner->free(msg);
+  } else {
+    mempool::MemPool::heap_free(msg);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -400,7 +392,7 @@ void SmpLayer::begin_node_rendezvous(sim::Context& ctx, NodeState& n,
   // registered here by the comm thread (with backoff on transient
   // resource exhaustion).
   ugni::gni_mem_handle_t hndl{};
-  if (n.pool && n.pool->owns(msg)) {
+  if (n.pool && mempool::MemPool::owner_of(msg) == n.pool.get()) {
     hndl = n.pool->handle_of(msg);
   } else {
     detail::register_with_retry(ctx, retry_, n.nic,
@@ -445,11 +437,7 @@ void SmpLayer::comm_send(sim::Context& ctx, NodeState& n, int dest_pe,
           // -1: the node's comm thread posts, not a worker PE.
           mark_msg_spans(bytes, trace::Stage::kTransportPost, -1, ctx.now());
         }
-        if (owned_msg && n.pool && n.pool->owns(owned_msg)) {
-          n.pool->free(owned_msg);
-        } else if (owned_msg) {
-          ::operator delete[](owned_msg, std::align_val_t{16});
-        }
+        if (owned_msg) release_sent(owned_msg);
         return;
       }
       ugni::check(rc, "GNI_SmsgSendWTag", ugni::GNI_RC_NOT_DONE,
@@ -537,13 +525,7 @@ void SmpLayer::comm_flush(sim::Context& ctx, NodeState& n) {
       mark_msg_spans(p.ctrl.data() + 4, trace::Stage::kTransportPost, -1,
                      ctx.now());
     }
-    if (p.msg) {
-      if (n.pool && n.pool->owns(p.msg)) {
-        n.pool->free(p.msg);
-      } else {
-        ::operator delete[](p.msg, std::align_val_t{16});
-      }
-    }
+    if (p.msg) release_sent(p.msg);
     n.backlog.pop_front();
   }
 }
@@ -584,7 +566,7 @@ void SmpLayer::comm_handle_smsg(sim::Context& ctx, NodeState& n,
           }
         }
         ctx.charge(mc.malloc_cost(size));
-        buf = ::operator new[](size, std::align_val_t{16});
+        buf = mempool::MemPool::heap_alloc(size);
       }
       ctx.charge(mc.memcpy_cost(size));
       std::memcpy(buf, static_cast<std::uint8_t*>(data) + 4, size);
@@ -615,7 +597,7 @@ void SmpLayer::comm_handle_smsg(sim::Context& ctx, NodeState& n,
           }
         }
         ctx.charge(mc.malloc_cost(ctrl.size));
-        lr.buf = ::operator new[](ctrl.size, std::align_val_t{16});
+        lr.buf = mempool::MemPool::heap_alloc(ctrl.size);
         detail::register_with_retry(
             ctx, retry_, n.nic, reinterpret_cast<std::uint64_t>(lr.buf),
             ctrl.size, nullptr, &local,
@@ -647,12 +629,7 @@ void SmpLayer::comm_handle_smsg(sim::Context& ctx, NodeState& n,
       std::memcpy(&ack, data, sizeof(ack));
       auto it = n.sends.find(ack.send_id);
       assert(it != n.sends.end());
-      void* msg = it->second.msg;
-      if (n.pool && n.pool->owns(msg)) {
-        n.pool->free(msg);
-      } else {
-        ::operator delete[](msg, std::align_val_t{16});
-      }
+      release_sent(it->second.msg);
       n.sends.erase(it);
       break;
     }

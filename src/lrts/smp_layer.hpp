@@ -89,8 +89,13 @@ class SmpLayer final : public converse::MachineLayer {
   void begin_node_rendezvous(sim::Context& ctx, NodeState& n, int dest_pe,
                              std::uint32_t size, void* msg);
   void deliver_to_worker(NodeState& n, int pe, void* msg, SimTime t);
+  /// Comm-thread release of a sent message: back to its owning pool
+  /// (charged to the comm thread), or deleted if it is a heap buffer.
+  static void release_sent(void* msg);
 
   converse::Machine* machine_ = nullptr;
+  /// Host bytes of every node pool; declared first so it outlives them.
+  mempool::HostArena arena_;
   std::unique_ptr<ugni::Domain> domain_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
   std::uint32_t smsg_cap_ = 1024;

@@ -147,7 +147,7 @@ struct UgniLayer::PeState final : converse::LayerPeState {
 
   ~PeState() override {
     for (auto& p : backlog) {
-      if (p.msg) ::operator delete[](p.msg, std::align_val_t{16});
+      if (p.msg) mempool::MemPool::discard(p.msg);
     }
   }
 };
@@ -274,7 +274,7 @@ void UgniLayer::init_pe(converse::Pe& pe) {
 
   if (pe.machine().options().use_mempool) {
     s->pool = std::make_unique<mempool::MemPool>(
-        s->nic, pe.machine().options().mc.mempool_init_bytes);
+        arena_, s->nic, pe.machine().options().mc.mempool_init_bytes);
   }
   states_[static_cast<std::size_t>(pe.id())] = s;
   pe.set_layer_state(std::move(st));
@@ -311,33 +311,20 @@ void* UgniLayer::alloc(sim::Context& ctx, converse::Pe& pe,
   }
   // "Original" path: modeled system malloc.
   ctx.charge(machine_->options().mc.malloc_cost(bytes));
-  return ::operator new[](bytes, std::align_val_t{16});
+  return mempool::MemPool::heap_alloc(bytes);
 }
 
 void UgniLayer::free_msg(sim::Context& ctx, converse::Pe& pe, void* msg) {
-  PeState& s = state(pe);
-  if (s.pool) {
-    if (s.pool->owns(msg)) {
-      s.pool->free(msg);
-      return;
-    }
-    // pxshm single-copy delivers buffers owned by a same-node peer's pool.
-    int owner = header_of(msg)->alloc_pe;
-    if (owner >= 0 && owner != pe.id()) {
-      PeState& o = state_of(owner);
-      if (o.pool && o.pool->owns(msg)) {
-        o.pool->free(msg);
-        return;
-      }
-    }
-    // No pool owns it: a heap-fallback buffer from alloc() after a failed
-    // slab registration.
-    ctx.charge(machine_->options().mc.free_base_ns);
-    ::operator delete[](msg, std::align_val_t{16});
+  (void)pe;
+  // The block header names the owning pool: this PE's, or a same-node
+  // peer's for pxshm single-copy deliveries.  No owner: a heap buffer
+  // (no pool, or the fallback after a failed slab registration).
+  if (mempool::MemPool* owner = mempool::MemPool::owner_of(msg)) {
+    owner->free(msg);
     return;
   }
   ctx.charge(machine_->options().mc.free_base_ns);
-  ::operator delete[](msg, std::align_val_t{16});
+  mempool::MemPool::heap_free(msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -535,7 +522,7 @@ void UgniLayer::begin_rendezvous(sim::Context& ctx, PeState& s, int dest_pe,
                                  std::uint32_t size, void* msg) {
   PeState::LargeSend ls;
   ls.msg = msg;
-  if (s.pool && s.pool->owns(msg)) {
+  if (s.pool && mempool::MemPool::owner_of(msg) == s.pool.get()) {
     ls.hndl = s.pool->handle_of(msg);
     ls.registered = false;
   } else {
@@ -646,21 +633,25 @@ void UgniLayer::handle_smsg(sim::Context& ctx, converse::Pe& pe, PeState& s,
   ugni::GNI_SmsgRelease(ep);
 }
 
-const UgniLayer::TagFn UgniLayer::kTagTable[5] = {
-    nullptr,  // tag 0: never sent
-    &UgniLayer::on_tag_data,
-    &UgniLayer::on_tag_init,
-    &UgniLayer::on_tag_ack,
-    &UgniLayer::on_tag_persist,
-};
-
 void UgniLayer::handle_protocol_msg(sim::Context& ctx, converse::Pe& pe,
                                     PeState& s, std::uint8_t tag,
                                     const void* data, SimTime arrival) {
-  static_assert(kTagData == 1 && kTagInit == 2 && kTagAck == 3 &&
-                kTagPersistData == 4);
-  assert(tag >= kTagData && tag <= kTagPersistData && "unknown SMSG tag");
-  (this->*kTagTable[tag])(ctx, pe, s, data, arrival);
+  switch (tag) {
+    case kTagData:
+      on_tag_data(ctx, pe, s, data, arrival);
+      return;
+    case kTagInit:
+      on_tag_init(ctx, pe, s, data, arrival);
+      return;
+    case kTagAck:
+      on_tag_ack(ctx, pe, s, data, arrival);
+      return;
+    case kTagPersistData:
+      on_tag_persist(ctx, pe, s, data, arrival);
+      return;
+    default:
+      assert(false && "unknown SMSG tag");
+  }
 }
 
 void UgniLayer::on_tag_data(sim::Context& ctx, converse::Pe& pe, PeState& s,
@@ -711,7 +702,7 @@ void UgniLayer::on_tag_init(sim::Context& ctx, converse::Pe& pe, PeState& s,
           }
         }
         ctx.charge(mc.malloc_cost(ctrl.size));
-        lr.buf = ::operator new[](ctrl.size, std::align_val_t{16});
+        lr.buf = mempool::MemPool::heap_alloc(ctrl.size);
         detail::register_with_retry(
             ctx, retry_, s.nic, reinterpret_cast<std::uint64_t>(lr.buf),
             ctrl.size, nullptr, &lr.local_hndl,
@@ -922,7 +913,7 @@ converse::PersistentHandle UgniLayer::create_persistent(
       }
     }
     ctx.charge(mc.malloc_cost(max_bytes));
-    rx.buf = ::operator new[](max_bytes, std::align_val_t{16});
+    rx.buf = mempool::MemPool::heap_alloc(max_bytes);
     detail::register_with_retry(ctx, retry_, d.nic,
                                 reinterpret_cast<std::uint64_t>(rx.buf),
                                 max_bytes, nullptr, &rx.hndl,
@@ -964,7 +955,7 @@ void UgniLayer::persistent_send(sim::Context& ctx, converse::Pe& src,
   ps.app_owned =
       (header_of(msg)->flags & kMsgFlagNoFree) != 0;  // app reuses buffer
   ugni::gni_mem_handle_t local_hndl{};
-  if (s.pool && s.pool->owns(msg)) {
+  if (s.pool && mempool::MemPool::owner_of(msg) == s.pool.get()) {
     local_hndl = s.pool->handle_of(msg);
   } else if (auto it = s.persist_send_reg.find(msg);
              it != s.persist_send_reg.end()) {

@@ -126,12 +126,10 @@ class UgniLayer final : public converse::MachineLayer {
   /// Shared protocol demux for small messages arriving via SMSG or MSGQ.
   /// `arrival` is the virtual wire-arrival instant of the control/data
   /// bytes (== ctx.now() for paths that cannot observe it earlier).
-  /// One flat-table indirect call per message (kTagTable below), not a
-  /// switch re-tested per event in the CQ drain loop.
   void handle_protocol_msg(sim::Context& ctx, converse::Pe& pe, PeState& s,
                            std::uint8_t tag, const void* bytes,
                            SimTime arrival);
-  // Per-tag protocol handlers (the former switch arms).
+  // Per-tag protocol handlers.
   void on_tag_data(sim::Context& ctx, converse::Pe& pe, PeState& s,
                    const void* bytes, SimTime arrival);
   void on_tag_init(sim::Context& ctx, converse::Pe& pe, PeState& s,
@@ -140,10 +138,6 @@ class UgniLayer final : public converse::MachineLayer {
                   const void* bytes, SimTime arrival);
   void on_tag_persist(sim::Context& ctx, converse::Pe& pe, PeState& s,
                       const void* bytes, SimTime arrival);
-  using TagFn = void (UgniLayer::*)(sim::Context&, converse::Pe&, PeState&,
-                                    const void*, SimTime);
-  /// Indexed by SMSG protocol tag (1-based; slot 0 is unused).
-  static const TagFn kTagTable[5];
   void handle_completion(sim::Context& ctx, converse::Pe& pe, PeState& s,
                          const ugni::gni_cq_entry_t& ev);
 
@@ -152,6 +146,8 @@ class UgniLayer final : public converse::MachineLayer {
   void pxshm_poll(sim::Context& ctx, converse::Pe& pe);
 
   converse::Machine* machine_ = nullptr;
+  /// Host bytes of every PE's pool (the pools die with the PEs, first).
+  mempool::HostArena arena_;
   std::unique_ptr<ugni::Domain> domain_;
   std::vector<PeState*> states_;  // borrowed; owned by Pe::layer_state
   std::vector<std::unique_ptr<NodeShm>> node_shm_;

@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cassert>
+#include <cstring>
+#include <new>
 #include <stdexcept>
 
 #include "trace/events.hpp"
@@ -19,17 +21,25 @@ sim::Context& ctx() {
 
 }  // namespace
 
-MemPool::MemPool(ugni::gni_nic_handle_t nic, std::uint64_t initial_bytes)
-    : nic_(nic) {
+MemPool::MemPool(HostArena& arena, ugni::gni_nic_handle_t nic,
+                 std::uint64_t initial_bytes)
+    : arena_(&arena), nic_(nic) {
+  free_head_.fill(kNoBlock);
   add_slab(initial_bytes);
 }
 
 MemPool::~MemPool() {
-  // Slabs deregister with the NIC; charge nothing (teardown is outside the
-  // measured protocol paths).
+  for (const Block& b : blocks_) {
+    if (b.host) release_host(header_of(b.host));
+  }
+  // Slabs deregister with the NIC when a PE context can take the charge;
+  // otherwise they only drop this pool as their owner, which leaves the
+  // synthetic range that no host pointer matches.
   for (auto& slab : slabs_) {
     if (sim::current()) {
       ugni::GNI_MemDeregister(nic_, &slab.handle);
+    } else {
+      nic_->set_region_owner(slab.handle, nullptr, 0);
     }
   }
 }
@@ -63,16 +73,14 @@ bool MemPool::add_slab(std::size_t min_bytes) {
   sim::Context& c = ctx();
   c.charge(mc.malloc_cost(size));
 
+  // The registered range is synthetic: it starts above every user-space
+  // address, so no host pointer can alias it, and the slabs of one pool
+  // never overlap.
   Slab slab;
-  // Default-initialized (new[] without value-init): make_unique would
-  // memset the whole slab, and at full-machine scale (150k pools x
-  // geometric slabs, tens of GB) that zeroing dominated host CPU.  Block
-  // headers are written on carve; payload bytes are caller-owned.
-  slab.memory.reset(new std::uint8_t[size]);
   slab.size = size;
   ugni::gni_return_t rc = ugni::GNI_MemRegister(
-      nic_, reinterpret_cast<std::uint64_t>(slab.memory.get()), size,
-      /*dst_cq=*/nullptr, 0, &slab.handle);
+      nic_, kSyntheticBase + stats_.slab_bytes, size, /*dst_cq=*/nullptr, 0,
+      &slab.handle);
   if (rc != ugni::GNI_RC_SUCCESS) {
     // Registration refused (MDD/TLB pressure, or an injected fault): the
     // allocation that triggered the expansion falls back to the caller's
@@ -81,7 +89,9 @@ bool MemPool::add_slab(std::size_t min_bytes) {
                                                         << size << " B)");
     return false;
   }
-  slabs_.push_back(std::move(slab));
+  nic_->set_region_owner(slab.handle, this,
+                         static_cast<std::uint32_t>(slabs_.size()));
+  slabs_.push_back(slab);
   stats_.slab_bytes += size;
   ++stats_.expansions;
   if (trace::enabled()) {
@@ -94,23 +104,39 @@ bool MemPool::add_slab(std::size_t min_bytes) {
   return true;
 }
 
-void* MemPool::carve(std::size_t bin, std::size_t block) {
+std::uint32_t MemPool::carve(std::size_t bin, std::size_t block) {
+  // A model block spends its bin plus a 16-byte header of slab space: the
+  // header is part of the modelled layout, so expansions depend on it.
   const std::size_t need = block + kHeaderSize;
   // Find a slab with room (newest first: older slabs are likely full).
   for (std::size_t i = slabs_.size(); i-- > 0;) {
     Slab& slab = slabs_[i];
     if (slab.size - slab.used >= need) {
-      std::uint8_t* base = slab.memory.get() + slab.used;
       slab.used += need;
-      Header* h = reinterpret_cast<Header*>(base);
-      h->bin = static_cast<std::uint16_t>(bin);
-      h->slab = static_cast<std::uint16_t>(i);
-      h->magic = kMagicLive;
-      return base + kHeaderSize;
+      blocks_.push_back(Block{nullptr, kNoBlock, static_cast<std::uint16_t>(i),
+                              static_cast<std::uint16_t>(bin)});
+      return static_cast<std::uint32_t>(blocks_.size() - 1);
     }
   }
-  if (!add_slab(need)) return nullptr;
+  if (!add_slab(need)) return kNoBlock;
   return carve(bin, block);
+}
+
+void* MemPool::attach(std::uint32_t id, std::size_t bytes) {
+  // Host bytes at the requested size, whatever size first carved this
+  // model block: a freelist hit never gets a block too small for it.
+  std::uint16_t cls = 0;
+  void* raw = arena_->alloc(kHeaderSize + bytes, &cls);
+  new (raw) Header{this, id, cls, kMagicLive};
+  void* p = static_cast<std::uint8_t*>(raw) + kHeaderSize;
+  blocks_[id].host = p;
+  return p;
+}
+
+void MemPool::release_host(Header* h) {
+  blocks_[h->block].host = nullptr;
+  h->magic = kMagicFree;
+  arena_->free(h, h->host_class);
 }
 
 void* MemPool::alloc(std::size_t bytes) {
@@ -123,64 +149,105 @@ void* MemPool::alloc(std::size_t bytes) {
   ++stats_.bin_lookups;
   ++stats_.allocs;
   ++stats_.outstanding;
-  if (void* p = free_head_[bin]) {
-    Header* h = header_of(p);
-    free_head_[bin] = h->next_free;
-    h->next_free = nullptr;
-    h->magic = kMagicLive;
+  std::uint32_t id = free_head_[bin];
+  if (id != kNoBlock) {
+    free_head_[bin] = blocks_[id].next_free;
     ++stats_.freelist_hits;
     if (trace::enabled()) {
       trace::emit(trace::Ev::kPoolHit, ctx().now(), 0, /*peer=*/-1,
                   static_cast<std::uint32_t>(bytes));
     }
-    return p;
+    return attach(id, bytes);
   }
   if (trace::enabled()) {
     trace::emit(trace::Ev::kPoolMiss, ctx().now(), 0, /*peer=*/-1,
                 static_cast<std::uint32_t>(bytes));
   }
-  void* p = carve(bin, bin_block_size(bin));
-  if (!p) {
+  id = carve(bin, bin_block_size(bin));
+  if (id == kNoBlock) {
     --stats_.allocs;
     --stats_.outstanding;
+    return nullptr;
   }
-  return p;
+  return attach(id, bytes);
 }
 
 void MemPool::free(void* p) {
   const auto& mc = nic_->domain()->config();
   ctx().charge(mc.mempool_free_ns);
   Header* h = header_of(p);
-  assert(h->magic == kMagicLive && "MemPool::free of invalid/double pointer");
-  h->magic = kMagicFree;
-  h->next_free = free_head_[h->bin];
-  free_head_[h->bin] = p;
+  assert(h->pool == this && h->magic == kMagicLive &&
+         "MemPool::free of invalid/double pointer");
+  Block& b = blocks_[h->block];
+  b.next_free = free_head_[b.bin];
+  free_head_[b.bin] = h->block;
+  release_host(h);
   ++stats_.frees;
   --stats_.outstanding;
 }
 
 ugni::gni_mem_handle_t MemPool::handle_of(const void* p) const {
   const Header* h = header_of(p);
-  assert(h->magic == kMagicLive);
-  return slabs_[h->slab].handle;
+  assert(h->pool == this && h->magic == kMagicLive);
+  return slabs_[blocks_[h->block].slab].handle;
+}
+
+bool MemPool::live_header(std::uintptr_t addr, Header* out) const {
+  // Copy the header only from bytes the arena owns (they may be a free
+  // block's, or another block's payload), then demand that the model
+  // block it names records exactly this address: payload bytes that
+  // happen to look like a header cannot pass.
+  if (addr < kHeaderSize ||
+      !arena_->contains(reinterpret_cast<const void*>(addr - kHeaderSize),
+                        kHeaderSize)) {
+    return false;
+  }
+  std::memcpy(out, reinterpret_cast<const void*>(addr - kHeaderSize),
+              kHeaderSize);
+  return out->pool == this && out->magic == kMagicLive &&
+         out->block < blocks_.size() &&
+         reinterpret_cast<std::uintptr_t>(blocks_[out->block].host) == addr;
 }
 
 bool MemPool::owns(const void* p) const {
-  if (!p) return false;
-  const auto* bytes = static_cast<const std::uint8_t*>(p);
-  for (const auto& slab : slabs_) {
-    if (bytes >= slab.memory.get() + kHeaderSize &&
-        bytes < slab.memory.get() + slab.size) {
-      return header_of(p)->magic == kMagicLive;
-    }
-  }
-  return false;
+  Header h;
+  return live_header(reinterpret_cast<std::uintptr_t>(p), &h);
+}
+
+bool MemPool::holds(std::uint32_t slab, std::uint64_t addr,
+                    std::uint64_t len) const {
+  Header h;
+  return live_header(addr, &h) && blocks_[h.block].slab == slab &&
+         len <= HostArena::class_bytes(h.host_class) - kHeaderSize;
 }
 
 std::size_t MemPool::block_size(const void* p) const {
   const Header* h = header_of(p);
-  assert(h->magic == kMagicLive);
-  return bin_block_size(h->bin);
+  assert(h->pool == this && h->magic == kMagicLive);
+  return HostArena::class_bytes(h->host_class) - kHeaderSize;
+}
+
+MemPool* MemPool::owner_of(const void* p) {
+  const Header* h = header_of(p);
+  assert((h->magic == kMagicLive || h->magic == kMagicHeap) &&
+         "owner_of: not a live message buffer");
+  return h->pool;
+}
+
+void* MemPool::heap_alloc(std::size_t bytes) {
+  void* raw = ::operator new[](kHeaderSize + bytes, std::align_val_t{16});
+  new (raw) Header{nullptr, 0, 0, kMagicHeap};
+  return static_cast<std::uint8_t*>(raw) + kHeaderSize;
+}
+
+void MemPool::heap_free(void* p) {
+  Header* h = header_of(p);
+  assert(h->magic == kMagicHeap && "heap_free of a pool buffer");
+  ::operator delete[](h, std::align_val_t{16});
+}
+
+void MemPool::discard(void* p) {
+  if (header_of(p)->magic == kMagicHeap) heap_free(p);
 }
 
 }  // namespace ugnirt::mempool

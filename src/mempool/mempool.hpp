@@ -11,23 +11,26 @@
 // expanded") — the expansion pays the full malloc+registration cost once,
 // after which buffers recycle for free.
 //
-// The free lists are INTRUSIVE: the link lives in the spare half of the
-// 16-byte block header, and the list heads are a fixed inline array in the
-// pool object.  At full-machine scale (150k+ pools, one per PE) every
-// alloc/free walks cold memory, so the hot path is sized in cache lines:
-// intrusive links touch only the pool object and the block header — both
-// lines the operation must touch anyway — where the old vector-of-vectors
-// design paid two further dependent loads (outer array, inner buffer) per
-// operation, plus their reallocation churn.
+// That design is the *model*: slabs, bins, the bump rule, expansions,
+// charges, stats and trace events.  A slab owns no host memory.  Its
+// registered range is synthetic (no host pointer aliases it), and the
+// payload bytes of every block come from the layer's shared HostArena at
+// the requested size (DESIGN.md §8.2).  The pool registers as the owner of
+// its slab regions, so an FMA/BTE post is valid exactly when it names a
+// live block of the slab whose handle it carries.
+//
+// Every buffer a machine layer hands out, pool or heap, starts 16 bytes
+// after a block header naming its owning pool (nullptr for heap buffers),
+// so freeing routes to the right pool in O(1).
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
+#include "mempool/host_arena.hpp"
 #include "ugni/ugni.hpp"
 
 namespace ugnirt::mempool {
@@ -42,11 +45,15 @@ struct MemPoolStats {
   std::uint64_t bin_lookups = 0;    // O(1) size-class resolutions (== allocs)
 };
 
-class MemPool {
+class MemPool final : public ugni::RegionOwner {
  public:
   /// Creates the pool with one initial slab of `initial_bytes`, registered
-  /// on `nic`.  Charges the initial malloc+registration to the current PE.
-  MemPool(ugni::gni_nic_handle_t nic, std::uint64_t initial_bytes);
+  /// on `nic`, whose payload bytes come from `arena` (which must outlive
+  /// the pool).  Charges the initial malloc+registration to the current PE.
+  MemPool(HostArena& arena, ugni::gni_nic_handle_t nic,
+          std::uint64_t initial_bytes);
+  /// Deregisters the slabs (unbinds them when no PE context is current)
+  /// and returns every still-live block's host bytes to the arena.
   ~MemPool();
 
   MemPool(const MemPool&) = delete;
@@ -54,7 +61,7 @@ class MemPool {
 
   /// Allocate a buffer of at least `bytes`.  O(1) except on expansion.
   /// Charges mempool_alloc_ns (plus expansion costs when a new slab is
-  /// needed).  Returned memory is always inside a registered region.
+  /// needed).  The returned block is a live block of a registered slab.
   /// Returns nullptr when the pool must expand but slab registration fails
   /// (GNI_RC_ERROR_RESOURCE) — callers fall back to a heap-registered
   /// buffer and retry registration under their own backoff policy.
@@ -63,20 +70,40 @@ class MemPool {
   /// Return a buffer to its size-class free list.  Charges mempool_free_ns.
   void free(void* p);
 
-  /// Registered-memory handle covering `p` (for RDMA descriptors).
+  /// Registered-memory handle of the slab holding `p` (for RDMA
+  /// descriptors).
   ugni::gni_mem_handle_t handle_of(const void* p) const;
 
-  /// True when `p` was produced by alloc() and is currently live.
+  /// True when `p` was produced by this pool's alloc() and is live.  Safe
+  /// for any pointer; message paths use owner_of() instead.
   bool owns(const void* p) const;
 
-  /// Usable size class of the allocation at `p`.
+  /// Bytes the caller may write at `p` (at least the size requested).
   std::size_t block_size(const void* p) const;
 
-  /// Usable bytes of the block alloc(bytes) would return — the power-of-
-  /// two size class covering `bytes`.  Lease-sized buffers (aggregation
+  /// Bytes of the model block alloc(bytes) would carve — the power-of-two
+  /// size class covering `bytes`.  Lease-sized buffers (aggregation
   /// batches) round their capacity up to this so no registered pool bytes
   /// are stranded.
   static std::size_t usable_size(std::size_t bytes);
+
+  /// The pool owning buffer `p`, read from its header in O(1); nullptr for
+  /// a heap buffer.  `p` must come from alloc() or heap_alloc() and be live.
+  static MemPool* owner_of(const void* p);
+
+  /// A heap buffer with the same 16-byte prefix as pool buffers (owner
+  /// nullptr), for layers running without a pool or falling back after a
+  /// failed slab registration.  Charges nothing.
+  static void* heap_alloc(std::size_t bytes);
+  static void heap_free(void* p);
+  /// Teardown release: deletes `p` if it is a heap buffer.  Pool buffers
+  /// are left to their pool, whose destructor reclaims them.
+  static void discard(void* p);
+
+  /// RegionOwner: true when [addr, addr+len) is a live block of slab
+  /// `slab` holding at least `len` bytes.
+  bool holds(std::uint32_t slab, std::uint64_t addr,
+             std::uint64_t len) const override;
 
   const MemPoolStats& stats() const { return stats_; }
   ugni::gni_nic_handle_t nic() const { return nic_; }
@@ -86,41 +113,58 @@ class MemPool {
 
  private:
   struct Slab {
-    std::unique_ptr<std::uint8_t[]> memory;
-    std::size_t size = 0;
-    std::size_t used = 0;  // bump-carve offset
+    std::uint64_t size = 0;
+    std::uint64_t used = 0;  // bump-carve offset
     ugni::gni_mem_handle_t handle{};
   };
 
-  // Block header stamped just before every returned pointer.  The spare
-  // 8 bytes carry the intrusive freelist link while the block is free
-  // (never read while live, so payload bytes are untouched either way).
-  struct Header {
-    std::uint32_t magic = 0;
-    std::uint16_t bin = 0;
+  // One model block carved from a slab.  Free blocks of a bin form an
+  // intrusive LIFO list through `next_free`.
+  static constexpr std::uint32_t kNoBlock = UINT32_MAX;
+  struct Block {
+    void* host = nullptr;  // payload while live, nullptr while free
+    std::uint32_t next_free = kNoBlock;
     std::uint16_t slab = 0;
-    void* next_free = nullptr;
+    std::uint16_t bin = 0;
+  };
+
+  // Host block header, just before every returned pointer.  The arena's
+  // free-list link overwrites `pool` once the host block is freed.
+  struct Header {
+    MemPool* pool = nullptr;  // owner; nullptr for heap buffers
+    std::uint32_t block = 0;  // index into blocks_
+    std::uint16_t host_class = 0;
+    std::uint16_t magic = 0;
   };
   static constexpr std::size_t kHeaderSize = 16;  // keep payload aligned
-  static_assert(sizeof(Header) == kHeaderSize,
-                "freelist link must fit the spare header bytes");
-  static constexpr std::uint32_t kMagicLive = 0x9D00DA11u;
-  static constexpr std::uint32_t kMagicFree = 0xFEE1DEADu;
+  static_assert(sizeof(Header) == kHeaderSize);
+  static constexpr std::uint16_t kMagicLive = 0xDA11;
+  static constexpr std::uint16_t kMagicFree = 0xDEAD;
+  static constexpr std::uint16_t kMagicHeap = 0x4EA9;
+  /// Base of the synthetic registered ranges, above user-space addresses.
+  static constexpr std::uint64_t kSyntheticBase = 1ull << 63;
 
   static std::size_t bin_of(std::size_t bytes);
   static std::size_t bin_block_size(std::size_t bin);
 
-  /// Carve a block of `block` bytes for `bin`, expanding if needed.
-  /// Returns nullptr when expansion fails.
-  void* carve(std::size_t bin, std::size_t block);
+  /// Carve a model block of `block` bytes for `bin`, expanding if needed.
+  /// Returns kNoBlock when expansion fails.
+  std::uint32_t carve(std::size_t bin, std::size_t block);
   /// False when the slab's registration was refused by the NIC.
   bool add_slab(std::size_t min_bytes);
+  /// Give model block `id` host bytes for `bytes` of payload.
+  void* attach(std::uint32_t id, std::size_t bytes);
+  /// Return a live block's host bytes to the arena.
+  void release_host(Header* h);
+  /// True when `addr` is a live block of this pool; `*out` receives its
+  /// header.  Safe for any address.
+  bool live_header(std::uintptr_t addr, Header* out) const;
 
-  Header* header_of(void* p) const {
+  static Header* header_of(void* p) {
     return reinterpret_cast<Header*>(static_cast<std::uint8_t*>(p) -
                                      kHeaderSize);
   }
-  const Header* header_of(const void* p) const {
+  static const Header* header_of(const void* p) {
     return reinterpret_cast<const Header*>(
         static_cast<const std::uint8_t*>(p) - kHeaderSize);
   }
@@ -129,9 +173,11 @@ class MemPool {
   static constexpr std::size_t kBins =
       std::countr_zero(kMaxBlock) - std::countr_zero(kMinBlock) + 1;
 
+  HostArena* arena_;
   ugni::gni_nic_handle_t nic_;
   std::vector<Slab> slabs_;
-  std::array<void*, kBins> free_head_{};  // intrusive per-class freelists
+  std::vector<Block> blocks_;
+  std::array<std::uint32_t, kBins> free_head_;  // per-bin model freelists
   MemPoolStats stats_;
 };
 

@@ -248,7 +248,16 @@ bool Nic::handle_valid(const gni_mem_handle_t& h, std::uint64_t addr,
                        std::uint64_t len) const {
   const Region* r = region_of(h);
   if (!r || !r->valid) return false;
+  if (r->owner) return r->owner->holds(r->owner_key, addr, len);
   return addr >= r->addr && addr + len <= r->addr + r->length;
+}
+
+void Nic::set_region_owner(const gni_mem_handle_t& h,
+                           const RegionOwner* owner, std::uint32_t key) {
+  Region* r = region_of(h);
+  assert(r && r->valid && "set_region_owner on a dead handle");
+  r->owner = owner;
+  r->owner_key = key;
 }
 
 Nic::Region* Nic::region_of(const gni_mem_handle_t& h) {
@@ -506,6 +515,7 @@ gni_return_t GNI_MemDeregister(gni_nic_handle_t nic, gni_mem_handle_t* hndl) {
                     r->length, UINT32_MAX)));
   }
   r->valid = false;
+  r->owner = nullptr;
   ++r->generation;  // future uses of the stale handle fail validation
   nic->registered_bytes_ -= r->length;
   --nic->n_active_regions_;

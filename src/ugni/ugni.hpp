@@ -564,6 +564,22 @@ class PeerTable {
   unsigned shift_ = 32;  // 32 - log2(capacity)
 };
 
+/// Owner of a registered region whose registered range is synthetic: the
+/// bytes behind it live elsewhere on the host (the mempool registers its
+/// slabs this way and serves payloads from a shared host arena).  Posts
+/// against such a region ask the owner instead of range-checking the
+/// address.
+class RegionOwner {
+ public:
+  /// True when host range [addr, addr+len) is a live block of the region
+  /// bound under `key`.
+  virtual bool holds(std::uint32_t key, std::uint64_t addr,
+                     std::uint64_t len) const = 0;
+
+ protected:
+  ~RegionOwner() = default;
+};
+
 /// A NIC instance: one per simulated process (PE), attached to a torus node.
 class Nic {
  public:
@@ -589,6 +605,19 @@ class Nic {
 
   std::uint64_t registered_bytes() const { return registered_bytes_; }
   std::size_t active_regions() const { return n_active_regions_; }
+
+  /// True when `h` is a live registration of this NIC covering
+  /// [addr, addr+len): inside the registered range, or, for a region with
+  /// an owner, a live block the owner holds.  FMA/BTE posts require it of
+  /// both buffers.
+  bool handle_valid(const gni_mem_handle_t& h, std::uint64_t addr,
+                    std::uint64_t len) const;
+
+  /// Route validity checks of the live region behind `h` to `owner`
+  /// (nullptr unbinds, leaving only the registered range).  An owner must
+  /// unbind or deregister before it is destroyed.
+  void set_region_owner(const gni_mem_handle_t& h, const RegionOwner* owner,
+                        std::uint32_t key);
 
   /// Endpoint on this NIC bound to `remote_inst`, or nullptr.
   Ep* ep_for_peer(std::int32_t remote_inst) const {
@@ -643,10 +672,10 @@ class Nic {
     std::uint32_t generation = 0;
     bool valid = false;
     Cq* dst_cq = nullptr;  // receives remote events for transactions here
+    const RegionOwner* owner = nullptr;  // see set_region_owner
+    std::uint32_t owner_key = 0;
   };
 
-  bool handle_valid(const gni_mem_handle_t& h, std::uint64_t addr,
-                    std::uint64_t len) const;
   Region* region_of(const gni_mem_handle_t& h);
   const Region* region_of(const gni_mem_handle_t& h) const;
 

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <map>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "sim/engine.hpp"
 #include "mempool/mempool.hpp"
 #include "util/rng.hpp"
@@ -21,7 +23,7 @@ class MemPoolFixture : public ::testing::Test {
     sim::ScopedContext guard(*ctx_);
     ASSERT_EQ(ugni::GNI_CdmAttach(dom_.get(), 0, 0, &nic_),
               ugni::GNI_RC_SUCCESS);
-    pool_ = std::make_unique<MemPool>(nic_, 64 * 1024);
+    pool_ = std::make_unique<MemPool>(arena_, nic_, 64 * 1024);
   }
 
   void TearDown() override {
@@ -34,6 +36,7 @@ class MemPoolFixture : public ::testing::Test {
   std::unique_ptr<ugni::Domain> dom_;
   std::unique_ptr<sim::Context> ctx_;
   ugni::gni_nic_handle_t nic_ = nullptr;
+  HostArena arena_;
   std::unique_ptr<MemPool> pool_;
 };
 
@@ -197,6 +200,324 @@ TEST_F(MemPoolFixture, OwnsRejectsForeignAndFreedPointers) {
   EXPECT_TRUE(pool_->owns(p));
   pool_->free(p);
   EXPECT_FALSE(pool_->owns(p));
+}
+
+// ---------------------------------------------------------------------------
+// Model equivalence.  The pool's slabs and bins are the model of paper
+// §IV-B; host bytes come from a shared arena.  Under seeded churn (mixed
+// sizes, registration faults) the pool's stats and charges must equal a
+// small reference of the rule, every live block must be valid RDMA memory
+// for its length, and nothing else may be.
+// ---------------------------------------------------------------------------
+
+/// The pool rule with no host layout at all: power-of-two bins from 64 B,
+/// per-bin free counts, blocks of bin + 16 B bump-carved from the newest
+/// slab with room, and geometric slab growth whose registration may fail.
+class RefPool {
+ public:
+  RefPool(const gemini::MachineConfig& mc, const fault::FaultPlan& plan,
+          std::uint64_t initial_bytes)
+      : mc_(mc), faults_(plan) {
+    add_slab(initial_bytes);
+  }
+
+  /// False when the expansion the request needed lost its registration.
+  bool alloc(std::size_t bytes) {
+    charged += mc_.mempool_alloc_ns;
+    const std::size_t bin = bin_of(bytes);
+    ++st.bin_lookups;
+    ++st.allocs;
+    ++st.outstanding;
+    if (free_[bin] > 0) {
+      --free_[bin];
+      ++st.freelist_hits;
+      return true;
+    }
+    const std::size_t need = (MemPool::kMinBlock << bin) + 16;
+    for (;;) {
+      for (std::size_t i = slabs_.size(); i-- > 0;) {
+        if (slabs_[i].size - slabs_[i].used >= need) {
+          slabs_[i].used += need;
+          return true;
+        }
+      }
+      if (!add_slab(need)) {
+        --st.allocs;
+        --st.outstanding;
+        return false;
+      }
+    }
+  }
+
+  void free(std::size_t bytes) {
+    charged += mc_.mempool_free_ns;
+    ++free_[bin_of(bytes)];
+    ++st.frees;
+    --st.outstanding;
+  }
+
+  static std::size_t bin_of(std::size_t bytes) {
+    const std::size_t need =
+        bytes < MemPool::kMinBlock ? MemPool::kMinBlock : std::bit_ceil(bytes);
+    return static_cast<std::size_t>(std::countr_zero(need) -
+                                    std::countr_zero(MemPool::kMinBlock));
+  }
+
+  MemPoolStats st;
+  SimTime charged = 0;
+
+ private:
+  struct Slab {
+    std::uint64_t size = 0;
+    std::uint64_t used = 0;
+  };
+
+  bool add_slab(std::size_t min_bytes) {
+    std::size_t size = slabs_.empty() ? min_bytes : slabs_.back().size * 2;
+    if (size < 4 * min_bytes) size = std::bit_ceil(4 * min_bytes);
+    if (size < MemPool::kMinBlock + 16) size = 4096;
+    charged += mc_.malloc_cost(size);
+    // Same plan, same NIC: the injector draws the pool's decisions.
+    if (faults_.inject_reg_error(0)) {
+      charged += mc_.mem_reg_base_ns;
+      return false;
+    }
+    charged += mc_.reg_cost(size);
+    slabs_.push_back({size, 0});
+    st.slab_bytes += size;
+    ++st.expansions;
+    return true;
+  }
+
+  const gemini::MachineConfig& mc_;
+  fault::FaultInjector faults_;
+  std::vector<Slab> slabs_;
+  std::map<std::size_t, std::uint64_t> free_;
+};
+
+void expect_same_stats(const MemPoolStats& got, const MemPoolStats& want,
+                       int step) {
+  EXPECT_EQ(got.allocs, want.allocs) << "step " << step;
+  EXPECT_EQ(got.frees, want.frees) << "step " << step;
+  EXPECT_EQ(got.expansions, want.expansions) << "step " << step;
+  EXPECT_EQ(got.slab_bytes, want.slab_bytes) << "step " << step;
+  EXPECT_EQ(got.outstanding, want.outstanding) << "step " << step;
+  EXPECT_EQ(got.freelist_hits, want.freelist_hits) << "step " << step;
+  EXPECT_EQ(got.bin_lookups, want.bin_lookups) << "step " << step;
+}
+
+class MemPoolModel : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  void SetUp() override {
+    plan_.enabled = true;
+    plan_.seed = GetParam();
+    plan_.p_reg_error = 0.25;
+    net_ = std::make_unique<gemini::Network>(
+        engine_.scheduler(), topo::Torus3D::for_nodes(2),
+        gemini::MachineConfig{});
+    injector_ = std::make_unique<fault::FaultInjector>(plan_);
+    net_->set_fault_injector(injector_.get());
+    dom_ = std::make_unique<ugni::Domain>(*net_);
+    ctx_ = std::make_unique<sim::Context>(engine_.scheduler(), 0);
+    sim::ScopedContext guard(*ctx_);
+    ASSERT_EQ(ugni::GNI_CdmAttach(dom_.get(), 0, 0, &nic_),
+              ugni::GNI_RC_SUCCESS);
+  }
+
+  struct Live {
+    std::uint8_t* p;
+    std::size_t size;
+    std::uint8_t pattern;
+    ugni::gni_mem_handle_t hndl;
+  };
+
+  static bool intact(const Live& l) {
+    for (std::size_t i = 0; i < l.size; ++i) {
+      if (l.p[i] != l.pattern) return false;
+    }
+    return true;
+  }
+
+  sim::Engine engine_{sim::EngineOptions{}};
+  fault::FaultPlan plan_;
+  std::unique_ptr<gemini::Network> net_;
+  std::unique_ptr<fault::FaultInjector> injector_;
+  std::unique_ptr<ugni::Domain> dom_;
+  std::unique_ptr<sim::Context> ctx_;
+  ugni::gni_nic_handle_t nic_ = nullptr;
+  HostArena arena_;
+};
+
+TEST_P(MemPoolModel, SeededChurnMatchesReferenceAndValidatesBlocks) {
+  sim::ScopedContext guard(*ctx_);
+  const auto& mc = net_->config();
+  const SimTime t0 = ctx_->now();
+  RefPool ref(mc, plan_, 4096);
+  auto pool = std::make_unique<MemPool>(arena_, nic_, 4096);
+  Rng rng(GetParam() * 7919 + 1);
+  std::vector<Live> live;
+  std::uint64_t fallbacks = 0;
+
+  auto alloc = [&](std::size_t size, int step) {
+    const bool want = ref.alloc(size);
+    void* p = pool->alloc(size);
+    EXPECT_EQ(p != nullptr, want) << "step " << step;
+    if (!p) {
+      ++fallbacks;
+      return;
+    }
+    ASSERT_GE(pool->block_size(p), size);
+    auto pattern = static_cast<std::uint8_t>(rng.next_below(256));
+    std::memset(p, pattern, size);
+    live.push_back({static_cast<std::uint8_t*>(p), size, pattern,
+                    pool->handle_of(p)});
+  };
+  auto release = [&](std::size_t idx, int step) {
+    Live l = live[idx];
+    live[idx] = live.back();
+    live.pop_back();
+    EXPECT_TRUE(intact(l)) << "overlap corrupted a block, step " << step;
+    ref.free(l.size);
+    pool->free(l.p);
+    const auto addr = reinterpret_cast<std::uint64_t>(l.p);
+    EXPECT_FALSE(nic_->handle_valid(l.hndl, addr, l.size))
+        << "freed block still valid, step " << step;
+  };
+
+  // A same-bin request larger than the block's first use: the model
+  // reuses the 2 KiB block carved for 1,025 bytes, and the host block
+  // must still hold all 2,048.
+  while (live.empty()) alloc(1025, -2);  // until a slab registers
+  release(0, -2);
+  alloc(2048, -1);
+  ASSERT_EQ(pool->stats().freelist_hits, 1u);
+
+  for (int step = 0; step < 4000; ++step) {
+    if (live.empty() || rng.next_below(100) < 55) {
+      std::size_t size;
+      switch (rng.next_below(4)) {
+        case 0: size = 1 + rng.next_below(256); break;
+        case 1: size = 1000 + rng.next_below(1100); break;  // bins 1K/2K/4K
+        case 2: size = 1 + rng.next_below(16 * 1024); break;
+        default: size = 1 + rng.next_below(128 * 1024); break;
+      }
+      alloc(size, step);
+    } else {
+      release(rng.next_below(static_cast<std::uint32_t>(live.size())), step);
+    }
+    expect_same_stats(pool->stats(), ref.st, step);
+    ASSERT_EQ(ctx_->now() - t0, ref.charged) << "step " << step;
+    if (step % 97 == 0) {
+      for (const Live& l : live) {
+        const auto addr = reinterpret_cast<std::uint64_t>(l.p);
+        EXPECT_TRUE(nic_->handle_valid(l.hndl, addr, l.size));
+        EXPECT_TRUE(nic_->handle_valid(l.hndl, addr,
+                                       pool->block_size(l.p)));
+        EXPECT_FALSE(nic_->handle_valid(l.hndl, addr,
+                                        pool->block_size(l.p) + 1));
+        EXPECT_FALSE(nic_->handle_valid(l.hndl, addr + 16, 1))
+            << "an interior address is not a block";
+        EXPECT_TRUE(intact(l));
+      }
+    }
+  }
+  EXPECT_GT(fallbacks, 0u) << "the fault plan never refused a slab";
+  EXPECT_GT(pool->stats().freelist_hits, 0u);
+
+  // Destroying the pool reclaims the live blocks and kills their handles.
+  std::vector<Live> held = live;
+  pool.reset();
+  EXPECT_EQ(arena_.live_bytes(), 0u);
+  for (const Live& l : held) {
+    EXPECT_FALSE(nic_->handle_valid(
+        l.hndl, reinterpret_cast<std::uint64_t>(l.p), l.size));
+  }
+}
+
+TEST_P(MemPoolModel, FreeingEverythingReturnsArenaLiveBytesToZero) {
+  sim::ScopedContext guard(*ctx_);
+  MemPool pool(arena_, nic_, 4096);
+  Rng rng(GetParam());
+  std::vector<void*> held;
+  for (int i = 0; i < 500; ++i) {
+    if (void* p = pool.alloc(1 + rng.next_below(8192))) held.push_back(p);
+  }
+  EXPECT_GT(arena_.live_bytes(), 0u);
+  for (void* p : held) pool.free(p);
+  EXPECT_EQ(arena_.live_bytes(), 0u);
+  EXPECT_EQ(pool.stats().outstanding, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemPoolModel,
+                         ::testing::Values(1u, 2u, 3u, 64023u));
+
+TEST_F(MemPoolFixture, PoolsShareOneArena) {
+  sim::ScopedContext guard(*ctx_);
+  MemPool other(arena_, nic_, 4096);
+  void* a = pool_->alloc(700);
+  pool_->free(a);
+  // Another pool's request of the same host class takes the freed bytes.
+  void* b = other.alloc(700);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(MemPool::owner_of(b), &other);
+  EXPECT_FALSE(pool_->owns(b));
+  EXPECT_TRUE(other.owns(b));
+  other.free(b);
+}
+
+TEST_F(MemPoolFixture, ForgedHeaderInAPayloadIsNotABlock) {
+  sim::ScopedContext guard(*ctx_);
+  auto* p = static_cast<std::uint8_t*>(pool_->alloc(256));
+  const ugni::gni_mem_handle_t h = pool_->handle_of(p);
+  // Payload bytes that copy the block's own header make p + 16 look like
+  // a live block of this pool; the owner check must still refuse it.
+  std::memcpy(p, p - 16, 16);
+  const auto addr = reinterpret_cast<std::uint64_t>(p);
+  EXPECT_TRUE(nic_->handle_valid(h, addr, 256));
+  EXPECT_FALSE(nic_->handle_valid(h, addr + 16, 16));
+  EXPECT_FALSE(pool_->owns(p + 16));
+  pool_->free(p);
+}
+
+TEST_F(MemPoolFixture, HeapBuffersCarryAnOwnerlessPrefix) {
+  void* p = MemPool::heap_alloc(100);
+  EXPECT_EQ(MemPool::owner_of(p), nullptr);
+  EXPECT_FALSE(pool_->owns(p));
+  MemPool::discard(p);
+}
+
+TEST_F(MemPoolFixture, PoolDestroyedOutsideAContextUnbindsItsSlabs) {
+  void* p = nullptr;
+  ugni::gni_mem_handle_t h{};
+  {
+    sim::ScopedContext guard(*ctx_);
+    p = pool_->alloc(256);
+    h = pool_->handle_of(p);
+    EXPECT_TRUE(nic_->handle_valid(h, reinterpret_cast<std::uint64_t>(p), 256));
+  }
+  pool_.reset();  // no PE context: slabs stay registered, owner unbound
+  EXPECT_FALSE(nic_->handle_valid(h, reinterpret_cast<std::uint64_t>(p), 256));
+  EXPECT_EQ(arena_.live_bytes(), 0u);
+}
+
+TEST(HostArenaClasses, FineThenBoundedCoarseSteps) {
+  EXPECT_EQ(HostArena::class_bytes(HostArena::class_of(1)), 16u);
+  EXPECT_EQ(HostArena::class_bytes(HostArena::class_of(1064)), 1072u);
+  EXPECT_EQ(HostArena::class_bytes(HostArena::class_of(4096)), 4096u);
+  EXPECT_EQ(HostArena::class_bytes(HostArena::class_of(4097)), 4608u);
+  std::size_t prev = 0;
+  for (std::uint16_t c = 0; c < HostArena::kClasses; ++c) {
+    const std::size_t b = HostArena::class_bytes(c);
+    EXPECT_GT(b, prev);
+    EXPECT_EQ(b % 16, 0u);
+    EXPECT_EQ(HostArena::class_of(b), c);
+    EXPECT_EQ(HostArena::class_of(prev + 1), c);
+    if (prev >= HostArena::kFineMax) {
+      EXPECT_LE(b - prev, prev / 4);
+    }
+    prev = b;
+  }
+  EXPECT_EQ(prev, HostArena::kMaxBytes);
 }
 
 }  // namespace

@@ -25,7 +25,13 @@ Usage:
   bench_report.py compare --baseline bench/baselines --current . \
       [--tolerance 0.15] [BENCH_core.json BENCH_scale.json]
   bench_report.py check BENCH_scale.json \
-      --min pes153216.kneighbor.heap.sim_events_per_wall_sec=110000
+      --min-ratio pes153216.kneighbor.heap.sim_events_per_wall_sec/\
+pes1024.kneighbor.heap.sim_events_per_wall_sec=0.21
+
+check gates floors: --min KEY=VALUE on one metric, or --min-ratio
+NUM/DEN=VALUE on the ratio of two metrics from the same file.  A ratio
+taken in one run cancels the runner's speed, so wall-clock gates should
+use it.
 """
 
 import argparse
@@ -105,33 +111,42 @@ def compare_one(name, base, cur, tolerance):
 
 
 def cmd_check(args):
-    """Gate absolute metric floors: check FILE --min key=value [...]"""
+    """Gate floors: check FILE [--min KEY=V] [--min-ratio NUM/DEN=V] ..."""
     if not os.path.exists(args.file):
         print("MISSING: %s" % args.file)
         return 1
     metrics = load(args.file)
+    specs = [(spec, False) for spec in args.min or []]
+    specs += [(spec, True) for spec in args.min_ratio or []]
     failures = []
-    for spec in args.min or []:
-        key, _, floor_s = spec.partition("=")
-        if not floor_s:
-            print("bad --min spec (want key=value): %s" % spec)
+    for spec, is_ratio in specs:
+        name, _, floor_s = spec.partition("=")
+        keys = name.split("/") if is_ratio else [name]
+        if not floor_s or len(keys) != (2 if is_ratio else 1):
+            print("bad spec (want %s=value): %s"
+                  % ("num/den" if is_ratio else "key", spec))
             return 2
         floor = float(floor_s)
-        if key not in metrics:
-            failures.append("%s: metric missing (floor %.3f)" % (key, floor))
+        missing = [k for k in keys if k not in metrics]
+        if missing:
+            failures.append("%s: metric missing (floor %.3f)"
+                            % (", ".join(missing), floor))
             continue
-        value = metrics[key][0]
+        value = metrics[keys[0]][0]
+        if is_ratio:
+            den = metrics[keys[1]][0]
+            value = value / den if den else float("inf")
         ok = value >= floor
         print("  %-52s %14.3f >= %10.3f  %s"
-              % (key, value, floor, "ok" if ok else "FAIL"))
+              % (name, value, floor, "ok" if ok else "FAIL"))
         if not ok:
-            failures.append("%s: %.3f below floor %.3f" % (key, value, floor))
+            failures.append("%s: %.3f below floor %.3f" % (name, value, floor))
     if failures:
         print("\nFAIL: %d floor(s) not met:" % len(failures))
         for f in failures:
             print("  " + f)
         return 1
-    print("\nOK: all %d floor(s) met" % len(args.min or []))
+    print("\nOK: all %d floor(s) met" % len(specs))
     return 0
 
 
@@ -179,11 +194,15 @@ def main(argv):
     p_cmp.set_defaults(func=cmd_compare)
 
     p_chk = sub.add_parser(
-        "check", help="gate absolute floors, e.g. events/wall-sec")
+        "check", help="gate floors on one metric or a same-run ratio")
     p_chk.add_argument("file")
     p_chk.add_argument(
         "--min", action="append", metavar="KEY=VALUE",
         help="fail unless flattened metric KEY is >= VALUE (repeatable)")
+    p_chk.add_argument(
+        "--min-ratio", action="append", metavar="NUM/DEN=VALUE",
+        help="fail unless metric NUM divided by metric DEN is >= VALUE "
+             "(repeatable)")
     p_chk.set_defaults(func=cmd_check)
 
     args = ap.parse_args(argv)
