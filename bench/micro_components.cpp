@@ -18,7 +18,7 @@ using namespace ugnirt;
 void BM_EngineScheduleRun(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::Engine engine{sim::EngineOptions::from_env()};
+    sim::Engine engine;
     std::uint64_t sink = 0;
     for (int i = 0; i < events; ++i) {
       engine.schedule_at((i * 7919) % 100000,
@@ -45,7 +45,7 @@ void BM_TorusRoute(benchmark::State& state) {
 BENCHMARK(BM_TorusRoute);
 
 void BM_NetworkTransfer(benchmark::State& state) {
-  sim::Engine engine{sim::EngineOptions::from_env()};
+  sim::Engine engine;
   gemini::Network net(engine.scheduler(), topo::Torus3D::for_nodes(64),
                       gemini::MachineConfig{});
   SimTime t = 0;
@@ -67,7 +67,7 @@ void BM_NetworkTransfer(benchmark::State& state) {
 BENCHMARK(BM_NetworkTransfer);
 
 void BM_MemPoolAllocFree(benchmark::State& state) {
-  sim::Engine engine{sim::EngineOptions::from_env()};
+  sim::Engine engine;
   gemini::Network net(engine.scheduler(), topo::Torus3D::for_nodes(2),
                       gemini::MachineConfig{});
   ugni::Domain dom(net);

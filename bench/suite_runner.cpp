@@ -171,8 +171,7 @@ std::vector<Metric> run_core() {
 ///              k=2 neighbors on both sides (4 destinations)
 ///
 /// Direct machine build so the point can report simulator events/sec and
-/// the layer's mailbox bytes/PE (the full-machine memory curve).  The
-/// engine shard count comes from UGNIRT_SIM_SHARDS via make_machine.
+/// the layer's mailbox bytes/PE (the full-machine memory curve).
 std::vector<Metric> run_scale_point(int pes, const std::string& pattern) {
   constexpr int kBurst = 4;
   constexpr std::uint32_t kBytes = 1024;
@@ -272,7 +271,6 @@ int main(int argc, char** argv) {
   if (which == "scalepoint") {
     // One point, metrics to stdout — for profiling and ad-hoc probing.
     // Usage: suite_runner scalepoint <pes> [ring|kneighbor]
-    // The engine shard count comes from UGNIRT_SIM_SHARDS.
     const int pes = argc > 2 ? std::atoi(argv[2]) : 16384;
     const std::string pattern = argc > 3 ? argv[3] : "ring";
     const std::vector<Metric> ms = run_scale_point(pes, pattern);

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const int items = argc > 2 ? std::atoi(argv[2]) : 5000;
   const int bins = argc > 3 ? std::atoi(argv[3]) : 64;
 
-  sim::Engine engine{sim::EngineOptions::from_env()};
+  sim::Engine engine;
   gemini::Network network(engine.scheduler(), topo::Torus3D::for_nodes((pes + 1) / 2),
                           gemini::MachineConfig{});
   ugni::Domain domain(network);

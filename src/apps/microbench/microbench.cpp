@@ -28,7 +28,7 @@ using converse::Machine;
 
 SimTime raw_mechanism_latency(const gemini::MachineConfig& mc,
                               gemini::Mechanism mech, std::uint64_t bytes) {
-  sim::Engine engine{sim::EngineOptions::from_env()};
+  sim::Engine engine;
   gemini::Network net(engine.scheduler(), topo::Torus3D::for_nodes(8), mc);
   gemini::TransferRequest req;
   req.mech = mech;
@@ -50,7 +50,7 @@ SimTime raw_mechanism_latency(const gemini::MachineConfig& mc,
 
 SimTime pure_ugni_pingpong(const gemini::MachineConfig& mc,
                            std::uint32_t bytes, int iters) {
-  sim::Engine engine{sim::EngineOptions::from_env()};
+  sim::Engine engine;
   gemini::Network net(engine.scheduler(), topo::Torus3D::for_nodes(8), mc);
   ugni::Domain dom(net);
 
@@ -151,7 +151,7 @@ SimTime pure_ugni_pingpong(const gemini::MachineConfig& mc,
 SimTime pure_mpi_pingpong(const gemini::MachineConfig& mc,
                           std::uint32_t bytes, bool same_buffer,
                           bool intranode, int iters) {
-  sim::Engine engine{sim::EngineOptions::from_env()};
+  sim::Engine engine;
   gemini::Network net(engine.scheduler(), topo::Torus3D::for_nodes(4), mc);
   mpilite::MpiComm comm(net, 2, [intranode](int rank) {
     return intranode ? 0 : rank;

@@ -318,7 +318,7 @@ void Charm::qd_try_forward(int pe) {
   converse::Pe& mype = machine_->current_pe();
   mype.ctx().charge(machine_->options().mc.sched_loop_ns);
   Machine* m = machine_;
-  machine_->scheduler_for_pe(0).schedule_at(
+  machine_->scheduler().schedule_at(
       mype.ctx().now() + 20'000, [this, m] {
     // Re-enter through a PE context: run the wave start as a step on PE 0.
     m->start(0, [this] { qd_start_wave(); });

@@ -42,7 +42,7 @@ Pe::Pe(Machine& machine, int id, int node)
     : machine_(&machine),
       id_(id),
       node_(node),
-      ctx_(machine.scheduler_for_pe(id), id),
+      ctx_(machine.scheduler(), id),
       rng_(Rng(machine.options().seed).derive(static_cast<std::uint64_t>(id))) {
 }
 
@@ -65,9 +65,6 @@ void Pe::wake(SimTime t) {
   }
   step_scheduled_ = true;
   scheduled_at_ = when;
-  // Through the PE's own shard scheduler: a PE's steps are the textbook
-  // shard-local workload, and the engine's global pop order makes this
-  // bit-identical to scheduling on the global engine.
   step_event_ = ctx_.scheduler().schedule_at(
       when, [this, when] { run_step(when); });
 }
@@ -150,7 +147,6 @@ void Pe::run_step(SimTime t) {
 
 Machine::Machine(MachineOptions options, std::unique_ptr<MachineLayer> layer)
     : options_(options),
-      engine_(sim::EngineOptions{options.effective_shards()}),
       layer_(std::move(layer)) {
   assert(options_.pes >= 1);
   network_ = std::make_unique<gemini::Network>(
@@ -468,7 +464,7 @@ void Machine::send_persistent(PersistentHandle handle, void* msg) {
 
 void Machine::start(int pe_id, std::function<void()> fn) {
   Pe& pe = *pes_[static_cast<std::size_t>(pe_id)];
-  scheduler_for_pe(pe_id).schedule_at(0, [this, &pe, fn = std::move(fn)] {
+  scheduler().schedule_at(0, [this, &pe, fn = std::move(fn)] {
     pe.ctx().set_now(std::max(engine_.now(), pe.avail_at_));
     Pe* prev = current_pe_;
     current_pe_ = &pe;

@@ -106,14 +106,6 @@ struct MachineOptions {
 
   std::uint64_t seed = 0x5eed;
 
-  /// Pending-event-set shards ("sim.shards" / UGNIRT_SIM_SHARDS).  The
-  /// machine maps contiguous torus node slabs onto shards (clamped to the
-  /// node count) and pins every PE's scheduling to its slab's shard.  The
-  /// engine pops in one global (time, seq) order, so results are
-  /// bit-identical for ANY value; >1 trades the one big event heap for
-  /// several small hot ones (the full-machine-sweep wall-clock win).
-  int sim_shards = 1;
-
   /// PEs per node; 0 means "use mc.cores_per_node".  Micro-benchmarks that
   /// place each rank on its own node set this to 1.
   int pes_per_node = 0;
@@ -143,12 +135,6 @@ struct MachineOptions {
   int nodes() const {
     int ppn = effective_pes_per_node();
     return (pes + ppn - 1) / ppn;
-  }
-  /// Shards the engine will actually run (>= 1, <= nodes: a shard owns at
-  /// least one whole node so intra-node traffic never crosses shards).
-  int effective_shards() const {
-    int s = sim_shards < 1 ? 1 : sim_shards;
-    return s > nodes() ? nodes() : s;
   }
 };
 
@@ -286,13 +272,6 @@ class Machine {
   // ---- topology / identity ----
   int num_pes() const { return options_.pes; }
   int node_of_pe(int pe) const { return pe / options_.effective_pes_per_node(); }
-  /// Engine shard owning `node`: contiguous torus slabs, so neighbor
-  /// traffic mostly stays shard-local.
-  int shard_of_node(int node) const {
-    return static_cast<int>(static_cast<long long>(node) *
-                            engine_.shards() / options_.nodes());
-  }
-  int shard_of_pe(int pe) const { return shard_of_node(node_of_pe(pe)); }
   Pe& pe(int i) { return *pes_[static_cast<std::size_t>(i)]; }
   const MachineOptions& options() const { return options_; }
   gemini::Network& network() { return *network_; }
@@ -304,19 +283,11 @@ class Machine {
     return flow_.get();
   }
   /// The whole engine — for DRIVERS only (benches, tests, the run() loop
-  /// below).  Protocol code takes one of the Scheduler accessors instead;
+  /// below).  Protocol code takes the Scheduler accessor instead;
   /// the deprecated-API lint enforces the split for schedule calls.
   sim::Engine& engine() { return engine_; }
-  /// The engine's global scheduling surface (events land on the shard
-  /// currently executing).
+  /// The engine's scheduling surface.
   sim::Scheduler& scheduler() { return engine_.scheduler(); }
-  /// The per-shard scheduler a node's (or PE's) events belong to.
-  sim::Scheduler& scheduler_for_node(int node) {
-    return engine_.scheduler(shard_of_node(node));
-  }
-  sim::Scheduler& scheduler_for_pe(int pe) {
-    return engine_.scheduler(shard_of_pe(pe));
-  }
   MachineLayer& layer() { return *layer_; }
   trace::Tracer* tracer() { return tracer_; }
   void set_tracer(trace::Tracer* t) { tracer_ = t; }

@@ -79,10 +79,7 @@ SimTime LinkSchedule::reserve(SimTime earliest, SimTime duration,
   return candidate;
 }
 
-std::vector<topo::LinkId> Network::pick_route(int from, int to) {
-  if (!estimator_ || !estimator_->config().adaptive_routing) {
-    return torus_.route(from, to);
-  }
+const std::array<int, 3>& Network::pick_order(int from, int to) {
   // Minimal adaptive routing: every permutation of the dimension
   // correction order is a minimal route; score each by the summed EWMA
   // load of its links and keep the coolest.  The stock x->y->z order is
@@ -92,28 +89,27 @@ std::vector<topo::LinkId> Network::pick_route(int from, int to) {
   static constexpr std::array<std::array<int, 3>, 6> kOrders = {{
       {0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0},
   }};
-  auto score = [this](const std::vector<topo::LinkId>& route) {
+  if (!estimator_ || !estimator_->config().adaptive_routing) {
+    return kOrders[0];
+  }
+  auto score = [&](const std::array<int, 3>& order) {
     double s = 0.0;
-    for (const auto& link : route) {
+    torus_.for_each_link(from, to, order, [&](const topo::LinkId& link) {
       s += estimator_->link_load(topo::link_index(link));
-    }
+    });
     return s;
   };
-  std::vector<topo::LinkId> best = torus_.route_order(from, to, kOrders[0]);
-  double best_score = score(best);
-  bool rerouted = false;
+  std::size_t best = 0;
+  double best_score = score(kOrders[0]);
   for (std::size_t i = 1; i < kOrders.size(); ++i) {
-    std::vector<topo::LinkId> cand =
-        torus_.route_order(from, to, kOrders[i]);
-    double s = score(cand);
+    const double s = score(kOrders[i]);
     if (s < best_score) {
-      best = std::move(cand);
+      best = i;
       best_score = s;
-      rerouted = true;
     }
   }
-  if (rerouted) ++stats_.adaptive_reroutes;
-  return best;
+  if (best != 0) ++stats_.adaptive_reroutes;
+  return kOrders[best];
 }
 
 SimTime Network::reserve_route(int from, int to, SimTime duration,
@@ -122,14 +118,15 @@ SimTime Network::reserve_route(int from, int to, SimTime duration,
   // Each Gemini ASIC serves two nodes over the Netlink (paper Fig 2):
   // traffic between ASIC siblings never enters the torus.
   if (from / 2 == to / 2) return earliest;
-  auto route = pick_route(from, to);
   // Cut-through pipelining: the head flit claims each link as it reaches
   // it, so congestion on a link only delays *downstream* hops, and idle
   // gaps before future-dated reservations are backfilled.
   SimTime cursor = earliest;
   bool waited = false;
   SimTime route_wait = 0;
-  for (const auto& link : route) {
+  std::size_t hops = 0;
+  const std::array<int, 3>& order = pick_order(from, to);
+  torus_.for_each_link(from, to, order, [&](const topo::LinkId& link) {
     const std::size_t idx = topo::link_index(link);
     const SimTime start = links_[idx].reserve(cursor, duration, &waited);
     if (estimator_) {
@@ -138,7 +135,8 @@ SimTime Network::reserve_route(int from, int to, SimTime duration,
     }
     route_wait += start - cursor;
     cursor = start;
-  }
+    ++hops;
+  });
   if (waited) ++stats_.link_conflicts;
   if (!job_of_node_.empty()) {
     // Tenancy attribution: charge the reservation (and its queueing) to
@@ -147,7 +145,7 @@ SimTime Network::reserve_route(int from, int to, SimTime duration,
     const std::int16_t job = job_of_node_[static_cast<std::size_t>(from)];
     if (job >= 0) {
       JobLinkStats& js = job_link_[static_cast<std::size_t>(job)];
-      js.reservations += route.size();
+      js.reservations += hops;
       js.wait_ns += route_wait;
     }
   }

@@ -17,6 +17,7 @@
 // observes through TransferTimes::cpu_done.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
@@ -183,11 +184,11 @@ class Network {
   /// `earliest`; returns the actual start (>= earliest) honoring occupancy.
   SimTime reserve_route(int from, int to, SimTime duration, SimTime earliest);
 
-  /// The links a transfer will reserve: the stock dimension-ordered
-  /// route, or — under flow.adaptive_routing — the minimal dimension-
-  /// order permutation with the lowest estimated load (stock order wins
+  /// The dimension order a transfer's route corrects in: the stock
+  /// x->y->z order, or — under flow.adaptive_routing — the permutation
+  /// whose minimal route has the lowest estimated load (stock order wins
   /// ties, so an idle network routes exactly as stock).
-  std::vector<topo::LinkId> pick_route(int from, int to);
+  const std::array<int, 3>& pick_order(int from, int to);
 
   /// One-way wire propagation between the nodes.
   SimTime propagation(int from, int to) const {

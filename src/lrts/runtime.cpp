@@ -11,10 +11,10 @@ std::unique_ptr<converse::Machine> make_machine(
   converse::MachineOptions options = options_in;
   options.layer = kind;
   // Honor UGNIRT_GEMINI_* / UGNIRT_FAULT_* / UGNIRT_RETRY_* / UGNIRT_AGG_*
-  // / UGNIRT_FLOW_* / UGNIRT_SIM_* environment overrides for every model
-  // constant, fault knob, retry knob, aggregation knob, flow-control knob
-  // and the engine's shard count, so experiments and ablations can
-  // retune the machine without rebuilds.
+  // / UGNIRT_FLOW_* / UGNIRT_TENANCY_* environment overrides for every
+  // model constant, fault knob, retry knob, aggregation knob, flow-control
+  // knob and tenancy knob, so experiments and ablations can retune the
+  // machine without rebuilds.
   {
     Config cfg;
     options.mc.export_to(cfg);
@@ -23,7 +23,6 @@ std::unique_ptr<converse::Machine> make_machine(
     options.aggregation.export_to(cfg);
     options.flow.export_to(cfg);
     options.tenancy.export_to(cfg);
-    cfg.set("sim.shards", std::to_string(options.sim_shards));
     cfg.apply_env_overrides();
     options.mc = gemini::MachineConfig::from(cfg);
     options.fault = fault::FaultPlan::from(cfg);
@@ -31,7 +30,6 @@ std::unique_ptr<converse::Machine> make_machine(
     options.aggregation = aggregation::AggregationConfig::from(cfg);
     options.flow = flowcontrol::FlowConfig::from(cfg);
     options.tenancy = tenancy::TenancyConfig::from(cfg);
-    options.sim_shards = static_cast<int>(cfg.get_int_or("sim.shards", 1));
   }
   std::unique_ptr<converse::MachineLayer> layer;
   switch (kind) {

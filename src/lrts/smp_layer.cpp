@@ -149,10 +149,7 @@ void SmpLayer::ensure_domain(converse::Machine& m) {
     attr.msg_maxsize = smsg_cap_;
     attr.mbox_maxcredit = m.options().mc.smsg_mailbox_credits;
     ns->nic->set_smsg_attr(attr);
-    // The comm thread lives on its node's shard, like the worker PEs it
-    // serves: its CQ-notify and retry events stay shard-local.
-    ns->comm_ctx =
-        std::make_unique<sim::Context>(m.scheduler_for_node(n), -1000 - n);
+    ns->comm_ctx = std::make_unique<sim::Context>(m.scheduler(), -1000 - n);
 
     NodeState* np = ns.get();
     auto wake_hook = [this, np](SimTime t) { comm_wake(*np, t); };

@@ -29,9 +29,9 @@ class Context {
   Context(Scheduler& sched, int pe)
       : sched_(&sched), pe_(pe), cursor_(sched.now()) {}
 
-  /// The scheduling domain this PE lives in (its engine shard).  The
-  /// narrow Scheduler surface on purpose: context holders charge time and
-  /// schedule events, they never drive the engine.
+  /// The engine's scheduling surface.  The narrow Scheduler on purpose:
+  /// context holders charge time and schedule events, they never drive
+  /// the engine.
   Scheduler& scheduler() const { return *sched_; }
   int pe() const { return pe_; }
 

@@ -2,7 +2,7 @@
 //
 // Every scheduled event owns an EventRecord — the callback plus the
 // cancellation state that used to live in a per-event
-// std::make_shared<bool> tombstone.  Records live in per-shard slabs and
+// std::make_shared<bool> tombstone.  Records live in the engine's slabs and
 // recycle through an intrusive freelist, so steady-state schedule/pop
 // cycles never touch the heap: acquire() is a freelist pop (or a bump
 // into the newest slab), release() destroys the callback, bumps the
@@ -16,8 +16,8 @@
 // moral equivalent of the old weak_ptr tombstone without the control
 // block, the allocation, or the atomics.
 //
-// Thread contract: an arena belongs to one shard of an engine, and the
-// engine runs on one thread.
+// Thread contract: an arena belongs to one engine, which runs on one
+// thread.
 #pragma once
 
 #include <cstddef>

@@ -10,16 +10,14 @@
 // Handing an FSM a Scheduler instead of an Engine keeps that split a
 // compile-time guarantee.
 //
-// Scheduler is deliberately CONCRETE and final: it is a {engine, shard}
+// Scheduler is deliberately CONCRETE and final: it is a one-word engine
 // handle whose methods are plain functions, not virtuals.  The old
 // abstract-base design put a vtable dispatch on every schedule_at/now —
 // once per simulated event, millions of times per full-machine sweep —
-// for exactly one implementation (the engine and its shards).  The
-// narrow-surface guarantee never needed virtual dispatch; it needs a
-// type that exposes nothing else, which this is.  Engine::scheduler()
-// returns the engine-wide handle (events land on the shard currently
-// executing) and Engine::scheduler(i) the one pinned to shard i.  Every
-// handle's now() is the engine clock.
+// for exactly one implementation.  The narrow-surface guarantee never
+// needed virtual dispatch; it needs a type that exposes nothing else,
+// which this is.  Engine::scheduler() returns it; its now() is the engine
+// clock.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +39,8 @@ class EventHandle {
 
   /// Prevent the callback from running.  Safe to call multiple times and
   /// after the event fired (no-op).  Cancellation never touches the
-  /// queue: it flips the record's tombstone (and drops the owning
-  /// shard's live-event count); the engine skips the dead event when it
+  /// queue: it flips the record's tombstone (and drops the engine's
+  /// live-event count); the engine skips the dead event when it
   /// surfaces.  The record pointer is guarded twice: the weak guard
   /// proves the engine (and so the record's slab) is still alive, and
   /// the generation check makes a handle to a recycled record a no-op.
@@ -56,9 +54,9 @@ class EventHandle {
   EventHandle(std::weak_ptr<std::int64_t> live, EventRecord* rec,
               std::uint64_t gen)
       : live_(std::move(live)), rec_(rec), gen_(gen) {}
-  // The owning shard's live-event counter.  Doubles as the liveness
-  // guard: it expires with the shard, so a handle that outlives the
-  // engine never touches the (freed) record.
+  // The engine's live-event counter.  Doubles as the liveness guard: it
+  // expires with the engine, so a handle that outlives the engine never
+  // touches the (freed) record.
   std::weak_ptr<std::int64_t> live_;
   EventRecord* rec_ = nullptr;
   std::uint64_t gen_ = 0;
@@ -68,7 +66,7 @@ class EventHandle {
 /// schedule_after()/cancel() — nothing else; no run/stop controls.
 class Scheduler final {
  public:
-  // Copyable handle (two words); only Engine mints new ones.
+  // Copyable handle (one word); only Engine mints new ones.
   Scheduler(const Scheduler&) = default;
   Scheduler& operator=(const Scheduler&) = default;
 
@@ -90,10 +88,8 @@ class Scheduler final {
 
  private:
   friend class Engine;
-  Scheduler(Engine* engine, int shard) : engine_(engine), shard_(shard) {}
+  explicit Scheduler(Engine* engine) : engine_(engine) {}
   Engine* engine_;
-  int shard_;  // >= 0: that shard; kCurrentShard: wherever execution is
-  static constexpr int kCurrentShard = -1;
 };
 
 }  // namespace ugnirt::sim

@@ -20,7 +20,7 @@
 // the delivery latency into the job's `job.<id>.delivery_us` histogram,
 // so per-job p50/p90/p99 come out of the standard metrics exports.  All
 // randomness derives from (machine seed, job id, rank), so runs are
-// bit-reproducible across engine shard counts.
+// bit-reproducible.
 #pragma once
 
 #include <cstdint>

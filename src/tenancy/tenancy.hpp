@@ -26,7 +26,7 @@
 //     reads straight out of the standard exports.
 //
 // Everything is a deterministic function of the seeds, so multi-tenant
-// runs stay bit-reproducible across engine shard counts.
+// runs are bit-reproducible.
 #pragma once
 
 #include <cstdint>

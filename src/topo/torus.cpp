@@ -85,22 +85,8 @@ std::vector<LinkId> Torus3D::route_order(int from, int to,
                                          const std::array<int, 3>& order)
     const {
   std::vector<LinkId> links;
-  if (from == to) return links;
-  Coord a = coord_of(from);
-  Coord b = coord_of(to);
-  int cur = from;
-  const int deltas[3] = {ring_delta(a.x, b.x, dims_[0]),
-                         ring_delta(a.y, b.y, dims_[1]),
-                         ring_delta(a.z, b.z, dims_[2])};
-  for (int dim : order) {
-    int d = deltas[dim];
-    bool positive = d > 0;
-    for (int step = 0; step < std::abs(d); ++step) {
-      links.push_back(LinkId{cur, static_cast<std::uint8_t>(dim), positive});
-      cur = neighbor(cur, dim, positive);
-    }
-  }
-  assert(cur == to);
+  for_each_link(from, to, order,
+                [&links](const LinkId& link) { links.push_back(link); });
   return links;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -60,14 +61,40 @@ class Torus3D {
   /// summed over dimensions).
   int hops(int from, int to) const;
 
+  /// Walk the minimal route from `from` to `to` that corrects dimensions
+  /// in the given permutation of {0, 1, 2}, calling `visit(LinkId)` for
+  /// each directional link in traversal order.  Every permutation walks
+  /// exactly hops(from, to) links (none when from == to).  Allocation-free:
+  /// the network model reserves and scores links through this.
+  template <class Visit>
+  void for_each_link(int from, int to, const std::array<int, 3>& order,
+                     Visit&& visit) const {
+    if (from == to) return;
+    const Coord a = coord_of(from);
+    const Coord b = coord_of(to);
+    int cur[3] = {a.x, a.y, a.z};
+    const int deltas[3] = {ring_delta(a.x, b.x, dims_[0]),
+                           ring_delta(a.y, b.y, dims_[1]),
+                           ring_delta(a.z, b.z, dims_[2])};
+    for (int dim : order) {
+      const int d = deltas[dim];
+      const bool positive = d > 0;
+      const int n = dims_[dim];
+      for (int step = d < 0 ? -d : d; step > 0; --step) {
+        visit(LinkId{node_of({cur[0], cur[1], cur[2]}),
+                     static_cast<std::uint8_t>(dim), positive});
+        cur[dim] = (cur[dim] + (positive ? 1 : n - 1)) % n;
+      }
+    }
+    assert(node_of({cur[0], cur[1], cur[2]}) == to);
+  }
+
   /// Dimension-ordered (x, then y, then z) minimal route; returns the
   /// sequence of directional links traversed.  Empty when from == to.
   std::vector<LinkId> route(int from, int to) const;
 
-  /// Minimal route correcting dimensions in the given permutation of
-  /// {0, 1, 2}.  Every permutation yields a route of exactly hops(from,
-  /// to) links; route() is route_order with {0, 1, 2}.  Congestion-aware
-  /// adaptive routing picks among these by estimated link load.
+  /// for_each_link collected into a vector.  route() is route_order with
+  /// {0, 1, 2}.
   std::vector<LinkId> route_order(int from, int to,
                                   const std::array<int, 3>& order) const;
 

@@ -28,13 +28,13 @@ DATA = ROOT / "tests" / "data" / "bench_report"
 
 CASES = {"equal": 0, "missing_key": 1, "new_key": 1, "regression": 1}
 
-FULL = "pes153216.kneighbor.heap.sim_events_per_wall_sec"
-SMALL = "pes1024.kneighbor.heap.sim_events_per_wall_sec"
+FULL = "pes153216.kneighbor.sim_events_per_wall_sec"
+SMALL = "pes1024.kneighbor.sim_events_per_wall_sec"
 RATIO_CASES = {
     "ratio_at_bound": ("%s/%s=0.22" % (FULL, SMALL), 0),
     "ratio_above_bound": ("%s/%s=0.21" % (FULL, SMALL), 0),
     "ratio_below_bound": ("%s/%s=0.23" % (FULL, SMALL), 1),
-    "ratio_missing_key": ("%s/pes4096.kneighbor.heap.sim_events_per_wall_sec"
+    "ratio_missing_key": ("%s/pes4096.kneighbor.sim_events_per_wall_sec"
                           "=0.21" % FULL, 1),
 }
 

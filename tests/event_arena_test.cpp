@@ -11,7 +11,7 @@ namespace {
 // ------------------------------------------- event arena (zero-alloc path) --
 
 TEST(EventArena, SteadyChurnRecyclesOneSlab) {
-  Engine e{EngineOptions{}};
+  Engine e;
   int count = 0;
   const int kEvents = static_cast<int>(EventArena::kSlabRecords) * 5;
   std::function<void()> chain = [&] {
@@ -22,35 +22,35 @@ TEST(EventArena, SteadyChurnRecyclesOneSlab) {
   EXPECT_EQ(count, kEvents);
   // Sequential churn far past one slab's capacity: every record recycled
   // through the freelist, the heap untouched after the first slab.
-  EXPECT_EQ(e.arena(0).slabs(), 1u);
-  EXPECT_EQ(e.arena(0).in_use(), 0u);
-  EXPECT_EQ(e.arena(0).acquires(), static_cast<std::uint64_t>(kEvents));
+  EXPECT_EQ(e.arena().slabs(), 1u);
+  EXPECT_EQ(e.arena().in_use(), 0u);
+  EXPECT_EQ(e.arena().acquires(), static_cast<std::uint64_t>(kEvents));
 }
 
 TEST(EventArena, GrowsPastOneSlabUnderPendingLoad) {
-  Engine e{EngineOptions{}};
+  Engine e;
   const int kPending = static_cast<int>(EventArena::kSlabRecords) + 100;
   int ran = 0;
   for (int i = 0; i < kPending; ++i) {
     e.schedule_at(i, [&ran] { ++ran; });
   }
-  EXPECT_GE(e.arena(0).slabs(), 2u);
-  EXPECT_EQ(e.arena(0).in_use(), static_cast<std::size_t>(kPending));
+  EXPECT_GE(e.arena().slabs(), 2u);
+  EXPECT_EQ(e.arena().in_use(), static_cast<std::size_t>(kPending));
   e.run();
   EXPECT_EQ(ran, kPending);
-  EXPECT_EQ(e.arena(0).in_use(), 0u);
+  EXPECT_EQ(e.arena().in_use(), 0u);
   // Slabs are never returned: the high-water footprint is stable and a
   // second burst of the same size reuses it without growing further.
-  const std::size_t high_water = e.arena(0).slabs();
+  const std::size_t high_water = e.arena().slabs();
   for (int i = 0; i < kPending; ++i) {
     e.schedule_after(1, [&ran] { ++ran; });
   }
   e.run();
-  EXPECT_EQ(e.arena(0).slabs(), high_water);
+  EXPECT_EQ(e.arena().slabs(), high_water);
 }
 
 TEST(EventArena, CancelFromInsideHandlerTombstones) {
-  Engine e{EngineOptions{}};
+  Engine e;
   bool late = false;
   EventHandle victim;
   e.schedule_at(10, [&] { victim.cancel(); });
@@ -58,12 +58,12 @@ TEST(EventArena, CancelFromInsideHandlerTombstones) {
   e.run();
   EXPECT_FALSE(late);
   // The tombstoned record is still released when it surfaces.
-  EXPECT_EQ(e.arena(0).in_use(), 0u);
+  EXPECT_EQ(e.arena().in_use(), 0u);
   EXPECT_FALSE(victim.valid());
 }
 
 TEST(EventArena, SelfCancelDuringDispatchIsNoOp) {
-  Engine e{EngineOptions{}};
+  Engine e;
   int runs = 0;
   EventHandle self;
   self = e.schedule_at(5, [&] {
@@ -73,11 +73,11 @@ TEST(EventArena, SelfCancelDuringDispatchIsNoOp) {
   e.run();
   EXPECT_EQ(runs, 1);
   EXPECT_FALSE(self.valid());
-  EXPECT_EQ(e.arena(0).in_use(), 0u);
+  EXPECT_EQ(e.arena().in_use(), 0u);
 }
 
 TEST(EventArena, StaleHandleCannotCancelRecycledRecord) {
-  Engine e{EngineOptions{}};
+  Engine e;
   bool first = false, second = false;
   EventHandle h = e.schedule_at(10, [&first] { first = true; });
   e.run();
@@ -93,7 +93,7 @@ TEST(EventArena, StaleHandleCannotCancelRecycledRecord) {
 
 TEST(EventArena, EngineCallbacksStayInline) {
   const std::uint64_t before = SmallFn::heap_fallbacks();
-  Engine e{EngineOptions{}};
+  Engine e;
   std::uint64_t sink = 0;
   struct Timer {
     Engine* eng;
@@ -103,7 +103,7 @@ TEST(EventArena, EngineCallbacksStayInline) {
     void operator()() {
       *sink += lcg;
       lcg = lcg * 1664525u + 1013904223u;
-      if (--left > 0) eng->scheduler(0).schedule_after(1 + (lcg >> 27), *this);
+      if (--left > 0) eng->scheduler().schedule_after(1 + (lcg >> 27), *this);
     }
   };
   for (int i = 0; i < 64; ++i) {

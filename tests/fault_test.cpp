@@ -301,7 +301,7 @@ TEST(FaultMpi, KNeighborSurvivesCombinedFaults) {
 // wedged the NIC for the rest of the run.  GNI_CqErrorRecover must clear
 // the latch and re-synthesize the dropped arrival events.
 TEST(CqOverrun, RecoverUnlatchesAndResynthesizesDroppedEvents) {
-  sim::Engine engine{sim::EngineOptions{}};
+  sim::Engine engine;
   gemini::Network net(engine.scheduler(), topo::Torus3D::for_nodes(8),
                       gemini::MachineConfig{});
   ugni::Domain dom(net);

@@ -9,7 +9,7 @@ namespace ugnirt::gemini {
 namespace {
 
 Network make_net(int nodes = 8) {
-  static sim::Engine* engine = new sim::Engine(sim::EngineOptions{});  // shared across cases
+  static sim::Engine* engine = new sim::Engine();  // shared across cases
   return Network(engine->scheduler(), topo::Torus3D::for_nodes(nodes), MachineConfig{});
 }
 
@@ -228,7 +228,7 @@ TEST(Network, BackfillLetsEarlyTransfersPassFutureReservations) {
 TEST(Network, SmsgChannelStaysFifoUnderCongestion) {
   // Even when link occupancy could let a later SMSG overtake, per-channel
   // FIFO must hold (verified at the uGNI level).
-  sim::Engine engine{sim::EngineOptions{}};
+  sim::Engine engine;
   Network net(engine.scheduler(), topo::Torus3D::for_nodes(8), MachineConfig{});
   // Covered end-to-end by UgniPropertyFixture FIFO test; here we at least
   // confirm SMSG arrivals are monotonic for back-to-back sends.

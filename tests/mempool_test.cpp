@@ -31,7 +31,7 @@ class MemPoolFixture : public ::testing::Test {
     pool_.reset();
   }
 
-  sim::Engine engine_{sim::EngineOptions{}};
+  sim::Engine engine_;
   std::unique_ptr<gemini::Network> net_;
   std::unique_ptr<ugni::Domain> dom_;
   std::unique_ptr<sim::Context> ctx_;
@@ -338,7 +338,7 @@ class MemPoolModel : public ::testing::TestWithParam<std::uint64_t> {
     return true;
   }
 
-  sim::Engine engine_{sim::EngineOptions{}};
+  sim::Engine engine_;
   fault::FaultPlan plan_;
   std::unique_ptr<gemini::Network> net_;
   std::unique_ptr<fault::FaultInjector> injector_;

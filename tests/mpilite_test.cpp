@@ -40,7 +40,7 @@ class MpiFixture : public ::testing::Test {
     FAIL() << "message never arrived";
   }
 
-  sim::Engine engine_{sim::EngineOptions{}};
+  sim::Engine engine_;
   std::unique_ptr<gemini::Network> net_;
   std::unique_ptr<MpiComm> comm_;
   std::vector<std::unique_ptr<sim::Context>> ctx_;

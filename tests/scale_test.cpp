@@ -1,8 +1,8 @@
-// Full-machine scale properties (sharded engine + lazy per-peer uGNI
+// Full-machine scale properties (seeded replay + lazy per-peer uGNI
 // state).
 //
-//  * Shard equivalence: a seeded run produces a bit-identical event trace
-//    at any engine shard count (MachineOptions::sim_shards).
+//  * Replay: a seeded run produces a bit-identical event trace when it is
+//    run again in the same process (fresh heap addresses, warm arenas).
 //  * First-touch channel setup: ugni::Nic::get_or_connect establishes the
 //    SMSG channel pair lazily, charges the initiator the exact two-mailbox
 //    registration bill once, and is free afterwards.
@@ -42,17 +42,14 @@ using converse::MachineOptions;
 /// Seeded faulty k-neighbor on the uGNI layer; returns the full event
 /// trace CSV.  The workload exercises SMSG, rendezvous, credit stalls and
 /// retries — and with `all_subsystems`, aggregation and flow control on
-/// top — so any divergence in event order between engine shard counts
-/// shows up as a trace mismatch.
-std::string traced_run(int shards, bool all_subsystems = false) {
+/// top — so any divergence in event order between two runs shows up as a
+/// trace mismatch.
+std::string traced_run(bool all_subsystems = false) {
   trace::EventTracer tracer(1u << 18);
   trace::set_tracer(&tracer);
   MachineOptions o;
-  // One PE per node so shard counts up to 8 stay unclamped (shards are
-  // node slabs; 12 nodes cover the {1, 2, 8} matrix).
   o.pes = 12;
   o.pes_per_node = 1;
-  o.sim_shards = shards;
   o.fault.enabled = true;
   o.fault.seed = 0x5CA1E;
   o.fault.p_smsg_error = 0.2;
@@ -63,7 +60,6 @@ std::string traced_run(int shards, bool all_subsystems = false) {
     o.flow.adaptive_routing = true;
   }
   auto m = lrts::make_machine(LayerKind::kUgni, o);
-  EXPECT_EQ(m->engine().shards(), shards);
   const int pes = o.pes;
   std::vector<int> received(static_cast<std::size_t>(pes), 0);
   int h = m->register_handler([&](void* msg) {
@@ -94,28 +90,23 @@ std::string traced_run(int shards, bool all_subsystems = false) {
   return csv.str();
 }
 
-// ------------------------------------------------- sharded determinism ----
+// --------------------------------------------------- seeded determinism ----
 
-/// The engine's whole-machine determinism claim: partitioning the pending
-/// set must not change anything observable.  The seeded faulty run traces
-/// bit-identically across shard counts.
-TEST(ShardedReplay, SeededTraceIsBitIdenticalAcrossShardCounts) {
-  const std::string reference = traced_run(1);
+/// The engine's whole-machine determinism claim: event order depends on
+/// virtual time and scheduling order only, never on host addresses or on
+/// what the event arena and queue blocks recycled from an earlier run.
+TEST(SeededReplay, SeededTraceIsBitIdenticalAcrossRuns) {
+  const std::string reference = traced_run();
   EXPECT_FALSE(reference.empty());
-  for (int shards : {2, 8}) {
-    EXPECT_EQ(reference, traced_run(shards)) << "shards=" << shards;
-  }
+  EXPECT_EQ(reference, traced_run());
 }
 
-/// Same matrix with every optional subsystem armed — faults, aggregation
-/// and congestion control all schedule their own timers and reroute
-/// traffic, so this is the adversarial case for cross-shard ordering.
-TEST(ShardedReplay, AllSubsystemsTraceIsBitIdenticalAcrossShardCounts) {
-  const std::string reference = traced_run(1, /*all_subsystems=*/true);
+/// Same with every optional subsystem armed — faults, aggregation and
+/// congestion control all schedule their own timers and reroute traffic.
+TEST(SeededReplay, AllSubsystemsTraceIsBitIdenticalAcrossRuns) {
+  const std::string reference = traced_run(/*all_subsystems=*/true);
   EXPECT_FALSE(reference.empty());
-  for (int shards : {2, 8}) {
-    EXPECT_EQ(reference, traced_run(shards, true)) << "shards=" << shards;
-  }
+  EXPECT_EQ(reference, traced_run(true));
 }
 
 // ------------------------------------------------- first-touch channels ----
@@ -150,7 +141,7 @@ class LazyConnectFixture : public ::testing::Test {
     return 8ull * (1024 + 16);
   }
 
-  sim::Engine engine_{sim::EngineOptions{}};
+  sim::Engine engine_;
   std::unique_ptr<gemini::Network> net_;
   std::unique_ptr<ugni::Domain> dom_;
   std::unique_ptr<sim::Context> ctx_[2];

@@ -9,7 +9,7 @@ namespace ugnirt::sim {
 namespace {
 
 TEST(Engine, RunsEventsInTimeOrder) {
-  Engine e{EngineOptions{}};
+  Engine e;
   std::vector<int> order;
   e.schedule_at(30, [&] { order.push_back(3); });
   e.schedule_at(10, [&] { order.push_back(1); });
@@ -20,7 +20,7 @@ TEST(Engine, RunsEventsInTimeOrder) {
 }
 
 TEST(Engine, TiesBreakInSchedulingOrder) {
-  Engine e{EngineOptions{}};
+  Engine e;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     e.schedule_at(5, [&order, i] { order.push_back(i); });
@@ -30,7 +30,7 @@ TEST(Engine, TiesBreakInSchedulingOrder) {
 }
 
 TEST(Engine, PastTimesClampToNow) {
-  Engine e{EngineOptions{}};
+  Engine e;
   SimTime seen = -1;
   e.schedule_at(100, [&] {
     e.schedule_at(50, [&] { seen = e.now(); });  // in the past
@@ -40,7 +40,7 @@ TEST(Engine, PastTimesClampToNow) {
 }
 
 TEST(Engine, EventsCanScheduleMoreEvents) {
-  Engine e{EngineOptions{}};
+  Engine e;
   int count = 0;
   std::function<void()> chain = [&] {
     if (++count < 5) e.schedule_after(10, chain);
@@ -52,7 +52,7 @@ TEST(Engine, EventsCanScheduleMoreEvents) {
 }
 
 TEST(Engine, CancelPreventsExecution) {
-  Engine e{EngineOptions{}};
+  Engine e;
   bool ran = false;
   auto h = e.schedule_at(10, [&] { ran = true; });
   h.cancel();
@@ -62,7 +62,7 @@ TEST(Engine, CancelPreventsExecution) {
 }
 
 TEST(Engine, CancelAfterFireIsSafe) {
-  Engine e{EngineOptions{}};
+  Engine e;
   bool ran = false;
   auto h = e.schedule_at(10, [&] { ran = true; });
   e.run();
@@ -72,7 +72,7 @@ TEST(Engine, CancelAfterFireIsSafe) {
 }
 
 TEST(Engine, StopInterruptsRun) {
-  Engine e{EngineOptions{}};
+  Engine e;
   int count = 0;
   for (int i = 0; i < 10; ++i) {
     e.schedule_at(i * 10, [&] {
@@ -87,8 +87,31 @@ TEST(Engine, StopInterruptsRun) {
   EXPECT_EQ(count, 10);
 }
 
+TEST(Engine, StopInterruptsAndResumes) {
+  Engine e;
+  std::vector<int> order;
+  // Equal-time events: stop() lands between two events of the same
+  // timestamp, and the resumed run continues in scheduling order.
+  for (int i = 0; i < 10; ++i) {
+    e.schedule_at((i / 4) * 10, [&order, &e, i] {
+      order.push_back(i);
+      if (i == 2 || i == 5) e.stop();
+    });
+  }
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(e.pending(), 7u);
+  EXPECT_EQ(e.now(), 0);
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(e.now(), 10);
+  e.run();
+  EXPECT_EQ(order.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
 TEST(Engine, RunUntilStopsAtBoundaryAndAdvancesClock) {
-  Engine e{EngineOptions{}};
+  Engine e;
   std::vector<SimTime> fired;
   for (SimTime t : {10, 20, 30, 40}) {
     e.schedule_at(t, [&fired, &e] { fired.push_back(e.now()); });
@@ -102,7 +125,7 @@ TEST(Engine, RunUntilStopsAtBoundaryAndAdvancesClock) {
 
 TEST(Engine, DeterministicAcrossRuns) {
   auto run_once = [] {
-    Engine e{EngineOptions{}};
+    Engine e;
     std::vector<std::pair<SimTime, int>> log;
     for (int i = 0; i < 50; ++i) {
       e.schedule_at((i * 7) % 13, [&log, i, &e] {
@@ -118,8 +141,36 @@ TEST(Engine, DeterministicAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+TEST(Pending, ExcludesCancelledTombstones) {
+  Engine e;
+  auto h1 = e.schedule_at(10, [] {});
+  auto h2 = e.schedule_at(20, [] {});
+  e.schedule_at(30, [] {});
+  EXPECT_EQ(e.pending(), 3u);
+  h1.cancel();
+  EXPECT_EQ(e.pending(), 2u);
+  h1.cancel();  // double-cancel must not double-decrement
+  EXPECT_EQ(e.pending(), 2u);
+  (void)h2;
+  EXPECT_FALSE(e.empty());
+  EXPECT_EQ(e.run(), 2u);
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_TRUE(e.empty());
+}
+
+TEST(Pending, SelfCancelDuringExecutionStaysConsistent) {
+  Engine e;
+  EventHandle h;
+  h = e.schedule_at(10, [&e, &h] {
+    h.cancel();  // cancelling the event that is firing: no-op
+    EXPECT_EQ(e.pending(), 0u);
+  });
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_EQ(e.pending(), 0u);
+}
+
 TEST(Context, ChargeAdvancesCursorAndTotals) {
-  Engine e{EngineOptions{}};
+  Engine e;
   Context c(e.scheduler(), 3);
   EXPECT_EQ(c.pe(), 3);
   EXPECT_EQ(c.now(), 0);
@@ -131,7 +182,7 @@ TEST(Context, ChargeAdvancesCursorAndTotals) {
 }
 
 TEST(Context, WaitUntilOnlyMovesForward) {
-  Engine e{EngineOptions{}};
+  Engine e;
   Context c(e.scheduler(), 0);
   c.set_now(100);
   c.wait_until(50);  // no-op
@@ -142,7 +193,7 @@ TEST(Context, WaitUntilOnlyMovesForward) {
 }
 
 TEST(Context, ScopedContextNestsCorrectly) {
-  Engine e{EngineOptions{}};
+  Engine e;
   Context outer(e.scheduler(), 1);
   Context inner(e.scheduler(), 2);
   EXPECT_EQ(current(), nullptr);

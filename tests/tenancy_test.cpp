@@ -4,9 +4,9 @@
 // determinism of the random shuffle), QoS classes landing in the
 // InjectionGovernor as window bounds + drain quotas, generator message
 // accounting, seeded determinism of full two-tenant timelines across
-// shard counts, the 7-class fault-matrix rerun with
-// two tenants (zero loss in both jobs), per-job metrics/link attribution,
-// and the tracer's opt-in `job` column.
+// runs, the 7-class fault-matrix rerun with two tenants (zero loss in
+// both jobs), per-job metrics/link attribution, and the tracer's opt-in
+// `job` column.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -309,13 +309,12 @@ TEST(TenancyGenerators, ExpectedMessageFormulas) {
 
 /// One full two-tenant-plus-background run (all three patterns live) with
 /// the event tracer on; returns timeline CSV + metrics CSV, the
-/// bit-identity witness for the determinism matrix.
-std::string traced_tenant_run(int shards) {
+/// bit-identity witness for the determinism test.
+std::string traced_tenant_run() {
   trace::EventTracer tracer(1u << 18);
   trace::set_tracer(&tracer);
   auto o = tenant_options(16, "scatter", 4);
   o.flow.enable = true;
-  o.sim_shards = shards;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   JobManager jobs(*m, m->options().tenancy);
   jobs.add_job({"victim", 6, QosClass::kLatency});
@@ -355,12 +354,12 @@ std::string traced_tenant_run(int shards) {
 }
 
 // Same seed => byte-identical virtual-time timelines and metric surfaces
-// for every generator, regardless of shard count: the whole subsystem
-// (placement, QoS, generator randomness) is a pure function of the seeds.
-TEST(TenancyDeterminism, SameSeedSameTimelineAcrossShardsAndQueues) {
-  const std::string base = traced_tenant_run(1);
+// for every generator, run after run: the whole subsystem (placement,
+// QoS, generator randomness) is a pure function of the seeds.
+TEST(TenancyDeterminism, SameSeedSameTimelineAcrossRuns) {
+  const std::string base = traced_tenant_run();
   EXPECT_NE(base.find("job.0.delivery_us"), std::string::npos);
-  EXPECT_EQ(base, traced_tenant_run(8));
+  EXPECT_EQ(base, traced_tenant_run());
 }
 
 // ------------------------------------------------------------ fault matrix ---

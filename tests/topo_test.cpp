@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "topo/torus.hpp"
 
 namespace ugnirt::topo {
@@ -116,11 +119,47 @@ TEST(Torus, RouteOrderAllPermutationsMinimalAndCorrect) {
   }
 }
 
+// route() is the stock permutation, and for every permutation the
+// allocation-free visitor and route_order() walk the same links in the
+// same order as an independent hop-by-hop walk over neighbor().
 TEST(Torus, RouteOrderStockPermutationMatchesRoute) {
+  constexpr std::array<std::array<int, 3>, 6> kOrders = {{{0, 1, 2},
+                                                          {0, 2, 1},
+                                                          {1, 0, 2},
+                                                          {1, 2, 0},
+                                                          {2, 0, 1},
+                                                          {2, 1, 0}}};
   Torus3D t(4, 4, 2);
+  auto reference = [&t](int a, int b, const std::array<int, 3>& order) {
+    const Coord ca = t.coord_of(a);
+    const Coord cb = t.coord_of(b);
+    const int from[3] = {ca.x, ca.y, ca.z};
+    const int to[3] = {cb.x, cb.y, cb.z};
+    std::vector<LinkId> links;
+    int cur = a;
+    for (int dim : order) {
+      const int n = t.dims()[static_cast<std::size_t>(dim)];
+      const int fwd = (to[dim] - from[dim] + n) % n;
+      const bool positive = fwd <= n - fwd;  // ties go positive
+      for (int s = positive ? fwd : n - fwd; s > 0; --s) {
+        links.push_back(LinkId{cur, static_cast<std::uint8_t>(dim), positive});
+        cur = t.neighbor(cur, dim, positive);
+      }
+    }
+    return links;
+  };
   for (int a = 0; a < t.nodes(); a += 3) {
     for (int b = 0; b < t.nodes(); b += 5) {
       EXPECT_EQ(t.route_order(a, b, {0, 1, 2}), t.route(a, b));
+      for (const auto& order : kOrders) {
+        const std::vector<LinkId> expected = reference(a, b, order);
+        std::vector<LinkId> visited;
+        t.for_each_link(a, b, order, [&visited](const LinkId& link) {
+          visited.push_back(link);
+        });
+        EXPECT_EQ(visited, expected) << a << "->" << b;
+        EXPECT_EQ(t.route_order(a, b, order), expected) << a << "->" << b;
+      }
     }
   }
 }

@@ -369,7 +369,7 @@ TEST(EmitGuard, DisabledByDefaultAndNoopWithoutContext) {
   EXPECT_EQ(tracer.total_events(), 0u);
 
   // With a context, emit records under the context's PE id.
-  sim::Engine engine{sim::EngineOptions{}};
+  sim::Engine engine;
   sim::Context ctx(engine.scheduler(), 7);
   {
     sim::ScopedContext guard(ctx);

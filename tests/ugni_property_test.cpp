@@ -50,7 +50,7 @@ class UgniPropertyFixture : public ::testing::Test {
 
   sim::Context& ctx(int i) { return *ctx_[static_cast<std::size_t>(i)]; }
 
-  sim::Engine engine_{sim::EngineOptions{}};
+  sim::Engine engine_;
   std::unique_ptr<gemini::Network> net_;
   std::unique_ptr<Domain> dom_;
   std::vector<std::unique_ptr<sim::Context>> ctx_;

@@ -47,7 +47,7 @@ class UgniFixture : public ::testing::Test {
                             nullptr, 0, 0, tag);
   }
 
-  sim::Engine engine_{sim::EngineOptions{}};
+  sim::Engine engine_;
   std::unique_ptr<gemini::Network> net_;
   std::unique_ptr<Domain> dom_;
   std::unique_ptr<sim::Context> ctx_[2];

@@ -25,8 +25,8 @@ Usage:
   bench_report.py compare --baseline bench/baselines --current . \
       [--tolerance 0.15] [BENCH_core.json BENCH_scale.json]
   bench_report.py check BENCH_scale.json \
-      --min-ratio pes153216.kneighbor.heap.sim_events_per_wall_sec/\
-pes1024.kneighbor.heap.sim_events_per_wall_sec=0.21
+      --min-ratio pes153216.kneighbor.sim_events_per_wall_sec/\
+pes1024.kneighbor.sim_events_per_wall_sec=0.21
 
 check gates floors: --min KEY=VALUE on one metric, or --min-ratio
 NUM/DEN=VALUE on the ratio of two metrics from the same file.  A ratio
@@ -48,11 +48,8 @@ def flatten(doc):
         for name, m in doc["metrics"].items():
             yield name, m["value"], m.get("better", "info"), m.get("unit", "")
     for point in doc.get("sweep", []):
-        # Scale sweep points are keyed pes<N>.<pattern>.<queue>.  The
-        # engine has one pending-set backend, the heap; rows that omit
-        # the queue field key as heap.
-        prefix = "pes%d.%s.%s." % (
-            point["pes"], point["pattern"], point.get("queue", "heap"))
+        # Scale sweep points are keyed pes<N>.<pattern>.<metric>.
+        prefix = "pes%d.%s." % (point["pes"], point["pattern"])
         for name, m in point["metrics"].items():
             yield (prefix + name, m["value"], m.get("better", "info"),
                    m.get("unit", ""))
