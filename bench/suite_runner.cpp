@@ -1,7 +1,8 @@
 // Machine-readable benchmark suite for regression tracking.
 //
 // Runs the core paper scenarios (ping-pong, bandwidth, one-to-all,
-// kNeighbor, small-message flood) plus a ring and kNeighbor PE-count
+// kNeighbor, small-message flood; ping-pong and kNeighbor again in SMP
+// mode) plus a ring and kNeighbor PE-count
 // sweep (1k -> 153,216 PEs) and writes two JSON files for
 // tools/bench_report.py:
 //
@@ -74,6 +75,14 @@ converse::MachineOptions ugni_options(int pes = 2) {
   return o;
 }
 
+/// The same placement in SMP mode: one worker per node, so every message
+/// goes through the nodes' comm threads.
+converse::MachineOptions smp_options(int pes = 2) {
+  converse::MachineOptions o = ugni_options(pes);
+  o.smp_mode = true;
+  return o;
+}
+
 // ---- core suite ---------------------------------------------------------
 
 /// Run `fn` with every submit sampled into a private SpanCollector and
@@ -134,6 +143,20 @@ std::vector<Metric> run_core() {
   ms.push_back({"kneighbor_1k_ns",
                 static_cast<double>(apps::bench::charm_kneighbor(
                     ugni_options(16), 1024)),
+                "ns", "lower"});
+
+  // SMP twins of the latency rows: the comm-thread path in virtual time.
+  ms.push_back({"smp_pingpong_8b_ns",
+                static_cast<double>(
+                    apps::bench::charm_pingpong(smp_options(), small)),
+                "ns", "lower"});
+  ms.push_back({"smp_pingpong_64k_ns",
+                static_cast<double>(
+                    apps::bench::charm_pingpong(smp_options(), large)),
+                "ns", "lower"});
+  ms.push_back({"smp_kneighbor_1k_ns",
+                static_cast<double>(apps::bench::charm_kneighbor(
+                    smp_options(16), 1024)),
                 "ns", "lower"});
 
   const auto t0 = std::chrono::steady_clock::now();
