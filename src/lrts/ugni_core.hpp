@@ -1,0 +1,966 @@
+// The uGNI protocol core shared by both uGNI machine layers.
+//
+// The paper's machine layer is one protocol set (§III-C and §IV):
+//
+//   * Small messages (size <= SMSG cap, which shrinks with job size): sent
+//     with GNI_SmsgSendWTag (or the shared MSGQ); the receiver polls the RX
+//     CQ, copies the message out of the mailbox and hands it to Converse.
+//     A send that finds no mailbox credit waits in an ordered backlog that
+//     the progress engine retries; under an active fault plan the retries
+//     back off and, after sustained starvation, a data message is demoted
+//     to the credit-free rendezvous path.
+//   * Large messages: GET-based rendezvous (Fig 5).  The sender registers
+//     (or pool-resolves) the buffer and sends a small INIT_TAG control
+//     message carrying {address, memory handle, size}.  The receiver takes
+//     a landing buffer (pool first, else heap + register) and issues an
+//     FMA GET (< rdma threshold) or BTE GET (>= threshold).  On GET
+//     completion it sends ACK_TAG, and each side deregisters what it
+//     registered.  Cost without the pool is the paper's Equation 1:
+//     2(Tmalloc+Tregister) + Trdma + 2 Tsmsg.
+//   * Memory pool (§IV-B, Fig 7b): message buffers come from
+//     pre-registered slabs, removing Tmalloc/Tregister from the path.
+//   * Persistent messages (§IV-A, Fig 7a): the receiver pre-allocates a
+//     registered landing buffer; a send is one PUT followed by a
+//     PERSISTENT_TAG notification: Tcost = Trdma + Tsmsg.
+//
+// UgniCore implements the set once.  Its template parameter is the
+// endpoint owner, which is also the layer deriving from it (CRTP): the
+// uGNI layer gives every PE its own endpoint, the SMP layer one endpoint
+// per node, driven by the node's comm thread.  The owner supplies, all
+// resolved at compile time:
+//
+//   Route                         INIT routing fields
+//   kDataPrefix                   routing bytes sent ahead of each data
+//                                 message, as the SMSG `header` argument
+//   kDeliverStampsCq              deliver() stamps the cq_complete span
+//                                 stage, instead of the core at CQ poll
+//   peer_of(pe)                   NIC instance that serves `pe`
+//   home_pe(ep)                   the PE owning `ep`; -1 for a comm thread
+//   route_to(ep, dest_pe, msg)    Route of an outgoing INIT
+//   target_of(ep, route, src)     where an INIT lands and whom to ACK
+//   deliver(ep, pe, msg, t)       hand a received message to `pe`
+//   wake(ep, t)                   ask for a progress call at `t`
+#pragma once
+
+#include <algorithm>
+#include <cassert>
+#include <cstdint>
+#include <cstring>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <unordered_map>
+#include <vector>
+
+#include "converse/machine.hpp"
+#include "fault/retry.hpp"
+#include "flowcontrol/flowcontrol.hpp"
+#include "lrts/retry_util.hpp"
+#include "lrts/span_marks.hpp"
+#include "mempool/mempool.hpp"
+#include "trace/events.hpp"
+#include "trace/spans.hpp"
+#include "ugni/msgq.hpp"
+#include "ugni/ugni.hpp"
+#include "util/log.hpp"
+
+namespace ugnirt::lrts {
+
+// SMSG tags of the machine-layer protocol (paper Fig 5 / Fig 7).
+inline constexpr std::uint8_t kTagData = 1;         // whole small message
+inline constexpr std::uint8_t kTagInit = 2;         // INIT_TAG: rendezvous
+inline constexpr std::uint8_t kTagAck = 3;          // ACK_TAG: sender may free
+inline constexpr std::uint8_t kTagPersistData = 4;  // PERSISTENT_TAG: landed
+
+/// INIT_TAG payload: everything the receiver needs to GET the message,
+/// plus the owner's routing fields.
+template <class Route>
+struct InitCtrl {
+  std::uint64_t send_id = 0;
+  std::uint64_t addr = 0;
+  ugni::gni_mem_handle_t hndl{};
+  std::uint32_t size = 0;
+  Route route{};
+};
+
+struct AckCtrl {
+  std::uint64_t send_id = 0;
+};
+
+/// PERSISTENT_TAG payload.
+struct PersistCtrl {
+  std::int32_t channel = -1;
+  std::uint32_t size = 0;
+  std::int32_t src_pe = -1;
+};
+
+/// Where a rendezvous lands (from the owner's Route): the PE that gets the
+/// message, the PE whose NIC holds the source buffer and gets the ACK, and
+/// the payload's span id (0 when unsampled or not on the wire).
+struct RdvTarget {
+  int dest_pe = -1;
+  int reply_pe = -1;
+  std::uint32_t span = 0;
+};
+
+/// Protocol state of one endpoint: a NIC with its CQs, pool and in-flight
+/// protocol bookkeeping.  The owner's state derives from it.
+struct UgniEndpoint {
+  ugni::gni_nic_handle_t nic = nullptr;
+  ugni::gni_cq_handle_t rx_cq = nullptr;   // SMSG arrivals
+  ugni::gni_cq_handle_t tx_cq = nullptr;   // FMA/BTE local completions
+  ugni::gni_msgq_handle_t msgq = nullptr;  // shared queue (use_msgq mode)
+  // No per-peer endpoint map here: the NIC's own peer table (populated
+  // lazily by ugni::Nic::get_or_connect) is the single source of truth.
+  std::unique_ptr<mempool::MemPool> pool;  // null when use_mempool = false
+
+  // In-flight rendezvous sends: waiting for ACK_TAG.
+  struct LargeSend {
+    void* msg = nullptr;
+    ugni::gni_mem_handle_t hndl{};
+    bool registered = false;  // true when we must deregister on ACK
+  };
+  std::unordered_map<std::uint64_t, LargeSend> sends;
+  std::uint64_t next_send_id = 1;
+
+  // In-flight rendezvous receives: GET posted, waiting for completion.
+  struct LargeRecv {
+    void* buf = nullptr;
+    std::unique_ptr<ugni::gni_post_descriptor_t> desc;
+    std::uint64_t send_id = 0;
+    std::int32_t reply_pe = -1;  // see RdvTarget
+    std::int32_t dest_pe = -1;
+    std::uint32_t span = 0;  // lifecycle-span id from the INIT control
+    bool registered = false;
+    ugni::gni_mem_handle_t local_hndl{};
+  };
+  std::unordered_map<std::uint64_t, LargeRecv> recvs;
+  std::uint64_t next_recv_id = 1;
+
+  // Persistent channels where this endpoint is the *receiver*.
+  struct PersistRx {
+    void* buf = nullptr;
+    std::uint32_t max_bytes = 0;
+    ugni::gni_mem_handle_t hndl{};
+  };
+  std::vector<PersistRx> persist_rx;
+
+  // Persistent channels where this endpoint is the *sender*.
+  struct PersistTx {
+    int dest_pe = -1;
+    std::int32_t remote_channel = -1;
+    std::uint64_t remote_addr = 0;
+    ugni::gni_mem_handle_t remote_hndl{};
+    std::uint32_t max_bytes = 0;
+  };
+  std::vector<PersistTx> persist_tx;
+
+  // PUTs in flight for persistent sends, keyed by descriptor post_id.
+  struct PersistSend {
+    void* msg = nullptr;
+    std::unique_ptr<ugni::gni_post_descriptor_t> desc;
+    std::int32_t tx_index = -1;
+    std::uint32_t size = 0;
+    bool app_owned = false;  // app reuses this buffer; don't free it
+  };
+  std::unordered_map<std::uint64_t, PersistSend> persist_sends;
+  std::uint64_t next_persist_id = 1;
+
+  // Persistent send buffers stay registered across iterations (the
+  // "persistent memory for sending message" of Fig 7a); registration is
+  // paid once per buffer and cached here in the no-pool configuration.
+  std::unordered_map<const void*, ugni::gni_mem_handle_t> persist_send_reg;
+
+  // Credit-stalled SMSG sends, retried in order by flush().
+  struct Pending {
+    int dest_pe = -1;
+    std::uint8_t tag = 0;
+    std::vector<std::uint8_t> ctrl;  // control payload (ctrl tags)
+    void* msg = nullptr;             // data payload (kTagData), owned
+  };
+  std::deque<Pending> backlog;
+  int backlog_attempts = 0;      // consecutive failed flush attempts
+  SimTime backlog_retry_at = 0;  // no flush retry before this instant
+
+  // Rendezvous GETs admitted into `recvs` but deferred by the injection
+  // governor (AIMD window full); drained FIFO by flush().
+  std::deque<std::uint64_t> deferred_gets;
+
+  // One-entry endpoint memo for the rx drain loop: bursts of SMSG events
+  // from one peer resolve the endpoint once instead of one peer-table
+  // probe per event.  Endpoints are never destroyed while the domain
+  // lives, so the memo cannot dangle.
+  std::int32_t last_peer = -1;
+  ugni::gni_ep_handle_t last_ep = nullptr;
+
+  ~UgniEndpoint() {
+    for (auto& p : backlog) {
+      if (p.msg) mempool::MemPool::discard(p.msg);
+    }
+  }
+};
+
+template <class Owner>
+class UgniCore {
+ public:
+  /// Job-wide SMSG payload cap (depends on job size; paper §III-C).
+  std::uint32_t smsg_cap() const { return smsg_cap_; }
+
+  /// Total SMSG mailbox memory committed across the job — the linear-in-
+  /// peers cost of §II-B.
+  std::uint64_t total_mailbox_bytes() const {
+    return domain_ ? domain_->total_mailbox_bytes() : 0;
+  }
+
+ protected:
+  using Endpoint = UgniEndpoint;
+
+  converse::Machine* machine_ = nullptr;
+  std::unique_ptr<ugni::Domain> domain_;
+  std::uint32_t smsg_cap_ = 1024;
+  bool use_msgq_ = false;
+  fault::RetryPolicy retry_{};
+  /// AIMD injection pacing + adaptive thresholds; null when flow control
+  /// is off (the hot paths then cost exactly one pointer test).
+  std::unique_ptr<flowcontrol::InjectionGovernor> governor_;
+
+  // Hot-path counters, bound to the machine registry in bind() (std::map
+  // node addresses are stable, so the pointers stay valid).
+  trace::Counter* c_smsg_sends_ = nullptr;
+  trace::Counter* c_rendezvous_gets_ = nullptr;
+  trace::Counter* c_persistent_puts_ = nullptr;
+  trace::Counter* c_credit_stalls_ = nullptr;
+  trace::Counter* c_registrations_ = nullptr;
+  trace::Counter* c_retry_smsg_ = nullptr;
+  trace::Counter* c_retry_post_ = nullptr;
+  trace::Counter* c_retry_mem_register_ = nullptr;
+  trace::Counter* c_retry_escalations_ = nullptr;
+  trace::Counter* c_fallback_rendezvous_ = nullptr;
+  trace::Counter* c_fallback_heap_ = nullptr;
+  trace::Counter* c_cq_recovered_ = nullptr;
+
+  /// Create the domain and bind the registry counters.  `smsg_cap` is the
+  /// owner's mailbox payload cap; `use_msgq` routes small messages through
+  /// the per-NIC shared queue instead of per-pair mailboxes.
+  void bind(converse::Machine& m, std::uint32_t smsg_cap, bool use_msgq) {
+    machine_ = &m;
+    trace::MetricsRegistry& reg = m.metrics();
+    c_smsg_sends_ = &reg.counter("ugni.smsg_sends");
+    c_rendezvous_gets_ = &reg.counter("ugni.rendezvous_gets");
+    c_persistent_puts_ = &reg.counter("ugni.persistent_puts");
+    c_credit_stalls_ = &reg.counter("ugni.credit_stalls");
+    c_registrations_ = &reg.counter("ugni.registrations");
+    c_retry_smsg_ = &reg.counter("retry_smsg");
+    c_retry_post_ = &reg.counter("retry_post");
+    c_retry_mem_register_ = &reg.counter("retry_mem_register");
+    c_retry_escalations_ = &reg.counter("retry_escalations");
+    c_fallback_rendezvous_ = &reg.counter("fallback_rendezvous");
+    c_fallback_heap_ = &reg.counter("fallback_heap_send");
+    c_cq_recovered_ = &reg.counter("cq_overrun_recovered");
+    retry_ = m.options().retry;
+    domain_ = std::make_unique<ugni::Domain>(m.network());
+    smsg_cap_ = smsg_cap;
+    use_msgq_ = use_msgq;
+  }
+
+  /// Attach `ep` to the NIC of instance `inst` on `node`, create its CQs
+  /// (and MSGQ in MSGQ mode), and route every NIC notification to
+  /// `notify`.  Channel setup stays lazy; nothing here is O(peers).
+  void open(Endpoint& ep, int inst, int node,
+            const std::function<void(SimTime)>& notify) {
+    const std::uint32_t cq_entries = machine_->options().mc.cq_entries;
+    ugni::gni_return_t rc =
+        ugni::GNI_CdmAttach(domain_.get(), inst, node, &ep.nic);
+    assert(rc == ugni::GNI_RC_SUCCESS);
+    rc = ugni::GNI_CqCreate(ep.nic, cq_entries, &ep.rx_cq);
+    assert(rc == ugni::GNI_RC_SUCCESS);
+    rc = ugni::GNI_CqCreate(ep.nic, cq_entries, &ep.tx_cq);
+    assert(rc == ugni::GNI_RC_SUCCESS);
+    ep.nic->set_smsg_rx_cq(ep.rx_cq);
+    ep.nic->set_default_tx_cq(ep.tx_cq);
+    // Channel setup is fully lazy: this only records the mailbox geometry
+    // every future get_or_connect will use.
+    ugni::gni_smsg_attr_t attr;
+    attr.msg_maxsize = smsg_cap_;
+    attr.mbox_maxcredit = machine_->options().mc.smsg_mailbox_credits;
+    ep.nic->set_smsg_attr(attr);
+    ep.rx_cq->set_notify(notify);
+    ep.tx_cq->set_notify(notify);
+    ep.nic->set_credit_notify(notify);
+    if (use_msgq_) {
+      rc = ugni::GNI_MsgqInit(ep.nic, 256 * 1024, &ep.msgq);
+      assert(rc == ugni::GNI_RC_SUCCESS);
+      ep.msgq->set_notify(notify);
+    }
+    (void)rc;
+  }
+
+  /// Endpoint to `peer` via ugni::Nic::get_or_connect — the uGNI API owns
+  /// channel creation and its first-touch cost; the core only counts the
+  /// two mailbox registrations when a channel is established.
+  ugni::gni_ep_handle_t connect(Endpoint& ep, int peer) {
+    bool established = false;
+    ugni::gni_ep_handle_t gep = ep.nic->get_or_connect(peer, &established);
+    assert(gep && "get_or_connect failed: unknown peer or NIC not configured");
+    // get_or_connect charged the initiator for both mailbox pins (nothing
+    // in MSGQ mode); mirror the two registrations into the counter.
+    if (established && !use_msgq_) {
+      c_registrations_->inc(2);
+    }
+    return gep;
+  }
+
+  /// Message buffer from `ep`'s pool, or a modeled malloc.
+  void* alloc_buf(sim::Context& ctx, Endpoint& ep, std::size_t bytes) {
+    if (ep.pool) {
+      if (void* p = ep.pool->alloc(bytes)) return p;
+      // Pool expansion lost its slab registration (resource fault): fall
+      // back to a plain heap buffer; free_buf routes it back to the heap.
+      c_fallback_heap_->inc();
+      if (trace::enabled()) {
+        trace::emit(trace::Ev::kFallback, ctx.now(), 0, /*peer=*/-1,
+                    static_cast<std::uint32_t>(bytes));
+      }
+    }
+    // "Original" path: modeled system malloc.
+    ctx.charge(machine_->options().mc.malloc_cost(bytes));
+    return mempool::MemPool::heap_alloc(bytes);
+  }
+
+  /// Back to the owning pool (named by the block header), or a heap free.
+  void free_buf(sim::Context& ctx, void* msg) {
+    // The block header names the owning pool: this endpoint's, or a
+    // same-node peer's for pxshm single-copy deliveries.  No owner: a heap
+    // buffer (no pool, or the fallback after a failed slab registration).
+    if (mempool::MemPool* owner = mempool::MemPool::owner_of(msg)) {
+      owner->free(msg);
+      return;
+    }
+    ctx.charge(machine_->options().mc.free_base_ns);
+    mempool::MemPool::heap_free(msg);
+  }
+
+  /// A registered receive buffer: from `ep`'s pool, else heap + register.
+  struct Landing {
+    void* buf = nullptr;
+    ugni::gni_mem_handle_t hndl{};
+    bool registered = false;  // heap buffer: deregister when done
+  };
+  /// `peer` labels the fallback trace event.
+  Landing landing(sim::Context& ctx, Endpoint& ep, std::uint32_t size,
+                  int peer) {
+    Landing l;
+    if (void* pooled = ep.pool ? ep.pool->alloc(size) : nullptr) {
+      l.buf = pooled;
+      l.hndl = ep.pool->handle_of(pooled);
+      return l;
+    }
+    if (ep.pool) {
+      // Pool expansion failed: heap-registered buffer instead.
+      c_fallback_heap_->inc();
+      if (trace::enabled()) {
+        trace::emit(trace::Ev::kFallback, ctx.now(), 0, peer, size);
+      }
+    }
+    ctx.charge(machine_->options().mc.malloc_cost(size));
+    l.buf = mempool::MemPool::heap_alloc(size);
+    register_buf(ctx, ep, l.buf, size, &l.hndl);
+    l.registered = true;
+    return l;
+  }
+
+  /// Send `msg` (ownership passes to the core): eager SMSG up to the
+  /// (governed) cap, rendezvous above it.
+  void send(sim::Context& ctx, Endpoint& ep, int dest_pe, void* msg,
+            std::uint32_t size) {
+    // Under hotspot load the governor shrinks the eager window for the hot
+    // destination, steering mid-size messages onto the (receiver-paced)
+    // rendezvous path instead of stuffing its SMSG mailboxes.
+    const std::uint32_t eager =
+        governor_
+            ? governor_->eager_cap(smsg_cap_, machine_->node_of_pe(dest_pe))
+            : smsg_cap_;
+    if (size + Owner::kDataPrefix <= eager) {
+      smsg_send(ctx, ep, dest_pe, kTagData, msg, size, /*owned_msg=*/msg);
+      return;
+    }
+    // Rendezvous (Fig 5): register / resolve the send buffer, ship INIT_TAG.
+    begin_rendezvous(ctx, ep, dest_pe, size, msg);
+  }
+
+  /// Single PUT + notification down a pre-negotiated channel (Fig 7a).
+  void persistent_send(sim::Context& ctx, Endpoint& ep,
+                       converse::PersistentHandle handle, std::uint32_t size,
+                       void* msg) {
+    assert(handle.valid());
+    const auto& mc = machine_->options().mc;
+    Endpoint::PersistTx& tx =
+        ep.persist_tx.at(static_cast<std::size_t>(handle.id));
+    assert(size <= tx.max_bytes && "persistent message exceeds channel size");
+
+    Endpoint::PersistSend ps;
+    ps.msg = msg;
+    ps.size = size;
+    ps.tx_index = handle.id;
+    ps.app_owned = (converse::header_of(msg)->flags &
+                    converse::kMsgFlagNoFree) != 0;  // app reuses buffer
+    ugni::gni_mem_handle_t local_hndl{};
+    if (ep.pool && mempool::MemPool::owner_of(msg) == ep.pool.get()) {
+      local_hndl = ep.pool->handle_of(msg);
+    } else if (auto it = ep.persist_send_reg.find(msg);
+               it != ep.persist_send_reg.end()) {
+      local_hndl = it->second;  // registered on an earlier iteration
+    } else {
+      register_buf(ctx, ep, msg, std::max<std::uint32_t>(size, tx.max_bytes),
+                   &local_hndl);
+      ep.persist_send_reg.emplace(msg, local_hndl);
+    }
+
+    ps.desc = std::make_unique<ugni::gni_post_descriptor_t>();
+    ps.desc->type = size < mc.rdma_threshold ? ugni::GNI_POST_FMA_PUT
+                                             : ugni::GNI_POST_RDMA_PUT;
+    ps.desc->local_addr = reinterpret_cast<std::uint64_t>(msg);
+    ps.desc->local_mem_hndl = local_hndl;
+    ps.desc->remote_addr = tx.remote_addr;
+    ps.desc->remote_mem_hndl = tx.remote_hndl;
+    ps.desc->length = size;
+    std::uint64_t pid = ep.next_persist_id++ | (1ull << 63);
+    ps.desc->post_id = pid;
+
+    // Keep the sender buffer stable until the PUT completes.
+    converse::header_of(msg)->flags |= converse::kMsgFlagNoFree;
+
+    ugni::gni_ep_handle_t gep = connect(ep, owner().peer_of(tx.dest_pe));
+    detail::post_with_retry(ctx, retry_, gep, ps.desc.get(),
+                            ps.desc->type == ugni::GNI_POST_RDMA_PUT,
+                            {c_retry_post_, c_retry_escalations_});
+    // Persistent PUTs are latency-critical and never deferred, but they
+    // count against the window so their completions drive AIMD too.
+    if (governor_) governor_->note_post(ep.nic->inst_id());
+    c_persistent_puts_->inc();
+    if (trace::enabled()) {
+      trace::emit(trace::Ev::kPersistPut, ctx.now(), 0, tx.dest_pe, size);
+    }
+    if (trace::spans_enabled()) {
+      mark_msg_spans(msg, trace::Stage::kTransportPost, owner().home_pe(ep),
+                     ctx.now());
+    }
+    ep.persist_sends.emplace(pid, std::move(ps));
+  }
+
+  /// Drain the RX CQ, the MSGQ and the TX CQ, running the protocol.
+  void progress(sim::Context& ctx, Endpoint& ep) {
+    // Drain SMSG arrivals.  ERROR_RESOURCE means the CQ overran: recover
+    // (drain + resynthesize from mailbox state) instead of latching dead.
+    for (;;) {
+      ugni::gni_cq_entry_t ev;
+      ugni::gni_return_t rc = ugni::GNI_CqGetEvent(ep.rx_cq, &ev);
+      if (rc == ugni::GNI_RC_ERROR_RESOURCE) {
+        detail::recover_cq(ep.rx_cq, c_cq_recovered_);
+        continue;
+      }
+      if (rc != ugni::GNI_RC_SUCCESS) break;
+      if (ev.type == ugni::CqEventType::kSmsg) {
+        handle_smsg(ctx, ep, ev.source_inst);
+      }
+    }
+
+    // Drain the shared message queue (MSGQ mode).
+    if (ep.msgq) {
+      for (;;) {
+        void* data = nullptr;
+        std::uint32_t len = 0;
+        std::uint8_t tag = 0;
+        std::int32_t source = -1;
+        ugni::gni_return_t rc =
+            ugni::GNI_MsgqProgress(ep.msgq, &data, &len, &tag, &source);
+        if (rc != ugni::GNI_RC_SUCCESS) break;
+        handle_protocol_msg(ctx, ep, tag, data, source, ctx.now());
+      }
+    }
+
+    // Drain FMA/BTE completions, with the same overrun recovery.
+    for (;;) {
+      ugni::gni_cq_entry_t ev;
+      ugni::gni_return_t rc = ugni::GNI_CqGetEvent(ep.tx_cq, &ev);
+      if (rc == ugni::GNI_RC_ERROR_RESOURCE) {
+        detail::recover_cq(ep.tx_cq, c_cq_recovered_);
+        continue;
+      }
+      if (rc != ugni::GNI_RC_SUCCESS) break;
+      if (ev.type == ugni::CqEventType::kPostLocal) {
+        handle_completion(ctx, ep, ev);
+      }
+    }
+  }
+
+  /// Re-admit governor-deferred GETs, then retry the credit backlog.
+  void flush(sim::Context& ctx, Endpoint& ep) {
+    if (governor_) drain_deferred_gets(ctx, ep);
+    flush_backlog(ctx, ep);
+  }
+
+  void collect_core_metrics(trace::MetricsRegistry& reg) {
+    if (domain_) domain_->collect_metrics(reg);
+    if (governor_) governor_->collect_metrics(reg);
+  }
+
+ private:
+  Owner& owner() { return static_cast<Owner&>(*this); }
+
+  void register_buf(sim::Context& ctx, Endpoint& ep, const void* buf,
+                    std::uint64_t len, ugni::gni_mem_handle_t* hndl) {
+    // Retries under the policy on transient resource exhaustion.
+    detail::register_with_retry(ctx, retry_, ep.nic,
+                                reinterpret_cast<std::uint64_t>(buf), len,
+                                nullptr, hndl,
+                                {c_retry_mem_register_, c_retry_escalations_});
+  }
+
+  /// One SMSG (or MSGQ) post; data messages carry the owner's routing
+  /// prefix as the SMSG header.
+  ugni::gni_return_t post_smsg(Endpoint& ep, ugni::gni_ep_handle_t gep,
+                               int dest_pe, std::uint8_t tag, const void* bytes,
+                               std::uint32_t len) {
+    static_assert(Owner::kDataPrefix == 0 ||
+                  Owner::kDataPrefix == sizeof(std::int32_t));
+    const std::int32_t prefix = dest_pe;
+    const std::uint32_t plen = tag == kTagData ? Owner::kDataPrefix : 0;
+    if (use_msgq_) {
+      return ugni::GNI_MsgqSend(ep.nic, owner().peer_of(dest_pe), &prefix,
+                                plen, bytes, len, tag);
+    }
+    return ugni::GNI_SmsgSendWTag(gep, &prefix, plen, bytes, len, 0, tag);
+  }
+
+  /// Send a tagged SMSG (control or data), queueing on credit exhaustion.
+  void smsg_send(sim::Context& ctx, Endpoint& ep, int dest_pe, std::uint8_t tag,
+                 const void* bytes, std::uint32_t len, void* owned_msg) {
+    ugni::gni_ep_handle_t gep =
+        use_msgq_ ? nullptr : connect(ep, owner().peer_of(dest_pe));
+    if (ep.backlog.empty()) {
+      ugni::gni_return_t rc = post_smsg(ep, gep, dest_pe, tag, bytes, len);
+      if (rc == ugni::GNI_RC_SUCCESS) {
+        c_smsg_sends_->inc();
+        if (owned_msg) {
+          if (trace::spans_enabled()) {
+            mark_msg_spans(owned_msg, trace::Stage::kTransportPost,
+                           owner().home_pe(ep), ctx.now());
+          }
+          free_buf(ctx, owned_msg);
+        }
+        return;
+      }
+      // NOT_DONE: out of credits or a starvation window; ERROR_RESOURCE: an
+      // injected transient send failure.  Both queue and retry from
+      // flush_backlog; anything else is a contract violation.
+      ugni::check(rc, "GNI_SmsgSendWTag", ugni::GNI_RC_NOT_DONE,
+                  ugni::GNI_RC_ERROR_RESOURCE);
+    }
+    // Out of credits (or draining in order behind earlier stalls): queue.
+    c_credit_stalls_->inc();
+    if (trace::enabled()) {
+      trace::emit(trace::Ev::kCreditStall, ctx.now(), 0, dest_pe, len);
+    }
+    UGNIRT_TRACELOG("smsg credit stall -> pe " << dest_pe << " (" << len
+                                               << " B queued)");
+    Endpoint::Pending p;
+    p.dest_pe = dest_pe;
+    p.tag = tag;
+    if (owned_msg) {
+      p.msg = owned_msg;  // payload lives in the message itself
+    } else {
+      p.ctrl.assign(static_cast<const std::uint8_t*>(bytes),
+                    static_cast<const std::uint8_t*>(bytes) + len);
+    }
+    ep.backlog.push_back(std::move(p));
+  }
+
+  void flush_backlog(sim::Context& ctx, Endpoint& ep) {
+    if (ep.backlog.empty()) return;
+    // With a fault plan active the backlog retries under the RetryPolicy:
+    // stalls may be injected starvation windows that consume no credits, so
+    // the credit-return notify alone cannot be relied on to wake us.
+    // Without faults, stalls are genuine credit exhaustion and the notify
+    // is the precise (and cheapest) wake.
+    const bool faulty = machine_->fault_injector() != nullptr;
+    if (faulty && ctx.now() < ep.backlog_retry_at) {
+      owner().wake(ep, ep.backlog_retry_at);
+      return;
+    }
+    while (!ep.backlog.empty()) {
+      Endpoint::Pending& p = ep.backlog.front();
+      const void* bytes = p.msg ? p.msg : p.ctrl.data();
+      std::uint32_t len = p.msg ? converse::header_of(p.msg)->size
+                                : static_cast<std::uint32_t>(p.ctrl.size());
+      ugni::gni_ep_handle_t gep =
+          use_msgq_ ? nullptr : connect(ep, owner().peer_of(p.dest_pe));
+      ugni::gni_return_t rc = post_smsg(ep, gep, p.dest_pe, p.tag, bytes, len);
+      if (rc != ugni::GNI_RC_SUCCESS) {  // still stalled
+        ugni::check(rc, "GNI_SmsgSendWTag (backlog)", ugni::GNI_RC_NOT_DONE,
+                    ugni::GNI_RC_ERROR_RESOURCE);
+        if (!faulty) return;
+        ++ep.backlog_attempts;
+        c_retry_smsg_->inc();
+        if (ep.backlog_attempts == retry_.max_retries + 1) {
+          c_retry_escalations_->inc();
+          UGNIRT_WARN("nic " << ep.nic->inst_id()
+                             << ": smsg backlog still stalled after "
+                             << retry_.max_retries
+                             << " retries; continuing at capped backoff");
+        }
+        // After sustained starvation, stop competing for SMSG credits:
+        // demote the stalled data message to the credit-free rendezvous
+        // path (large-message protocol, any size).
+        if (ep.backlog_attempts >= retry_.demote_after &&
+            demote_front_to_rendezvous(ctx, ep)) {
+          ep.backlog_attempts = 0;
+          continue;
+        }
+        const SimTime pause = retry_.backoff_for(ep.backlog_attempts);
+        if (trace::enabled()) {
+          trace::emit(trace::Ev::kRetryBackoff, ctx.now(), pause, p.dest_pe,
+                      static_cast<std::uint32_t>(ep.backlog_attempts));
+        }
+        ep.backlog_retry_at = ctx.now() + pause;
+        owner().wake(ep, ep.backlog_retry_at);
+        return;
+      }
+      ep.backlog_attempts = 0;
+      c_smsg_sends_->inc();
+      if (p.msg) {
+        if (trace::spans_enabled()) {
+          mark_msg_spans(p.msg, trace::Stage::kTransportPost,
+                         owner().home_pe(ep), ctx.now());
+        }
+        free_buf(ctx, p.msg);
+      }
+      ep.backlog.pop_front();
+    }
+  }
+
+  /// Convert the backlog's front kTagData entry to a rendezvous INIT
+  /// (credit-free path) after sustained SMSG starvation.
+  bool demote_front_to_rendezvous(sim::Context& ctx, Endpoint& ep) {
+    Endpoint::Pending& p = ep.backlog.front();
+    // Only whole data messages can demote; control messages ARE the
+    // rendezvous protocol and must stay on the SMSG path.
+    if (!p.msg || p.tag != kTagData) return false;
+    void* msg = p.msg;
+    const int dest_pe = p.dest_pe;
+    const std::uint32_t size = converse::header_of(msg)->size;
+    ep.backlog.pop_front();
+    c_fallback_rendezvous_->inc();
+    if (trace::enabled()) {
+      trace::emit(trace::Ev::kFallback, ctx.now(), 0, dest_pe, size);
+    }
+    UGNIRT_TRACELOG("smsg starvation: demoting " << size << " B -> pe "
+                                                 << dest_pe
+                                                 << " to rendezvous");
+    begin_rendezvous(ctx, ep, dest_pe, size, msg);
+    return true;
+  }
+
+  /// Start the rendezvous protocol for `msg` (register or pool-resolve,
+  /// then send/queue the INIT control message).
+  void begin_rendezvous(sim::Context& ctx, Endpoint& ep, int dest_pe,
+                        std::uint32_t size, void* msg) {
+    Endpoint::LargeSend ls;
+    ls.msg = msg;
+    if (ep.pool && mempool::MemPool::owner_of(msg) == ep.pool.get()) {
+      ls.hndl = ep.pool->handle_of(msg);
+    } else {
+      // Heap buffer (no pool, or a heap-fallback allocation): register it.
+      register_buf(ctx, ep, msg, size, &ls.hndl);
+      ls.registered = true;
+      c_registrations_->inc();
+    }
+    std::uint64_t id = ep.next_send_id++;
+    ep.sends.emplace(id, ls);
+    if (trace::enabled()) {
+      trace::emit(trace::Ev::kRdvInit, ctx.now(), 0, dest_pe, size);
+    }
+
+    InitCtrl<typename Owner::Route> ctrl;
+    ctrl.send_id = id;
+    ctrl.addr = reinterpret_cast<std::uint64_t>(msg);
+    ctrl.hndl = ls.hndl;
+    ctrl.size = size;
+    ctrl.route = owner().route_to(ep, dest_pe, msg);
+    smsg_send(ctx, ep, dest_pe, kTagInit, &ctrl, sizeof(ctrl), nullptr);
+  }
+
+  /// Post the (fully prepared) rendezvous GET of one LargeRecv: endpoint
+  /// lookup, descriptor post with retry, counters and trace.
+  void issue_rendezvous_get(sim::Context& ctx, Endpoint& ep,
+                            std::uint64_t rid) {
+    Endpoint::LargeRecv& lr = ep.recvs.at(rid);
+    const int src_peer = owner().peer_of(lr.reply_pe);
+    ugni::gni_ep_handle_t back = connect(ep, src_peer);
+    detail::post_with_retry(ctx, retry_, back, lr.desc.get(),
+                            lr.desc->type == ugni::GNI_POST_RDMA_GET,
+                            {c_retry_post_, c_retry_escalations_});
+    c_rendezvous_gets_->inc();
+    if (trace::enabled()) {
+      trace::emit(trace::Ev::kRdvGet, ctx.now(), 0, src_peer,
+                  static_cast<std::uint32_t>(lr.desc->length));
+    }
+    if (trace::spans_enabled() && lr.span != 0) {
+      trace::span_mark(lr.span, trace::Stage::kTransportPost, lr.dest_pe,
+                       ctx.now());
+    }
+  }
+
+  /// Re-try governor admission for GETs deferred under hotspot load.
+  void drain_deferred_gets(sim::Context& ctx, Endpoint& ep) {
+    if (ep.deferred_gets.empty()) return;
+    // The span gate is run-constant; test it once per batch of re-admitted
+    // GETs rather than per item.
+    const bool spans = trace::spans_enabled();
+    const int inst = ep.nic->inst_id();
+    // Tenancy QoS weighted admission: bulk/scavenger jobs re-admit at most
+    // `quota` deferred GETs per drain pass (0 = stock unbounded drain), so
+    // a storm's backlog trickles out instead of bursting the moment the
+    // window opens.
+    const std::uint32_t quota = governor_->drain_quota(inst);
+    std::uint32_t admitted = 0;
+    while (!ep.deferred_gets.empty()) {
+      if (quota != 0 && admitted >= quota) return;
+      // would_admit first: drain retries must not inflate the stall count
+      // (each deferral already recorded its kInjectionStall at INIT time).
+      if (!governor_->would_admit(inst)) return;
+      const std::uint64_t rid = ep.deferred_gets.front();
+      ep.deferred_gets.pop_front();
+      Endpoint::LargeRecv& lr = ep.recvs.at(rid);
+      governor_->try_acquire(inst, lr.reply_pe,
+                             static_cast<std::uint32_t>(lr.desc->length),
+                             ctx.now());
+      if (spans && lr.span != 0) {
+        trace::span_mark(lr.span, trace::Stage::kGovAdmit, lr.dest_pe,
+                         ctx.now());
+      }
+      issue_rendezvous_get(ctx, ep, rid);
+      ++admitted;
+    }
+  }
+
+  void handle_smsg(sim::Context& ctx, Endpoint& ep, int src_inst) {
+    ugni::gni_ep_handle_t gep;
+    if (src_inst == ep.last_peer) {
+      gep = ep.last_ep;  // burst from one peer: skip the per-event probe
+    } else {
+      gep = ep.nic->ep_for_peer(src_inst);
+      if (gep) {
+        ep.last_peer = src_inst;
+        ep.last_ep = gep;
+      }
+    }
+    void* data = nullptr;
+    std::uint8_t tag = 0;
+    SimTime arrival = ctx.now();
+    ugni::gni_return_t rc =
+        ugni::GNI_SmsgGetNextWTag(gep, &data, &tag, &arrival);
+    if (rc != ugni::GNI_RC_SUCCESS) return;
+    handle_protocol_msg(ctx, ep, tag, data, src_inst, arrival);
+    ugni::GNI_SmsgRelease(gep);
+  }
+
+  /// Protocol demux for small messages arriving via SMSG or MSGQ.
+  /// `arrival` is the virtual wire-arrival instant of the control/data
+  /// bytes (== ctx.now() for paths that cannot observe it earlier).
+  void handle_protocol_msg(sim::Context& ctx, Endpoint& ep, std::uint8_t tag,
+                           const void* data, int src_inst, SimTime arrival) {
+    switch (tag) {
+      case kTagData:
+        on_tag_data(ctx, ep, data, arrival);
+        return;
+      case kTagInit:
+        on_tag_init(ctx, ep, data, src_inst, arrival);
+        return;
+      case kTagAck:
+        on_tag_ack(ctx, ep, data);
+        return;
+      case kTagPersistData:
+        on_tag_persist(ctx, ep, data, arrival);
+        return;
+      default:
+        assert(false && "unknown SMSG tag");
+    }
+  }
+
+  void on_tag_data(sim::Context& ctx, Endpoint& ep, const void* data,
+                   SimTime arrival) {
+    int dest_pe = owner().home_pe(ep);
+    if constexpr (Owner::kDataPrefix != 0) {
+      std::int32_t routed = 0;
+      std::memcpy(&routed, data, sizeof(routed));
+      dest_pe = routed;
+      data = static_cast<const std::uint8_t*>(data) + Owner::kDataPrefix;
+    }
+    // Copy out of the mailbox/queue slot into a runtime buffer.
+    const std::uint32_t size = converse::header_of(data)->size;
+    if (trace::spans_enabled()) {
+      // rx_arrive at the wire-arrival instant, cq_complete now: the gap
+      // is how long the event waited for its endpoint to poll the CQ.
+      mark_msg_spans(data, trace::Stage::kRxArrive, dest_pe, arrival);
+      if constexpr (!Owner::kDeliverStampsCq) {
+        mark_msg_spans(data, trace::Stage::kCqComplete, dest_pe, ctx.now());
+      }
+    }
+    void* buf = alloc_buf(ctx, ep, size);
+    ctx.charge(machine_->options().mc.memcpy_cost(size));
+    std::memcpy(buf, data, size);
+    owner().deliver(ep, dest_pe, buf, ctx.now());
+  }
+
+  void on_tag_init(sim::Context& ctx, Endpoint& ep, const void* data,
+                   int src_inst, SimTime arrival) {
+    const auto& mc = machine_->options().mc;
+    InitCtrl<typename Owner::Route> ctrl;
+    std::memcpy(&ctrl, data, sizeof(ctrl));
+    const RdvTarget to = owner().target_of(ep, ctrl.route, src_inst);
+    if (trace::spans_enabled() && to.span != 0) {
+      trace::span_mark(to.span, trace::Stage::kRxArrive, to.dest_pe, arrival);
+    }
+
+    Endpoint::LargeRecv lr;
+    lr.send_id = ctrl.send_id;
+    lr.reply_pe = to.reply_pe;
+    lr.dest_pe = to.dest_pe;
+    lr.span = to.span;
+    const Landing l = landing(ctx, ep, ctrl.size, to.reply_pe);
+    lr.buf = l.buf;
+    lr.local_hndl = l.hndl;
+    lr.registered = l.registered;
+    if (l.registered) c_registrations_->inc();
+    lr.desc = std::make_unique<ugni::gni_post_descriptor_t>();
+    // A hot NIC switches to the offloaded BTE engine earlier, freeing the
+    // CPU to drain completions (stock threshold when flow is off).
+    const std::uint32_t rdma_thr =
+        governor_ ? governor_->rdma_threshold(mc.rdma_threshold, ep.nic->node())
+                  : mc.rdma_threshold;
+    lr.desc->type = ctrl.size < rdma_thr ? ugni::GNI_POST_FMA_GET
+                                         : ugni::GNI_POST_RDMA_GET;
+    lr.desc->local_addr = reinterpret_cast<std::uint64_t>(lr.buf);
+    lr.desc->local_mem_hndl = lr.local_hndl;
+    lr.desc->remote_addr = ctrl.addr;
+    lr.desc->remote_mem_hndl = ctrl.hndl;
+    lr.desc->length = ctrl.size;
+    std::uint64_t rid = ep.next_recv_id++;
+    lr.desc->post_id = rid;
+    ep.recvs.emplace(rid, std::move(lr));
+
+    // AIMD admission: a full window defers the GET (the sender's buffer
+    // stays pinned behind the INIT/ACK protocol, so deferral is safe);
+    // drain_deferred_gets re-admits as completions free slots.
+    if (governor_ && !governor_->try_acquire(ep.nic->inst_id(), to.reply_pe,
+                                             ctrl.size, ctx.now())) {
+      if (trace::spans_enabled() && to.span != 0) {
+        trace::span_mark(to.span, trace::Stage::kGovDefer, to.dest_pe,
+                         ctx.now());
+      }
+      ep.deferred_gets.push_back(rid);
+      return;
+    }
+    if (governor_ && trace::spans_enabled() && to.span != 0) {
+      trace::span_mark(to.span, trace::Stage::kGovAdmit, to.dest_pe, ctx.now());
+    }
+    issue_rendezvous_get(ctx, ep, rid);
+  }
+
+  void on_tag_ack(sim::Context& ctx, Endpoint& ep, const void* data) {
+    AckCtrl ack;
+    std::memcpy(&ack, data, sizeof(ack));
+    auto it = ep.sends.find(ack.send_id);
+    assert(it != ep.sends.end());
+    Endpoint::LargeSend& ls = it->second;
+    if (ls.registered) {
+      ugni::GNI_MemDeregister(ep.nic, &ls.hndl);
+    }
+    free_buf(ctx, ls.msg);
+    ep.sends.erase(it);
+  }
+
+  void on_tag_persist(sim::Context& ctx, Endpoint& ep, const void* data,
+                      SimTime arrival) {
+    PersistCtrl pc;
+    std::memcpy(&pc, data, sizeof(pc));
+    Endpoint::PersistRx& rx =
+        ep.persist_rx.at(static_cast<std::size_t>(pc.channel));
+    // Deliver the landing buffer in place: zero copy, runtime-owned.
+    const int pe = owner().home_pe(ep);
+    converse::CmiMsgHeader* h = converse::header_of(rx.buf);
+    h->flags |= converse::kMsgFlagNoFree;
+    if (trace::spans_enabled() && h->span_id != 0) {
+      // The PUT copied the whole envelope into the landing buffer, so the
+      // sampled span id arrived with the data.
+      trace::span_mark(h->span_id, trace::Stage::kRxArrive, pe, arrival);
+    }
+    owner().deliver(ep, pe, rx.buf, ctx.now());
+  }
+
+  void handle_completion(sim::Context& ctx, Endpoint& ep,
+                         const ugni::gni_cq_entry_t& ev) {
+    ugni::gni_post_descriptor_t* desc = nullptr;
+    ugni::check(ugni::GNI_GetCompleted(ep.tx_cq, ev, &desc),
+                "GNI_GetCompleted");
+
+    if (auto it = ep.recvs.find(desc->post_id); it != ep.recvs.end()) {
+      // Our GET finished: ACK the sender, deliver the message (Fig 5).
+      if (governor_) {
+        governor_->on_complete(ep.nic->inst_id(), ep.nic->node(), ctx.now());
+      }
+      Endpoint::LargeRecv& lr = it->second;
+      if constexpr (!Owner::kDeliverStampsCq) {
+        if (trace::spans_enabled() && lr.span != 0) {
+          trace::span_mark(lr.span, trace::Stage::kCqComplete, lr.dest_pe,
+                           ctx.now());
+        }
+      }
+      AckCtrl ack{lr.send_id};
+      if (trace::enabled()) {
+        trace::emit(trace::Ev::kRdvAck, ctx.now(), 0,
+                    owner().peer_of(lr.reply_pe),
+                    static_cast<std::uint32_t>(desc->length));
+      }
+      smsg_send(ctx, ep, lr.reply_pe, kTagAck, &ack, sizeof(ack), nullptr);
+      if (lr.registered) {
+        ugni::GNI_MemDeregister(ep.nic, &lr.local_hndl);
+      }
+      owner().deliver(ep, lr.dest_pe, lr.buf, ctx.now());
+      ep.recvs.erase(it);
+      return;
+    }
+    if (auto it = ep.persist_sends.find(desc->post_id);
+        it != ep.persist_sends.end()) {
+      // Persistent PUT landed: notify the receiver, release our buffer
+      // (unless the application owns and reuses it, Fig 7a).
+      if (governor_) {
+        governor_->on_complete(ep.nic->inst_id(), ep.nic->node(), ctx.now());
+      }
+      Endpoint::PersistSend& ps = it->second;
+      if (trace::spans_enabled()) {
+        mark_msg_spans(ps.msg, trace::Stage::kCqComplete, owner().home_pe(ep),
+                       ctx.now());
+      }
+      Endpoint::PersistTx& tx =
+          ep.persist_tx.at(static_cast<std::size_t>(ps.tx_index));
+      PersistCtrl pc;
+      pc.channel = tx.remote_channel;
+      pc.size = ps.size;
+      pc.src_pe = owner().home_pe(ep);
+      smsg_send(ctx, ep, tx.dest_pe, kTagPersistData, &pc, sizeof(pc),
+                nullptr);
+      if (!ps.app_owned) {
+        converse::header_of(ps.msg)->flags &=
+            static_cast<std::uint16_t>(~converse::kMsgFlagNoFree);
+        free_buf(ctx, ps.msg);
+      }
+      ep.persist_sends.erase(it);
+      return;
+    }
+    assert(false && "completion for unknown descriptor");
+  }
+};
+
+}  // namespace ugnirt::lrts

@@ -336,9 +336,9 @@ fault::FaultPlan base_plan() {
   return p;
 }
 
-// The full fault matrix reruns with aggregation enabled: batches are
-// ordinary messages, so retry/backoff/demotion must deliver every
-// coalesced payload exactly once under every fault class.
+// The full fault matrix reruns with aggregation enabled, in both uGNI
+// modes: batches are ordinary messages, so retry/backoff/demotion must
+// deliver every coalesced payload exactly once under every fault class.
 TEST(AggFault, MatrixZeroLossWithAggregationEnabled) {
   struct Case {
     const char* label;
@@ -383,20 +383,25 @@ TEST(AggFault, MatrixZeroLossWithAggregationEnabled) {
     c.plan.link_blackout_ns = 100000;
     cases.push_back(c);
   }
-  for (const Case& fc : cases) {
-    auto o = agg_options(8);
-    o.pes_per_node = 2;
-    o.fault = fc.plan;
-    auto m = lrts::make_machine(LayerKind::kUgni, o);
-    constexpr int kK = 2, kMsgs = 6;
-    // 64-byte payloads: well under the threshold, so the faulted wire
-    // carries aggregation batches, not singles.
-    auto received = run_kneighbor(*m, kK, kMsgs, 64);
-    for (int pe = 0; pe < 8; ++pe) {
-      EXPECT_EQ(received[static_cast<std::size_t>(pe)], 2 * kK * kMsgs)
-          << fc.label << " pe " << pe;
+  for (bool smp : {false, true}) {
+    SCOPED_TRACE(smp ? "SMP" : "uGNI");
+    for (const Case& fc : cases) {
+      auto o = agg_options(8);
+      o.pes_per_node = 2;
+      o.smp_mode = smp;
+      o.fault = fc.plan;
+      auto m = lrts::make_machine(LayerKind::kUgni, o);
+      constexpr int kK = 2, kMsgs = 6;
+      // 64-byte payloads: well under the threshold, so the faulted wire
+      // carries aggregation batches, not singles.
+      auto received = run_kneighbor(*m, kK, kMsgs, 64);
+      for (int pe = 0; pe < 8; ++pe) {
+        EXPECT_EQ(received[static_cast<std::size_t>(pe)], 2 * kK * kMsgs)
+            << fc.label << " pe " << pe;
+      }
+      EXPECT_GT(m->metrics().counter("agg.batched").value(), 0u)
+          << fc.label;
     }
-    EXPECT_GT(m->metrics().counter("agg.batched").value(), 0u) << fc.label;
   }
 }
 

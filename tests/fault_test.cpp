@@ -2,9 +2,10 @@
 // retry/backoff).  Each fault class the injector can force — transient
 // post errors, registration failures, SMSG send errors, CQ overruns,
 // credit-starvation windows, link degradation and blackouts — is swept
-// through ping-pong and k-neighbor traffic on the uGNI layer (plus SMP and
-// MPI spot checks), asserting the one property the runtime guarantees:
-// every message is delivered exactly once, no matter what the fabric does.
+// through ping-pong and k-neighbor traffic on the uGNI layer in both modes
+// (per-PE and SMP; plus SMP and MPI spot checks), asserting the one
+// property the runtime guarantees: every message is delivered exactly
+// once, no matter what the fabric does.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -206,15 +207,21 @@ std::vector<FaultCase> fault_matrix() {
   return cases;
 }
 
-class FaultMatrixUgni : public ::testing::TestWithParam<std::size_t> {};
+// Both uGNI modes run the same protocol core, so both face the full
+// matrix: the per-PE layer (FaultMatrixUgni) and the SMP comm-thread layer
+// (FaultMatrixSmp).
 
-TEST_P(FaultMatrixUgni, PingPongDeliversEveryLeg) {
+void fault_pingpong(bool smp, std::size_t cell) {
   // A copy: fault_matrix() returns a temporary vector.
-  const FaultCase fc = fault_matrix()[GetParam()];
+  const FaultCase fc = fault_matrix()[cell];
   MachineOptions o;
-  o.pes = 2;
-  o.pes_per_node = 1;  // inter-node so the NIC paths are exercised
+  // An inter-node pair so the NIC paths are exercised: one PE per node, or
+  // in SMP mode two workers per node and PE 0 <-> PE 2.
+  o.pes = smp ? 4 : 2;
+  o.pes_per_node = smp ? 2 : 1;
+  o.smp_mode = smp;
   o.fault = fc.plan;
+  const int peer = smp ? 2 : 1;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   // Small (eager SMSG) and large (rendezvous GET) legs under fault fire.
   for (std::uint32_t payload : {64u, 32768u}) {
@@ -227,24 +234,24 @@ TEST_P(FaultMatrixUgni, PingPongDeliversEveryLeg) {
       if (++legs >= kLegs) return;
       void* next = CmiAlloc(total);
       CmiSetHandler(next, h);
-      CmiSyncSendAndFree(1 - CmiMyPe(), total, next);
+      CmiSyncSendAndFree(CmiMyPe() == 0 ? peer : 0, total, next);
     });
     m->start(0, [&, h] {
       void* msg = CmiAlloc(total);
       CmiSetHandler(msg, h);
-      CmiSyncSendAndFree(1, total, msg);
+      CmiSyncSendAndFree(peer, total, msg);
     });
     m->run();
     EXPECT_EQ(legs, kLegs) << fc.label << " payload " << payload;
   }
 }
 
-TEST_P(FaultMatrixUgni, KNeighborZeroLossZeroDuplication) {
-  // A copy: fault_matrix() returns a temporary vector.
-  const FaultCase fc = fault_matrix()[GetParam()];
+void fault_kneighbor(bool smp, std::size_t cell) {
+  const FaultCase fc = fault_matrix()[cell];
   MachineOptions o;
   o.pes = 8;
   o.pes_per_node = 2;
+  o.smp_mode = smp;
   o.fault = fc.plan;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   constexpr int kK = 2, kMsgs = 6;
@@ -256,12 +263,34 @@ TEST_P(FaultMatrixUgni, KNeighborZeroLossZeroDuplication) {
   }
 }
 
+std::string fault_cell_name(const ::testing::TestParamInfo<std::size_t>& i) {
+  return fault_matrix()[i.param].label;
+}
+
+class FaultMatrixUgni : public ::testing::TestWithParam<std::size_t> {};
+class FaultMatrixSmp : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FaultMatrixUgni, PingPongDeliversEveryLeg) {
+  fault_pingpong(false, GetParam());
+}
+TEST_P(FaultMatrixUgni, KNeighborZeroLossZeroDuplication) {
+  fault_kneighbor(false, GetParam());
+}
+TEST_P(FaultMatrixSmp, PingPongDeliversEveryLeg) {
+  fault_pingpong(true, GetParam());
+}
+TEST_P(FaultMatrixSmp, KNeighborZeroLossZeroDuplication) {
+  fault_kneighbor(true, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllClasses, FaultMatrixUgni,
                          ::testing::Range<std::size_t>(0,
                                                        fault_matrix().size()),
-                         [](const auto& info) {
-                           return fault_matrix()[info.param].label;
-                         });
+                         fault_cell_name);
+INSTANTIATE_TEST_SUITE_P(AllClasses, FaultMatrixSmp,
+                         ::testing::Range<std::size_t>(0,
+                                                       fault_matrix().size()),
+                         fault_cell_name);
 
 TEST(FaultSmp, KNeighborSurvivesCombinedFaults) {
   MachineOptions o;
@@ -376,21 +405,25 @@ TEST(CqOverrun, MachineRecoversAndCountsOverruns) {
 // -------------------------------------------------------------- demotion ----
 
 TEST(Demotion, CreditStarvationFallsBackToRendezvous) {
-  MachineOptions o;
-  o.pes = 2;
-  o.pes_per_node = 1;
-  o.fault = base_plan();
-  o.fault.p_smsg_starve = 0.5;
-  o.fault.smsg_starve_ns = 200000;  // long windows: backoff alone can't win
-  auto m = lrts::make_machine(LayerKind::kUgni, o);
-  auto received = run_kneighbor(*m, 1, 40, 128);
-  EXPECT_EQ(received[0], 80);
-  EXPECT_EQ(received[1], 80);
-  m->collect_metrics();
-  // Retries happened and at least one starved send was demoted to the
-  // credit-free rendezvous path.
-  EXPECT_GT(m->metrics().counter("retry_smsg").value(), 0u);
-  EXPECT_GT(m->metrics().counter("fallback_rendezvous").value(), 0u);
+  for (bool smp : {false, true}) {
+    SCOPED_TRACE(smp ? "SMP" : "uGNI");
+    MachineOptions o;
+    o.pes = 2;
+    o.pes_per_node = 1;
+    o.smp_mode = smp;
+    o.fault = base_plan();
+    o.fault.p_smsg_starve = 0.5;
+    o.fault.smsg_starve_ns = 200000;  // long windows: backoff can't win
+    auto m = lrts::make_machine(LayerKind::kUgni, o);
+    auto received = run_kneighbor(*m, 1, 40, 128);
+    EXPECT_EQ(received[0], 80);
+    EXPECT_EQ(received[1], 80);
+    m->collect_metrics();
+    // Retries happened and at least one starved send was demoted to the
+    // credit-free rendezvous path.
+    EXPECT_GT(m->metrics().counter("retry_smsg").value(), 0u);
+    EXPECT_GT(m->metrics().counter("fallback_rendezvous").value(), 0u);
+  }
 }
 
 // ----------------------------------------------------------- determinism ----

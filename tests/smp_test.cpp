@@ -56,10 +56,9 @@ TEST(SmpLayer, DeliversIntraAndInterNodeIntact) {
   });
   m->run();
   EXPECT_EQ(got, 28);
-  auto* layer = dynamic_cast<lrts::SmpLayer*>(&m->layer());
-  ASSERT_NE(layer, nullptr);
-  EXPECT_GT(layer->stats().intra_node_ptr_msgs, 0u);
-  EXPECT_GT(layer->stats().comm_thread_sends, 0u);
+  ASSERT_NE(dynamic_cast<lrts::SmpLayer*>(&m->layer()), nullptr);
+  EXPECT_GT(m->metrics().counter("smp.intra_node_ptr_msgs").value(), 0u);
+  EXPECT_GT(m->metrics().counter("smp.comm_thread_sends").value(), 0u);
 }
 
 TEST(SmpLayer, IntraNodeLatencyBeatsPxshm) {
@@ -223,6 +222,52 @@ TEST(SmpLayer, DeterministicRuns) {
   };
   EXPECT_EQ(run(), run());
 }
+
+// Regression: the SMP layer registered heap rendezvous buffers on both
+// sides and never deregistered them.  Without the pool every rendezvous
+// buffer is a heap registration; once the exchange is done, both layers
+// must be back at the registrations they started with.
+class RendezvousRegistrations : public ::testing::TestWithParam<bool> {};
+
+TEST_P(RendezvousRegistrations, HeapBuffersDeregisterAfterExchange) {
+  MachineOptions o;
+  o.pes = 4;
+  o.pes_per_node = 2;  // PE 0 -> PE 2 crosses nodes in both modes
+  o.smp_mode = GetParam();
+  o.use_mempool = false;
+  auto m = lrts::make_machine(LayerKind::kUgni, o);
+  auto gauge = [&m](const char* name) {
+    m->collect_metrics();
+    return m->metrics().gauge(name).value();
+  };
+  const double regions0 = gauge("ugni.active_regions");
+  const double bytes0 = gauge("ugni.registered_bytes");
+
+  constexpr int kSends = 10;
+  const std::uint32_t total = kCmiHeaderBytes + 32 * 1024;  // rendezvous
+  int got = 0;
+  int h = m->register_handler([&](void* msg) {
+    ++got;
+    CmiFree(msg);
+  });
+  m->start(0, [&, h] {
+    for (int i = 0; i < kSends; ++i) {
+      void* msg = CmiAlloc(total);
+      CmiSetHandler(msg, h);
+      CmiSyncSendAndFree(2, total, msg);
+    }
+  });
+  m->run();
+  ASSERT_EQ(got, kSends);
+  EXPECT_GT(m->metrics().counter("ugni.rendezvous_gets").value(), 0u);
+  EXPECT_EQ(gauge("ugni.active_regions"), regions0);
+  EXPECT_EQ(gauge("ugni.registered_bytes"), bytes0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, RendezvousRegistrations, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "SMP" : "uGNI";
+                         });
 
 }  // namespace
 }  // namespace ugnirt
