@@ -11,7 +11,7 @@
 //                     ping-pong)
 //   BENCH_scale.json  one metrics object per sweep point (virtual elapsed,
 //                     msgs/sec, simulator events/sec, SMSG mailbox
-//                     bytes/PE)
+//                     bytes/PE, peak payload host bytes/PE)
 //
 // Every metric carries a "better" direction ("lower" / "higher" / "info");
 // the comparator gates on the first two and reports the rest.  Virtual-time
@@ -194,7 +194,8 @@ std::vector<Metric> run_core() {
 ///              k=2 neighbors on both sides (4 destinations)
 ///
 /// Direct machine build so the point can report simulator events/sec and
-/// the layer's mailbox bytes/PE (the full-machine memory curve).
+/// the layer's mailbox and payload host bytes/PE (the full-machine memory
+/// curves).
 std::vector<Metric> run_scale_point(int pes, const std::string& pattern) {
   constexpr int kBurst = 4;
   constexpr std::uint32_t kBytes = 1024;
@@ -231,6 +232,11 @@ std::vector<Metric> run_scale_point(int pes, const std::string& pattern) {
   auto* layer = dynamic_cast<lrts::UgniLayer*>(&m->layer());
   const double mailbox_per_pe =
       layer ? static_cast<double>(layer->total_mailbox_bytes()) / pes : 0;
+  // Payload bytes the layer's HostArena held at its peak: deterministic,
+  // unlike RSS, so it is gated exactly.
+  m->collect_metrics();
+  const double host_peak_per_pe =
+      m->metrics().gauge("mempool.host_bytes_peak").value() / pes;
 
   std::vector<Metric> ms;
   ms.push_back({"elapsed_ns", elapsed_ns, "ns", "lower"});
@@ -240,6 +246,7 @@ std::vector<Metric> run_scale_point(int pes, const std::string& pattern) {
                     : 0,
                 "msgs/s", "higher"});
   ms.push_back({"mailbox_bytes_per_pe", mailbox_per_pe, "B", "lower"});
+  ms.push_back({"host_bytes_peak_per_pe", host_peak_per_pe, "B", "lower"});
   ms.push_back({"sim_events", events, "events", "info"});
   ms.push_back({"wall_ms", wall, "ms", "info"});
   ms.push_back({"sim_events_per_wall_sec",

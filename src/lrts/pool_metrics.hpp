@@ -13,9 +13,13 @@ namespace ugnirt::lrts {
 /// Aggregate + publish the "mempool.*" registry entries over any range of
 /// state holders exposing a `pool` member (unique_ptr/raw pointer to a
 /// mempool::MemPool, null when the pool is disabled).  Holders themselves
-/// may be null (PE slots not yet initialized).
+/// may be null (PE slots not yet initialized).  `arena` is the layer's
+/// HostArena behind those pools: its live and peak bytes are the host
+/// bytes of every payload, independent of the system allocator.
 template <typename Range>
-void collect_pool_metrics(trace::MetricsRegistry& reg, const Range& holders) {
+void collect_pool_metrics(trace::MetricsRegistry& reg,
+                          const mempool::HostArena& arena,
+                          const Range& holders) {
   mempool::MemPoolStats pool;
   for (const auto& h : holders) {
     if (!h || !h->pool) continue;
@@ -35,6 +39,9 @@ void collect_pool_metrics(trace::MetricsRegistry& reg, const Range& holders) {
   reg.counter("mempool.bin_lookups").set(pool.bin_lookups);
   reg.gauge("mempool.slab_bytes").set(static_cast<double>(pool.slab_bytes));
   reg.gauge("mempool.outstanding").set(static_cast<double>(pool.outstanding));
+  reg.gauge("mempool.host_bytes").set(static_cast<double>(arena.live_bytes()));
+  reg.gauge("mempool.host_bytes_peak")
+      .set(static_cast<double>(arena.peak_bytes()));
 }
 
 }  // namespace ugnirt::lrts

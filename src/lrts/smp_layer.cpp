@@ -106,7 +106,7 @@ void SmpLayer::init_pe(converse::Pe& pe) {
 
 void SmpLayer::collect_metrics(trace::MetricsRegistry& reg) {
   collect_core_metrics(reg);
-  collect_pool_metrics(reg, nodes_);
+  collect_pool_metrics(reg, arena_, nodes_);
 }
 
 // ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ UgniLayer::~UgniLayer() = default;
 
 void UgniLayer::collect_metrics(trace::MetricsRegistry& reg) {
   collect_core_metrics(reg);
-  collect_pool_metrics(reg, states_);
+  collect_pool_metrics(reg, arena_, states_);
 }
 
 UgniLayer::PeState& UgniLayer::state(converse::Pe& pe) {

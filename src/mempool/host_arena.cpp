@@ -62,6 +62,7 @@ void* HostArena::alloc(std::size_t bytes, std::uint16_t* cls) {
   const std::size_t size = class_bytes(k);
   *cls = k;
   live_bytes_ += size;
+  peak_bytes_ = std::max(peak_bytes_, live_bytes_);
   if (void* p = free_head_[k]) {
     free_head_[k] = *static_cast<void**>(p);
     return p;

@@ -43,6 +43,8 @@ class HostArena {
 
   /// Bytes of blocks handed out and not yet freed.
   std::uint64_t live_bytes() const { return live_bytes_; }
+  /// High-water mark of live_bytes() over the arena's life.
+  std::uint64_t peak_bytes() const { return peak_bytes_; }
 
   static constexpr std::size_t kFineMax = 4096;  // 16-byte steps up to here
   static constexpr unsigned kFineClasses = kFineMax / 16;
@@ -69,6 +71,7 @@ class HostArena {
   std::byte* bump_end_ = nullptr;
   std::array<void*, kClasses> free_head_{};
   std::uint64_t live_bytes_ = 0;
+  std::uint64_t peak_bytes_ = 0;
   std::uint64_t chunk_bytes_ = 0;  // all chunks, touched or not
 };
 
