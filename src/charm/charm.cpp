@@ -15,6 +15,8 @@ using converse::kCmiHeaderBytes;
 using converse::kMsgFlagSystem;
 using converse::Machine;
 using converse::msg_payload;
+using converse::payload_of;
+using converse::read_payload;
 
 namespace {
 
@@ -46,25 +48,25 @@ struct QdReportMsg {
 
 Charm::Charm(converse::Machine& machine) : machine_(&machine) {
   task_handler_ = machine_->register_handler([this](void* msg) {
-    const auto* head = msg_payload<TaskHead>(msg);
-    assert(head->task_id >= 0 &&
-           head->task_id < static_cast<int>(tasks_.size()));
+    const auto head = read_payload<TaskHead>(msg);
+    assert(head.task_id >= 0 &&
+           head.task_id < static_cast<int>(tasks_.size()));
     const void* payload =
-        reinterpret_cast<const std::uint8_t*>(head) + sizeof(TaskHead);
-    tasks_[static_cast<std::size_t>(head->task_id)](payload, head->bytes);
+        static_cast<const std::uint8_t*>(payload_of(msg)) + sizeof(TaskHead);
+    tasks_[static_cast<std::size_t>(head.task_id)](payload, head.bytes);
     CmiFree(msg);
   });
 
   reduction_handler_ = machine_->register_handler([this](void* msg) {
-    const auto* rm = msg_payload<RedMsg>(msg);
-    reduction_arrive(rm->red_id, CmiMyPe(), rm->round, rm->vu, rm->vd);
+    const auto rm = read_payload<RedMsg>(msg);
+    reduction_arrive(rm.red_id, CmiMyPe(), rm.round, rm.vu, rm.vd);
     CmiFree(msg);
   });
 
   qd_wave_handler_ = machine_->register_handler([this](void* msg) {
-    const auto* wm = msg_payload<QdWaveMsg>(msg);
+    const auto wm = read_payload<QdWaveMsg>(msg);
     int pe = CmiMyPe();
-    QdPeRound& s = qd_slot(pe, wm->round);
+    QdPeRound& s = qd_slot(pe, wm.round);
     s.wave_seen = true;
     s.created += machine_->qd_created(pe);
     s.processed += machine_->qd_processed(pe);
@@ -74,12 +76,12 @@ Charm::Charm(converse::Machine& machine) : machine_(&machine) {
   });
 
   qd_report_handler_ = machine_->register_handler([this](void* msg) {
-    const auto* rm = msg_payload<QdReportMsg>(msg);
+    const auto rm = read_payload<QdReportMsg>(msg);
     int pe = CmiMyPe();
-    QdPeRound& s = qd_slot(pe, rm->round);
-    s.created += rm->created;
-    s.processed += rm->processed;
-    s.reports += rm->reports;
+    QdPeRound& s = qd_slot(pe, rm.round);
+    s.created += rm.created;
+    s.processed += rm.processed;
+    s.reports += rm.reports;
     CmiFree(msg);
     qd_try_forward(pe);
   });

@@ -12,6 +12,8 @@ using converse::CmiSetHandler;
 using converse::CmiSyncSendAndFree;
 using converse::kCmiHeaderBytes;
 using converse::msg_payload;
+using converse::payload_of;
+using converse::read_payload;
 
 namespace {
 
@@ -39,18 +41,18 @@ struct SectionMsg {
 Collectives::Collectives(Charm& charm) : charm_(&charm) {
   barrier_release_handler_ =
       charm_->machine().register_handler([this](void* msg) {
-        const auto* bm = msg_payload<BarrierReleaseMsg>(msg);
-        barriers_[static_cast<std::size_t>(bm->barrier_id)].on_release();
+        const auto bm = read_payload<BarrierReleaseMsg>(msg);
+        barriers_[static_cast<std::size_t>(bm.barrier_id)].on_release();
         CmiFree(msg);
       });
 
   gather_handler_ = charm_->machine().register_handler([this](void* msg) {
-    const auto* gm = msg_payload<GatherMsg>(msg);
-    Gather& g = gathers_[static_cast<std::size_t>(gm->gather_id)];
+    const auto gm = read_payload<GatherMsg>(msg);
+    Gather& g = gathers_[static_cast<std::size_t>(gm.gather_id)];
     const auto* bytes =
-        reinterpret_cast<const std::uint8_t*>(gm) + sizeof(GatherMsg);
-    g.blobs[static_cast<std::size_t>(gm->src_pe)].assign(bytes,
-                                                         bytes + gm->len);
+        static_cast<const std::uint8_t*>(payload_of(msg)) + sizeof(GatherMsg);
+    g.blobs[static_cast<std::size_t>(gm.src_pe)].assign(bytes,
+                                                        bytes + gm.len);
     CmiFree(msg);
     if (++g.received == charm_->machine().num_pes()) {
       auto blobs = std::move(g.blobs);
@@ -159,15 +161,15 @@ void Collectives::multicast(int section_id, int handler_id,
 }
 
 void Collectives::section_deliver(void* msg) {
-  const auto* sm = msg_payload<SectionMsg>(msg);
-  const auto& pes = sections_[static_cast<std::size_t>(sm->section_id)];
+  const auto sm = read_payload<SectionMsg>(msg);
+  const auto& pes = sections_[static_cast<std::size_t>(sm.section_id)];
   const void* payload =
-      reinterpret_cast<const std::uint8_t*>(sm) + sizeof(SectionMsg);
+      static_cast<const std::uint8_t*>(payload_of(msg)) + sizeof(SectionMsg);
   const std::uint32_t total = converse::header_of(msg)->size;
 
   // Forward to this member's children in the section tree (fanout 4).
   for (int k = 1; k <= converse::Machine::kTreeFanout; ++k) {
-    int vchild = sm->vrank * converse::Machine::kTreeFanout + k;
+    int vchild = sm.vrank * converse::Machine::kTreeFanout + k;
     if (vchild >= static_cast<int>(pes.size())) break;
     void* copy = CmiAlloc(total);
     std::memcpy(copy, msg, total);
@@ -176,8 +178,8 @@ void Collectives::section_deliver(void* msg) {
     CmiSetHandler(copy, section_handler_);
     CmiSyncSendAndFree(pes[static_cast<std::size_t>(vchild)], total, copy);
   }
-  section_handlers_[static_cast<std::size_t>(sm->handler_id)](payload,
-                                                              sm->len);
+  section_handlers_[static_cast<std::size_t>(sm.handler_id)](payload,
+                                                             sm.len);
   CmiFree(msg);
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 namespace ugnirt::converse {
 
@@ -63,6 +64,17 @@ template <typename T>
 const T* msg_payload(const void* msg) {
   static_assert(std::is_trivially_copyable_v<T>);
   return reinterpret_cast<const T*>(payload_of(msg));
+}
+
+/// A copy of the payload's leading T.  Handlers read their message this
+/// way: a message delivered inside an aggregation batch is only 4-byte
+/// aligned, so a T with wider alignment cannot be read in place.
+template <typename T>
+T read_payload(const void* msg) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  T v;
+  std::memcpy(&v, payload_of(msg), sizeof(T));
+  return v;
 }
 
 }  // namespace ugnirt::converse

@@ -16,7 +16,9 @@
 //     FMA GET (< rdma threshold) or BTE GET (>= threshold).  On GET
 //     completion it sends ACK_TAG, and each side deregisters what it
 //     registered.  Cost without the pool is the paper's Equation 1:
-//     2(Tmalloc+Tregister) + Trdma + 2 Tsmsg.
+//     2(Tmalloc+Tregister) + Trdma + 2 Tsmsg.  A pool source stays a live,
+//     registered model block until ACK_TAG, but its host bytes go back to
+//     the arena as soon as the GET has read them (DESIGN.md §8.2).
 //   * Memory pool (§IV-B, Fig 7b): message buffers come from
 //     pre-registered slabs, removing Tmalloc/Tregister from the path.
 //   * Persistent messages (§IV-A, Fig 7a): the receiver pre-allocates a
@@ -114,11 +116,14 @@ struct UgniEndpoint {
   // lazily by ugni::Nic::get_or_connect) is the single source of truth.
   std::unique_ptr<mempool::MemPool> pool;  // null when use_mempool = false
 
-  // In-flight rendezvous sends: waiting for ACK_TAG.
+  // In-flight rendezvous sends: waiting for ACK_TAG.  A block of this
+  // endpoint's pool is freed by id, because the receiver's GET released
+  // its host bytes; any other buffer was registered for the send and is
+  // deregistered and freed through its header.
   struct LargeSend {
-    void* msg = nullptr;
+    void* msg = nullptr;  // registered buffers only
     ugni::gni_mem_handle_t hndl{};
-    bool registered = false;  // true when we must deregister on ACK
+    std::uint32_t block = 0;  // pool block id when msg is null
   };
   std::unordered_map<std::uint64_t, LargeSend> sends;
   std::uint64_t next_send_id = 1;
@@ -666,13 +671,14 @@ class UgniCore {
   void begin_rendezvous(sim::Context& ctx, Endpoint& ep, int dest_pe,
                         std::uint32_t size, void* msg) {
     Endpoint::LargeSend ls;
-    ls.msg = msg;
     if (ep.pool && mempool::MemPool::owner_of(msg) == ep.pool.get()) {
       ls.hndl = ep.pool->handle_of(msg);
+      ls.block = ep.pool->block_of(msg);
     } else {
-      // Heap buffer (no pool, or a heap-fallback allocation): register it.
+      // Heap buffer (no pool, or a heap-fallback allocation), or another
+      // pool's block (a pxshm single-copy delivery forwarded): register it.
+      ls.msg = msg;
       register_buf(ctx, ep, msg, size, &ls.hndl);
-      ls.registered = true;
       c_registrations_->inc();
     }
     std::uint64_t id = ep.next_send_id++;
@@ -700,6 +706,7 @@ class UgniCore {
     detail::post_with_retry(ctx, retry_, back, lr.desc.get(),
                             lr.desc->type == ugni::GNI_POST_RDMA_GET,
                             {c_retry_post_, c_retry_escalations_});
+    release_source(*lr.desc);
     c_rendezvous_gets_->inc();
     if (trace::enabled()) {
       trace::emit(trace::Ev::kRdvGet, ctx.now(), 0, src_peer,
@@ -708,6 +715,20 @@ class UgniCore {
     if (trace::spans_enabled() && lr.span != 0) {
       trace::span_mark(lr.span, trace::Stage::kTransportPost, lr.dest_pe,
                        ctx.now());
+    }
+  }
+
+  /// The GET has copied its source (the post performs the copy, and no
+  /// retry follows a successful post).  When the source is a pool block
+  /// sent under its own slab handle, its sender frees it by block id on
+  /// ACK_TAG, so its host bytes can go now.  Registered sources (heap
+  /// buffers, another pool's blocks) are freed through their header and
+  /// keep their bytes.
+  static void release_source(const ugni::gni_post_descriptor_t& d) {
+    void* src = reinterpret_cast<void*>(d.remote_addr);
+    mempool::MemPool* owner = mempool::MemPool::owner_of(src);
+    if (owner && owner->handle_of(src) == d.remote_mem_hndl) {
+      owner->release_host(src);
     }
   }
 
@@ -874,10 +895,12 @@ class UgniCore {
     auto it = ep.sends.find(ack.send_id);
     assert(it != ep.sends.end());
     Endpoint::LargeSend& ls = it->second;
-    if (ls.registered) {
+    if (ls.msg) {
       ugni::GNI_MemDeregister(ep.nic, &ls.hndl);
+      free_buf(ctx, ls.msg);
+    } else {
+      ep.pool->free_block(ls.block);
     }
-    free_buf(ctx, ls.msg);
     ep.sends.erase(it);
   }
 

@@ -30,7 +30,7 @@ MemPool::MemPool(HostArena& arena, ugni::gni_nic_handle_t nic,
 
 MemPool::~MemPool() {
   for (const Block& b : blocks_) {
-    if (b.host) release_host(header_of(b.host));
+    if (b.host) detach(header_of(b.host));
   }
   // Slabs deregister with the NIC when a PE context can take the charge;
   // otherwise they only drop this pool as their owner, which leaves the
@@ -130,10 +130,11 @@ void* MemPool::attach(std::uint32_t id, std::size_t bytes) {
   new (raw) Header{this, id, cls, kMagicLive};
   void* p = static_cast<std::uint8_t*>(raw) + kHeaderSize;
   blocks_[id].host = p;
+  blocks_[id].next_free = kLiveBlock;
   return p;
 }
 
-void MemPool::release_host(Header* h) {
+void MemPool::detach(Header* h) {
   blocks_[h->block].host = nullptr;
   h->magic = kMagicFree;
   arena_->free(h, h->host_class);
@@ -173,15 +174,29 @@ void* MemPool::alloc(std::size_t bytes) {
 }
 
 void MemPool::free(void* p) {
+  free_block(block_of(p));
+}
+
+std::uint32_t MemPool::block_of(const void* p) const {
+  const Header* h = header_of(p);
+  assert(h->pool == this && h->magic == kMagicLive &&
+         "MemPool: not a live block of this pool");
+  return h->block;
+}
+
+void MemPool::release_host(void* p) {
+  block_of(p);  // asserts that `p` is live in this pool
+  detach(header_of(p));
+}
+
+void MemPool::free_block(std::uint32_t id) {
   const auto& mc = nic_->domain()->config();
   ctx().charge(mc.mempool_free_ns);
-  Header* h = header_of(p);
-  assert(h->pool == this && h->magic == kMagicLive &&
-         "MemPool::free of invalid/double pointer");
-  Block& b = blocks_[h->block];
+  Block& b = blocks_[id];
+  assert(b.next_free == kLiveBlock && "MemPool::free_block of a free block");
+  if (b.host) detach(header_of(b.host));
   b.next_free = free_head_[b.bin];
-  free_head_[b.bin] = h->block;
-  release_host(h);
+  free_head_[b.bin] = id;
   ++stats_.frees;
   --stats_.outstanding;
 }

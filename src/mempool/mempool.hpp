@@ -22,6 +22,12 @@
 // Every buffer a machine layer hands out, pool or heap, starts 16 bytes
 // after a block header naming its owning pool (nullptr for heap buffers),
 // so freeing routes to the right pool in O(1).
+//
+// A live model block may outlive its host bytes: release_host() hands the
+// bytes back to the arena while the block stays allocated, registered and
+// outstanding, and free_block() later frees it by id.  A rendezvous
+// source is released once the receiver's GET has read it, and freed on
+// ACK_TAG (DESIGN.md §8.2).
 #pragma once
 
 #include <array>
@@ -53,7 +59,7 @@ class MemPool final : public ugni::RegionOwner {
   MemPool(HostArena& arena, ugni::gni_nic_handle_t nic,
           std::uint64_t initial_bytes);
   /// Deregisters the slabs (unbinds them when no PE context is current)
-  /// and returns every still-live block's host bytes to the arena.
+  /// and returns every still-attached block's host bytes to the arena.
   ~MemPool();
 
   MemPool(const MemPool&) = delete;
@@ -69,6 +75,18 @@ class MemPool final : public ugni::RegionOwner {
 
   /// Return a buffer to its size-class free list.  Charges mempool_free_ns.
   void free(void* p);
+
+  /// Model block id of live buffer `p`, for free_block().
+  std::uint32_t block_of(const void* p) const;
+
+  /// Give live buffer `p`'s host bytes back to the arena.  Charges
+  /// nothing.  Its model block stays live (registered and outstanding),
+  /// but `p` is dangling from here on and holds() rejects it.
+  void release_host(void* p);
+
+  /// Free model block `id`: charges and counts exactly what free() does,
+  /// and returns its host bytes if release_host() has not.
+  void free_block(std::uint32_t id);
 
   /// Registered-memory handle of the slab holding `p` (for RDMA
   /// descriptors).
@@ -119,10 +137,11 @@ class MemPool final : public ugni::RegionOwner {
   };
 
   // One model block carved from a slab.  Free blocks of a bin form an
-  // intrusive LIFO list through `next_free`.
+  // intrusive LIFO list through `next_free`; a live block's is kLiveBlock.
   static constexpr std::uint32_t kNoBlock = UINT32_MAX;
+  static constexpr std::uint32_t kLiveBlock = UINT32_MAX - 1;
   struct Block {
-    void* host = nullptr;  // payload while live, nullptr while free
+    void* host = nullptr;  // payload while attached: live and not released
     std::uint32_t next_free = kNoBlock;
     std::uint16_t slab = 0;
     std::uint16_t bin = 0;
@@ -154,8 +173,8 @@ class MemPool final : public ugni::RegionOwner {
   bool add_slab(std::size_t min_bytes);
   /// Give model block `id` host bytes for `bytes` of payload.
   void* attach(std::uint32_t id, std::size_t bytes);
-  /// Return a live block's host bytes to the arena.
-  void release_host(Header* h);
+  /// Return an attached block's host bytes to the arena.
+  void detach(Header* h);
   /// True when `addr` is a live block of this pool; `*out` receives its
   /// header.  Safe for any address.
   bool live_header(std::uintptr_t addr, Header* out) const;

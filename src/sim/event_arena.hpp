@@ -30,17 +30,20 @@
 namespace ugnirt::sim {
 
 /// One scheduled event's identity: callback, liveness, reuse generation.
-/// Exactly 128 bytes (two cache lines) with the 72-byte SmallFn buffer.
+/// 144 bytes: the 112-byte SmallFn (72-byte buffer plus three function
+/// pointers, 16-byte aligned), two words and a flag, padded to 16.
 struct EventRecord {
   SmallFn fn;                       ///< the event callback
   std::uint64_t gen = 0;            ///< bumped on release; stale-handle guard
   EventRecord* next_free = nullptr; ///< intrusive freelist link
   bool alive = false;               ///< flipped false by cancel() or firing
 };
+static_assert(sizeof(EventRecord) == 144,
+              "EventRecord size changed: update the comments that cite it");
 
 class EventArena {
  public:
-  /// Records per slab: 512 x 128 B = 64 KiB — big enough that steady
+  /// Records per slab: 512 x 144 B = 72 KiB — big enough that steady
   /// workloads sit in one or two slabs, small enough that a tiny engine
   /// (unit tests build thousands) stays cheap.
   static constexpr std::size_t kSlabRecords = 512;

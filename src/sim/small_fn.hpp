@@ -36,10 +36,11 @@ namespace ugnirt::sim {
 
 class SmallFn {
  public:
-  /// Inline capture capacity.  72 bytes holds a std::function (32), the
-  /// fattest in-tree lambda (machine start closures: this + Pe* +
-  /// std::function payload = 48), and leaves headroom for a cache-line-
-  /// friendly EventRecord (SmallFn + bookkeeping = 128 bytes).
+  /// Inline capture capacity.  72 bytes holds a std::function (32) and
+  /// the fattest in-tree lambda (machine start closures: this + Pe* +
+  /// std::function payload = 48).  With three function pointers and
+  /// alignment padding a SmallFn is 112 bytes, and an EventRecord 144
+  /// (event_arena.hpp).
   static constexpr std::size_t kInlineBytes = 72;
 
   SmallFn() noexcept = default;

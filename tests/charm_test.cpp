@@ -81,6 +81,29 @@ TEST(CharmReduction, MultipleRoundsStaySeparated) {
   EXPECT_EQ(results[1], 50u);
 }
 
+// Reduction partials and QD reports carry 8-byte fields, but a message
+// delivered inside an aggregated batch is only 4-byte aligned: the
+// handlers must copy them out.  The sanitizer build (UBSan) checks it.
+TEST(CharmReduction, SumAndQuiescenceThroughAggregatedBatches) {
+  MachineOptions o = opts(13);
+  o.aggregation.enable = true;
+  auto m = make_machine(LayerKind::kUgni, o);
+  Charm charm(*m);
+  double result = 0;
+  bool quiet = false;
+  int red = charm.register_reduction_sum_d([&](double v) {
+    result = v;
+    charm.start_quiescence([&] { quiet = true; });
+  });
+  for (int pe = 0; pe < 13; ++pe) {
+    m->start(pe, [&charm, red, pe] { charm.contribute_d(red, 0.25 * pe); });
+  }
+  m->run();
+  EXPECT_DOUBLE_EQ(result, 0.25 * (12 * 13 / 2));
+  EXPECT_TRUE(quiet);
+  EXPECT_GT(m->metrics().counter("agg.batched").value(), 0u);
+}
+
 // ------------------------------------------------------------------- QD ----
 
 TEST(CharmQd, FiresForImmediateQuiet) {

@@ -10,6 +10,7 @@
 #include "charm/charm.hpp"
 #include "lrts/runtime.hpp"
 #include "lrts/ugni_layer.hpp"
+#include "mempool/mempool.hpp"
 
 namespace ugnirt {
 namespace {
@@ -275,6 +276,151 @@ TEST(Integration, TreeHelpersFormAValidTree) {
   EXPECT_EQ(counted, 99);  // every PE except the root has one parent
   EXPECT_EQ(m->tree_parent(0), -1);
 }
+
+// A rendezvous source's host bytes go back to the arena once the GET has
+// read them; its model block stays live and pinned until ACK_TAG.  Both
+// machine layers run the same protocol core, so both are checked.  PE 0
+// and PE 2 sit on different nodes in either mode.
+class RendezvousRelease : public ::testing::TestWithParam<bool> {
+ protected:
+  MachineOptions options() const {
+    MachineOptions o;
+    o.pes = 4;
+    o.pes_per_node = 2;
+    o.smp_mode = GetParam();
+    return o;
+  }
+  static constexpr std::uint32_t kTotal = kCmiHeaderBytes + 32 * 1024;
+
+  static void fill(void* msg) {
+    auto* b = static_cast<std::uint8_t*>(converse::payload_of(msg));
+    for (std::uint32_t i = 0; i < kTotal - kCmiHeaderBytes; ++i) {
+      b[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    }
+  }
+  static bool intact(const void* msg) {
+    const auto* b = static_cast<const std::uint8_t*>(
+        converse::payload_of(const_cast<void*>(msg)));
+    for (std::uint32_t i = 0; i < kTotal - kCmiHeaderBytes; ++i) {
+      if (b[i] != static_cast<std::uint8_t>(i * 7 + 3)) return false;
+    }
+    return true;
+  }
+  /// The pool gauges after the run: nothing live, nothing outstanding.
+  static void expect_clean_teardown(converse::Machine& m) {
+    m.collect_metrics();
+    EXPECT_EQ(m.metrics().gauge("mempool.outstanding").value(), 0.0);
+    EXPECT_EQ(m.metrics().gauge("mempool.host_bytes").value(), 0.0);
+    EXPECT_GT(m.metrics().gauge("mempool.host_bytes_peak").value(), 0.0);
+  }
+};
+
+TEST_P(RendezvousRelease, ReleasedSourceRejectsARepostedGet) {
+  auto m = lrts::make_machine(LayerKind::kUgni, options());
+  void* src = nullptr;
+  mempool::MemPool* src_pool = nullptr;
+  ugni::gni_mem_handle_t src_hndl{};
+  int got = 0;
+  int h = m->register_handler([&](void* msg) {
+    ++got;
+    EXPECT_TRUE(intact(msg));
+    // The GET has completed and the ACK is still on its way: the source
+    // block is outstanding, but its host bytes are gone.
+    EXPECT_EQ(src_pool->stats().outstanding, 1u);
+    EXPECT_FALSE(src_pool->owns(src));
+
+    // Post the completed GET's descriptor again.
+    mempool::MemPool* dst_pool = mempool::MemPool::owner_of(msg);
+    ASSERT_NE(dst_pool, nullptr);
+    ugni::gni_post_descriptor_t d;
+    d.type = ugni::GNI_POST_FMA_GET;
+    d.local_addr = reinterpret_cast<std::uint64_t>(msg);
+    d.local_mem_hndl = dst_pool->handle_of(msg);
+    d.remote_addr = reinterpret_cast<std::uint64_t>(src);
+    d.remote_mem_hndl = src_hndl;
+    d.length = kTotal;
+    ASSERT_TRUE(dst_pool->nic()->handle_valid(d.local_mem_hndl, d.local_addr,
+                                              d.length));
+    ugni::gni_ep_handle_t ep =
+        dst_pool->nic()->ep_for_peer(src_pool->nic()->inst_id());
+    ASSERT_NE(ep, nullptr);
+    EXPECT_EQ(ugni::GNI_PostFma(ep, &d), ugni::GNI_RC_PERMISSION_ERROR);
+    CmiFree(msg);
+  });
+  m->start(0, [&, h] {
+    src = CmiAlloc(kTotal);
+    fill(src);
+    src_pool = mempool::MemPool::owner_of(src);
+    ASSERT_NE(src_pool, nullptr);
+    src_hndl = src_pool->handle_of(src);
+    CmiSetHandler(src, h);
+    CmiSyncSendAndFree(2, kTotal, src);
+  });
+  m->run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(m->metrics().counter("ugni.rendezvous_gets").value(), 1u);
+  expect_clean_teardown(*m);
+}
+
+// PE 1 forwards a message it got from PE 0 on its node.  In uGNI mode
+// the pxshm single-copy delivery hands PE 1 a block of PE 0's pool, which
+// PE 1 must register to send: the GET leaves its bytes alone and the ACK
+// frees it through its header.  In SMP mode the node pool owns it, so it
+// is released like any other own block.
+TEST_P(RendezvousRelease, ForwardedIntraNodeDeliveryKeepsItsAckPath) {
+  MachineOptions o = options();
+  o.use_pxshm = true;
+  o.pxshm_single_copy = true;
+  auto m = lrts::make_machine(LayerKind::kUgni, o);
+  auto gauge = [&m](const char* name) {
+    m->collect_metrics();
+    return m->metrics().gauge(name).value();
+  };
+  const double regions0 = gauge("ugni.active_regions");
+  const std::uint64_t slabs0 =
+      m->metrics().counter("mempool.expansions").value();
+  void* src = nullptr;
+  mempool::MemPool* src_pool = nullptr;
+  int forwarded = 0;
+  int got = 0;
+  int last = m->register_handler([&](void* msg) {
+    ++got;
+    EXPECT_EQ(CmiMyPe(), 2);
+    EXPECT_TRUE(intact(msg));
+    EXPECT_EQ(src_pool->owns(src), !GetParam());
+    CmiFree(msg);
+  });
+  int relay = m->register_handler([&, last](void* msg) {
+    ++forwarded;
+    EXPECT_EQ(CmiMyPe(), 1);
+    EXPECT_EQ(msg, src);  // delivered in place
+    CmiSetHandler(msg, last);
+    CmiSyncSendAndFree(2, kTotal, msg);
+  });
+  m->start(0, [&, relay] {
+    src = CmiAlloc(kTotal);
+    fill(src);
+    src_pool = mempool::MemPool::owner_of(src);
+    CmiSetHandler(src, relay);
+    CmiSyncSendAndFree(1, kTotal, src);
+  });
+  m->run();
+  EXPECT_EQ(forwarded, 1);
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(m->metrics().counter("ugni.rendezvous_gets").value(), 1u);
+  // The relay's registration is gone; only new pool slabs remain.
+  const double regions = gauge("ugni.active_regions");
+  EXPECT_EQ(regions,
+            regions0 + static_cast<double>(
+                           m->metrics().counter("mempool.expansions").value() -
+                           slabs0));
+  expect_clean_teardown(*m);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, RendezvousRelease, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "SMP" : "uGNI";
+                         });
 
 }  // namespace
 }  // namespace ugnirt

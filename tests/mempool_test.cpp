@@ -500,6 +500,67 @@ TEST_F(MemPoolFixture, PoolDestroyedOutsideAContextUnbindsItsSlabs) {
   EXPECT_EQ(arena_.live_bytes(), 0u);
 }
 
+// A rendezvous source gives its host bytes back once the GET has read
+// them; its model block stays live until the ACK frees it by id.
+TEST_F(MemPoolFixture, ReleasedHostKeepsTheModelBlockLiveUntilFreedById) {
+  sim::ScopedContext guard(*ctx_);
+  const std::uint64_t live0 = arena_.live_bytes();
+  auto* p = static_cast<std::uint8_t*>(pool_->alloc(1000));
+  const std::uint64_t held = arena_.live_bytes() - live0;
+  ASSERT_GT(held, 0u);
+  const ugni::gni_mem_handle_t h = pool_->handle_of(p);
+  const auto addr = reinterpret_cast<std::uint64_t>(p);
+  ASSERT_TRUE(nic_->handle_valid(h, addr, 1000));
+  const std::uint32_t id = pool_->block_of(p);
+  const MemPoolStats before = pool_->stats();
+  const std::uint64_t regs = nic_->registered_bytes();
+
+  SimTime t0 = ctx_->now();
+  pool_->release_host(p);
+  EXPECT_EQ(ctx_->now(), t0);  // releasing charges nothing
+  EXPECT_EQ(arena_.live_bytes(), live0);
+  EXPECT_EQ(arena_.peak_bytes(), live0 + held);
+  EXPECT_FALSE(nic_->handle_valid(h, addr, 1000));
+  EXPECT_FALSE(pool_->owns(p));
+  // The model is untouched: still outstanding, still registered.
+  EXPECT_EQ(pool_->stats().outstanding, before.outstanding);
+  EXPECT_EQ(pool_->stats().frees, before.frees);
+  EXPECT_EQ(nic_->registered_bytes(), regs);
+
+  // The freed bytes serve the next request; the released block cannot.
+  void* q = pool_->alloc(1000);
+  EXPECT_EQ(q, p);
+  EXPECT_NE(pool_->block_of(q), id);
+
+  t0 = ctx_->now();
+  pool_->free_block(id);
+  EXPECT_EQ(ctx_->now() - t0, net_->config().mempool_free_ns);
+  EXPECT_EQ(pool_->stats().outstanding, before.outstanding);  // q is live
+  EXPECT_EQ(pool_->stats().frees, before.frees + 1);
+  EXPECT_TRUE(pool_->owns(q));  // q's bytes were not touched
+  pool_->free(q);
+  EXPECT_EQ(arena_.live_bytes(), live0);
+  EXPECT_EQ(pool_->stats().outstanding, 0u);
+}
+
+TEST_F(MemPoolFixture, FreeByIdOfAnAttachedBlockMatchesFree) {
+  sim::ScopedContext guard(*ctx_);
+  void* a = pool_->alloc(300);
+  const std::uint32_t id = pool_->block_of(a);
+  SimTime t0 = ctx_->now();
+  pool_->free_block(id);
+  EXPECT_EQ(ctx_->now() - t0, net_->config().mempool_free_ns);
+  EXPECT_EQ(arena_.live_bytes(), 0u);
+  EXPECT_FALSE(pool_->owns(a));
+  EXPECT_EQ(pool_->stats().outstanding, 0u);
+  // The model block went back to its bin: the next alloc is a hit.
+  const std::uint64_t hits = pool_->stats().freelist_hits;
+  void* b = pool_->alloc(300);
+  EXPECT_EQ(pool_->stats().freelist_hits, hits + 1);
+  EXPECT_EQ(pool_->block_of(b), id);
+  pool_->free(b);
+}
+
 TEST(HostArenaClasses, FineThenBoundedCoarseSteps) {
   EXPECT_EQ(HostArena::class_bytes(HostArena::class_of(1)), 16u);
   EXPECT_EQ(HostArena::class_bytes(HostArena::class_of(1064)), 1072u);
