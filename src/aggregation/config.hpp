@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "util/config.hpp"
 #include "util/units.hpp"
 
 namespace ugnirt::aggregation {
@@ -39,12 +38,16 @@ struct AggregationConfig {
   /// (UGNIRT_AGG_FLUSH_ON_IDLE).
   bool flush_on_idle = true;
 
-  /// Read "agg.*" keys, falling back to the defaults above.
-  static AggregationConfig from(const Config& cfg);
-  /// Write every knob back as "agg.*" (for env-override round trips).
-  void export_to(Config& cfg) const;
-  /// The "agg.*" key list, for Config::apply_env_overrides.
-  static const char* const* config_keys(std::size_t* count);
+  /// Each knob once: key "agg.<name>", env UGNIRT_AGG_<NAME>.
+  static constexpr const char* kConfigPrefix = "agg";
+  template <class V>
+  void fields(V&& v) {
+    v("enable", enable);
+    v("threshold", threshold);
+    v("buffer_bytes", buffer_bytes);
+    v("max_delay_ns", max_delay_ns);
+    v("flush_on_idle", flush_on_idle);
+  }
 };
 
 }  // namespace ugnirt::aggregation

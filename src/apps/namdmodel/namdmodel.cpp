@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -321,10 +319,6 @@ void Model::controller_step_done(int count) {
   dones += count;
   if (dones < npatch) return;
   dones = 0;
-  if (getenv("UGNIRT_NAMDDBG")) {
-    fprintf(stderr, "STEP %d done at %.3f ms\n", step,
-            to_ms(machine->current_pe().ctx().now()));
-  }
 
   const int total_steps = cfg.warmup_steps + cfg.steps;
   sim::Context& ctx = machine->current_pe().ctx();
@@ -532,18 +526,7 @@ NamdResult run_namd_model(const converse::MachineOptions& options,
   result.computes = model.ncomp;
   result.pme_objects = model.npme;
   result.messages = machine->stats().msgs_sent;
-  if (getenv("UGNIRT_NAMDDBG")) {
-    const auto& ns = machine->network().stats();
-    fprintf(stderr,
-            "net: transfers=%llu smsgB=%.1fMB fmaB=%.1fMB bteB=%.1fMB conflicts=%llu\n",
-            (unsigned long long)ns.transfers, ns.bytes_smsg / 1e6,
-            ns.bytes_fma / 1e6, ns.bytes_bte / 1e6,
-            (unsigned long long)ns.link_conflicts);
-    fprintf(stderr, "steps=%llu execs=%llu sent=%llu\n",
-            (unsigned long long)machine->stats().steps,
-            (unsigned long long)machine->stats().msgs_executed,
-            (unsigned long long)machine->stats().msgs_sent);
-  }
+
   if (tracer) tracer->finalize(model.measure_end);
   SimTime elapsed = model.measure_end - model.measure_start;
   result.ms_per_step =

@@ -73,8 +73,6 @@ struct MsgView {
 /// Per-send knobs for the unified submit() path.  Default-constructed
 /// SendOptions reproduce the classic CmiSyncSendAndFree behavior.
 struct SendOptions {
-  /// Reserved for priority-aware scheduling; today all traffic is FIFO.
-  int priority = 0;
   /// Allow the aggregation layer to coalesce this message (only messages
   /// under agg.threshold are affected; see aggregation/aggregation.hpp).
   bool allow_aggregation = true;
@@ -162,7 +160,6 @@ class Pe {
   /// and backlog retries).
   void wake(SimTime t);
 
-  std::size_t queue_depth() const { return sched_q_.size(); }
   Rng& rng() { return rng_; }
 
   LayerPeState* layer_state() const { return layer_state_.get(); }
@@ -172,7 +169,6 @@ class Pe {
 
   // Scheduler statistics.
   std::uint64_t msgs_executed() const { return msgs_executed_; }
-  SimTime busy_until() const { return avail_at_; }
 
  private:
   friend class Machine;

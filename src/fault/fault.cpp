@@ -1,102 +1,8 @@
 #include "fault/fault.hpp"
 
-#include <string>
-
 #include "trace/metrics.hpp"
-#include "util/config.hpp"
 
 namespace ugnirt::fault {
-
-namespace {
-
-std::string rkey(const char* name) { return std::string("retry.") + name; }
-std::string fkey(const char* name) { return std::string("fault.") + name; }
-
-constexpr const char* kRetryKeys[] = {
-    "retry.max_retries",    "retry.backoff_base_ns", "retry.backoff_mult",
-    "retry.backoff_max_ns", "retry.demote_after",
-};
-
-constexpr const char* kFaultKeys[] = {
-    "fault.enabled",         "fault.seed",
-    "fault.p_post_error",    "fault.p_reg_error",
-    "fault.p_smsg_error",    "fault.p_cq_overrun",
-    "fault.p_smsg_starve",   "fault.smsg_starve_ns",
-    "fault.p_link_degrade",  "fault.link_slowdown",
-    "fault.link_degrade_ns", "fault.p_link_blackout",
-    "fault.link_blackout_ns",
-};
-
-}  // namespace
-
-RetryPolicy RetryPolicy::from(const Config& cfg) {
-  RetryPolicy p;
-  p.max_retries =
-      static_cast<int>(cfg.get_int_or(rkey("max_retries"), p.max_retries));
-  p.backoff_base_ns = cfg.get_int_or(rkey("backoff_base_ns"), p.backoff_base_ns);
-  p.backoff_mult = cfg.get_double_or(rkey("backoff_mult"), p.backoff_mult);
-  p.backoff_max_ns = cfg.get_int_or(rkey("backoff_max_ns"), p.backoff_max_ns);
-  p.demote_after =
-      static_cast<int>(cfg.get_int_or(rkey("demote_after"), p.demote_after));
-  return p;
-}
-
-void RetryPolicy::export_to(Config& cfg) const {
-  cfg.set(rkey("max_retries"), std::to_string(max_retries));
-  cfg.set(rkey("backoff_base_ns"), std::to_string(backoff_base_ns));
-  cfg.set(rkey("backoff_mult"), std::to_string(backoff_mult));
-  cfg.set(rkey("backoff_max_ns"), std::to_string(backoff_max_ns));
-  cfg.set(rkey("demote_after"), std::to_string(demote_after));
-}
-
-const char* const* RetryPolicy::config_keys(std::size_t* count) {
-  *count = sizeof(kRetryKeys) / sizeof(kRetryKeys[0]);
-  return kRetryKeys;
-}
-
-FaultPlan FaultPlan::from(const Config& cfg) {
-  FaultPlan p;
-  p.enabled = cfg.get_bool_or(fkey("enabled"), p.enabled);
-  p.seed = static_cast<std::uint64_t>(
-      cfg.get_int_or(fkey("seed"), static_cast<std::int64_t>(p.seed)));
-  p.p_post_error = cfg.get_double_or(fkey("p_post_error"), p.p_post_error);
-  p.p_reg_error = cfg.get_double_or(fkey("p_reg_error"), p.p_reg_error);
-  p.p_smsg_error = cfg.get_double_or(fkey("p_smsg_error"), p.p_smsg_error);
-  p.p_cq_overrun = cfg.get_double_or(fkey("p_cq_overrun"), p.p_cq_overrun);
-  p.p_smsg_starve = cfg.get_double_or(fkey("p_smsg_starve"), p.p_smsg_starve);
-  p.smsg_starve_ns = cfg.get_int_or(fkey("smsg_starve_ns"), p.smsg_starve_ns);
-  p.p_link_degrade =
-      cfg.get_double_or(fkey("p_link_degrade"), p.p_link_degrade);
-  p.link_slowdown = cfg.get_double_or(fkey("link_slowdown"), p.link_slowdown);
-  p.link_degrade_ns =
-      cfg.get_int_or(fkey("link_degrade_ns"), p.link_degrade_ns);
-  p.p_link_blackout =
-      cfg.get_double_or(fkey("p_link_blackout"), p.p_link_blackout);
-  p.link_blackout_ns =
-      cfg.get_int_or(fkey("link_blackout_ns"), p.link_blackout_ns);
-  return p;
-}
-
-void FaultPlan::export_to(Config& cfg) const {
-  cfg.set(fkey("enabled"), enabled ? "true" : "false");
-  cfg.set(fkey("seed"), std::to_string(seed));
-  cfg.set(fkey("p_post_error"), std::to_string(p_post_error));
-  cfg.set(fkey("p_reg_error"), std::to_string(p_reg_error));
-  cfg.set(fkey("p_smsg_error"), std::to_string(p_smsg_error));
-  cfg.set(fkey("p_cq_overrun"), std::to_string(p_cq_overrun));
-  cfg.set(fkey("p_smsg_starve"), std::to_string(p_smsg_starve));
-  cfg.set(fkey("smsg_starve_ns"), std::to_string(smsg_starve_ns));
-  cfg.set(fkey("p_link_degrade"), std::to_string(p_link_degrade));
-  cfg.set(fkey("link_slowdown"), std::to_string(link_slowdown));
-  cfg.set(fkey("link_degrade_ns"), std::to_string(link_degrade_ns));
-  cfg.set(fkey("p_link_blackout"), std::to_string(p_link_blackout));
-  cfg.set(fkey("link_blackout_ns"), std::to_string(link_blackout_ns));
-}
-
-const char* const* FaultPlan::config_keys(std::size_t* count) {
-  *count = sizeof(kFaultKeys) / sizeof(kFaultKeys[0]);
-  return kFaultKeys;
-}
 
 FaultInjector::FaultInjector(const FaultPlan& plan)
     : plan_(plan), base_(plan.seed) {}

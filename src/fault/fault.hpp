@@ -78,12 +78,24 @@ struct FaultPlan {
            p_link_blackout > 0;
   }
 
-  /// Read "fault.*" keys, falling back to the defaults above.
-  static FaultPlan from(const Config& cfg);
-  /// Write every knob back as "fault.*" (for env-override round trips).
-  void export_to(Config& cfg) const;
-  /// The "fault.*" key list, for Config::apply_env_overrides.
-  static const char* const* config_keys(std::size_t* count);
+  /// Each knob once: key "fault.<name>", env UGNIRT_FAULT_<NAME>.
+  static constexpr const char* kConfigPrefix = "fault";
+  template <class V>
+  void fields(V&& v) {
+    v("enabled", enabled);
+    v("seed", seed);
+    v("p_post_error", p_post_error);
+    v("p_reg_error", p_reg_error);
+    v("p_smsg_error", p_smsg_error);
+    v("p_cq_overrun", p_cq_overrun);
+    v("p_smsg_starve", p_smsg_starve);
+    v("smsg_starve_ns", smsg_starve_ns);
+    v("p_link_degrade", p_link_degrade);
+    v("link_slowdown", link_slowdown);
+    v("link_degrade_ns", link_degrade_ns);
+    v("p_link_blackout", p_link_blackout);
+    v("link_blackout_ns", link_blackout_ns);
+  }
 };
 
 /// What a link fault does to one transfer: wait out `delay` ns before the

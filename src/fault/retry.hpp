@@ -17,17 +17,13 @@
 //     path, which does not consume mailbox credits.
 //
 // Config keys live under "retry.*" and are overridable via
-// UGNIRT_RETRY_<NAME> environment variables (see Config::apply_env_overrides).
+// UGNIRT_RETRY_<NAME> environment variables (see util/config.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
 #include "util/units.hpp"
-
-namespace ugnirt {
-class Config;
-}
 
 namespace ugnirt::fault {
 
@@ -55,12 +51,16 @@ struct RetryPolicy {
     return std::min(static_cast<SimTime>(b), backoff_max_ns);
   }
 
-  /// Read "retry.*" keys, falling back to the defaults above.
-  static RetryPolicy from(const Config& cfg);
-  /// Write every knob back as "retry.*" (for env-override round trips).
-  void export_to(Config& cfg) const;
-  /// The "retry.*" key list, for Config::apply_env_overrides.
-  static const char* const* config_keys(std::size_t* count);
+  /// Each knob once: key "retry.<name>", env UGNIRT_RETRY_<NAME>.
+  static constexpr const char* kConfigPrefix = "retry";
+  template <class V>
+  void fields(V&& v) {
+    v("max_retries", max_retries);
+    v("backoff_base_ns", backoff_base_ns);
+    v("backoff_mult", backoff_mult);
+    v("backoff_max_ns", backoff_max_ns);
+    v("demote_after", demote_after);
+  }
 };
 
 }  // namespace ugnirt::fault

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 
-#include "util/config.hpp"
 #include "util/units.hpp"
 
 namespace ugnirt::flowcontrol {
@@ -67,12 +66,27 @@ struct FlowConfig {
   /// events (UGNIRT_FLOW_SAMPLE_PERIOD_NS).
   SimTime sample_period_ns = 5000;
 
-  /// Read "flow.*" keys, falling back to the defaults above.
-  static FlowConfig from(const Config& cfg);
-  /// Write every knob back as "flow.*" (for env-override round trips).
-  void export_to(Config& cfg) const;
-  /// The "flow.*" key list, for Config::apply_env_overrides.
-  static const char* const* config_keys(std::size_t* count);
+  /// Each knob once: key "flow.<name>", env UGNIRT_FLOW_<NAME>.
+  static constexpr const char* kConfigPrefix = "flow";
+  template <class V>
+  void fields(V&& v) {
+    v("enable", enable);
+    v("ewma_alpha", ewma_alpha);
+    v("hot_threshold", hot_threshold);
+    v("window_min", window_min);
+    v("window_max", window_max);
+    v("window_start", window_start);
+    v("aimd_increase", aimd_increase);
+    v("aimd_decrease", aimd_decrease);
+    v("pace_rendezvous", pace_rendezvous);
+    v("adaptive_routing", adaptive_routing);
+    v("adapt_thresholds", adapt_thresholds);
+    v("sample_period_ns", sample_period_ns);
+  }
+
+  /// Keep the window sane whatever the overrides say: min >= 1 so the
+  /// governor can never wedge a PE, and start inside [min, max].
+  void sanitize();
 };
 
 }  // namespace ugnirt::flowcontrol

@@ -12,69 +12,10 @@ namespace ugnirt::flowcontrol {
 // FlowConfig
 // ---------------------------------------------------------------------------
 
-namespace {
-constexpr const char* kFlowKeys[] = {
-    "flow.enable",          "flow.ewma_alpha",
-    "flow.hot_threshold",   "flow.window_min",
-    "flow.window_max",      "flow.window_start",
-    "flow.aimd_increase",   "flow.aimd_decrease",
-    "flow.pace_rendezvous", "flow.adaptive_routing",
-    "flow.adapt_thresholds", "flow.sample_period_ns",
-};
-
-std::string fkey(const char* name) { return std::string("flow.") + name; }
-}  // namespace
-
-FlowConfig FlowConfig::from(const Config& cfg) {
-  FlowConfig f;
-  f.enable = cfg.get_bool_or(fkey("enable"), f.enable);
-  f.ewma_alpha = cfg.get_double_or(fkey("ewma_alpha"), f.ewma_alpha);
-  f.hot_threshold =
-      cfg.get_double_or(fkey("hot_threshold"), f.hot_threshold);
-  f.window_min = static_cast<std::uint32_t>(
-      cfg.get_int_or(fkey("window_min"), f.window_min));
-  f.window_max = static_cast<std::uint32_t>(
-      cfg.get_int_or(fkey("window_max"), f.window_max));
-  f.window_start = static_cast<std::uint32_t>(
-      cfg.get_int_or(fkey("window_start"), f.window_start));
-  f.aimd_increase =
-      cfg.get_double_or(fkey("aimd_increase"), f.aimd_increase);
-  f.aimd_decrease =
-      cfg.get_double_or(fkey("aimd_decrease"), f.aimd_decrease);
-  f.pace_rendezvous =
-      cfg.get_bool_or(fkey("pace_rendezvous"), f.pace_rendezvous);
-  f.adaptive_routing =
-      cfg.get_bool_or(fkey("adaptive_routing"), f.adaptive_routing);
-  f.adapt_thresholds =
-      cfg.get_bool_or(fkey("adapt_thresholds"), f.adapt_thresholds);
-  f.sample_period_ns =
-      cfg.get_int_or(fkey("sample_period_ns"), f.sample_period_ns);
-  // Keep the window sane whatever the overrides say: min >= 1 so the
-  // governor can never wedge a PE, and start inside [min, max].
-  f.window_min = std::max<std::uint32_t>(f.window_min, 1);
-  f.window_max = std::max(f.window_max, f.window_min);
-  f.window_start = std::clamp(f.window_start, f.window_min, f.window_max);
-  return f;
-}
-
-void FlowConfig::export_to(Config& cfg) const {
-  cfg.set(fkey("enable"), enable ? "true" : "false");
-  cfg.set(fkey("ewma_alpha"), std::to_string(ewma_alpha));
-  cfg.set(fkey("hot_threshold"), std::to_string(hot_threshold));
-  cfg.set(fkey("window_min"), std::to_string(window_min));
-  cfg.set(fkey("window_max"), std::to_string(window_max));
-  cfg.set(fkey("window_start"), std::to_string(window_start));
-  cfg.set(fkey("aimd_increase"), std::to_string(aimd_increase));
-  cfg.set(fkey("aimd_decrease"), std::to_string(aimd_decrease));
-  cfg.set(fkey("pace_rendezvous"), pace_rendezvous ? "true" : "false");
-  cfg.set(fkey("adaptive_routing"), adaptive_routing ? "true" : "false");
-  cfg.set(fkey("adapt_thresholds"), adapt_thresholds ? "true" : "false");
-  cfg.set(fkey("sample_period_ns"), std::to_string(sample_period_ns));
-}
-
-const char* const* FlowConfig::config_keys(std::size_t* count) {
-  *count = sizeof(kFlowKeys) / sizeof(kFlowKeys[0]);
-  return kFlowKeys;
+void FlowConfig::sanitize() {
+  window_min = std::max<std::uint32_t>(window_min, 1);
+  window_max = std::max(window_max, window_min);
+  window_start = std::clamp(window_start, window_min, window_max);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 
-#include "util/config.hpp"
 #include "util/units.hpp"
 
 namespace ugnirt::gemini {
@@ -161,11 +160,65 @@ struct MachineConfig {
     return (bytes + page_bytes - 1) / page_bytes;
   }
 
-  /// Load overrides from a Config (keys named like "gemini.hop_ns").
-  static MachineConfig from(const Config& cfg);
-
-  /// Export all values to a Config (for logging experiment provenance).
-  void export_to(Config& cfg) const;
+  /// Each knob once: key "gemini.<name>", env UGNIRT_GEMINI_<NAME>.
+  static constexpr const char* kConfigPrefix = "gemini";
+  template <class V>
+  void fields(V&& v) {
+    v("cores_per_node", cores_per_node);
+    v("hop_ns", hop_ns);
+    v("link_bw", link_bw);
+    v("smsg_cpu_send_ns", smsg_cpu_send_ns);
+    v("smsg_wire_startup_ns", smsg_wire_startup_ns);
+    v("smsg_per_byte_ns", smsg_per_byte_ns);
+    v("smsg_cpu_recv_ns", smsg_cpu_recv_ns);
+    v("smsg_max_bytes", smsg_max_bytes);
+    v("smsg_mailbox_credits", smsg_mailbox_credits);
+    v("cq_entries", cq_entries);
+    v("fma_put_startup_ns", fma_put_startup_ns);
+    v("fma_get_startup_ns", fma_get_startup_ns);
+    v("fma_bw", fma_bw);
+    v("fma_desc_ns", fma_desc_ns);
+    v("bte_put_startup_ns", bte_put_startup_ns);
+    v("bte_get_startup_ns", bte_get_startup_ns);
+    v("bte_bw", bte_bw);
+    v("bte_desc_ns", bte_desc_ns);
+    v("malloc_base_ns", malloc_base_ns);
+    v("malloc_per_page_ns", malloc_per_page_ns);
+    v("free_base_ns", free_base_ns);
+    v("mem_reg_base_ns", mem_reg_base_ns);
+    v("mem_reg_per_page_ns", mem_reg_per_page_ns);
+    v("mem_dereg_base_ns", mem_dereg_base_ns);
+    v("mem_dereg_per_page_ns", mem_dereg_per_page_ns);
+    v("page_bytes", page_bytes);
+    v("memcpy_base_ns", memcpy_base_ns);
+    v("memcpy_bw", memcpy_bw);
+    v("cq_poll_ns", cq_poll_ns);
+    v("cq_event_ns", cq_event_ns);
+    v("mempool_alloc_ns", mempool_alloc_ns);
+    v("mempool_free_ns", mempool_free_ns);
+    v("mempool_init_bytes", mempool_init_bytes);
+    v("charm_send_overhead_ns", charm_send_overhead_ns);
+    v("charm_recv_overhead_ns", charm_recv_overhead_ns);
+    v("sched_loop_ns", sched_loop_ns);
+    v("agg_item_overhead_ns", agg_item_overhead_ns);
+    v("rdma_threshold", rdma_threshold);
+    v("mpi_call_overhead_ns", mpi_call_overhead_ns);
+    v("mpi_match_ns", mpi_match_ns);
+    v("mpi_iprobe_ns", mpi_iprobe_ns);
+    v("mpi_iprobe_scan_ns", mpi_iprobe_scan_ns);
+    v("mpi_iprobe_conn_ns", mpi_iprobe_conn_ns);
+    v("mpi_iprobe_conn_free", mpi_iprobe_conn_free);
+    v("mpi_eager_threshold", mpi_eager_threshold);
+    v("mpi_rdma_threshold", mpi_rdma_threshold);
+    v("udreg_capacity", udreg_capacity);
+    v("udreg_hit_ns", udreg_hit_ns);
+    v("mpi_xpmem_threshold", mpi_xpmem_threshold);
+    v("mpi_xpmem_overhead_ns", mpi_xpmem_overhead_ns);
+    v("mpi_shm_notify_ns", mpi_shm_notify_ns);
+    v("mpi_mailbox_credits", mpi_mailbox_credits);
+    v("pxshm_notify_ns", pxshm_notify_ns);
+    v("pxshm_poll_ns", pxshm_poll_ns);
+  }
 };
 
 }  // namespace ugnirt::gemini

@@ -165,9 +165,6 @@ class Network {
   std::uint64_t job_link_reservations(int job) const {
     return job_link_[static_cast<std::size_t>(job)].reservations;
   }
-  SimTime job_link_wait_ns(int job) const {
-    return job_link_[static_cast<std::size_t>(job)].wait_ns;
-  }
 
   /// Publish network-wide counters (net.transfers, net.bytes_*,
   /// net.link_conflicts, net.link_waits) plus per-link occupancy as a

@@ -3,6 +3,7 @@
 #include "lrts/mpi_layer.hpp"
 #include "lrts/smp_layer.hpp"
 #include "lrts/ugni_layer.hpp"
+#include "util/config.hpp"
 
 namespace ugnirt::lrts {
 
@@ -10,27 +11,14 @@ std::unique_ptr<converse::Machine> make_machine(
     converse::LayerKind kind, const converse::MachineOptions& options_in) {
   converse::MachineOptions options = options_in;
   options.layer = kind;
-  // Honor UGNIRT_GEMINI_* / UGNIRT_FAULT_* / UGNIRT_RETRY_* / UGNIRT_AGG_*
-  // / UGNIRT_FLOW_* / UGNIRT_TENANCY_* environment overrides for every
-  // model constant, fault knob, retry knob, aggregation knob, flow-control
-  // knob and tenancy knob, so experiments and ablations can retune the
-  // machine without rebuilds.
-  {
-    Config cfg;
-    options.mc.export_to(cfg);
-    options.fault.export_to(cfg);
-    options.retry.export_to(cfg);
-    options.aggregation.export_to(cfg);
-    options.flow.export_to(cfg);
-    options.tenancy.export_to(cfg);
-    cfg.apply_env_overrides();
-    options.mc = gemini::MachineConfig::from(cfg);
-    options.fault = fault::FaultPlan::from(cfg);
-    options.retry = fault::RetryPolicy::from(cfg);
-    options.aggregation = aggregation::AggregationConfig::from(cfg);
-    options.flow = flowcontrol::FlowConfig::from(cfg);
-    options.tenancy = tenancy::TenancyConfig::from(cfg);
-  }
+  // Env overrides for every knob, so ablations need no rebuild; this also
+  // sanitizes the caller's own values.
+  overlay_env(options.mc);
+  overlay_env(options.fault);
+  overlay_env(options.retry);
+  overlay_env(options.aggregation);
+  overlay_env(options.flow);
+  overlay_env(options.tenancy);
   std::unique_ptr<converse::MachineLayer> layer;
   switch (kind) {
     case converse::LayerKind::kUgni:

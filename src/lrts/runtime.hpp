@@ -7,10 +7,9 @@
 // `make_machine(kind, options)` is the canonical entry point: the layer is
 // an explicit argument (it *is* the link decision, not another tunable
 // buried in the options bag), and every config sub-struct riding in
-// MachineOptions — the gemini::MachineConfig cost model, the
-// fault::FaultPlan and the fault::RetryPolicy — is re-resolved through a
-// Config round trip so UGNIRT_GEMINI_* / UGNIRT_FAULT_* / UGNIRT_RETRY_*
-// environment overrides apply without a rebuild.
+// MachineOptions is overlaid in place with its UGNIRT_<PREFIX>_<NAME>
+// environment overrides (util/config.hpp), so they apply without a
+// rebuild.
 #pragma once
 
 #include <memory>
@@ -20,17 +19,10 @@
 namespace ugnirt::lrts {
 
 /// Build a machine running layer `kind` (overrides `options.layer`), with
-/// UGNIRT_GEMINI_* / UGNIRT_FAULT_* / UGNIRT_RETRY_* environment overrides
-/// applied on top of the passed-in options.
+/// UGNIRT_GEMINI_* / _FAULT_* / _RETRY_* / _AGG_* / _FLOW_* / _TENANCY_*
+/// environment overrides applied on top of the passed-in options, and
+/// the flow and tenancy knobs sanitized.
 std::unique_ptr<converse::Machine> make_machine(
     converse::LayerKind kind, const converse::MachineOptions& options = {});
-
-/// Deprecated shim: the layer hides inside the options bag.  Call
-/// make_machine(kind, options) instead.
-[[deprecated("use make_machine(LayerKind, const MachineOptions&)")]]
-inline std::unique_ptr<converse::Machine> make_machine(
-    const converse::MachineOptions& options) {
-  return make_machine(options.layer, options);
-}
 
 }  // namespace ugnirt::lrts

@@ -1,6 +1,6 @@
 #include "sim/context.hpp"
-#include <cstdio>
-#include <cstdlib>
+
+#include <cassert>
 
 #include "util/log.hpp"
 
@@ -31,27 +31,17 @@ ScopedContext::ScopedContext(Context& ctx) : prev_(g_current) {
 
 ScopedContext::~ScopedContext() { g_current = prev_; }
 
-
 void Context::charge(SimTime ns) {
   assert(ns >= 0);
-  if (ns > 500000 && ::getenv("UGNIRT_WAITDBG")) {
-    std::fprintf(stderr, "BIGCHARGE pe=%d %lld us\n", pe_, (long long)ns / 1000);
-  }
   cursor_ += ns;
   overhead_total_ += ns;
 }
 
-}  // namespace ugnirt::sim
-
-namespace ugnirt::sim {
 void Context::wait_until(SimTime t) {
   if (t > cursor_) {
-    if (t - cursor_ > 500000 && ::getenv("UGNIRT_WAITDBG")) {
-      std::fprintf(stderr, "BIGWAIT pe=%d %lld us\n", pe_,
-                   (long long)(t - cursor_) / 1000);
-    }
     overhead_total_ += t - cursor_;
     cursor_ = t;
   }
 }
+
 }  // namespace ugnirt::sim

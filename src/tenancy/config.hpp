@@ -14,8 +14,6 @@
 #include <cstdint>
 #include <string>
 
-#include "util/config.hpp"
-
 namespace ugnirt::tenancy {
 
 struct TenancyConfig {
@@ -60,12 +58,25 @@ struct TenancyConfig {
   std::uint32_t qos_scavenger_ceiling = 2;
   std::uint32_t qos_scavenger_quota = 1;
 
-  /// Read "tenancy.*" keys, falling back to the defaults above.
-  static TenancyConfig from(const Config& cfg);
-  /// Write every knob back as "tenancy.*" (for env-override round trips).
-  void export_to(Config& cfg) const;
-  /// The "tenancy.*" key list, for Config::apply_env_overrides.
-  static const char* const* config_keys(std::size_t* count);
+  /// Each knob once: key "tenancy.<name>", env UGNIRT_TENANCY_<NAME>.
+  static constexpr const char* kConfigPrefix = "tenancy";
+  template <class V>
+  void fields(V&& v) {
+    v("enable", enable);
+    v("placement", placement);
+    v("seed", seed);
+    v("jobs", jobs);
+    v("qos_enable", qos_enable);
+    v("qos_latency_floor", qos_latency_floor);
+    v("qos_bulk_ceiling", qos_bulk_ceiling);
+    v("qos_bulk_quota", qos_bulk_quota);
+    v("qos_scavenger_ceiling", qos_scavenger_ceiling);
+    v("qos_scavenger_quota", qos_scavenger_quota);
+  }
+
+  /// Floors and ceilings >= 1 (0 would demote latency jobs to best-effort
+  /// or wedge bulk jobs); an unknown placement falls back to "compact".
+  void sanitize();
 };
 
 }  // namespace ugnirt::tenancy

@@ -16,70 +16,12 @@ namespace ugnirt::tenancy {
 // TenancyConfig
 // ---------------------------------------------------------------------------
 
-namespace {
-constexpr const char* kTenancyKeys[] = {
-    "tenancy.enable",
-    "tenancy.placement",
-    "tenancy.seed",
-    "tenancy.jobs",
-    "tenancy.qos_enable",
-    "tenancy.qos_latency_floor",
-    "tenancy.qos_bulk_ceiling",
-    "tenancy.qos_bulk_quota",
-    "tenancy.qos_scavenger_ceiling",
-    "tenancy.qos_scavenger_quota",
-};
-
-std::string tkey(const char* name) { return std::string("tenancy.") + name; }
-}  // namespace
-
-TenancyConfig TenancyConfig::from(const Config& cfg) {
-  TenancyConfig t;
-  t.enable = cfg.get_bool_or(tkey("enable"), t.enable);
-  t.placement = cfg.get_string_or(tkey("placement"), t.placement);
-  t.seed = static_cast<std::uint64_t>(
-      cfg.get_int_or(tkey("seed"), static_cast<std::int64_t>(t.seed)));
-  t.jobs = cfg.get_string_or(tkey("jobs"), t.jobs);
-  t.qos_enable = cfg.get_bool_or(tkey("qos_enable"), t.qos_enable);
-  t.qos_latency_floor = static_cast<std::uint32_t>(
-      cfg.get_int_or(tkey("qos_latency_floor"), t.qos_latency_floor));
-  t.qos_bulk_ceiling = static_cast<std::uint32_t>(
-      cfg.get_int_or(tkey("qos_bulk_ceiling"), t.qos_bulk_ceiling));
-  t.qos_bulk_quota = static_cast<std::uint32_t>(
-      cfg.get_int_or(tkey("qos_bulk_quota"), t.qos_bulk_quota));
-  t.qos_scavenger_ceiling = static_cast<std::uint32_t>(
-      cfg.get_int_or(tkey("qos_scavenger_ceiling"), t.qos_scavenger_ceiling));
-  t.qos_scavenger_quota = static_cast<std::uint32_t>(
-      cfg.get_int_or(tkey("qos_scavenger_quota"), t.qos_scavenger_quota));
-  // Keep the classes meaningful whatever the overrides say: a latency
-  // floor of 0 would demote the class to best-effort, and ceilings of 0
-  // would wedge bulk jobs outright.
-  t.qos_latency_floor = std::max<std::uint32_t>(t.qos_latency_floor, 1);
-  t.qos_bulk_ceiling = std::max<std::uint32_t>(t.qos_bulk_ceiling, 1);
-  t.qos_scavenger_ceiling =
-      std::max<std::uint32_t>(t.qos_scavenger_ceiling, 1);
+void TenancyConfig::sanitize() {
+  qos_latency_floor = std::max<std::uint32_t>(qos_latency_floor, 1);
+  qos_bulk_ceiling = std::max<std::uint32_t>(qos_bulk_ceiling, 1);
+  qos_scavenger_ceiling = std::max<std::uint32_t>(qos_scavenger_ceiling, 1);
   Placement p;
-  if (!placement_from_string(t.placement, &p)) t.placement = "compact";
-  return t;
-}
-
-void TenancyConfig::export_to(Config& cfg) const {
-  cfg.set(tkey("enable"), enable ? "true" : "false");
-  cfg.set(tkey("placement"), placement);
-  cfg.set(tkey("seed"), std::to_string(seed));
-  cfg.set(tkey("jobs"), jobs);
-  cfg.set(tkey("qos_enable"), qos_enable ? "true" : "false");
-  cfg.set(tkey("qos_latency_floor"), std::to_string(qos_latency_floor));
-  cfg.set(tkey("qos_bulk_ceiling"), std::to_string(qos_bulk_ceiling));
-  cfg.set(tkey("qos_bulk_quota"), std::to_string(qos_bulk_quota));
-  cfg.set(tkey("qos_scavenger_ceiling"),
-          std::to_string(qos_scavenger_ceiling));
-  cfg.set(tkey("qos_scavenger_quota"), std::to_string(qos_scavenger_quota));
-}
-
-const char* const* TenancyConfig::config_keys(std::size_t* count) {
-  *count = sizeof(kTenancyKeys) / sizeof(kTenancyKeys[0]);
-  return kTenancyKeys;
+  if (!placement_from_string(placement, &p)) placement = "compact";
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <iostream>
 #include <memory>
 
+#include "util/config.hpp"
 #include "util/log.hpp"
 
 namespace ugnirt::trace {
@@ -44,8 +45,7 @@ TraceSession* TraceSession::active() {
   // lives until static destruction, whose dtor flushes output files.
   static std::unique_ptr<TraceSession> session = [] {
     SpanConfig span_cfg;
-    span_cfg.sample = env_size("UGNIRT_SPAN_SAMPLE", 0);
-    span_cfg.max_spans = env_size("UGNIRT_SPAN_MAX_SPANS", span_cfg.max_spans);
+    overlay_env(span_cfg);
     // Span sampling activates the session on its own: breakdowns need the
     // metrics/flush machinery even when event tracing stays off.
     if (!env_truthy("UGNIRT_TRACE") && span_cfg.sample == 0) {

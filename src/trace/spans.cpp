@@ -6,7 +6,6 @@
 #include <string>
 
 #include "trace/metrics.hpp"
-#include "util/config.hpp"
 
 namespace ugnirt::trace {
 
@@ -32,33 +31,6 @@ const char* stage_name(Stage s) {
       return "deliver";
   }
   return "unknown";
-}
-
-// ---------------------------------------------------------------------------
-// SpanConfig <-> Config ("span.*" keys / UGNIRT_SPAN_* env)
-// ---------------------------------------------------------------------------
-
-namespace {
-constexpr const char* kSpanKeys[] = {"span.sample", "span.max_spans"};
-}  // namespace
-
-SpanConfig SpanConfig::from(const Config& cfg) {
-  SpanConfig s;
-  s.sample = static_cast<std::uint64_t>(
-      cfg.get_int_or("span.sample", static_cast<std::int64_t>(s.sample)));
-  s.max_spans = static_cast<std::uint64_t>(cfg.get_int_or(
-      "span.max_spans", static_cast<std::int64_t>(s.max_spans)));
-  return s;
-}
-
-void SpanConfig::export_to(Config& cfg) const {
-  cfg.set("span.sample", std::to_string(sample));
-  cfg.set("span.max_spans", std::to_string(max_spans));
-}
-
-const char* const* SpanConfig::config_keys(std::size_t* count) {
-  *count = sizeof(kSpanKeys) / sizeof(kSpanKeys[0]);
-  return kSpanKeys;
 }
 
 // ---------------------------------------------------------------------------

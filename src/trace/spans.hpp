@@ -33,10 +33,6 @@
 
 #include "util/units.hpp"
 
-namespace ugnirt {
-class Config;
-}
-
 namespace ugnirt::trace {
 
 class MetricsRegistry;
@@ -60,9 +56,17 @@ struct SpanConfig {
   std::uint64_t sample = 0;            // start a span every Nth submit; 0=off
   std::uint64_t max_spans = 1u << 20;  // retained-span cap (memory bound)
 
-  static SpanConfig from(const Config& cfg);
-  void export_to(Config& cfg) const;
-  static const char* const* config_keys(std::size_t* count);
+  /// Each knob once: key "span.<name>", env UGNIRT_SPAN_<NAME>.
+  static constexpr const char* kConfigPrefix = "span";
+  template <class V>
+  void fields(V&& v) {
+    v("sample", sample);
+    v("max_spans", max_spans);
+  }
+  /// A cap of 0 would retain nothing; it means the default.
+  void sanitize() {
+    if (max_spans == 0) max_spans = SpanConfig{}.max_spans;
+  }
 };
 
 struct SpanMark {

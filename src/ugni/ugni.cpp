@@ -305,12 +305,6 @@ gni_return_t GNI_CqCreate(gni_nic_handle_t nic, std::uint32_t entry_count,
   return GNI_RC_SUCCESS;
 }
 
-gni_return_t GNI_CqDestroy(gni_cq_handle_t cq) {
-  if (!cq) return GNI_RC_INVALID_PARAM;
-  cq->set_notify(nullptr);
-  return GNI_RC_SUCCESS;
-}
-
 gni_return_t GNI_CqGetEvent(gni_cq_handle_t cq, gni_cq_entry_t* event_out) {
   if (!cq || !event_out) return GNI_RC_INVALID_PARAM;
   sim::Context& c = ctx();
@@ -323,38 +317,6 @@ gni_return_t GNI_CqGetEvent(gni_cq_handle_t cq, gni_cq_entry_t* event_out) {
   c.charge(mc.cq_event_ns);
   *event_out = cq->entries_.front().entry;
   cq->entries_.pop_front();
-  return GNI_RC_SUCCESS;
-}
-
-gni_return_t GNI_CqGetEvents(gni_cq_handle_t cq, gni_cq_entry_t* event_out,
-                             std::uint32_t max_events,
-                             std::uint32_t* count_out) {
-  if (!cq || !event_out || !count_out || max_events == 0) {
-    return GNI_RC_INVALID_PARAM;
-  }
-  sim::Context& c = ctx();
-  const auto& mc = cq->nic()->domain()->config();
-  std::uint32_t n = 0;
-  // Charge-exact with the open-coded GNI_CqGetEvent loop: every
-  // iteration pays the poll (including the final failed one), each
-  // harvested event pays cq_event on top.  Visibility is re-evaluated
-  // against the cursor each iteration, so an entry arriving inside the
-  // harvest window is picked up exactly when the loop would see it.
-  while (n < max_events) {
-    c.charge(mc.cq_poll_ns);
-    if (cq->overrun_) {
-      *count_out = n;
-      return GNI_RC_ERROR_RESOURCE;
-    }
-    if (cq->entries_.empty() || cq->entries_.front().at > c.now()) {
-      *count_out = n;
-      return GNI_RC_NOT_DONE;
-    }
-    c.charge(mc.cq_event_ns);
-    event_out[n++] = cq->entries_.front().entry;
-    cq->entries_.pop_front();
-  }
-  *count_out = n;
   return GNI_RC_SUCCESS;
 }
 

@@ -194,29 +194,12 @@ gni_return_t GNI_CdmAttach(Domain* domain, std::int32_t inst_id, int node,
 /// Returns: SUCCESS | INVALID_PARAM (null nic/out, zero entry_count).
 gni_return_t GNI_CqCreate(gni_nic_handle_t nic, std::uint32_t entry_count,
                           gni_cq_handle_t* cq_out);
-/// Returns: SUCCESS | INVALID_PARAM (null cq).
-gni_return_t GNI_CqDestroy(gni_cq_handle_t cq);
 
 /// Poll a CQ.  Charges cq_poll (plus cq_event when one is present).
 /// Returns: SUCCESS | INVALID_PARAM (null args) | ERROR_RESOURCE (the CQ
 /// overran: at least one event was dropped; run GNI_CqErrorRecover) |
 /// NOT_DONE (no event has arrived yet).
 gni_return_t GNI_CqGetEvent(gni_cq_handle_t cq, gni_cq_entry_t* event_out);
-
-/// Batched poll: harvest up to `max_events` visible events in one call,
-/// charge-exact with the equivalent GNI_CqGetEvent loop (one cq_poll per
-/// attempt, plus cq_event per harvested event — the terminating empty
-/// poll is charged too, exactly as the open-coded loop would).  Mirrors
-/// GNI_CqVectorMonitor-era batching; callers that charge per-event
-/// handling time BETWEEN polls (the machine layers) must keep the
-/// open-coded loop — this entry is for drivers that drain first and
-/// handle after.  `count_out` receives the number of events stored.
-/// Returns: SUCCESS (harvested `max_events`) | ERROR_RESOURCE (overrun
-/// hit; events before it are in `event_out`) | NOT_DONE (queue went
-/// empty first) | INVALID_PARAM (null args, zero max_events).
-gni_return_t GNI_CqGetEvents(gni_cq_handle_t cq, gni_cq_entry_t* event_out,
-                             std::uint32_t max_events,
-                             std::uint32_t* count_out);
 
 /// Recover a CQ from overrun state, mirroring the real
 /// GNI_CqErrorRecovery: clears the overrun latch and re-synthesizes the
@@ -324,8 +307,6 @@ gni_return_t post_transaction(Ep* ep, gni_post_descriptor_t* desc,
   friend gni_return_t GNI_CqCreate(gni_nic_handle_t, std::uint32_t,          \
                                    gni_cq_handle_t*);                        \
   friend gni_return_t GNI_CqGetEvent(gni_cq_handle_t, gni_cq_entry_t*);      \
-  friend gni_return_t GNI_CqGetEvents(gni_cq_handle_t, gni_cq_entry_t*,      \
-                                      std::uint32_t, std::uint32_t*);        \
   friend gni_return_t GNI_CqWaitEvent(gni_cq_handle_t, gni_cq_entry_t*);     \
   friend gni_return_t GNI_CqErrorRecover(gni_cq_handle_t, std::uint32_t*);   \
   friend gni_return_t GNI_MemRegister(gni_nic_handle_t, std::uint64_t,       \
@@ -593,7 +574,6 @@ class Nic {
   /// The CQ receiving SMSG arrival events for all channels of this NIC
   /// (set by the first GNI_SmsgInit; mirrors the shared smsg rx CQ in the
   /// real machine layer).
-  Cq* smsg_rx_cq() const { return smsg_rx_cq_; }
   void set_smsg_rx_cq(Cq* cq) { smsg_rx_cq_ = cq; }
 
   /// Total mailbox memory this NIC has committed to SMSG channels — the
@@ -629,9 +609,7 @@ class Nic {
   /// sides agree on.  A machine layer sets these once per NIC at init
   /// time — O(1) per PE — instead of materializing N endpoints eagerly.
   void set_default_tx_cq(Cq* cq) { default_tx_cq_ = cq; }
-  Cq* default_tx_cq() const { return default_tx_cq_; }
   void set_smsg_attr(const gni_smsg_attr_t& attr) { smsg_attr_ = attr; }
-  const gni_smsg_attr_t& smsg_attr() const { return smsg_attr_; }
 
   /// First-touch connection setup — the ONLY way runtime layers obtain a
   /// send endpoint.  Returns the endpoint bound to `peer`, creating the
@@ -717,7 +695,6 @@ class Domain {
     const auto i = static_cast<std::size_t>(inst_id);
     return inst_id >= 0 && i < nic_index_.size() ? nic_index_[i] : nullptr;
   }
-  std::size_t nic_count() const { return nics_.size(); }
 
   /// Aggregate SMSG mailbox memory across the job (scalability metric).
   /// Maintained incrementally at SmsgInit/EpDestroy time, so it is O(1)

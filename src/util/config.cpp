@@ -1,6 +1,5 @@
 #include "util/config.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -19,20 +18,59 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-std::string to_env_name(const std::string& key) {
-  std::string out = "UGNIRT_";
-  for (char c : key) {
-    if (c == '.' || c == '-') {
-      out.push_back('_');
-    } else {
-      out.push_back(
-          static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
-    }
-  }
-  return out;
+/// Store strto*(text) in `out` only if it consumed all of `text` in range.
+template <class T, class Strto>
+bool parse_number(const std::string& text, T& out, Strto strto) {
+  errno = 0;
+  char* end = nullptr;
+  const auto v = strto(text.c_str(), &end);
+  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
+  out = v;
+  return true;
 }
 
 }  // namespace
+
+bool parse_into(const std::string& text, bool& out) {
+  std::string v;
+  for (unsigned char c : text) v.push_back(static_cast<char>(std::tolower(c)));
+  const bool yes = v == "1" || v == "true" || v == "yes" || v == "on";
+  if (!yes && v != "0" && v != "false" && v != "no" && v != "off") return false;
+  out = yes;
+  return true;
+}
+
+bool parse_into(const std::string& text, double& out) {
+  return parse_number(
+      text, out, [](const char* s, char** e) { return std::strtod(s, e); });
+}
+
+bool parse_into(const std::string& text, std::string& out) {
+  out = text;
+  return true;
+}
+
+bool parse_into(const std::string& text, std::int64_t& out) {
+  return parse_number(
+      text, out, [](const char* s, char** e) { return std::strtoll(s, e, 0); });
+}
+
+bool parse_into(const std::string& text, std::uint64_t& out) {
+  // strtoull would wrap "-1" to the maximum; unsigned knobs take no sign.
+  if (text.find('-') != std::string::npos) return false;
+  return parse_number(text, out, [](const char* s, char** e) {
+    return std::strtoull(s, e, 0);
+  });
+}
+
+std::string to_env_name(const std::string& key) {
+  std::string out = "UGNIRT_";
+  for (unsigned char c : key) {
+    const bool sep = c == '.' || c == '-';
+    out.push_back(sep ? '_' : static_cast<char>(std::toupper(c)));
+  }
+  return out;
+}
 
 bool Config::parse_string(const std::string& text) {
   std::istringstream in(text);
@@ -71,80 +109,14 @@ bool Config::parse_file(const std::string& path) {
   return parse_string(ss.str());
 }
 
-void Config::apply_env_overrides(const std::vector<std::string>& extra_keys) {
-  std::vector<std::string> keys;
-  keys.reserve(values_.size() + extra_keys.size());
-  for (const auto& [k, _] : values_) keys.push_back(k);
-  keys.insert(keys.end(), extra_keys.begin(), extra_keys.end());
-  for (const auto& key : keys) {
-    if (const char* v = std::getenv(to_env_name(key).c_str())) {
-      values_[key] = v;
-    }
-  }
-}
-
 void Config::set(const std::string& key, const std::string& value) {
   values_[key] = value;
-}
-
-bool Config::contains(const std::string& key) const {
-  return values_.count(key) != 0;
 }
 
 std::optional<std::string> Config::get_string(const std::string& key) const {
   auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   return it->second;
-}
-
-std::optional<std::int64_t> Config::get_int(const std::string& key) const {
-  auto s = get_string(key);
-  if (!s) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(s->c_str(), &end, 0);
-  if (errno != 0 || end == s->c_str() || *end != '\0') return std::nullopt;
-  return static_cast<std::int64_t>(v);
-}
-
-std::optional<double> Config::get_double(const std::string& key) const {
-  auto s = get_string(key);
-  if (!s) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(s->c_str(), &end);
-  if (errno != 0 || end == s->c_str() || *end != '\0') return std::nullopt;
-  return v;
-}
-
-std::optional<bool> Config::get_bool(const std::string& key) const {
-  auto s = get_string(key);
-  if (!s) return std::nullopt;
-  std::string v = *s;
-  std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  return std::nullopt;
-}
-
-std::string Config::get_string_or(const std::string& key,
-                                  const std::string& fallback) const {
-  return get_string(key).value_or(fallback);
-}
-
-std::int64_t Config::get_int_or(const std::string& key,
-                                std::int64_t fallback) const {
-  return get_int(key).value_or(fallback);
-}
-
-double Config::get_double_or(const std::string& key, double fallback) const {
-  return get_double(key).value_or(fallback);
-}
-
-bool Config::get_bool_or(const std::string& key, bool fallback) const {
-  return get_bool(key).value_or(fallback);
 }
 
 std::string Config::dump() const {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "config_fields.hpp"
 #include "aggregation/aggregation.hpp"
 #include "aggregation/frame.hpp"
 #include "converse/machine.hpp"
@@ -111,8 +112,9 @@ TEST(AggConfig, RoundTrip) {
   p.max_delay_ns = 7500;
   p.flush_on_idle = false;
   Config cfg;
-  p.export_to(cfg);
-  aggregation::AggregationConfig q = aggregation::AggregationConfig::from(cfg);
+  write_fields(p, cfg);
+  aggregation::AggregationConfig q;
+  overlay(q, cfg);
   EXPECT_TRUE(q.enable);
   EXPECT_EQ(q.threshold, 192u);
   EXPECT_EQ(q.buffer_bytes, 2048u);

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "config_fields.hpp"
 #include "converse/machine.hpp"
 #include "fault/fault.hpp"
 #include "fault/retry.hpp"
@@ -59,8 +60,9 @@ TEST(RetryPolicy, ConfigRoundTrip) {
   p.backoff_max_ns = 9000;
   p.demote_after = 2;
   Config cfg;
-  p.export_to(cfg);
-  fault::RetryPolicy q = fault::RetryPolicy::from(cfg);
+  write_fields(p, cfg);
+  fault::RetryPolicy q;
+  overlay(q, cfg);
   EXPECT_EQ(q.max_retries, 3);
   EXPECT_EQ(q.backoff_base_ns, 250);
   EXPECT_DOUBLE_EQ(q.backoff_mult, 3.0);
@@ -84,8 +86,9 @@ TEST(FaultPlan, ConfigRoundTrip) {
   p.p_link_blackout = 0.35;
   p.link_blackout_ns = 13000;
   Config cfg;
-  p.export_to(cfg);
-  fault::FaultPlan q = fault::FaultPlan::from(cfg);
+  write_fields(p, cfg);
+  fault::FaultPlan q;
+  overlay(q, cfg);
   EXPECT_TRUE(q.enabled);
   EXPECT_EQ(q.seed, 12345u);
   EXPECT_DOUBLE_EQ(q.p_post_error, 0.1);

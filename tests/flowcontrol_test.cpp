@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "config_fields.hpp"
 #include "converse/machine.hpp"
 #include "fault/fault.hpp"
 #include "flowcontrol/config.hpp"
@@ -58,8 +59,9 @@ TEST(FlowConfig, RoundTrip) {
   p.adapt_thresholds = false;
   p.sample_period_ns = 12345;
   Config cfg;
-  p.export_to(cfg);
-  FlowConfig q = FlowConfig::from(cfg);
+  write_fields(p, cfg);
+  FlowConfig q;
+  overlay(q, cfg);
   EXPECT_TRUE(q.enable);
   EXPECT_DOUBLE_EQ(q.ewma_alpha, 0.25);
   EXPECT_DOUBLE_EQ(q.hot_threshold, 0.4);
@@ -81,7 +83,8 @@ TEST(FlowConfig, ClampsWindowBounds) {
   cfg.set("flow.window_min", "0");
   cfg.set("flow.window_max", "0");
   cfg.set("flow.window_start", "99");
-  FlowConfig f = FlowConfig::from(cfg);
+  FlowConfig f;
+  overlay(f, cfg);
   EXPECT_GE(f.window_min, 1u);
   EXPECT_GE(f.window_max, f.window_min);
   EXPECT_GE(f.window_start, f.window_min);

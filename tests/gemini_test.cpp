@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "config_fields.hpp"
 #include "gemini/machine_config.hpp"
 #include "gemini/network.hpp"
 #include "sim/engine.hpp"
@@ -65,7 +66,8 @@ TEST(MachineConfig, ConfigOverridesApply) {
       "gemini.hop_ns = 500\n"
       "gemini.bte_bw = 12.5\n"
       "gemini.smsg_max_bytes = 2048\n"));
-  MachineConfig m = MachineConfig::from(cfg);
+  MachineConfig m;
+  overlay(m, cfg);
   EXPECT_EQ(m.hop_ns, 500);
   EXPECT_DOUBLE_EQ(m.bte_bw, 12.5);
   EXPECT_EQ(m.smsg_max_bytes, 2048u);
@@ -78,8 +80,9 @@ TEST(MachineConfig, ExportRoundTrips) {
   m.hop_ns = 777;
   m.fma_bw = 3.25;
   Config cfg;
-  m.export_to(cfg);
-  MachineConfig back = MachineConfig::from(cfg);
+  write_fields(m, cfg);
+  MachineConfig back;
+  overlay(back, cfg);
   EXPECT_EQ(back.hop_ns, 777);
   EXPECT_DOUBLE_EQ(back.fma_bw, 3.25);
   EXPECT_EQ(back.smsg_max_bytes, m.smsg_max_bytes);

@@ -223,13 +223,11 @@ TEST(Integration, MailboxAccountingGrowsWithActivePairs) {
 
 TEST(Integration, EnvironmentOverridesReachTheMachineModel) {
   ::setenv("UGNIRT_GEMINI_BTE_BW", "11.5", 1);
-  Config cfg;
-  gemini::MachineConfig defaults;
-  defaults.export_to(cfg);
-  cfg.apply_env_overrides();
-  gemini::MachineConfig m = gemini::MachineConfig::from(cfg);
-  EXPECT_DOUBLE_EQ(m.bte_bw, 11.5);
+  MachineOptions o;
+  o.pes = 2;
+  auto m = lrts::make_machine(LayerKind::kUgni, o);
   ::unsetenv("UGNIRT_GEMINI_BTE_BW");
+  EXPECT_DOUBLE_EQ(m->options().mc.bte_bw, 11.5);
 }
 
 TEST(Integration, VirtualWallTimerAdvancesMonotonically) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config_fields.hpp"
 #include "converse/machine.hpp"
 #include "lrts/runtime.hpp"
 #include "sim/context.hpp"
@@ -632,22 +633,25 @@ TEST(Spans, ConfigRoundTripAndEnvOverride) {
   sc.sample = 7;
   sc.max_spans = 12345;
   Config cfg;
-  sc.export_to(cfg);
-  trace::SpanConfig rt = trace::SpanConfig::from(cfg);
+  write_fields(sc, cfg);
+  trace::SpanConfig rt;
+  overlay(rt, cfg);
   EXPECT_EQ(rt.sample, 7u);
   EXPECT_EQ(rt.max_spans, 12345u);
 
-  // UGNIRT_SPAN_SAMPLE must override the exported value via the standard
-  // "span.sample" -> env-name mapping.
-  std::size_t nkeys = 0;
-  const char* const* keys = trace::SpanConfig::config_keys(&nkeys);
-  ASSERT_EQ(nkeys, 2u);
-  EXPECT_STREQ(keys[0], "span.sample");
+  // UGNIRT_SPAN_SAMPLE overrides the value read from the Config via the
+  // standard "span.sample" -> env-name mapping; max_spans 0 or empty
+  // keeps the value it had.
   setenv("UGNIRT_SPAN_SAMPLE", "31", 1);
-  cfg.apply_env_overrides({keys, keys + nkeys});
+  setenv("UGNIRT_SPAN_MAX_SPANS", "", 1);
+  overlay_env(rt);
+  EXPECT_EQ(rt.sample, 31u);
+  EXPECT_EQ(rt.max_spans, 12345u);
+  setenv("UGNIRT_SPAN_MAX_SPANS", "0", 1);
+  overlay_env(rt);
   unsetenv("UGNIRT_SPAN_SAMPLE");
-  EXPECT_EQ(trace::SpanConfig::from(cfg).sample, 31u);
-  EXPECT_EQ(trace::SpanConfig::from(cfg).max_spans, 12345u);
+  unsetenv("UGNIRT_SPAN_MAX_SPANS");
+  EXPECT_EQ(rt.max_spans, trace::SpanConfig{}.max_spans);
 }
 
 // ---------------------------------------------------------------------------

@@ -98,6 +98,13 @@ TEST(Rng, ExponentialHasRoughlyRightMean) {
 
 // --------------------------------------------------------------- config ----
 
+// `key` parsed as a T, or `fallback` when it is absent or does not parse.
+template <class T>
+T get_or(const Config& c, const std::string& key, T fallback) {
+  if (auto s = c.get_string(key)) parse_into(*s, fallback);
+  return fallback;
+}
+
 TEST(Config, ParsesKeyValuesCommentsAndBlanks) {
   Config c;
   ASSERT_TRUE(c.parse_string(
@@ -106,9 +113,9 @@ TEST(Config, ParsesKeyValuesCommentsAndBlanks) {
       "\n"
       "beta=2.5  # trailing comment\n"
       "  name  =  hello world  \n"));
-  EXPECT_EQ(c.get_int_or("alpha", -1), 1);
-  EXPECT_DOUBLE_EQ(c.get_double_or("beta", -1.0), 2.5);
-  EXPECT_EQ(c.get_string_or("name", ""), "hello world");
+  EXPECT_EQ(get_or<std::int64_t>(c, "alpha", -1), 1);
+  EXPECT_DOUBLE_EQ(get_or(c, "beta", -1.0), 2.5);
+  EXPECT_EQ(c.get_string("name").value_or(""), "hello world");
   EXPECT_EQ(c.size(), 3u);
 }
 
@@ -123,21 +130,24 @@ TEST(Config, RejectsMalformedLines) {
 TEST(Config, TypedGettersRejectGarbage) {
   Config c;
   ASSERT_TRUE(c.parse_string("x = notanumber\ny = 12abc\n"));
-  EXPECT_FALSE(c.get_int("x").has_value());
-  EXPECT_FALSE(c.get_int("y").has_value());
-  EXPECT_FALSE(c.get_double("x").has_value());
-  EXPECT_EQ(c.get_int_or("x", 7), 7);
+  std::int64_t i = 7;
+  double d = 7.5;
+  EXPECT_FALSE(parse_into(*c.get_string("x"), i));
+  EXPECT_FALSE(parse_into(*c.get_string("y"), i));
+  EXPECT_FALSE(parse_into(*c.get_string("x"), d));
+  EXPECT_EQ(i, 7);
+  EXPECT_EQ(d, 7.5);
 }
 
 TEST(Config, BoolParsing) {
   Config c;
   ASSERT_TRUE(c.parse_string(
       "a = true\nb = FALSE\nc = 1\nd = off\ne = maybe\n"));
-  EXPECT_TRUE(c.get_bool_or("a", false));
-  EXPECT_FALSE(c.get_bool_or("b", true));
-  EXPECT_TRUE(c.get_bool_or("c", false));
-  EXPECT_FALSE(c.get_bool_or("d", true));
-  EXPECT_TRUE(c.get_bool_or("e", true));  // unparsable -> fallback
+  EXPECT_TRUE(get_or(c, "a", false));
+  EXPECT_FALSE(get_or(c, "b", true));
+  EXPECT_TRUE(get_or(c, "c", false));
+  EXPECT_FALSE(get_or(c, "d", true));
+  EXPECT_TRUE(get_or(c, "e", true));  // unparsable -> fallback
 }
 
 TEST(Config, SetOverridesAndDumpIsSorted) {
@@ -148,16 +158,32 @@ TEST(Config, SetOverridesAndDumpIsSorted) {
   EXPECT_EQ(c.dump(), "a = 2\nz = 3\n");
 }
 
+// Two knobs in the shape overlay() expects (see util/config.hpp).
+struct SomeKnobs {
+  static constexpr const char* kConfigPrefix = "some";
+  int key = 0;
+  std::int64_t extra_key = 0;
+  template <class V>
+  void fields(V&& v) {
+    v("key", key);
+    v("extra_key", extra_key);
+  }
+};
+
+// The environment overrides a knob the Config set and one it did not.
 TEST(Config, EnvOverrideAppliesToKnownAndExtraKeys) {
   Config c;
   ASSERT_TRUE(c.parse_string("some.key = 1\n"));
+  SomeKnobs k;
+  overlay(k, c);
+  EXPECT_EQ(k.key, 1);
   ::setenv("UGNIRT_SOME_KEY", "42", 1);
-  ::setenv("UGNIRT_EXTRA_KEY", "7", 1);
-  c.apply_env_overrides({"extra.key"});
-  EXPECT_EQ(c.get_int_or("some.key", -1), 42);
-  EXPECT_EQ(c.get_int_or("extra.key", -1), 7);
+  ::setenv("UGNIRT_SOME_EXTRA_KEY", "7", 1);
+  overlay_env(k);
   ::unsetenv("UGNIRT_SOME_KEY");
-  ::unsetenv("UGNIRT_EXTRA_KEY");
+  ::unsetenv("UGNIRT_SOME_EXTRA_KEY");
+  EXPECT_EQ(k.key, 42);
+  EXPECT_EQ(k.extra_key, 7);
 }
 
 // ---------------------------------------------------------------- stats ----
