@@ -153,9 +153,10 @@ SimTime pure_mpi_pingpong(const gemini::MachineConfig& mc,
                           bool intranode, int iters) {
   sim::Engine engine;
   gemini::Network net(engine.scheduler(), topo::Torus3D::for_nodes(4), mc);
-  mpilite::MpiComm comm(net, 2, [intranode](int rank) {
-    return intranode ? 0 : rank;
-  });
+  trace::MetricsRegistry metrics;
+  mpilite::MpiComm comm(
+      net, 2, [intranode](int rank) { return intranode ? 0 : rank; },
+      fault::RetryPolicy{}, metrics);
   sim::Context ctx[2] = {sim::Context(engine.scheduler(), 0), sim::Context(engine.scheduler(), 1)};
   for (int i = 0; i < 2; ++i) {
     sim::ScopedContext g(ctx[i]);

@@ -36,15 +36,14 @@ void MpiLayer::ensure_comm(converse::Machine& m) {
   if (comm_) return;
   machine_ = &m;
   comm_ = std::make_unique<mpilite::MpiComm>(
-      m.network(), m.num_pes(), [&m](int rank) { return m.node_of_pe(rank); });
-  comm_->set_retry_policy(m.options().retry);
+      m.network(), m.num_pes(), [&m](int rank) { return m.node_of_pe(rank); },
+      m.options().retry, m.metrics());
 }
 
 void MpiLayer::init_pe(converse::Pe& pe) {
   ensure_comm(pe.machine());
-  comm_->init_rank(pe.id());
   converse::Pe* p = &pe;
-  comm_->set_wake(pe.id(), [p](SimTime t) { p->wake(t); });
+  comm_->init_rank(pe.id(), [p](SimTime t) { p->wake(t); });
   pe.set_layer_state(std::make_unique<PeState>());
 }
 
@@ -137,23 +136,6 @@ bool MpiLayer::has_backlog(const converse::Pe& pe) const {
   // PE through the CQ notify hook; only credit-stalled control messages
   // need active retry.
   return comm_ && comm_->has_send_backlog(pe.id());
-}
-
-void MpiLayer::collect_metrics(trace::MetricsRegistry& reg) {
-  if (!comm_) return;
-  const mpilite::MpiStats& s = comm_->stats();
-  reg.counter("mpi.sends_e0").set(s.sends_e0);
-  reg.counter("mpi.sends_e1").set(s.sends_e1);
-  reg.counter("mpi.sends_rndv").set(s.sends_rndv);
-  reg.counter("mpi.unexpected").set(s.unexpected);
-  reg.counter("retry_smsg").set(s.smsg_retries);
-  reg.counter("retry_mem_register").set(s.reg_retries);
-  reg.counter("retry_escalations").set(s.escalations);
-  reg.counter("cq_overrun_recovered").set(s.cq_overruns_recovered);
-  const mpilite::UdregStats& u = comm_->udreg_stats();
-  reg.counter("mpi.udreg_hits").set(u.hits);
-  reg.counter("mpi.udreg_misses").set(u.misses);
-  reg.counter("mpi.udreg_evictions").set(u.evictions);
 }
 
 }  // namespace ugnirt::lrts

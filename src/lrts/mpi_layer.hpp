@@ -40,8 +40,6 @@ class MpiLayer final : public converse::MachineLayer {
 
   mpilite::MpiComm* comm() { return comm_.get(); }
 
-  void collect_metrics(trace::MetricsRegistry& reg) override;
-
  private:
   struct PeState;
   PeState& state(converse::Pe& pe);

@@ -224,7 +224,7 @@ void SmpLayer::comm_step(NodeState& n, SimTime t) {
     c_comm_thread_busy_defers_->inc();
     SimTime next = n.comm_avail + (n.backlog.empty() ? 0 : 500);
     // A backed-off backlog must not busy-spin before its retry instant.
-    if (!n.backlog.empty()) next = std::max(next, n.backlog_retry_at);
+    if (!n.backlog.empty()) next = std::max(next, n.backlog.retry_at);
     // Waking at the earliest ready time instead of comm_avail would model
     // a thread that sleeps; the comm thread spins.
     next = std::min(next, n.outq_min_ready);

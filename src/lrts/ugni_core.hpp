@@ -57,11 +57,11 @@
 #include "converse/machine.hpp"
 #include "fault/retry.hpp"
 #include "flowcontrol/flowcontrol.hpp"
-#include "lrts/retry_util.hpp"
 #include "lrts/span_marks.hpp"
 #include "mempool/mempool.hpp"
 #include "trace/events.hpp"
 #include "trace/spans.hpp"
+#include "ugni/client.hpp"
 #include "ugni/msgq.hpp"
 #include "ugni/ugni.hpp"
 #include "util/log.hpp"
@@ -107,11 +107,7 @@ struct RdvTarget {
 
 /// Protocol state of one endpoint: a NIC with its CQs, pool and in-flight
 /// protocol bookkeeping.  The owner's state derives from it.
-struct UgniEndpoint {
-  ugni::gni_nic_handle_t nic = nullptr;
-  ugni::gni_cq_handle_t rx_cq = nullptr;   // SMSG arrivals
-  ugni::gni_cq_handle_t tx_cq = nullptr;   // FMA/BTE local completions
-  ugni::gni_msgq_handle_t msgq = nullptr;  // shared queue (use_msgq mode)
+struct UgniEndpoint : ugni::ClientEndpoint {
   // No per-peer endpoint map here: the NIC's own peer table (populated
   // lazily by ugni::Nic::get_or_connect) is the single source of truth.
   std::unique_ptr<mempool::MemPool> pool;  // null when use_mempool = false
@@ -176,16 +172,9 @@ struct UgniEndpoint {
   // paid once per buffer and cached here in the no-pool configuration.
   std::unordered_map<const void*, ugni::gni_mem_handle_t> persist_send_reg;
 
-  // Credit-stalled SMSG sends, retried in order by flush().
-  struct Pending {
-    int dest_pe = -1;
-    std::uint8_t tag = 0;
-    std::vector<std::uint8_t> ctrl;  // control payload (ctrl tags)
-    void* msg = nullptr;             // data payload (kTagData), owned
-  };
-  std::deque<Pending> backlog;
-  int backlog_attempts = 0;      // consecutive failed flush attempts
-  SimTime backlog_retry_at = 0;  // no flush retry before this instant
+  // Credit-stalled SMSG sends (destinations are PEs), retried in order by
+  // flush(); an owned entry is a whole kTagData message.
+  ugni::SmsgBacklog backlog;
 
   // Rendezvous GETs admitted into `recvs` but deferred by the injection
   // governor (AIMD window full); drained FIFO by flush().
@@ -199,7 +188,7 @@ struct UgniEndpoint {
   ugni::gni_ep_handle_t last_ep = nullptr;
 
   ~UgniEndpoint() {
-    for (auto& p : backlog) {
+    for (auto& p : backlog.q) {
       if (p.msg) mempool::MemPool::discard(p.msg);
     }
   }
@@ -231,18 +220,11 @@ class UgniCore {
 
   // Hot-path counters, bound to the machine registry in bind() (std::map
   // node addresses are stable, so the pointers stay valid).
-  trace::Counter* c_smsg_sends_ = nullptr;
+  ugni::ClientCounters n_;
   trace::Counter* c_rendezvous_gets_ = nullptr;
   trace::Counter* c_persistent_puts_ = nullptr;
-  trace::Counter* c_credit_stalls_ = nullptr;
-  trace::Counter* c_registrations_ = nullptr;
-  trace::Counter* c_retry_smsg_ = nullptr;
-  trace::Counter* c_retry_post_ = nullptr;
-  trace::Counter* c_retry_mem_register_ = nullptr;
-  trace::Counter* c_retry_escalations_ = nullptr;
   trace::Counter* c_fallback_rendezvous_ = nullptr;
   trace::Counter* c_fallback_heap_ = nullptr;
-  trace::Counter* c_cq_recovered_ = nullptr;
 
   /// Create the domain and bind the registry counters.  `smsg_cap` is the
   /// owner's mailbox payload cap; `use_msgq` routes small messages through
@@ -250,69 +232,33 @@ class UgniCore {
   void bind(converse::Machine& m, std::uint32_t smsg_cap, bool use_msgq) {
     machine_ = &m;
     trace::MetricsRegistry& reg = m.metrics();
-    c_smsg_sends_ = &reg.counter("ugni.smsg_sends");
+    n_ = ugni::ClientCounters(reg);
     c_rendezvous_gets_ = &reg.counter("ugni.rendezvous_gets");
     c_persistent_puts_ = &reg.counter("ugni.persistent_puts");
-    c_credit_stalls_ = &reg.counter("ugni.credit_stalls");
-    c_registrations_ = &reg.counter("ugni.registrations");
-    c_retry_smsg_ = &reg.counter("retry_smsg");
-    c_retry_post_ = &reg.counter("retry_post");
-    c_retry_mem_register_ = &reg.counter("retry_mem_register");
-    c_retry_escalations_ = &reg.counter("retry_escalations");
     c_fallback_rendezvous_ = &reg.counter("fallback_rendezvous");
     c_fallback_heap_ = &reg.counter("fallback_heap_send");
-    c_cq_recovered_ = &reg.counter("cq_overrun_recovered");
     retry_ = m.options().retry;
     domain_ = std::make_unique<ugni::Domain>(m.network());
     smsg_cap_ = smsg_cap;
     use_msgq_ = use_msgq;
   }
 
-  /// Attach `ep` to the NIC of instance `inst` on `node`, create its CQs
-  /// (and MSGQ in MSGQ mode), and route every NIC notification to
-  /// `notify`.  Channel setup stays lazy; nothing here is O(peers).
+  /// Attach `ep` to the NIC of instance `inst` on `node` with the job's
+  /// CQ size and mailbox geometry (or a MSGQ in MSGQ mode), routing every
+  /// NIC notification to `notify`.
   void open(Endpoint& ep, int inst, int node,
             const std::function<void(SimTime)>& notify) {
-    const std::uint32_t cq_entries = machine_->options().mc.cq_entries;
-    ugni::gni_return_t rc =
-        ugni::GNI_CdmAttach(domain_.get(), inst, node, &ep.nic);
-    assert(rc == ugni::GNI_RC_SUCCESS);
-    rc = ugni::GNI_CqCreate(ep.nic, cq_entries, &ep.rx_cq);
-    assert(rc == ugni::GNI_RC_SUCCESS);
-    rc = ugni::GNI_CqCreate(ep.nic, cq_entries, &ep.tx_cq);
-    assert(rc == ugni::GNI_RC_SUCCESS);
-    ep.nic->set_smsg_rx_cq(ep.rx_cq);
-    ep.nic->set_default_tx_cq(ep.tx_cq);
-    // Channel setup is fully lazy: this only records the mailbox geometry
-    // every future get_or_connect will use.
+    const auto& mc = machine_->options().mc;
     ugni::gni_smsg_attr_t attr;
     attr.msg_maxsize = smsg_cap_;
-    attr.mbox_maxcredit = machine_->options().mc.smsg_mailbox_credits;
-    ep.nic->set_smsg_attr(attr);
-    ep.rx_cq->set_notify(notify);
-    ep.tx_cq->set_notify(notify);
-    ep.nic->set_credit_notify(notify);
-    if (use_msgq_) {
-      rc = ugni::GNI_MsgqInit(ep.nic, 256 * 1024, &ep.msgq);
-      assert(rc == ugni::GNI_RC_SUCCESS);
-      ep.msgq->set_notify(notify);
-    }
-    (void)rc;
+    attr.mbox_maxcredit = mc.smsg_mailbox_credits;
+    ugni::open_endpoint(*domain_, inst, node, mc.cq_entries, attr, use_msgq_,
+                        notify, ep);
   }
 
-  /// Endpoint to `peer` via ugni::Nic::get_or_connect — the uGNI API owns
-  /// channel creation and its first-touch cost; the core only counts the
-  /// two mailbox registrations when a channel is established.
+  /// Endpoint to NIC instance `peer`, connecting on first touch.
   ugni::gni_ep_handle_t connect(Endpoint& ep, int peer) {
-    bool established = false;
-    ugni::gni_ep_handle_t gep = ep.nic->get_or_connect(peer, &established);
-    assert(gep && "get_or_connect failed: unknown peer or NIC not configured");
-    // get_or_connect charged the initiator for both mailbox pins (nothing
-    // in MSGQ mode); mirror the two registrations into the counter.
-    if (established && !use_msgq_) {
-      c_registrations_->inc(2);
-    }
-    return gep;
+    return ugni::connect(ep, peer, *n_.registrations);
   }
 
   /// Message buffer from `ep`'s pool, or a modeled malloc.
@@ -436,9 +382,8 @@ class UgniCore {
     converse::header_of(msg)->flags |= converse::kMsgFlagNoFree;
 
     ugni::gni_ep_handle_t gep = connect(ep, owner().peer_of(tx.dest_pe));
-    detail::post_with_retry(ctx, retry_, gep, ps.desc.get(),
-                            ps.desc->type == ugni::GNI_POST_RDMA_PUT,
-                            {c_retry_post_, c_retry_escalations_});
+    ugni::post_with_retry(ctx, retry_, gep, ps.desc.get(),
+                          ps.desc->type == ugni::GNI_POST_RDMA_PUT, n_.post);
     // Persistent PUTs are latency-critical and never deferred, but they
     // count against the window so their completions drive AIMD too.
     if (governor_) governor_->note_post(ep.nic->inst_id());
@@ -455,20 +400,13 @@ class UgniCore {
 
   /// Drain the RX CQ, the MSGQ and the TX CQ, running the protocol.
   void progress(sim::Context& ctx, Endpoint& ep) {
-    // Drain SMSG arrivals.  ERROR_RESOURCE means the CQ overran: recover
-    // (drain + resynthesize from mailbox state) instead of latching dead.
-    for (;;) {
-      ugni::gni_cq_entry_t ev;
-      ugni::gni_return_t rc = ugni::GNI_CqGetEvent(ep.rx_cq, &ev);
-      if (rc == ugni::GNI_RC_ERROR_RESOURCE) {
-        detail::recover_cq(ep.rx_cq, c_cq_recovered_);
-        continue;
-      }
-      if (rc != ugni::GNI_RC_SUCCESS) break;
-      if (ev.type == ugni::CqEventType::kSmsg) {
-        handle_smsg(ctx, ep, ev.source_inst);
-      }
-    }
+    // Drain SMSG arrivals.
+    ugni::drain_cq(ep.rx_cq, *n_.cq_recovered,
+                   [&](const ugni::gni_cq_entry_t& ev) {
+                     if (ev.type == ugni::CqEventType::kSmsg) {
+                       handle_smsg(ctx, ep, ev.source_inst);
+                     }
+                   });
 
     // Drain the shared message queue (MSGQ mode).
     if (ep.msgq) {
@@ -484,25 +422,21 @@ class UgniCore {
       }
     }
 
-    // Drain FMA/BTE completions, with the same overrun recovery.
-    for (;;) {
-      ugni::gni_cq_entry_t ev;
-      ugni::gni_return_t rc = ugni::GNI_CqGetEvent(ep.tx_cq, &ev);
-      if (rc == ugni::GNI_RC_ERROR_RESOURCE) {
-        detail::recover_cq(ep.tx_cq, c_cq_recovered_);
-        continue;
-      }
-      if (rc != ugni::GNI_RC_SUCCESS) break;
-      if (ev.type == ugni::CqEventType::kPostLocal) {
-        handle_completion(ctx, ep, ev);
-      }
-    }
+    // Drain FMA/BTE completions.
+    ugni::drain_cq(ep.tx_cq, *n_.cq_recovered,
+                   [&](const ugni::gni_cq_entry_t& ev) {
+                     if (ev.type == ugni::CqEventType::kPostLocal) {
+                       handle_completion(ctx, ep, ev);
+                     }
+                   });
   }
 
   /// Re-admit governor-deferred GETs, then retry the credit backlog.
   void flush(sim::Context& ctx, Endpoint& ep) {
     if (governor_) drain_deferred_gets(ctx, ep);
-    flush_backlog(ctx, ep);
+    SmsgClient c{*this, ep};
+    ep.backlog.flush(ctx, c, n_, retry_,
+                     machine_->fault_injector() != nullptr);
   }
 
   void collect_core_metrics(trace::MetricsRegistry& reg) {
@@ -516,10 +450,9 @@ class UgniCore {
   void register_buf(sim::Context& ctx, Endpoint& ep, const void* buf,
                     std::uint64_t len, ugni::gni_mem_handle_t* hndl) {
     // Retries under the policy on transient resource exhaustion.
-    detail::register_with_retry(ctx, retry_, ep.nic,
-                                reinterpret_cast<std::uint64_t>(buf), len,
-                                nullptr, hndl,
-                                {c_retry_mem_register_, c_retry_escalations_});
+    ugni::register_with_retry(ctx, retry_, ep.nic,
+                              reinterpret_cast<std::uint64_t>(buf), len,
+                              nullptr, hndl, n_.reg);
   }
 
   /// One SMSG (or MSGQ) post; data messages carry the owner's routing
@@ -538,123 +471,51 @@ class UgniCore {
     return ugni::GNI_SmsgSendWTag(gep, &prefix, plen, bytes, len, 0, tag);
   }
 
+  /// The endpoint's side of its SMSG backlog (ugni::SmsgBacklog).
+  struct SmsgClient {
+    UgniCore& core;
+    Endpoint& ep;
+    ugni::gni_ep_handle_t smsg_ep(int dest_pe) {
+      return core.use_msgq_
+                 ? nullptr
+                 : core.connect(ep, core.owner().peer_of(dest_pe));
+    }
+    ugni::gni_return_t smsg_post(ugni::gni_ep_handle_t gep, int dest_pe,
+                                 std::uint8_t tag, const void* bytes,
+                                 std::uint32_t len) {
+      return core.post_smsg(ep, gep, dest_pe, tag, bytes, len);
+    }
+    void smsg_posted(sim::Context& ctx, void* msg) {
+      if (trace::spans_enabled()) {
+        mark_msg_spans(msg, trace::Stage::kTransportPost,
+                       core.owner().home_pe(ep), ctx.now());
+      }
+      core.free_buf(ctx, msg);
+    }
+    bool smsg_demote(sim::Context& ctx) {
+      return core.demote_front_to_rendezvous(ctx, ep);
+    }
+    void smsg_wake(SimTime t) { core.owner().wake(ep, t); }
+  };
+
   /// Send a tagged SMSG (control or data), queueing on credit exhaustion.
   void smsg_send(sim::Context& ctx, Endpoint& ep, int dest_pe, std::uint8_t tag,
                  const void* bytes, std::uint32_t len, void* owned_msg) {
-    ugni::gni_ep_handle_t gep =
-        use_msgq_ ? nullptr : connect(ep, owner().peer_of(dest_pe));
-    if (ep.backlog.empty()) {
-      ugni::gni_return_t rc = post_smsg(ep, gep, dest_pe, tag, bytes, len);
-      if (rc == ugni::GNI_RC_SUCCESS) {
-        c_smsg_sends_->inc();
-        if (owned_msg) {
-          if (trace::spans_enabled()) {
-            mark_msg_spans(owned_msg, trace::Stage::kTransportPost,
-                           owner().home_pe(ep), ctx.now());
-          }
-          free_buf(ctx, owned_msg);
-        }
-        return;
-      }
-      // NOT_DONE: out of credits or a starvation window; ERROR_RESOURCE: an
-      // injected transient send failure.  Both queue and retry from
-      // flush_backlog; anything else is a contract violation.
-      ugni::check(rc, "GNI_SmsgSendWTag", ugni::GNI_RC_NOT_DONE,
-                  ugni::GNI_RC_ERROR_RESOURCE);
-    }
-    // Out of credits (or draining in order behind earlier stalls): queue.
-    c_credit_stalls_->inc();
-    if (trace::enabled()) {
-      trace::emit(trace::Ev::kCreditStall, ctx.now(), 0, dest_pe, len);
-    }
-    UGNIRT_TRACELOG("smsg credit stall -> pe " << dest_pe << " (" << len
-                                               << " B queued)");
-    Endpoint::Pending p;
-    p.dest_pe = dest_pe;
-    p.tag = tag;
-    if (owned_msg) {
-      p.msg = owned_msg;  // payload lives in the message itself
-    } else {
-      p.ctrl.assign(static_cast<const std::uint8_t*>(bytes),
-                    static_cast<const std::uint8_t*>(bytes) + len);
-    }
-    ep.backlog.push_back(std::move(p));
-  }
-
-  void flush_backlog(sim::Context& ctx, Endpoint& ep) {
-    if (ep.backlog.empty()) return;
-    // With a fault plan active the backlog retries under the RetryPolicy:
-    // stalls may be injected starvation windows that consume no credits, so
-    // the credit-return notify alone cannot be relied on to wake us.
-    // Without faults, stalls are genuine credit exhaustion and the notify
-    // is the precise (and cheapest) wake.
-    const bool faulty = machine_->fault_injector() != nullptr;
-    if (faulty && ctx.now() < ep.backlog_retry_at) {
-      owner().wake(ep, ep.backlog_retry_at);
-      return;
-    }
-    while (!ep.backlog.empty()) {
-      Endpoint::Pending& p = ep.backlog.front();
-      const void* bytes = p.msg ? p.msg : p.ctrl.data();
-      std::uint32_t len = p.msg ? converse::header_of(p.msg)->size
-                                : static_cast<std::uint32_t>(p.ctrl.size());
-      ugni::gni_ep_handle_t gep =
-          use_msgq_ ? nullptr : connect(ep, owner().peer_of(p.dest_pe));
-      ugni::gni_return_t rc = post_smsg(ep, gep, p.dest_pe, p.tag, bytes, len);
-      if (rc != ugni::GNI_RC_SUCCESS) {  // still stalled
-        ugni::check(rc, "GNI_SmsgSendWTag (backlog)", ugni::GNI_RC_NOT_DONE,
-                    ugni::GNI_RC_ERROR_RESOURCE);
-        if (!faulty) return;
-        ++ep.backlog_attempts;
-        c_retry_smsg_->inc();
-        if (ep.backlog_attempts == retry_.max_retries + 1) {
-          c_retry_escalations_->inc();
-          UGNIRT_WARN("nic " << ep.nic->inst_id()
-                             << ": smsg backlog still stalled after "
-                             << retry_.max_retries
-                             << " retries; continuing at capped backoff");
-        }
-        // After sustained starvation, stop competing for SMSG credits:
-        // demote the stalled data message to the credit-free rendezvous
-        // path (large-message protocol, any size).
-        if (ep.backlog_attempts >= retry_.demote_after &&
-            demote_front_to_rendezvous(ctx, ep)) {
-          ep.backlog_attempts = 0;
-          continue;
-        }
-        const SimTime pause = retry_.backoff_for(ep.backlog_attempts);
-        if (trace::enabled()) {
-          trace::emit(trace::Ev::kRetryBackoff, ctx.now(), pause, p.dest_pe,
-                      static_cast<std::uint32_t>(ep.backlog_attempts));
-        }
-        ep.backlog_retry_at = ctx.now() + pause;
-        owner().wake(ep, ep.backlog_retry_at);
-        return;
-      }
-      ep.backlog_attempts = 0;
-      c_smsg_sends_->inc();
-      if (p.msg) {
-        if (trace::spans_enabled()) {
-          mark_msg_spans(p.msg, trace::Stage::kTransportPost,
-                         owner().home_pe(ep), ctx.now());
-        }
-        free_buf(ctx, p.msg);
-      }
-      ep.backlog.pop_front();
-    }
+    SmsgClient c{*this, ep};
+    ep.backlog.send(ctx, c, n_, dest_pe, tag, bytes, len, owned_msg);
   }
 
   /// Convert the backlog's front kTagData entry to a rendezvous INIT
   /// (credit-free path) after sustained SMSG starvation.
   bool demote_front_to_rendezvous(sim::Context& ctx, Endpoint& ep) {
-    Endpoint::Pending& p = ep.backlog.front();
+    ugni::SmsgBacklog::Entry& p = ep.backlog.q.front();
     // Only whole data messages can demote; control messages ARE the
     // rendezvous protocol and must stay on the SMSG path.
     if (!p.msg || p.tag != kTagData) return false;
     void* msg = p.msg;
-    const int dest_pe = p.dest_pe;
+    const int dest_pe = p.dest;
     const std::uint32_t size = converse::header_of(msg)->size;
-    ep.backlog.pop_front();
+    ep.backlog.q.pop_front();
     c_fallback_rendezvous_->inc();
     if (trace::enabled()) {
       trace::emit(trace::Ev::kFallback, ctx.now(), 0, dest_pe, size);
@@ -679,7 +540,7 @@ class UgniCore {
       // pool's block (a pxshm single-copy delivery forwarded): register it.
       ls.msg = msg;
       register_buf(ctx, ep, msg, size, &ls.hndl);
-      c_registrations_->inc();
+      n_.registrations->inc();
     }
     std::uint64_t id = ep.next_send_id++;
     ep.sends.emplace(id, ls);
@@ -703,9 +564,8 @@ class UgniCore {
     Endpoint::LargeRecv& lr = ep.recvs.at(rid);
     const int src_peer = owner().peer_of(lr.reply_pe);
     ugni::gni_ep_handle_t back = connect(ep, src_peer);
-    detail::post_with_retry(ctx, retry_, back, lr.desc.get(),
-                            lr.desc->type == ugni::GNI_POST_RDMA_GET,
-                            {c_retry_post_, c_retry_escalations_});
+    ugni::post_with_retry(ctx, retry_, back, lr.desc.get(),
+                          lr.desc->type == ugni::GNI_POST_RDMA_GET, n_.post);
     release_source(*lr.desc);
     c_rendezvous_gets_->inc();
     if (trace::enabled()) {
@@ -853,7 +713,7 @@ class UgniCore {
     lr.buf = l.buf;
     lr.local_hndl = l.hndl;
     lr.registered = l.registered;
-    if (l.registered) c_registrations_->inc();
+    if (l.registered) n_.registrations->inc();
     lr.desc = std::make_unique<ugni::gni_post_descriptor_t>();
     // A hot NIC switches to the offloaded BTE engine earlier, freeing the
     // CPU to drain completions (stock threshold when flow is off).

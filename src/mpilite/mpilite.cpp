@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-
-#include "trace/events.hpp"
-#include "util/log.hpp"
+#include <list>
+#include <map>
+#include <unordered_map>
+#include <utility>
 
 namespace ugnirt::mpilite {
 
@@ -36,21 +37,14 @@ sim::Context& ctx_now() {
   return *c;
 }
 
-/// Attempts after which a permanently-failing call aborts (a fault plan
-/// with p = 1.0 on a required resource cannot make progress).
-constexpr int kHardCap = 1000;
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Per-rank state
 // ---------------------------------------------------------------------------
 
-struct MpiComm::RankState {
+struct MpiComm::RankState : ugni::ClientEndpoint {
   int rank = -1;
-  ugni::gni_nic_handle_t nic = nullptr;
-  ugni::gni_cq_handle_t rx_cq = nullptr;
-  ugni::gni_cq_handle_t tx_cq = nullptr;
   std::function<void(SimTime)> wake;
 
   // Pre-registered bounce pool for E1 sends (and E1 receive landings).
@@ -72,25 +66,39 @@ struct MpiComm::RankState {
   // Arrived messages not yet received.
   std::list<InMsg> unexpected;
 
-  // Credit-stalled control messages, retried from the progress engine.
-  struct PendingCtrl {
-    int dest = -1;
-    std::uint8_t tag = 0;
-    std::vector<std::uint8_t> bytes;
-  };
-  std::deque<PendingCtrl> backlog;
-  int backlog_attempts = 0;      // consecutive failed flush attempts
-  SimTime backlog_retry_at = 0;  // no flush retry before this instant
+  // Credit-stalled control messages (destinations are ranks), retried
+  // from the progress engine — the library's internal send queue.
+  ugni::SmsgBacklog backlog;
 
-  // uDREG registration cache: page-rounded (addr,len) -> handle, LRU.
+  // uDREG registration cache: exact page-rounded range -> handle, LRU.
   struct UdregEntry {
-    std::uint64_t key = 0;
     ugni::gni_mem_handle_t hndl{};
     std::uint64_t base = 0;
     std::uint64_t len = 0;
   };
+  using UdregKey = std::pair<std::uint64_t, std::uint64_t>;  // base, len
   std::list<UdregEntry> udreg_lru;  // front = most recent
-  std::unordered_map<std::uint64_t, std::list<UdregEntry>::iterator> udreg;
+  std::map<UdregKey, std::list<UdregEntry>::iterator> udreg;
+};
+
+/// A rank's side of its SMSG backlog (ugni::SmsgBacklog).  The library
+/// queues only control messages: nothing is owned, nothing demotes.
+struct MpiComm::SmsgClient {
+  MpiComm& comm;
+  RankState& s;
+  ugni::gni_ep_handle_t smsg_ep(int dest) {
+    return ugni::connect(s, dest, *comm.n_.registrations);
+  }
+  ugni::gni_return_t smsg_post(ugni::gni_ep_handle_t gep, int /*dest*/,
+                               std::uint8_t tag, const void* bytes,
+                               std::uint32_t len) {
+    return ugni::GNI_SmsgSendWTag(gep, nullptr, 0, bytes, len, 0, tag);
+  }
+  void smsg_posted(sim::Context&, void*) {}
+  bool smsg_demote(sim::Context&) { return false; }
+  void smsg_wake(SimTime t) {
+    if (s.wake) s.wake(t);
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -98,35 +106,39 @@ struct MpiComm::RankState {
 // ---------------------------------------------------------------------------
 
 MpiComm::MpiComm(gemini::Network& network, int ranks,
-                 std::function<int(int)> node_of)
-    : network_(&network), ranks_(ranks), node_of_(std::move(node_of)) {
+                 std::function<int(int)> node_of,
+                 const fault::RetryPolicy& retry,
+                 trace::MetricsRegistry& metrics)
+    : network_(&network),
+      ranks_(ranks),
+      node_of_(std::move(node_of)),
+      retry_(retry),
+      n_(metrics),
+      c_sends_e0_(&metrics.counter("mpi.sends_e0")),
+      c_sends_e1_(&metrics.counter("mpi.sends_e1")),
+      c_sends_rndv_(&metrics.counter("mpi.sends_rndv")),
+      c_unexpected_(&metrics.counter("mpi.unexpected")),
+      c_udreg_hits_(&metrics.counter("mpi.udreg_hits")),
+      c_udreg_misses_(&metrics.counter("mpi.udreg_misses")),
+      c_udreg_evictions_(&metrics.counter("mpi.udreg_evictions")) {
   domain_ = std::make_unique<ugni::Domain>(network);
   ranks_state_.resize(static_cast<std::size_t>(ranks));
 }
 
 MpiComm::~MpiComm() = default;
 
-void MpiComm::init_rank(int rank) {
+void MpiComm::init_rank(int rank, std::function<void(SimTime)> wake) {
   assert(rank >= 0 && rank < ranks_);
   auto s = std::make_unique<RankState>();
   s->rank = rank;
+  s->wake = std::move(wake);
   const auto& mc = network_->config();
-  ugni::gni_return_t rc =
-      ugni::GNI_CdmAttach(domain_.get(), rank, node_of_(rank), &s->nic);
-  assert(rc == ugni::GNI_RC_SUCCESS);
-  rc = ugni::GNI_CqCreate(s->nic, mc.cq_entries, &s->rx_cq);
-  assert(rc == ugni::GNI_RC_SUCCESS);
-  rc = ugni::GNI_CqCreate(s->nic, mc.cq_entries, &s->tx_cq);
-  assert(rc == ugni::GNI_RC_SUCCESS);
-  s->nic->set_smsg_rx_cq(s->rx_cq);
-  s->nic->set_default_tx_cq(s->tx_cq);
   ugni::gni_smsg_attr_t attr;
   // MPI mailboxes are sized for envelopes + small eager payloads.
   attr.msg_maxsize = mc.smsg_max_bytes + 64;
   attr.mbox_maxcredit = mc.mpi_mailbox_credits;
-  s->nic->set_smsg_attr(attr);
-
-  (void)rc;
+  ugni::open_endpoint(*domain_, rank, node_of_(rank), mc.cq_entries, attr,
+                      /*use_msgq=*/false, s->wake, *s);
   ranks_state_[static_cast<std::size_t>(rank)] = std::move(s);
 }
 
@@ -142,128 +154,20 @@ void MpiComm::ensure_bounce_pool(RankState& s) {
   const std::uint32_t slots = 64;
   s.bounce_bytes = static_cast<std::uint64_t>(slot) * slots;
   s.bounce_mem = std::make_unique<std::uint8_t[]>(s.bounce_bytes);
-  register_with_retry(ctx_now(), s,
-                      reinterpret_cast<std::uint64_t>(s.bounce_mem.get()),
-                      s.bounce_bytes, &s.bounce_hndl);
+  ugni::register_with_retry(
+      ctx_now(), retry_, s.nic,
+      reinterpret_cast<std::uint64_t>(s.bounce_mem.get()), s.bounce_bytes,
+      nullptr, &s.bounce_hndl, n_.reg);
   for (std::uint32_t i = 0; i < slots; ++i) {
     s.bounce_free.push_back(s.bounce_mem.get() + i * slot);
   }
 }
 
-void MpiComm::register_with_retry(sim::Context& ctx, RankState& s,
-                                  std::uint64_t addr, std::uint64_t len,
-                                  ugni::gni_mem_handle_t* hndl_out) {
-  int failures = 0;
-  for (;;) {
-    ugni::gni_return_t rc =
-        ugni::check(ugni::GNI_MemRegister(s.nic, addr, len, nullptr, 0,
-                                          hndl_out),
-                    "GNI_MemRegister", ugni::GNI_RC_ERROR_RESOURCE);
-    if (rc == ugni::GNI_RC_SUCCESS) return;
-    if (++failures > kHardCap) {
-      ugni::detail::check_fail(rc, "GNI_MemRegister (retries exhausted)");
-    }
-    ++stats_.reg_retries;
-    if (failures == retry_.max_retries + 1) {
-      ++stats_.escalations;
-      UGNIRT_WARN("mpilite rank " << s.rank
-                                  << ": GNI_MemRegister still failing after "
-                                  << retry_.max_retries
-                                  << " retries; continuing at capped backoff");
-    }
-    const SimTime pause = retry_.backoff_for(failures);
-    if (trace::enabled()) {
-      trace::emit(trace::Ev::kRetryBackoff, ctx.now(), pause, /*peer=*/-1,
-                  static_cast<std::uint32_t>(failures));
-    }
-    ctx.charge(pause);
-  }
-}
-
-void MpiComm::set_wake(int rank, std::function<void(SimTime)> fn) {
-  RankState& s = st(rank);
-  s.wake = std::move(fn);
-  auto hook = [&s](SimTime t) {
-    if (s.wake) s.wake(t);
-  };
-  s.rx_cq->set_notify(hook);
-  s.tx_cq->set_notify(hook);
-  s.nic->set_credit_notify(hook);  // retry stalled sends on credit return
-}
-
-ugni::gni_ep_handle_t MpiComm::connect(RankState& src, int dest) {
-  ugni::gni_ep_handle_t ep = src.nic->get_or_connect(dest);
-  assert(ep && "get_or_connect failed: unknown rank or NIC not configured");
-  return ep;
-}
-
-void MpiComm::smsg_send_ctrl(sim::Context& /*ctx*/, RankState& s, int dest,
-                             std::uint8_t tag, const void* bytes,
-                             std::uint32_t len) {
-  ugni::gni_ep_handle_t ep = connect(s, dest);
-  if (s.backlog.empty()) {
-    ugni::gni_return_t rc =
-        ugni::GNI_SmsgSendWTag(ep, bytes, len, nullptr, 0, 0, tag);
-    if (rc == ugni::GNI_RC_SUCCESS) return;
-    // NOT_DONE: out of mailbox credits (or an injected starvation window);
-    // ERROR_RESOURCE: an injected transient send failure.  Both go to the
-    // internal send queue and retry from the progress engine.
-    ugni::check(rc, "GNI_SmsgSendWTag", ugni::GNI_RC_NOT_DONE,
-                ugni::GNI_RC_ERROR_RESOURCE);
-  }
-  // Out of mailbox credits: queue and retry from the progress engine (the
-  // library keeps internal send queues for exactly this).
-  RankState::PendingCtrl p;
-  p.dest = dest;
-  p.tag = tag;
-  p.bytes.assign(static_cast<const std::uint8_t*>(bytes),
-                 static_cast<const std::uint8_t*>(bytes) + len);
-  s.backlog.push_back(std::move(p));
-}
-
-void MpiComm::flush_backlog(sim::Context& ctx, RankState& s) {
-  if (s.backlog.empty()) return;
-  // Injected starvation windows consume no credits, so the credit-return
-  // notify cannot be relied on to retry; with a fault plan active the
-  // backlog backs off exponentially and re-arms its own wake instead.
-  const bool faulty = network_->fault_injector() != nullptr;
-  if (faulty && ctx.now() < s.backlog_retry_at) return;
-  while (!s.backlog.empty()) {
-    RankState::PendingCtrl& p = s.backlog.front();
-    ugni::gni_ep_handle_t ep = connect(s, p.dest);
-    ugni::gni_return_t rc = ugni::GNI_SmsgSendWTag(
-        ep, p.bytes.data(), static_cast<std::uint32_t>(p.bytes.size()),
-        nullptr, 0, 0, p.tag);
-    if (rc != ugni::GNI_RC_SUCCESS) {
-      ugni::check(rc, "GNI_SmsgSendWTag (backlog)", ugni::GNI_RC_NOT_DONE,
-                  ugni::GNI_RC_ERROR_RESOURCE);
-      if (!faulty) return;
-      ++s.backlog_attempts;
-      ++stats_.smsg_retries;
-      if (s.backlog_attempts == retry_.max_retries + 1) {
-        ++stats_.escalations;
-        UGNIRT_WARN("mpilite rank " << s.rank
-                                    << ": send backlog still stalled after "
-                                    << retry_.max_retries
-                                    << " retries; continuing at capped "
-                                       "backoff");
-      }
-      const SimTime pause = retry_.backoff_for(s.backlog_attempts);
-      if (trace::enabled()) {
-        trace::emit(trace::Ev::kRetryBackoff, ctx.now(), pause, p.dest,
-                    static_cast<std::uint32_t>(s.backlog_attempts));
-      }
-      s.backlog_retry_at = ctx.now() + pause;
-      RankState* sp = &s;
-      const SimTime at = s.backlog_retry_at;
-      network_->scheduler().schedule_at(at, [sp, at] {
-        if (sp->wake) sp->wake(at);
-      });
-      return;
-    }
-    s.backlog_attempts = 0;
-    s.backlog.pop_front();
-  }
+void MpiComm::send_ctrl(sim::Context& ctx, RankState& s, int dest,
+                        std::uint8_t tag, const void* bytes,
+                        std::uint32_t len) {
+  SmsgClient c{*this, s};
+  s.backlog.send(ctx, c, n_, dest, tag, bytes, len, /*owned=*/nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -278,31 +182,33 @@ ugni::gni_mem_handle_t MpiComm::udreg_lookup(sim::Context& ctx, RankState& s,
   std::uint64_t base = reinterpret_cast<std::uint64_t>(addr) & ~(page - 1);
   std::uint64_t end =
       (reinterpret_cast<std::uint64_t>(addr) + len + page - 1) & ~(page - 1);
-  // Key on the page-rounded range (good enough for cache behavior).
-  std::uint64_t key = base ^ (end << 1);
+  // A hit needs the exact page range: a registration of other pages does
+  // not cover this buffer.
+  const RankState::UdregKey key{base, end - base};
 
   if (auto it = s.udreg.find(key); it != s.udreg.end()) {
     ctx.charge(mc.udreg_hit_ns);
-    ++udreg_.hits;
+    c_udreg_hits_->inc();
     s.udreg_lru.splice(s.udreg_lru.begin(), s.udreg_lru, it->second);
     return it->second->hndl;
   }
-  ++udreg_.misses;
+  c_udreg_misses_->inc();
+  n_.registrations->inc();
   RankState::UdregEntry entry;
-  entry.key = key;
   entry.base = base;
   entry.len = end - base;
-  register_with_retry(ctx, s, base, entry.len, &entry.hndl);
+  ugni::register_with_retry(ctx, retry_, s.nic, base, entry.len, nullptr,
+                            &entry.hndl, n_.reg);
   s.udreg_lru.push_front(entry);
   s.udreg[key] = s.udreg_lru.begin();
   if (s.udreg_lru.size() > mc.udreg_capacity) {
     RankState::UdregEntry& victim = s.udreg_lru.back();
     ugni::GNI_MemDeregister(s.nic, &victim.hndl);
-    ++udreg_.evictions;
-    s.udreg.erase(victim.key);
+    c_udreg_evictions_->inc();
+    s.udreg.erase({victim.base, victim.len});
     s.udreg_lru.pop_back();
   }
-  return s.udreg.at(key)->hndl;
+  return entry.hndl;
 }
 
 // ---------------------------------------------------------------------------
@@ -347,7 +253,7 @@ void MpiComm::isend(int rank, int dest, int tag, const void* buf,
     }
     m.data_ready = ctx.now() + mc.mpi_shm_notify_ns;
     d.unexpected.push_back(std::move(m));
-    ++stats_.unexpected;
+    c_unexpected_->inc();
     if (d.wake) {
       SimTime at = d.unexpected.back().data_ready;
       network_->scheduler().schedule_at(at, [&d, at] {
@@ -360,13 +266,13 @@ void MpiComm::isend(int rank, int dest, int tag, const void* buf,
 
   if (bytes <= mc.smsg_max_bytes) {
     // E0: envelope + payload inline in one SMSG.
-    ++stats_.sends_e0;
+    c_sends_e0_->inc();
     std::vector<std::uint8_t> wire(sizeof(Envelope) + bytes);
     std::memcpy(wire.data(), &env, sizeof(env));
     ctx.charge(mc.memcpy_cost(bytes));
     std::memcpy(wire.data() + sizeof(env), buf, bytes);
-    smsg_send_ctrl(ctx, s, dest, kMpiE0, wire.data(),
-                   static_cast<std::uint32_t>(wire.size()));
+    send_ctrl(ctx, s, dest, kMpiE0, wire.data(),
+              static_cast<std::uint32_t>(wire.size()));
     req->done = true;  // buffered
     return;
   }
@@ -378,7 +284,7 @@ void MpiComm::isend(int rank, int dest, int tag, const void* buf,
     // resources run out).
     if (!s.bounce_free.empty()) {
       // E1: copy to a pre-registered bounce slot; receiver will GET it.
-      ++stats_.sends_e1;
+      c_sends_e1_->inc();
       std::uint8_t* slot = s.bounce_free.back();
       s.bounce_free.pop_back();
       ctx.charge(mc.memcpy_cost(bytes));
@@ -391,7 +297,7 @@ void MpiComm::isend(int rank, int dest, int tag, const void* buf,
       ctrl.req_id = req->id;
       ctrl.addr = reinterpret_cast<std::uint64_t>(slot);
       ctrl.hndl = s.bounce_hndl;
-      smsg_send_ctrl(ctx, s, dest, kMpiE1, &ctrl, sizeof(ctrl));
+      send_ctrl(ctx, s, dest, kMpiE1, &ctrl, sizeof(ctrl));
       // Request is "buffered-complete": user buffer reusable now; the slot
       // returns to the pool on ACK.
       s.outstanding[req->id] = RankState::OutSend{nullptr, slot};
@@ -401,7 +307,7 @@ void MpiComm::isend(int rank, int dest, int tag, const void* buf,
   }
 
   // R0 rendezvous: register the user buffer (uDREG) and send RTS.
-  ++stats_.sends_rndv;
+  c_sends_rndv_->inc();
   CtrlE1 ctrl;
   ctrl.src = rank;
   ctrl.tag = tag;
@@ -409,7 +315,7 @@ void MpiComm::isend(int rank, int dest, int tag, const void* buf,
   ctrl.req_id = req->id;
   ctrl.addr = reinterpret_cast<std::uint64_t>(buf);
   ctrl.hndl = udreg_lookup(ctx, s, buf, bytes);
-  smsg_send_ctrl(ctx, s, dest, kMpiRts, &ctrl, sizeof(ctrl));
+  send_ctrl(ctx, s, dest, kMpiRts, &ctrl, sizeof(ctrl));
   s.outstanding[req->id] = RankState::OutSend{req, nullptr};
 }
 
@@ -444,23 +350,15 @@ bool MpiComm::test(int rank, Request* req) {
 // ---------------------------------------------------------------------------
 
 void MpiComm::drain(sim::Context& ctx, RankState& s) {
-  for (;;) {
-    ugni::gni_cq_entry_t ev;
-    ugni::gni_return_t rc = ugni::GNI_CqGetEvent(s.rx_cq, &ev);
-    if (rc == ugni::GNI_RC_ERROR_RESOURCE) {
-      // CQ overrun: drain + resynthesize instead of latching dead.
-      std::uint32_t recovered = 0;
-      ugni::check(ugni::GNI_CqErrorRecover(s.rx_cq, &recovered),
-                  "GNI_CqErrorRecover");
-      ++stats_.cq_overruns_recovered;
-      continue;
-    }
-    if (rc != ugni::GNI_RC_SUCCESS) break;
-    if (ev.type == ugni::CqEventType::kSmsg) {
-      handle_smsg(ctx, s, ev.source_inst);
-    }
-  }
-  flush_backlog(ctx, s);
+  ugni::drain_cq(s.rx_cq, *n_.cq_recovered,
+                 [&](const ugni::gni_cq_entry_t& ev) {
+                   if (ev.type == ugni::CqEventType::kSmsg) {
+                     handle_smsg(ctx, s, ev.source_inst);
+                   }
+                 });
+  SmsgClient c{*this, s};
+  s.backlog.flush(ctx, c, n_, retry_,
+                  network_->fault_injector() != nullptr);
 }
 
 void MpiComm::handle_smsg(sim::Context& ctx, RankState& s, int src_inst) {
@@ -484,7 +382,7 @@ void MpiComm::handle_smsg(sim::Context& ctx, RankState& s, int src_inst) {
       m.data_ready = ctx.now();
       ugni::GNI_SmsgRelease(ep);
       s.unexpected.push_back(std::move(m));
-      ++stats_.unexpected;
+      c_unexpected_->inc();
       break;
     }
     case kMpiE1: {
@@ -512,9 +410,9 @@ void MpiComm::handle_smsg(sim::Context& ctx, RankState& s, int src_inst) {
       m.data_ready = tt.data_arrival;
       // ACK so the sender's bounce slot recycles.
       CtrlAck ack{ctrl.req_id};
-      smsg_send_ctrl(ctx, s, ctrl.src, kMpiAck, &ack, sizeof(ack));
+      send_ctrl(ctx, s, ctrl.src, kMpiAck, &ack, sizeof(ack));
       s.unexpected.push_back(std::move(m));
-      ++stats_.unexpected;
+      c_unexpected_->inc();
       break;
     }
     case kMpiRts: {
@@ -528,7 +426,7 @@ void MpiComm::handle_smsg(sim::Context& ctx, RankState& s, int src_inst) {
       m.rhndl = ctrl.hndl;
       m.data_ready = 0;  // transferred at recv()
       s.unexpected.push_back(std::move(m));
-      ++stats_.unexpected;
+      c_unexpected_->inc();
       break;
     }
     case kMpiAck: {
@@ -667,7 +565,7 @@ void MpiComm::recv(int rank, int source, int tag, void* buf,
       std::memcpy(buf, reinterpret_cast<void*>(m->raddr), m->env.size);
       ctx.wait_until(tt.data_arrival);  // blocking MPI_Recv (paper §V-B)
       CtrlAck ack{m->env.req_id};
-      smsg_send_ctrl(ctx, s, m->env.src, kMpiAck, &ack, sizeof(ack));
+      send_ctrl(ctx, s, m->env.src, kMpiAck, &ack, sizeof(ack));
       break;
     }
   }
@@ -697,8 +595,8 @@ void MpiComm::udreg_invalidate(int rank, const void* addr,
   for (auto it = s.udreg_lru.begin(); it != s.udreg_lru.end();) {
     if (it->base < hi && lo < it->base + it->len) {
       ugni::GNI_MemDeregister(s.nic, &it->hndl);
-      ++udreg_.evictions;
-      s.udreg.erase(it->key);
+      c_udreg_evictions_->inc();
+      s.udreg.erase({it->base, it->len});
       it = s.udreg_lru.erase(it);
     } else {
       ++it;

@@ -25,17 +25,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/retry.hpp"
 #include "gemini/network.hpp"
 #include "sim/context.hpp"
-#include "ugni/ugni.hpp"
+#include "trace/metrics.hpp"
+#include "ugni/client.hpp"
 
 namespace ugnirt::mpilite {
 
@@ -55,32 +53,16 @@ struct Request {
   std::uint64_t id = 0;
 };
 
-/// uDREG-style registration cache statistics (paper §IV-B discusses why
-/// CHARM++ can beat this approach).
-struct UdregStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-};
-
-struct MpiStats {
-  std::uint64_t sends_e0 = 0;
-  std::uint64_t sends_e1 = 0;
-  std::uint64_t sends_rndv = 0;
-  std::uint64_t unexpected = 0;
-  // Fault-recovery accounting (see fault::RetryPolicy).
-  std::uint64_t smsg_retries = 0;
-  std::uint64_t reg_retries = 0;
-  std::uint64_t cq_overruns_recovered = 0;
-  std::uint64_t escalations = 0;
-};
-
 class MpiComm {
  public:
   /// `ranks` MPI processes on the given network; rank r lives on
-  /// node_of(r).  All calls must run inside a sim context.
+  /// node_of(r).  Transient uGNI failures are retried under `retry`.  The
+  /// library's rows (mpi.*, the uGNI client rows of ugni/client.hpp) are
+  /// bound in `metrics` here and count from the first call.  All calls
+  /// must run inside a sim context.
   MpiComm(gemini::Network& network, int ranks,
-          std::function<int(int)> node_of);
+          std::function<int(int)> node_of, const fault::RetryPolicy& retry,
+          trace::MetricsRegistry& metrics);
   ~MpiComm();
   MpiComm(const MpiComm&) = delete;
   MpiComm& operator=(const MpiComm&) = delete;
@@ -89,11 +71,10 @@ class MpiComm {
 
   /// Initialize rank-local resources (NIC, CQs, eager pools); charged to
   /// the calling context.  Must be called once per rank before traffic.
-  void init_rank(int rank);
-
-  /// Invoked (at arrival virtual time) when rank gets new traffic; lets a
+  /// `wake` (may be empty) is invoked at arrival virtual time when the
+  /// rank gets new traffic or a stalled send can be retried; it lets a
   /// polling driver sleep instead of spinning.
-  void set_wake(int rank, std::function<void(SimTime)> fn);
+  void init_rank(int rank, std::function<void(SimTime)> wake = {});
 
   // ---- point to point ----
 
@@ -140,15 +121,9 @@ class MpiComm {
   /// True when rank has credit-stalled outgoing control messages.
   bool has_send_backlog(int rank) const;
 
-  const MpiStats& stats() const { return stats_; }
-  const UdregStats& udreg_stats() const { return udreg_; }
-
-  /// Policy governing retry/backoff on transient uGNI failures (defaults
-  /// are sane; layers pass the machine-wide policy through).
-  void set_retry_policy(const fault::RetryPolicy& p) { retry_ = p; }
-
  private:
   struct RankState;
+  struct SmsgClient;
 
   struct Envelope {
     std::int32_t src = -1;
@@ -179,21 +154,14 @@ class MpiComm {
   RankState& st(int rank) { return *ranks_state_[static_cast<size_t>(rank)]; }
 
   /// Registration cache lookup; charges hit or miss cost and returns the
-  /// handle for [addr, addr+len).
+  /// handle for the pages of [addr, addr+len).
   ugni::gni_mem_handle_t udreg_lookup(sim::Context& ctx, RankState& s,
                                       const void* addr, std::uint32_t len);
 
   void ensure_bounce_pool(RankState& s);
-  /// GNI_MemRegister with backoff on transient GNI_RC_ERROR_RESOURCE.
-  void register_with_retry(sim::Context& ctx, RankState& s,
-                           std::uint64_t addr, std::uint64_t len,
-                           ugni::gni_mem_handle_t* hndl_out);
-  /// Endpoint to `dest` via ugni::Nic::get_or_connect (lazy first-touch
-  /// channel setup; the uGNI API charges the initiator).
-  ugni::gni_ep_handle_t connect(RankState& src, int dest);
-  void smsg_send_ctrl(sim::Context& ctx, RankState& s, int dest,
-                      std::uint8_t tag, const void* bytes, std::uint32_t len);
-  void flush_backlog(sim::Context& ctx, RankState& s);
+  /// One control SMSG to rank `dest`, through the rank's credit backlog.
+  void send_ctrl(sim::Context& ctx, RankState& s, int dest, std::uint8_t tag,
+                 const void* bytes, std::uint32_t len);
   void drain(sim::Context& ctx, RankState& s);
   void handle_smsg(sim::Context& ctx, RankState& s, int src_inst);
   InMsg* find_match(RankState& s, int source, int tag, SimTime now);
@@ -203,10 +171,20 @@ class MpiComm {
   std::function<int(int)> node_of_;
   std::unique_ptr<ugni::Domain> domain_;
   std::vector<std::unique_ptr<RankState>> ranks_state_;
-  MpiStats stats_;
-  UdregStats udreg_;
-  fault::RetryPolicy retry_{};
+  fault::RetryPolicy retry_;
   std::uint64_t next_req_id_ = 1;
+
+  // Registry rows, bound at construction.
+  ugni::ClientCounters n_;
+  trace::Counter* c_sends_e0_ = nullptr;
+  trace::Counter* c_sends_e1_ = nullptr;
+  trace::Counter* c_sends_rndv_ = nullptr;
+  trace::Counter* c_unexpected_ = nullptr;
+  // uDREG-style registration cache (paper §IV-B discusses why CHARM++ can
+  // beat this approach).
+  trace::Counter* c_udreg_hits_ = nullptr;
+  trace::Counter* c_udreg_misses_ = nullptr;
+  trace::Counter* c_udreg_evictions_ = nullptr;
 };
 
 }  // namespace ugnirt::mpilite

@@ -210,13 +210,20 @@ std::vector<FaultCase> fault_matrix() {
   return cases;
 }
 
-// Both uGNI modes run the same protocol core, so both face the full
-// matrix: the per-PE layer (FaultMatrixUgni) and the SMP comm-thread layer
-// (FaultMatrixSmp).
+// Every stack recovers through the same uGNI client plumbing
+// (ugni/client.hpp), so every stack faces the full matrix: the per-PE
+// layer (FaultMatrixUgni), the SMP comm-thread layer (FaultMatrixSmp) and
+// the MPI layer (FaultMatrixMpi).
+enum class Stack { kUgni, kSmp, kMpi };
 
-void fault_pingpong(bool smp, std::size_t cell) {
+LayerKind layer_of(Stack stack) {
+  return stack == Stack::kMpi ? LayerKind::kMpi : LayerKind::kUgni;
+}
+
+void fault_pingpong(Stack stack, std::size_t cell) {
   // A copy: fault_matrix() returns a temporary vector.
   const FaultCase fc = fault_matrix()[cell];
+  const bool smp = stack == Stack::kSmp;
   MachineOptions o;
   // An inter-node pair so the NIC paths are exercised: one PE per node, or
   // in SMP mode two workers per node and PE 0 <-> PE 2.
@@ -225,7 +232,7 @@ void fault_pingpong(bool smp, std::size_t cell) {
   o.smp_mode = smp;
   o.fault = fc.plan;
   const int peer = smp ? 2 : 1;
-  auto m = lrts::make_machine(LayerKind::kUgni, o);
+  auto m = lrts::make_machine(layer_of(stack), o);
   // Small (eager SMSG) and large (rendezvous GET) legs under fault fire.
   for (std::uint32_t payload : {64u, 32768u}) {
     const std::uint32_t total = payload + kCmiHeaderBytes;
@@ -249,14 +256,14 @@ void fault_pingpong(bool smp, std::size_t cell) {
   }
 }
 
-void fault_kneighbor(bool smp, std::size_t cell) {
+void fault_kneighbor(Stack stack, std::size_t cell) {
   const FaultCase fc = fault_matrix()[cell];
   MachineOptions o;
   o.pes = 8;
   o.pes_per_node = 2;
-  o.smp_mode = smp;
+  o.smp_mode = stack == Stack::kSmp;
   o.fault = fc.plan;
-  auto m = lrts::make_machine(LayerKind::kUgni, o);
+  auto m = lrts::make_machine(layer_of(stack), o);
   constexpr int kK = 2, kMsgs = 6;
   auto received = run_kneighbor(*m, kK, kMsgs, 512);
   // Each PE receives from 2k neighbors, msgs each: exactly, no loss, no dup.
@@ -272,18 +279,25 @@ std::string fault_cell_name(const ::testing::TestParamInfo<std::size_t>& i) {
 
 class FaultMatrixUgni : public ::testing::TestWithParam<std::size_t> {};
 class FaultMatrixSmp : public ::testing::TestWithParam<std::size_t> {};
+class FaultMatrixMpi : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FaultMatrixUgni, PingPongDeliversEveryLeg) {
-  fault_pingpong(false, GetParam());
+  fault_pingpong(Stack::kUgni, GetParam());
 }
 TEST_P(FaultMatrixUgni, KNeighborZeroLossZeroDuplication) {
-  fault_kneighbor(false, GetParam());
+  fault_kneighbor(Stack::kUgni, GetParam());
 }
 TEST_P(FaultMatrixSmp, PingPongDeliversEveryLeg) {
-  fault_pingpong(true, GetParam());
+  fault_pingpong(Stack::kSmp, GetParam());
 }
 TEST_P(FaultMatrixSmp, KNeighborZeroLossZeroDuplication) {
-  fault_kneighbor(true, GetParam());
+  fault_kneighbor(Stack::kSmp, GetParam());
+}
+TEST_P(FaultMatrixMpi, PingPongDeliversEveryLeg) {
+  fault_pingpong(Stack::kMpi, GetParam());
+}
+TEST_P(FaultMatrixMpi, KNeighborZeroLossZeroDuplication) {
+  fault_kneighbor(Stack::kMpi, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClasses, FaultMatrixUgni,
@@ -291,6 +305,10 @@ INSTANTIATE_TEST_SUITE_P(AllClasses, FaultMatrixUgni,
                                                        fault_matrix().size()),
                          fault_cell_name);
 INSTANTIATE_TEST_SUITE_P(AllClasses, FaultMatrixSmp,
+                         ::testing::Range<std::size_t>(0,
+                                                       fault_matrix().size()),
+                         fault_cell_name);
+INSTANTIATE_TEST_SUITE_P(AllClasses, FaultMatrixMpi,
                          ::testing::Range<std::size_t>(0,
                                                        fault_matrix().size()),
                          fault_cell_name);
@@ -324,6 +342,45 @@ TEST(FaultMpi, KNeighborSurvivesCombinedFaults) {
   for (int pe = 0; pe < 6; ++pe) {
     EXPECT_EQ(received[static_cast<std::size_t>(pe)], 10) << "pe " << pe;
   }
+}
+
+// The MPI library binds its rows in the machine registry when the layer
+// creates it, so they count live with no collect step, and its retries go
+// through the shared uGNI client counters.
+TEST(FaultMpi, CountersLiveInMachineRegistry) {
+  MachineOptions o;
+  o.pes = 4;
+  o.pes_per_node = 1;
+  {
+    auto m = lrts::make_machine(LayerKind::kMpi, o);
+    auto received = run_kneighbor(*m, 1, 3, 512);
+    EXPECT_EQ(received[0], 6);
+    const trace::MetricsRegistry& reg = m->metrics();
+    for (const char* name :
+         {"mpi.sends_e0", "mpi.sends_e1", "mpi.sends_rndv", "mpi.unexpected",
+          "mpi.udreg_hits", "mpi.udreg_misses", "mpi.udreg_evictions",
+          "retry_smsg", "retry_mem_register", "retry_escalations",
+          "cq_overrun_recovered"}) {
+      EXPECT_NE(reg.find_counter(name), nullptr) << name;
+    }
+    EXPECT_EQ(reg.find_counter("mpi.sends_e0")->value(), 24u);
+    EXPECT_EQ(reg.find_counter("mpi.unexpected")->value(), 24u);
+    EXPECT_EQ(reg.find_counter("retry_smsg")->value(), 0u);
+  }
+  // Registration and SMSG send errors, with rendezvous-size messages so
+  // that uDREG registers on both sides.
+  o.fault = base_plan();
+  o.fault.p_reg_error = 0.3;
+  o.fault.p_smsg_error = 0.3;
+  auto m = lrts::make_machine(LayerKind::kMpi, o);
+  auto received = run_kneighbor(*m, 1, 5, 16384);
+  for (int pe = 0; pe < 4; ++pe) {
+    EXPECT_EQ(received[static_cast<std::size_t>(pe)], 10) << "pe " << pe;
+  }
+  const trace::MetricsRegistry& reg = m->metrics();
+  EXPECT_GT(reg.find_counter("mpi.sends_rndv")->value(), 0u);
+  EXPECT_GT(reg.find_counter("retry_mem_register")->value(), 0u);
+  EXPECT_GT(reg.find_counter("retry_smsg")->value(), 0u);
 }
 
 // ------------------------------------------------------------ CQ overrun ----

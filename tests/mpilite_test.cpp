@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <new>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "mpilite/mpilite.hpp"
+#include "trace/metrics.hpp"
 
 namespace ugnirt::mpilite {
 namespace {
@@ -15,8 +18,9 @@ class MpiFixture : public ::testing::Test {
   void SetUp() override {
     net_ = std::make_unique<gemini::Network>(
         engine_.scheduler(), topo::Torus3D::for_nodes(4), gemini::MachineConfig{});
-    comm_ = std::make_unique<MpiComm>(*net_, 4,
-                                      [](int rank) { return rank / 2; });
+    comm_ = std::make_unique<MpiComm>(
+        *net_, 4, [](int rank) { return rank / 2; }, fault::RetryPolicy{},
+        metrics_);
     for (int r = 0; r < 4; ++r) {
       ctx_.push_back(std::make_unique<sim::Context>(engine_.scheduler(), r));
       sim::ScopedContext guard(*ctx_[static_cast<std::size_t>(r)]);
@@ -25,6 +29,9 @@ class MpiFixture : public ::testing::Test {
   }
 
   sim::Context& rank_ctx(int r) { return *ctx_[static_cast<std::size_t>(r)]; }
+
+  /// A registry row the library counts into.
+  std::uint64_t row(const char* name) { return metrics_.counter(name).value(); }
 
   /// Wait (in virtual time) until iprobe matches, then recv.
   void probe_recv(int rank, int src, int tag, void* buf, std::uint32_t max,
@@ -42,6 +49,7 @@ class MpiFixture : public ::testing::Test {
 
   sim::Engine engine_;
   std::unique_ptr<gemini::Network> net_;
+  trace::MetricsRegistry metrics_;
   std::unique_ptr<MpiComm> comm_;
   std::vector<std::unique_ptr<sim::Context>> ctx_;
 };
@@ -67,7 +75,7 @@ TEST_F(MpiFixture, EagerE0RoundTripIntact) {
   EXPECT_EQ(st.tag, 5);
   EXPECT_EQ(st.count, 100u);
   EXPECT_EQ(out, data);
-  EXPECT_EQ(comm_->stats().sends_e0, 1u);
+  EXPECT_EQ(row("mpi.sends_e0"), 1u);
 }
 
 TEST_F(MpiFixture, EagerE1UsesBouncePool) {
@@ -80,8 +88,8 @@ TEST_F(MpiFixture, EagerE1UsesBouncePool) {
   Status st;
   probe_recv(2, MPI_ANY_SOURCE, MPI_ANY_TAG, out.data(), 4096, &st);
   EXPECT_EQ(out, data);
-  EXPECT_EQ(comm_->stats().sends_e1, 1u);
-  EXPECT_EQ(comm_->udreg_stats().misses, 0u);  // eager never registers
+  EXPECT_EQ(row("mpi.sends_e1"), 1u);
+  EXPECT_EQ(row("mpi.udreg_misses"), 0u);  // eager never registers
 }
 
 TEST_F(MpiFixture, RendezvousTransfersAndBlocksReceiver) {
@@ -105,8 +113,8 @@ TEST_F(MpiFixture, RendezvousTransfersAndBlocksReceiver) {
   EXPECT_EQ(out, data);
   // 256 KiB at ~6 GB/s is >40 us: the receiver really blocked.
   EXPECT_GT(blocked, microseconds(30.0));
-  EXPECT_EQ(comm_->stats().sends_rndv, 1u);
-  EXPECT_GT(comm_->udreg_stats().misses, 0u);
+  EXPECT_EQ(row("mpi.sends_rndv"), 1u);
+  EXPECT_GT(row("mpi.udreg_misses"), 0u);
 
   // The ACK completes the sender's request once the sender's clock passes
   // the ACK arrival (the receiver's clock bounds it from above).
@@ -129,8 +137,39 @@ TEST_F(MpiFixture, UdregCachesRepeatedBuffers) {
     probe_recv(2, 0, 3, out.data(), 262144, &st);
   }
   // Same send buffer and same recv buffer: 2 misses total, rest hits.
-  EXPECT_EQ(comm_->udreg_stats().misses, 2u);
-  EXPECT_EQ(comm_->udreg_stats().hits, 8u);
+  EXPECT_EQ(row("mpi.udreg_misses"), 2u);
+  EXPECT_EQ(row("mpi.udreg_hits"), 8u);
+}
+
+// Regression: the cache used to key on base ^ (end << 1) and took any key
+// match as a hit.  With p 1 MiB aligned, the page ranges [p+0x30000,
+// p+0x50000) and [p+0x50000, p+0x60000) share that key, so the second
+// receive was counted as a hit on pages it had never registered.
+TEST_F(MpiFixture, UdregHitNeedsExactPageRange) {
+  constexpr std::size_t kAlign = 1u << 20;
+  auto* send_buf = static_cast<std::uint8_t*>(
+      ::operator new(2 * kAlign, std::align_val_t{kAlign}));
+  auto* p = static_cast<std::uint8_t*>(
+      ::operator new(2 * kAlign, std::align_val_t{kAlign}));
+  Request req[2];  // the library completes them on ACK: keep them alive
+  auto round = [&](int i, std::uint32_t offset, std::uint32_t bytes) {
+    auto data = pattern(bytes, static_cast<std::uint8_t>(i));
+    std::memcpy(send_buf, data.data(), bytes);
+    {
+      sim::ScopedContext guard(rank_ctx(0));
+      comm_->isend(0, 2, 6, send_buf, bytes, &req[i]);
+    }
+    Status st;
+    probe_recv(2, 0, 6, p + offset, bytes, &st);
+    EXPECT_EQ(std::memcmp(p + offset, data.data(), bytes), 0);
+  };
+  round(0, 0x30000, 0x20000);  // receive pages [p+0x30000, p+0x50000)
+  round(1, 0x50000, 0x10000);  // receive pages [p+0x50000, p+0x60000)
+  // Two send ranges and two receive ranges, all distinct: four misses.
+  EXPECT_EQ(row("mpi.udreg_misses"), 4u);
+  EXPECT_EQ(row("mpi.udreg_hits"), 0u);
+  ::operator delete(p, std::align_val_t{kAlign});
+  ::operator delete(send_buf, std::align_val_t{kAlign});
 }
 
 TEST_F(MpiFixture, IntraNodeShmDoubleCopySmall) {
