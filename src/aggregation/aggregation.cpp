@@ -19,9 +19,7 @@ namespace ugnirt::aggregation {
 using converse::header_of;
 using converse::kCmiHeaderBytes;
 
-Aggregator::Aggregator(converse::Machine& machine,
-                       const AggregationConfig& cfg)
-    : machine_(machine), cfg_(cfg) {
+Aggregator::Aggregator(converse::Machine& machine) : machine_(machine) {
   per_pe_.resize(static_cast<std::size_t>(machine.num_pes()));
   trace::MetricsRegistry& reg = machine.metrics();
   c_batched_ = &reg.counter("agg.batched");
@@ -67,7 +65,7 @@ bool Aggregator::enqueue(sim::Context& ctx, converse::Pe& src, int dest_pe,
     // handoff, where packing would add two copies to a zero-copy path).
     const std::uint32_t txn =
         machine_.layer().recommended_batch_bytes(src, dest_pe);
-    const std::uint32_t total = std::min(txn, cfg_.buffer_bytes);
+    const std::uint32_t total = std::min(txn, kBufferBytes);
     if (total < kCmiHeaderBytes + sizeof(FrameHeader)) {
       c_bypass_->inc();
       return false;
@@ -86,7 +84,7 @@ bool Aggregator::enqueue(sim::Context& ctx, converse::Pe& src, int dest_pe,
     bh->alloc_pe = src.id();
     bh->flags = converse::kMsgFlagSystem | converse::kMsgFlagAggBatch;
     buf.writer.emplace(converse::payload_of(buf.msg), cap);
-    buf.deadline = ctx.now() + cfg_.max_delay_ns;
+    buf.deadline = ctx.now() + kMaxDelayNs;
     it = pa.bufs.emplace(dest_pe, buf).first;
     // Arm the flush timer: ensure the owning PE takes a scheduler step at
     // the deadline (run_step calls flush_expired).

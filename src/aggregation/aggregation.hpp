@@ -3,13 +3,13 @@
 // Fine-grained apps (kNeighbor, NQueens) pay one full SMSG transaction —
 // mailbox credit, CQ event, scheduler wakeup — per tiny message.  The
 // aggregator sits between Converse's unified submit() entry and the LRTS
-// layer: outgoing messages smaller than `agg.threshold` are packed into a
+// layer: outgoing messages smaller than kThreshold are packed into a
 // per-destination framed batch (see frame.hpp) which ships as ONE ordinary
 // Converse message (flag kMsgFlagAggBatch) when
 //
-//   * the buffer fills (capacity = min(agg.buffer_bytes, what the layer
+//   * the buffer fills (capacity = min(kBufferBytes, what the layer
 //     moves in a single transaction to that destination)),
-//   * `agg.max_delay_ns` of virtual time passes since the buffer's first
+//   * kMaxDelayNs of virtual time passes since the buffer's first
 //     message (timer armed through the owning PE's scheduler), or
 //   * the PE goes idle / reaches an explicit barrier flush.
 //
@@ -51,19 +51,17 @@ namespace ugnirt::aggregation {
 /// Why a buffer is being shipped (drives the agg.flush_* metrics).
 enum class FlushReason : std::uint8_t {
   kFull,     // next message would not fit
-  kTimeout,  // agg.max_delay_ns expired
+  kTimeout,  // kMaxDelayNs expired
   kIdle,     // owning PE drained its scheduler queue
   kBarrier,  // explicit flush (ordering barrier before a bypass send)
 };
 
 class Aggregator {
  public:
-  Aggregator(converse::Machine& machine, const AggregationConfig& cfg);
+  explicit Aggregator(converse::Machine& machine);
   ~Aggregator();
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;
-
-  const AggregationConfig& config() const { return cfg_; }
 
   /// Try to coalesce `msg` (already enveloped; src_pe stamped) bound for
   /// `dest_pe`.  On success ownership of `msg` ends here (its bytes are
@@ -106,7 +104,6 @@ class Aggregator {
             FlushReason reason);
 
   converse::Machine& machine_;
-  AggregationConfig cfg_;
   std::vector<PeAgg> per_pe_;
 
   // Hot-path instruments (address-stable registry storage).

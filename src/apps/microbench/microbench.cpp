@@ -156,7 +156,7 @@ SimTime pure_mpi_pingpong(const gemini::MachineConfig& mc,
   trace::MetricsRegistry metrics;
   mpilite::MpiComm comm(
       net, 2, [intranode](int rank) { return intranode ? 0 : rank; },
-      fault::RetryPolicy{}, metrics);
+      metrics);
   sim::Context ctx[2] = {sim::Context(engine.scheduler(), 0), sim::Context(engine.scheduler(), 1)};
   for (int i = 0; i < 2; ++i) {
     sim::ScopedContext g(ctx[i]);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <ostream>
 
 #include "aggregation/aggregation.hpp"
 #include "aggregation/frame.hpp"
@@ -103,7 +102,7 @@ void Pe::run_step(SimTime t) {
       // nothing else queued, holding messages back buys no batching —
       // flush everything rather than make an idle PE's peers wait.
       m.aggregator_->flush_expired(ctx_, *this);
-      if (sched_q_.empty() && m.options().aggregation.flush_on_idle) {
+      if (sched_q_.empty()) {
         m.aggregator_->flush_all(ctx_, *this);
       }
     }
@@ -177,8 +176,7 @@ Machine::Machine(MachineOptions options, std::unique_ptr<MachineLayer> layer)
   }
   current_pe_ = nullptr;
   if (options_.aggregation.enable) {
-    aggregator_ = std::make_unique<aggregation::Aggregator>(
-        *this, options_.aggregation);
+    aggregator_ = std::make_unique<aggregation::Aggregator>(*this);
   }
 }
 
@@ -199,11 +197,6 @@ void Machine::collect_metrics() {
   metrics_.counter("converse.msgs_executed").set(stats_.msgs_executed);
   metrics_.counter("converse.bytes_sent").set(stats_.bytes_sent);
   metrics_.counter("converse.sched_steps").set(stats_.steps);
-}
-
-void Machine::dump_metrics(std::ostream& out) {
-  collect_metrics();
-  metrics_.dump_table(out);
 }
 
 int Machine::register_handler(CmiHandler fn) {
@@ -280,7 +273,7 @@ void Machine::submit(int dest_pe, void* msg, const SendOptions& opts) {
     return;
   }
   if (aggregator_) {
-    if (opts.allow_aggregation && h->size < options_.aggregation.threshold &&
+    if (opts.allow_aggregation && h->size < aggregation::kThreshold &&
         aggregator_->enqueue(src.ctx(), src, dest_pe, msg)) {
       // The aggregator copied the bytes into its frame synchronously, so
       // even a runtime-owned (NoFree) buffer needed no clone here.

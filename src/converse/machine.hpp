@@ -74,7 +74,8 @@ struct MsgView {
 /// SendOptions reproduce the classic CmiSyncSendAndFree behavior.
 struct SendOptions {
   /// Allow the aggregation layer to coalesce this message (only messages
-  /// under agg.threshold are affected; see aggregation/aggregation.hpp).
+  /// under aggregation::kThreshold are affected; see
+  /// aggregation/aggregation.hpp).
   bool allow_aggregation = true;
   /// When valid, the send rides the pre-negotiated persistent channel
   /// (paper §IV-A) and `dest_pe` is ignored — the channel pins it.
@@ -108,9 +109,6 @@ struct MachineOptions {
   /// place each rank on its own node set this to 1.
   int pes_per_node = 0;
 
-  /// Shared retry/backoff policy for all LRTS layers ("retry.*" config
-  /// keys / UGNIRT_RETRY_* env).
-  fault::RetryPolicy retry{};
   /// Deterministic fault-injection plan ("fault.*" config keys /
   /// UGNIRT_FAULT_* env).  Installed on the network when `enabled`.
   fault::FaultPlan fault{};
@@ -319,8 +317,8 @@ class Machine {
   /// The installed aggregator, or nullptr when aggregation is disabled.
   aggregation::Aggregator* aggregator() { return aggregator_.get(); }
   /// Explicit barrier flush of the current PE's aggregation buffers
-  /// (no-op when aggregation is off).  Collectives and app barriers call
-  /// this so coalesced stragglers never gate a dependency chain.
+  /// (no-op when aggregation is off).  Charm reductions call this so
+  /// coalesced stragglers never gate a dependency chain.
   void flush_aggregation();
 
   // ---- bootstrapping / running ----
@@ -336,7 +334,7 @@ class Machine {
   /// The PE currently executing.
   Pe& current_pe();
 
-  // ---- quiescence detection bookkeeping (used by collectives.cpp) ----
+  // ---- quiescence detection bookkeeping (used by charm.cpp) ----
   std::uint64_t qd_created(int pe) const {
     return qd_created_[static_cast<std::size_t>(pe)];
   }
@@ -349,9 +347,6 @@ class Machine {
   // ---- observability ----
   /// This machine's metrics registry; layers bind their counters here.
   trace::MetricsRegistry& metrics() { return metrics_; }
-  /// Refresh point-in-time gauges (layer + network) and dump the registry
-  /// as a text table.
-  void dump_metrics(std::ostream& out);
   /// collect_metrics() from the layer and network into the registry.
   void collect_metrics();
 

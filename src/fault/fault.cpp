@@ -79,12 +79,12 @@ LinkFault FaultInjector::link_fault(int from_node, int to_node, SimTime now) {
   LinkState& ls = links_[route];
   if (now >= ls.blackout_until &&
       draw(kSiteLink, route, plan_.p_link_blackout)) {
-    ls.blackout_until = now + plan_.link_blackout_ns;
+    ls.blackout_until = now + kLinkBlackoutNs;
     ++n_.blackout_windows;
   }
   if (now >= ls.degraded_until &&
       draw(kSiteLink, route, plan_.p_link_degrade)) {
-    ls.degraded_until = now + plan_.link_degrade_ns;
+    ls.degraded_until = now + kLinkDegradeNs;
     ++n_.degrade_windows;
   }
   if (now < ls.blackout_until) f.delay = ls.blackout_until - now;

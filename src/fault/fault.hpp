@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <map>
 
-#include "fault/retry.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -37,6 +36,11 @@ class MetricsRegistry;
 }
 
 namespace ugnirt::fault {
+
+/// Length of a degraded-link window, virtual ns.
+inline constexpr SimTime kLinkDegradeNs = 50000;
+/// Length of a link blackout window, virtual ns.
+inline constexpr SimTime kLinkBlackoutNs = 100000;
 
 struct FaultPlan {
   /// Master switch; when false the injector is never installed and every
@@ -60,16 +64,12 @@ struct FaultPlan {
   /// Length of a starvation window, virtual ns.
   SimTime smsg_starve_ns = 20000;
 
-  /// P(a transfer opens a degraded window on its route).
+  /// P(a transfer opens a kLinkDegradeNs degraded window on its route).
   double p_link_degrade = 0.0;
   /// Bandwidth divisor while a route is degraded.
   double link_slowdown = 4.0;
-  /// Length of a degraded window, virtual ns.
-  SimTime link_degrade_ns = 50000;
-  /// P(a transfer opens a blackout window on its route).
+  /// P(a transfer opens a kLinkBlackoutNs blackout window on its route).
   double p_link_blackout = 0.0;
-  /// Length of a blackout window, virtual ns.
-  SimTime link_blackout_ns = 100000;
 
   /// True when any probability is nonzero (the plan can actually fire).
   bool any() const {
@@ -92,9 +92,7 @@ struct FaultPlan {
     v("smsg_starve_ns", smsg_starve_ns);
     v("p_link_degrade", p_link_degrade);
     v("link_slowdown", link_slowdown);
-    v("link_degrade_ns", link_degrade_ns);
     v("p_link_blackout", p_link_blackout);
-    v("link_blackout_ns", link_blackout_ns);
   }
 };
 

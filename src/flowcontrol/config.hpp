@@ -4,7 +4,7 @@
 // MachineOptions without pulling in the estimator/governor machinery.
 // Keys live under "flow.*" and are overridable via UGNIRT_FLOW_*
 // environment variables; `lrts::make_machine` applies them automatically,
-// same as the gemini/fault/retry/agg knobs.
+// same as the gemini/fault/agg knobs.
 //
 // Every default preserves stock behavior bit-for-bit: with `enable`
 // false no estimator or governor is even constructed, so the hot paths
@@ -18,6 +18,17 @@
 
 namespace ugnirt::flowcontrol {
 
+/// A NIC (node) whose smoothed wait fraction is at or above this is
+/// "hot": the AIMD window backs off, thresholds adapt, routing avoids its
+/// loaded links.
+inline constexpr double kHotThreshold = 0.25;
+/// AIMD additive increase per completion-window while the path is cool,
+/// and the multiplicative factor applied while it is hot.
+inline constexpr double kAimdIncrease = 1.0;
+inline constexpr double kAimdDecrease = 0.5;
+/// Rate limit (per link, virtual ns) on kCongestionSample trace events.
+inline constexpr SimTime kSamplePeriodNs = 5000;
+
 struct FlowConfig {
   /// Master switch (UGNIRT_FLOW_ENABLE).  Off by default: congestion
   /// control only pays for itself under contention, and the stock
@@ -29,27 +40,11 @@ struct FlowConfig {
   /// load' = (1-a)*load + a*wait/(wait+duration).
   double ewma_alpha = 0.125;
 
-  /// A NIC (node) whose smoothed wait fraction is at or above this is
-  /// "hot": the AIMD window backs off, thresholds adapt, routing avoids
-  /// its loaded links (UGNIRT_FLOW_HOT_THRESHOLD).
-  double hot_threshold = 0.25;
-
   /// AIMD window bounds on outstanding governed transactions per PE
   /// (UGNIRT_FLOW_WINDOW_MIN / _MAX / _START).
   std::uint32_t window_min = 2;
   std::uint32_t window_max = 64;
   std::uint32_t window_start = 8;
-
-  /// Additive increase per completion-window when the path is cool, and
-  /// the multiplicative factor applied when it is hot
-  /// (UGNIRT_FLOW_AIMD_INCREASE / UGNIRT_FLOW_AIMD_DECREASE).
-  double aimd_increase = 1.0;
-  double aimd_decrease = 0.5;
-
-  /// Defer rendezvous GET issue once the AIMD window is full; deferred
-  /// GETs drain from the progress engine as completions free slots
-  /// (UGNIRT_FLOW_PACE_RENDEZVOUS).
-  bool pace_rendezvous = true;
 
   /// Choose among minimal dimension-order route permutations by
   /// estimated link load instead of fixed x->y->z order
@@ -57,31 +52,16 @@ struct FlowConfig {
   /// the subsystem is otherwise enabled.
   bool adaptive_routing = false;
 
-  /// Adapt the eager/rendezvous and FMA/BTE size thresholds at runtime
-  /// under hotspot load instead of using the fixed MachineConfig
-  /// constants (UGNIRT_FLOW_ADAPT_THRESHOLDS).
-  bool adapt_thresholds = true;
-
-  /// Rate limit (per link, virtual ns) on kCongestionSample trace
-  /// events (UGNIRT_FLOW_SAMPLE_PERIOD_NS).
-  SimTime sample_period_ns = 5000;
-
   /// Each knob once: key "flow.<name>", env UGNIRT_FLOW_<NAME>.
   static constexpr const char* kConfigPrefix = "flow";
   template <class V>
   void fields(V&& v) {
     v("enable", enable);
     v("ewma_alpha", ewma_alpha);
-    v("hot_threshold", hot_threshold);
     v("window_min", window_min);
     v("window_max", window_max);
     v("window_start", window_start);
-    v("aimd_increase", aimd_increase);
-    v("aimd_decrease", aimd_decrease);
-    v("pace_rendezvous", pace_rendezvous);
     v("adaptive_routing", adaptive_routing);
-    v("adapt_thresholds", adapt_thresholds);
-    v("sample_period_ns", sample_period_ns);
   }
 
   /// Keep the window sane whatever the overrides say: min >= 1 so the

@@ -43,9 +43,9 @@ void CongestionEstimator::on_link_reserve(std::size_t link,
   double& nl = node_load_[static_cast<std::size_t>(initiator_node)];
   nl += a * (sample - nl);
   ++samples_;
-  if (nl >= cfg_.hot_threshold) ++hot_samples_;
+  if (nl >= kHotThreshold) ++hot_samples_;
   if (trace::enabled()) {
-    if (now - last_sample_[link] >= cfg_.sample_period_ns) {
+    if (now - last_sample_[link] >= kSamplePeriodNs) {
       last_sample_[link] = now;
       // size carries the smoothed load in parts-per-million, peer the link.
       trace::emit(trace::Ev::kCongestionSample, now, 0,
@@ -64,12 +64,14 @@ void CongestionEstimator::collect_metrics(trace::MetricsRegistry& reg) const {
   reg.counter("flow.hot_samples").set(hot_samples_);
   double max_load = 0.0;
   std::uint64_t hot_links = 0;
+  // Refilled on every collect, so collecting twice reads the same.
   RunningStat& loads = reg.stat("flow.link_load");
+  loads = RunningStat{};
   for (double l : link_load_) {
     if (l <= 0.0) continue;  // untouched links skew the mean
     loads.add(l);
     max_load = std::max(max_load, l);
-    if (l >= cfg_.hot_threshold) ++hot_links;
+    if (l >= kHotThreshold) ++hot_links;
   }
   reg.gauge("flow.max_link_load").set(max_load);
   reg.gauge("flow.hot_links").set(static_cast<double>(hot_links));
@@ -105,8 +107,7 @@ void InjectionGovernor::set_pe_qos(int pe, const QosParams& qos) {
 bool InjectionGovernor::try_acquire(int pe, int dest, std::uint32_t bytes,
                                     SimTime now) {
   PeWindow& w = pe_[static_cast<std::size_t>(pe)];
-  if (cfg_.pace_rendezvous &&
-      w.outstanding >= static_cast<std::uint32_t>(w.cwnd)) {
+  if (w.outstanding >= static_cast<std::uint32_t>(w.cwnd)) {
     ++stalls_;
     if (trace::enabled()) {
       trace::emit(trace::Ev::kInjectionStall, now, 0, dest, bytes);
@@ -129,16 +130,16 @@ void InjectionGovernor::on_complete(int pe, int node, SimTime /*now*/) {
   const double load = est_ ? est_->node_load(node) : 0.0;
   // AIMD inside the PE's effective bounds: [window_min, window_max] until
   // tenancy QoS narrows them via set_pe_qos.
-  if (load >= cfg_.hot_threshold) {
+  if (load >= kHotThreshold) {
     const double next = std::max(static_cast<double>(w.floor),
-                                 w.cwnd * cfg_.aimd_decrease);
+                                 w.cwnd * kAimdDecrease);
     if (next < w.cwnd) ++decreases_;
     w.cwnd = next;
   } else {
     // Classic AIMD: +increase per window's worth of completions.
     const double next =
         std::min(static_cast<double>(w.ceiling),
-                 w.cwnd + cfg_.aimd_increase / std::max(1.0, w.cwnd));
+                 w.cwnd + kAimdIncrease / std::max(1.0, w.cwnd));
     if (next > w.cwnd) ++increases_;
     w.cwnd = next;
   }
@@ -146,19 +147,19 @@ void InjectionGovernor::on_complete(int pe, int node, SimTime /*now*/) {
 
 std::uint32_t InjectionGovernor::eager_cap(std::uint32_t base,
                                            int node) const {
-  if (!cfg_.adapt_thresholds || !est_) return base;
+  if (!est_) return base;
   const double load = est_->node_load(node);
-  if (load < cfg_.hot_threshold) return base;
+  if (load < kHotThreshold) return base;
   ++eager_shrinks_;
   std::uint32_t cap = base / 2;
-  if (load >= 2 * cfg_.hot_threshold) cap = base / 4;
+  if (load >= 2 * kHotThreshold) cap = base / 4;
   return std::max<std::uint32_t>(cap, 128);
 }
 
 std::uint32_t InjectionGovernor::rdma_threshold(std::uint32_t base,
                                                 int node) const {
-  if (!cfg_.adapt_thresholds || !est_) return base;
-  if (est_->node_load(node) < cfg_.hot_threshold) return base;
+  if (!est_) return base;
+  if (est_->node_load(node) < kHotThreshold) return base;
   ++rdma_shifts_;
   return std::max<std::uint32_t>(base / 2, 1024);
 }
@@ -182,12 +183,6 @@ void InjectionGovernor::collect_metrics(trace::MetricsRegistry& reg) const {
   reg.gauge("flow.window_avg")
       .set(pe_.empty() ? 0.0 : sum / static_cast<double>(pe_.size()));
   reg.gauge("flow.window_min_seen").set(min_w);
-}
-
-std::unique_ptr<InjectionGovernor> make_governor(const FlowConfig& cfg,
-                                                 const CongestionEstimator* est,
-                                                 int num_pes) {
-  return std::make_unique<InjectionGovernor>(cfg, est, num_pes);
 }
 
 }  // namespace ugnirt::flowcontrol

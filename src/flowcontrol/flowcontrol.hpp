@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "flowcontrol/config.hpp"
@@ -57,7 +56,7 @@ class CongestionEstimator {
     return node_load_[static_cast<std::size_t>(node)];
   }
   bool node_hot(int node) const {
-    return node_load(node) >= cfg_.hot_threshold;
+    return node_load(node) >= kHotThreshold;
   }
 
   const FlowConfig& config() const { return cfg_; }
@@ -97,9 +96,8 @@ struct QosParams {
 };
 
 /// Per-PE AIMD window over outstanding governed transactions, plus
-/// runtime-adapted protocol thresholds.  Construct via make_governor()
-/// (enforced by tools/check_deprecated_sends.sh) so every call site is
-/// QoS-capable.
+/// runtime-adapted protocol thresholds.  Tenancy installs per-job QoS
+/// bounds on the layer's governor through MachineLayer::governor().
 class InjectionGovernor {
  public:
   InjectionGovernor(const FlowConfig& cfg, const CongestionEstimator* est,
@@ -107,16 +105,15 @@ class InjectionGovernor {
 
   /// Admission check for a governed post (rendezvous GET).  On success
   /// the transaction counts against `pe`'s window.  On refusal (window
-  /// full and pacing on) the caller must defer and re-try from its
-  /// progress engine; a kInjectionStall event is emitted.
+  /// full) the caller must defer and re-try from its progress engine; a
+  /// kInjectionStall event is emitted.
   bool try_acquire(int pe, int dest, std::uint32_t bytes, SimTime now);
 
   /// Whether try_acquire would admit, without side effects — progress
   /// engines poll this so drain retries don't inflate the stall count.
   bool would_admit(int pe) const {
     const PeWindow& w = pe_[static_cast<std::size_t>(pe)];
-    return !cfg_.pace_rendezvous ||
-           w.outstanding < static_cast<std::uint32_t>(w.cwnd);
+    return w.outstanding < static_cast<std::uint32_t>(w.cwnd);
   }
 
   /// Count an ungoverned post (persistent PUT: latency-critical, never
@@ -177,13 +174,5 @@ class InjectionGovernor {
   mutable std::uint64_t rdma_shifts_ = 0;
   std::uint64_t qos_pes_ = 0;  // PEs with QoS bounds installed
 };
-
-/// The one sanctioned way to build an InjectionGovernor.  Layers and tests
-/// go through here (direct construction outside src/flowcontrol and
-/// src/tenancy trips the deprecated-send lint) so per-job QoS classes can
-/// never be bypassed by a new call site growing its own governor.
-std::unique_ptr<InjectionGovernor> make_governor(const FlowConfig& cfg,
-                                                 const CongestionEstimator* est,
-                                                 int num_pes);
 
 }  // namespace ugnirt::flowcontrol

@@ -260,7 +260,9 @@ void Network::collect_metrics(trace::MetricsRegistry& reg) const {
   reg.counter("net.link_conflicts").set(stats_.link_conflicts);
   std::uint64_t waits = 0;
   SimTime wait_ns = 0;
+  // Refilled on every collect, so collecting twice reads the same.
   RunningStat& busy = reg.stat("net.link_busy_ns");
+  busy = RunningStat{};
   for (const LinkSchedule& link : links_) {
     if (link.reservations() == 0) continue;  // untouched links skew the mean
     waits += link.waits();

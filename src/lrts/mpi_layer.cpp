@@ -37,7 +37,7 @@ void MpiLayer::ensure_comm(converse::Machine& m) {
   machine_ = &m;
   comm_ = std::make_unique<mpilite::MpiComm>(
       m.network(), m.num_pes(), [&m](int rank) { return m.node_of_pe(rank); },
-      m.options().retry, m.metrics());
+      m.metrics());
 }
 
 void MpiLayer::init_pe(converse::Pe& pe) {

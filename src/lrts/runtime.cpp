@@ -15,7 +15,6 @@ std::unique_ptr<converse::Machine> make_machine(
   // sanitizes the caller's own values.
   overlay_env(options.mc);
   overlay_env(options.fault);
-  overlay_env(options.retry);
   overlay_env(options.aggregation);
   overlay_env(options.flow);
   overlay_env(options.tenancy);

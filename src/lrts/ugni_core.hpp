@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "converse/machine.hpp"
-#include "fault/retry.hpp"
 #include "flowcontrol/flowcontrol.hpp"
 #include "lrts/span_marks.hpp"
 #include "mempool/mempool.hpp"
@@ -213,7 +212,6 @@ class UgniCore {
   std::unique_ptr<ugni::Domain> domain_;
   std::uint32_t smsg_cap_ = 1024;
   bool use_msgq_ = false;
-  fault::RetryPolicy retry_{};
   /// AIMD injection pacing + adaptive thresholds; null when flow control
   /// is off (the hot paths then cost exactly one pointer test).
   std::unique_ptr<flowcontrol::InjectionGovernor> governor_;
@@ -237,7 +235,6 @@ class UgniCore {
     c_persistent_puts_ = &reg.counter("ugni.persistent_puts");
     c_fallback_rendezvous_ = &reg.counter("fallback_rendezvous");
     c_fallback_heap_ = &reg.counter("fallback_heap_send");
-    retry_ = m.options().retry;
     domain_ = std::make_unique<ugni::Domain>(m.network());
     smsg_cap_ = smsg_cap;
     use_msgq_ = use_msgq;
@@ -382,7 +379,7 @@ class UgniCore {
     converse::header_of(msg)->flags |= converse::kMsgFlagNoFree;
 
     ugni::gni_ep_handle_t gep = connect(ep, owner().peer_of(tx.dest_pe));
-    ugni::post_with_retry(ctx, retry_, gep, ps.desc.get(),
+    ugni::post_with_retry(ctx, gep, ps.desc.get(),
                           ps.desc->type == ugni::GNI_POST_RDMA_PUT, n_.post);
     // Persistent PUTs are latency-critical and never deferred, but they
     // count against the window so their completions drive AIMD too.
@@ -435,8 +432,7 @@ class UgniCore {
   void flush(sim::Context& ctx, Endpoint& ep) {
     if (governor_) drain_deferred_gets(ctx, ep);
     SmsgClient c{*this, ep};
-    ep.backlog.flush(ctx, c, n_, retry_,
-                     machine_->fault_injector() != nullptr);
+    ep.backlog.flush(ctx, c, n_, machine_->fault_injector() != nullptr);
   }
 
   void collect_core_metrics(trace::MetricsRegistry& reg) {
@@ -449,8 +445,8 @@ class UgniCore {
 
   void register_buf(sim::Context& ctx, Endpoint& ep, const void* buf,
                     std::uint64_t len, ugni::gni_mem_handle_t* hndl) {
-    // Retries under the policy on transient resource exhaustion.
-    ugni::register_with_retry(ctx, retry_, ep.nic,
+    // Retries on transient resource exhaustion.
+    ugni::register_with_retry(ctx, ep.nic,
                               reinterpret_cast<std::uint64_t>(buf), len,
                               nullptr, hndl, n_.reg);
   }
@@ -564,7 +560,7 @@ class UgniCore {
     Endpoint::LargeRecv& lr = ep.recvs.at(rid);
     const int src_peer = owner().peer_of(lr.reply_pe);
     ugni::gni_ep_handle_t back = connect(ep, src_peer);
-    ugni::post_with_retry(ctx, retry_, back, lr.desc.get(),
+    ugni::post_with_retry(ctx, back, lr.desc.get(),
                           lr.desc->type == ugni::GNI_POST_RDMA_GET, n_.post);
     release_source(*lr.desc);
     c_rendezvous_gets_->inc();

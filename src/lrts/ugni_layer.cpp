@@ -83,9 +83,7 @@ void UgniLayer::ensure_domain(converse::Machine& m) {
   c_pxshm_msgs_ = &m.metrics().counter("ugni.pxshm_msgs");
   bind(m, m.options().mc.smsg_max_for_job(m.num_pes()), m.options().use_msgq);
   if (m.options().flow.enable) {
-    // Through the factory (not direct construction — the deprecated-send
-    // lint enforces this) so tenancy QoS classes bind to every governor.
-    governor_ = flowcontrol::make_governor(
+    governor_ = std::make_unique<flowcontrol::InjectionGovernor>(
         m.options().flow, m.congestion_estimator(), m.num_pes());
   }
   states_.resize(static_cast<std::size_t>(m.num_pes()), nullptr);

@@ -107,12 +107,10 @@ struct MpiComm::SmsgClient {
 
 MpiComm::MpiComm(gemini::Network& network, int ranks,
                  std::function<int(int)> node_of,
-                 const fault::RetryPolicy& retry,
                  trace::MetricsRegistry& metrics)
     : network_(&network),
       ranks_(ranks),
       node_of_(std::move(node_of)),
-      retry_(retry),
       n_(metrics),
       c_sends_e0_(&metrics.counter("mpi.sends_e0")),
       c_sends_e1_(&metrics.counter("mpi.sends_e1")),
@@ -155,9 +153,8 @@ void MpiComm::ensure_bounce_pool(RankState& s) {
   s.bounce_bytes = static_cast<std::uint64_t>(slot) * slots;
   s.bounce_mem = std::make_unique<std::uint8_t[]>(s.bounce_bytes);
   ugni::register_with_retry(
-      ctx_now(), retry_, s.nic,
-      reinterpret_cast<std::uint64_t>(s.bounce_mem.get()), s.bounce_bytes,
-      nullptr, &s.bounce_hndl, n_.reg);
+      ctx_now(), s.nic, reinterpret_cast<std::uint64_t>(s.bounce_mem.get()),
+      s.bounce_bytes, nullptr, &s.bounce_hndl, n_.reg);
   for (std::uint32_t i = 0; i < slots; ++i) {
     s.bounce_free.push_back(s.bounce_mem.get() + i * slot);
   }
@@ -197,7 +194,7 @@ ugni::gni_mem_handle_t MpiComm::udreg_lookup(sim::Context& ctx, RankState& s,
   RankState::UdregEntry entry;
   entry.base = base;
   entry.len = end - base;
-  ugni::register_with_retry(ctx, retry_, s.nic, base, entry.len, nullptr,
+  ugni::register_with_retry(ctx, s.nic, base, entry.len, nullptr,
                             &entry.hndl, n_.reg);
   s.udreg_lru.push_front(entry);
   s.udreg[key] = s.udreg_lru.begin();
@@ -357,8 +354,7 @@ void MpiComm::drain(sim::Context& ctx, RankState& s) {
                    }
                  });
   SmsgClient c{*this, s};
-  s.backlog.flush(ctx, c, n_, retry_,
-                  network_->fault_injector() != nullptr);
+  s.backlog.flush(ctx, c, n_, network_->fault_injector() != nullptr);
 }
 
 void MpiComm::handle_smsg(sim::Context& ctx, RankState& s, int src_inst) {

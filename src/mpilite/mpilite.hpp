@@ -29,7 +29,6 @@
 #include <memory>
 #include <vector>
 
-#include "fault/retry.hpp"
 #include "gemini/network.hpp"
 #include "sim/context.hpp"
 #include "trace/metrics.hpp"
@@ -56,13 +55,13 @@ struct Request {
 class MpiComm {
  public:
   /// `ranks` MPI processes on the given network; rank r lives on
-  /// node_of(r).  Transient uGNI failures are retried under `retry`.  The
-  /// library's rows (mpi.*, the uGNI client rows of ugni/client.hpp) are
-  /// bound in `metrics` here and count from the first call.  All calls
-  /// must run inside a sim context.
+  /// node_of(r).  Transient uGNI failures are retried under the uGNI
+  /// clients' shared policy (ugni/client.hpp).  The library's rows (mpi.*,
+  /// the uGNI client rows of ugni/client.hpp) are bound in `metrics` here
+  /// and count from the first call.  All calls must run inside a sim
+  /// context.
   MpiComm(gemini::Network& network, int ranks,
-          std::function<int(int)> node_of, const fault::RetryPolicy& retry,
-          trace::MetricsRegistry& metrics);
+          std::function<int(int)> node_of, trace::MetricsRegistry& metrics);
   ~MpiComm();
   MpiComm(const MpiComm&) = delete;
   MpiComm& operator=(const MpiComm&) = delete;
@@ -171,7 +170,6 @@ class MpiComm {
   std::function<int(int)> node_of_;
   std::unique_ptr<ugni::Domain> domain_;
   std::vector<std::unique_ptr<RankState>> ranks_state_;
-  fault::RetryPolicy retry_;
   std::uint64_t next_req_id_ = 1;
 
   // Registry rows, bound at construction.

@@ -4,7 +4,7 @@
 // MachineOptions without pulling in the JobManager/generator machinery.
 // Keys live under "tenancy.*" and are overridable via UGNIRT_TENANCY_*
 // environment variables; `lrts::make_machine` applies them automatically,
-// same as the gemini/fault/retry/agg/flow knobs.
+// same as the gemini/fault/agg/flow knobs.
 //
 // Every default preserves stock behavior bit-for-bit: with `enable`
 // false no JobManager is constructed and nothing in the send path even
@@ -15,6 +15,13 @@
 #include <string>
 
 namespace ugnirt::tenancy {
+
+/// bulk-class per-drain-pass deferred-GET quota.
+inline constexpr std::uint32_t kQosBulkQuota = 2;
+/// scavenger-class window ceiling and drain quota: background jobs that
+/// only soak up idle capacity.
+inline constexpr std::uint32_t kQosScavengerCeiling = 2;
+inline constexpr std::uint32_t kQosScavengerQuota = 1;
 
 struct TenancyConfig {
   /// Master switch (UGNIRT_TENANCY_ENABLE).  Off by default: the paper's
@@ -48,15 +55,9 @@ struct TenancyConfig {
   /// hotspot backoff cannot shrink a latency job's window below this.
   std::uint32_t qos_latency_floor = 8;
 
-  /// bulk-class window ceiling and per-drain-pass deferred-GET quota
-  /// (UGNIRT_TENANCY_QOS_BULK_CEILING / _QUOTA).
+  /// bulk-class window ceiling (UGNIRT_TENANCY_QOS_BULK_CEILING); its
+  /// drain quota is kQosBulkQuota.
   std::uint32_t qos_bulk_ceiling = 8;
-  std::uint32_t qos_bulk_quota = 2;
-
-  /// scavenger-class ceiling/quota (UGNIRT_TENANCY_QOS_SCAVENGER_CEILING
-  /// / _QUOTA): background jobs that only soak up idle capacity.
-  std::uint32_t qos_scavenger_ceiling = 2;
-  std::uint32_t qos_scavenger_quota = 1;
 
   /// Each knob once: key "tenancy.<name>", env UGNIRT_TENANCY_<NAME>.
   static constexpr const char* kConfigPrefix = "tenancy";
@@ -69,9 +70,6 @@ struct TenancyConfig {
     v("qos_enable", qos_enable);
     v("qos_latency_floor", qos_latency_floor);
     v("qos_bulk_ceiling", qos_bulk_ceiling);
-    v("qos_bulk_quota", qos_bulk_quota);
-    v("qos_scavenger_ceiling", qos_scavenger_ceiling);
-    v("qos_scavenger_quota", qos_scavenger_quota);
   }
 
   /// Floors and ceilings >= 1 (0 would demote latency jobs to best-effort

@@ -19,7 +19,6 @@ namespace ugnirt::tenancy {
 void TenancyConfig::sanitize() {
   qos_latency_floor = std::max<std::uint32_t>(qos_latency_floor, 1);
   qos_bulk_ceiling = std::max<std::uint32_t>(qos_bulk_ceiling, 1);
-  qos_scavenger_ceiling = std::max<std::uint32_t>(qos_scavenger_ceiling, 1);
   Placement p;
   if (!placement_from_string(placement, &p)) placement = "compact";
 }
@@ -226,12 +225,11 @@ void JobManager::apply_qos() {
         break;
       case QosClass::kBulk:
         qp.window_ceiling = std::min(fc.window_max, cfg_.qos_bulk_ceiling);
-        qp.drain_quota = cfg_.qos_bulk_quota;
+        qp.drain_quota = kQosBulkQuota;
         break;
       case QosClass::kScavenger:
-        qp.window_ceiling =
-            std::min(fc.window_max, cfg_.qos_scavenger_ceiling);
-        qp.drain_quota = cfg_.qos_scavenger_quota;
+        qp.window_ceiling = std::min(fc.window_max, kQosScavengerCeiling);
+        qp.drain_quota = kQosScavengerQuota;
         break;
     }
     for (int pe : job.pes()) gov->set_pe_qos(pe, qp);

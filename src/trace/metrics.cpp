@@ -122,14 +122,6 @@ void Histogram::reset() {
   max_ = -std::numeric_limits<double>::infinity();
 }
 
-std::size_t Histogram::nonzero_buckets() const {
-  std::size_t n = 0;
-  for (std::uint64_t b : buckets_) {
-    if (b != 0) ++n;
-  }
-  return n;
-}
-
 const Counter* MetricsRegistry::find_counter(const std::string& name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : &it->second;

@@ -83,9 +83,6 @@ class Histogram {
 
   void reset();
 
-  /// Number of (bucket, count) pairs with non-zero counts (for tests).
-  std::size_t nonzero_buckets() const;
-
  private:
   static constexpr int kSubBuckets = 8;       // per octave
   static constexpr int kOctaves = 64;         // covers doubles up to 2^64

@@ -11,11 +11,11 @@ constexpr int kHardCap = 1000;
 /// Shared backoff loop: `attempt` is how many failures have occurred.
 /// Charges the backoff to the caller's context and does the escalation
 /// bookkeeping; returns false once the hard cap is reached.
-bool back_off(sim::Context& ctx, const fault::RetryPolicy& policy,
-              int attempt, const char* what, const RetryCounters& n) {
+bool back_off(sim::Context& ctx, int attempt, const char* what,
+              const RetryCounters& n) {
   if (attempt > kHardCap) return false;
-  note_failure(policy, attempt, what, n);
-  ctx.charge(traced_backoff(ctx, policy, attempt, /*peer=*/-1));
+  note_failure(attempt, what, n);
+  ctx.charge(traced_backoff(ctx, attempt, /*peer=*/-1));
   return true;
 }
 
@@ -51,19 +51,17 @@ void open_endpoint(Domain& domain, int inst, int node,
   }
 }
 
-void note_failure(const fault::RetryPolicy& policy, int attempt,
-                  const char* what, const RetryCounters& n) {
+void note_failure(int attempt, const char* what, const RetryCounters& n) {
   n.retries->inc();
-  if (attempt == policy.max_retries + 1) {
+  if (attempt == kMaxRetries + 1) {
     n.escalations->inc();
-    UGNIRT_WARN(what << " still failing after " << policy.max_retries
+    UGNIRT_WARN(what << " still failing after " << kMaxRetries
                      << " retries; continuing at capped backoff");
   }
 }
 
-SimTime traced_backoff(sim::Context& ctx, const fault::RetryPolicy& policy,
-                       int attempt, int peer) {
-  const SimTime pause = policy.backoff_for(attempt);
+SimTime traced_backoff(sim::Context& ctx, int attempt, int peer) {
+  const SimTime pause = backoff_for(attempt);
   if (trace::enabled()) {
     trace::emit(trace::Ev::kRetryBackoff, ctx.now(), pause, peer,
                 static_cast<std::uint32_t>(attempt));
@@ -71,10 +69,9 @@ SimTime traced_backoff(sim::Context& ctx, const fault::RetryPolicy& policy,
   return pause;
 }
 
-gni_return_t register_with_retry(sim::Context& ctx,
-                                 const fault::RetryPolicy& policy,
-                                 gni_nic_handle_t nic, std::uint64_t addr,
-                                 std::uint64_t len, gni_cq_handle_t dst_cq,
+gni_return_t register_with_retry(sim::Context& ctx, gni_nic_handle_t nic,
+                                 std::uint64_t addr, std::uint64_t len,
+                                 gni_cq_handle_t dst_cq,
                                  gni_mem_handle_t* hndl_out,
                                  const RetryCounters& n) {
   int failures = 0;
@@ -83,23 +80,22 @@ gni_return_t register_with_retry(sim::Context& ctx,
         check(GNI_MemRegister(nic, addr, len, dst_cq, 0, hndl_out),
               "GNI_MemRegister", GNI_RC_ERROR_RESOURCE);
     if (rc == GNI_RC_SUCCESS) return rc;
-    if (!back_off(ctx, policy, ++failures, "GNI_MemRegister", n)) {
+    if (!back_off(ctx, ++failures, "GNI_MemRegister", n)) {
       detail::check_fail(rc, "GNI_MemRegister (retries exhausted)");
     }
   }
 }
 
-gni_return_t post_with_retry(sim::Context& ctx,
-                             const fault::RetryPolicy& policy,
-                             gni_ep_handle_t ep, gni_post_descriptor_t* desc,
-                             bool is_rdma, const RetryCounters& n) {
+gni_return_t post_with_retry(sim::Context& ctx, gni_ep_handle_t ep,
+                             gni_post_descriptor_t* desc, bool is_rdma,
+                             const RetryCounters& n) {
   int failures = 0;
   for (;;) {
     gni_return_t rc =
         check(is_rdma ? GNI_PostRdma(ep, desc) : GNI_PostFma(ep, desc),
               "GNI_Post", GNI_RC_TRANSACTION_ERROR);
     if (rc == GNI_RC_SUCCESS) return rc;
-    if (!back_off(ctx, policy, ++failures, "GNI_Post", n)) {
+    if (!back_off(ctx, ++failures, "GNI_Post", n)) {
       detail::check_fail(rc, "GNI_Post (retries exhausted)");
     }
   }

@@ -9,28 +9,32 @@
 //   * open_endpoint / connect: attach a NIC, create its RX and TX CQs,
 //     record the mailbox geometry that lazily created channels use, route
 //     every NIC notification to one hook; first-touch channel setup.
-//   * Retry: transient failures are retried with exponential backoff in
-//     virtual time, escalated (logged and counted) once the polite phase
-//     of the RetryPolicy is exhausted, then retried at the capped interval
-//     — the injected fault processes are transient by construction, so
-//     persistence preserves the zero-loss guarantee the fault-matrix tests
-//     assert.  A hard cap of ~1000 attempts turns a permanently failing
-//     call (p = 1.0 misconfiguration) into a loud abort instead of an
-//     unbounded virtual-time spin.
+//   * Retry: real uGNI code treats GNI_RC_NOT_DONE, GNI_RC_ERROR_RESOURCE
+//     and GNI_RC_TRANSACTION_ERROR as transient (credits return, CQ space
+//     frees, the adapter retransmits).  Such failures are retried with
+//     capped exponential backoff in virtual time (backoff_for), escalated
+//     (logged and counted) once kMaxRetries polite attempts are spent,
+//     then retried at the capped interval — the injected fault processes
+//     are transient by construction, so persistence preserves the
+//     zero-loss guarantee the fault-matrix tests assert.  A hard cap of
+//     ~1000 attempts turns a permanently failing call (p = 1.0
+//     misconfiguration) into a loud abort instead of an unbounded
+//     virtual-time spin.
 //   * drain_cq: a CQ overrun (GNI_RC_ERROR_RESOURCE) is recovered with
 //     GNI_CqErrorRecover and the drain goes on.
 //   * SmsgBacklog: SMSG sends that found no credit wait in order and are
-//     retried from the client's progress engine, under the RetryPolicy
-//     while a fault plan is active.
+//     retried from the client's progress engine, with backoff and (after
+//     kDemoteAfter failures) an offer to demote while a fault plan is
+//     active.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <vector>
 
-#include "fault/retry.hpp"
 #include "sim/context.hpp"
 #include "trace/events.hpp"
 #include "trace/metrics.hpp"
@@ -39,6 +43,30 @@
 #include "util/log.hpp"
 
 namespace ugnirt::ugni {
+
+// The retry policy every uGNI client shares.
+/// Failed attempts before a stall is escalated (logged and counted).
+inline constexpr int kMaxRetries = 8;
+/// First backoff interval, virtual ns.
+inline constexpr SimTime kBackoffBaseNs = 500;
+/// Growth of the interval per failed attempt.
+inline constexpr double kBackoffMult = 2.0;
+/// Ceiling on one backoff interval, virtual ns.
+inline constexpr SimTime kBackoffMaxNs = 64000;
+/// Failed credit-backlog flushes under a fault plan before the front
+/// entry is offered to the client's smsg_demote.
+inline constexpr int kDemoteAfter = 4;
+
+/// Backoff before retry number `attempt` (1-based): capped exponential.
+constexpr SimTime backoff_for(int attempt) {
+  if (attempt < 1) attempt = 1;
+  double b = static_cast<double>(kBackoffBaseNs);
+  for (int i = 1; i < attempt && b < static_cast<double>(kBackoffMaxNs);
+       ++i) {
+    b *= kBackoffMult;
+  }
+  return std::min(static_cast<SimTime>(b), kBackoffMaxNs);
+}
 
 /// A client's NIC with its CQs (and shared message queue in MSGQ mode).
 struct ClientEndpoint {
@@ -78,30 +106,26 @@ struct RetryCounters {
 };
 
 /// Bookkeeping of failed attempt number `attempt` (1-based) of `what`:
-/// count it, and escalate once when the polite phase of `policy` ends.
-void note_failure(const fault::RetryPolicy& policy, int attempt,
-                  const char* what, const RetryCounters& n);
+/// count it, and escalate once when the kMaxRetries polite attempts end.
+void note_failure(int attempt, const char* what, const RetryCounters& n);
 
 /// The backoff before the next attempt after failure number `attempt`,
 /// traced as a kRetryBackoff event toward `peer` (-1: none).
-SimTime traced_backoff(sim::Context& ctx, const fault::RetryPolicy& policy,
-                       int attempt, int peer);
+SimTime traced_backoff(sim::Context& ctx, int attempt, int peer);
 
 /// GNI_MemRegister with backoff on GNI_RC_ERROR_RESOURCE.  Returns
 /// GNI_RC_SUCCESS (eventually) or aborts via ugni::check on a contract
 /// violation / permanent failure.
-gni_return_t register_with_retry(sim::Context& ctx,
-                                 const fault::RetryPolicy& policy,
-                                 gni_nic_handle_t nic, std::uint64_t addr,
-                                 std::uint64_t len, gni_cq_handle_t dst_cq,
+gni_return_t register_with_retry(sim::Context& ctx, gni_nic_handle_t nic,
+                                 std::uint64_t addr, std::uint64_t len,
+                                 gni_cq_handle_t dst_cq,
                                  gni_mem_handle_t* hndl_out,
                                  const RetryCounters& n);
 
 /// GNI_PostFma / GNI_PostRdma with backoff on GNI_RC_TRANSACTION_ERROR.
-gni_return_t post_with_retry(sim::Context& ctx,
-                             const fault::RetryPolicy& policy,
-                             gni_ep_handle_t ep, gni_post_descriptor_t* desc,
-                             bool is_rdma, const RetryCounters& n);
+gni_return_t post_with_retry(sim::Context& ctx, gni_ep_handle_t ep,
+                             gni_post_descriptor_t* desc, bool is_rdma,
+                             const RetryCounters& n);
 
 /// Handle a GNI_RC_ERROR_RESOURCE from a CQ poll: run GNI_CqErrorRecover
 /// (which re-synthesizes the dropped events) and count the recovery.
@@ -210,12 +234,12 @@ struct SmsgBacklog {
   /// exhaustion and the credit-return notify is the precise (and cheapest)
   /// wake.  With a fault plan active (`faulty`) a stall may be an injected
   /// starvation window that consumes no credits, so the notify cannot be
-  /// relied on: the flush backs off under `policy` and re-arms its own
-  /// wake, and a front entry stalled `policy.demote_after` times is offered
-  /// to the client's smsg_demote.
+  /// relied on: the flush backs off and re-arms its own wake, and a front
+  /// entry stalled kDemoteAfter times is offered to the client's
+  /// smsg_demote.
   template <class Client>
   void flush(sim::Context& ctx, Client& c, const ClientCounters& n,
-             const fault::RetryPolicy& policy, bool faulty) {
+             bool faulty) {
     if (q.empty()) return;
     if (faulty && ctx.now() < retry_at) {
       c.smsg_wake(retry_at);
@@ -229,12 +253,12 @@ struct SmsgBacklog {
         check(rc, "GNI_SmsgSendWTag (backlog)", GNI_RC_NOT_DONE,
               GNI_RC_ERROR_RESOURCE);
         if (!faulty) return;
-        note_failure(policy, ++attempts, "SMSG backlog", n.smsg);
-        if (attempts >= policy.demote_after && c.smsg_demote(ctx)) {
+        note_failure(++attempts, "SMSG backlog", n.smsg);
+        if (attempts >= kDemoteAfter && c.smsg_demote(ctx)) {
           attempts = 0;
           continue;
         }
-        retry_at = ctx.now() + traced_backoff(ctx, policy, attempts, e.dest);
+        retry_at = ctx.now() + traced_backoff(ctx, attempts, e.dest);
         c.smsg_wake(retry_at);
         return;
       }

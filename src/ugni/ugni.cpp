@@ -139,7 +139,6 @@ void Domain::collect_metrics(trace::MetricsRegistry& reg) const {
   reg.gauge("cq.max_depth").set(static_cast<double>(max_depth));
   reg.counter("cq.dropped_events").set(dropped);
   reg.counter("cq.count").set(cqs_.size());
-  network_->collect_metrics(reg);
 }
 
 Ep* PeerTable::insert(std::int32_t peer, Ep* ep) {

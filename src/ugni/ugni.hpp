@@ -706,8 +706,8 @@ class Domain {
   std::uint64_t smsg_channels() const { return smsg_channels_; }
 
   /// Publish domain-wide gauges: ugni.mailbox_bytes, ugni.registered_bytes,
-  /// ugni.active_regions, cq.max_depth, cq.dropped_events, plus the
-  /// network's own metrics (see Network::collect_metrics).
+  /// ugni.active_regions, cq.max_depth, cq.dropped_events.  The network
+  /// publishes its own rows (Machine::collect_metrics runs both).
   void collect_metrics(trace::MetricsRegistry& reg) const;
 
  private:

@@ -1,11 +1,10 @@
-// Lightweight statistics helpers used by benchmarks and the tracer.
+// Streaming summary statistics used by the metrics registry.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace ugnirt {
 
@@ -58,91 +57,6 @@ class RunningStat {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Stores samples; supports exact percentiles.  Fine for bench-scale counts.
-class Samples {
- public:
-  void add(double x) {
-    data_.push_back(x);
-    sorted_ = false;
-  }
-
-  std::size_t count() const { return data_.size(); }
-
-  double percentile(double p) {
-    if (data_.empty()) return 0.0;
-    sort_if_needed();
-    double rank = p / 100.0 * static_cast<double>(data_.size() - 1);
-    auto lo = static_cast<std::size_t>(rank);
-    auto hi = std::min(lo + 1, data_.size() - 1);
-    double frac = rank - static_cast<double>(lo);
-    return data_[lo] * (1.0 - frac) + data_[hi] * frac;
-  }
-
-  double median() { return percentile(50.0); }
-
-  double mean() const {
-    if (data_.empty()) return 0.0;
-    double s = 0.0;
-    for (double x : data_) s += x;
-    return s / static_cast<double>(data_.size());
-  }
-
-  double max() {
-    if (data_.empty()) return 0.0;
-    sort_if_needed();
-    return data_.back();
-  }
-
-  double min() {
-    if (data_.empty()) return 0.0;
-    sort_if_needed();
-    return data_.front();
-  }
-
-  const std::vector<double>& raw() const { return data_; }
-
- private:
-  void sort_if_needed() {
-    if (!sorted_) {
-      std::sort(data_.begin(), data_.end());
-      sorted_ = true;
-    }
-  }
-
-  std::vector<double> data_;
-  bool sorted_ = false;
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range values clamp to end bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), counts_(bins, 0) {}
-
-  void add(double x) {
-    double span = hi_ - lo_;
-    std::size_t bins = counts_.size();
-    std::size_t idx = 0;
-    if (span > 0 && x >= lo_) {
-      idx = static_cast<std::size_t>((x - lo_) / span *
-                                     static_cast<double>(bins));
-      if (idx >= bins) idx = bins - 1;
-    }
-    ++counts_[idx];
-    ++total_;
-  }
-
-  std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace ugnirt

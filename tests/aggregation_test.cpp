@@ -107,34 +107,20 @@ TEST(AggFrame, RejectsMalformedFrames) {
 TEST(AggConfig, RoundTrip) {
   aggregation::AggregationConfig p;
   p.enable = true;
-  p.threshold = 192;
-  p.buffer_bytes = 2048;
-  p.max_delay_ns = 7500;
-  p.flush_on_idle = false;
   Config cfg;
   write_fields(p, cfg);
   aggregation::AggregationConfig q;
   overlay(q, cfg);
   EXPECT_TRUE(q.enable);
-  EXPECT_EQ(q.threshold, 192u);
-  EXPECT_EQ(q.buffer_bytes, 2048u);
-  EXPECT_EQ(q.max_delay_ns, 7500);
-  EXPECT_FALSE(q.flush_on_idle);
 }
 
 TEST(AggConfig, EnvOverridesApplyInMakeMachine) {
   ::setenv("UGNIRT_AGG_ENABLE", "1", 1);
-  ::setenv("UGNIRT_AGG_THRESHOLD", "128", 1);
-  ::setenv("UGNIRT_AGG_MAX_DELAY_NS", "5000", 1);
   MachineOptions o;
   o.pes = 2;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   ::unsetenv("UGNIRT_AGG_ENABLE");
-  ::unsetenv("UGNIRT_AGG_THRESHOLD");
-  ::unsetenv("UGNIRT_AGG_MAX_DELAY_NS");
   EXPECT_TRUE(m->options().aggregation.enable);
-  EXPECT_EQ(m->options().aggregation.threshold, 128u);
-  EXPECT_EQ(m->options().aggregation.max_delay_ns, 5000);
   EXPECT_NE(m->aggregator(), nullptr);
 }
 
@@ -178,14 +164,14 @@ std::vector<int> run_kneighbor(converse::Machine& m, int k, int msgs,
 
 // ------------------------------------------------------ threshold / flush ----
 
-// Messages at or above agg.threshold bypass the aggregator entirely;
-// below it they coalesce.  The boundary is exclusive: == threshold goes
-// direct.
+// Messages at or above aggregation::kThreshold bypass the aggregator
+// entirely; below it they coalesce.  The boundary is exclusive:
+// == threshold goes direct.
 TEST(AggThreshold, BoundaryIsExclusive) {
   for (bool at_threshold : {true, false}) {
     auto o = agg_options(2);
     const std::uint32_t total =
-        at_threshold ? o.aggregation.threshold : o.aggregation.threshold - 8;
+        at_threshold ? aggregation::kThreshold : aggregation::kThreshold - 8;
     ASSERT_GE(total, kCmiHeaderBytes);
     auto m = lrts::make_machine(LayerKind::kUgni, o);
     int got = 0;
@@ -213,11 +199,11 @@ TEST(AggThreshold, BoundaryIsExclusive) {
 }
 
 // A lone small message on a busy PE (never idle, buffer never full) must
-// still leave within agg.max_delay_ns — the timer flush, measured in
-// virtual time.
+// still leave within aggregation::kMaxDelayNs — the timer flush, measured
+// in virtual time.
 TEST(AggFlush, TimerBoundsStragglerLatency) {
   auto o = agg_options(2);
-  const SimTime max_delay = o.aggregation.max_delay_ns;
+  const SimTime max_delay = aggregation::kMaxDelayNs;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
 
   SimTime sent_at = -1, arrived_at = -1;
@@ -382,7 +368,6 @@ TEST(AggFault, MatrixZeroLossWithAggregationEnabled) {
   {
     Case c{"link_blackout", base_plan()};
     c.plan.p_link_blackout = 0.2;
-    c.plan.link_blackout_ns = 100000;
     cases.push_back(c);
   }
   for (bool smp : {false, true}) {

@@ -25,7 +25,7 @@ namespace {
 using converse::LayerKind;
 using converse::MachineOptions;
 
-// The 101 knobs.  Adding, renaming or dropping one is a deliberate change
+// The 81 knobs.  Adding, renaming or dropping one is a deliberate change
 // to this list (and to the env names derived from it).
 const std::set<std::string> kFrozenKeys = {
     "gemini.cores_per_node", "gemini.hop_ns", "gemini.link_bw",
@@ -56,21 +56,13 @@ const std::set<std::string> kFrozenKeys = {
     "fault.enabled", "fault.seed", "fault.p_post_error", "fault.p_reg_error",
     "fault.p_smsg_error", "fault.p_cq_overrun", "fault.p_smsg_starve",
     "fault.smsg_starve_ns", "fault.p_link_degrade", "fault.link_slowdown",
-    "fault.link_degrade_ns", "fault.p_link_blackout",
-    "fault.link_blackout_ns",
-    "retry.max_retries", "retry.backoff_base_ns", "retry.backoff_mult",
-    "retry.backoff_max_ns", "retry.demote_after",
-    "flow.enable", "flow.ewma_alpha", "flow.hot_threshold",
-    "flow.window_min", "flow.window_max", "flow.window_start",
-    "flow.aimd_increase", "flow.aimd_decrease", "flow.pace_rendezvous",
-    "flow.adaptive_routing", "flow.adapt_thresholds",
-    "flow.sample_period_ns",
-    "agg.enable", "agg.threshold", "agg.buffer_bytes", "agg.max_delay_ns",
-    "agg.flush_on_idle",
+    "fault.p_link_blackout",
+    "flow.enable", "flow.ewma_alpha", "flow.window_min", "flow.window_max",
+    "flow.window_start", "flow.adaptive_routing",
+    "agg.enable",
     "tenancy.enable", "tenancy.placement", "tenancy.seed", "tenancy.jobs",
     "tenancy.qos_enable", "tenancy.qos_latency_floor",
-    "tenancy.qos_bulk_ceiling", "tenancy.qos_bulk_quota",
-    "tenancy.qos_scavenger_ceiling", "tenancy.qos_scavenger_quota",
+    "tenancy.qos_bulk_ceiling",
     "span.sample", "span.max_spans",
 };
 
@@ -125,12 +117,11 @@ TEST(ConfigFields, KeySetIsFrozen) {
   };
   add(gemini::MachineConfig{});
   add(fault::FaultPlan{});
-  add(fault::RetryPolicy{});
   add(flowcontrol::FlowConfig{});
   add(aggregation::AggregationConfig{});
   add(tenancy::TenancyConfig{});
   add(trace::SpanConfig{});
-  EXPECT_EQ(keys.size(), 101u);
+  EXPECT_EQ(keys.size(), 81u);
   EXPECT_EQ(keys, kFrozenKeys);
   EXPECT_EQ(to_env_name("fault.p_post_error"), "UGNIRT_FAULT_P_POST_ERROR");
 }
@@ -138,7 +129,6 @@ TEST(ConfigFields, KeySetIsFrozen) {
 TEST(ConfigFields, EveryKnobReadsBackFromConfigAndEnv) {
   expect_reads_every_knob<gemini::MachineConfig>();
   expect_reads_every_knob<fault::FaultPlan>();
-  expect_reads_every_knob<fault::RetryPolicy>();
   expect_reads_every_knob<flowcontrol::FlowConfig>();
   expect_reads_every_knob<aggregation::AggregationConfig>();
   expect_reads_every_knob<tenancy::TenancyConfig>();

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <sstream>
 #include <vector>
 
 #include "lrts/runtime.hpp"
@@ -435,6 +437,67 @@ TEST(ConverseUgni, IntranodeWithoutPxshmStillDelivers) {
   m->run();
   EXPECT_EQ(got, 3);
 }
+
+// ------------------------------------------------------------- metrics ----
+
+enum class CollectLayer { kUgni, kSmp, kMpi };
+constexpr const char* kCollectLayerNames[] = {"uGNI", "SMP", "MPI"};
+
+class MetricsCollect : public ::testing::TestWithParam<CollectLayer> {};
+
+// Collecting is a snapshot: a second collect must not add the per-link
+// samples again, and net.link_busy_ns holds exactly one sample per link
+// that carried traffic.
+TEST_P(MetricsCollect, RepeatReadsTheSameAndCountsEachBusyLinkOnce) {
+  auto o = opts(4);
+  o.pes_per_node = 1;
+  o.smp_mode = GetParam() == CollectLayer::kSmp;
+  o.flow.enable = true;  // flow.link_load: one sample per loaded link
+  auto m = make_machine(
+      GetParam() == CollectLayer::kMpi ? LayerKind::kMpi : LayerKind::kUgni,
+      o);
+  int h = m->register_handler([](void* msg) { CmiFree(msg); });
+  m->start(0, [h] {
+    // Several rounds, so GETs that share a link queue and load it.
+    const std::uint32_t total = 65536 + kCmiHeaderBytes;
+    for (int round = 0; round < 4; ++round) {
+      for (int dest = 1; dest < 4; ++dest) {
+        void* msg = CmiAlloc(total);
+        CmiSetHandler(msg, h);
+        CmiSyncSendAndFree(dest, total, msg);
+      }
+    }
+  });
+  m->run();
+
+  // write_link_csv prints a header plus one row per link that carried
+  // traffic.
+  std::ostringstream links;
+  m->network().write_link_csv(links);
+  const std::string rows = links.str();
+  const auto busy_links =
+      static_cast<std::uint64_t>(std::count(rows.begin(), rows.end(), '\n')) -
+      1;
+  ASSERT_GT(busy_links, 0u);
+
+  std::ostringstream first, second;
+  m->collect_metrics();
+  m->metrics().write_csv(first);
+  m->collect_metrics();
+  m->metrics().write_csv(second);
+  EXPECT_EQ(first.str(), second.str());
+  EXPECT_EQ(m->metrics().stat("net.link_busy_ns").count(), busy_links);
+  EXPECT_GT(m->metrics().stat("flow.link_load").count(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Layers, MetricsCollect,
+                         ::testing::Values(CollectLayer::kUgni,
+                                           CollectLayer::kSmp,
+                                           CollectLayer::kMpi),
+                         [](const auto& info) {
+                           return kCollectLayerNames[static_cast<int>(
+                               info.param)];
+                         });
 
 }  // namespace
 }  // namespace ugnirt::converse

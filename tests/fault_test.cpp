@@ -16,12 +16,12 @@
 #include "config_fields.hpp"
 #include "converse/machine.hpp"
 #include "fault/fault.hpp"
-#include "fault/retry.hpp"
 #include "lrts/runtime.hpp"
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "trace/events.hpp"
 #include "trace/metrics.hpp"
+#include "ugni/client.hpp"
 #include "ugni/ugni.hpp"
 #include "util/config.hpp"
 
@@ -40,34 +40,15 @@ using converse::MachineOptions;
 // --------------------------------------------------------------- policy ----
 
 TEST(RetryPolicy, BackoffIsCappedExponential) {
-  fault::RetryPolicy p;
-  p.backoff_base_ns = 500;
-  p.backoff_mult = 2.0;
-  p.backoff_max_ns = 64000;
-  EXPECT_EQ(p.backoff_for(1), 500);
-  EXPECT_EQ(p.backoff_for(2), 1000);
-  EXPECT_EQ(p.backoff_for(3), 2000);
-  EXPECT_EQ(p.backoff_for(8), 64000);   // 500 * 2^7 = 64000, exactly the cap
-  EXPECT_EQ(p.backoff_for(20), 64000);  // stays capped
-  EXPECT_EQ(p.backoff_for(0), 500);     // clamped to attempt 1
-}
-
-TEST(RetryPolicy, ConfigRoundTrip) {
-  fault::RetryPolicy p;
-  p.max_retries = 3;
-  p.backoff_base_ns = 250;
-  p.backoff_mult = 3.0;
-  p.backoff_max_ns = 9000;
-  p.demote_after = 2;
-  Config cfg;
-  write_fields(p, cfg);
-  fault::RetryPolicy q;
-  overlay(q, cfg);
-  EXPECT_EQ(q.max_retries, 3);
-  EXPECT_EQ(q.backoff_base_ns, 250);
-  EXPECT_DOUBLE_EQ(q.backoff_mult, 3.0);
-  EXPECT_EQ(q.backoff_max_ns, 9000);
-  EXPECT_EQ(q.demote_after, 2);
+  static_assert(ugni::kMaxRetries == 8 && ugni::kDemoteAfter == 4);
+  static_assert(ugni::kBackoffBaseNs == 500 && ugni::kBackoffMult == 2.0 &&
+                ugni::kBackoffMaxNs == 64000);
+  EXPECT_EQ(ugni::backoff_for(1), 500);
+  EXPECT_EQ(ugni::backoff_for(2), 1000);
+  EXPECT_EQ(ugni::backoff_for(3), 2000);
+  EXPECT_EQ(ugni::backoff_for(8), 64000);   // 500 * 2^7: exactly the cap
+  EXPECT_EQ(ugni::backoff_for(20), 64000);  // stays capped
+  EXPECT_EQ(ugni::backoff_for(0), 500);     // clamped to attempt 1
 }
 
 TEST(FaultPlan, ConfigRoundTrip) {
@@ -82,9 +63,7 @@ TEST(FaultPlan, ConfigRoundTrip) {
   p.smsg_starve_ns = 7000;
   p.p_link_degrade = 0.25;
   p.link_slowdown = 8.0;
-  p.link_degrade_ns = 11000;
   p.p_link_blackout = 0.35;
-  p.link_blackout_ns = 13000;
   Config cfg;
   write_fields(p, cfg);
   fault::FaultPlan q;
@@ -99,9 +78,7 @@ TEST(FaultPlan, ConfigRoundTrip) {
   EXPECT_EQ(q.smsg_starve_ns, 7000);
   EXPECT_DOUBLE_EQ(q.p_link_degrade, 0.25);
   EXPECT_DOUBLE_EQ(q.link_slowdown, 8.0);
-  EXPECT_EQ(q.link_degrade_ns, 11000);
   EXPECT_DOUBLE_EQ(q.p_link_blackout, 0.35);
-  EXPECT_EQ(q.link_blackout_ns, 13000);
   EXPECT_TRUE(q.any());
 }
 
@@ -109,18 +86,15 @@ TEST(FaultPlan, EnvOverridesApplyInMakeMachine) {
   ::setenv("UGNIRT_FAULT_ENABLED", "1", 1);
   ::setenv("UGNIRT_FAULT_P_SMSG_ERROR", "0.125", 1);
   ::setenv("UGNIRT_FAULT_SEED", "99", 1);
-  ::setenv("UGNIRT_RETRY_MAX_RETRIES", "5", 1);
   MachineOptions o;
   o.pes = 2;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   ::unsetenv("UGNIRT_FAULT_ENABLED");
   ::unsetenv("UGNIRT_FAULT_P_SMSG_ERROR");
   ::unsetenv("UGNIRT_FAULT_SEED");
-  ::unsetenv("UGNIRT_RETRY_MAX_RETRIES");
   EXPECT_TRUE(m->options().fault.enabled);
   EXPECT_DOUBLE_EQ(m->options().fault.p_smsg_error, 0.125);
   EXPECT_EQ(m->options().fault.seed, 99u);
-  EXPECT_EQ(m->options().retry.max_retries, 5);
   EXPECT_NE(m->fault_injector(), nullptr);
 }
 
@@ -204,7 +178,6 @@ std::vector<FaultCase> fault_matrix() {
   {
     FaultCase c{"link_blackout", base_plan()};
     c.plan.p_link_blackout = 0.2;
-    c.plan.link_blackout_ns = 100000;
     cases.push_back(c);
   }
   return cases;

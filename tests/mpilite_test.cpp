@@ -19,8 +19,7 @@ class MpiFixture : public ::testing::Test {
     net_ = std::make_unique<gemini::Network>(
         engine_.scheduler(), topo::Torus3D::for_nodes(4), gemini::MachineConfig{});
     comm_ = std::make_unique<MpiComm>(
-        *net_, 4, [](int rank) { return rank / 2; }, fault::RetryPolicy{},
-        metrics_);
+        *net_, 4, [](int rank) { return rank / 2; }, metrics_);
     for (int r = 0; r < 4; ++r) {
       ctx_.push_back(std::make_unique<sim::Context>(engine_.scheduler(), r));
       sim::ScopedContext guard(*ctx_[static_cast<std::size_t>(r)]);

@@ -52,9 +52,6 @@ TEST(TenancyConfig, RoundTrip) {
   t.qos_enable = false;
   t.qos_latency_floor = 5;
   t.qos_bulk_ceiling = 6;
-  t.qos_bulk_quota = 3;
-  t.qos_scavenger_ceiling = 4;
-  t.qos_scavenger_quota = 2;
   Config cfg;
   write_fields(t, cfg);
   TenancyConfig q;
@@ -66,9 +63,6 @@ TEST(TenancyConfig, RoundTrip) {
   EXPECT_FALSE(q.qos_enable);
   EXPECT_EQ(q.qos_latency_floor, 5u);
   EXPECT_EQ(q.qos_bulk_ceiling, 6u);
-  EXPECT_EQ(q.qos_bulk_quota, 3u);
-  EXPECT_EQ(q.qos_scavenger_ceiling, 4u);
-  EXPECT_EQ(q.qos_scavenger_quota, 2u);
 }
 
 // Hostile overrides cannot demote latency jobs to best-effort (floor 0)
@@ -78,13 +72,11 @@ TEST(TenancyConfig, ClampsKeepClassesMeaningful) {
   Config cfg;
   cfg.set("tenancy.qos_latency_floor", "0");
   cfg.set("tenancy.qos_bulk_ceiling", "0");
-  cfg.set("tenancy.qos_scavenger_ceiling", "0");
   cfg.set("tenancy.placement", "diagonal");
   TenancyConfig t;
   overlay(t, cfg);
   EXPECT_GE(t.qos_latency_floor, 1u);
   EXPECT_GE(t.qos_bulk_ceiling, 1u);
-  EXPECT_GE(t.qos_scavenger_ceiling, 1u);
   EXPECT_EQ(t.placement, "compact");
 }
 
@@ -231,9 +223,6 @@ TEST(TenancyQos, ClassesLandInGovernorWindows) {
   o.flow.enable = true;  // window_start 8, window_min 2, window_max 64
   o.tenancy.qos_latency_floor = 12;
   o.tenancy.qos_bulk_ceiling = 4;
-  o.tenancy.qos_bulk_quota = 2;
-  o.tenancy.qos_scavenger_ceiling = 2;
-  o.tenancy.qos_scavenger_quota = 1;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   flowcontrol::InjectionGovernor* gov = m->layer().governor();
   ASSERT_NE(gov, nullptr);
@@ -414,7 +403,6 @@ TEST(TenancyFault, MatrixZeroLossWithTwoTenants) {
   {
     Case c{"link_blackout", base};
     c.plan.p_link_blackout = 0.2;
-    c.plan.link_blackout_ns = 100000;
     cases.push_back(c);
   }
   for (const Case& fc : cases) {

@@ -206,26 +206,5 @@ TEST(Stats, EmptyRunningStatIsZero) {
   EXPECT_EQ(s.stddev(), 0.0);
 }
 
-TEST(Stats, SamplesPercentiles) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-  EXPECT_NEAR(s.median(), 50.5, 0.01);
-  EXPECT_NEAR(s.percentile(99), 99.01, 0.1);
-  EXPECT_NEAR(s.mean(), 50.5, 1e-9);
-}
-
-TEST(Stats, HistogramBinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 9
-  h.add(-5.0);   // clamps to bin 0
-  h.add(100.0);  // clamps to bin 9
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
 }  // namespace
 }  // namespace ugnirt
