@@ -35,7 +35,7 @@
 //
 // `ablation_multitenant soak` instead runs a two-job faulted kNeighbor
 // soak (fault plan from UGNIRT_FAULT_* env) and exits nonzero on any
-// victim or aggressor message loss — the CI tenant-soak job's workload.
+// victim or aggressor message loss — a CI sanitizer-job workload.
 #include <cstdio>
 #include <cstring>
 #include <fstream>

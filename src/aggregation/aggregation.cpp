@@ -28,8 +28,8 @@ Aggregator::Aggregator(converse::Machine& machine) : machine_(machine) {
   c_flush_full_ = &reg.counter("agg.flush_full");
   c_flush_timeout_ = &reg.counter("agg.flush_timeout");
   c_flush_idle_ = &reg.counter("agg.flush_idle");
-  s_flush_msgs_ = &reg.stat("agg.flush_size_hist");
-  s_flush_bytes_ = &reg.stat("agg.flush_bytes_hist");
+  h_flush_msgs_ = &reg.histogram("agg.flush_size_hist");
+  h_flush_bytes_ = &reg.histogram("agg.flush_bytes_hist");
 }
 
 Aggregator::~Aggregator() {
@@ -131,8 +131,8 @@ void Aggregator::ship(sim::Context& ctx, converse::Pe& src, int dest_pe,
       c_flush_idle_->inc();
       break;
   }
-  s_flush_msgs_->add(static_cast<double>(buf.writer->count()));
-  s_flush_bytes_->add(static_cast<double>(bh->size));
+  h_flush_msgs_->add(static_cast<double>(buf.writer->count()));
+  h_flush_bytes_->add(static_cast<double>(bh->size));
   if (trace::enabled()) {
     trace::emit(trace::Ev::kAggFlush, ctx.now(), 0, dest_pe, bh->size);
   }

@@ -35,11 +35,9 @@
 namespace ugnirt::sim {
 class Context;
 }
-namespace ugnirt {
-class RunningStat;
-}
 namespace ugnirt::trace {
 class Counter;
+class Histogram;
 }
 namespace ugnirt::converse {
 class Machine;
@@ -113,8 +111,8 @@ class Aggregator {
   trace::Counter* c_flush_full_ = nullptr;
   trace::Counter* c_flush_timeout_ = nullptr;
   trace::Counter* c_flush_idle_ = nullptr;
-  RunningStat* s_flush_msgs_ = nullptr;
-  RunningStat* s_flush_bytes_ = nullptr;
+  trace::Histogram* h_flush_msgs_ = nullptr;
+  trace::Histogram* h_flush_bytes_ = nullptr;
 };
 
 }  // namespace ugnirt::aggregation

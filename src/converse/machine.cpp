@@ -456,14 +456,21 @@ void Machine::send_persistent(PersistentHandle handle, void* msg) {
 }
 
 void Machine::start(int pe_id, std::function<void()> fn) {
-  Pe& pe = *pes_[static_cast<std::size_t>(pe_id)];
-  scheduler().schedule_at(0, [this, &pe, fn = std::move(fn)] {
+  starts_.push_back(
+      {pes_[static_cast<std::size_t>(pe_id)].get(), std::move(fn)});
+  // Every start event is scheduled at the clock (time 0 clamped to now),
+  // so start events fire in call order and each one runs the oldest
+  // pending closure.  The closure is destroyed once it has run.
+  scheduler().schedule_at(0, [this] {
+    PendingStart s = std::move(starts_.front());
+    starts_.pop_front();
+    Pe& pe = *s.pe;
     pe.ctx().set_now(std::max(engine_.now(), pe.avail_at_));
     Pe* prev = current_pe_;
     current_pe_ = &pe;
     {
       sim::ScopedContext guard(pe.ctx());
-      fn();
+      s.fn();
     }
     current_pe_ = prev;
     pe.avail_at_ = pe.ctx().now();

@@ -373,6 +373,14 @@ class Machine {
 
   MachineOptions options_;
   sim::Engine engine_;
+  /// start() closures not yet run, oldest first.  An event callback holds
+  /// only a few trivially copyable words (sim/small_fn.hpp), so the
+  /// std::function waits here.
+  struct PendingStart {
+    Pe* pe;
+    std::function<void()> fn;
+  };
+  std::deque<PendingStart> starts_;
   std::unique_ptr<gemini::Network> network_;
   std::unique_ptr<fault::FaultInjector> fault_;
   std::unique_ptr<flowcontrol::CongestionEstimator> flow_;

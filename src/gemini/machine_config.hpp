@@ -34,7 +34,6 @@ struct MachineConfig {
   SimTime smsg_cpu_send_ns = 180;    // sender CPU: build header + FMA store
   SimTime smsg_wire_startup_ns = 620;  // NIC pipeline + SSID/ORB tracking
   double smsg_per_byte_ns = 0.85;    // payload streaming cost per byte
-  SimTime smsg_cpu_recv_ns = 160;    // CQ event decode + mailbox bookkeeping
   std::uint32_t smsg_max_bytes = 1024;   // default per-message cap (§III-C)
   std::uint32_t smsg_mailbox_credits = 8;  // in-flight messages per channel
 
@@ -170,7 +169,6 @@ struct MachineConfig {
     v("smsg_cpu_send_ns", smsg_cpu_send_ns);
     v("smsg_wire_startup_ns", smsg_wire_startup_ns);
     v("smsg_per_byte_ns", smsg_per_byte_ns);
-    v("smsg_cpu_recv_ns", smsg_cpu_recv_ns);
     v("smsg_max_bytes", smsg_max_bytes);
     v("smsg_mailbox_credits", smsg_mailbox_credits);
     v("cq_entries", cq_entries);

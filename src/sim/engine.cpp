@@ -43,18 +43,13 @@ EventHandle Scheduler::schedule_at(SimTime when, SmallFn fn) {
 // Engine
 // ---------------------------------------------------------------------------
 
-// Queued-but-never-popped callbacks are destroyed by the slab destructors
-// — EventRecord's SmallFn member owns them — so teardown needs no
-// explicit queue drain.
-Engine::~Engine() = default;
-
 EventHandle Engine::schedule_at(SimTime when, SmallFn fn) {
   ++*live_;
   // Clamp to the clock: the queue's base never passes now_, so the event
   // is never below it.
   if (when < now_) when = now_;
   EventRecord* rec = arena_.acquire();
-  rec->fn = std::move(fn);
+  rec->fn = fn;
   rec->alive = true;
   queue_.push(Event{when, rec});
   return EventHandle{live_, rec, rec->gen};

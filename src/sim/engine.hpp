@@ -6,12 +6,13 @@
 // which makes every run bit-reproducible.
 //
 // The hot path is allocation-free: a slab-recycling EventArena
-// (event_arena.hpp) holds the EventRecords (a SmallFn callback plus
-// cancellation state), and the pending set (event_queue.hpp, a monotone
+// (event_arena.hpp) holds the 56-byte EventRecords (a SmallFn callback
+// plus cancellation state), and the pending set (event_queue.hpp, a monotone
 // radix queue) moves 16-byte POD Events that point into it.  schedule_at
 // acquires a record from the freelist, pop releases it back; the heap is
 // touched only when the pending set grows past every slab and queue block
-// ever carved.
+// ever carved.  Callbacks are trivially destructible, so queued events
+// that never fire need no drain at teardown.
 //
 // The engine is single-threaded: one thread drives run() and every
 // callback runs on it.
@@ -35,7 +36,6 @@ namespace ugnirt::sim {
 class Engine final {
  public:
   Engine() = default;
-  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 

@@ -5,8 +5,9 @@
 // std::make_shared<bool> tombstone.  Records live in the engine's slabs and
 // recycle through an intrusive freelist, so steady-state schedule/pop
 // cycles never touch the heap: acquire() is a freelist pop (or a bump
-// into the newest slab), release() destroys the callback, bumps the
-// generation and pushes the record back.
+// into the newest slab), release() bumps the generation and pushes the
+// record back.  Callbacks are trivially destructible (small_fn.hpp), so
+// nothing is destroyed on release or when the slabs go.
 //
 // Slabs are never freed or moved while the arena lives, which is the
 // property the cancellation scheme leans on: an EventHandle keeps a raw
@@ -30,20 +31,20 @@
 namespace ugnirt::sim {
 
 /// One scheduled event's identity: callback, liveness, reuse generation.
-/// 144 bytes: the 112-byte SmallFn (72-byte buffer plus three function
-/// pointers, 16-byte aligned), two words and a flag, padded to 16.
+/// 56 bytes: the 32-byte SmallFn (call pointer plus 24-byte buffer), two
+/// words and a flag, padded to 8.  That leaves 8 bytes of a cache line.
 struct EventRecord {
   SmallFn fn;                       ///< the event callback
   std::uint64_t gen = 0;            ///< bumped on release; stale-handle guard
   EventRecord* next_free = nullptr; ///< intrusive freelist link
   bool alive = false;               ///< flipped false by cancel() or firing
 };
-static_assert(sizeof(EventRecord) == 144,
-              "EventRecord size changed: update the comments that cite it");
+static_assert(sizeof(EventRecord) <= 64,
+              "an EventRecord must fit one cache line");
 
 class EventArena {
  public:
-  /// Records per slab: 512 x 144 B = 72 KiB — big enough that steady
+  /// Records per slab: 512 x 56 B = 28 KiB — big enough that steady
   /// workloads sit in one or two slabs, small enough that a tiny engine
   /// (unit tests build thousands) stays cheap.
   static constexpr std::size_t kSlabRecords = 512;
@@ -52,8 +53,9 @@ class EventArena {
   EventArena(const EventArena&) = delete;
   EventArena& operator=(const EventArena&) = delete;
 
-  /// A record ready to arm: fn empty, alive false, gen preserved from the
-  /// previous life (handles from that life are already stale).
+  /// A record ready to arm: alive false, gen preserved from the previous
+  /// life (handles from that life are already stale); fn is overwritten
+  /// by the caller.
   EventRecord* acquire() {
     ++acquires_;
     if (free_head_ != nullptr) {
@@ -72,10 +74,9 @@ class EventArena {
     return rec;
   }
 
-  /// Retire a popped record: destroy the callback, invalidate outstanding
-  /// handles (gen bump) and push it onto the freelist.
+  /// Retire a popped record: invalidate outstanding handles (gen bump)
+  /// and push it onto the freelist.
   void release(EventRecord* rec) {
-    rec->fn.reset();
     rec->alive = false;
     ++rec->gen;
     --in_use_;

@@ -450,5 +450,19 @@ TEST(AggObservability, MetricsAndChromeTraceCarryAggregation) {
   EXPECT_NE(chrome.str().find("agg_flush"), std::string::npos);
 }
 
+TEST(AggObservability, FlushSizesAreHistograms) {
+  auto m = lrts::make_machine(LayerKind::kUgni, agg_options(4));
+  run_kneighbor(*m, 1, 16, 32);
+  m->collect_metrics();
+  const std::uint64_t flushes = m->metrics().counter("agg.flushes").value();
+  ASSERT_GT(flushes, 0u);
+  for (const char* name : {"agg.flush_size_hist", "agg.flush_bytes_hist"}) {
+    const trace::Histogram* h = m->metrics().find_histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count(), flushes) << name;
+    EXPECT_GE(h->p99(), h->p50()) << name;
+  }
+}
+
 }  // namespace
 }  // namespace ugnirt

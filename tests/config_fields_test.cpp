@@ -25,13 +25,13 @@ namespace {
 using converse::LayerKind;
 using converse::MachineOptions;
 
-// The 81 knobs.  Adding, renaming or dropping one is a deliberate change
+// The 80 knobs.  Adding, renaming or dropping one is a deliberate change
 // to this list (and to the env names derived from it).
 const std::set<std::string> kFrozenKeys = {
     "gemini.cores_per_node", "gemini.hop_ns", "gemini.link_bw",
     "gemini.smsg_cpu_send_ns", "gemini.smsg_wire_startup_ns",
-    "gemini.smsg_per_byte_ns", "gemini.smsg_cpu_recv_ns",
-    "gemini.smsg_max_bytes", "gemini.smsg_mailbox_credits",
+    "gemini.smsg_per_byte_ns", "gemini.smsg_max_bytes",
+    "gemini.smsg_mailbox_credits",
     "gemini.cq_entries", "gemini.fma_put_startup_ns",
     "gemini.fma_get_startup_ns", "gemini.fma_bw", "gemini.fma_desc_ns",
     "gemini.bte_put_startup_ns", "gemini.bte_get_startup_ns",
@@ -121,7 +121,7 @@ TEST(ConfigFields, KeySetIsFrozen) {
   add(aggregation::AggregationConfig{});
   add(tenancy::TenancyConfig{});
   add(trace::SpanConfig{});
-  EXPECT_EQ(keys.size(), 81u);
+  EXPECT_EQ(keys.size(), 80u);
   EXPECT_EQ(keys, kFrozenKeys);
   EXPECT_EQ(to_env_name("fault.p_post_error"), "UGNIRT_FAULT_P_POST_ERROR");
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <vector>
@@ -159,6 +160,42 @@ TEST_P(ConverseBothLayers, VirtualTimeAdvancesAndIsDeterministic) {
     return end;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST_P(ConverseBothLayers, StartClosuresRunOnceInCallOrderOnTheirPes) {
+  auto m = make_machine(GetParam(), opts(4));
+  auto token = std::make_shared<int>(0);
+  std::vector<std::pair<int, int>> ran;  // (closure id, PE it ran on)
+  SimTime nested_issued = -1, nested_ran = -1;
+  // A start issued from inside a running handler, as charm's QD wave does.
+  const int h = m->register_handler([&](void* msg) {
+    CmiFree(msg);
+    nested_issued = m->engine().now();
+    m->start(2, [&, token] {
+      ran.emplace_back(100, CmiMyPe());
+      nested_ran = m->current_pe().ctx().now();
+    });
+  });
+  for (int i = 0; i < 8; ++i) {
+    m->start((i * 3) % 4, [&ran, token, i] {
+      ran.emplace_back(i, CmiMyPe());
+    });
+  }
+  m->start(1, [&, token, h] {
+    void* msg = CmiAlloc(kCmiHeaderBytes + 8);
+    CmiSetHandler(msg, h);
+    CmiSyncSendAndFree(3, kCmiHeaderBytes + 8, msg);
+  });
+  EXPECT_GT(token.use_count(), 1);
+  m->run();
+  const std::vector<std::pair<int, int>> expected = {
+      {0, 0}, {1, 3}, {2, 2}, {3, 1}, {4, 0},
+      {5, 3}, {6, 2}, {7, 1}, {100, 2}};
+  EXPECT_EQ(ran, expected);
+  EXPECT_GT(nested_issued, 0);
+  EXPECT_GE(nested_ran, nested_issued);  // no earlier than the engine clock
+  // Each closure was destroyed once it had run.
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Layers, ConverseBothLayers,

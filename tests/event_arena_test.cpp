@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
+#include <utility>
 
 #include "sim/engine.hpp"
 
@@ -15,9 +17,9 @@ TEST(EventArena, SteadyChurnRecyclesOneSlab) {
   int count = 0;
   const int kEvents = static_cast<int>(EventArena::kSlabRecords) * 5;
   std::function<void()> chain = [&] {
-    if (++count < kEvents) e.schedule_after(3, chain);
+    if (++count < kEvents) e.schedule_after(3, [&chain] { chain(); });
   };
-  e.schedule_at(0, chain);
+  e.schedule_at(0, [&chain] { chain(); });
   e.run();
   EXPECT_EQ(count, kEvents);
   // Sequential churn far past one slab's capacity: every record recycled
@@ -92,7 +94,6 @@ TEST(EventArena, StaleHandleCannotCancelRecycledRecord) {
 }
 
 TEST(EventArena, EngineCallbacksStayInline) {
-  const std::uint64_t before = SmallFn::heap_fallbacks();
   Engine e;
   std::uint64_t sink = 0;
   struct Timer {
@@ -106,14 +107,56 @@ TEST(EventArena, EngineCallbacksStayInline) {
       if (--left > 0) eng->scheduler().schedule_after(1 + (lcg >> 27), *this);
     }
   };
+  // Engine-typical captures (a couple of pointers + scalars) fit the
+  // inline buffer; anything else does not compile.
+  static_assert(std::is_constructible_v<SmallFn, Timer>);
   for (int i = 0; i < 64; ++i) {
     e.schedule_at(i, Timer{&e, &sink, static_cast<std::uint32_t>(i), 100});
   }
   e.run();
   EXPECT_GT(sink, 0u);
-  // Engine-typical captures (a couple of pointers + scalars) must fit the
-  // inline buffer — the zero-alloc claim dies if they spill to the heap.
-  EXPECT_EQ(SmallFn::heap_fallbacks(), before);
+  EXPECT_EQ(e.executed(), 64u * 100u);
+}
+
+// A protocol callback's usual shape: [this, ptr, SimTime].
+struct Owner {
+  SimTime last = 0;
+  auto callback(int* hits, SimTime t) {
+    return [this, hits, t] {
+      ++*hits;
+      last = t;
+    };
+  }
+};
+using OwnerCallback =
+    decltype(std::declval<Owner&>().callback(nullptr, SimTime{}));
+
+struct Capture32 {
+  std::uint64_t words[4];
+  void operator()() {}
+};
+struct NonTrivialDtor {
+  ~NonTrivialDtor() {}
+  void operator()() {}
+};
+
+TEST(EventArena, SmallFnTakesOnlyTrivialThreeWordCaptures) {
+  // What SmallFn stores is decided at compile time: the capture shapes
+  // the engine's callers use fit, and the ones that would need a heap
+  // copy or a destructor do not compile.
+  static_assert(sizeof(OwnerCallback) == SmallFn::kInlineBytes);
+  static_assert(std::is_constructible_v<SmallFn, OwnerCallback>);
+  static_assert(!std::is_constructible_v<SmallFn, std::function<void()>>);
+  static_assert(!std::is_constructible_v<SmallFn, Capture32>);
+  static_assert(!std::is_constructible_v<SmallFn, NonTrivialDtor>);
+
+  Engine e;
+  Owner owner;
+  int hits = 0;
+  e.schedule_at(5, owner.callback(&hits, 42));
+  e.run();
+  EXPECT_EQ(hits, 1);
+  EXPECT_EQ(owner.last, 42);
 }
 
 }  // namespace

@@ -39,8 +39,8 @@ class EngineSim {
  public:
   using Handle = EventHandle;
   SimTime now() const { return e_.now(); }
-  Handle schedule_at(SimTime when, std::function<void()> fn) {
-    return e_.schedule_at(when, std::move(fn));
+  Handle schedule_at(SimTime when, SmallFn fn) {
+    return e_.schedule_at(when, fn);
   }
   void cancel(Handle& h) { h.cancel(); }
   std::uint64_t run_until(SimTime until) { return e_.run_until(until); }
@@ -262,10 +262,11 @@ TEST(EventQueue, SteadyChurnRecyclesBlocks) {
   int count = 0;
   std::function<void()> chain = [&] {
     if (++count < 100000) {
-      e.schedule_after(count % 3 == 0 ? 0 : 1 + count % 97, chain);
+      e.schedule_after(count % 3 == 0 ? 0 : 1 + count % 97,
+                       [&chain] { chain(); });
     }
   };
-  e.schedule_at(0, chain);
+  e.schedule_at(0, [&chain] { chain(); });
   e.run();
   EXPECT_EQ(count, 100000);
   // One event in flight: the bucket it waits in and, while it moves down,

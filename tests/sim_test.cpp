@@ -43,9 +43,9 @@ TEST(Engine, EventsCanScheduleMoreEvents) {
   Engine e;
   int count = 0;
   std::function<void()> chain = [&] {
-    if (++count < 5) e.schedule_after(10, chain);
+    if (++count < 5) e.schedule_after(10, [&chain] { chain(); });
   };
-  e.schedule_at(0, chain);
+  e.schedule_at(0, [&chain] { chain(); });
   e.run();
   EXPECT_EQ(count, 5);
   EXPECT_EQ(e.now(), 40);
