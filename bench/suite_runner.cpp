@@ -11,7 +11,8 @@
 //                     ping-pong)
 //   BENCH_scale.json  one metrics object per sweep point (virtual elapsed,
 //                     msgs/sec, simulator events/sec, SMSG mailbox
-//                     bytes/PE, peak payload host bytes/PE)
+//                     bytes/PE, peak payload host bytes/PE, operator new
+//                     calls per message)
 //
 // Every metric carries a "better" direction ("lower" / "higher" / "info");
 // the comparator gates on the first two and reports the rest.  Virtual-time
@@ -34,6 +35,7 @@
 #include "lrts/ugni_layer.hpp"
 #include "trace/metrics.hpp"
 #include "trace/spans.hpp"
+#include "util/alloc_count.hpp"
 
 using namespace ugnirt;
 
@@ -193,9 +195,10 @@ std::vector<Metric> run_core() {
 ///   kneighbor  every PE fires kBurst 1 KiB messages at each of its
 ///              k=2 neighbors on both sides (4 destinations)
 ///
-/// Direct machine build so the point can report simulator events/sec and
-/// the layer's mailbox and payload host bytes/PE (the full-machine memory
-/// curves).
+/// Direct machine build so the point can report simulator events/sec, the
+/// layer's mailbox and payload host bytes/PE (the full-machine memory
+/// curves) and the operator new calls inside run() per message (this
+/// binary counts them, util/alloc_count.hpp).
 std::vector<Metric> run_scale_point(int pes, const std::string& pattern) {
   constexpr int kBurst = 4;
   constexpr std::uint32_t kBytes = 1024;
@@ -222,7 +225,10 @@ std::vector<Metric> run_scale_point(int pes, const std::string& pattern) {
       }
     });
   }
+  const alloc_count::Counts a0 = alloc_count::now();
   m->run();
+  const double allocs =
+      static_cast<double>(alloc_count::now().news - a0.news);
   const double wall = wall_ms_since(t0);
 
   const double elapsed_ns = static_cast<double>(m->engine().now());
@@ -247,6 +253,9 @@ std::vector<Metric> run_scale_point(int pes, const std::string& pattern) {
                 "msgs/s", "higher"});
   ms.push_back({"mailbox_bytes_per_pe", mailbox_per_pe, "B", "lower"});
   ms.push_back({"host_bytes_peak_per_pe", host_peak_per_pe, "B", "lower"});
+  // Deterministic (counts, not bytes or time), so it is gated exactly.
+  ms.push_back({"host_allocs_per_msg", allocs / static_cast<double>(msgs),
+                "allocs", "lower"});
   ms.push_back({"sim_events", events, "events", "info"});
   ms.push_back({"wall_ms", wall, "ms", "info"});
   ms.push_back({"sim_events_per_wall_sec",

@@ -31,6 +31,7 @@
 #include "converse/message.hpp"
 #include "tenancy/config.hpp"
 #include "trace/metrics.hpp"
+#include "util/ring_fifo.hpp"
 #include "util/rng.hpp"
 
 namespace ugnirt::trace {
@@ -178,7 +179,9 @@ class Pe {
   int node_;
   sim::Context ctx_;
   Rng rng_;
-  std::deque<void*> sched_q_;
+  // Busy in every workload: it keeps its ring once grown, instead of
+  // allocating again after each drain.
+  RingFifo<void*, /*kKeepGrown=*/true> sched_q_;
   bool step_scheduled_ = false;
   SimTime scheduled_at_ = 0;
   SimTime pending_wake_ = kNever;  // later wake deferred past a scheduled step

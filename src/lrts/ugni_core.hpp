@@ -48,7 +48,6 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -64,6 +63,8 @@
 #include "ugni/msgq.hpp"
 #include "ugni/ugni.hpp"
 #include "util/log.hpp"
+#include "util/ring_fifo.hpp"
+#include "util/slot_map.hpp"
 
 namespace ugnirt::lrts {
 
@@ -104,38 +105,13 @@ struct RdvTarget {
   std::uint32_t span = 0;
 };
 
-/// Protocol state of one endpoint: a NIC with its CQs, pool and in-flight
-/// protocol bookkeeping.  The owner's state derives from it.
+/// Protocol state of one endpoint: a NIC with its CQs, pool, persistent
+/// channels and queued work.  Its in-flight posts live in the core's
+/// layer-wide slot maps.  The owner's state derives from it.
 struct UgniEndpoint : ugni::ClientEndpoint {
   // No per-peer endpoint map here: the NIC's own peer table (populated
   // lazily by ugni::Nic::get_or_connect) is the single source of truth.
   std::unique_ptr<mempool::MemPool> pool;  // null when use_mempool = false
-
-  // In-flight rendezvous sends: waiting for ACK_TAG.  A block of this
-  // endpoint's pool is freed by id, because the receiver's GET released
-  // its host bytes; any other buffer was registered for the send and is
-  // deregistered and freed through its header.
-  struct LargeSend {
-    void* msg = nullptr;  // registered buffers only
-    ugni::gni_mem_handle_t hndl{};
-    std::uint32_t block = 0;  // pool block id when msg is null
-  };
-  std::unordered_map<std::uint64_t, LargeSend> sends;
-  std::uint64_t next_send_id = 1;
-
-  // In-flight rendezvous receives: GET posted, waiting for completion.
-  struct LargeRecv {
-    void* buf = nullptr;
-    std::unique_ptr<ugni::gni_post_descriptor_t> desc;
-    std::uint64_t send_id = 0;
-    std::int32_t reply_pe = -1;  // see RdvTarget
-    std::int32_t dest_pe = -1;
-    std::uint32_t span = 0;  // lifecycle-span id from the INIT control
-    bool registered = false;
-    ugni::gni_mem_handle_t local_hndl{};
-  };
-  std::unordered_map<std::uint64_t, LargeRecv> recvs;
-  std::uint64_t next_recv_id = 1;
 
   // Persistent channels where this endpoint is the *receiver*.
   struct PersistRx {
@@ -155,17 +131,6 @@ struct UgniEndpoint : ugni::ClientEndpoint {
   };
   std::vector<PersistTx> persist_tx;
 
-  // PUTs in flight for persistent sends, keyed by descriptor post_id.
-  struct PersistSend {
-    void* msg = nullptr;
-    std::unique_ptr<ugni::gni_post_descriptor_t> desc;
-    std::int32_t tx_index = -1;
-    std::uint32_t size = 0;
-    bool app_owned = false;  // app reuses this buffer; don't free it
-  };
-  std::unordered_map<std::uint64_t, PersistSend> persist_sends;
-  std::uint64_t next_persist_id = 1;
-
   // Persistent send buffers stay registered across iterations (the
   // "persistent memory for sending message" of Fig 7a); registration is
   // paid once per buffer and cached here in the no-pool configuration.
@@ -175,9 +140,9 @@ struct UgniEndpoint : ugni::ClientEndpoint {
   // flush(); an owned entry is a whole kTagData message.
   ugni::SmsgBacklog backlog;
 
-  // Rendezvous GETs admitted into `recvs` but deferred by the injection
-  // governor (AIMD window full); drained FIFO by flush().
-  std::deque<std::uint64_t> deferred_gets;
+  // Rendezvous GETs admitted into the core's receive map but deferred by
+  // the injection governor (AIMD window full); drained FIFO by flush().
+  RingFifo<std::uint64_t> deferred_gets;
 
   // One-entry endpoint memo for the rx drain loop: bursts of SMSG events
   // from one peer resolve the endpoint once instead of one peer-table
@@ -187,9 +152,10 @@ struct UgniEndpoint : ugni::ClientEndpoint {
   ugni::gni_ep_handle_t last_ep = nullptr;
 
   ~UgniEndpoint() {
-    for (auto& p : backlog.q) {
-      if (p.msg) mempool::MemPool::discard(p.msg);
+    for (std::size_t i = 0; i < backlog.q.size(); ++i) {
+      if (void* msg = backlog.q[i].msg) mempool::MemPool::discard(msg);
     }
+    for (const PersistRx& rx : persist_rx) mempool::MemPool::discard(rx.buf);
   }
 };
 
@@ -223,6 +189,60 @@ class UgniCore {
   trace::Counter* c_persistent_puts_ = nullptr;
   trace::Counter* c_fallback_rendezvous_ = nullptr;
   trace::Counter* c_fallback_heap_ = nullptr;
+
+  // In-flight posts of every endpoint of the layer, in slot maps whose ids
+  // go on the wire (send ids in INIT/ACK) and into post descriptors (post
+  // ids).  A post descriptor lives inline in its slot, which never moves,
+  // so the NIC may hold it from post to GNI_GetCompleted.
+
+  // Rendezvous sends waiting for ACK_TAG.  A block of the sender's pool
+  // is freed by id, because the receiver's GET released its host bytes;
+  // any other buffer was registered for the send and is deregistered and
+  // freed through its header.
+  struct LargeSend {
+    void* msg = nullptr;  // registered buffers only
+    ugni::gni_mem_handle_t hndl{};
+    std::uint32_t block = 0;  // pool block id when msg is null
+    bool heap = false;        // msg is a heap buffer
+  };
+  SlotMap<LargeSend> sends_;
+
+  // Rendezvous receives: GET posted (or deferred), waiting for completion.
+  // The landing buffer and its handle are the descriptor's local side.
+  struct LargeRecv {
+    ugni::gni_post_descriptor_t desc;
+    std::uint64_t send_id = 0;
+    std::int32_t reply_pe = -1;  // see RdvTarget
+    std::int32_t dest_pe = -1;
+    std::uint32_t span = 0;  // lifecycle-span id from the INIT control
+    bool registered = false;  // heap landing, registered for this GET
+  };
+  SlotMap<LargeRecv> recvs_;
+
+  // Persistent PUTs in flight; the sent buffer is the descriptor's local
+  // side.  Their post ids carry kPersistPostBit, which no receive id has.
+  struct PersistSend {
+    ugni::gni_post_descriptor_t desc;
+    std::int32_t tx_index = -1;
+    bool app_owned = false;  // app reuses this buffer; don't free it
+    bool heap = false;       // the buffer is a heap buffer
+  };
+  SlotMap<PersistSend> persist_sends_;
+  static constexpr std::uint64_t kPersistPostBit = 1ull << 63;
+
+  /// Frees the heap buffers of posts still in flight (a machine destroyed
+  /// mid-run); pool buffers go back with their pools.
+  ~UgniCore() {
+    sends_.for_each([](std::uint64_t, LargeSend& ls) {
+      if (ls.heap) mempool::MemPool::heap_free(ls.msg);
+    });
+    recvs_.for_each([](std::uint64_t, LargeRecv& lr) {
+      if (lr.registered) heap_free_addr(lr.desc.local_addr);
+    });
+    persist_sends_.for_each([](std::uint64_t, PersistSend& ps) {
+      if (ps.heap && !ps.app_owned) heap_free_addr(ps.desc.local_addr);
+    });
+  }
 
   /// Create the domain and bind the registry counters.  `smsg_cap` is the
   /// owner's mailbox payload cap; `use_msgq` routes small messages through
@@ -346,14 +366,14 @@ class UgniCore {
         ep.persist_tx.at(static_cast<std::size_t>(handle.id));
     assert(size <= tx.max_bytes && "persistent message exceeds channel size");
 
-    Endpoint::PersistSend ps;
-    ps.msg = msg;
-    ps.size = size;
+    PersistSend ps;
     ps.tx_index = handle.id;
     ps.app_owned = (converse::header_of(msg)->flags &
                     converse::kMsgFlagNoFree) != 0;  // app reuses buffer
+    mempool::MemPool* pool_owner = mempool::MemPool::owner_of(msg);
+    ps.heap = pool_owner == nullptr;
     ugni::gni_mem_handle_t local_hndl{};
-    if (ep.pool && mempool::MemPool::owner_of(msg) == ep.pool.get()) {
+    if (ep.pool && pool_owner == ep.pool.get()) {
       local_hndl = ep.pool->handle_of(msg);
     } else if (auto it = ep.persist_send_reg.find(msg);
                it != ep.persist_send_reg.end()) {
@@ -364,23 +384,24 @@ class UgniCore {
       ep.persist_send_reg.emplace(msg, local_hndl);
     }
 
-    ps.desc = std::make_unique<ugni::gni_post_descriptor_t>();
-    ps.desc->type = size < mc.rdma_threshold ? ugni::GNI_POST_FMA_PUT
-                                             : ugni::GNI_POST_RDMA_PUT;
-    ps.desc->local_addr = reinterpret_cast<std::uint64_t>(msg);
-    ps.desc->local_mem_hndl = local_hndl;
-    ps.desc->remote_addr = tx.remote_addr;
-    ps.desc->remote_mem_hndl = tx.remote_hndl;
-    ps.desc->length = size;
-    std::uint64_t pid = ep.next_persist_id++ | (1ull << 63);
-    ps.desc->post_id = pid;
+    ugni::gni_post_descriptor_t& d = ps.desc;
+    d.type = size < mc.rdma_threshold ? ugni::GNI_POST_FMA_PUT
+                                      : ugni::GNI_POST_RDMA_PUT;
+    d.local_addr = reinterpret_cast<std::uint64_t>(msg);
+    d.local_mem_hndl = local_hndl;
+    d.remote_addr = tx.remote_addr;
+    d.remote_mem_hndl = tx.remote_hndl;
+    d.length = size;
+    const std::uint64_t pid = persist_sends_.insert(ps);
+    PersistSend& live = *persist_sends_.find(pid);
+    live.desc.post_id = pid | kPersistPostBit;
 
     // Keep the sender buffer stable until the PUT completes.
     converse::header_of(msg)->flags |= converse::kMsgFlagNoFree;
 
     ugni::gni_ep_handle_t gep = connect(ep, owner().peer_of(tx.dest_pe));
-    ugni::post_with_retry(ctx, gep, ps.desc.get(),
-                          ps.desc->type == ugni::GNI_POST_RDMA_PUT, n_.post);
+    ugni::post_with_retry(ctx, gep, &live.desc,
+                          live.desc.type == ugni::GNI_POST_RDMA_PUT, n_.post);
     // Persistent PUTs are latency-critical and never deferred, but they
     // count against the window so their completions drive AIMD too.
     if (governor_) governor_->note_post(ep.nic->inst_id());
@@ -392,7 +413,6 @@ class UgniCore {
       mark_msg_spans(msg, trace::Stage::kTransportPost, owner().home_pe(ep),
                      ctx.now());
     }
-    ep.persist_sends.emplace(pid, std::move(ps));
   }
 
   /// Drain the RX CQ, the MSGQ and the TX CQ, running the protocol.
@@ -442,6 +462,10 @@ class UgniCore {
 
  private:
   Owner& owner() { return static_cast<Owner&>(*this); }
+
+  static void heap_free_addr(std::uint64_t addr) {
+    mempool::MemPool::heap_free(reinterpret_cast<void*>(addr));
+  }
 
   void register_buf(sim::Context& ctx, Endpoint& ep, const void* buf,
                     std::uint64_t len, ugni::gni_mem_handle_t* hndl) {
@@ -527,19 +551,20 @@ class UgniCore {
   /// then send/queue the INIT control message).
   void begin_rendezvous(sim::Context& ctx, Endpoint& ep, int dest_pe,
                         std::uint32_t size, void* msg) {
-    Endpoint::LargeSend ls;
-    if (ep.pool && mempool::MemPool::owner_of(msg) == ep.pool.get()) {
+    LargeSend ls;
+    mempool::MemPool* pool_owner = mempool::MemPool::owner_of(msg);
+    if (ep.pool && pool_owner == ep.pool.get()) {
       ls.hndl = ep.pool->handle_of(msg);
       ls.block = ep.pool->block_of(msg);
     } else {
       // Heap buffer (no pool, or a heap-fallback allocation), or another
       // pool's block (a pxshm single-copy delivery forwarded): register it.
       ls.msg = msg;
+      ls.heap = pool_owner == nullptr;
       register_buf(ctx, ep, msg, size, &ls.hndl);
       n_.registrations->inc();
     }
-    std::uint64_t id = ep.next_send_id++;
-    ep.sends.emplace(id, ls);
+    const std::uint64_t id = sends_.insert(ls);
     if (trace::enabled()) {
       trace::emit(trace::Ev::kRdvInit, ctx.now(), 0, dest_pe, size);
     }
@@ -557,16 +582,16 @@ class UgniCore {
   /// lookup, descriptor post with retry, counters and trace.
   void issue_rendezvous_get(sim::Context& ctx, Endpoint& ep,
                             std::uint64_t rid) {
-    Endpoint::LargeRecv& lr = ep.recvs.at(rid);
+    LargeRecv& lr = *recvs_.find(rid);
     const int src_peer = owner().peer_of(lr.reply_pe);
     ugni::gni_ep_handle_t back = connect(ep, src_peer);
-    ugni::post_with_retry(ctx, back, lr.desc.get(),
-                          lr.desc->type == ugni::GNI_POST_RDMA_GET, n_.post);
-    release_source(*lr.desc);
+    ugni::post_with_retry(ctx, back, &lr.desc,
+                          lr.desc.type == ugni::GNI_POST_RDMA_GET, n_.post);
+    release_source(lr.desc);
     c_rendezvous_gets_->inc();
     if (trace::enabled()) {
       trace::emit(trace::Ev::kRdvGet, ctx.now(), 0, src_peer,
-                  static_cast<std::uint32_t>(lr.desc->length));
+                  static_cast<std::uint32_t>(lr.desc.length));
     }
     if (trace::spans_enabled() && lr.span != 0) {
       trace::span_mark(lr.span, trace::Stage::kTransportPost, lr.dest_pe,
@@ -608,9 +633,9 @@ class UgniCore {
       if (!governor_->would_admit(inst)) return;
       const std::uint64_t rid = ep.deferred_gets.front();
       ep.deferred_gets.pop_front();
-      Endpoint::LargeRecv& lr = ep.recvs.at(rid);
+      const LargeRecv& lr = *recvs_.find(rid);
       governor_->try_acquire(inst, lr.reply_pe,
-                             static_cast<std::uint32_t>(lr.desc->length),
+                             static_cast<std::uint32_t>(lr.desc.length),
                              ctx.now());
       if (spans && lr.span != 0) {
         trace::span_mark(lr.span, trace::Stage::kGovAdmit, lr.dest_pe,
@@ -700,32 +725,29 @@ class UgniCore {
       trace::span_mark(to.span, trace::Stage::kRxArrive, to.dest_pe, arrival);
     }
 
-    Endpoint::LargeRecv lr;
+    LargeRecv lr;
     lr.send_id = ctrl.send_id;
     lr.reply_pe = to.reply_pe;
     lr.dest_pe = to.dest_pe;
     lr.span = to.span;
     const Landing l = landing(ctx, ep, ctrl.size, to.reply_pe);
-    lr.buf = l.buf;
-    lr.local_hndl = l.hndl;
     lr.registered = l.registered;
     if (l.registered) n_.registrations->inc();
-    lr.desc = std::make_unique<ugni::gni_post_descriptor_t>();
     // A hot NIC switches to the offloaded BTE engine earlier, freeing the
     // CPU to drain completions (stock threshold when flow is off).
     const std::uint32_t rdma_thr =
         governor_ ? governor_->rdma_threshold(mc.rdma_threshold, ep.nic->node())
                   : mc.rdma_threshold;
-    lr.desc->type = ctrl.size < rdma_thr ? ugni::GNI_POST_FMA_GET
-                                         : ugni::GNI_POST_RDMA_GET;
-    lr.desc->local_addr = reinterpret_cast<std::uint64_t>(lr.buf);
-    lr.desc->local_mem_hndl = lr.local_hndl;
-    lr.desc->remote_addr = ctrl.addr;
-    lr.desc->remote_mem_hndl = ctrl.hndl;
-    lr.desc->length = ctrl.size;
-    std::uint64_t rid = ep.next_recv_id++;
-    lr.desc->post_id = rid;
-    ep.recvs.emplace(rid, std::move(lr));
+    ugni::gni_post_descriptor_t& d = lr.desc;
+    d.type = ctrl.size < rdma_thr ? ugni::GNI_POST_FMA_GET
+                                  : ugni::GNI_POST_RDMA_GET;
+    d.local_addr = reinterpret_cast<std::uint64_t>(l.buf);
+    d.local_mem_hndl = l.hndl;
+    d.remote_addr = ctrl.addr;
+    d.remote_mem_hndl = ctrl.hndl;
+    d.length = ctrl.size;
+    const std::uint64_t rid = recvs_.insert(lr);
+    recvs_.find(rid)->desc.post_id = rid;
 
     // AIMD admission: a full window defers the GET (the sender's buffer
     // stays pinned behind the INIT/ACK protocol, so deferral is safe);
@@ -748,16 +770,15 @@ class UgniCore {
   void on_tag_ack(sim::Context& ctx, Endpoint& ep, const void* data) {
     AckCtrl ack;
     std::memcpy(&ack, data, sizeof(ack));
-    auto it = ep.sends.find(ack.send_id);
-    assert(it != ep.sends.end());
-    Endpoint::LargeSend& ls = it->second;
-    if (ls.msg) {
-      ugni::GNI_MemDeregister(ep.nic, &ls.hndl);
-      free_buf(ctx, ls.msg);
+    LargeSend* ls = sends_.find(ack.send_id);
+    assert(ls);
+    if (ls->msg) {
+      ugni::GNI_MemDeregister(ep.nic, &ls->hndl);
+      free_buf(ctx, ls->msg);
     } else {
-      ep.pool->free_block(ls.block);
+      ep.pool->free_block(ls->block);
     }
-    ep.sends.erase(it);
+    sends_.erase(ack.send_id);
   }
 
   void on_tag_persist(sim::Context& ctx, Endpoint& ep, const void* data,
@@ -784,12 +805,15 @@ class UgniCore {
     ugni::check(ugni::GNI_GetCompleted(ep.tx_cq, ev, &desc),
                 "GNI_GetCompleted");
 
-    if (auto it = ep.recvs.find(desc->post_id); it != ep.recvs.end()) {
+    const std::uint64_t pid = desc->post_id;
+    if (!(pid & kPersistPostBit)) {
       // Our GET finished: ACK the sender, deliver the message (Fig 5).
       if (governor_) {
         governor_->on_complete(ep.nic->inst_id(), ep.nic->node(), ctx.now());
       }
-      Endpoint::LargeRecv& lr = it->second;
+      LargeRecv* found = recvs_.find(pid);
+      assert(found && "completion for unknown descriptor");
+      LargeRecv& lr = *found;
       if constexpr (!Owner::kDeliverStampsCq) {
         if (trace::spans_enabled() && lr.span != 0) {
           trace::span_mark(lr.span, trace::Stage::kCqComplete, lr.dest_pe,
@@ -804,38 +828,38 @@ class UgniCore {
       }
       smsg_send(ctx, ep, lr.reply_pe, kTagAck, &ack, sizeof(ack), nullptr);
       if (lr.registered) {
-        ugni::GNI_MemDeregister(ep.nic, &lr.local_hndl);
+        ugni::GNI_MemDeregister(ep.nic, &lr.desc.local_mem_hndl);
       }
-      owner().deliver(ep, lr.dest_pe, lr.buf, ctx.now());
-      ep.recvs.erase(it);
+      owner().deliver(ep, lr.dest_pe,
+                      reinterpret_cast<void*>(lr.desc.local_addr), ctx.now());
+      recvs_.erase(pid);
       return;
     }
-    if (auto it = ep.persist_sends.find(desc->post_id);
-        it != ep.persist_sends.end()) {
+    if (PersistSend* ps = persist_sends_.find(pid & ~kPersistPostBit)) {
       // Persistent PUT landed: notify the receiver, release our buffer
       // (unless the application owns and reuses it, Fig 7a).
       if (governor_) {
         governor_->on_complete(ep.nic->inst_id(), ep.nic->node(), ctx.now());
       }
-      Endpoint::PersistSend& ps = it->second;
+      void* msg = reinterpret_cast<void*>(ps->desc.local_addr);
       if (trace::spans_enabled()) {
-        mark_msg_spans(ps.msg, trace::Stage::kCqComplete, owner().home_pe(ep),
+        mark_msg_spans(msg, trace::Stage::kCqComplete, owner().home_pe(ep),
                        ctx.now());
       }
       Endpoint::PersistTx& tx =
-          ep.persist_tx.at(static_cast<std::size_t>(ps.tx_index));
+          ep.persist_tx.at(static_cast<std::size_t>(ps->tx_index));
       PersistCtrl pc;
       pc.channel = tx.remote_channel;
-      pc.size = ps.size;
+      pc.size = static_cast<std::uint32_t>(ps->desc.length);
       pc.src_pe = owner().home_pe(ep);
       smsg_send(ctx, ep, tx.dest_pe, kTagPersistData, &pc, sizeof(pc),
                 nullptr);
-      if (!ps.app_owned) {
-        converse::header_of(ps.msg)->flags &=
+      if (!ps->app_owned) {
+        converse::header_of(msg)->flags &=
             static_cast<std::uint16_t>(~converse::kMsgFlagNoFree);
-        free_buf(ctx, ps.msg);
+        free_buf(ctx, msg);
       }
-      ep.persist_sends.erase(it);
+      persist_sends_.erase(pid & ~kPersistPostBit);
       return;
     }
     assert(false && "completion for unknown descriptor");

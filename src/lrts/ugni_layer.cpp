@@ -1,13 +1,13 @@
 #include "lrts/ugni_layer.hpp"
 
 #include <cstring>
-#include <deque>
 
 #include "lrts/pool_metrics.hpp"
 #include "lrts/span_marks.hpp"
 #include "trace/events.hpp"
 #include "trace/spans.hpp"
 #include "util/log.hpp"
+#include "util/ring_fifo.hpp"
 
 namespace ugnirt::lrts {
 
@@ -36,7 +36,7 @@ struct UgniLayer::NodeShm {
     std::uint32_t size = 0;
     SimTime at = 0;
   };
-  std::vector<std::deque<Entry>> rx;  // indexed by pe-on-node rank
+  std::vector<RingFifo<Entry>> rx;  // indexed by pe-on-node rank
 };
 
 // ---------------------------------------------------------------------------
@@ -240,9 +240,9 @@ void UgniLayer::pxshm_send(sim::Context& ctx, converse::Pe& src, int dest_pe,
   auto& q = node_shm_[static_cast<std::size_t>(node)]
                 ->rx[static_cast<std::size_t>(local_rank)];
   // Keep the queue ordered by arrival (senders' clocks are not aligned).
-  auto it = q.end();
-  while (it != q.begin() && std::prev(it)->at > e.at) --it;
-  q.insert(it, e);
+  std::size_t pos = q.size();
+  while (pos > 0 && q[pos - 1].at > e.at) --pos;
+  q.insert(pos, e);
   m.pe(dest_pe).wake(e.at);
 }
 

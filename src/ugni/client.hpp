@@ -31,16 +31,16 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <vector>
 
 #include "sim/context.hpp"
 #include "trace/events.hpp"
 #include "trace/metrics.hpp"
 #include "ugni/msgq.hpp"
 #include "ugni/ugni.hpp"
+#include "util/inline_bytes.hpp"
 #include "util/log.hpp"
+#include "util/ring_fifo.hpp"
 
 namespace ugnirt::ugni {
 
@@ -178,13 +178,13 @@ struct ClientCounters {
 ///   void smsg_wake(SimTime t)              call flush() again at `t`
 struct SmsgBacklog {
   struct Entry {
+    void* msg = nullptr;  // owned payload, sent in place
     int dest = -1;
-    std::uint8_t tag = 0;
     std::uint32_t len = 0;
-    std::vector<std::uint8_t> ctrl;  // copied control payload
-    void* msg = nullptr;             // owned payload, sent in place
+    std::uint8_t tag = 0;
+    InlineBytes ctrl;  // copied control payload
   };
-  std::deque<Entry> q;
+  RingFifo<Entry> q;
   int attempts = 0;      // consecutive failed flush attempts
   SimTime retry_at = 0;  // no flush retry before this instant (fault mode)
 
@@ -224,8 +224,7 @@ struct SmsgBacklog {
     if (owned) {
       e.msg = owned;
     } else {
-      e.ctrl.assign(static_cast<const std::uint8_t*>(bytes),
-                    static_cast<const std::uint8_t*>(bytes) + len);
+      e.ctrl.assign(bytes, len);
     }
     q.push_back(std::move(e));
   }

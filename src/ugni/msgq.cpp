@@ -72,11 +72,9 @@ gni_return_t GNI_MsgqSend(gni_nic_handle_t nic, std::int32_t remote_inst,
   q->enqueue_free_ = arrive;
 
   Msgq::Msg msg;
-  msg.bytes.resize(total);
-  if (header_len) std::memcpy(msg.bytes.data(), header, header_len);
-  if (data_len) {
-    std::memcpy(msg.bytes.data() + header_len, data, data_len);
-  }
+  std::uint8_t* bytes = msg.bytes.resize(total);
+  if (header_len) std::memcpy(bytes, header, header_len);
+  if (data_len) std::memcpy(bytes + header_len, data, data_len);
   msg.tag = tag;
   msg.source = nic->inst_id();
   msg.at = arrive;
@@ -108,12 +106,10 @@ gni_return_t GNI_MsgqProgress(gni_msgq_handle_t msgq, void** data_out,
   Msgq::Msg& front = msgq->rx_.front();
   msgq->last_delivered_ = std::move(front.bytes);
   *data_out = msgq->last_delivered_.data();
-  *len_out = static_cast<std::uint32_t>(msgq->last_delivered_.size());
+  *len_out = msgq->last_delivered_.size();
   *tag_out = front.tag;
   *source_out = front.source;
-  msgq->used_bytes_ -=
-      static_cast<std::uint32_t>(msgq->last_delivered_.size()) +
-      kMsgqSysHeader;
+  msgq->used_bytes_ -= msgq->last_delivered_.size() + kMsgqSysHeader;
   msgq->rx_.pop_front();
   return GNI_RC_SUCCESS;
 }

@@ -20,10 +20,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <vector>
 
 #include "ugni/ugni.hpp"
+#include "util/inline_bytes.hpp"
+#include "util/ring_fifo.hpp"
 
 namespace ugnirt::ugni {
 
@@ -77,17 +77,17 @@ class Msgq {
                                        std::int32_t*);
 
   struct Msg {
-    std::vector<std::uint8_t> bytes;
-    std::uint8_t tag = 0;
-    std::int32_t source = -1;
     SimTime at = 0;
+    InlineBytes bytes;
+    std::int32_t source = -1;
+    std::uint8_t tag = 0;
   };
 
   Nic* nic_;
   std::uint32_t pool_bytes_;
   std::uint32_t used_bytes_ = 0;
-  std::deque<Msg> rx_;
-  std::vector<std::uint8_t> last_delivered_;
+  RingFifo<Msg> rx_;
+  InlineBytes last_delivered_;
   // Shared-queue serialization point for concurrent senders.
   SimTime enqueue_free_ = 0;
   std::function<void(SimTime)> notify_;

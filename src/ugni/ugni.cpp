@@ -605,11 +605,9 @@ gni_return_t GNI_SmsgSendWTag(gni_ep_handle_t ep, const void* header,
 
   // Deposit the message bytes in the peer's mailbox (visible at arrival).
   SmsgChannelState::Msg msg;
-  msg.bytes.resize(total);
-  if (header_length) std::memcpy(msg.bytes.data(), header, header_length);
-  if (data_length) {
-    std::memcpy(msg.bytes.data() + header_length, data, data_length);
-  }
+  std::uint8_t* bytes = msg.bytes.resize(total);
+  if (header_length) std::memcpy(bytes, header, header_length);
+  if (data_length) std::memcpy(bytes + header_length, data, data_length);
   msg.tag = tag;
   msg.at = arrival;
   remote_ep->smsg_.rx.push_back(std::move(msg));
@@ -645,7 +643,7 @@ gni_return_t GNI_SmsgGetNextWTag(gni_ep_handle_t ep, void** data_out,
     if (arrival_out) *arrival_out = msg.at;
     if (trace::enabled()) {
       trace::emit(trace::Ev::kSmsgRecv, c.now(), 0, ep->remote_inst_,
-                  static_cast<std::uint32_t>(msg.bytes.size()));
+                  msg.bytes.size());
     }
     return GNI_RC_SUCCESS;
   }

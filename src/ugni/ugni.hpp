@@ -35,6 +35,8 @@
 
 #include "gemini/network.hpp"
 #include "sim/context.hpp"
+#include "util/inline_bytes.hpp"
+#include "util/ring_fifo.hpp"
 
 namespace ugnirt::ugni {
 
@@ -261,7 +263,8 @@ gni_return_t GNI_SmsgSendWTag(gni_ep_handle_t ep, const void* header,
                               std::uint8_t tag);
 
 /// Peek the next undelivered message on this endpoint's receive mailbox.
-/// Returns a pointer into mailbox memory (valid until GNI_SmsgRelease).
+/// Returns a pointer into mailbox memory, valid until GNI_SmsgRelease or
+/// until another message lands in this mailbox (copy out first).
 /// `arrival_out` (optional) receives the message's virtual wire-arrival
 /// time — the instant the Gemini model landed it in the mailbox, which can
 /// be earlier than the CQ poll that discovered it (lifecycle spans use the
@@ -337,67 +340,6 @@ gni_return_t post_transaction(Ep* ep, gni_post_descriptor_t* desc,
 // Emulation objects.
 // ---------------------------------------------------------------------------
 
-/// Power-of-two ring FIFO behind SMSG receive mailboxes and CQs.  It holds
-/// no storage while empty: the ring is allocated on the first push and
-/// released whenever a pop drains it, so an idle mailbox or CQ — most
-/// lazily established channels, and every CQ of a freshly built machine —
-/// costs only this object.
-template <typename T>
-class RingFifo {
- public:
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-  /// Slots currently allocated (0 whenever the FIFO is empty).
-  std::size_t capacity() const { return cap_; }
-
-  T& front() { return buf_[head_]; }
-  const T& front() const { return buf_[head_]; }
-  /// The i-th oldest element (0 == front).
-  T& operator[](std::size_t i) { return buf_[(head_ + i) & (cap_ - 1)]; }
-  const T& operator[](std::size_t i) const {
-    return buf_[(head_ + i) & (cap_ - 1)];
-  }
-
-  void push_back(T v) {
-    if (size_ == cap_) grow();
-    (*this)[size_] = std::move(v);
-    ++size_;
-  }
-  /// Insert so that `v` becomes the pos-th element; cost is linear in the
-  /// number of elements after it.
-  void insert(std::size_t pos, T v) {
-    push_back(std::move(v));
-    for (std::size_t i = size_ - 1; i > pos; --i) {
-      std::swap((*this)[i], (*this)[i - 1]);
-    }
-  }
-  void pop_front() {
-    if (--size_ == 0) {
-      buf_.reset();
-      cap_ = 0;
-      head_ = 0;
-      return;
-    }
-    buf_[head_] = T{};
-    head_ = (head_ + 1) & (cap_ - 1);
-  }
-
- private:
-  void grow() {
-    const std::uint32_t cap = cap_ ? 2 * cap_ : 4;
-    auto buf = std::make_unique<T[]>(cap);
-    for (std::uint32_t i = 0; i < size_; ++i) buf[i] = std::move((*this)[i]);
-    buf_ = std::move(buf);
-    cap_ = cap;
-    head_ = 0;
-  }
-
-  std::unique_ptr<T[]> buf_;
-  std::uint32_t head_ = 0;
-  std::uint32_t size_ = 0;
-  std::uint32_t cap_ = 0;
-};
-
 /// A completion queue: a bounded FIFO of events plus an optional notify hook
 /// so the simulated runtime can wake an idle PE when an event lands.
 class Cq {
@@ -451,11 +393,12 @@ struct SmsgChannelState {
   SimTime last_arrival = 0;   // FIFO: later sends never arrive earlier
   // Receive mailbox: messages that arrived and await GetNext/Release.
   struct Msg {
-    std::vector<std::uint8_t> bytes;
+    SimTime at = 0;  // virtual arrival time
+    InlineBytes bytes;
     std::uint8_t tag = 0;
-    SimTime at = 0;          // virtual arrival time
     bool delivered = false;  // returned by GetNextWTag, not yet Released
   };
+  static_assert(sizeof(Msg) == 64, "a mailbox message is one cache line");
   RingFifo<Msg> rx;
 };
 

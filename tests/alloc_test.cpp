@@ -1,0 +1,123 @@
+// Allocation gate: this binary links ugnirt_alloc_count, which replaces the
+// global operator new and delete with counting versions.  Allocation
+// counts depend only on what the simulator allocates, so the bounds below
+// are exact on any host and under the sanitizers.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+
+#include "converse/machine.hpp"
+#include "lrts/runtime.hpp"
+#include "util/alloc_count.hpp"
+
+namespace ugnirt {
+namespace {
+
+using alloc_count::Counts;
+
+constexpr int kPes = 4096;
+constexpr int kBurst = 4;      // messages per destination per run
+constexpr int kK = 2;          // neighbors on each side
+constexpr std::uint32_t kBytes = 1024;
+
+converse::MachineOptions knb_options(bool pool) {
+  converse::MachineOptions o;
+  o.layer = converse::LayerKind::kUgni;
+  o.pes = kPes;
+  o.pes_per_node = 1;  // every message crosses the NIC: INIT, GET, ACK
+  o.use_pxshm = false;
+  o.use_mempool = pool;
+  return o;
+}
+
+/// One kNeighbor round on `m`: every PE sends kBurst 1 KiB messages to each
+/// of its 2k ring neighbors.  Returns operator new calls inside run() per
+/// delivered message.
+double knb_round(converse::Machine& m, int handler, std::uint64_t& delivered) {
+  const std::uint64_t before = delivered;
+  const std::uint32_t total = kBytes + converse::kCmiHeaderBytes;
+  for (int pe = 0; pe < kPes; ++pe) {
+    m.start(pe, [pe, handler, total] {
+      for (int i = 0; i < kBurst; ++i) {
+        for (int d = 1; d <= kK; ++d) {
+          for (int dest : {(pe + d) % kPes, (pe + kPes - d) % kPes}) {
+            void* msg = converse::CmiAlloc(total);
+            converse::CmiSetHandler(msg, handler);
+            converse::CmiSyncSendAndFree(dest, total, msg);
+          }
+        }
+      }
+    });
+  }
+  const Counts c0 = alloc_count::now();
+  m.run();
+  const Counts c1 = alloc_count::now();
+  const std::uint64_t msgs = delivered - before;
+  EXPECT_EQ(msgs, std::uint64_t{kPes} * 2 * kK * kBurst);
+  return static_cast<double>(c1.news - c0.news) / static_cast<double>(msgs);
+}
+
+// Rendezvous bookkeeping, SMSG control payloads and idle queues allocate
+// nothing per message; what is left is mostly CQ and mailbox rings, which
+// allocate on first push and free when drained.  The first run also grows
+// the slot maps, scheduler rings and pool slabs.
+TEST(AllocGate, KNeighborRunsAllocateLittlePerMessage) {
+  const Counts start = alloc_count::now();
+  {
+    auto m = lrts::make_machine(converse::LayerKind::kUgni, knb_options(true));
+    std::uint64_t delivered = 0;
+    const int h = m->register_handler([&delivered](void* msg) {
+      ++delivered;
+      converse::CmiFree(msg);
+    });
+    const double first = knb_round(*m, h, delivered);
+    const double second = knb_round(*m, h, delivered);
+    const double third = knb_round(*m, h, delivered);
+    std::printf("operator new per delivered message: %.3f, %.3f, %.3f\n",
+                first, second, third);
+    EXPECT_LE(first, 4.0);
+    EXPECT_LE(third, 1.5);
+  }
+  EXPECT_EQ(alloc_count::now().net_since(start), 0)
+      << "allocations outlived the machine";
+}
+
+// A machine destroyed while a rendezvous is in flight frees the heap
+// buffers its posts hold: the sender's registered message and the
+// receiver's landing buffer.
+class AllocTeardown : public ::testing::TestWithParam<bool> {};
+
+TEST_P(AllocTeardown, InFlightRendezvousFreesEverything) {
+  const Counts start = alloc_count::now();
+  {
+    converse::MachineOptions o;
+    o.layer = converse::LayerKind::kUgni;
+    o.pes = 2;
+    o.pes_per_node = 1;
+    o.use_pxshm = false;
+    o.use_mempool = GetParam();
+    auto m = lrts::make_machine(converse::LayerKind::kUgni, o);
+    const int h =
+        m->register_handler([](void* msg) { converse::CmiFree(msg); });
+    converse::Machine* mp = m.get();
+    m->start(0, [mp, h] {
+      const std::uint32_t total = 64 * 1024;
+      void* msg = converse::CmiAlloc(total);
+      converse::CmiSetHandler(msg, h);
+      converse::CmiSyncSendAndFree(1, total, msg);
+      mp->stop();
+    });
+    m->run();
+  }
+  EXPECT_EQ(alloc_count::now().net_since(start), 0)
+      << "allocations outlived the machine";
+}
+
+INSTANTIATE_TEST_SUITE_P(Pool, AllocTeardown, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "mempool" : "heap";
+                         });
+
+}  // namespace
+}  // namespace ugnirt

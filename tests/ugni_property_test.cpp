@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -310,62 +309,6 @@ TEST(PeerTableProperty, MatchesMapOracleUnderSeededChurn) {
   }
   EXPECT_EQ(table.size(), 0u);
   EXPECT_TRUE(contents(table).empty());
-}
-
-// The FIFO behind SMSG mailboxes and CQs: order is kept across ring
-// wrap-around, growth and positional inserts, an empty FIFO holds no
-// storage, and the ring is released on every drain.
-TEST(RingFifoProperty, KeepsOrderAndReleasesStorageWhenDrained) {
-  RingFifo<std::vector<int>> q;  // elements own heap memory, like Msg
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.capacity(), 0u);
-
-  std::deque<int> oracle;
-  Rng rng(6316);
-  int next = 0;
-  int drains = 0;
-  for (int step = 0; step < 20000; ++step) {
-    // Bursts of mostly-push or mostly-pop so the queue both grows past
-    // several capacities and drains to empty again.
-    const bool pushing = (step / 64) % 2 == 0;
-    if (oracle.empty() || rng.next_below(4) < (pushing ? 3u : 1u)) {
-      if (rng.next_below(4) == 0) {  // sorted-insert path the CQs use
-        const auto pos = rng.next_below(static_cast<std::uint32_t>(oracle.size()) + 1);
-        q.insert(pos, std::vector<int>{next});
-        oracle.insert(oracle.begin() + pos, next++);
-      } else {
-        q.push_back(std::vector<int>{next});
-        oracle.push_back(next++);
-      }
-    } else {
-      ASSERT_EQ(q.front().at(0), oracle.front());
-      q.pop_front();
-      oracle.pop_front();
-      if (oracle.empty()) {
-        ++drains;
-        ASSERT_EQ(q.capacity(), 0u) << "drained FIFO kept its ring";
-      }
-    }
-    ASSERT_EQ(q.size(), oracle.size());
-    ASSERT_EQ(q.empty(), oracle.empty());
-    ASSERT_GE(q.capacity(), q.size());
-    if (!oracle.empty()) {
-      ASSERT_EQ(q[q.size() - 1].at(0), oracle.back());
-    }
-    if (step % 97 == 0) {
-      for (std::size_t i = 0; i < oracle.size(); ++i) {
-        ASSERT_EQ(q[i].at(0), oracle[i]) << "position " << i;
-      }
-    }
-  }
-  EXPECT_GT(drains, 10);
-  while (!oracle.empty()) {
-    ASSERT_EQ(q.front().at(0), oracle.front());
-    q.pop_front();
-    oracle.pop_front();
-  }
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.capacity(), 0u);
 }
 
 }  // namespace

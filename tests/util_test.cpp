@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <deque>
+#include <map>
 #include <set>
+#include <vector>
 
 #include "util/config.hpp"
+#include "util/inline_bytes.hpp"
+#include "util/ring_fifo.hpp"
 #include "util/rng.hpp"
+#include "util/slot_map.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -204,6 +211,177 @@ TEST(Stats, EmptyRunningStatIsZero) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.stddev(), 0.0);
+}
+
+// ------------------------------------------------------------ RingFifo ----
+
+// Seeded push / positional insert / pop bursts against a std::deque
+// oracle: order is kept across wrap-around, growth and inserts.  Returns
+// how often the FIFO drained; `on_drain` checks the ring at each drain.
+template <bool kKeep, typename OnDrain>
+int ring_fifo_churn(RingFifo<std::vector<int>, kKeep>& q, OnDrain on_drain) {
+  std::deque<int> oracle;
+  Rng rng(6316);
+  int next = 0;
+  int drains = 0;
+  for (int step = 0; step < 20000; ++step) {
+    // Bursts of mostly-push or mostly-pop so the queue both grows past
+    // several capacities and drains to empty again.
+    const bool pushing = (step / 64) % 2 == 0;
+    if (oracle.empty() || rng.next_below(4) < (pushing ? 3u : 1u)) {
+      if (rng.next_below(4) == 0) {  // sorted-insert path the CQs use
+        const auto pos =
+            rng.next_below(static_cast<std::uint32_t>(oracle.size()) + 1);
+        q.insert(pos, std::vector<int>{next});
+        oracle.insert(oracle.begin() + pos, next++);
+      } else {
+        q.push_back(std::vector<int>{next});
+        oracle.push_back(next++);
+      }
+    } else {
+      EXPECT_EQ(q.front().at(0), oracle.front());
+      q.pop_front();
+      oracle.pop_front();
+      if (oracle.empty()) {
+        ++drains;
+        on_drain(q);
+      }
+    }
+    EXPECT_EQ(q.size(), oracle.size());
+    EXPECT_EQ(q.empty(), oracle.empty());
+    EXPECT_GE(q.capacity(), q.size());
+    if (!oracle.empty()) {
+      EXPECT_EQ(q[q.size() - 1].at(0), oracle.back());
+    }
+    if (step % 97 == 0) {
+      for (std::size_t i = 0; i < oracle.size(); ++i) {
+        EXPECT_EQ(q[i].at(0), oracle[i]) << "position " << i;
+      }
+    }
+    if (::testing::Test::HasFailure()) return drains;
+  }
+  while (!oracle.empty()) {
+    EXPECT_EQ(q.front().at(0), oracle.front());
+    q.pop_front();
+    oracle.pop_front();
+  }
+  return drains;
+}
+
+// The queues of idle mailboxes, CQs and backlogs: an empty FIFO holds no
+// storage, and the ring is released on every drain.
+TEST(RingFifoProperty, KeepsOrderAndReleasesStorageWhenDrained) {
+  RingFifo<std::vector<int>> q;  // elements own heap memory, like Msg
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 0u);
+  const int drains = ring_fifo_churn(q, [](const auto& r) {
+    EXPECT_EQ(r.capacity(), 0u) << "drained FIFO kept its ring";
+  });
+  EXPECT_GT(drains, 10);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 0u);
+}
+
+// The scheduler queue's mode: storage is still taken on the first push,
+// but a drain keeps the ring at its high-water capacity.
+TEST(RingFifoProperty, KeepGrownModeKeepsItsRingWhenDrained) {
+  RingFifo<std::vector<int>, /*kKeepGrown=*/true> q;
+  EXPECT_EQ(q.capacity(), 0u);
+  std::size_t high = 0;
+  const int drains = ring_fifo_churn(q, [&high](const auto& r) {
+    EXPECT_GE(r.capacity(), high) << "drained FIFO shrank its ring";
+    high = r.capacity();
+  });
+  EXPECT_GT(drains, 10);
+  EXPECT_TRUE(q.empty());
+  EXPECT_GE(q.capacity(), high);
+  EXPECT_GE(high, 64u);  // grew through several doublings
+}
+
+// ------------------------------------------------------------- SlotMap ----
+
+// Seeded insert/erase churn against a std::map reference: live ids
+// resolve to their records at unchanged addresses across growth, erased
+// ids never resolve again, and every id has bit 63 clear.
+TEST(SlotMapProperty, MatchesReferenceAndKeepsAddressesStable) {
+  struct Rec {
+    std::uint64_t value = 0;
+    std::uint32_t pad[6] = {};
+  };
+  SlotMap<Rec> map;
+  std::map<std::uint64_t, std::pair<std::uint64_t, const Rec*>> live;
+  std::vector<std::uint64_t> dead;
+  Rng rng(2012);
+  std::uint64_t next = 0;
+  std::size_t peak = 0;
+  for (int step = 0; step < 40000; ++step) {
+    // Phases that grow the map past several chunks, then shrink it.
+    const bool growing = (step / 4000) % 2 == 0;
+    if (live.empty() || rng.next_below(8) < (growing ? 6u : 2u)) {
+      Rec r;
+      r.value = next++;
+      const std::uint64_t id = map.insert(r);
+      ASSERT_NE(id, 0u);
+      ASSERT_EQ(id >> 63, 0u) << "id uses bit 63";
+      ASSERT_EQ(live.count(id), 0u) << "id issued twice while live";
+      live[id] = {r.value, map.find(id)};
+    } else {
+      auto it = live.begin();
+      std::advance(it, rng.next_below(static_cast<std::uint32_t>(
+                           std::min<std::size_t>(live.size(), 64))));
+      map.erase(it->first);
+      dead.push_back(it->first);
+      live.erase(it);
+    }
+    peak = std::max(peak, live.size());
+    ASSERT_EQ(map.size(), live.size());
+    if (step % 101 == 0) {
+      for (const auto& [id, ref] : live) {
+        const Rec* r = map.find(id);
+        ASSERT_EQ(r, ref.second) << "live record moved";
+        ASSERT_EQ(r->value, ref.first);
+      }
+      for (std::uint64_t id : dead) {
+        ASSERT_EQ(map.find(id), nullptr) << "stale id resolved";
+      }
+    }
+  }
+  EXPECT_GT(peak, 1000u);  // several chunks
+  std::size_t visited = 0;
+  map.for_each([&](std::uint64_t id, Rec& r) {
+    ++visited;
+    ASSERT_EQ(live.at(id).first, r.value);
+  });
+  EXPECT_EQ(visited, live.size());
+  EXPECT_EQ(map.find(0), nullptr);
+}
+
+// ---------------------------------------------------------- InlineBytes ----
+
+TEST(InlineBytes, HoldsControlPayloadsInlineAndSpillsLargerOnes) {
+  for (std::uint32_t n : {0u, 8u, 40u, 48u, 49u, 1024u}) {
+    std::vector<std::uint8_t> src(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      src[i] = static_cast<std::uint8_t>(i * 7);
+    }
+    InlineBytes b;
+    b.assign(src.data(), n);
+    ASSERT_EQ(b.size(), n);
+    const auto at = reinterpret_cast<std::uintptr_t>(b.data());
+    const auto self = reinterpret_cast<std::uintptr_t>(&b);
+    const bool inline_held = at >= self && at < self + sizeof(b);
+    EXPECT_EQ(inline_held, n <= InlineBytes::kInline) << n << " B";
+    InlineBytes moved(std::move(b));
+    EXPECT_EQ(b.size(), 0u);
+    ASSERT_EQ(moved.size(), n);
+    EXPECT_EQ(std::vector<std::uint8_t>(moved.data(), moved.data() + n), src);
+    InlineBytes assigned;
+    assigned.assign("x", 1);
+    assigned = std::move(moved);
+    ASSERT_EQ(assigned.size(), n);
+    EXPECT_EQ(std::vector<std::uint8_t>(assigned.data(), assigned.data() + n),
+              src);
+  }
 }
 
 }  // namespace
