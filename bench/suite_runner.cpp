@@ -196,9 +196,10 @@ std::vector<Metric> run_core() {
 ///              k=2 neighbors on both sides (4 destinations)
 ///
 /// Direct machine build so the point can report simulator events/sec, the
-/// layer's mailbox and payload host bytes/PE (the full-machine memory
-/// curves) and the operator new calls inside run() per message (this
-/// binary counts them, util/alloc_count.hpp).
+/// layer's mailbox and payload host bytes/PE and the engine's pending-set
+/// bytes/PE (the full-machine memory curves) and the operator new calls
+/// inside run() per message (this binary counts them,
+/// util/alloc_count.hpp).
 std::vector<Metric> run_scale_point(int pes, const std::string& pattern) {
   constexpr int kBurst = 4;
   constexpr std::uint32_t kBytes = 1024;
@@ -253,6 +254,11 @@ std::vector<Metric> run_scale_point(int pes, const std::string& pattern) {
                 "msgs/s", "higher"});
   ms.push_back({"mailbox_bytes_per_pe", mailbox_per_pe, "B", "lower"});
   ms.push_back({"host_bytes_peak_per_pe", host_peak_per_pe, "B", "lower"});
+  // The pending set's high-water block bytes: as deterministic as the
+  // payload peak, and gated the same way.
+  ms.push_back({"engine_bytes_peak_per_pe",
+                static_cast<double>(m->engine().queue().bytes()) / pes, "B",
+                "lower"});
   // Deterministic (counts, not bytes or time), so it is gated exactly.
   ms.push_back({"host_allocs_per_msg", allocs / static_cast<double>(msgs),
                 "allocs", "lower"});

@@ -366,7 +366,7 @@ SimTime charm_onetoall(converse::MachineOptions options, std::uint32_t bytes,
 // ---------------------------------------------------------------------------
 
 SimTime charm_kneighbor(converse::MachineOptions options, std::uint32_t bytes,
-                        int k, int iters) {
+                        int k, int iters, trace::MetricsRegistry* metrics) {
   auto m = lrts::make_machine(options.layer, options);
   charm::Charm charm(*m);
   const int pes = options.pes;
@@ -452,6 +452,10 @@ SimTime charm_kneighbor(converse::MachineOptions options, std::uint32_t bytes,
   }
   m->run();
   assert(measure_end > measure_start && "kNeighbor rounds did not complete");
+  if (metrics != nullptr) {
+    m->collect_metrics();
+    metrics->merge_from(m->metrics());
+  }
   return (measure_end - measure_start) / iters;
 }
 

@@ -71,9 +71,11 @@ SimTime charm_onetoall(converse::MachineOptions options, std::uint32_t bytes,
 
 /// Every PE exchanges size-`bytes` messages with its k left and k right
 /// ring neighbors; an iteration ends when each PE has its 2k acks back.
-/// Returns average iteration time.
+/// Returns average iteration time.  A non-null `metrics` receives the
+/// machine's metrics before teardown.
 SimTime charm_kneighbor(converse::MachineOptions options, std::uint32_t bytes,
-                        int k = 1, int iters = 10);
+                        int k = 1, int iters = 10,
+                        trace::MetricsRegistry* metrics = nullptr);
 
 // ---- kNeighbor flood (small-message throughput / aggregation ablation) ----
 

@@ -52,20 +52,22 @@ void Pe::enqueue(void* msg, SimTime t) {
 
 void Pe::wake(SimTime t) {
   SimTime when = std::max(t, avail_at_);
-  if (step_scheduled_) {
-    if (when >= scheduled_at_) {
-      // A step is already pending, but it will run *before* this wake's
-      // cause becomes visible — remember the later time so run_step can
-      // re-arm instead of stranding the event.
-      pending_wake_ = std::min(pending_wake_, when);
-      return;
-    }
-    step_event_.cancel();
+  if (step_scheduled_ && when >= scheduled_at_) {
+    // A step is already pending, but it will run *before* this wake's
+    // cause becomes visible — remember the later time so run_step can
+    // re-arm instead of stranding the event.
+    pending_wake_ = std::min(pending_wake_, when);
+    return;
   }
+  // Arm a step, or re-arm an earlier one: the new generation supersedes a
+  // pending step, which returns at once when it fires.
   step_scheduled_ = true;
   scheduled_at_ = when;
-  step_event_ = ctx_.scheduler().schedule_at(
-      when, [this, when] { run_step(when); });
+  const std::uint64_t gen = ++step_gen_;
+  // While `gen` is current, scheduled_at_ is the time this step fires at.
+  ctx_.scheduler().schedule_at(when, [this, gen] {
+    if (gen == step_gen_) run_step(scheduled_at_);
+  });
 }
 
 void Pe::run_step(SimTime t) {

@@ -185,7 +185,7 @@ class Pe {
   bool step_scheduled_ = false;
   SimTime scheduled_at_ = 0;
   SimTime pending_wake_ = kNever;  // later wake deferred past a scheduled step
-  sim::EventHandle step_event_;
+  std::uint64_t step_gen_ = 0;     // bumped per armed step; older ones return
   SimTime avail_at_ = 0;
   std::uint64_t msgs_executed_ = 0;
   std::unique_ptr<LayerPeState> layer_state_;

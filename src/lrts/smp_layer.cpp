@@ -33,7 +33,9 @@ struct SmpLayer::NodeState final : UgniEndpoint {
   bool comm_scheduled = false;
   SimTime comm_sched_at = 0;
   SimTime comm_pending_wake = kNever;
-  sim::EventHandle comm_event;
+  // Bumped per armed comm step; older ones return (see Pe::wake).  A
+  // stale step would need 2^32 re-arms while it waits to alias.
+  std::uint32_t comm_gen = 0;
   SimTime comm_avail = 0;
 
   // Outgoing messages queued by workers, in enqueue order.
@@ -168,20 +170,21 @@ std::uint32_t SmpLayer::recommended_batch_bytes(converse::Pe& src,
 
 void SmpLayer::comm_wake(NodeState& n, SimTime t) {
   SimTime when = std::max(t, n.comm_avail);
-  if (n.comm_scheduled) {
-    if (when >= n.comm_sched_at) {
-      // Defer rather than drop: the pending step runs too early to see
-      // this wake's cause (see Pe::wake).
-      n.comm_pending_wake = std::min(n.comm_pending_wake, when);
-      return;
-    }
-    n.comm_event.cancel();
+  if (n.comm_scheduled && when >= n.comm_sched_at) {
+    // Defer rather than drop: the pending step runs too early to see
+    // this wake's cause (see Pe::wake).
+    n.comm_pending_wake = std::min(n.comm_pending_wake, when);
+    return;
   }
+  // Arm, or re-arm earlier and supersede the pending step.
   n.comm_scheduled = true;
   n.comm_sched_at = when;
-  NodeState* np = &n;
-  n.comm_event = n.comm_ctx->scheduler().schedule_at(
-      when, [this, np, when] { comm_step(*np, when); });
+  const std::uint32_t gen = ++n.comm_gen;
+  const int node = n.nic->node();
+  n.comm_ctx->scheduler().schedule_at(when, [this, node, gen] {
+    NodeState& ns = node_state(node);
+    if (gen == ns.comm_gen) comm_step(ns, ns.comm_sched_at);
+  });
 }
 
 void SmpLayer::comm_step(NodeState& n, SimTime t) {

@@ -5,14 +5,14 @@
 // callbacks here.  Events with equal timestamps fire in scheduling order,
 // which makes every run bit-reproducible.
 //
-// The hot path is allocation-free: a slab-recycling EventArena
-// (event_arena.hpp) holds the 56-byte EventRecords (a SmallFn callback
-// plus cancellation state), and the pending set (event_queue.hpp, a monotone
-// radix queue) moves 16-byte POD Events that point into it.  schedule_at
-// acquires a record from the freelist, pop releases it back; the heap is
-// touched only when the pending set grows past every slab and queue block
-// ever carved.  Callbacks are trivially destructible, so queued events
-// that never fire need no drain at teardown.
+// The hot path is allocation-free: a pending event is its time plus its
+// SmallFn callback, 32 bytes stored inline in the pending set
+// (event_queue.hpp, a monotone radix queue).  schedule_at appends it to a
+// bucket, the run loop pops it, sets the clock and calls it; the heap is
+// touched only when the pending set grows past every queue block ever
+// carved.  Callbacks are trivially destructible, so queued events that
+// never fire need no drain at teardown.  Nothing is cancelled: an owner
+// that re-arms a step earlier supersedes the pending one (scheduler.hpp).
 //
 // The engine is single-threaded: one thread drives run() and every
 // callback runs on it.
@@ -23,9 +23,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "sim/event_arena.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/small_fn.hpp"
@@ -43,9 +41,13 @@ class Engine final {
   /// Virtual time of the last executed event.
   SimTime now() const { return now_; }
   /// Schedule `fn` at `when`, clamped to now().
-  EventHandle schedule_at(SimTime when, SmallFn fn);
-  EventHandle schedule_after(SimTime delay, SmallFn fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+  void schedule_at(SimTime when, SmallFn fn) {
+    // Clamp to the clock: the queue's base never passes now_, so the
+    // event is never below it.
+    queue_.push(Event{when < now_ ? now_ : when, fn});
+  }
+  void schedule_after(SimTime delay, SmallFn fn) {
+    schedule_at(now_ + delay, fn);
   }
   /// The Scheduler handle protocol code holds (what Machine::scheduler()
   /// and the network model use).
@@ -62,16 +64,12 @@ class Engine final {
   void stop() { stopped_ = true; }
 
   // ---- introspection ----
-  bool empty() const { return pending() == 0; }
-  /// Live scheduled events only: cancelled-but-unpopped tombstones are
-  /// excluded (they are not pending work — idle-flush heuristics must not
-  /// see them).
-  std::size_t pending() const {
-    return *live_ > 0 ? static_cast<std::size_t>(*live_) : 0;
-  }
+  bool empty() const { return queue_.empty(); }
+  /// Queued events, superseded steps included.
+  std::size_t pending() const { return queue_.size(); }
+  /// Callbacks run, superseded steps included.
   std::uint64_t executed() const { return executed_; }
-  /// Record arena and pending set, for tests.
-  const EventArena& arena() const { return arena_; }
+  /// The pending set, for tests and footprint reports.
   const EventQueue& queue() const { return queue_; }
 
  private:
@@ -79,10 +77,6 @@ class Engine final {
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
   EventQueue queue_;
-  // Live (scheduled, uncancelled, unfired) events.  Shared with every
-  // EventHandle as a weak guard: it expires with the engine.
-  std::shared_ptr<std::int64_t> live_ = std::make_shared<std::int64_t>(0);
-  EventArena arena_;
   Scheduler sched_{this};
 };
 

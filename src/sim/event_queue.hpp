@@ -16,10 +16,10 @@
 //    base, and a pop_until() that stops before a later event leaves it
 //    where it was.
 //
-//  * Cancellation is NOT a queue operation.  EventHandle::cancel() flips
-//    the record's `alive` tombstone; the dead event stays queued and is
-//    skipped (not executed, not counted) when popped.  The queue never
-//    inspects the record.
+//  * Events carry their callback.  An Event is the time plus the inline
+//    SmallFn, 32 bytes, moved by value between buckets.  Nothing is ever
+//    removed early: a step an owner has superseded stays queued and
+//    returns at once when it fires (scheduler.hpp).
 //
 // Buckets.  An event sits in bucket bit_width(time XOR base).  Bucket 0
 // holds the events at exactly `base`; bucket b > 0 holds events that
@@ -40,12 +40,13 @@
 // every bucket lists equal-time events in scheduling order, and bucket 0
 // pops from the front.
 //
-// Storage.  Buckets are chains of 4 KiB blocks (255 events each) drawn
+// Storage.  Buckets are chains of 8 KiB blocks (255 events each) drawn
 // from one free list the queue owns.  A block returns to the free list as
 // soon as it is drained, including mid-redistribution, so the queue holds
-// at most queued/255 + 2 x 64 blocks (tombstones count as queued) and
-// steady-state push/pop allocates nothing once the pool has grown to the
-// peak.
+// at most queued/255 + 2 x 64 blocks (superseded steps count as queued)
+// and steady-state push/pop allocates nothing once the pool has grown to
+// the peak.  Refill moves 32 bytes per event; the FIFO-ties argument
+// above does not depend on the entry size.
 #pragma once
 
 #include <bit>
@@ -53,24 +54,22 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "sim/small_fn.hpp"
 #include "util/units.hpp"
 
 namespace ugnirt::sim {
 
-struct EventRecord;
-
-/// A scheduled callback: 16 trivially-copyable bytes.  The callback and
-/// its cancellation tombstone live in `rec`, an arena-owned EventRecord
-/// (sim/event_arena.hpp) the engine acquires at schedule time and
-/// releases at pop time.  Moving an event between buckets is a POD copy,
-/// never a callback relocation.
+/// A scheduled callback and its time: 32 trivially-copyable bytes.
+/// Moving an event between buckets is a plain copy.
 struct Event {
   SimTime time;
-  EventRecord* rec;
+  SmallFn fn;
 };
+static_assert(sizeof(Event) == 32,
+              "Event size changed: update the block geometry comments");
 
 /// Pending-event container.  Not a public scheduling API: Engine is the
-/// only caller; everything else schedules through Engine/EventHandle.
+/// only caller; everything else schedules through Engine/Scheduler.
 class EventQueue {
  public:
   EventQueue() = default;
@@ -81,9 +80,10 @@ class EventQueue {
   /// Queue `ev` behind every pending event of the same time.
   /// Precondition: ev.time is no earlier than the base (the last popped
   /// time, 0 before the first pop).
-  void push(Event ev) {
+  void push(const Event& ev) {
     assert(ev.time >= base_);
     append(bucket_of(ev.time), ev);
+    ++size_;
   }
 
   /// Remove the earliest event into `out` if its time is <= `until`.
@@ -98,6 +98,7 @@ class EventQueue {
     Bucket& b = buckets_[0];
     Block* blk = b.head;
     out = blk->ev[read_++];
+    --size_;
     if (read_ == blk->size) {  // head block drained
       b.head = blk->next;
       if (b.head == nullptr) {
@@ -111,13 +112,17 @@ class EventQueue {
   }
 
   bool empty() const { return occupied_ == 0; }
+  /// Queued events.
+  std::size_t size() const { return size_; }
   /// Blocks ever allocated: in buckets plus on the free list.  The queue
   /// never frees a block before it is destroyed, so this is its
-  /// high-water footprint in 4 KiB blocks.
+  /// high-water footprint in blocks.
   std::size_t blocks() const { return blocks_; }
+  /// The same high-water footprint in bytes.
+  std::size_t bytes() const { return blocks_ * kBlockBytes; }
 
  private:
-  static constexpr std::size_t kBlockBytes = 4096;
+  static constexpr std::size_t kBlockBytes = 8192;
   static constexpr int kBuckets = 64;
 
   struct Block {
@@ -127,7 +132,7 @@ class EventQueue {
     std::uint32_t size;
     Event ev[kEvents];
   };
-  static_assert(sizeof(Block) == kBlockBytes);
+  static_assert(Block::kEvents == 255 && sizeof(Block) <= kBlockBytes);
 
   struct Bucket {
     Block* head = nullptr;
@@ -138,7 +143,7 @@ class EventQueue {
     return std::bit_width(static_cast<std::uint64_t>(t ^ base_));
   }
 
-  void append(int b, Event ev) {
+  void append(int b, const Event& ev) {
     Bucket& bk = buckets_[static_cast<std::size_t>(b)];
     Block* tail = bk.tail;
     if (tail == nullptr || tail->size == Block::kEvents) {
@@ -183,6 +188,7 @@ class EventQueue {
   SimTime base_ = 0;
   Block* free_ = nullptr;
   std::size_t blocks_ = 0;
+  std::size_t size_ = 0;
 };
 
 }  // namespace ugnirt::sim

@@ -6,18 +6,21 @@
 // pointers silently heap-allocates — one malloc/free per simulated event,
 // millions of times per full-machine sweep.
 //
-// SmallFn is one call pointer plus kInlineBytes of pointer-aligned
+// SmallFn is one call pointer plus kInlineBytes (16) of pointer-aligned
 // storage, and it accepts only callables that fit there and are
-// trivially copyable and trivially destructible.  Every in-tree
-// event callback (PE step closures, NIC delivery events, retry timers,
-// aggregation deadlines) is a few pointers and scalars, so it fits.  A
-// capture that does not fit is a compile error, not a heap allocation:
-// move its state into the subsystem that schedules it and capture a
-// pointer or an index, as Machine::start does with its closures.
+// trivially copyable and trivially destructible.  Every in-tree event
+// callback (PE step closures, NIC delivery events, credit returns, retry
+// timers) is `this` plus one pointer or scalar, so it fits.  A capture
+// that does not fit is a compile error, not a heap allocation: move its
+// state into the subsystem that schedules it and capture a pointer or an
+// index, as Machine::start does with its closures.  A callback that needs
+// the time it fires at reads the scheduler's now() instead of capturing
+// it.
 //
 // Because the callable is trivial, a SmallFn is copied with its bytes
 // and never destroyed: invoking it is one load and one indirect call,
-// and an EventRecord (event_arena.hpp) is 56 bytes.
+// and a pending event (event_queue.hpp) is the SmallFn plus its time,
+// 32 bytes.
 #pragma once
 
 #include <cstddef>
@@ -29,9 +32,8 @@ namespace ugnirt::sim {
 
 class SmallFn {
  public:
-  /// Inline capture capacity: three words, e.g. `this`, a pointer and a
-  /// SimTime.
-  static constexpr std::size_t kInlineBytes = 24;
+  /// Inline capture capacity: two words, e.g. `this` and a pointer.
+  static constexpr std::size_t kInlineBytes = 16;
 
   /// True for the callables SmallFn stores.
   template <typename Fn>
@@ -59,7 +61,7 @@ class SmallFn {
   void (*call_)(void*) = nullptr;
   alignas(void*) unsigned char buf_[kInlineBytes] = {};
 };
-static_assert(sizeof(SmallFn) == 32,
+static_assert(sizeof(SmallFn) == 24,
               "SmallFn size changed: update the comments that cite it");
 
 }  // namespace ugnirt::sim

@@ -666,9 +666,13 @@ gni_return_t GNI_SmsgRelease(gni_ep_handle_t ep) {
                        nic->node(), remote->node())) *
                    dom->config().hop_ns;
     SimTime at = ctx().now() + prop;
-    dom->scheduler().schedule_at(at, [sender_ep, remote, at] {
+    // Never clamped, so the event fires with the engine clock at `at`.
+    assert(at >= dom->scheduler().now());
+    dom->scheduler().schedule_at(at, [sender_ep, remote] {
       ++sender_ep->smsg_.credits;
-      if (remote->credit_notify_) remote->credit_notify_(at);
+      if (remote->credit_notify_) {
+        remote->credit_notify_(remote->domain()->scheduler().now());
+      }
     });
   }
   return GNI_RC_SUCCESS;

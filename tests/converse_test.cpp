@@ -442,6 +442,42 @@ TEST(ConverseUgni, QdCountersBalanceAfterRun) {
   EXPECT_EQ(created, 10u * 16u);
 }
 
+TEST(ConverseUgni, EarlierWakeSupersedesThePendingStep) {
+  // A PE woken for t+1000 and then for t+100 (t: when it is free) runs
+  // one step, at t+100.  The step armed for t+1000 is superseded: it still
+  // fires, but it runs no handler and is not a scheduler step.
+  auto m = make_machine(LayerKind::kUgni, opts(1));
+  int hits = 0;
+  SimTime ran_at = -1;
+  const int h = m->register_handler([&](void* msg) {
+    ++hits;
+    ran_at = Machine::running()->current_pe().ctx().now();
+    CmiFree(msg);
+  });
+  void* msg = nullptr;
+  m->start(0, [&] {
+    msg = CmiAlloc(kCmiHeaderBytes + 8);
+    CmiSetHandler(msg, h);
+  });
+  m->run();
+  auto steps = [&m] {
+    m->collect_metrics();
+    return m->metrics().counter("converse.sched_steps").value();
+  };
+  const std::uint64_t steps_before = steps();
+
+  Pe& pe = m->pe(0);
+  const SimTime t = pe.ctx().now();
+  pe.wake(t + 1000);
+  pe.enqueue(msg, t + 100);
+  m->run();
+  EXPECT_EQ(hits, 1);
+  EXPECT_GE(ran_at, t + 100);
+  EXPECT_LT(ran_at, t + 1000);
+  EXPECT_EQ(steps() - steps_before, 1u);
+  EXPECT_EQ(m->engine().now(), t + 1000);
+}
+
 TEST(ConverseUgni, SmsgCapShrinksWithJobSizeInLayer) {
   auto small = make_machine(LayerKind::kUgni, opts(16));
   auto* l1 = dynamic_cast<lrts::UgniLayer*>(&small->layer());

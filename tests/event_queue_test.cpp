@@ -4,12 +4,13 @@
 //    reference std::priority_queue on (time, seq); the two executed
 //    (time, id) sequences must match exactly.  The workload mixes
 //    equal-time bursts, zero-delay schedules from inside callbacks, delays
-//    from 1 ns to past 2^40 ns, cancellation tombstones, stop(), nested
-//    run_until()/run(), and run_until(t) horizons followed by schedules in
-//    [now, next event).
+//    from 1 ns to past 2^40 ns, superseded events (an owner generation
+//    bumped while its events wait; they fire and return at once), stop(),
+//    nested run_until()/run(), and run_until(t) horizons followed by
+//    schedules in [now, next event).
 //  * Memory: steady churn recycles a couple of blocks, a burst stays
-//    within the block bound, and a second identical burst after a drain
-//    takes no new blocks.
+//    within the block bound (255 events per 8 KiB block), and a second
+//    identical burst after a drain takes no new blocks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,12 +38,8 @@ std::uint64_t splitmix(std::uint64_t& state) {
 /// sim::Engine behind the interface the churn drives.
 class EngineSim {
  public:
-  using Handle = EventHandle;
   SimTime now() const { return e_.now(); }
-  Handle schedule_at(SimTime when, SmallFn fn) {
-    return e_.schedule_at(when, fn);
-  }
-  void cancel(Handle& h) { h.cancel(); }
+  void schedule_at(SimTime when, SmallFn fn) { e_.schedule_at(when, fn); }
   std::uint64_t run_until(SimTime until) { return e_.run_until(until); }
   std::uint64_t run() { return e_.run(); }
   void stop() { e_.stop(); }
@@ -53,25 +50,13 @@ class EngineSim {
 };
 
 /// The reference: a binary min-heap on (time, seq) with the engine's
-/// clamp, tombstone and horizon rules.
+/// clamp and horizon rules.
 class RefSim {
  public:
-  using Handle = int;
   SimTime now() const { return now_; }
-  Handle schedule_at(SimTime when, std::function<void()> fn) {
+  void schedule_at(SimTime when, std::function<void()> fn) {
     if (when < now_) when = now_;
-    const int slot = static_cast<int>(fns_.size());
-    fns_.push_back(std::move(fn));
-    dead_.push_back(false);
-    heap_.push(Entry{when, seq_++, slot});
-    ++live_;
-    return slot;
-  }
-  void cancel(Handle& h) {
-    if (!dead_[static_cast<std::size_t>(h)]) {
-      dead_[static_cast<std::size_t>(h)] = true;
-      --live_;
-    }
+    heap_.push(Entry{when, seq_++, std::move(fn)});
   }
   std::uint64_t run_until(SimTime until) {
     stopped_ = false;
@@ -81,28 +66,23 @@ class RefSim {
         if (until != kNever && now_ < until) now_ = until;
         break;
       }
-      const Entry ev = heap_.top();
+      Entry ev = heap_.top();
       heap_.pop();
       now_ = ev.time;
-      const auto slot = static_cast<std::size_t>(ev.slot);
-      if (dead_[slot]) continue;
-      dead_[slot] = true;
-      --live_;
       ++ran;
-      std::function<void()> fn = std::move(fns_[slot]);
-      fn();
+      ev.fn();
     }
     return ran;
   }
   std::uint64_t run() { return run_until(kNever); }
   void stop() { stopped_ = true; }
-  std::size_t pending() const { return live_; }
+  std::size_t pending() const { return heap_.size(); }
 
  private:
   struct Entry {
     SimTime time;
     std::uint64_t seq;
-    int slot;
+    std::function<void()> fn;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -111,11 +91,8 @@ class RefSim {
     }
   };
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::vector<std::function<void()>> fns_;
-  std::vector<bool> dead_;
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
-  std::size_t live_ = 0;
   bool stopped_ = false;
 };
 
@@ -147,6 +124,9 @@ class Churn {
     return std::move(log_);
   }
 
+  /// Events that fired after their owner superseded them.
+  int superseded() const { return superseded_; }
+
  private:
   std::uint64_t below(std::uint64_t n) { return splitmix(rng_) % n; }
 
@@ -163,12 +143,22 @@ class Churn {
     return (SimTime{1} << k) + static_cast<SimTime>(below(1u << 20));
   }
 
+  /// Event `id` belongs to owner id % kOwners and carries that owner's
+  /// generation at schedule time.
   void schedule(SimTime when) {
     const int id = next_id_++;
-    handles_.push_back(sim_.schedule_at(when, [this, id] { fire(id); }));
+    const std::uint32_t gen = gens_[static_cast<std::size_t>(id % kOwners)];
+    sim_.schedule_at(when, [this, id, gen] { fire(id, gen); });
   }
 
-  void fire(int id) {
+  void fire(int id, std::uint32_t gen) {
+    // Superseded: the owner's generation moved on while this waited.  It
+    // is logged as -1 - id, so its pop position is checked too.
+    if (gen != gens_[static_cast<std::size_t>(id % kOwners)]) {
+      ++superseded_;
+      log_.emplace_back(sim_.now(), -1 - id);
+      return;
+    }
     log_.emplace_back(sim_.now(), id);
     if (next_id_ < budget_) {
       const std::uint64_t shape = below(100);
@@ -182,11 +172,10 @@ class Churn {
         for (int i = 0; i < n; ++i) schedule(sim_.now() + delay());
       }
     }
-    if (below(100) < 12 && !handles_.empty()) {
-      // Cancel a random earlier event: pending (a tombstone), already
-      // fired, already cancelled, or this very event (all no-ops but the
-      // first).
-      sim_.cancel(handles_[below(handles_.size())]);
+    if (below(100) < 6) {
+      // Supersede every pending event of a random owner, this event's
+      // own owner included.
+      ++gens_[below(kOwners)];
     }
     if (depth_ == 0) {
       const std::uint64_t r = below(1000);
@@ -203,13 +192,16 @@ class Churn {
     }
   }
 
+  static constexpr int kOwners = 1024;
+
   Sim sim_;
+  std::uint32_t gens_[kOwners] = {};
   std::uint64_t rng_;
   int budget_;
   int next_id_ = 0;
   int depth_ = 0;
+  int superseded_ = 0;
   bool nested_drain_ = false;
-  std::vector<typename Sim::Handle> handles_;
   Log log_;
 };
 
@@ -217,14 +209,18 @@ class EventQueueChurn : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EventQueueChurn, PopOrderMatchesReferenceHeap) {
   constexpr int kBudget = 30000;
-  const Log expected = Churn<RefSim>(GetParam(), kBudget).run();
-  const Log got = Churn<EngineSim>(GetParam(), kBudget).run();
+  Churn<RefSim> ref(GetParam(), kBudget);
+  Churn<EngineSim> engine(GetParam(), kBudget);
+  const Log expected = ref.run();
+  const Log got = engine.run();
   ASSERT_GT(expected.size(), static_cast<std::size_t>(kBudget / 2));
   const std::size_t n = std::min(expected.size(), got.size());
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(expected[i], got[i]) << "first divergence at pop " << i;
   }
   EXPECT_EQ(expected.size(), got.size());
+  EXPECT_GT(ref.superseded(), 0);
+  EXPECT_EQ(ref.superseded(), engine.superseded());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueChurn,
@@ -233,10 +229,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueChurn,
 // ------------------------------------------------------------ invariant ----
 
 TEST(EventQueue, SchedulesAfterAnEarlyHorizonRunBeforeTheLaterEvent) {
-  Engine e;
-  Log log;
-  auto at = [&](SimTime t, int id) {
-    e.schedule_at(t, [&log, &e, id] { log.emplace_back(e.now(), id); });
+  struct Run {
+    Engine e;
+    Log log;
+  } r;
+  Engine& e = r.e;
+  auto at = [&r](SimTime t, int id) {
+    r.e.schedule_at(t, [&r, id] { r.log.emplace_back(r.e.now(), id); });
   };
   at(100, 0);
   at(1 << 20, 1);
@@ -251,7 +250,7 @@ TEST(EventQueue, SchedulesAfterAnEarlyHorizonRunBeforeTheLaterEvent) {
   e.run_until(500);
   at(500, 5);  // zero-delay after a horizon run that fired events
   e.run();
-  EXPECT_EQ(log, (Log{{100, 0}, {500, 2}, {500, 3}, {500, 5}, {600, 4},
+  EXPECT_EQ(r.log, (Log{{100, 0}, {500, 2}, {500, 3}, {500, 5}, {600, 4},
                       {1 << 20, 1}, {(1 << 20) + 1, 6}}));
 }
 

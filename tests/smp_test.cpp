@@ -1,6 +1,7 @@
 // SMP-mode machine layer tests (paper §VII future work, implemented).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -152,6 +153,55 @@ TEST(SmpLayer, WorkerSendCostIsTinyCommThreadDoesTheWork) {
   // protocol: well under a microsecond.
   EXPECT_LT(send_cost, 1000);
   EXPECT_GT(send_cost, 0);
+}
+
+TEST(SmpLayer, EarlierCommWakeSupersedesThePendingStep) {
+  // Node 0's comm thread is woken for t+1000 (PE 0 sends then) and then
+  // for t+100 (PE 1 sends then).  It steps at t+100: PE 1's message reaches
+  // PE 3 exactly when it does with no later send queued.  The step armed
+  // for t+1000 is superseded, and each message is sent once.
+  struct Result {
+    SimTime late_at = -1;   // PE 0's message, delivered on PE 2
+    SimTime early_at = -1;  // PE 1's message, delivered on PE 3
+    int hits = 0;
+    std::uint64_t comm_sends = 0;
+  };
+  auto run = [](bool with_late_send) {
+    auto m = lrts::make_machine(LayerKind::kUgni, smp_opts(4, 2));
+    Result r;
+    const int h = m->register_handler([&r](void* msg) {
+      ++r.hits;
+      const SimTime now = converse::Machine::running()->current_pe().ctx().now();
+      (CmiMyPe() == 2 ? r.late_at : r.early_at) = now;
+      CmiFree(msg);
+    });
+    const SimTime t = std::max(m->pe(0).ctx().now(), m->pe(1).ctx().now());
+    auto send_at = [&m, h](int src, SimTime at) {
+      m->start(src, [h, src, at] {
+        converse::Machine::running()->current_pe().ctx().wait_until(at);
+        void* msg = CmiAlloc(kCmiHeaderBytes + 8);
+        CmiSetHandler(msg, h);
+        CmiSyncSendAndFree(src + 2, kCmiHeaderBytes + 8, msg);
+      });
+    };
+    if (with_late_send) send_at(0, t + 1000);
+    send_at(1, t + 100);
+    m->run();
+    m->collect_metrics();
+    r.comm_sends = m->metrics().counter("smp.comm_thread_sends").value();
+    EXPECT_GE(r.early_at, t + 100);
+    if (with_late_send) {
+      EXPECT_GE(r.late_at, t + 1000);
+    }
+    return r;
+  };
+  const Result alone = run(false);
+  const Result both = run(true);
+  EXPECT_EQ(alone.hits, 1);
+  EXPECT_EQ(both.hits, 2);
+  EXPECT_EQ(both.comm_sends, 2u);
+  EXPECT_EQ(both.early_at, alone.early_at);
+  EXPECT_LT(both.early_at, both.late_at);
 }
 
 TEST(SmpLayer, ManyToOneAcrossNodesUnderLoad) {
