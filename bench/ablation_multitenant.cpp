@@ -30,7 +30,7 @@
 // never demoted off the FMA fast path into the storm's BTE backlog.
 //
 // A final leg asserts the zero-cost claim: a single-job run on a machine
-// whose options merely *mention* tenancy (enable=false, knobs perturbed)
+// whose options merely *mention* tenancy (knobs perturbed, no JobManager)
 // finishes at the same virtual instant as stock, bit for bit.
 //
 // `ablation_multitenant soak` instead runs a two-job faulted kNeighbor
@@ -38,7 +38,6 @@
 // victim or aggressor message loss — a CI sanitizer-job workload.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,30 +58,7 @@ constexpr int kVictimPes = 8;
 constexpr int kShufflePes = 16;
 constexpr int kCkptPes = 8;
 
-struct Metric {
-  std::string name;
-  double value = 0;
-  std::string unit;
-  const char* better = "lower";  // "lower" | "higher" | "info"
-};
-
-void write_bench_json(const char* path, const std::vector<Metric>& ms) {
-  std::ofstream out(path);
-  out << "{\n  \"suite\": \"multitenant\",\n  \"schema\": 1,\n"
-      << "  \"metrics\": {\n";
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.9g", ms[i].value);
-    out << "    \"";
-    benchtool::json_escape_to(out, ms[i].name);
-    out << "\": {\"value\": " << buf << ", \"unit\": \"" << ms[i].unit
-        << "\", \"better\": \"" << ms[i].better << "\"}";
-    if (i + 1 < ms.size()) out << ',';
-    out << '\n';
-  }
-  out << "  }\n}\n";
-  std::printf("wrote %s\n", path);
-}
+using benchtool::Metric;
 
 converse::MachineOptions leg_options(const std::string& placement,
                                      bool qos_on, int pes = kPes) {
@@ -94,7 +70,6 @@ converse::MachineOptions leg_options(const std::string& placement,
   // Flow control is on in BOTH contended legs; the QoS classes riding the
   // governor are the only delta between noqos and qos.
   o.flow.enable = true;
-  o.tenancy.enable = true;
   o.tenancy.placement = placement;
   o.tenancy.qos_enable = qos_on;
   return o;
@@ -178,8 +153,8 @@ LegResult run_leg(const std::string& placement, bool aggressors,
 }
 
 /// Virtual end time of a fixed single-job workload; `mention_tenancy`
-/// leaves tenancy disabled but perturbs every knob, which must not move
-/// the clock by a single tick.
+/// perturbs both tenancy knobs without building a JobManager, which must
+/// not move the clock by a single tick.
 SimTime run_stock_probe(bool mention_tenancy) {
   converse::MachineOptions o;
   o.layer = converse::LayerKind::kUgni;
@@ -187,12 +162,8 @@ SimTime run_stock_probe(bool mention_tenancy) {
   o.pes_per_node = 1;
   o.flow.enable = true;
   if (mention_tenancy) {
-    o.tenancy.enable = false;  // the master switch stays off...
-    o.tenancy.placement = "random";  // ...so none of these may matter
-    o.tenancy.seed = 12345;
-    o.tenancy.jobs = "ghost:latency:8";
-    o.tenancy.qos_latency_floor = 17;
-    o.tenancy.qos_bulk_ceiling = 3;
+    o.tenancy.placement = "random";  // no JobManager reads these
+    o.tenancy.qos_enable = false;
   }
   auto m = lrts::make_machine(converse::LayerKind::kUgni, o);
   int h_sink = m->register_handler([](void* msg) { converse::CmiFree(msg); });
@@ -292,15 +263,16 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  // Zero-cost claim: mentioning tenancy with enable=false must not move
-  // virtual time at all.
+  // Zero-cost claim: mentioning tenancy without a JobManager must not
+  // move virtual time at all.
   const SimTime plain = run_stock_probe(false);
   const SimTime mention = run_stock_probe(true);
   ms.push_back({"tenancy_off_end_ns_delta",
                 static_cast<double>(plain > mention ? plain - mention
                                                     : mention - plain),
                 "ns", "lower"});
-  write_bench_json("BENCH_multitenant.json", ms);
+  benchtool::write_suite_json("BENCH_multitenant.json", "multitenant", ms);
+  std::printf("wrote BENCH_multitenant.json\n");
 
   bool ok = true;
   if (scatter_speedup < 1.5) {

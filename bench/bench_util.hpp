@@ -35,6 +35,40 @@ inline void json_escape_to(std::ostream& out, const std::string& s) {
   }
 }
 
+/// One BENCH_*.json metric for tools/bench_report.py.
+struct Metric {
+  std::string name;
+  double value = 0;
+  std::string unit;
+  const char* better = "lower";  // "lower" | "higher" | "info"
+};
+
+/// The `"name": {"value": .., "unit": .., "better": ..}` members of a
+/// metrics object, one per line, each line prefixed by `indent`.
+inline void write_metrics(std::ostream& out, const std::vector<Metric>& ms,
+                          const char* indent) {
+  for (std::size_t i = 0; i < ms.size(); ++i) {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%.9g", ms[i].value);
+    out << indent << '"';
+    json_escape_to(out, ms[i].name);
+    out << "\": {\"value\": " << buf << ", \"unit\": \"" << ms[i].unit
+        << "\", \"better\": \"" << ms[i].better << "\"}";
+    if (i + 1 < ms.size()) out << ',';
+    out << '\n';
+  }
+}
+
+/// A BENCH_*.json file holding one metrics object.
+inline void write_suite_json(const char* path, const char* suite,
+                             const std::vector<Metric>& ms) {
+  std::ofstream out(path);
+  out << "{\n  \"suite\": \"" << suite
+      << "\",\n  \"schema\": 1,\n  \"metrics\": {\n";
+  write_metrics(out, ms, "    ");
+  out << "  }\n}\n";
+}
+
 /// Column-oriented result table; prints aligned text and optional CSV.
 class Table {
  public:

@@ -41,26 +41,8 @@ using namespace ugnirt;
 
 namespace {
 
-struct Metric {
-  std::string name;
-  double value = 0;
-  std::string unit;
-  const char* better = "lower";  // "lower" | "higher" | "info"
-};
-
-void write_metrics(std::ostream& out, const std::vector<Metric>& ms,
-                   const char* indent) {
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.9g", ms[i].value);
-    out << indent << '"';
-    benchtool::json_escape_to(out, ms[i].name);
-    out << "\": {\"value\": " << buf << ", \"unit\": \"" << ms[i].unit
-        << "\", \"better\": \"" << ms[i].better << "\"}";
-    if (i + 1 < ms.size()) out << ',';
-    out << '\n';
-  }
-}
+using benchtool::Metric;
+using benchtool::write_metrics;
 
 double wall_ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -273,11 +255,8 @@ std::vector<Metric> run_scale_point(int pes, const std::string& pattern) {
 // ---- output -------------------------------------------------------------
 
 void write_core(const char* path) {
-  std::vector<Metric> ms = run_core();
-  std::ofstream out(path);
-  out << "{\n  \"suite\": \"core\",\n  \"schema\": 1,\n  \"metrics\": {\n";
-  write_metrics(out, ms, "    ");
-  out << "  }\n}\n";
+  const std::vector<Metric> ms = run_core();
+  benchtool::write_suite_json(path, "core", ms);
   std::printf("wrote %s (%zu metrics)\n", path, ms.size());
 }
 

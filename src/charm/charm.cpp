@@ -144,16 +144,6 @@ int Charm::register_reduction_sum_d(ReductionCbD at_root) {
   return static_cast<int>(reductions_.size()) - 1;
 }
 
-int Charm::register_reduction_max(ReductionCb at_root) {
-  Reduction r;
-  r.cb_u64 = std::move(at_root);
-  r.is_max = true;
-  r.state.resize(static_cast<std::size_t>(machine_->num_pes()));
-  r.next_round.assign(static_cast<std::size_t>(machine_->num_pes()), 0);
-  reductions_.push_back(std::move(r));
-  return static_cast<int>(reductions_.size()) - 1;
-}
-
 int Charm::expected_contributions(int pe) const {
   std::vector<int> children;
   machine_->tree_children(pe, children);
@@ -185,11 +175,7 @@ void Charm::reduction_arrive(int red_id, int pe, std::uint64_t round,
   auto& rounds = r.state[static_cast<std::size_t>(pe)];
   if (rounds.size() <= round) rounds.resize(round + 1);
   Reduction::Round& slot = rounds[round];
-  if (r.is_max) {
-    slot.acc_u64 = slot.contributions == 0 ? vu : std::max(slot.acc_u64, vu);
-  } else {
-    slot.acc_u64 += vu;
-  }
+  slot.acc_u64 += vu;
   slot.acc_d += vd;
   slot.contributions += 1;
   if (slot.contributions < expected_contributions(pe)) return;

@@ -42,8 +42,6 @@ class Charm {
   /// The callback fires on PE 0 with the total.
   int register_reduction_sum(ReductionCb at_root);
   int register_reduction_sum_d(ReductionCbD at_root);
-  /// Max-reduction over u64 values.
-  int register_reduction_max(ReductionCb at_root);
 
   // ---- task spawning (the random seed balancer, paper §V-C) ----
 
@@ -74,7 +72,6 @@ class Charm {
     ReductionCb cb_u64;
     ReductionCbD cb_d;
     bool is_double = false;
-    bool is_max = false;
     // Per-PE round counters and per-round partial state live in flat maps
     // keyed by round (rounds complete quickly; map stays tiny).
     struct Round {

@@ -62,55 +62,4 @@ LbResult greedy_lb(const std::vector<double>& loads,
   return r;
 }
 
-LbResult refine_lb(const std::vector<double>& loads,
-                   const std::vector<int>& current, int pes,
-                   double tolerance) {
-  assert(loads.size() == current.size());
-  LbResult r;
-  r.assignment = current;
-  std::vector<double> pl = pe_loads(loads, current, pes);
-  r.max_load_before = max_of(pl);
-
-  double total = std::accumulate(pl.begin(), pl.end(), 0.0);
-  double target = pes > 0 ? total / pes * tolerance : 0.0;
-
-  // Objects on each PE, heaviest first.
-  std::vector<std::vector<std::size_t>> objs(static_cast<std::size_t>(pes));
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    objs[static_cast<std::size_t>(current[i])].push_back(i);
-  }
-  for (auto& v : objs) {
-    std::sort(v.begin(), v.end(), [&](std::size_t a, std::size_t b) {
-      if (loads[a] != loads[b]) return loads[a] > loads[b];
-      return a < b;
-    });
-  }
-
-  for (int p = 0; p < pes; ++p) {
-    auto& mine = objs[static_cast<std::size_t>(p)];
-    std::size_t next = 0;
-    while (pl[static_cast<std::size_t>(p)] > target && next < mine.size()) {
-      std::size_t obj = mine[next++];
-      // Lightest-loaded PE that can take it without exceeding the target.
-      int best = -1;
-      double best_load = target;
-      for (int q = 0; q < pes; ++q) {
-        if (q == p) continue;
-        double after = pl[static_cast<std::size_t>(q)] + loads[obj];
-        if (after <= best_load) {
-          best_load = after;
-          best = q;
-        }
-      }
-      if (best < 0) continue;
-      r.assignment[obj] = best;
-      pl[static_cast<std::size_t>(p)] -= loads[obj];
-      pl[static_cast<std::size_t>(best)] += loads[obj];
-    }
-  }
-  r.max_load_after = max_of(pl);
-  r.migrations = count_moves(current, r.assignment);
-  return r;
-}
-
 }  // namespace ugnirt::charm

@@ -23,12 +23,6 @@ struct LbResult {
 LbResult greedy_lb(const std::vector<double>& loads,
                    const std::vector<int>& current, int pes);
 
-/// Refinement: move objects off overloaded PEs only until within
-/// `tolerance` of the average (RefineLB); keeps migrations low.
-LbResult refine_lb(const std::vector<double>& loads,
-                   const std::vector<int>& current, int pes,
-                   double tolerance = 1.05);
-
 /// Utility: per-PE total loads under an assignment.
 std::vector<double> pe_loads(const std::vector<double>& loads,
                              const std::vector<int>& assignment, int pes);

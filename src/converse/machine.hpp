@@ -122,7 +122,7 @@ struct MachineOptions {
   flowcontrol::FlowConfig flow{};
   /// Multi-tenancy ("tenancy.*" config keys / UGNIRT_TENANCY_* env).
   /// Config only: drivers construct a tenancy::JobManager over the
-  /// machine with these knobs (see src/tenancy); with `enable` false the
+  /// machine with these knobs (see src/tenancy); until one does, the
   /// machine is bit-identical to stock single-job runs.
   tenancy::TenancyConfig tenancy{};
 
@@ -280,8 +280,8 @@ class Machine {
     return flow_.get();
   }
   /// The whole engine — for DRIVERS only (benches, tests, the run() loop
-  /// below).  Protocol code takes the Scheduler accessor instead;
-  /// the deprecated-API lint enforces the split for schedule calls.
+  /// below).  Protocol code takes the Scheduler accessor instead, whose
+  /// type has no run/stop, so it cannot drive the engine.
   sim::Engine& engine() { return engine_; }
   /// The engine's scheduling surface.
   sim::Scheduler& scheduler() { return engine_.scheduler(); }

@@ -61,7 +61,7 @@ bool FaultInjector::smsg_starved(std::int32_t inst, std::int32_t peer,
     return true;
   }
   if (draw(kSiteStarve, chan, plan_.p_smsg_starve)) {
-    starve_until_[chan] = now + plan_.smsg_starve_ns;
+    starve_until_[chan] = now + kSmsgStarveNs;
     ++n_.starve_windows;
     ++n_.starved_sends;
     return true;
@@ -88,9 +88,7 @@ LinkFault FaultInjector::link_fault(int from_node, int to_node, SimTime now) {
     ++n_.degrade_windows;
   }
   if (now < ls.blackout_until) f.delay = ls.blackout_until - now;
-  if (now < ls.degraded_until && plan_.link_slowdown > 1.0) {
-    f.slowdown = plan_.link_slowdown;
-  }
+  if (now < ls.degraded_until) f.slowdown = kLinkSlowdown;
   return f;
 }
 

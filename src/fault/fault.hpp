@@ -12,7 +12,7 @@
 //     the owner runs GNI_CqErrorRecover);
 //   * SMSG credit-starvation windows (a peer's mailbox stays "full" for a
 //     span of virtual time — sends see GNI_RC_NOT_DONE);
-//   * per-link degradation (bandwidth cut by `link_slowdown`) and
+//   * per-link degradation (bandwidth cut by `kLinkSlowdown`) and
 //     blackouts (the route is unavailable; transfers queue behind the
 //     blackout) inside gemini::Network.
 //
@@ -37,8 +37,12 @@ class MetricsRegistry;
 
 namespace ugnirt::fault {
 
+/// Length of an SMSG credit-starvation window, virtual ns.
+inline constexpr SimTime kSmsgStarveNs = 20000;
 /// Length of a degraded-link window, virtual ns.
 inline constexpr SimTime kLinkDegradeNs = 50000;
+/// Bandwidth divisor while a route is degraded.
+inline constexpr double kLinkSlowdown = 4.0;
 /// Length of a link blackout window, virtual ns.
 inline constexpr SimTime kLinkBlackoutNs = 100000;
 
@@ -59,15 +63,11 @@ struct FaultPlan {
   /// P(forced drop + overrun latch) per CQ event delivery.
   double p_cq_overrun = 0.0;
 
-  /// P(a send opens a credit-starvation window on its channel).
+  /// P(a send opens a kSmsgStarveNs starvation window on its channel).
   double p_smsg_starve = 0.0;
-  /// Length of a starvation window, virtual ns.
-  SimTime smsg_starve_ns = 20000;
 
   /// P(a transfer opens a kLinkDegradeNs degraded window on its route).
   double p_link_degrade = 0.0;
-  /// Bandwidth divisor while a route is degraded.
-  double link_slowdown = 4.0;
   /// P(a transfer opens a kLinkBlackoutNs blackout window on its route).
   double p_link_blackout = 0.0;
 
@@ -89,9 +89,7 @@ struct FaultPlan {
     v("p_smsg_error", p_smsg_error);
     v("p_cq_overrun", p_cq_overrun);
     v("p_smsg_starve", p_smsg_starve);
-    v("smsg_starve_ns", smsg_starve_ns);
     v("p_link_degrade", p_link_degrade);
-    v("link_slowdown", link_slowdown);
     v("p_link_blackout", p_link_blackout);
   }
 };

@@ -28,23 +28,22 @@ inline constexpr double kAimdIncrease = 1.0;
 inline constexpr double kAimdDecrease = 0.5;
 /// Rate limit (per link, virtual ns) on kCongestionSample trace events.
 inline constexpr SimTime kSamplePeriodNs = 5000;
+/// EWMA smoothing factor for per-link / per-NIC load estimates.  Each
+/// reserve folds in one sample: load' = (1-a)*load + a*wait/(wait+duration).
+inline constexpr double kEwmaAlpha = 0.125;
+/// AIMD window bounds on outstanding governed transactions per PE, and
+/// the window every PE starts at.
+inline constexpr std::uint32_t kWindowMin = 2;
+inline constexpr std::uint32_t kWindowMax = 64;
+inline constexpr std::uint32_t kWindowStart = 8;
+static_assert(1 <= kWindowMin && kWindowMin <= kWindowStart &&
+              kWindowStart <= kWindowMax);
 
 struct FlowConfig {
   /// Master switch (UGNIRT_FLOW_ENABLE).  Off by default: congestion
   /// control only pays for itself under contention, and the stock
   /// behavior is the paper's calibrated baseline.
   bool enable = false;
-
-  /// EWMA smoothing factor for per-link / per-NIC load estimates
-  /// (UGNIRT_FLOW_EWMA_ALPHA).  Each reserve folds in one sample:
-  /// load' = (1-a)*load + a*wait/(wait+duration).
-  double ewma_alpha = 0.125;
-
-  /// AIMD window bounds on outstanding governed transactions per PE
-  /// (UGNIRT_FLOW_WINDOW_MIN / _MAX / _START).
-  std::uint32_t window_min = 2;
-  std::uint32_t window_max = 64;
-  std::uint32_t window_start = 8;
 
   /// Choose among minimal dimension-order route permutations by
   /// estimated link load instead of fixed x->y->z order
@@ -57,16 +56,8 @@ struct FlowConfig {
   template <class V>
   void fields(V&& v) {
     v("enable", enable);
-    v("ewma_alpha", ewma_alpha);
-    v("window_min", window_min);
-    v("window_max", window_max);
-    v("window_start", window_start);
     v("adaptive_routing", adaptive_routing);
   }
-
-  /// Keep the window sane whatever the overrides say: min >= 1 so the
-  /// governor can never wedge a PE, and start inside [min, max].
-  void sanitize();
 };
 
 }  // namespace ugnirt::flowcontrol

@@ -9,16 +9,6 @@
 namespace ugnirt::flowcontrol {
 
 // ---------------------------------------------------------------------------
-// FlowConfig
-// ---------------------------------------------------------------------------
-
-void FlowConfig::sanitize() {
-  window_min = std::max<std::uint32_t>(window_min, 1);
-  window_max = std::max(window_max, window_min);
-  window_start = std::clamp(window_start, window_min, window_max);
-}
-
-// ---------------------------------------------------------------------------
 // CongestionEstimator
 // ---------------------------------------------------------------------------
 
@@ -37,11 +27,10 @@ void CongestionEstimator::on_link_reserve(std::size_t link,
       static_cast<double>(wait_ns) + static_cast<double>(duration_ns);
   const double sample =
       total > 0 ? static_cast<double>(wait_ns) / total : 0.0;
-  const double a = cfg_.ewma_alpha;
   double& ll = link_load_[link];
-  ll += a * (sample - ll);
+  ll += kEwmaAlpha * (sample - ll);
   double& nl = node_load_[static_cast<std::size_t>(initiator_node)];
-  nl += a * (sample - nl);
+  nl += kEwmaAlpha * (sample - nl);
   ++samples_;
   if (nl >= kHotThreshold) ++hot_samples_;
   if (trace::enabled()) {
@@ -81,22 +70,20 @@ void CongestionEstimator::collect_metrics(trace::MetricsRegistry& reg) const {
 // InjectionGovernor
 // ---------------------------------------------------------------------------
 
-InjectionGovernor::InjectionGovernor(const FlowConfig& cfg,
-                                     const CongestionEstimator* est,
+InjectionGovernor::InjectionGovernor(const CongestionEstimator* est,
                                      int num_pes)
-    : cfg_(cfg), est_(est) {
+    : est_(est) {
   PeWindow w;
-  w.cwnd = static_cast<double>(cfg_.window_start);
-  w.floor = cfg_.window_min;
-  w.ceiling = cfg_.window_max;
+  w.cwnd = static_cast<double>(kWindowStart);
+  w.floor = kWindowMin;
+  w.ceiling = kWindowMax;
   pe_.assign(static_cast<std::size_t>(num_pes), w);
 }
 
 void InjectionGovernor::set_pe_qos(int pe, const QosParams& qos) {
   PeWindow& w = pe_[static_cast<std::size_t>(pe)];
-  w.floor = qos.window_floor > 0 ? std::max(qos.window_floor, 1u)
-                                 : cfg_.window_min;
-  w.ceiling = qos.window_ceiling > 0 ? qos.window_ceiling : cfg_.window_max;
+  w.floor = qos.window_floor > 0 ? qos.window_floor : kWindowMin;
+  w.ceiling = qos.window_ceiling > 0 ? qos.window_ceiling : kWindowMax;
   w.ceiling = std::max(w.ceiling, w.floor);
   w.drain_quota = qos.drain_quota;
   w.cwnd = std::clamp(w.cwnd, static_cast<double>(w.floor),
@@ -128,7 +115,7 @@ void InjectionGovernor::on_complete(int pe, int node, SimTime /*now*/) {
   PeWindow& w = pe_[static_cast<std::size_t>(pe)];
   if (w.outstanding > 0) --w.outstanding;
   const double load = est_ ? est_->node_load(node) : 0.0;
-  // AIMD inside the PE's effective bounds: [window_min, window_max] until
+  // AIMD inside the PE's effective bounds: [kWindowMin, kWindowMax] until
   // tenancy QoS narrows them via set_pe_qos.
   if (load >= kHotThreshold) {
     const double next = std::max(static_cast<double>(w.floor),

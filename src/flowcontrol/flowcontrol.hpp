@@ -79,15 +79,15 @@ class CongestionEstimator {
 /// Per-PE quality-of-service bounds layered onto the AIMD window by the
 /// tenancy subsystem (JobManager::place maps a job's QoS class to one of
 /// these per PE).  Default-constructed params are inert: the window keeps
-/// the configured [window_min, window_max] range and deferred-GET drains
-/// stay unbounded, so a governor with no QoS set behaves bit-identically
-/// to stock.
+/// the [kWindowMin, kWindowMax] range and deferred-GET drains stay
+/// unbounded, so a governor with no QoS set behaves bit-identically to
+/// stock.
 struct QosParams {
-  /// AIMD floor; 0 keeps FlowConfig::window_min.  Latency-class jobs
-  /// raise it so hotspot backoff cannot starve their rendezvous GETs.
+  /// AIMD floor; 0 keeps kWindowMin.  Latency-class jobs raise it so
+  /// hotspot backoff cannot starve their rendezvous GETs.
   std::uint32_t window_floor = 0;
-  /// AIMD ceiling; 0 keeps FlowConfig::window_max.  Bulk/scavenger jobs
-  /// lower it so their storms cannot monopolize links.
+  /// AIMD ceiling; 0 keeps kWindowMax.  Bulk/scavenger jobs lower it so
+  /// their storms cannot monopolize links.
   std::uint32_t window_ceiling = 0;
   /// Max deferred-GET re-admissions per drain_deferred_gets pass;
   /// 0 = unbounded.  The weighted-admission knob: scavengers trickle
@@ -100,8 +100,7 @@ struct QosParams {
 /// bounds on the layer's governor through MachineLayer::governor().
 class InjectionGovernor {
  public:
-  InjectionGovernor(const FlowConfig& cfg, const CongestionEstimator* est,
-                    int num_pes);
+  InjectionGovernor(const CongestionEstimator* est, int num_pes);
 
   /// Admission check for a governed post (rendezvous GET).  On success
   /// the transaction counts against `pe`'s window.  On refusal (window
@@ -156,14 +155,13 @@ class InjectionGovernor {
   struct PeWindow {
     double cwnd = 0;
     std::uint32_t outstanding = 0;
-    // Effective AIMD bounds: FlowConfig::window_{min,max} until QoS
-    // narrows them (see set_pe_qos).
+    // Effective AIMD bounds: [kWindowMin, kWindowMax] until QoS narrows
+    // them (see set_pe_qos).
     std::uint32_t floor = 1;
     std::uint32_t ceiling = 1;
     std::uint32_t drain_quota = 0;
   };
 
-  FlowConfig cfg_;
   const CongestionEstimator* est_;  // may be null (telemetry disabled)
   std::vector<PeWindow> pe_;
   std::uint64_t admits_ = 0;

@@ -3,7 +3,7 @@
 //
 // Every constant is an anchor taken from the paper's measurements on Hopper
 // (Cray XE6) or from the Gemini hardware description [Alverson et al.,
-// HOTI'10], and can be overridden through util::Config for ablations:
+// HOTI'10], and can be overridden through UGNIRT_GEMINI_* for ablations:
 //
 //   * 8-byte one-way latency: ~1.2 us pure uGNI, ~1.6 us uGNI-CHARM++,
 //     ~3 us MPI-based CHARM++ (paper Fig 1 / Fig 9a).

@@ -12,7 +12,7 @@ std::unique_ptr<converse::Machine> make_machine(
   converse::MachineOptions options = options_in;
   options.layer = kind;
   // Env overrides for every knob, so ablations need no rebuild; this also
-  // sanitizes the caller's own values.
+  // sanitizes the caller's own tenancy placement.
   overlay_env(options.mc);
   overlay_env(options.fault);
   overlay_env(options.aggregation);

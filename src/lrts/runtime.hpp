@@ -21,7 +21,7 @@ namespace ugnirt::lrts {
 /// Build a machine running layer `kind` (overrides `options.layer`), with
 /// UGNIRT_GEMINI_* / _FAULT_* / _AGG_* / _FLOW_* / _TENANCY_* environment
 /// overrides applied on top of the passed-in options, and
-/// the flow and tenancy knobs sanitized.
+/// the tenancy placement sanitized.
 std::unique_ptr<converse::Machine> make_machine(
     converse::LayerKind kind, const converse::MachineOptions& options = {});
 

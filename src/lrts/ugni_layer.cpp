@@ -84,7 +84,7 @@ void UgniLayer::ensure_domain(converse::Machine& m) {
   bind(m, m.options().mc.smsg_max_for_job(m.num_pes()), m.options().use_msgq);
   if (m.options().flow.enable) {
     governor_ = std::make_unique<flowcontrol::InjectionGovernor>(
-        m.options().flow, m.congestion_estimator(), m.num_pes());
+        m.congestion_estimator(), m.num_pes());
   }
   states_.resize(static_cast<std::size_t>(m.num_pes()), nullptr);
   node_shm_.resize(static_cast<std::size_t>(m.options().nodes()));

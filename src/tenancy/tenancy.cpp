@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <numeric>
 
 #include "flowcontrol/flowcontrol.hpp"
@@ -17,8 +16,6 @@ namespace ugnirt::tenancy {
 // ---------------------------------------------------------------------------
 
 void TenancyConfig::sanitize() {
-  qos_latency_floor = std::max<std::uint32_t>(qos_latency_floor, 1);
-  qos_bulk_ceiling = std::max<std::uint32_t>(qos_bulk_ceiling, 1);
   Placement p;
   if (!placement_from_string(placement, &p)) placement = "compact";
 }
@@ -37,19 +34,6 @@ const char* qos_name(QosClass q) {
       return "scavenger";
   }
   return "?";
-}
-
-bool qos_from_string(const std::string& s, QosClass* out) {
-  if (s == "latency") {
-    *out = QosClass::kLatency;
-  } else if (s == "bulk") {
-    *out = QosClass::kBulk;
-  } else if (s == "scavenger") {
-    *out = QosClass::kScavenger;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 const char* placement_name(Placement p) {
@@ -83,33 +67,9 @@ bool placement_from_string(const std::string& s, Placement* out) {
 
 JobManager::JobManager(converse::Machine& m, const TenancyConfig& cfg)
     : m_(&m), cfg_(cfg) {
-  placement_from_string(cfg_.placement, &placement_);  // validated by from()
+  placement_from_string(cfg_.placement, &placement_);  // sanitized
   job_of_pe_.assign(static_cast<std::size_t>(m.num_pes()), -1);
   rank_of_pe_.assign(static_cast<std::size_t>(m.num_pes()), -1);
-  if (!cfg_.jobs.empty()) parse_jobs_spec(cfg_.jobs);
-}
-
-void JobManager::parse_jobs_spec(const std::string& spec) {
-  // "name:qos:pes,name:qos:pes,..." — malformed entries are skipped
-  // (a bad env override must not crash a soak; the job count check in
-  // place() still catches an empty table).
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string entry = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    const std::size_t c1 = entry.find(':');
-    const std::size_t c2 =
-        c1 == std::string::npos ? std::string::npos : entry.find(':', c1 + 1);
-    if (c1 == std::string::npos || c2 == std::string::npos) continue;
-    JobSpec js;
-    js.name = entry.substr(0, c1);
-    if (!qos_from_string(entry.substr(c1 + 1, c2 - c1 - 1), &js.qos)) continue;
-    js.pes = std::atoi(entry.c_str() + c2 + 1);
-    if (js.name.empty() || js.pes <= 0) continue;
-    add_job(std::move(js));
-  }
 }
 
 JobId JobManager::add_job(JobSpec spec) {
@@ -180,10 +140,9 @@ void JobManager::assign_pes() {
     }
     case Placement::kRandom: {
       // Seeded Fisher-Yates: the fragmented allocation of a busy
-      // scheduler.  Seed 0 derives from the machine seed so one knob
-      // reseeds the whole run.
-      Rng rng(cfg_.seed != 0 ? cfg_.seed
-                             : (m_->options().seed ^ 0x7e9a'9c1e'5eed'0001ULL));
+      // scheduler.  Derived from the machine seed so one knob reseeds the
+      // whole run.
+      Rng rng(m_->options().seed ^ 0x7e9a'9c1e'5eed'0001ULL);
       for (std::size_t i = order.size(); i > 1; --i) {
         const std::size_t j = rng.next_below(static_cast<std::uint32_t>(i));
         std::swap(order[i - 1], order[j]);
@@ -209,11 +168,15 @@ void JobManager::assign_pes() {
   }
 }
 
+// Class floors only raise the governor's AIMD range, ceilings only lower it.
+static_assert(kQosLatencyFloor >= flowcontrol::kWindowMin &&
+              kQosBulkCeiling <= flowcontrol::kWindowMax &&
+              kQosScavengerCeiling <= flowcontrol::kWindowMax);
+
 void JobManager::apply_qos() {
   if (!cfg_.qos_enable) return;
   flowcontrol::InjectionGovernor* gov = m_->layer().governor();
   if (!gov) return;  // flow control off: nothing to bound
-  const flowcontrol::FlowConfig& fc = m_->options().flow;
   for (const Job& job : jobs_) {
     flowcontrol::QosParams qp;
     switch (job.qos()) {
@@ -221,14 +184,14 @@ void JobManager::apply_qos() {
         // Floor above the AIMD minimum so hotspot backoff (driven by the
         // aggressors' own congestion) cannot starve the victim's GETs;
         // ceiling and drain stay at the config-wide defaults.
-        qp.window_floor = std::max(fc.window_min, cfg_.qos_latency_floor);
+        qp.window_floor = kQosLatencyFloor;
         break;
       case QosClass::kBulk:
-        qp.window_ceiling = std::min(fc.window_max, cfg_.qos_bulk_ceiling);
+        qp.window_ceiling = kQosBulkCeiling;
         qp.drain_quota = kQosBulkQuota;
         break;
       case QosClass::kScavenger:
-        qp.window_ceiling = std::min(fc.window_max, kQosScavengerCeiling);
+        qp.window_ceiling = kQosScavengerCeiling;
         qp.drain_quota = kQosScavengerQuota;
         break;
     }

@@ -47,7 +47,6 @@ enum class QosClass : std::uint8_t {
 };
 
 const char* qos_name(QosClass q);
-bool qos_from_string(const std::string& s, QosClass* out);
 
 /// How a job's PEs are carved out of the machine (Jha et al.'s
 /// allocation shapes).
@@ -92,8 +91,8 @@ class Job {
 
 class JobManager {
  public:
-  /// Binds to `m` (not owned; must outlive the manager) and pre-loads
-  /// jobs from cfg.jobs ("name:qos:pes,..." — see TenancyConfig).
+  /// Binds to `m` (not owned; must outlive the manager); jobs are added
+  /// with add_job.
   JobManager(converse::Machine& m, const TenancyConfig& cfg);
 
   /// Add one job before place(); returns its id (dense, 0-based).
@@ -140,7 +139,6 @@ class JobManager {
   void collect_metrics();
 
  private:
-  void parse_jobs_spec(const std::string& spec);
   void assign_pes();
   void apply_qos();
   void install_attribution();

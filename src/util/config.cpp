@@ -3,20 +3,10 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 namespace ugnirt {
 
 namespace {
-
-std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
 
 /// Store strto*(text) in `out` only if it consumed all of `text` in range.
 template <class T, class Strto>
@@ -70,59 +60,6 @@ std::string to_env_name(const std::string& key) {
     out.push_back(sep ? '_' : static_cast<char>(std::toupper(c)));
   }
   return out;
-}
-
-bool Config::parse_string(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      error_ = "line " + std::to_string(lineno) + ": missing '='";
-      return false;
-    }
-    std::string key = trim(line.substr(0, eq));
-    std::string value = trim(line.substr(eq + 1));
-    if (key.empty()) {
-      error_ = "line " + std::to_string(lineno) + ": empty key";
-      return false;
-    }
-    values_[key] = value;
-  }
-  return true;
-}
-
-bool Config::parse_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    error_ = "cannot open " + path;
-    return false;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_string(ss.str());
-}
-
-void Config::set(const std::string& key, const std::string& value) {
-  values_[key] = value;
-}
-
-std::optional<std::string> Config::get_string(const std::string& key) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::string Config::dump() const {
-  std::ostringstream out;
-  for (const auto& [k, v] : values_) out << k << " = " << v << "\n";
-  return out.str();
 }
 
 }  // namespace ugnirt

@@ -20,10 +20,6 @@ LogLevel initial_threshold() {
   return LogLevel::kWarn;
 }
 
-LogLevel& threshold_ref() {
-  static LogLevel level = initial_threshold();
-  return level;
-}
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -44,19 +40,17 @@ const char* level_name(LogLevel level) {
 }
 
 LogContextProvider g_context_provider = nullptr;
-LogSink g_sink = nullptr;
 
 }  // namespace
 
-LogLevel log_threshold() { return threshold_ref(); }
-
-void set_log_threshold(LogLevel level) { threshold_ref() = level; }
+LogLevel log_threshold() {
+  static const LogLevel level = initial_threshold();
+  return level;
+}
 
 void set_log_context_provider(LogContextProvider provider) {
   g_context_provider = provider;
 }
-
-void set_log_sink(LogSink sink) { g_sink = sink; }
 
 void log_message(LogLevel level, const std::string& msg) {
   char prefix[64];
@@ -67,10 +61,6 @@ void log_message(LogLevel level, const std::string& msg) {
                   level_name(level), t_ns, pe);
   } else {
     std::snprintf(prefix, sizeof(prefix), "[ugnirt %s]", level_name(level));
-  }
-  if (g_sink) {
-    g_sink(level, std::string(prefix) + " " + msg);
-    return;
   }
   std::fprintf(stderr, "%s %s\n", prefix, msg.c_str());
 }

@@ -20,7 +20,6 @@ enum class LogLevel {
 };
 
 LogLevel log_threshold();
-void set_log_threshold(LogLevel level);
 void log_message(LogLevel level, const std::string& msg);
 
 inline bool log_enabled(LogLevel level) {
@@ -31,11 +30,6 @@ inline bool log_enabled(LogLevel level) {
 /// simulation context is active.  Installed once by the sim layer.
 using LogContextProvider = bool (*)(long long* t_ns, int* pe);
 void set_log_context_provider(LogContextProvider provider);
-
-/// Hook receiving every formatted line instead of stderr; pass nullptr to
-/// restore stderr.  For tests.
-using LogSink = void (*)(LogLevel level, const std::string& line);
-void set_log_sink(LogSink sink);
 
 }  // namespace ugnirt
 

@@ -40,9 +40,6 @@ constexpr SimTime operator""_us(unsigned long long v) {
 constexpr SimTime operator""_us(long double v) {
   return static_cast<SimTime>(v * 1000.0L);
 }
-constexpr SimTime operator""_ms(unsigned long long v) {
-  return static_cast<SimTime>(v) * 1000 * 1000;
-}
 }  // namespace literals
 
 /// Bytes-per-nanosecond bandwidth helper: GB/s -> bytes/ns is the identity

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "config_fields.hpp"
+#include <cstdlib>
+
 #include "gemini/machine_config.hpp"
 #include "gemini/network.hpp"
 #include "sim/engine.hpp"
@@ -61,31 +62,19 @@ TEST(MachineConfig, CostHelpers) {
 }
 
 TEST(MachineConfig, ConfigOverridesApply) {
-  Config cfg;
-  ASSERT_TRUE(cfg.parse_string(
-      "gemini.hop_ns = 500\n"
-      "gemini.bte_bw = 12.5\n"
-      "gemini.smsg_max_bytes = 2048\n"));
+  ::setenv("UGNIRT_GEMINI_HOP_NS", "500", 1);
+  ::setenv("UGNIRT_GEMINI_BTE_BW", "12.5", 1);
+  ::setenv("UGNIRT_GEMINI_SMSG_MAX_BYTES", "2048", 1);
   MachineConfig m;
-  overlay(m, cfg);
+  overlay_env(m);
+  ::unsetenv("UGNIRT_GEMINI_HOP_NS");
+  ::unsetenv("UGNIRT_GEMINI_BTE_BW");
+  ::unsetenv("UGNIRT_GEMINI_SMSG_MAX_BYTES");
   EXPECT_EQ(m.hop_ns, 500);
   EXPECT_DOUBLE_EQ(m.bte_bw, 12.5);
   EXPECT_EQ(m.smsg_max_bytes, 2048u);
   // Untouched values keep defaults.
   EXPECT_EQ(m.cq_poll_ns, MachineConfig{}.cq_poll_ns);
-}
-
-TEST(MachineConfig, ExportRoundTrips) {
-  MachineConfig m;
-  m.hop_ns = 777;
-  m.fma_bw = 3.25;
-  Config cfg;
-  write_fields(m, cfg);
-  MachineConfig back;
-  overlay(back, cfg);
-  EXPECT_EQ(back.hop_ns, 777);
-  EXPECT_DOUBLE_EQ(back.fma_bw, 3.25);
-  EXPECT_EQ(back.smsg_max_bytes, m.smsg_max_bytes);
 }
 
 // ------------------------------------------------------------ network ----

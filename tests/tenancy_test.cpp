@@ -1,12 +1,11 @@
-// Multi-tenancy subsystem tests: TenancyConfig round-trip + clamps + env
-// overrides through make_machine, declarative job-spec parsing, placement
-// properties (partition/inverse-map invariants for every policy, seeded
-// determinism of the random shuffle), QoS classes landing in the
-// InjectionGovernor as window bounds + drain quotas, generator message
-// accounting, seeded determinism of full two-tenant timelines across
-// runs, the 7-class fault-matrix rerun with two tenants (zero loss in
-// both jobs), per-job metrics/link attribution, and the tracer's opt-in
-// `job` column.
+// Multi-tenancy subsystem tests: TenancyConfig env overrides through
+// make_machine, placement properties (partition/inverse-map invariants
+// for every policy, seeded determinism of the random shuffle), QoS
+// classes landing in the InjectionGovernor as window bounds + drain
+// quotas, generator message accounting, seeded determinism of full
+// two-tenant timelines across runs, the 7-class fault-matrix rerun with
+// two tenants (zero loss in both jobs), per-job metrics/link
+// attribution, and the tracer's opt-in `job` column.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -16,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "config_fields.hpp"
 #include "converse/machine.hpp"
 #include "fault/fault.hpp"
 #include "flowcontrol/flowcontrol.hpp"
@@ -25,7 +23,6 @@
 #include "tenancy/tenancy.hpp"
 #include "trace/events.hpp"
 #include "trace/metrics.hpp"
-#include "util/config.hpp"
 
 namespace ugnirt {
 namespace {
@@ -43,66 +40,20 @@ using tenancy::TrafficPattern;
 
 // ----------------------------------------------------------------- config ----
 
-TEST(TenancyConfig, RoundTrip) {
-  TenancyConfig t;
-  t.enable = true;
-  t.placement = "scatter";
-  t.seed = 0xBEEF;
-  t.jobs = "victim:latency:8,storm:bulk:24";
-  t.qos_enable = false;
-  t.qos_latency_floor = 5;
-  t.qos_bulk_ceiling = 6;
-  Config cfg;
-  write_fields(t, cfg);
-  TenancyConfig q;
-  overlay(q, cfg);
-  EXPECT_TRUE(q.enable);
-  EXPECT_EQ(q.placement, "scatter");
-  EXPECT_EQ(q.seed, 0xBEEFu);
-  EXPECT_EQ(q.jobs, "victim:latency:8,storm:bulk:24");
-  EXPECT_FALSE(q.qos_enable);
-  EXPECT_EQ(q.qos_latency_floor, 5u);
-  EXPECT_EQ(q.qos_bulk_ceiling, 6u);
-}
-
-// Hostile overrides cannot demote latency jobs to best-effort (floor 0)
-// or wedge bulk jobs outright (ceiling 0); junk placements fall back to
-// compact instead of aborting the run.
-TEST(TenancyConfig, ClampsKeepClassesMeaningful) {
-  Config cfg;
-  cfg.set("tenancy.qos_latency_floor", "0");
-  cfg.set("tenancy.qos_bulk_ceiling", "0");
-  cfg.set("tenancy.placement", "diagonal");
-  TenancyConfig t;
-  overlay(t, cfg);
-  EXPECT_GE(t.qos_latency_floor, 1u);
-  EXPECT_GE(t.qos_bulk_ceiling, 1u);
-  EXPECT_EQ(t.placement, "compact");
-}
-
 TEST(TenancyConfig, EnvOverridesApplyInMakeMachine) {
-  ::setenv("UGNIRT_TENANCY_ENABLE", "1", 1);
   ::setenv("UGNIRT_TENANCY_PLACEMENT", "scatter", 1);
-  ::setenv("UGNIRT_TENANCY_SEED", "77", 1);
-  ::setenv("UGNIRT_TENANCY_JOBS", "a:latency:2,b:scavenger:2", 1);
-  ::setenv("UGNIRT_TENANCY_QOS_BULK_CEILING", "5", 1);
+  ::setenv("UGNIRT_TENANCY_QOS_ENABLE", "0", 1);
   MachineOptions o;
   o.pes = 4;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
-  ::unsetenv("UGNIRT_TENANCY_ENABLE");
   ::unsetenv("UGNIRT_TENANCY_PLACEMENT");
-  ::unsetenv("UGNIRT_TENANCY_SEED");
-  ::unsetenv("UGNIRT_TENANCY_JOBS");
-  ::unsetenv("UGNIRT_TENANCY_QOS_BULK_CEILING");
+  ::unsetenv("UGNIRT_TENANCY_QOS_ENABLE");
   const TenancyConfig& t = m->options().tenancy;
-  EXPECT_TRUE(t.enable);
   EXPECT_EQ(t.placement, "scatter");
-  EXPECT_EQ(t.seed, 77u);
-  EXPECT_EQ(t.jobs, "a:latency:2,b:scavenger:2");
-  EXPECT_EQ(t.qos_bulk_ceiling, 5u);
+  EXPECT_FALSE(t.qos_enable);
 }
 
-// -------------------------------------------------------------- job specs ----
+// -------------------------------------------------------------- placement ----
 
 MachineOptions tenant_options(int pes, const std::string& placement,
                               int ppn = 1) {
@@ -110,42 +61,18 @@ MachineOptions tenant_options(int pes, const std::string& placement,
   o.layer = LayerKind::kUgni;
   o.pes = pes;
   o.pes_per_node = ppn;
-  o.tenancy.enable = true;
   o.tenancy.placement = placement;
   return o;
 }
 
-// The declarative UGNIRT_TENANCY_JOBS form pre-loads the job table with
-// the same jobs an explicit add_job sequence would.
-TEST(TenancyJobs, DeclarativeSpecPreloadsJobs) {
-  auto o = tenant_options(8, "compact");
-  o.tenancy.jobs = "victim:latency:4,storm:bulk:3,bg:scavenger:1";
-  auto m = lrts::make_machine(LayerKind::kUgni, o);
-  JobManager jobs(*m, m->options().tenancy);
-  ASSERT_EQ(jobs.num_jobs(), 3);
-  EXPECT_EQ(jobs.job(0).name(), "victim");
-  EXPECT_EQ(jobs.job(0).qos(), QosClass::kLatency);
-  EXPECT_EQ(jobs.job(0).size(), 4);
-  EXPECT_EQ(jobs.job(1).name(), "storm");
-  EXPECT_EQ(jobs.job(1).qos(), QosClass::kBulk);
-  EXPECT_EQ(jobs.job(1).size(), 3);
-  EXPECT_EQ(jobs.job(2).name(), "bg");
-  EXPECT_EQ(jobs.job(2).qos(), QosClass::kScavenger);
-  EXPECT_EQ(jobs.job(2).size(), 1);
-  jobs.place();
-  EXPECT_TRUE(jobs.placed());
-}
-
-// -------------------------------------------------------------- placement ----
-
 /// Build a 3-job manager on `pes` PEs under `placement` and return it
-/// placed, with its machine kept alive by the caller.
+/// placed, with its machine (seeded with `seed`) kept alive by the caller.
 std::unique_ptr<converse::Machine> placed(const std::string& placement,
                                           std::unique_ptr<JobManager>* out,
                                           int pes = 16,
-                                          std::uint64_t seed = 0) {
+                                          std::uint64_t seed = 0x5eed) {
   auto o = tenant_options(pes, placement);
-  o.tenancy.seed = seed;
+  o.seed = seed;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   *out = std::make_unique<JobManager>(*m, m->options().tenancy);
   (*out)->add_job({"a", pes / 4, QosClass::kLatency});
@@ -220,9 +147,7 @@ TEST(TenancyPlacement, RandomIsSeededDeterministic) {
 // and drain quotas land per PE.
 TEST(TenancyQos, ClassesLandInGovernorWindows) {
   auto o = tenant_options(16, "compact");
-  o.flow.enable = true;  // window_start 8, window_min 2, window_max 64
-  o.tenancy.qos_latency_floor = 12;
-  o.tenancy.qos_bulk_ceiling = 4;
+  o.flow.enable = true;  // window start 8, bounds [2, 64]
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   flowcontrol::InjectionGovernor* gov = m->layer().governor();
   ASSERT_NE(gov, nullptr);
@@ -232,15 +157,18 @@ TEST(TenancyQos, ClassesLandInGovernorWindows) {
   jobs.add_job({"scv", 4, QosClass::kScavenger});
   jobs.place();
   for (int pe : jobs.job(0).pes()) {
-    EXPECT_GE(gov->window(pe), 12u) << "latency pe " << pe;
+    EXPECT_GE(gov->window(pe), tenancy::kQosLatencyFloor)
+        << "latency pe " << pe;
     EXPECT_EQ(gov->drain_quota(pe), 0u);  // latency drains unbounded
   }
   for (int pe : jobs.job(1).pes()) {
-    EXPECT_LE(gov->window(pe), 4u) << "bulk pe " << pe;
+    EXPECT_LE(gov->window(pe), tenancy::kQosBulkCeiling)
+        << "bulk pe " << pe;
     EXPECT_EQ(gov->drain_quota(pe), 2u);
   }
   for (int pe : jobs.job(2).pes()) {
-    EXPECT_LE(gov->window(pe), 2u) << "scavenger pe " << pe;
+    EXPECT_LE(gov->window(pe), tenancy::kQosScavengerCeiling)
+        << "scavenger pe " << pe;
     EXPECT_EQ(gov->drain_quota(pe), 1u);
   }
 }
@@ -259,7 +187,7 @@ TEST(TenancyQos, DisabledLeavesGovernorStock) {
   jobs.add_job({"b", 4, QosClass::kScavenger});
   jobs.place();
   for (int pe = 0; pe < 8; ++pe) {
-    EXPECT_EQ(gov->window(pe), m->options().flow.window_start);
+    EXPECT_EQ(gov->window(pe), flowcontrol::kWindowStart);
     EXPECT_EQ(gov->drain_quota(pe), 0u);
   }
   m->collect_metrics();
@@ -391,13 +319,11 @@ TEST(TenancyFault, MatrixZeroLossWithTwoTenants) {
   {
     Case c{"smsg_starve", base};
     c.plan.p_smsg_starve = 0.2;
-    c.plan.smsg_starve_ns = 20000;
     cases.push_back(c);
   }
   {
     Case c{"link_degrade", base};
     c.plan.p_link_degrade = 0.3;
-    c.plan.link_slowdown = 8.0;
     cases.push_back(c);
   }
   {
