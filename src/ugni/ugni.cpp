@@ -19,6 +19,12 @@ namespace {
 /// sequence metadata to every mailbox write).
 constexpr std::uint32_t kSmsgSysHeader = 16;
 
+/// Receive-mailbox bytes of a channel side with attributes `a`.
+std::uint64_t mailbox_size(const gni_smsg_attr_t& a) {
+  return std::uint64_t{a.mbox_maxcredit} *
+         (std::uint64_t{a.msg_maxsize} + kSmsgSysHeader);
+}
+
 sim::Context& ctx() {
   sim::Context* c = sim::current();
   assert(c && "uGNI calls must run inside a simulated PE context");
@@ -116,6 +122,18 @@ Domain::~Domain() {
     delete nic->msgq();
     nic->set_msgq(nullptr);
   }
+  for (std::uint32_t i = 0; i < n_eps_; ++i) ep_at(i)->~Ep();
+}
+
+Ep* Domain::emplace_ep(Nic* nic, Cq* tx_cq) {
+  const std::uint32_t i = n_eps_;
+  assert(i < kNoEp && "endpoint slab index space exhausted");
+  if (i % kEpChunk == 0) {
+    ep_chunks_.push_back(std::make_unique_for_overwrite<EpCell[]>(kEpChunk));
+  }
+  Ep* ep = new (ep_chunks_.back()[i % kEpChunk].bytes) Ep(nic, tx_cq, i);
+  ++n_eps_;
+  return ep;
 }
 
 void Domain::collect_metrics(trace::MetricsRegistry& reg) const {
@@ -141,7 +159,7 @@ void Domain::collect_metrics(trace::MetricsRegistry& reg) const {
   reg.counter("cq.count").set(cqs_.size());
 }
 
-Ep* PeerTable::insert(std::int32_t peer, Ep* ep) {
+std::uint32_t PeerTable::insert(std::int32_t peer, std::uint32_t ep) {
   if (2 * (size_ + 1) > slots_.size()) grow();
   for (std::size_t i = home(peer);; i = (i + 1) & mask()) {
     Slot& s = slots_[i];
@@ -149,19 +167,19 @@ Ep* PeerTable::insert(std::int32_t peer, Ep* ep) {
     if (s.peer == kEmpty) {
       s = Slot{peer, ep};
       ++size_;
-      return nullptr;
+      return kNoEp;
     }
   }
 }
 
-Ep* PeerTable::erase(std::int32_t peer) {
-  if (size_ == 0) return nullptr;
+std::uint32_t PeerTable::erase(std::int32_t peer) {
+  if (size_ == 0) return kNoEp;
   std::size_t hole = home(peer);
   while (slots_[hole].peer != peer) {
-    if (slots_[hole].peer == kEmpty) return nullptr;
+    if (slots_[hole].peer == kEmpty) return kNoEp;
     hole = (hole + 1) & mask();
   }
-  Ep* ep = slots_[hole].ep;
+  const std::uint32_t ep = slots_[hole].ep;
   // Backward shift: walk the rest of the probe run and pull each entry
   // into the hole unless its home slot lies cyclically in (hole, j] —
   // moving it before its home would make it unreachable.
@@ -189,13 +207,14 @@ void PeerTable::grow() {
 }
 
 Ep* Ep::resolve_reverse() {
-  if (reverse_) return reverse_;
-  Nic* remote = nic_->domain()->nic_by_inst(remote_inst_);
+  Domain* dom = nic_->domain();
+  if (reverse_ != kNoEp) return dom->ep_at(reverse_);
+  Nic* remote = dom->nic_by_inst(remote_inst_);
   if (!remote) return nullptr;
   Ep* rev = remote->ep_for_peer(nic_->inst_id());
   if (rev && nic_->ep_for_peer(remote_inst_) == this) {
-    reverse_ = rev;
-    rev->reverse_ = this;
+    reverse_ = rev->index_;
+    rev->reverse_ = index_;
   }
   return rev;
 }
@@ -234,10 +253,7 @@ Ep* Nic::get_or_connect(std::int32_t peer, bool* established_out) {
   if (!msgq_mode) {
     // Both mailboxes are pinned now, and the whole setup bill lands on
     // the initiator's clock at first-touch time (MSGQ pins none).
-    const std::uint64_t mbox =
-        static_cast<std::uint64_t>(smsg_attr_.mbox_maxcredit) *
-        (smsg_attr_.msg_maxsize + kSmsgSysHeader);
-    ctx().charge(2 * domain_->config().reg_cost(mbox));
+    ctx().charge(2 * domain_->config().reg_cost(mailbox_size(smsg_attr_)));
   }
   if (established_out) *established_out = true;
   return fwd;
@@ -353,11 +369,13 @@ gni_return_t GNI_CqErrorRecover(gni_cq_handle_t cq,
   // Peers are visited in sorted order: the peer table's slot order depends
   // on its insert/erase history, and re-synthesized events must land in
   // the same order on every run for traces to stay reproducible.
+  Domain* dom = nic->domain();
   if (nic->smsg_rx_cq_ == cq) {
-    std::vector<std::pair<std::int32_t, Ep*>> peers;
+    std::vector<std::pair<std::int32_t, std::uint32_t>> peers;
     peers.reserve(nic->peer_eps_.size());
-    nic->peer_eps_.for_each(
-        [&](std::int32_t peer, Ep* ep) { peers.emplace_back(peer, ep); });
+    nic->peer_eps_.for_each([&](std::int32_t peer, std::uint32_t ep) {
+      peers.emplace_back(peer, ep);
+    });
     std::sort(peers.begin(), peers.end());
     for (const auto& [peer, ep] : peers) {
       std::size_t queued = 0;
@@ -365,7 +383,7 @@ gni_return_t GNI_CqErrorRecover(gni_cq_handle_t cq,
         const gni_cq_entry_t& e = cq->entries_[i].entry;
         if (e.type == CqEventType::kSmsg && e.source_inst == peer) ++queued;
       }
-      const auto& rx = ep->smsg_.rx;
+      const Ep::Mailbox& rx = dom->ep_at(ep)->rx_;
       for (std::size_t i = 0; i < rx.size(); ++i) {
         const auto& msg = rx[i];
         if (msg.delivered) continue;
@@ -388,8 +406,9 @@ gni_return_t GNI_CqErrorRecover(gni_cq_handle_t cq,
   // consumed event can never be duplicated here.)  kPostRemote events are
   // not recoverable — nothing on the receiving NIC records them.
   bool serves_tx = false;
-  nic->peer_eps_.for_each(
-      [&](std::int32_t, Ep* ep) { serves_tx = serves_tx || ep->tx_cq_ == cq; });
+  nic->peer_eps_.for_each([&](std::int32_t, std::uint32_t ep) {
+    serves_tx = serves_tx || dom->ep_at(ep)->tx_cq_ == cq;
+  });
   if (serves_tx) {
     for (const auto& [internal, desc] : nic->completed_) {
       bool queued = false;
@@ -488,8 +507,7 @@ gni_return_t GNI_MemDeregister(gni_nic_handle_t nic, gni_mem_handle_t* hndl) {
 gni_return_t GNI_EpCreate(gni_nic_handle_t nic, gni_cq_handle_t tx_cq,
                           gni_ep_handle_t* ep_out) {
   if (!nic || !ep_out) return GNI_RC_INVALID_PARAM;
-  nic->domain()->eps_.push_back(std::make_unique<Ep>(nic, tx_cq));
-  *ep_out = nic->domain()->eps_.back().get();
+  *ep_out = nic->domain()->emplace_ep(nic, tx_cq);
   return GNI_RC_SUCCESS;
 }
 
@@ -498,26 +516,27 @@ gni_return_t GNI_EpBind(gni_ep_handle_t ep, std::int32_t remote_inst_id) {
   if (ep->bound()) return GNI_RC_INVALID_STATE;
   ep->remote_inst_ = remote_inst_id;
   // A displaced endpoint is no longer its NIC's endpoint for the peer.
-  if (Ep* old = ep->nic_->peer_eps_.insert(remote_inst_id, ep)) old->unlink();
+  const std::uint32_t old =
+      ep->nic_->peer_eps_.insert(remote_inst_id, ep->index_);
+  if (old != kNoEp) ep->nic_->domain()->ep_at(old)->unlink();
   return GNI_RC_SUCCESS;
 }
 
 gni_return_t GNI_EpDestroy(gni_ep_handle_t ep) {
   if (!ep) return GNI_RC_INVALID_PARAM;
-  if (ep->smsg_.initialized) {
+  Domain* dom = ep->nic_->domain_;
+  if (ep->smsg_ready()) {
     // Tearing down an initialized channel releases its receive mailbox:
     // the accounting must track *established* channels, not history.
-    const std::uint64_t mbox =
-        static_cast<std::uint64_t>(ep->smsg_.local.mbox_maxcredit) *
-        (ep->smsg_.local.msg_maxsize + kSmsgSysHeader);
-    ep->nic_->mailbox_bytes_ -= mbox;
-    ep->nic_->domain_->total_mailbox_bytes_ -= mbox;
-    --ep->nic_->domain_->smsg_channels_;
-    ep->smsg_.initialized = false;
+    ep->nic_->mailbox_bytes_ -= ep->mbox_bytes_;
+    dom->total_mailbox_bytes_ -= ep->mbox_bytes_;
+    --dom->smsg_channels_;
+    ep->mbox_bytes_ = 0;
   }
   // Only endpoints bound in their NIC's table are ever linked.
   if (ep->bound()) {
-    if (Ep* cur = ep->nic_->peer_eps_.erase(ep->remote_inst_)) cur->unlink();
+    const std::uint32_t cur = ep->nic_->peer_eps_.erase(ep->remote_inst_);
+    if (cur != kNoEp) dom->ep_at(cur)->unlink();
   }
   ep->remote_inst_ = -1;
   return GNI_RC_SUCCESS;
@@ -526,19 +545,23 @@ gni_return_t GNI_EpDestroy(gni_ep_handle_t ep) {
 gni_return_t GNI_SmsgInit(gni_ep_handle_t ep, const gni_smsg_attr_t& local,
                           const gni_smsg_attr_t& remote) {
   if (!ep || !ep->bound()) return GNI_RC_INVALID_PARAM;
-  if (ep->smsg_.initialized) return GNI_RC_INVALID_STATE;
+  if (ep->smsg_ready()) return GNI_RC_INVALID_STATE;
   if (local.msg_maxsize == 0 || local.mbox_maxcredit == 0) {
     return GNI_RC_INVALID_PARAM;
   }
-  ep->smsg_.initialized = true;
-  ep->smsg_.local = local;
-  ep->smsg_.remote = remote;
-  ep->smsg_.credits = remote.mbox_maxcredit;
+  // A mailbox ring holds at most kMaxMailboxCredits messages, and an
+  // endpoint keeps its mailbox size in 32 bits.
+  const std::uint64_t mbox = mailbox_size(local);
+  if (local.mbox_maxcredit > Ep::kMaxMailboxCredits ||
+      remote.mbox_maxcredit > Ep::kMaxMailboxCredits || mbox > UINT32_MAX) {
+    return GNI_RC_INVALID_PARAM;
+  }
+  ep->mbox_bytes_ = static_cast<std::uint32_t>(mbox);
+  ep->remote_maxsize_ = remote.msg_maxsize;
+  ep->credits_ = remote.mbox_maxcredit;
   // The mailbox for the *local* receive side is allocated and registered on
   // this NIC; memory grows linearly with *connected* peers (paper §II-B) —
   // under lazy setup that is the active pairs, never the job size.
-  const std::uint64_t mbox = static_cast<std::uint64_t>(local.mbox_maxcredit) *
-                             (local.msg_maxsize + kSmsgSysHeader);
   ep->nic_->mailbox_bytes_ += mbox;
   ep->nic_->domain_->total_mailbox_bytes_ += mbox;
   ++ep->nic_->domain_->smsg_channels_;
@@ -550,15 +573,15 @@ gni_return_t GNI_SmsgSendWTag(gni_ep_handle_t ep, const void* header,
                               std::uint32_t data_length, std::uint32_t msg_id,
                               std::uint8_t tag) {
   (void)msg_id;
-  if (!ep || !ep->bound() || !ep->smsg_.initialized) {
+  if (!ep || !ep->bound() || !ep->smsg_ready()) {
     return GNI_RC_INVALID_PARAM;
   }
   if ((header_length > 0 && !header) || (data_length > 0 && !data)) {
     return GNI_RC_INVALID_PARAM;
   }
   const std::uint32_t total = header_length + data_length;
-  if (total > ep->smsg_.remote.msg_maxsize) return GNI_RC_SIZE_ERROR;
-  if (ep->smsg_.credits == 0) return GNI_RC_NOT_DONE;
+  if (total > ep->remote_maxsize_) return GNI_RC_SIZE_ERROR;
+  if (ep->credits_ == 0) return GNI_RC_NOT_DONE;
 
   Nic* nic = ep->nic_;
   Domain* dom = nic->domain();
@@ -566,7 +589,7 @@ gni_return_t GNI_SmsgSendWTag(gni_ep_handle_t ep, const void* header,
   if (!remote_ep && !dom->nic_by_inst(ep->remote_inst_)) {
     return GNI_RC_INVALID_PARAM;  // bound to an instance that never attached
   }
-  if (!remote_ep || !remote_ep->smsg_.initialized) {
+  if (!remote_ep || !remote_ep->smsg_ready()) {
     return GNI_RC_INVALID_STATE;  // peer has not set up its mailbox
   }
   Nic* remote = remote_ep->nic_;
@@ -585,7 +608,7 @@ gni_return_t GNI_SmsgSendWTag(gni_ep_handle_t ep, const void* header,
       return GNI_RC_ERROR_RESOURCE;
     }
   }
-  --ep->smsg_.credits;
+  --ep->credits_;
 
   gemini::TransferRequest req;
   req.mech = gemini::Mechanism::kSmsg;
@@ -599,18 +622,17 @@ gni_return_t GNI_SmsgSendWTag(gni_ep_handle_t ep, const void* header,
   // SMSG is a FIFO channel: a message posted later can never become
   // visible before an earlier one, even if the network model found it a
   // faster slot.
-  SimTime arrival =
-      std::max(t.data_arrival, remote_ep->smsg_.last_arrival);
-  remote_ep->smsg_.last_arrival = arrival;
+  SimTime arrival = std::max(t.data_arrival, remote_ep->last_arrival_);
+  remote_ep->last_arrival_ = arrival;
 
   // Deposit the message bytes in the peer's mailbox (visible at arrival).
-  SmsgChannelState::Msg msg;
+  Ep::Msg msg;
   std::uint8_t* bytes = msg.bytes.resize(total);
   if (header_length) std::memcpy(bytes, header, header_length);
   if (data_length) std::memcpy(bytes + header_length, data, data_length);
   msg.tag = tag;
   msg.at = arrival;
-  remote_ep->smsg_.rx.push_back(std::move(msg));
+  remote_ep->rx_.push_back(std::move(msg));
 
   if (remote->smsg_rx_cq_) {
     gni_cq_entry_t entry;
@@ -630,9 +652,9 @@ gni_return_t GNI_SmsgGetNextWTag(gni_ep_handle_t ep, void** data_out,
                                  std::uint8_t* tag_out,
                                  SimTime* arrival_out) {
   if (!ep || !data_out || !tag_out) return GNI_RC_INVALID_PARAM;
-  if (!ep->smsg_.initialized) return GNI_RC_INVALID_PARAM;
+  if (!ep->smsg_ready()) return GNI_RC_INVALID_PARAM;
   sim::Context& c = ctx();
-  auto& rx = ep->smsg_.rx;
+  auto& rx = ep->rx_;
   for (std::size_t i = 0; i < rx.size(); ++i) {
     auto& msg = rx[i];
     if (msg.delivered) continue;
@@ -651,8 +673,8 @@ gni_return_t GNI_SmsgGetNextWTag(gni_ep_handle_t ep, void** data_out,
 }
 
 gni_return_t GNI_SmsgRelease(gni_ep_handle_t ep) {
-  if (!ep || !ep->smsg_.initialized) return GNI_RC_INVALID_PARAM;
-  auto& rx = ep->smsg_.rx;
+  if (!ep || !ep->smsg_ready()) return GNI_RC_INVALID_PARAM;
+  auto& rx = ep->rx_;
   if (rx.empty() || !rx.front().delivered) return GNI_RC_INVALID_STATE;
   rx.pop_front();
 
@@ -669,7 +691,7 @@ gni_return_t GNI_SmsgRelease(gni_ep_handle_t ep) {
     // Never clamped, so the event fires with the engine clock at `at`.
     assert(at >= dom->scheduler().now());
     dom->scheduler().schedule_at(at, [sender_ep, remote] {
-      ++sender_ep->smsg_.credits;
+      ++sender_ep->credits_;
       if (remote->credit_notify_) {
         remote->credit_notify_(remote->domain()->scheduler().now());
       }

@@ -26,10 +26,12 @@
 // Calls must run inside a simulated PE (sim::current() != nullptr).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -384,14 +386,32 @@ class Cq {
   std::function<void(SimTime)> notify_;
 };
 
-/// One side of a peer-to-peer SMSG channel.
-struct SmsgChannelState {
-  bool initialized = false;
-  gni_smsg_attr_t local{};
-  gni_smsg_attr_t remote{};
-  std::uint32_t credits = 0;  // remaining send credits
-  SimTime last_arrival = 0;   // FIFO: later sends never arrive earlier
-  // Receive mailbox: messages that arrived and await GetNext/Release.
+/// Slab index of no endpoint (an empty peer-table slot, an unlinked pair).
+constexpr std::uint32_t kNoEp = UINT32_MAX;
+
+/// Endpoint: the addressing object for one remote NIC instance, and the
+/// local side of its SMSG channel.  Endpoints live in their domain's slab
+/// (Domain::ep_at): GNI_EpCreate constructs one in place, its address and
+/// 32-bit slab index stay valid until the domain dies, and GNI_EpDestroy
+/// unbinds it without freeing it.  One channel side is one cache line.
+class alignas(64) Ep {
+ public:
+  Ep(const Ep&) = delete;
+  Ep& operator=(const Ep&) = delete;
+
+  Nic* nic() const { return nic_; }
+  Cq* tx_cq() const { return tx_cq_; }
+  std::int32_t remote_inst() const { return remote_inst_; }
+  bool bound() const { return remote_inst_ >= 0; }
+  /// This endpoint's slot in its domain's slab.
+  std::uint32_t index() const { return index_; }
+
+  /// The endpoint on the remote NIC bound back to this one, once SMSG
+  /// traffic has linked the pair (nullptr before first use and after
+  /// GNI_EpDestroy on either side).
+  inline Ep* reverse() const;
+
+  /// A message in the receive mailbox, awaiting GetNext/Release.
   struct Msg {
     SimTime at = 0;  // virtual arrival time
     InlineBytes bytes;
@@ -399,65 +419,64 @@ struct SmsgChannelState {
     bool delivered = false;  // returned by GetNextWTag, not yet Released
   };
   static_assert(sizeof(Msg) == 64, "a mailbox message is one cache line");
-  RingFifo<Msg> rx;
-};
-
-/// Endpoint: the addressing object for one remote NIC instance.
-class Ep {
- public:
-  Ep(Nic* nic, Cq* tx_cq) : nic_(nic), tx_cq_(tx_cq) {}
-
-  Nic* nic() const { return nic_; }
-  Cq* tx_cq() const { return tx_cq_; }
-  std::int32_t remote_inst() const { return remote_inst_; }
-  bool bound() const { return remote_inst_ >= 0; }
-
-  /// The endpoint on the remote NIC bound back to this one, once SMSG
-  /// traffic has linked the pair (nullptr before first use and after
-  /// GNI_EpDestroy on either side).
-  Ep* reverse() const { return reverse_; }
+  /// The receive mailbox: 16-bit ring indices keep it at 16 bytes, so
+  /// GNI_SmsgInit rejects more credits than kMaxMailboxCredits.
+  using Mailbox = RingFifo<Msg, /*kKeepGrown=*/false, std::uint16_t>;
+  static constexpr std::uint32_t kMaxMailboxCredits = Mailbox::kMaxCapacity;
 
  private:
   UGNIRT_UGNI_API_FRIENDS
+  friend class Domain;  // the only constructor of endpoints
 
+  Ep(Nic* nic, Cq* tx_cq, std::uint32_t index)
+      : nic_(nic), tx_cq_(tx_cq), index_(index) {}
+
+  /// GNI_SmsgInit has set up the channel (it rejects zero-byte mailboxes).
+  bool smsg_ready() const { return mbox_bytes_ != 0; }
   /// The reverse endpoint: the link when set, else a lookup through the
   /// remote NIC that links the pair when this is the endpoint its NIC has
   /// bound to the peer.  nullptr when the peer has no endpoint bound back.
   Ep* resolve_reverse();
   /// Break the reverse link on both sides.
-  void unlink() {
-    if (reverse_) reverse_->reverse_ = nullptr;
-    reverse_ = nullptr;
-  }
+  inline void unlink();
 
   Nic* nic_;
   Cq* tx_cq_;
   std::int32_t remote_inst_ = -1;
-  // Linked in pairs: a->reverse_ == b exactly when b->reverse_ == a, and
-  // only while each is the endpoint its NIC has bound to the other.
-  Ep* reverse_ = nullptr;
-  SmsgChannelState smsg_;
+  std::uint32_t index_;
+  // Linked in pairs: a.reverse_ == b.index_ exactly when b.reverse_ ==
+  // a.index_, and only while each is the endpoint its NIC has bound to
+  // the other.
+  std::uint32_t reverse_ = kNoEp;
+  // SMSG channel side, set by GNI_SmsgInit.
+  std::uint32_t credits_ = 0;         // remaining send credits
+  SimTime last_arrival_ = 0;          // FIFO: later sends never arrive earlier
+  std::uint32_t remote_maxsize_ = 0;  // payload cap of the peer's mailbox
+  std::uint32_t mbox_bytes_ = 0;      // this side's receive mailbox; 0: none
+  Mailbox rx_;
 };
+static_assert(sizeof(Ep) == 64, "an endpoint is one cache line");
 
-/// Flat map from peer instance id to the endpoint bound to it: open
-/// addressing with linear probing over a power-of-two slot array
-/// (Fibonacci-hashed home slot, load at most 1/2), backward-shift erase so
-/// no tombstones accumulate, and no storage until the first insert.  Peer
-/// ids are non-negative; -1 marks an empty slot.
+/// Flat map from peer instance id to the slab index of the endpoint bound
+/// to it: open addressing with linear probing over a power-of-two array of
+/// 8-byte slots (Fibonacci-hashed home slot, load at most 1/2),
+/// backward-shift erase so no tombstones accumulate, and no storage until
+/// the first insert.  Peer ids are non-negative; -1 marks an empty slot.
 class PeerTable {
  public:
-  Ep* find(std::int32_t peer) const {
-    if (size_ == 0) return nullptr;
+  /// The endpoint bound to `peer`, or kNoEp.
+  std::uint32_t find(std::int32_t peer) const {
+    if (size_ == 0) return kNoEp;
     for (std::size_t i = home(peer);; i = (i + 1) & mask()) {
       const Slot& s = slots_[i];
       if (s.peer == peer) return s.ep;
-      if (s.peer == kEmpty) return nullptr;
+      if (s.peer == kEmpty) return kNoEp;
     }
   }
-  /// Bind `peer` to `ep`; returns the endpoint it displaced, or nullptr.
-  Ep* insert(std::int32_t peer, Ep* ep);
-  /// Unbind `peer`; returns the endpoint it was bound to, or nullptr.
-  Ep* erase(std::int32_t peer);
+  /// Bind `peer` to `ep`; returns the endpoint it displaced, or kNoEp.
+  std::uint32_t insert(std::int32_t peer, std::uint32_t ep);
+  /// Unbind `peer`; returns the endpoint it was bound to, or kNoEp.
+  std::uint32_t erase(std::int32_t peer);
 
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return slots_.size(); }
@@ -474,8 +493,9 @@ class PeerTable {
   static constexpr std::int32_t kEmpty = -1;
   struct Slot {
     std::int32_t peer = kEmpty;
-    Ep* ep = nullptr;
+    std::uint32_t ep = kNoEp;
   };
+  static_assert(sizeof(Slot) == 8);
 
   std::size_t mask() const { return slots_.size() - 1; }
   std::size_t home(std::int32_t peer) const {
@@ -543,9 +563,7 @@ class Nic {
                         std::uint32_t key);
 
   /// Endpoint on this NIC bound to `remote_inst`, or nullptr.
-  Ep* ep_for_peer(std::int32_t remote_inst) const {
-    return peer_eps_.find(remote_inst);
-  }
+  inline Ep* ep_for_peer(std::int32_t remote_inst) const;
 
   /// Defaults used by get_or_connect for lazily created channels: the TX
   /// CQ every new endpoint binds to and the SMSG mailbox attributes both
@@ -648,6 +666,16 @@ class Domain {
   /// contributes two).  Grows with traffic patterns, not with N².
   std::uint64_t smsg_channels() const { return smsg_channels_; }
 
+  /// The endpoint in slab slot `i` (an Ep::index() of this domain).
+  /// Endpoints live in fixed-size chunks that never move; one is destroyed
+  /// only with the domain, so this stays valid after GNI_EpDestroy.
+  Ep* ep_at(std::uint32_t i) const {
+    return std::launder(reinterpret_cast<Ep*>(
+        ep_chunks_[i / kEpChunk][i % kEpChunk].bytes));
+  }
+  /// Endpoints per slab chunk (64 KiB).
+  static constexpr std::uint32_t kEpChunk = 1024;
+
   /// Publish domain-wide gauges: ugni.mailbox_bytes, ugni.registered_bytes,
   /// ugni.active_regions, cq.max_depth, cq.dropped_events.  The network
   /// publishes its own rows (Machine::collect_metrics runs both).
@@ -658,13 +686,35 @@ class Domain {
 
   friend class Nic;  // get_or_connect maintains the channel accounting
 
+  struct EpCell {
+    alignas(Ep) std::byte bytes[sizeof(Ep)];
+  };
+
+  /// Construct an endpoint in the next free slab slot (GNI_EpCreate).
+  Ep* emplace_ep(Nic* nic, Cq* tx_cq);
+
   gemini::Network* network_;
   std::vector<std::unique_ptr<Nic>> nics_;
   std::vector<Nic*> nic_index_;  // inst_id -> NIC (nullptr: unattached)
-  std::vector<std::unique_ptr<Ep>> eps_;
+  std::vector<std::unique_ptr<EpCell[]>> ep_chunks_;  // the endpoint slab
+  std::uint32_t n_eps_ = 0;
   std::vector<std::unique_ptr<Cq>> cqs_;
   std::uint64_t total_mailbox_bytes_ = 0;
   std::uint64_t smsg_channels_ = 0;
 };
+
+inline Ep* Ep::reverse() const {
+  return reverse_ == kNoEp ? nullptr : nic_->domain()->ep_at(reverse_);
+}
+
+inline void Ep::unlink() {
+  if (reverse_ != kNoEp) nic_->domain()->ep_at(reverse_)->reverse_ = kNoEp;
+  reverse_ = kNoEp;
+}
+
+inline Ep* Nic::ep_for_peer(std::int32_t remote_inst) const {
+  const std::uint32_t i = peer_eps_.find(remote_inst);
+  return i == kNoEp ? nullptr : domain_->ep_at(i);
+}
 
 }  // namespace ugnirt::ugni

@@ -8,18 +8,28 @@
 // mostly idle queues of a large machine heap-free.  A queue that is busy
 // for the whole run (the scheduler queue) would then pay one allocation
 // per message; `kKeepGrown` keeps its ring once grown instead.
+//
+// `Index` types the head, size and capacity.  With 16 bits the whole
+// object is 16 bytes (an SMSG mailbox inside a 64-byte endpoint) and the
+// ring holds at most kMaxCapacity elements; growing past that aborts.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 
 namespace ugnirt {
 
-template <typename T, bool kKeepGrown = false>
+template <typename T, bool kKeepGrown = false, typename Index = std::uint32_t>
 class RingFifo {
  public:
+  /// Largest capacity `Index` can hold (its top power of two).
+  static constexpr std::size_t kMaxCapacity =
+      (std::size_t{std::numeric_limits<Index>::max()} >> 1) + 1;
+
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
   /// Slots currently allocated (0 whenever a releasing FIFO is empty).
@@ -57,24 +67,25 @@ class RingFifo {
       }
     }
     buf_[head_] = T{};
-    head_ = (head_ + 1) & (cap_ - 1);
+    head_ = static_cast<Index>((head_ + 1) & (cap_ - 1));
     --size_;
   }
 
  private:
   void grow() {
-    const std::uint32_t cap = cap_ ? 2 * cap_ : 4;
+    assert(cap_ < kMaxCapacity && "RingFifo is full at its index width");
+    const std::size_t cap = cap_ ? 2 * std::size_t{cap_} : 4;
     auto buf = std::make_unique<T[]>(cap);
-    for (std::uint32_t i = 0; i < size_; ++i) buf[i] = std::move((*this)[i]);
+    for (Index i = 0; i < size_; ++i) buf[i] = std::move((*this)[i]);
     buf_ = std::move(buf);
-    cap_ = cap;
+    cap_ = static_cast<Index>(cap);
     head_ = 0;
   }
 
   std::unique_ptr<T[]> buf_;
-  std::uint32_t head_ = 0;
-  std::uint32_t size_ = 0;
-  std::uint32_t cap_ = 0;
+  Index head_ = 0;
+  Index size_ = 0;
+  Index cap_ = 0;
 };
 
 }  // namespace ugnirt

@@ -6,10 +6,16 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "converse/machine.hpp"
+#include "gemini/network.hpp"
 #include "lrts/runtime.hpp"
+#include "sim/context.hpp"
+#include "sim/engine.hpp"
+#include "ugni/ugni.hpp"
 #include "util/alloc_count.hpp"
+#include "util/rng.hpp"
 
 namespace ugnirt {
 namespace {
@@ -81,6 +87,68 @@ TEST(AllocGate, KNeighborRunsAllocateLittlePerMessage) {
   }
   EXPECT_EQ(alloc_count::now().net_since(start), 0)
       << "allocations outlived the machine";
+}
+
+// Channel setup at the paper's Table I scale: 3,840 NICs each open
+// channels to 128 seeded-random peers, as nqueens does under lazy setup
+// (about 950k endpoints).  Endpoints are built in place in the domain's
+// slab and the peer tables grow by doubling, so operator new calls per
+// created endpoint are well under one; an endpoint allocated on its own
+// costs at least one each and fails the bound.  Destroying the domain frees
+// everything, including mailbox messages spilled to the heap.
+TEST(AllocGate, LazyConnectAllocatesLittlePerEndpoint) {
+  constexpr int kNics = 3840;
+  constexpr int kPeers = 128;
+  const Counts start = alloc_count::now();
+  {
+    sim::Engine engine;
+    gemini::Network net(engine.scheduler(), topo::Torus3D::for_nodes(kNics),
+                        gemini::MachineConfig{});
+    ugni::Domain dom(net);
+    sim::Context ctx(engine.scheduler(), 0);
+    sim::ScopedContext guard(ctx);
+    std::vector<ugni::gni_nic_handle_t> nic(kNics);
+    for (int i = 0; i < kNics; ++i) {
+      ugni::gni_cq_handle_t rx = nullptr, tx = nullptr;
+      ASSERT_EQ(ugni::GNI_CdmAttach(&dom, i, i, &nic[i]),
+                ugni::GNI_RC_SUCCESS);
+      ASSERT_EQ(ugni::GNI_CqCreate(nic[i], 64, &rx), ugni::GNI_RC_SUCCESS);
+      ASSERT_EQ(ugni::GNI_CqCreate(nic[i], 64, &tx), ugni::GNI_RC_SUCCESS);
+      nic[i]->set_smsg_rx_cq(rx);
+      nic[i]->set_default_tx_cq(tx);
+      nic[i]->set_smsg_attr(ugni::gni_smsg_attr_t{});
+    }
+
+    Rng rng(3840);
+    const Counts c0 = alloc_count::now();
+    for (int a = 0; a < kNics; ++a) {
+      for (int j = 0; j < kPeers; ++j) {
+        int b = static_cast<int>(rng.next_below(kNics - 1));
+        if (b >= a) ++b;
+        ASSERT_NE(nic[a]->get_or_connect(b), nullptr);
+      }
+    }
+    const Counts c1 = alloc_count::now();
+    std::uint64_t endpoints = 0;  // none destroyed: one per bound peer
+    for (const auto* n : nic) endpoints += n->connected_peers();
+    const double per_ep = static_cast<double>(c1.news - c0.news) /
+                          static_cast<double>(endpoints);
+    std::printf("operator new per created endpoint: %.4f (%llu endpoints)\n",
+                per_ep, static_cast<unsigned long long>(endpoints));
+    EXPECT_GT(endpoints, 900'000u);
+    EXPECT_LE(per_ep, 0.1);
+
+    // Leave a message too large to stay inline in some mailboxes.
+    std::uint8_t payload[200] = {};
+    for (int a = 0; a < kNics; a += 97) {
+      ugni::gni_ep_handle_t ep = nic[a]->get_or_connect((a + 1) % kNics);
+      ASSERT_EQ(ugni::GNI_SmsgSendWTag(ep, payload, sizeof(payload), nullptr,
+                                       0, 0, 1),
+                ugni::GNI_RC_SUCCESS);
+    }
+  }
+  EXPECT_EQ(alloc_count::now().net_since(start), 0)
+      << "allocations outlived the domain";
 }
 
 // A machine destroyed while a rendezvous is in flight frees the heap

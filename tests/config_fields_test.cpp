@@ -145,7 +145,7 @@ TEST(ConfigFields, KeySetIsFrozen) {
   EXPECT_EQ(to_env_name("fault.p_post_error"), "UGNIRT_FAULT_P_POST_ERROR");
 }
 
-TEST(ConfigFields, EveryKnobReadsBackFromConfigAndEnv) {
+TEST(ConfigFields, EveryKnobReadsBackFromEnv) {
   expect_reads_every_knob<gemini::MachineConfig>();
   expect_reads_every_knob<fault::FaultPlan>();
   expect_reads_every_knob<flowcontrol::FlowConfig>();

@@ -627,7 +627,7 @@ TEST(Spans, ChromeJsonIsWellFormed) {
   EXPECT_NE(out.str().find("\"ph\":\"e\""), std::string::npos);
 }
 
-TEST(Spans, ConfigRoundTripAndEnvOverride) {
+TEST(Spans, EnvOverridesValuesSetInCode) {
   trace::SpanConfig rt;
   rt.sample = 7;
   rt.max_spans = 12345;

@@ -233,10 +233,10 @@ TEST_F(UgniPropertyFixture, DomainAggregatesMailboxMemory) {
   EXPECT_EQ(total, per * kNics);
 }
 
-/// Every live (peer, endpoint) pair the table's iteration yields.
-std::map<std::int32_t, Ep*> contents(const PeerTable& t) {
-  std::map<std::int32_t, Ep*> out;
-  t.for_each([&](std::int32_t peer, Ep* ep) {
+/// Every live (peer, endpoint index) pair the table's iteration yields.
+std::map<std::int32_t, std::uint32_t> contents(const PeerTable& t) {
+  std::map<std::int32_t, std::uint32_t> out;
+  t.for_each([&](std::int32_t peer, std::uint32_t ep) {
     EXPECT_TRUE(out.emplace(peer, ep).second) << "peer " << peer << " twice";
   });
   return out;
@@ -251,17 +251,19 @@ TEST(PeerTableProperty, MatchesMapOracleUnderSeededChurn) {
   std::vector<std::int32_t> keys;
   for (std::int32_t k = 0; k < 300; ++k) keys.push_back(k);
   for (std::int32_t k = 1; k <= 200; ++k) keys.push_back(k * 4096);
-  std::vector<std::unique_ptr<Ep>> eps;  // distinct endpoint addresses
-  for (int i = 0; i < 16; ++i) {
-    eps.push_back(std::make_unique<Ep>(nullptr, nullptr));
-  }
+  // Slab indices as an endpoint slot holds them: small ones and ones that
+  // use the top bits (the slot must keep all 32).
+  const std::uint32_t eps[] = {0,     1,         2,          3,
+                               7,     1023,      1024,       1025,
+                               65535, 65536,     1u << 20,   (1u << 24) + 5,
+                               1u << 31, 0x7fffffffu, 0xfffffff0u, kNoEp - 1};
 
   PeerTable table;
   EXPECT_EQ(table.capacity(), 0u);  // no storage before the first insert
-  EXPECT_EQ(table.find(0), nullptr);
-  EXPECT_EQ(table.erase(0), nullptr);
+  EXPECT_EQ(table.find(0), kNoEp);
+  EXPECT_EQ(table.erase(0), kNoEp);
 
-  std::map<std::int32_t, Ep*> oracle;
+  std::map<std::int32_t, std::uint32_t> oracle;
   Rng rng(20120521);
   constexpr int kSteps = 30000;
   std::size_t peak = 0;
@@ -273,10 +275,11 @@ TEST(PeerTableProperty, MatchesMapOracleUnderSeededChurn) {
     const std::int32_t key =
         keys[rng.next_below(static_cast<std::uint32_t>(keys.size()))];
     const auto it = oracle.find(key);
-    Ep* const before = it == oracle.end() ? nullptr : it->second;
+    const std::uint32_t before = it == oracle.end() ? kNoEp : it->second;
     const std::uint32_t op = rng.next_below(100);
     if (op < insert_pct) {
-      Ep* ep = eps[rng.next_below(static_cast<std::uint32_t>(eps.size()))].get();
+      const std::uint32_t ep =
+          eps[rng.next_below(static_cast<std::uint32_t>(std::size(eps)))];
       ASSERT_EQ(table.insert(key, ep), before) << "insert " << key;
       oracle[key] = ep;
     } else if (op < insert_pct + 20) {
@@ -292,7 +295,7 @@ TEST(PeerTableProperty, MatchesMapOracleUnderSeededChurn) {
       ASSERT_EQ(contents(table), oracle) << "step " << step;
       for (std::int32_t k : keys) {
         const auto o = oracle.find(k);
-        ASSERT_EQ(table.find(k), o == oracle.end() ? nullptr : o->second)
+        ASSERT_EQ(table.find(k), o == oracle.end() ? kNoEp : o->second)
             << "find " << k << " at step " << step;
       }
     }
@@ -309,6 +312,200 @@ TEST(PeerTableProperty, MatchesMapOracleUnderSeededChurn) {
   }
   EXPECT_EQ(table.size(), 0u);
   EXPECT_TRUE(contents(table).empty());
+}
+
+
+// The domain's endpoint slab.  Seeded random pairs of 64 NICs connect
+// lazily until the slab spans several chunks, and each new channel carries
+// a message too large to stay inline, so mailboxes hold heap bytes.  Every
+// endpoint keeps its address, slab index and reverse link while later
+// chunks are added; an endpoint displaced by a re-bind or destroyed by
+// GNI_EpDestroy stays readable (unlinked) until the domain dies; and the
+// domain's destructor frees every endpoint with its mailbox (the ASan
+// build's leak check fails the test on a miss).
+TEST(EpSlabProperty, AddressesAndLinksSurviveGrowthAndTeardown) {
+  constexpr int kNics = 64;
+  sim::Engine engine;
+  gemini::Network net(engine.scheduler(), topo::Torus3D::for_nodes(kNics),
+                      gemini::MachineConfig{});
+  auto dom = std::make_unique<Domain>(net);
+  sim::Context ctx(engine.scheduler(), 0);
+  sim::ScopedContext g(ctx);
+  gni_nic_handle_t nic[kNics] = {};
+  for (int i = 0; i < kNics; ++i) {
+    ASSERT_EQ(GNI_CdmAttach(dom.get(), i, i, &nic[i]), GNI_RC_SUCCESS);
+    gni_cq_handle_t rx = nullptr, tx = nullptr;
+    ASSERT_EQ(GNI_CqCreate(nic[i], 1024, &rx), GNI_RC_SUCCESS);
+    ASSERT_EQ(GNI_CqCreate(nic[i], 1024, &tx), GNI_RC_SUCCESS);
+    nic[i]->set_smsg_rx_cq(rx);
+    nic[i]->set_default_tx_cq(tx);
+    gni_smsg_attr_t attr;
+    attr.msg_maxsize = 256;
+    attr.mbox_maxcredit = 4;
+    nic[i]->set_smsg_attr(attr);
+  }
+
+  // What an endpoint must still read back after the slab has grown.
+  struct Seen {
+    Ep* ep;
+    std::uint32_t index;
+    Nic* nic;
+    std::int32_t remote;
+    Ep* reverse;
+  };
+  std::vector<Seen> seen;
+  auto record = [&](Ep* ep) {
+    seen.push_back({ep, ep->index(), ep->nic(), ep->remote_inst(),
+                    ep->reverse()});
+  };
+  auto check_all = [&](const char* when) {
+    for (const Seen& e : seen) {
+      SCOPED_TRACE(when);
+      ASSERT_EQ(dom->ep_at(e.index), e.ep) << "endpoint " << e.index;
+      ASSERT_EQ(e.ep->index(), e.index);
+      ASSERT_EQ(e.ep->nic(), e.nic);
+      ASSERT_EQ(e.ep->remote_inst(), e.remote);
+      ASSERT_EQ(e.ep->reverse(), e.reverse) << "endpoint " << e.index;
+      if (e.reverse) {
+        ASSERT_EQ(e.reverse->reverse(), e.ep);
+      }
+    }
+  };
+
+  std::vector<std::pair<int, int>> pairs;
+  for (int a = 0; a < kNics; ++a) {
+    for (int b = a + 1; b < kNics; ++b) pairs.emplace_back(a, b);
+  }
+  Rng rng(20260517);
+  for (std::size_t i = pairs.size(); i > 1; --i) {
+    std::swap(pairs[i - 1],
+              pairs[rng.next_below(static_cast<std::uint32_t>(i))]);
+  }
+
+  std::uint8_t payload[200];
+  for (std::size_t i = 0; i < sizeof(payload); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i);
+  }
+  std::size_t displaced = 0, destroyed = 0;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    auto [a, b] = pairs[p];
+    if (rng.next_below(2)) std::swap(a, b);
+    Ep* fwd = nic[a]->get_or_connect(b);
+    ASSERT_NE(fwd, nullptr);
+    Ep* rev = nic[b]->ep_for_peer(a);
+    ASSERT_NE(rev, nullptr);
+    // The first send links the pair and spills its payload to the heap.
+    ASSERT_EQ(GNI_SmsgSendWTag(fwd, payload, sizeof(payload), nullptr, 0, 0,
+                               1),
+              GNI_RC_SUCCESS);
+    ASSERT_EQ(fwd->reverse(), rev);
+    if (p % 11 == 3) {
+      // Destroyed: unlinked on both sides, unbound, still readable.
+      ASSERT_EQ(GNI_EpDestroy(rev), GNI_RC_SUCCESS);
+      EXPECT_EQ(rev->remote_inst(), -1);
+      EXPECT_EQ(nic[b]->ep_for_peer(a), nullptr);
+      ++destroyed;
+    } else if (p % 11 == 7) {
+      // Displaced by a re-bind: the old endpoint keeps its peer id but is
+      // no longer the NIC's endpoint for it, so neither side links to it.
+      Ep* fresh = nullptr;
+      ASSERT_EQ(GNI_EpCreate(nic[a], fwd->tx_cq(), &fresh), GNI_RC_SUCCESS);
+      ASSERT_EQ(GNI_EpBind(fresh, b), GNI_RC_SUCCESS);
+      EXPECT_EQ(nic[a]->ep_for_peer(b), fresh);
+      EXPECT_EQ(fwd->remote_inst(), b);
+      record(fresh);
+      ++displaced;
+    }
+    record(fwd);
+    record(rev);
+    if (p == pairs.size() / 4) check_all("after the first quarter");
+  }
+  check_all("after every pair");
+  EXPECT_GT(seen.back().index, 3 * Domain::kEpChunk);  // four chunks
+  EXPECT_GT(displaced, 100u);
+  EXPECT_GT(destroyed, 100u);
+  for (int i = 0; i < kNics; ++i) {
+    // Every NIC's live endpoints are the ones its table binds.
+    EXPECT_EQ(nic[i]->connected_peers(),
+              static_cast<std::size_t>(kNics - 1) -
+                  static_cast<std::size_t>(std::count_if(
+                      seen.begin(), seen.end(), [&](const Seen& e) {
+                        return e.nic == nic[i] && e.remote == -1;
+                      })));
+  }
+  dom.reset();  // frees every endpoint and its spilled mailbox bytes
+}
+
+
+// An endpoint keeps its mailbox geometry in narrowed fields: a ring of at
+// most Ep::kMaxMailboxCredits messages and a 32-bit byte count.
+// GNI_SmsgInit rejects attributes those cannot hold, changing nothing, and
+// accepts the limits themselves; a mailbox at the credit limit fills to it.
+TEST(SmsgInitLimits, RejectsAttrsTheEndpointCannotHold) {
+  sim::Engine engine;
+  gemini::Network net(engine.scheduler(), topo::Torus3D::for_nodes(2),
+                      gemini::MachineConfig{});
+  Domain dom(net);
+  sim::Context ctx(engine.scheduler(), 0);
+  sim::ScopedContext g(ctx);
+  gni_nic_handle_t nic[2] = {};
+  gni_cq_handle_t rx[2] = {}, tx[2] = {};
+  gni_ep_handle_t ep[2] = {};
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(GNI_CdmAttach(&dom, i, i, &nic[i]), GNI_RC_SUCCESS);
+    ASSERT_EQ(GNI_CqCreate(nic[i], 1 << 16, &rx[i]), GNI_RC_SUCCESS);
+    ASSERT_EQ(GNI_CqCreate(nic[i], 16, &tx[i]), GNI_RC_SUCCESS);
+    nic[i]->set_smsg_rx_cq(rx[i]);
+  }
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(GNI_EpCreate(nic[i], tx[i], &ep[i]), GNI_RC_SUCCESS);
+    ASSERT_EQ(GNI_EpBind(ep[i], 1 - i), GNI_RC_SUCCESS);
+  }
+
+  constexpr std::uint32_t kMax = Ep::kMaxMailboxCredits;
+  static_assert(kMax == 32768);
+  auto attr = [](std::uint32_t maxsize, std::uint32_t credits) {
+    gni_smsg_attr_t a;
+    a.msg_maxsize = maxsize;
+    a.mbox_maxcredit = credits;
+    return a;
+  };
+  const gni_smsg_attr_t ok = attr(8, kMax);
+  EXPECT_EQ(GNI_SmsgInit(ep[0], attr(8, kMax + 1), ok), GNI_RC_INVALID_PARAM);
+  EXPECT_EQ(GNI_SmsgInit(ep[0], ok, attr(8, kMax + 1)), GNI_RC_INVALID_PARAM);
+  // (2^31 + 16) * 2 and (2^32 - 1 + 16) * 1 bytes: over 4 GiB.
+  EXPECT_EQ(GNI_SmsgInit(ep[0], attr(1u << 31, 2), ok), GNI_RC_INVALID_PARAM);
+  EXPECT_EQ(GNI_SmsgInit(ep[0], attr(UINT32_MAX, 1), ok),
+            GNI_RC_INVALID_PARAM);
+  EXPECT_EQ(nic[0]->mailbox_bytes(), 0u);
+  EXPECT_EQ(dom.smsg_channels(), 0u);
+
+  // The largest mailbox that fits: 32768 * (131055 + 16) = 2^32 - 32768.
+  ASSERT_EQ(GNI_SmsgInit(ep[0], attr(131055, kMax), ok), GNI_RC_SUCCESS);
+  EXPECT_EQ(nic[0]->mailbox_bytes(), 4294934528u);
+  EXPECT_EQ(GNI_SmsgInit(ep[0], ok, ok), GNI_RC_INVALID_STATE);
+  ASSERT_EQ(GNI_SmsgInit(ep[1], ok, ok), GNI_RC_SUCCESS);
+
+  // kMax credits fill ep[0]'s ring to its capacity, and no further.
+  const std::uint8_t byte = 5;
+  for (std::uint32_t i = 0; i < kMax; ++i) {
+    ASSERT_EQ(GNI_SmsgSendWTag(ep[1], &byte, 1, nullptr, 0, 0, 1),
+              GNI_RC_SUCCESS)
+        << "send " << i;
+  }
+  EXPECT_EQ(GNI_SmsgSendWTag(ep[1], &byte, 1, nullptr, 0, 0, 1),
+            GNI_RC_NOT_DONE);
+  ctx.wait_until(ctx.now() + 1'000'000'000);
+  for (std::uint32_t i = 0; i < kMax; ++i) {
+    void* data = nullptr;
+    std::uint8_t tag = 0;
+    ASSERT_EQ(GNI_SmsgGetNextWTag(ep[0], &data, &tag), GNI_RC_SUCCESS);
+    ASSERT_EQ(*static_cast<std::uint8_t*>(data), byte);
+    ASSERT_EQ(GNI_SmsgRelease(ep[0]), GNI_RC_SUCCESS);
+  }
+  void* data = nullptr;
+  std::uint8_t tag = 0;
+  EXPECT_EQ(GNI_SmsgGetNextWTag(ep[0], &data, &tag), GNI_RC_NOT_DONE);
 }
 
 }  // namespace

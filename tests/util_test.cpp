@@ -105,7 +105,7 @@ TEST(Rng, ExponentialHasRoughlyRightMean) {
 // --------------------------------------------------------------- config ----
 
 // parse_into leaves the field alone when the text does not parse.
-TEST(Config, TypedGettersRejectGarbage) {
+TEST(ParseInto, NumbersRejectGarbageAndKeepTheField) {
   std::int64_t i = 7;
   double d = 7.5;
   EXPECT_FALSE(parse_into("notanumber", i));
@@ -115,7 +115,7 @@ TEST(Config, TypedGettersRejectGarbage) {
   EXPECT_EQ(d, 7.5);
 }
 
-TEST(Config, BoolParsing) {
+TEST(ParseInto, BoolSpellingsAndUnparsableKeepsTheField) {
   bool b = false;
   EXPECT_TRUE(parse_into("true", b) && b);
   EXPECT_TRUE(parse_into("FALSE", b) && !b);
