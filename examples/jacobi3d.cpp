@@ -171,15 +171,16 @@ void Block::send_faces() {
     head->step = step_;
     head->face = d.their_face;
     head->count = n * n;
-    auto* out = reinterpret_cast<double*>(buf.data() + sizeof(FaceHead));
-    // Extract my boundary plane facing this neighbor.
+    // Extract my boundary plane facing this neighbor.  The doubles follow
+    // a 12-byte header, so they are copied, not stored in place.
+    std::uint8_t* out = buf.data() + sizeof(FaceHead);
     for (int b2 = 1; b2 <= n; ++b2) {
       for (int b1 = 1; b1 <= n; ++b1) {
         double v = 0;
         if (d.dx != 0) v = at(cur_, d.dx < 0 ? 1 : n, b1, b2);
         if (d.dy != 0) v = at(cur_, b1, d.dy < 0 ? 1 : n, b2);
         if (d.dz != 0) v = at(cur_, b1, b2, d.dz < 0 ? 1 : n);
-        out[(b2 - 1) * n + (b1 - 1)] = v;
+        std::memcpy(out + ((b2 - 1) * n + (b1 - 1)) * sizeof v, &v, sizeof v);
       }
     }
     g_->blocks->invoke(nb, kMethodFace, buf.data(),
@@ -201,12 +202,12 @@ void Block::receive(int method, const void* payload, std::uint32_t bytes) {
     return;
   }
   assert(head.step == step_);
-  const auto* in = reinterpret_cast<const double*>(
-      static_cast<const std::uint8_t*>(payload) + sizeof(FaceHead));
+  const auto* in = static_cast<const std::uint8_t*>(payload) + sizeof(FaceHead);
   const int n = g_->n;
   for (int b2 = 1; b2 <= n; ++b2) {
     for (int b1 = 1; b1 <= n; ++b1) {
-      double v = in[(b2 - 1) * n + (b1 - 1)];
+      double v = 0;
+      std::memcpy(&v, in + ((b2 - 1) * n + (b1 - 1)) * sizeof v, sizeof v);
       switch (head.face) {
         case kFaceXlo: at(cur_, 0, b1, b2) = v; break;
         case kFaceXhi: at(cur_, n + 1, b1, b2) = v; break;

@@ -21,7 +21,11 @@
 //     only a lock-and-enqueue cost to send;
 //   * the comm thread is a serialization point: at high message rates it
 //     saturates before independent per-PE NICs would (the known SMP-mode
-//     trade-off; see ablation_smp).
+//     trade-off; see ablation_smp);
+//   * while workers' messages are queued but not yet ready, or its SMSG
+//     backlog waits for credits, the comm thread spins on its CQs.  Its
+//     idle spin steps are computed, not run one engine event each
+//     (DESIGN.md §2.1).
 //
 // Data messages carry the destination worker as a 4-byte SMSG header and
 // INIT_TAG names it, so the receiving comm thread knows whom to deliver
@@ -86,7 +90,25 @@ class SmpLayer final : public converse::MachineLayer,
   }
   void ensure_domain(converse::Machine& m);
   void comm_wake(NodeState& n, SimTime t);
+  void comm_arm(NodeState& n, SimTime when);
   void comm_step(NodeState& n, SimTime t);
+  SimTime spin_step(const NodeState& n, SimTime j) const;
+  SimTime spin_index(const NodeState& n, SimTime t) const;
+  /// The first spin step after step 0 that starts at or after `t`.
+  SimTime spin_step_from(const NodeState& n, SimTime t) const;
+  void wake_at(NodeState& n, SimTime at);
+  /// comm_wake while asleep.  `step_ran`: a spin step due exactly now has
+  /// run before this wake (else it runs after it).
+  void sleeping_wake(NodeState& n, SimTime t, bool step_ran);
+  /// A CQ entry was pushed that the polls of spin steps starting at or
+  /// after `t` see.
+  void cq_pushed(NodeState& n, SimTime t);
+  /// An SMSG credit came back now; the peer released it at `released`.
+  void credit_returned(NodeState& n, SimTime released);
+
+  /// CQ poll cost, and the cost of an idle comm step (one poll per CQ).
+  SimTime poll_ns_ = 0;
+  SimTime idle_step_ns_ = 0;
 
   /// Host bytes of every node pool; declared first so it outlives them.
   mempool::HostArena arena_;

@@ -262,15 +262,18 @@ class UgniCore {
 
   /// Attach `ep` to the NIC of instance `inst` on `node` with the job's
   /// CQ size and mailbox geometry (or a MSGQ in MSGQ mode), routing every
-  /// NIC notification to `notify`.
-  void open(Endpoint& ep, int inst, int node,
-            const std::function<void(SimTime)>& notify) {
+  /// NIC notification, credit returns included, to `notify(SimTime)`.
+  template <typename Notify>
+  void open(Endpoint& ep, int inst, int node, Notify notify) {
     const auto& mc = machine_->options().mc;
     ugni::gni_smsg_attr_t attr;
     attr.msg_maxsize = smsg_cap_;
     attr.mbox_maxcredit = mc.smsg_mailbox_credits;
     ugni::open_endpoint(*domain_, inst, node, mc.cq_entries, attr, use_msgq_,
                         notify, ep);
+    // Captured by value, not as a std::function, so the hook stays inline.
+    ep.nic->set_credit_notify(
+        [notify](SimTime now, SimTime /*released*/) { notify(now); });
   }
 
   /// Endpoint to NIC instance `peer`, connecting on first touch.

@@ -44,7 +44,6 @@ void open_endpoint(Domain& domain, int inst, int node,
   ep.nic->set_smsg_attr(attr);
   ep.rx_cq->set_notify(notify);
   ep.tx_cq->set_notify(notify);
-  ep.nic->set_credit_notify(notify);  // retry stalled sends on credit return
   if (use_msgq) {
     check(GNI_MsgqInit(ep.nic, 256 * 1024, &ep.msgq), "GNI_MsgqInit");
     ep.msgq->set_notify(notify);

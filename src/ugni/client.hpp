@@ -8,7 +8,8 @@
 //
 //   * open_endpoint / connect: attach a NIC, create its RX and TX CQs,
 //     record the mailbox geometry that lazily created channels use, route
-//     every NIC notification to one hook; first-touch channel setup.
+//     every CQ and MSGQ notification to one hook; first-touch channel
+//     setup.
 //   * Retry: real uGNI code treats GNI_RC_NOT_DONE, GNI_RC_ERROR_RESOURCE
 //     and GNI_RC_TRANSACTION_ERROR as transient (credits return, CQ space
 //     frees, the adapter retransmits).  Such failures are retried with
@@ -79,8 +80,10 @@ struct ClientEndpoint {
 /// Attach `ep` to the NIC of instance `inst` on `node`, create its two CQs
 /// of `cq_entries`, record `attr` as the mailbox geometry of every channel
 /// get_or_connect will create (and a shared MSGQ instead when `use_msgq`),
-/// and route every NIC notification to `notify` (may be empty).  Channel
-/// setup stays lazy; nothing here is O(peers).
+/// and route every CQ and MSGQ notification to `notify` (may be empty).
+/// The caller sets the NIC's credit notify (Nic::set_credit_notify), which
+/// retries stalled sends.  Channel setup stays lazy; nothing here is
+/// O(peers).
 void open_endpoint(Domain& domain, int inst, int node,
                    std::uint32_t cq_entries, const gni_smsg_attr_t& attr,
                    bool use_msgq, const std::function<void(SimTime)>& notify,

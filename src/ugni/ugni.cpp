@@ -96,17 +96,21 @@ void Cq::push(SimTime at, gni_cq_entry_t entry) {
     overrun_ = true;
     ++dropped_events_;
     if (forced) emit_fault(at, entry.source_inst, 0);
+    if (push_notify_) push_notify_(nic_->domain()->scheduler().now());
     if (notify_) {
       nic_->domain()->scheduler().schedule_at(at, [this, at] { notify_(at); });
     }
     return;
   }
-  if (entries_.size() + 1 > max_depth_) max_depth_ = entries_.size() + 1;
+  if (entries_.size() + 1 > max_depth_) {
+    max_depth_ = static_cast<std::uint32_t>(entries_.size() + 1);
+  }
   // Insert keeping arrival order (usually appends; out-of-order arrivals
   // happen when a short transfer overtakes a long one).
   std::size_t pos = entries_.size();
   while (pos > 0 && entries_[pos - 1].at > at) --pos;
   entries_.insert(pos, Timed{at, entry});
+  if (push_notify_) push_notify_(at);
   if (notify_) {
     nic_->domain()->scheduler().schedule_at(
         at, [this, at] { notify_(at); });
@@ -131,7 +135,10 @@ Ep* Domain::emplace_ep(Nic* nic, Cq* tx_cq) {
   if (i % kEpChunk == 0) {
     ep_chunks_.push_back(std::make_unique_for_overwrite<EpCell[]>(kEpChunk));
   }
-  Ep* ep = new (ep_chunks_.back()[i % kEpChunk].bytes) Ep(nic, tx_cq, i);
+  assert((!tx_cq || cq_at(tx_cq->index()) == tx_cq) &&
+         "an endpoint's TX CQ belongs to its domain");
+  Ep* ep = new (ep_chunks_.back()[i % kEpChunk].bytes)
+      Ep(nic, tx_cq ? tx_cq->index() : kNoCq, i);
   ++n_eps_;
   return ep;
 }
@@ -206,13 +213,22 @@ void PeerTable::grow() {
   }
 }
 
+std::uint64_t Ep::mbox_bytes() const {
+  gni_smsg_attr_t local;
+  local.msg_maxsize = local_maxsize_;
+  local.mbox_maxcredit = local_credits_;
+  return mailbox_size(local);
+}
+
 Ep* Ep::resolve_reverse() {
   Domain* dom = nic_->domain();
   if (reverse_ != kNoEp) return dom->ep_at(reverse_);
   Nic* remote = dom->nic_by_inst(remote_inst_);
   if (!remote) return nullptr;
   Ep* rev = remote->ep_for_peer(nic_->inst_id());
-  if (rev && nic_->ep_for_peer(remote_inst_) == this) {
+  if (!rev || !smsg_ready() || !rev->smsg_ready()) return rev;
+  if (!smsg_agrees(*rev)) return nullptr;
+  if (nic_->ep_for_peer(remote_inst_) == this) {
     reverse_ = rev->index_;
     rev->reverse_ = index_;
   }
@@ -315,7 +331,9 @@ gni_return_t GNI_CdmAttach(Domain* domain, std::int32_t inst_id, int node,
 gni_return_t GNI_CqCreate(gni_nic_handle_t nic, std::uint32_t entry_count,
                           gni_cq_handle_t* cq_out) {
   if (!nic || !cq_out || entry_count == 0) return GNI_RC_INVALID_PARAM;
-  nic->domain()->cqs_.push_back(std::make_unique<Cq>(nic, entry_count));
+  auto& cqs = nic->domain()->cqs_;
+  cqs.push_back(std::make_unique<Cq>(
+      nic, entry_count, static_cast<std::uint32_t>(cqs.size())));
   *cq_out = nic->domain()->cqs_.back().get();
   return GNI_RC_SUCCESS;
 }
@@ -359,7 +377,7 @@ gni_return_t GNI_CqErrorRecover(gni_cq_handle_t cq,
     while (pos > 0 && q[pos - 1].at > at) --pos;
     q.insert(pos, Cq::Timed{at, entry});
     if (cq->entries_.size() > cq->max_depth_) {
-      cq->max_depth_ = cq->entries_.size();
+      cq->max_depth_ = static_cast<std::uint32_t>(cq->entries_.size());
     }
     ++recovered;
   };
@@ -407,7 +425,7 @@ gni_return_t GNI_CqErrorRecover(gni_cq_handle_t cq,
   // not recoverable — nothing on the receiving NIC records them.
   bool serves_tx = false;
   nic->peer_eps_.for_each([&](std::int32_t, std::uint32_t ep) {
-    serves_tx = serves_tx || dom->ep_at(ep)->tx_cq_ == cq;
+    serves_tx = serves_tx || dom->ep_at(ep)->tx_cq_ == cq->index();
   });
   if (serves_tx) {
     for (const auto& [internal, desc] : nic->completed_) {
@@ -528,10 +546,10 @@ gni_return_t GNI_EpDestroy(gni_ep_handle_t ep) {
   if (ep->smsg_ready()) {
     // Tearing down an initialized channel releases its receive mailbox:
     // the accounting must track *established* channels, not history.
-    ep->nic_->mailbox_bytes_ -= ep->mbox_bytes_;
-    dom->total_mailbox_bytes_ -= ep->mbox_bytes_;
+    ep->nic_->mailbox_bytes_ -= ep->mbox_bytes();
+    dom->total_mailbox_bytes_ -= ep->mbox_bytes();
     --dom->smsg_channels_;
-    ep->mbox_bytes_ = 0;
+    ep->local_maxsize_ = 0;
   }
   // Only endpoints bound in their NIC's table are ever linked.
   if (ep->bound()) {
@@ -549,16 +567,18 @@ gni_return_t GNI_SmsgInit(gni_ep_handle_t ep, const gni_smsg_attr_t& local,
   if (local.msg_maxsize == 0 || local.mbox_maxcredit == 0) {
     return GNI_RC_INVALID_PARAM;
   }
-  // A mailbox ring holds at most kMaxMailboxCredits messages, and an
-  // endpoint keeps its mailbox size in 32 bits.
+  // A mailbox ring holds at most kMaxMailboxCredits messages, and a
+  // mailbox is at most 4 GiB.
   const std::uint64_t mbox = mailbox_size(local);
   if (local.mbox_maxcredit > Ep::kMaxMailboxCredits ||
       remote.mbox_maxcredit > Ep::kMaxMailboxCredits || mbox > UINT32_MAX) {
     return GNI_RC_INVALID_PARAM;
   }
-  ep->mbox_bytes_ = static_cast<std::uint32_t>(mbox);
+  ep->local_maxsize_ = local.msg_maxsize;
+  ep->local_credits_ = static_cast<std::uint16_t>(local.mbox_maxcredit);
   ep->remote_maxsize_ = remote.msg_maxsize;
-  ep->credits_ = remote.mbox_maxcredit;
+  ep->remote_credits_ = static_cast<std::uint16_t>(remote.mbox_maxcredit);
+  ep->credits_ = ep->remote_credits_;
   // The mailbox for the *local* receive side is allocated and registered on
   // this NIC; memory grows linearly with *connected* peers (paper §II-B) —
   // under lazy setup that is the active pairs, never the job size.
@@ -690,10 +710,12 @@ gni_return_t GNI_SmsgRelease(gni_ep_handle_t ep) {
     SimTime at = ctx().now() + prop;
     // Never clamped, so the event fires with the engine clock at `at`.
     assert(at >= dom->scheduler().now());
-    dom->scheduler().schedule_at(at, [sender_ep, remote] {
+    const SimTime released = dom->scheduler().now();
+    dom->scheduler().schedule_at(at, [sender_ep, released] {
       ++sender_ep->credits_;
-      if (remote->credit_notify_) {
-        remote->credit_notify_(remote->domain()->scheduler().now());
+      Nic* sender = sender_ep->nic_;
+      if (sender->credit_notify_) {
+        sender->credit_notify_(sender->domain()->scheduler().now(), released);
       }
     });
   }

@@ -246,8 +246,10 @@ gni_return_t GNI_EpBind(gni_ep_handle_t ep, std::int32_t remote_inst_id);
 /// Returns: SUCCESS | INVALID_PARAM (null ep).
 gni_return_t GNI_EpDestroy(gni_ep_handle_t ep);
 
-/// Set up the SMSG channel on this endpoint (both sides must agree; the
-/// emulation validates that attrs match when traffic first flows).
+/// Set up the SMSG channel on this endpoint.  Both sides must agree: each
+/// side's `remote` must be the other's `local`.  The emulation checks this
+/// when the pair first links (the first send); a pair that disagrees never
+/// links, and its sends fail with INVALID_STATE.
 /// Returns: SUCCESS | INVALID_PARAM (null/unbound ep, zero-credit attrs) |
 /// INVALID_STATE (already initialized).
 gni_return_t GNI_SmsgInit(gni_ep_handle_t ep, const gni_smsg_attr_t& local,
@@ -255,7 +257,8 @@ gni_return_t GNI_SmsgInit(gni_ep_handle_t ep, const gni_smsg_attr_t& local,
 
 /// Send header+payload as one short message with a tag.
 /// Returns: SUCCESS | INVALID_PARAM (null/unbound ep, missing peer) |
-/// INVALID_STATE (channel not SmsgInit'ed) | SIZE_ERROR (hdr+data exceeds
+/// INVALID_STATE (channel not SmsgInit'ed on both sides, or the two sides'
+/// GNI_SmsgInit attributes disagree) | SIZE_ERROR (hdr+data exceeds
 /// msg_maxsize) | NOT_DONE (out of mailbox credits — transient; retry
 /// after the peer releases, or demote to rendezvous) | ERROR_RESOURCE
 /// (SSID pool exhausted — transient; back off and retry).
@@ -346,12 +349,15 @@ gni_return_t post_transaction(Ep* ep, gni_post_descriptor_t* desc,
 /// so the simulated runtime can wake an idle PE when an event lands.
 class Cq {
  public:
-  Cq(Nic* nic, std::uint32_t capacity) : nic_(nic), capacity_(capacity) {}
+  Cq(Nic* nic, std::uint32_t capacity, std::uint32_t index)
+      : nic_(nic), capacity_(capacity), index_(index) {}
 
   bool empty() const { return entries_.empty(); }
   std::size_t depth() const { return entries_.size(); }
   bool overrun() const { return overrun_; }
   Nic* nic() const { return nic_; }
+  /// This CQ's slot in its domain (Domain::cq_at).
+  std::uint32_t index() const { return index_; }
 
   /// High-water mark of queued events (CQ sizing / introspection).
   std::size_t max_depth() const { return max_depth_; }
@@ -366,6 +372,14 @@ class Cq {
 
   /// Invoked (at event-arrival virtual time) whenever an entry is pushed.
   void set_notify(std::function<void(SimTime)> fn) { notify_ = std::move(fn); }
+  /// Invoked when an entry is pushed, at push time, with its arrival time
+  /// (for a push that overruns the queue, the engine time: any later poll
+  /// sees the overrun).  A runtime that stops polling while it waits uses
+  /// it to wake for the first poll that would see the entry, which the
+  /// arrival-time notify can come after.
+  void set_push_notify(std::function<void(SimTime)> fn) {
+    push_notify_ = std::move(fn);
+  }
 
  private:
   UGNIRT_UGNI_API_FRIENDS
@@ -379,15 +393,19 @@ class Cq {
 
   Nic* nic_;
   std::uint32_t capacity_;
+  std::uint32_t index_;
+  std::uint32_t max_depth_ = 0;
   bool overrun_ = false;
-  std::size_t max_depth_ = 0;
   std::uint64_t dropped_events_ = 0;
   RingFifo<Timed> entries_;  // kept sorted by arrival time
   std::function<void(SimTime)> notify_;
+  std::function<void(SimTime)> push_notify_;
 };
 
 /// Slab index of no endpoint (an empty peer-table slot, an unlinked pair).
 constexpr std::uint32_t kNoEp = UINT32_MAX;
+/// Domain index of no CQ (an endpoint created without a TX CQ).
+constexpr std::uint32_t kNoCq = UINT32_MAX;
 
 /// Endpoint: the addressing object for one remote NIC instance, and the
 /// local side of its SMSG channel.  Endpoints live in their domain's slab
@@ -400,7 +418,7 @@ class alignas(64) Ep {
   Ep& operator=(const Ep&) = delete;
 
   Nic* nic() const { return nic_; }
-  Cq* tx_cq() const { return tx_cq_; }
+  inline Cq* tx_cq() const;
   std::int32_t remote_inst() const { return remote_inst_; }
   bool bound() const { return remote_inst_ >= 0; }
   /// This endpoint's slot in its domain's slab.
@@ -428,31 +446,46 @@ class alignas(64) Ep {
   UGNIRT_UGNI_API_FRIENDS
   friend class Domain;  // the only constructor of endpoints
 
-  Ep(Nic* nic, Cq* tx_cq, std::uint32_t index)
+  Ep(Nic* nic, std::uint32_t tx_cq, std::uint32_t index)
       : nic_(nic), tx_cq_(tx_cq), index_(index) {}
 
-  /// GNI_SmsgInit has set up the channel (it rejects zero-byte mailboxes).
-  bool smsg_ready() const { return mbox_bytes_ != 0; }
+  /// GNI_SmsgInit has set up the channel (it rejects zero-size messages).
+  bool smsg_ready() const { return local_maxsize_ != 0; }
+  /// Bytes of this side's receive mailbox.
+  std::uint64_t mbox_bytes() const;
+  /// Both sides' GNI_SmsgInit attributes describe the same channel.
+  bool smsg_agrees(const Ep& rev) const {
+    return remote_maxsize_ == rev.local_maxsize_ &&
+           remote_credits_ == rev.local_credits_ &&
+           rev.remote_maxsize_ == local_maxsize_ &&
+           rev.remote_credits_ == local_credits_;
+  }
   /// The reverse endpoint: the link when set, else a lookup through the
-  /// remote NIC that links the pair when this is the endpoint its NIC has
-  /// bound to the peer.  nullptr when the peer has no endpoint bound back.
+  /// remote NIC.  The lookup links the pair when this is the endpoint its
+  /// NIC has bound to the peer and both sides are SmsgInit'ed.  nullptr
+  /// when the peer has no endpoint bound back, or when both sides are
+  /// SmsgInit'ed and disagree (smsg_agrees).
   Ep* resolve_reverse();
   /// Break the reverse link on both sides.
   inline void unlink();
 
   Nic* nic_;
-  Cq* tx_cq_;
+  std::uint32_t tx_cq_;  // Cq::index() in the domain, or kNoCq
   std::int32_t remote_inst_ = -1;
   std::uint32_t index_;
   // Linked in pairs: a.reverse_ == b.index_ exactly when b.reverse_ ==
   // a.index_, and only while each is the endpoint its NIC has bound to
   // the other.
   std::uint32_t reverse_ = kNoEp;
-  // SMSG channel side, set by GNI_SmsgInit.
-  std::uint32_t credits_ = 0;         // remaining send credits
-  SimTime last_arrival_ = 0;          // FIFO: later sends never arrive earlier
-  std::uint32_t remote_maxsize_ = 0;  // payload cap of the peer's mailbox
-  std::uint32_t mbox_bytes_ = 0;      // this side's receive mailbox; 0: none
+  SimTime last_arrival_ = 0;  // FIFO: later sends never arrive earlier
+  // SMSG channel side, set by GNI_SmsgInit: this side's mailbox (local)
+  // and the peer's mailbox as this side was told of it (remote).  Credits
+  // fit 16 bits because a mailbox holds at most kMaxMailboxCredits.
+  std::uint32_t local_maxsize_ = 0;  // 0: no mailbox
+  std::uint32_t remote_maxsize_ = 0;
+  std::uint16_t local_credits_ = 0;
+  std::uint16_t remote_credits_ = 0;
+  std::uint16_t credits_ = 0;  // remaining send credits
   Mailbox rx_;
 };
 static_assert(sizeof(Ep) == 64, "an endpoint is one cache line");
@@ -595,10 +628,12 @@ class Nic {
   Msgq* msgq() const { return msgq_; }
   void set_msgq(Msgq* q) { msgq_ = q; }
 
-  /// Invoked (at credit-return virtual time) when a peer releases one of
-  /// our in-flight SMSG messages, so a runtime with back-pressured sends
-  /// can wake up and retry.
-  void set_credit_notify(std::function<void(SimTime)> fn) {
+  /// Invoked (at credit-return virtual time `now`) when a peer releases
+  /// one of our in-flight SMSG messages, so a runtime with back-pressured
+  /// sends can wake up and retry.  `released` is the engine time of the
+  /// release, when the return was queued.
+  void set_credit_notify(
+      std::function<void(SimTime now, SimTime released)> fn) {
     credit_notify_ = std::move(fn);
   }
 
@@ -630,7 +665,7 @@ class Nic {
   std::uint64_t registered_bytes_ = 0;
   std::uint64_t mailbox_bytes_ = 0;
   PeerTable peer_eps_;  // bound endpoints
-  std::function<void(SimTime)> credit_notify_;
+  std::function<void(SimTime, SimTime)> credit_notify_;
   // Descriptors completed but not yet claimed via GNI_GetCompleted.
   std::vector<std::pair<std::uint64_t, gni_post_descriptor_t*>> completed_;
   std::uint64_t next_internal_post_id_ = 1;
@@ -676,6 +711,9 @@ class Domain {
   /// Endpoints per slab chunk (64 KiB).
   static constexpr std::uint32_t kEpChunk = 1024;
 
+  /// The CQ with Cq::index() `i`.
+  Cq* cq_at(std::uint32_t i) const { return cqs_[i].get(); }
+
   /// Publish domain-wide gauges: ugni.mailbox_bytes, ugni.registered_bytes,
   /// ugni.active_regions, cq.max_depth, cq.dropped_events.  The network
   /// publishes its own rows (Machine::collect_metrics runs both).
@@ -702,6 +740,10 @@ class Domain {
   std::uint64_t total_mailbox_bytes_ = 0;
   std::uint64_t smsg_channels_ = 0;
 };
+
+inline Cq* Ep::tx_cq() const {
+  return tx_cq_ == kNoCq ? nullptr : nic_->domain()->cq_at(tx_cq_);
+}
 
 inline Ep* Ep::reverse() const {
   return reverse_ == kNoEp ? nullptr : nic_->domain()->ep_at(reverse_);

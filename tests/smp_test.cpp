@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -202,6 +203,256 @@ TEST(SmpLayer, EarlierCommWakeSupersedesThePendingStep) {
   EXPECT_EQ(both.comm_sends, 2u);
   EXPECT_EQ(both.early_at, alone.early_at);
   EXPECT_LT(both.early_at, both.late_at);
+}
+
+// Grid exactness of the comm thread's idle spin.  Nodes of two workers,
+// two nodes unless a test asks for more.  A send waits on its PE's clock
+// until `at` and then enqueues, so its ready time runs ahead of the
+// engine.  Node 0's comm thread takes PE 0's first message at once and
+// then spins on a later one: each spin step polls both CQs (120 ns) and
+// steps again.  The delivery times and busy-defer counts below were read
+// off a comm thread that ran every spin step; one that sleeps through its
+// idle steps must reach them exactly.
+struct GridSend {
+  int src;
+  int dest;
+  SimTime at;  // after the machine's start time
+  int after = -1;  // sent by the handler of this earlier send; -1: at start
+  std::uint32_t bytes = 4;
+};
+
+struct GridRun {
+  std::vector<SimTime> delivered;  // per send, after the start time
+  std::uint64_t busy_defers = 0;
+};
+
+GridRun run_grid(const std::vector<GridSend>& sends, int pes = 4) {
+  auto m = lrts::make_machine(LayerKind::kUgni, smp_opts(pes, 2));
+  GridRun r;
+  r.delivered.assign(sends.size(), -1);
+  SimTime t0 = 0;
+  for (int pe = 0; pe < pes; ++pe) t0 = std::max(t0, m->pe(pe).ctx().now());
+  int h = -1;
+  // Make every send of `pe` that follows `after`, in order.
+  auto send_from = [&sends, &h, t0](int pe, int after) {
+    sim::Context& ctx = converse::Machine::running()->current_pe().ctx();
+    for (std::uint32_t i = 0; i < sends.size(); ++i) {
+      if (sends[i].src != pe || sends[i].after != after) continue;
+      ctx.wait_until(t0 + sends[i].at);
+      const std::uint32_t total = kCmiHeaderBytes + sends[i].bytes;
+      void* msg = CmiAlloc(total);
+      std::memcpy(converse::payload_of(msg), &i, sizeof i);
+      CmiSetHandler(msg, h);
+      CmiSyncSendAndFree(sends[i].dest, total, msg);
+    }
+  };
+  h = m->register_handler([&r, &send_from, t0](void* msg) {
+    std::uint32_t i = 0;
+    std::memcpy(&i, converse::payload_of(msg), sizeof i);
+    CmiFree(msg);
+    r.delivered[i] =
+        converse::Machine::running()->current_pe().ctx().now() - t0;
+    send_from(CmiMyPe(), static_cast<int>(i));
+  });
+  for (int pe = 0; pe < pes; ++pe) {
+    m->start(pe, [&send_from, pe] { send_from(pe, -1); });
+  }
+  m->run();
+  r.busy_defers = m->metrics().counter("smp.comm_thread_busy_defers").value();
+  return r;
+}
+
+TEST(SmpCommSpin, ReadyTimeFarAheadOnTheGridAndJustPastIt) {
+  // PE 0's second message is ready at `at`.  Node 0's comm thread spins
+  // from about 3.5 us; a ready time of 4,160 ns is exactly the end of a
+  // spin step, so that step takes it, and 1 ns later waits one step more.
+  const GridRun far = run_grid({{0, 2, 0}, {0, 2, 50000}});
+  EXPECT_EQ(far.delivered[0], 5322);
+  EXPECT_EQ(far.delivered[1], 52242);
+  EXPECT_EQ(far.busy_defers, 388u);
+  const GridRun on = run_grid({{0, 2, 0}, {0, 2, 4160}});
+  EXPECT_EQ(on.delivered[1], 6402);
+  EXPECT_EQ(on.busy_defers, 6u);
+  const GridRun past = run_grid({{0, 2, 0}, {0, 2, 4161}});
+  EXPECT_EQ(past.delivered[1], 6522);
+  EXPECT_EQ(past.busy_defers, 7u);
+}
+
+TEST(SmpCommSpin, ArrivalMidSleepIsSeenByTheFirstPollAfterIt) {
+  // PE 3 (node 1) sends to PE 1 while node 0's comm thread waits on PE 0's
+  // second message.  Sent 1 ns later, it lands 1 ns past a spin step's RX
+  // poll and is taken one step later.
+  const GridRun on = run_grid({{0, 2, 0}, {0, 2, 50000}, {3, 1, 9152}});
+  EXPECT_EQ(on.delivered[1], 52359);
+  EXPECT_EQ(on.delivered[2], 11367);
+  EXPECT_EQ(on.busy_defers, 424u);
+  const GridRun past = run_grid({{0, 2, 0}, {0, 2, 50000}, {3, 1, 9153}});
+  EXPECT_EQ(past.delivered[1], 52359);
+  EXPECT_EQ(past.delivered[2], 11487);
+  EXPECT_EQ(past.busy_defers, 425u);
+  // The same for a 32 KiB rendezvous: node 0's GET completes on its TX CQ
+  // while it waits.
+  const GridRun get_on =
+      run_grid({{0, 2, 0}, {0, 2, 50000}, {3, 1, 9032, -1, 32768}});
+  EXPECT_EQ(get_on.delivered[1], 92122);
+  EXPECT_EQ(get_on.delivered[2], 99768);
+  EXPECT_EQ(get_on.busy_defers, 753u);
+  const GridRun get_past =
+      run_grid({{0, 2, 0}, {0, 2, 50000}, {3, 1, 9033, -1, 32768}});
+  EXPECT_EQ(get_past.delivered[1], 92242);
+  EXPECT_EQ(get_past.delivered[2], 99888);
+  EXPECT_EQ(get_past.busy_defers, 755u);
+}
+
+TEST(SmpCommSpin, EnqueueWhileWaitingMovesTheNextStepEarlier) {
+  // PE 1 handles two pointer messages from PE 0 in two scheduler steps;
+  // the first runs its clock to 20 us, so the second enqueues a send to
+  // PE 3 at about that engine time, while node 0's comm thread waits on
+  // PE 0's message ready at 50 us.
+  auto run = [](SimTime at) {
+    return run_grid({{0, 2, 0},
+                     {0, 1, 0},
+                     {0, 1, 0},
+                     {0, 2, 50000},
+                     {1, 0, 20000, 1},
+                     {1, 3, at, 2}});
+  };
+  const GridRun on = run(21080);
+  EXPECT_EQ(on.delivered[3], 52242);
+  EXPECT_EQ(on.delivered[5], 23322);
+  EXPECT_EQ(on.busy_defers, 385u);
+  const GridRun past = run(21081);
+  EXPECT_EQ(past.delivered[3], 52242);
+  EXPECT_EQ(past.delivered[5], 23442);
+  EXPECT_EQ(past.busy_defers, 385u);
+}
+
+TEST(SmpCommSpin, CreditReturnOnASpinStepsNanosecond) {
+  // Four nodes.  PE 0 sends 12 messages to PE 2, so 4 wait in node 0's
+  // backlog for credits, and node 1's comm thread returns them late: at
+  // `at` PE 2 sends 8 messages to each other node.  With PE 2 starting at
+  // 254 ns, a credit comes back on the very nanosecond of one of node 0's
+  // 620 ns backlog retries.  The credit was released after that retry was
+  // queued, so the retry runs first and finds no credit, and the thread
+  // steps once more than if the credit had come first.
+  auto run = [](SimTime at) {
+    std::vector<GridSend> sends(12, GridSend{0, 2, 0});
+    for (int dest : {0, 4, 6}) {
+      for (int i = 0; i < 8; ++i) sends.push_back({2, dest, at});
+    }
+    return run_grid(sends, 8);
+  };
+  const GridRun before = run(253);
+  EXPECT_EQ(before.delivered[11], 21150);
+  EXPECT_EQ(before.busy_defers, 22u);
+  const GridRun tie = run(254);
+  EXPECT_EQ(tie.delivered[11], 21151);
+  EXPECT_EQ(tie.busy_defers, 23u);
+}
+
+TEST(SmpCommSpin, EnqueueWhileWaitingForCreditsInAPause) {
+  // As above, node 0's backlog waits for credits and its comm thread
+  // retries every 620 ns: a 120 ns poll pair, then a 500 ns pause.  PE 1
+  // handles two pointer messages from PE 0; the first runs its clock to
+  // 12 us, so the second enqueues a send to PE 4 (node 2, credits free)
+  // while node 0's thread waits, ready several retries ahead.  Ready
+  // mid-pause, or 1 ns past the end of a retry's poll pair, the spinning
+  // thread steps at the ready time itself; ready at that end, the retry
+  // takes it.
+  auto run = [](SimTime at) {
+    std::vector<GridSend> sends(12, GridSend{0, 2, 0});
+    for (int dest : {0, 4, 6}) {
+      for (int i = 0; i < 8; ++i) sends.push_back({2, dest, 253});
+    }
+    sends.push_back({0, 1, 0});           // 36
+    sends.push_back({0, 1, 0});           // 37
+    sends.push_back({1, 0, 12000, 36});   // 38
+    sends.push_back({1, 4, at, 37});      // 39
+    return run_grid(sends, 8);
+  };
+  const GridRun mid = run(14500);
+  EXPECT_EQ(mid.delivered[39], 21022);
+  EXPECT_EQ(mid.busy_defers, 18u);
+  const GridRun on = run(14996);
+  EXPECT_EQ(on.delivered[39], 21398);
+  EXPECT_EQ(on.busy_defers, 18u);
+  const GridRun past = run(14997);
+  EXPECT_EQ(past.delivered[39], 21519);
+  EXPECT_EQ(past.busy_defers, 19u);
+}
+
+// Event gate: engine events per delivered message on SMP runs whose comm
+// threads spend most of their time waiting, 4 nodes of 4 workers each.
+// Every worker sends `bursts` bursts of `burst` messages of `bytes` bytes,
+// `gap` ns of compute apart.  The delivery times and the busy-defer count
+// are those of a comm thread that runs every spin step as an event, so the
+// gate also checks that skipping them changes nothing else.  Counts are
+// exact on any host.
+struct GateRun {
+  double events_per_msg = 0;
+  SimTime end = 0;  // Machine::run()
+  std::uint64_t delivered = 0;
+  SimTime delivered_sum = 0;  // of the delivery times
+  std::uint64_t busy_defers = 0;
+};
+
+GateRun run_gate(int bursts, int burst, std::uint32_t bytes, SimTime gap,
+                 bool to_node0) {
+  constexpr int kPes = 16;
+  constexpr int kPpn = 4;
+  auto m = lrts::make_machine(LayerKind::kUgni, smp_opts(kPes, kPpn));
+  GateRun r;
+  const int h = m->register_handler([&r](void* msg) {
+    CmiFree(msg);
+    ++r.delivered;
+    r.delivered_sum += converse::Machine::running()->current_pe().ctx().now();
+  });
+  for (int pe = 0; pe < kPes; ++pe) {
+    // Node 0's workers send one node up; the others to node 0 or one up.
+    const int dest = to_node0 && pe >= kPpn ? pe % kPpn : (pe + kPpn) % kPes;
+    m->start(pe, [=] {
+      sim::Context& ctx = converse::Machine::running()->current_pe().ctx();
+      for (int i = 0; i < bursts; ++i) {
+        ctx.charge_app(gap);
+        for (int k = 0; k < burst; ++k) {
+          void* msg = CmiAlloc(kCmiHeaderBytes + bytes);
+          CmiSetHandler(msg, h);
+          CmiSyncSendAndFree(dest, kCmiHeaderBytes + bytes, msg);
+        }
+      }
+    });
+  }
+  const std::uint64_t before = m->engine().executed();
+  r.end = m->run();
+  EXPECT_EQ(r.delivered, std::uint64_t{kPes} * bursts * burst);
+  r.events_per_msg = static_cast<double>(m->engine().executed() - before) /
+                     static_cast<double>(r.delivered);
+  r.busy_defers = m->metrics().counter("smp.comm_thread_busy_defers").value();
+  std::printf("engine events per delivered message: %.3f\n", r.events_per_msg);
+  return r;
+}
+
+// Single 64 B messages 10 us apart to the worker one node up: the comm
+// threads wait on ready times ahead of the engine.  A thread that runs
+// each 120 ns idle spin step as an event takes 18.352 events per message.
+TEST(SmpEventGate, WaitForReadyTimesCostsNoEvents) {
+  const GateRun r = run_gate(32, 1, 64, 10000, /*to_node0=*/false);
+  EXPECT_EQ(r.end, 353200);
+  EXPECT_EQ(r.delivered_sum, 175439360);
+  EXPECT_EQ(r.busy_defers, 7808u);
+  EXPECT_LE(r.events_per_msg, 5.0);  // 4.945
+}
+
+// Bursts of 8 2 KiB messages 20 us apart, 12 workers to node 0: each node
+// pair has 8 mailbox credits, so the senders' backlogs wait for credits
+// that node 0's busy comm thread returns late, retrying every 620 ns.
+// Running those retries as events takes 19.772 events per message.
+TEST(SmpEventGate, WaitForCreditsCostsNoEvents) {
+  const GateRun r = run_gate(16, 8, 2048, 20000, /*to_node0=*/true);
+  EXPECT_EQ(r.end, 6085838);
+  EXPECT_EQ(r.delivered_sum, 5929265173);
+  EXPECT_EQ(r.busy_defers, 24513u);
+  EXPECT_LE(r.events_per_msg, 9.7);  // 9.662
 }
 
 TEST(SmpLayer, ManyToOneAcrossNodesUnderLoad) {

@@ -438,7 +438,7 @@ TEST(EpSlabProperty, AddressesAndLinksSurviveGrowthAndTeardown) {
 
 
 // An endpoint keeps its mailbox geometry in narrowed fields: a ring of at
-// most Ep::kMaxMailboxCredits messages and a 32-bit byte count.
+// most Ep::kMaxMailboxCredits messages of at most 4 GiB in all.
 // GNI_SmsgInit rejects attributes those cannot hold, changing nothing, and
 // accepts the limits themselves; a mailbox at the credit limit fills to it.
 TEST(SmsgInitLimits, RejectsAttrsTheEndpointCannotHold) {
@@ -481,10 +481,11 @@ TEST(SmsgInitLimits, RejectsAttrsTheEndpointCannotHold) {
   EXPECT_EQ(dom.smsg_channels(), 0u);
 
   // The largest mailbox that fits: 32768 * (131055 + 16) = 2^32 - 32768.
-  ASSERT_EQ(GNI_SmsgInit(ep[0], attr(131055, kMax), ok), GNI_RC_SUCCESS);
+  const gni_smsg_attr_t largest = attr(131055, kMax);
+  ASSERT_EQ(GNI_SmsgInit(ep[0], largest, ok), GNI_RC_SUCCESS);
   EXPECT_EQ(nic[0]->mailbox_bytes(), 4294934528u);
   EXPECT_EQ(GNI_SmsgInit(ep[0], ok, ok), GNI_RC_INVALID_STATE);
-  ASSERT_EQ(GNI_SmsgInit(ep[1], ok, ok), GNI_RC_SUCCESS);
+  ASSERT_EQ(GNI_SmsgInit(ep[1], ok, largest), GNI_RC_SUCCESS);
 
   // kMax credits fill ep[0]'s ring to its capacity, and no further.
   const std::uint8_t byte = 5;

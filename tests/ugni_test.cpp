@@ -132,6 +132,58 @@ TEST_F(UgniFixture, SmsgReleaseWithoutGetIsInvalid) {
   EXPECT_EQ(GNI_SmsgRelease(ep10_), GNI_RC_INVALID_STATE);
 }
 
+// Both sides' GNI_SmsgInit must describe the same channel.  A pair whose
+// attributes disagree in one field never links, and sends either way fail
+// with INVALID_STATE; the pair built with the same attributes links.
+TEST(SmsgAttrAgreement, MismatchedAttributesFailTheFirstSend) {
+  auto attr = [](std::uint32_t maxsize, std::uint32_t credits) {
+    gni_smsg_attr_t a;
+    a.msg_maxsize = maxsize;
+    a.mbox_maxcredit = credits;
+    return a;
+  };
+  // ep 1 -> 0 is told of a mailbox `told`; ep 0 builds (64, 8).
+  auto send_both_ways = [&attr](const gni_smsg_attr_t& told) {
+    sim::Engine engine;
+    gemini::Network net(engine.scheduler(), topo::Torus3D::for_nodes(2),
+                        gemini::MachineConfig{});
+    Domain dom(net);
+    sim::Context ctx(engine.scheduler(), 0);
+    sim::ScopedContext g(ctx);
+    gni_nic_handle_t nic[2] = {};
+    gni_cq_handle_t rx[2] = {}, tx[2] = {};
+    gni_ep_handle_t ep[2] = {};
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_EQ(GNI_CdmAttach(&dom, i, i, &nic[i]), GNI_RC_SUCCESS);
+      EXPECT_EQ(GNI_CqCreate(nic[i], 64, &rx[i]), GNI_RC_SUCCESS);
+      EXPECT_EQ(GNI_CqCreate(nic[i], 64, &tx[i]), GNI_RC_SUCCESS);
+      nic[i]->set_smsg_rx_cq(rx[i]);
+      EXPECT_EQ(GNI_EpCreate(nic[i], tx[i], &ep[i]), GNI_RC_SUCCESS);
+      EXPECT_EQ(GNI_EpBind(ep[i], 1 - i), GNI_RC_SUCCESS);
+    }
+    const gni_smsg_attr_t other = attr(128, 4);
+    EXPECT_EQ(GNI_SmsgInit(ep[0], attr(64, 8), other), GNI_RC_SUCCESS);
+    EXPECT_EQ(GNI_SmsgInit(ep[1], other, told), GNI_RC_SUCCESS);
+    const std::uint8_t byte = 1;
+    std::vector<gni_return_t> rc;
+    for (int i = 0; i < 2; ++i) {
+      rc.push_back(GNI_SmsgSendWTag(ep[i], &byte, 1, nullptr, 0, 0, 1));
+    }
+    EXPECT_EQ(ep[0]->reverse(), rc[0] == GNI_RC_SUCCESS ? ep[1] : nullptr);
+    return rc;
+  };
+  const std::vector<gni_return_t> ok = {GNI_RC_SUCCESS, GNI_RC_SUCCESS};
+  const std::vector<gni_return_t> bad = {GNI_RC_INVALID_STATE,
+                                         GNI_RC_INVALID_STATE};
+  EXPECT_EQ(send_both_ways(attr(64, 8)), ok);
+  EXPECT_EQ(send_both_ways(attr(64, 16)), bad);  // mbox_maxcredit
+  EXPECT_EQ(send_both_ways(attr(64, 4)), bad);
+  EXPECT_EQ(send_both_ways(attr(1024, 8)), bad);  // msg_maxsize
+  EXPECT_EQ(send_both_ways(attr(32, 8)), bad);
+  // The same mailbox bytes from other attributes still disagree.
+  EXPECT_EQ(send_both_ways(attr(16, 20)), bad);  // 20 * 32 == 8 * 80
+}
+
 TEST_F(UgniFixture, MailboxMemoryGrowsLinearlyWithPeers) {
   // Each SmsgInit commits credits * (maxsize + header) bytes: the SMSG
   // scalability problem the paper contrasts with MSGQ.
