@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <iterator>
 #include <ostream>
 
 #include "fault/fault.hpp"
@@ -36,13 +37,26 @@ Network::Network(sim::Scheduler& sched, topo::Torus3D torus,
 
 SimTime LinkSchedule::reserve(SimTime earliest, SimTime duration,
                               bool* waited) {
+  // Grow the list exactly when an insert would, also when the interval
+  // merges: the heap then sees the same allocations whichever way a
+  // reservation lands, so peak RSS and the models keyed on real heap
+  // addresses (the MPI baseline's uDREG cache, ROADMAP item 2) do not
+  // depend on it.
+  if (busy_.size() == busy_.capacity()) {
+    busy_.reserve(busy_.size() + std::max<std::size_t>(busy_.size(), 1));
+  }
+  // The list is sorted, disjoint and non-touching, so the ends are sorted
+  // too.  An interval that ends at or before `earliest` can neither delay
+  // the candidate nor fit it: start the search after all of them.
+  const auto first = std::partition_point(
+      busy_.begin(), busy_.end(),
+      [earliest](const Busy& b) { return b.end <= earliest; });
   // Find the first idle gap of `duration` at or after `earliest`.
   SimTime candidate = earliest;
-  std::size_t insert_at = 0;
-  for (; insert_at < busy_.size(); ++insert_at) {
-    const Busy& b = busy_[insert_at];
-    if (candidate + duration <= b.start) break;  // fits before this interval
-    if (b.end > candidate) candidate = b.end;    // pushed past it
+  auto at = first;
+  for (; at != busy_.end(); ++at) {
+    if (candidate + duration <= at->start) break;  // fits before this one
+    if (at->end > candidate) candidate = at->end;  // pushed past it
   }
   if (candidate > earliest) {
     *waited = true;
@@ -51,19 +65,26 @@ SimTime LinkSchedule::reserve(SimTime earliest, SimTime duration,
   }
   ++reservations_;
   busy_ns_ += duration;
-  busy_.insert(busy_.begin() + static_cast<std::ptrdiff_t>(insert_at),
-               Busy{candidate, candidate + duration});
-  // Merge touching neighbors and bound the bookkeeping.
-  for (std::size_t i = 0; i + 1 < busy_.size();) {
-    if (busy_[i].end >= busy_[i + 1].start) {
-      busy_[i].end = std::max(busy_[i].end, busy_[i + 1].end);
-      busy_.erase(busy_.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-    } else {
-      ++i;
-    }
+  // Everything before `at` ends at or before the candidate and `at`
+  // starts at or after its end, so the new interval can only touch its
+  // two neighbours: merge with them, or insert it between them.
+  const SimTime end = candidate + duration;
+  const bool left = at != busy_.begin() && std::prev(at)->end == candidate;
+  const bool right = at != busy_.end() && at->start == end;
+  if (left && right) {
+    std::prev(at)->end = at->end;
+    busy_.erase(at);
+  } else if (left) {
+    std::prev(at)->end = end;
+  } else if (right) {
+    at->start = candidate;
+  } else {
+    busy_.insert(at, Busy{candidate, end});
   }
-  while (busy_.size() > kMaxIntervals) {
-    // Merge the pair with the smallest gap (over-reserves slightly).
+  if (busy_.size() > kMaxIntervals) {
+    // Bound the bookkeeping: merge the pair with the smallest gap (the
+    // first such pair; over-reserves slightly).  One insert adds at most
+    // one interval, so one merge restores the bound.
     std::size_t best = 0;
     SimTime best_gap = kNever;
     for (std::size_t i = 0; i + 1 < busy_.size(); ++i) {

@@ -98,12 +98,13 @@ class LinkSchedule {
   std::uint64_t waits() const { return waits_; }
   SimTime wait_ns() const { return wait_ns_; }
 
-  /// Snapshot of the busy list (sorted by start, non-overlapping, at
-  /// most kMaxIntervals entries) — introspection for property tests.
+  /// Snapshot of the busy list (sorted by start, with a gap between
+  /// neighbours, at most kMaxIntervals entries) — introspection for
+  /// property tests.
   const std::vector<Busy>& intervals() const { return busy_; }
 
  private:
-  std::vector<Busy> busy_;  // sorted by start, non-overlapping
+  std::vector<Busy> busy_;  // sorted by start, non-touching
   std::uint64_t reservations_ = 0;  // transfers routed over this link
   SimTime busy_ns_ = 0;             // total reserved wire time
   std::uint64_t waits_ = 0;         // reservations pushed past `earliest`

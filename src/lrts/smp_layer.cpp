@@ -105,10 +105,17 @@ void SmpLayer::ensure_domain(converse::Machine& m) {
     np->tx_cq->set_push_notify(
         [this, np](SimTime at) { cq_pushed(*np, at - idle_step_ns_); });
     // A returned credit is a wake too, but one that needs its release
-    // time (credit_returned), so it replaces open's credit notify.
-    np->nic->set_credit_notify([this, np](SimTime, SimTime released) {
-      credit_returned(*np, released);
-    });
+    // time (credit_returned), so it replaces open's credit notify.  It asks
+    // for every return, not only those to a dry channel: waking the comm
+    // thread on each one moves the SMP answer and the backward spans the
+    // SMP stamping defect produces (ROADMAP item 4), so the SMP layer
+    // keeps one event per return until that fix lands with the next
+    // benchmark change.
+    np->nic->set_credit_notify(
+        [this, np](SimTime, SimTime released) {
+          credit_returned(*np, released);
+        },
+        ugni::Nic::CreditNotify::kEveryReturn);
     ns->comm_ctx = std::make_unique<sim::Context>(m.scheduler(), -1000 - n);
     nodes_[static_cast<std::size_t>(n)] = std::move(ns);
   }
@@ -270,6 +277,7 @@ void SmpLayer::sleeping_wake(NodeState& n, SimTime t, bool step_ran) {
 }
 
 void SmpLayer::credit_returned(NodeState& n, SimTime released) {
+  n.backlog.credit_returned();
   const SimTime now = n.comm_ctx->scheduler().now();
   if (!n.asleep) {
     comm_wake(n, now);

@@ -272,8 +272,10 @@ class UgniCore {
     ugni::open_endpoint(*domain_, inst, node, mc.cq_entries, attr, use_msgq_,
                         notify, ep);
     // Captured by value, not as a std::function, so the hook stays inline.
-    ep.nic->set_credit_notify(
-        [notify](SimTime now, SimTime /*released*/) { notify(now); });
+    ep.nic->set_credit_notify([notify, &ep](SimTime now, SimTime /*released*/) {
+      ep.backlog.credit_returned();
+      notify(now);
+    });
   }
 
   /// Endpoint to NIC instance `peer`, connecting on first touch.

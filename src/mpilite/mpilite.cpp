@@ -137,10 +137,11 @@ void MpiComm::init_rank(int rank, std::function<void(SimTime)> wake) {
   attr.mbox_maxcredit = mc.mpi_mailbox_credits;
   ugni::open_endpoint(*domain_, rank, node_of_(rank), mc.cq_entries, attr,
                       /*use_msgq=*/false, s->wake, *s);
-  if (s->wake) {  // retry stalled sends on credit return
-    s->nic->set_credit_notify(
-        [st = s.get()](SimTime now, SimTime /*released*/) { st->wake(now); });
-  }
+  // Retry stalled sends on credit return.
+  s->nic->set_credit_notify([st = s.get()](SimTime now, SimTime /*released*/) {
+    st->backlog.credit_returned();
+    if (st->wake) st->wake(now);
+  });
   ranks_state_[static_cast<std::size_t>(rank)] = std::move(s);
 }
 

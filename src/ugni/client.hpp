@@ -24,9 +24,9 @@
 //   * drain_cq: a CQ overrun (GNI_RC_ERROR_RESOURCE) is recovered with
 //     GNI_CqErrorRecover and the drain goes on.
 //   * SmsgBacklog: SMSG sends that found no credit wait in order and are
-//     retried from the client's progress engine, with backoff and (after
-//     kDemoteAfter failures) an offer to demote while a fault plan is
-//     active.
+//     retried from the client's progress engine once a credit has come
+//     back, with backoff and (after kDemoteAfter failures) an offer to
+//     demote while a fault plan is active.
 #pragma once
 
 #include <algorithm>
@@ -82,8 +82,8 @@ struct ClientEndpoint {
 /// get_or_connect will create (and a shared MSGQ instead when `use_msgq`),
 /// and route every CQ and MSGQ notification to `notify` (may be empty).
 /// The caller sets the NIC's credit notify (Nic::set_credit_notify), which
-/// retries stalled sends.  Channel setup stays lazy; nothing here is
-/// O(peers).
+/// tells its SmsgBacklog (credit_returned) and wakes it to retry stalled
+/// sends.  Channel setup stays lazy; nothing here is O(peers).
 void open_endpoint(Domain& domain, int inst, int node,
                    std::uint32_t cq_entries, const gni_smsg_attr_t& attr,
                    bool use_msgq, const std::function<void(SimTime)>& notify,
@@ -167,6 +167,8 @@ struct ClientCounters {
 };
 
 /// Credit-stalled SMSG sends of one endpoint, retried in order by flush().
+/// The NIC's credit notify must call credit_returned(): without a fault
+/// plan a front that failed on an SMSG channel is retried only after it.
 ///
 /// The client is a template parameter, so the send path has no virtual
 /// call and no std::function.  It provides:
@@ -190,8 +192,13 @@ struct SmsgBacklog {
   RingFifo<Entry> q;
   int attempts = 0;      // consecutive failed flush attempts
   SimTime retry_at = 0;  // no flush retry before this instant (fault mode)
+  // A credit came back since the front last failed on an SMSG channel.
+  bool credit_back = true;
 
   bool empty() const { return q.empty(); }
+
+  /// The NIC's credit notify fired: a stalled front may now find a credit.
+  void credit_returned() { credit_back = true; }
 
   /// Post `len` bytes to `dest` now, or queue them behind earlier stalls.
   /// `owned` (the payload itself) passes to the client's smsg_posted once
@@ -212,6 +219,7 @@ struct SmsgBacklog {
       // injected transient send failure.  Both queue and retry from
       // flush(); anything else is a contract violation.
       check(rc, "GNI_SmsgSendWTag", GNI_RC_NOT_DONE, GNI_RC_ERROR_RESOURCE);
+      if (gep) credit_back = false;
     }
     // Out of credits (or draining in order behind earlier stalls): queue.
     n.credit_stalls->inc();
@@ -234,11 +242,14 @@ struct SmsgBacklog {
 
   /// Retry the queue in order.  Without faults a stall is genuine credit
   /// exhaustion and the credit-return notify is the precise (and cheapest)
-  /// wake.  With a fault plan active (`faulty`) a stall may be an injected
+  /// wake: a front that failed on an SMSG channel had none left, every
+  /// credit that reaches a dry channel calls the notify, and a retry
+  /// before one came back would fail before any charge, so it is skipped.
+  /// With a fault plan active (`faulty`) a stall may be an injected
   /// starvation window that consumes no credits, so the notify cannot be
   /// relied on: the flush backs off and re-arms its own wake, and a front
   /// entry stalled kDemoteAfter times is offered to the client's
-  /// smsg_demote.
+  /// smsg_demote.  MSGQ sends (no SMSG endpoint) are always retried.
   template <class Client>
   void flush(sim::Context& ctx, Client& c, const ClientCounters& n,
              bool faulty) {
@@ -247,13 +258,16 @@ struct SmsgBacklog {
       c.smsg_wake(retry_at);
       return;
     }
+    if (!faulty && !credit_back) return;
     while (!q.empty()) {
       Entry& e = q.front();
-      gni_return_t rc = c.smsg_post(c.smsg_ep(e.dest), e.dest, e.tag,
+      gni_ep_handle_t gep = c.smsg_ep(e.dest);
+      gni_return_t rc = c.smsg_post(gep, e.dest, e.tag,
                                     e.msg ? e.msg : e.ctrl.data(), e.len);
       if (rc != GNI_RC_SUCCESS) {  // still stalled
         check(rc, "GNI_SmsgSendWTag (backlog)", GNI_RC_NOT_DONE,
               GNI_RC_ERROR_RESOURCE);
+        if (gep) credit_back = false;
         if (!faulty) return;
         note_failure(++attempts, "SMSG backlog", n.smsg);
         if (attempts >= kDemoteAfter && c.smsg_demote(ctx)) {

@@ -698,11 +698,21 @@ gni_return_t GNI_SmsgRelease(gni_ep_handle_t ep) {
   if (rx.empty() || !rx.front().delivered) return GNI_RC_INVALID_STATE;
   rx.pop_front();
 
-  // Return one credit to the sender after a wire delay (piggybacked on the
-  // next reverse-direction traffic in real SMSG; modeled as a small event).
+  // Return one credit to the sender.  Real SMSG piggybacks it on the next
+  // reverse-direction traffic and never interrupts the sender for it, so a
+  // sender that still holds a credit on this channel cannot be waiting for
+  // this one: it joins the count now, with no event and no wake.  (A send
+  // that spends the remaining credits before release + hops x hop_ns
+  // uses it early.)  Only a credit that reaches a dry channel travels the
+  // wire as an event, unless the sender's notify asks for every return.
   if (Ep* sender_ep = ep->resolve_reverse()) {
-    Nic* nic = ep->nic_;
     Nic* remote = sender_ep->nic_;
+    if (sender_ep->credits_ > 0 &&
+        remote->credit_notify_which_ == Nic::CreditNotify::kWhenDry) {
+      ++sender_ep->credits_;
+      return GNI_RC_SUCCESS;
+    }
+    Nic* nic = ep->nic_;
     Domain* dom = nic->domain();
     SimTime prop = static_cast<SimTime>(dom->network().hops(
                        nic->node(), remote->node())) *

@@ -15,7 +15,9 @@
 //   * memory must be registered before it can be the target of FMA/BTE
 //     transactions (posts against unregistered or stale handles fail),
 //   * SMSG channels have per-peer mailboxes with finite credits: sends
-//     return GNI_RC_NOT_DONE when the peer has not released older messages,
+//     return GNI_RC_NOT_DONE when the peer has not released older messages
+//     (a released credit reaches a sender that still holds one at once,
+//     and a sender that holds none one wire delay later),
 //   * completion events carry only limited data (msg id / post id), so a
 //     runtime must keep its own descriptor table — exactly the constraint
 //     that forces the paper's ACK_TAG control message design,
@@ -281,7 +283,14 @@ gni_return_t GNI_SmsgGetNextWTag(gni_ep_handle_t ep, void** data_out,
                                  SimTime* arrival_out = nullptr);
 
 /// Release the mailbox slot of the last message returned by GetNextWTag,
-/// returning a credit to the sender.
+/// returning a credit to the sender.  Real SMSG piggybacks credits on
+/// reverse traffic and never interrupts the sender for one.  So when the
+/// sender still holds a credit on this channel, the credit joins its count
+/// at once, with no engine event and no notify.  When the sender holds
+/// none, the credit travels the wire: an event at release + hops x hop_ns
+/// adds it and calls the sender's credit notify.  A NIC whose notify asks
+/// for every return (Nic::CreditNotify::kEveryReturn) always gets the
+/// event.
 /// Returns: SUCCESS | INVALID_PARAM | INVALID_STATE (nothing delivered).
 gni_return_t GNI_SmsgRelease(gni_ep_handle_t ep);
 
@@ -628,13 +637,26 @@ class Nic {
   Msgq* msgq() const { return msgq_; }
   void set_msgq(Msgq* q) { msgq_ = q; }
 
+  /// Which returned SMSG credits call the credit notify.
+  enum class CreditNotify : std::uint8_t {
+    /// Only a credit that comes back to a channel with none left: the
+    /// only return a back-pressured send can be waiting for.  Any other
+    /// credit is added at release with no event (GNI_SmsgRelease).
+    kWhenDry,
+    /// Every credit, each one an engine event at its wire return time.
+    kEveryReturn,
+  };
+
   /// Invoked (at credit-return virtual time `now`) when a peer releases
-  /// one of our in-flight SMSG messages, so a runtime with back-pressured
-  /// sends can wake up and retry.  `released` is the engine time of the
-  /// release, when the return was queued.
+  /// one of our in-flight SMSG messages and `which` selects the return,
+  /// so a runtime with back-pressured sends can wake up and retry.
+  /// `released` is the engine time of the release, when the return was
+  /// queued.
   void set_credit_notify(
-      std::function<void(SimTime now, SimTime released)> fn) {
+      std::function<void(SimTime now, SimTime released)> fn,
+      CreditNotify which = CreditNotify::kWhenDry) {
     credit_notify_ = std::move(fn);
+    credit_notify_which_ = which;
   }
 
  private:
@@ -666,6 +688,7 @@ class Nic {
   std::uint64_t mailbox_bytes_ = 0;
   PeerTable peer_eps_;  // bound endpoints
   std::function<void(SimTime, SimTime)> credit_notify_;
+  CreditNotify credit_notify_which_ = CreditNotify::kWhenDry;
   // Descriptors completed but not yet claimed via GNI_GetCompleted.
   std::vector<std::pair<std::uint64_t, gni_post_descriptor_t*>> completed_;
   std::uint64_t next_internal_post_id_ = 1;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -184,41 +185,130 @@ TEST(FlowGovernor, ThresholdsAdaptOnlyWhileHot) {
 
 // ----------------------------------------------- LinkSchedule properties ----
 
-// Random seeded reservation sequences preserve the schedule invariants:
-// intervals sorted by start, non-overlapping, bounded by kMaxIntervals,
-// and every returned start honors `earliest`.
-TEST(LinkScheduleProperty, InvariantsUnderRandomReservations) {
-  for (std::uint64_t seed : {1ull, 42ull, 0xBEEFull, 0xF10ull}) {
-    Rng rng(seed);
-    gemini::LinkSchedule sched;
-    SimTime clock = 0;
-    for (int i = 0; i < 500; ++i) {
-      // A mix of in-order, stale (behind the clock) and far-future
-      // cursors, like concurrent PEs with skewed local times produce.
-      const SimTime earliest =
-          std::max<SimTime>(0, clock + static_cast<SimTime>(
-                                            rng.next_below(20000)) -
-                                   5000);
-      const SimTime duration = 1 + rng.next_below(2000);
-      bool waited = false;
-      const SimTime start = sched.reserve(earliest, duration, &waited);
-      EXPECT_GE(start, earliest);
-      if (!waited) {
-        EXPECT_EQ(start, earliest);
-      }
-      clock += rng.next_below(1500);
+// The straightforward LinkSchedule::reserve: scan every interval, insert,
+// then merge touching neighbours over the whole list and cap it by merging
+// the smallest gaps.  The property test below holds the real schedule to
+// exactly its starts, waits and intervals.
+struct ReferenceSchedule {
+  std::vector<gemini::LinkSchedule::Busy> busy;
+  std::uint64_t waits = 0;
+  SimTime wait_ns = 0;
+  int touch_merges = 0;  // reservations that touched a neighbour
+  int cap_merges = 0;    // reservations that hit kMaxIntervals
 
-      const auto& iv = sched.intervals();
-      ASSERT_LE(iv.size(), gemini::LinkSchedule::kMaxIntervals);
-      for (std::size_t k = 0; k < iv.size(); ++k) {
-        EXPECT_LT(iv[k].start, iv[k].end);
-        if (k > 0) {
-          EXPECT_GT(iv[k].start, iv[k - 1].end);  // strict gaps
-        }
+  SimTime reserve(SimTime earliest, SimTime duration, bool* waited) {
+    SimTime candidate = earliest;
+    std::size_t at = 0;
+    for (; at < busy.size(); ++at) {
+      if (candidate + duration <= busy[at].start) break;
+      if (busy[at].end > candidate) candidate = busy[at].end;
+    }
+    if (candidate > earliest) {
+      *waited = true;
+      ++waits;
+      wait_ns += candidate - earliest;
+    }
+    busy.insert(busy.begin() + static_cast<std::ptrdiff_t>(at),
+                {candidate, candidate + duration});
+    const std::size_t inserted = busy.size();
+    for (std::size_t i = 0; i + 1 < busy.size();) {
+      if (busy[i].end >= busy[i + 1].start) {
+        busy[i].end = std::max(busy[i].end, busy[i + 1].end);
+        busy.erase(busy.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+      } else {
+        ++i;
       }
     }
-    EXPECT_EQ(sched.reservations(), 500u);
+    if (busy.size() < inserted) ++touch_merges;
+    while (busy.size() > gemini::LinkSchedule::kMaxIntervals) {
+      ++cap_merges;
+      std::size_t best = 0;
+      SimTime best_gap = kNever;
+      for (std::size_t i = 0; i + 1 < busy.size(); ++i) {
+        const SimTime gap = busy[i + 1].start - busy[i].end;
+        if (gap < best_gap) {
+          best_gap = gap;
+          best = i;
+        }
+      }
+      busy[best].end = busy[best + 1].end;
+      busy.erase(busy.begin() + static_cast<std::ptrdiff_t>(best) + 1);
+    }
+    return candidate;
   }
+};
+
+// Random seeded reservation sequences preserve the schedule invariants:
+// intervals sorted by start, non-overlapping, bounded by kMaxIntervals,
+// and every returned start honors `earliest`.  Each reservation also
+// matches ReferenceSchedule exactly.  Four stream shapes: the first has
+// backfill and waits; the second puts every time on a 100 ns grid, so
+// new intervals touch both neighbours; the third spreads short
+// reservations far ahead, so the list hits kMaxIntervals; the fourth does
+// that on the grid, so several gaps tie for the smallest.
+TEST(LinkScheduleProperty, InvariantsUnderRandomReservations) {
+  struct Stream {
+    SimTime grid;
+    std::uint64_t spread;    // cursors fall in [clock - 5000, clock + spread)
+    std::uint64_t duration;  // durations fall in [1, duration]
+  };
+  int backfills = 0, touch_merges = 0, cap_merges = 0;
+  for (const Stream st : {Stream{1, 20000, 2000}, Stream{100, 20000, 2000},
+                          Stream{1, 400000, 300}, Stream{100, 400000, 300}}) {
+    for (std::uint64_t seed : {1ull, 42ull, 0xBEEFull, 0xF10ull}) {
+      Rng rng(seed);
+      gemini::LinkSchedule sched;
+      ReferenceSchedule ref;
+      SimTime clock = 0;
+      for (int i = 0; i < 500; ++i) {
+        // A mix of in-order, stale (behind the clock) and far-future
+        // cursors, like concurrent PEs with skewed local times produce.
+        const SimTime raw = std::max<SimTime>(
+            0, clock + static_cast<SimTime>(rng.next_below(st.spread + 5000)) -
+                   5000);
+        const SimTime earliest = st.grid * (raw / st.grid);
+        const SimTime duration =
+            st.grid *
+            (1 + static_cast<SimTime>(rng.next_below(st.duration)) / st.grid);
+        if (!ref.busy.empty() && earliest + duration <= ref.busy.back().end) {
+          ++backfills;
+        }
+        bool waited = false;
+        bool ref_waited = false;
+        const SimTime start = sched.reserve(earliest, duration, &waited);
+        ASSERT_EQ(start, ref.reserve(earliest, duration, &ref_waited)) << i;
+        ASSERT_EQ(waited, ref_waited) << i;
+        EXPECT_GE(start, earliest);
+        if (!waited) {
+          EXPECT_EQ(start, earliest);
+        }
+        clock += rng.next_below(1500);
+
+        const auto& iv = sched.intervals();
+        ASSERT_EQ(iv.size(), ref.busy.size()) << i;
+        ASSERT_LE(iv.size(), gemini::LinkSchedule::kMaxIntervals);
+        for (std::size_t k = 0; k < iv.size(); ++k) {
+          ASSERT_EQ(iv[k].start, ref.busy[k].start) << i << " " << k;
+          ASSERT_EQ(iv[k].end, ref.busy[k].end) << i << " " << k;
+          EXPECT_LT(iv[k].start, iv[k].end);
+          if (k > 0) {
+            EXPECT_GT(iv[k].start, iv[k - 1].end);  // strict gaps
+          }
+        }
+      }
+      EXPECT_EQ(sched.reservations(), 500u);
+      EXPECT_EQ(sched.waits(), ref.waits);
+      EXPECT_EQ(sched.wait_ns(), ref.wait_ns);
+      touch_merges += ref.touch_merges;
+      cap_merges += ref.cap_merges;
+    }
+  }
+  // The streams exercise every path the schedule takes.
+  std::printf("backfills %d, touch merges %d, cap merges %d\n", backfills,
+              touch_merges, cap_merges);
+  EXPECT_GT(backfills, 0);
+  EXPECT_GT(touch_merges, 0);
+  EXPECT_GT(cap_merges, 0);
 }
 
 // Backfill: a reservation parked far in the future must not block the

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
+#include "converse/machine.hpp"
+#include "lrts/runtime.hpp"
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
+#include "trace/metrics.hpp"
+#include "ugni/client.hpp"
 #include "ugni/ugni.hpp"
 
 namespace ugnirt::ugni {
@@ -45,6 +50,40 @@ class UgniFixture : public ::testing::Test {
     return GNI_SmsgSendWTag(ep01_, payload.data(),
                             static_cast<std::uint32_t>(payload.size()),
                             nullptr, 0, 0, tag);
+  }
+
+  /// With NIC 1's clock at `t`, take the oldest message on ep10_ and
+  /// release it.
+  void release10_at(SimTime t) {
+    sim::ScopedContext guard(*ctx_[1]);
+    ctx_[1]->wait_until(t);
+    void* data = nullptr;
+    std::uint8_t tag = 0;
+    ASSERT_EQ(GNI_SmsgGetNextWTag(ep10_, &data, &tag), GNI_RC_SUCCESS);
+    ASSERT_EQ(GNI_SmsgRelease(ep10_), GNI_RC_SUCCESS);
+  }
+
+  /// Sends 0 -> 1 that succeed before the channel runs out of credits.
+  int sends_until_dry() {
+    int n = 0;
+    while (send01("x", 0) == GNI_RC_SUCCESS) ++n;
+    return n;
+  }
+
+  /// Counts nic_[0]'s credit notifies and keeps the last one's times.
+  struct NotifyLog {
+    int calls = 0;
+    SimTime now = -1;
+    SimTime released = -1;
+  };
+  void log_credit_notify(NotifyLog& log, Nic::CreditNotify which) {
+    nic_[0]->set_credit_notify(
+        [&log](SimTime now, SimTime released) {
+          ++log.calls;
+          log.now = now;
+          log.released = released;
+        },
+        which);
   }
 
   sim::Engine engine_;
@@ -130,6 +169,67 @@ TEST_F(UgniFixture, SmsgReleaseWithoutGetIsInvalid) {
   sim::ScopedContext guard(*ctx_[1]);
   ctx_[1]->wait_until(10'000'000);
   EXPECT_EQ(GNI_SmsgRelease(ep10_), GNI_RC_INVALID_STATE);
+}
+
+// --------------------------------------------------------- credit return ----
+
+// A sender that still holds credits on the channel cannot be waiting for
+// the one a release returns: it joins the count at once, with no engine
+// event and no notify.
+TEST_F(UgniFixture, CreditReturnToAChannelWithCreditsIsImmediate) {
+  NotifyLog log;
+  log_credit_notify(log, Nic::CreditNotify::kWhenDry);
+  for (int i = 0; i < 3; ++i) ASSERT_EQ(send01("x", 0), GNI_RC_SUCCESS);
+  const std::size_t pending = engine_.pending();
+  release10_at(10'000);
+  EXPECT_EQ(engine_.pending(), pending) << "the return queued an event";
+  // 8 - 3 + 1 credits, all usable now.
+  EXPECT_EQ(sends_until_dry(), 6);
+  engine_.run();
+  EXPECT_EQ(log.calls, 0);
+  EXPECT_EQ(sends_until_dry(), 0);
+}
+
+// A sender with no credit left gets the return as an event at
+// release + hops x hop_ns, and not a nanosecond before: the count goes up
+// and the notify gets (return time, release time).
+TEST_F(UgniFixture, CreditReturnToADryChannelIsOneEventAfterTheWire) {
+  NotifyLog log;
+  log_credit_notify(log, Nic::CreditNotify::kWhenDry);
+  ASSERT_EQ(sends_until_dry(), 8);
+  const SimTime prop = net_->hops(0, 1) * gemini::MachineConfig{}.hop_ns;
+  ASSERT_GT(prop, 0);
+  // Release inside an engine event at T, so the engine clock reads T.
+  constexpr SimTime kT = 20'000;
+  engine_.scheduler().schedule_at(kT, [this] { release10_at(kT); });
+  engine_.run_until(kT);
+  EXPECT_EQ(engine_.pending(), 1u);
+  engine_.run_until(kT + prop - 1);
+  EXPECT_EQ(log.calls, 0);
+  EXPECT_EQ(sends_until_dry(), 0) << "credit usable before its return";
+  engine_.run();
+  EXPECT_EQ(engine_.executed(), 2u);
+  EXPECT_EQ(log.calls, 1);
+  EXPECT_EQ(log.now, kT + prop);
+  EXPECT_EQ(log.released, kT);
+  EXPECT_EQ(sends_until_dry(), 1);
+}
+
+// A NIC whose notify asks for every return (the SMP layer's) still gets
+// one event per release, even while it holds credits.
+TEST_F(UgniFixture, EveryReturnNotifyKeepsOneEventPerRelease) {
+  NotifyLog log;
+  log_credit_notify(log, Nic::CreditNotify::kEveryReturn);
+  for (int i = 0; i < 3; ++i) ASSERT_EQ(send01("x", 0), GNI_RC_SUCCESS);
+  const std::size_t pending = engine_.pending();
+  release10_at(10'000);
+  release10_at(10'000);
+  EXPECT_EQ(engine_.pending(), pending + 2);
+  // The returns are in flight: only the 5 credits held are usable.
+  EXPECT_EQ(sends_until_dry(), 5);
+  engine_.run();
+  EXPECT_EQ(log.calls, 2);
+  EXPECT_EQ(sends_until_dry(), 2);
 }
 
 // Both sides' GNI_SmsgInit must describe the same channel.  A pair whose
@@ -428,6 +528,127 @@ TEST_F(UgniFixture, CqOverrunSetsErrorState) {
   gni_cq_entry_t ev;
   EXPECT_EQ(GNI_CqGetEvent(tiny, &ev), GNI_RC_ERROR_RESOURCE);
   EXPECT_TRUE(tiny->overrun());
+}
+
+// ------------------------------------------------------- SMSG backlog ----
+
+/// An SmsgBacklog client over one channel whose credits the test hands
+/// out; it counts every post the backlog makes.
+struct CountingSmsgClient {
+  gni_ep_handle_t ep = nullptr;  // nullptr: a MSGQ client
+  int credits = 0;
+  int posts = 0;
+  gni_ep_handle_t smsg_ep(int) { return ep; }
+  gni_return_t smsg_post(gni_ep_handle_t, int, std::uint8_t, const void*,
+                         std::uint32_t) {
+    ++posts;
+    if (credits == 0) return GNI_RC_NOT_DONE;
+    --credits;
+    return GNI_RC_SUCCESS;
+  }
+  void smsg_posted(sim::Context&, void*) {}
+  bool smsg_demote(sim::Context&) { return false; }
+  void smsg_wake(SimTime) {}
+};
+
+// Without faults, a front that failed for want of a credit is retried only
+// after the credit notify says one came back: a retry before that would
+// fail before any charge.
+TEST_F(UgniFixture, BacklogRetriesAStalledFrontOnlyAfterACreditReturns) {
+  trace::MetricsRegistry reg;
+  ClientCounters n(reg);
+  CountingSmsgClient c{ep01_};
+  SmsgBacklog b;
+  sim::ScopedContext guard(*ctx_[0]);
+  for (int i = 0; i < 2; ++i) b.send(*ctx_[0], c, n, 1, 0, "x", 1, nullptr);
+  EXPECT_EQ(c.posts, 1);  // the second queues behind the first
+  for (int i = 0; i < 5; ++i) b.flush(*ctx_[0], c, n, /*faulty=*/false);
+  EXPECT_EQ(c.posts, 1);
+  b.credit_returned();
+  b.flush(*ctx_[0], c, n, false);  // no credit yet after all: fails
+  EXPECT_EQ(c.posts, 2);
+  b.flush(*ctx_[0], c, n, false);
+  EXPECT_EQ(c.posts, 2);
+  c.credits = 1;
+  b.credit_returned();
+  b.flush(*ctx_[0], c, n, false);  // the front goes, the next one stalls
+  EXPECT_EQ(c.posts, 4);
+  EXPECT_EQ(b.q.size(), 1u);
+  b.flush(*ctx_[0], c, n, false);
+  EXPECT_EQ(c.posts, 4);
+  c.credits = 1;
+  b.credit_returned();
+  b.flush(*ctx_[0], c, n, false);
+  EXPECT_EQ(c.posts, 5);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(n.smsg_sends->value(), 2u);
+}
+
+// A MSGQ send (no SMSG endpoint) and a fault-mode backlog get no credit
+// notify they could rely on, so their flushes retry as before.
+TEST_F(UgniFixture, BacklogRetriesMsgqAndFaultModeFronts) {
+  trace::MetricsRegistry reg;
+  ClientCounters n(reg);
+  sim::ScopedContext guard(*ctx_[0]);
+  CountingSmsgClient msgq;  // no endpoint
+  SmsgBacklog bq;
+  bq.send(*ctx_[0], msgq, n, 1, 0, "x", 1, nullptr);
+  for (int i = 0; i < 5; ++i) bq.flush(*ctx_[0], msgq, n, false);
+  EXPECT_EQ(msgq.posts, 6);
+
+  CountingSmsgClient faulty{ep01_};
+  SmsgBacklog bf;
+  bf.send(*ctx_[0], faulty, n, 1, 0, "x", 1, nullptr);
+  for (int i = 0; i < 3; ++i) {
+    ctx_[0]->wait_until(bf.retry_at);
+    bf.flush(*ctx_[0], faulty, n, /*faulty=*/true);
+  }
+  EXPECT_EQ(faulty.posts, 4);
+}
+
+// ---------------------------------------------------------- event gate ----
+
+// 4,096-PE kNeighbor on the uGNI layer, one PE per node: every PE sends 4
+// 1 KiB rendezvous messages to each of its 4 ring neighbours, so each
+// channel carries 4 INITs and 4 ACKs, exactly its 8 credits.  A credit
+// returned to a sender that still holds one is no event; one event per
+// release, each waking the sender's PE, takes 6.125 events per delivered
+// message.
+TEST(CreditEventGate, KNeighborEventsPerDeliveredMessage) {
+  constexpr int kPes = 4096;
+  converse::MachineOptions o;
+  o.layer = converse::LayerKind::kUgni;
+  o.pes = kPes;
+  o.pes_per_node = 1;
+  o.use_pxshm = false;
+  auto m = lrts::make_machine(converse::LayerKind::kUgni, o);
+  std::uint64_t delivered = 0;
+  const int h = m->register_handler([&delivered](void* msg) {
+    ++delivered;
+    converse::CmiFree(msg);
+  });
+  const std::uint32_t total = 1024 + converse::kCmiHeaderBytes;
+  for (int pe = 0; pe < kPes; ++pe) {
+    m->start(pe, [pe, h, total] {
+      for (int i = 0; i < 4; ++i) {
+        for (int d = 1; d <= 2; ++d) {
+          for (int dest : {(pe + d) % kPes, (pe + kPes - d) % kPes}) {
+            void* msg = converse::CmiAlloc(total);
+            converse::CmiSetHandler(msg, h);
+            converse::CmiSyncSendAndFree(dest, total, msg);
+          }
+        }
+      }
+    });
+  }
+  const std::uint64_t before = m->engine().executed();
+  m->run();
+  ASSERT_EQ(delivered, std::uint64_t{kPes} * 16);
+  const double per_msg =
+      static_cast<double>(m->engine().executed() - before) /
+      static_cast<double>(delivered);
+  std::printf("engine events per delivered message: %.3f\n", per_msg);
+  EXPECT_LE(per_msg, 4.7);  // 4.626
 }
 
 }  // namespace
