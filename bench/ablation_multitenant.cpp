@@ -30,15 +30,21 @@
 // never demoted off the FMA fast path into the storm's BTE backlog.
 //
 // A final leg asserts the zero-cost claim: a single-job run on a machine
-// whose options merely *mention* tenancy (knobs perturbed, no JobManager)
-// finishes at the same virtual instant as stock, bit for bit.
+// built while the environment sets both UGNIRT_TENANCY_* knobs (no
+// JobManager) finishes at the same virtual instant as stock, bit for bit.
+//
+// The tenancy knobs are not machine options: this program overlays the
+// UGNIRT_TENANCY_* environment onto its own TenancyConfig and hands that
+// to JobManager.
 //
 // `ablation_multitenant soak` instead runs a two-job faulted kNeighbor
 // soak (fault plan from UGNIRT_FAULT_* env) and exits nonzero on any
 // victim or aggressor message loss — a CI sanitizer-job workload.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +54,7 @@
 #include "tenancy/generators.hpp"
 #include "tenancy/tenancy.hpp"
 #include "trace/metrics.hpp"
+#include "util/config.hpp"
 
 using namespace ugnirt;
 
@@ -60,8 +67,7 @@ constexpr int kCkptPes = 8;
 
 using benchtool::Metric;
 
-converse::MachineOptions leg_options(const std::string& placement,
-                                     bool qos_on, int pes = kPes) {
+converse::MachineOptions leg_options(int pes = kPes) {
   converse::MachineOptions o;
   o.layer = converse::LayerKind::kUgni;
   o.pes = pes;
@@ -70,9 +76,17 @@ converse::MachineOptions leg_options(const std::string& placement,
   // Flow control is on in BOTH contended legs; the QoS classes riding the
   // governor are the only delta between noqos and qos.
   o.flow.enable = true;
-  o.tenancy.placement = placement;
-  o.tenancy.qos_enable = qos_on;
   return o;
+}
+
+/// The legs' tenancy knobs, with UGNIRT_TENANCY_* env overrides on top.
+tenancy::TenancyConfig tenancy_config(const std::string& placement,
+                                      bool qos_on) {
+  tenancy::TenancyConfig t;
+  t.placement = placement;
+  t.qos_enable = qos_on;
+  overlay_env(t);
+  return t;
 }
 
 struct LegResult {
@@ -87,9 +101,8 @@ struct LegResult {
 /// the per-job histogram.
 LegResult run_leg(const std::string& placement, bool aggressors,
                   bool qos_on) {
-  auto m = lrts::make_machine(converse::LayerKind::kUgni,
-                              leg_options(placement, qos_on));
-  tenancy::JobManager jobs(*m, m->options().tenancy);
+  auto m = lrts::make_machine(converse::LayerKind::kUgni, leg_options());
+  tenancy::JobManager jobs(*m, tenancy_config(placement, qos_on));
   const tenancy::JobId victim = jobs.add_job(
       {"victim", kVictimPes, tenancy::QosClass::kLatency});
   tenancy::JobId shuffle = -1;
@@ -153,19 +166,30 @@ LegResult run_leg(const std::string& placement, bool aggressors,
 }
 
 /// Virtual end time of a fixed single-job workload; `mention_tenancy`
-/// perturbs both tenancy knobs without building a JobManager, which must
-/// not move the clock by a single tick.
+/// sets both UGNIRT_TENANCY_* knobs in the environment while the machine
+/// is built, without building a JobManager, which must not move the clock
+/// by a single tick.
 SimTime run_stock_probe(bool mention_tenancy) {
   converse::MachineOptions o;
   o.layer = converse::LayerKind::kUgni;
   o.pes = 8;
   o.pes_per_node = 1;
   o.flow.enable = true;
-  if (mention_tenancy) {
-    o.tenancy.placement = "random";  // no JobManager reads these
-    o.tenancy.qos_enable = false;
+  const char* const kKnobs[2][2] = {{"UGNIRT_TENANCY_PLACEMENT", "random"},
+                                    {"UGNIRT_TENANCY_QOS_ENABLE", "0"}};
+  std::optional<std::string> saved[2];
+  for (int i = 0; mention_tenancy && i < 2; ++i) {
+    if (const char* v = std::getenv(kKnobs[i][0])) saved[i] = v;
+    ::setenv(kKnobs[i][0], kKnobs[i][1], 1);
   }
   auto m = lrts::make_machine(converse::LayerKind::kUgni, o);
+  for (int i = 0; mention_tenancy && i < 2; ++i) {
+    if (saved[i]) {
+      ::setenv(kKnobs[i][0], saved[i]->c_str(), 1);
+    } else {
+      ::unsetenv(kKnobs[i][0]);
+    }
+  }
   int h_sink = m->register_handler([](void* msg) { converse::CmiFree(msg); });
   const std::uint32_t total = 4096 + converse::kCmiHeaderBytes;
   for (int pe = 0; pe < 8; ++pe) {
@@ -185,9 +209,8 @@ SimTime run_stock_probe(bool mention_tenancy) {
 /// plan from UGNIRT_FAULT_* env (applied inside make_machine), QoS on.
 /// Exits nonzero on any message loss in either job.
 int run_soak() {
-  auto m = lrts::make_machine(converse::LayerKind::kUgni,
-                              leg_options("scatter", true, 16));
-  tenancy::JobManager jobs(*m, m->options().tenancy);
+  auto m = lrts::make_machine(converse::LayerKind::kUgni, leg_options(16));
+  tenancy::JobManager jobs(*m, tenancy_config("scatter", true));
   const tenancy::JobId victim =
       jobs.add_job({"victim", 8, tenancy::QosClass::kLatency});
   const tenancy::JobId aggr =

@@ -159,9 +159,12 @@ Machine::Machine(MachineOptions options, std::unique_ptr<MachineLayer> layer)
   }
   if (options_.flow.enable) {
     flow_ = std::make_unique<flowcontrol::CongestionEstimator>(
-        options_.flow, network_->torus().total_links(),
+        network_->torus().total_links(),
         static_cast<std::size_t>(network_->torus().nodes()));
-    network_->set_congestion_estimator(flow_.get());
+    network_->set_link_observer(flow_.get());
+    if (options_.flow.adaptive_routing) {
+      network_->set_route_steering(flow_.get());
+    }
   }
   qd_created_.assign(static_cast<std::size_t>(options_.pes), 0);
   qd_processed_.assign(static_cast<std::size_t>(options_.pes), 0);
@@ -195,6 +198,11 @@ Machine::~Machine() {
 void Machine::collect_metrics() {
   layer_->collect_metrics(metrics_);
   network_->collect_metrics(metrics_);
+  if (flow_) {  // no flow rows in a stock dump
+    metrics_.counter("net.adaptive_reroutes")
+        .set(network_->stats().adaptive_reroutes);
+    flow_->collect_metrics(metrics_);
+  }
   metrics_.counter("converse.msgs_sent").set(stats_.msgs_sent);
   metrics_.counter("converse.msgs_executed").set(stats_.msgs_executed);
   metrics_.counter("converse.bytes_sent").set(stats_.bytes_sent);

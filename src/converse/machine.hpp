@@ -29,7 +29,6 @@
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "converse/message.hpp"
-#include "tenancy/config.hpp"
 #include "trace/metrics.hpp"
 #include "util/ring_fifo.hpp"
 #include "util/rng.hpp"
@@ -117,14 +116,10 @@ struct MachineOptions {
   /// UGNIRT_AGG_* env).  An Aggregator is installed when `enable`.
   aggregation::AggregationConfig aggregation{};
   /// Congestion control ("flow.*" config keys / UGNIRT_FLOW_* env).  A
-  /// CongestionEstimator is installed on the network when `enable`; the
+  /// CongestionEstimator is installed as the network's link observer when
+  /// `enable` (and as its route steering under `adaptive_routing`); the
   /// uGNI layer additionally spins up its InjectionGovernor.
   flowcontrol::FlowConfig flow{};
-  /// Multi-tenancy ("tenancy.*" config keys / UGNIRT_TENANCY_* env).
-  /// Config only: drivers construct a tenancy::JobManager over the
-  /// machine with these knobs (see src/tenancy); until one does, the
-  /// machine is bit-identical to stock single-job runs.
-  tenancy::TenancyConfig tenancy{};
 
   int effective_pes_per_node() const {
     return pes_per_node > 0 ? pes_per_node : mc.cores_per_node;

@@ -12,11 +12,9 @@ namespace ugnirt::flowcontrol {
 // CongestionEstimator
 // ---------------------------------------------------------------------------
 
-CongestionEstimator::CongestionEstimator(const FlowConfig& cfg,
-                                         std::size_t num_links,
+CongestionEstimator::CongestionEstimator(std::size_t num_links,
                                          std::size_t num_nodes)
-    : cfg_(cfg),
-      link_load_(num_links, 0.0),
+    : link_load_(num_links, 0.0),
       node_load_(num_nodes, 0.0),
       last_sample_(num_links, 0) {}
 

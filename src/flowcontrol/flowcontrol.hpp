@@ -10,11 +10,12 @@
 //
 // This subsystem closes the loop:
 //
-//   * CongestionEstimator — fed by Network::reserve_route with one O(1)
-//     EWMA update per link reservation (sample = wait/(wait+duration)),
-//     it tracks a smoothed wait fraction per directional link and per
-//     NIC.  The network also consults it for congestion-aware minimal
-//     adaptive routing (see Network::pick_route).
+//   * CongestionEstimator — a gemini::LinkObserver: Network::reserve_route
+//     feeds it one O(1) EWMA update per link reservation (sample =
+//     wait/(wait+duration)), and it tracks a smoothed wait fraction per
+//     directional link and per NIC.  Installed as the network's route
+//     steering (flow.adaptive_routing), its link loads also pick among
+//     minimal routes (see Network::pick_order).
 //   * InjectionGovernor — owned by the uGNI LRTS layer.  An AIMD window
 //     per PE caps outstanding FMA/BTE transactions: rendezvous GETs that
 //     would exceed the window are deferred (kInjectionStall) and drained
@@ -31,25 +32,27 @@
 #include <vector>
 
 #include "flowcontrol/config.hpp"
+#include "gemini/network.hpp"
 #include "trace/metrics.hpp"
 #include "util/units.hpp"
 
 namespace ugnirt::flowcontrol {
 
 /// EWMA link/NIC load estimates, updated on every link reservation.
-class CongestionEstimator {
+class CongestionEstimator final : public gemini::LinkObserver {
  public:
-  CongestionEstimator(const FlowConfig& cfg, std::size_t num_links,
-                      std::size_t num_nodes);
+  CongestionEstimator(std::size_t num_links, std::size_t num_nodes);
 
   /// Fold one reservation into the estimates: the link carried
   /// `duration_ns` of traffic after `wait_ns` of queueing, initiated by
   /// `initiator_node`'s NIC.  O(1); called from Network::reserve_route.
   void on_link_reserve(std::size_t link, int initiator_node, SimTime wait_ns,
-                       SimTime duration_ns, SimTime now);
+                       SimTime duration_ns, SimTime now) override;
 
   /// Smoothed wait fraction of one directional link, in [0, 1).
-  double link_load(std::size_t link) const { return link_load_[link]; }
+  double link_load(std::size_t link) const override {
+    return link_load_[link];
+  }
   /// Smoothed wait fraction over all reservations initiated by this
   /// node's NIC — the hotspot signal the governor keys off.
   double node_load(int node) const {
@@ -59,8 +62,6 @@ class CongestionEstimator {
     return node_load(node) >= kHotThreshold;
   }
 
-  const FlowConfig& config() const { return cfg_; }
-
   std::uint64_t samples() const { return samples_; }
 
   /// Publish flow.samples / flow.hot_samples counters plus link-load
@@ -68,7 +69,6 @@ class CongestionEstimator {
   void collect_metrics(trace::MetricsRegistry& reg) const;
 
  private:
-  FlowConfig cfg_;
   std::vector<double> link_load_;   // per directional link
   std::vector<double> node_load_;   // per NIC (initiator node)
   std::vector<SimTime> last_sample_;  // kCongestionSample rate limiting

@@ -7,7 +7,6 @@
 #include <ostream>
 
 #include "fault/fault.hpp"
-#include "flowcontrol/flowcontrol.hpp"
 
 namespace ugnirt::gemini {
 
@@ -102,21 +101,19 @@ SimTime LinkSchedule::reserve(SimTime earliest, SimTime duration,
 
 const std::array<int, 3>& Network::pick_order(int from, int to) {
   // Minimal adaptive routing: every permutation of the dimension
-  // correction order is a minimal route; score each by the summed EWMA
-  // load of its links and keep the coolest.  The stock x->y->z order is
+  // correction order is a minimal route; score each by the summed
+  // estimated load of its links and keep the coolest.  The stock x->y->z order is
   // scored first and wins ties, so an unloaded network routes exactly
   // as stock (and so does any route confined to one dimension, where
   // all permutations coincide).
   static constexpr std::array<std::array<int, 3>, 6> kOrders = {{
       {0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0},
   }};
-  if (!estimator_ || !estimator_->config().adaptive_routing) {
-    return kOrders[0];
-  }
+  if (!steering_) return kOrders[0];
   auto score = [&](const std::array<int, 3>& order) {
     double s = 0.0;
     torus_.for_each_link(from, to, order, [&](const topo::LinkId& link) {
-      s += estimator_->link_load(topo::link_index(link));
+      s += steering_->link_load(topo::link_index(link));
     });
     return s;
   };
@@ -144,38 +141,18 @@ SimTime Network::reserve_route(int from, int to, SimTime duration,
   // gaps before future-dated reservations are backfilled.
   SimTime cursor = earliest;
   bool waited = false;
-  SimTime route_wait = 0;
-  std::size_t hops = 0;
   const std::array<int, 3>& order = pick_order(from, to);
   torus_.for_each_link(from, to, order, [&](const topo::LinkId& link) {
     const std::size_t idx = topo::link_index(link);
     const SimTime start = links_[idx].reserve(cursor, duration, &waited);
-    if (estimator_) {
-      estimator_->on_link_reserve(idx, from, start - cursor, duration,
-                                  earliest);
+    if (observer_) {
+      observer_->on_link_reserve(idx, from, start - cursor, duration,
+                                 earliest);
     }
-    route_wait += start - cursor;
     cursor = start;
-    ++hops;
   });
   if (waited) ++stats_.link_conflicts;
-  if (!job_of_node_.empty()) {
-    // Tenancy attribution: charge the reservation (and its queueing) to
-    // the initiating node's job.  Rendezvous GETs initiate at the
-    // receiver, which for intra-job traffic is the same job either way.
-    const std::int16_t job = job_of_node_[static_cast<std::size_t>(from)];
-    if (job >= 0) {
-      JobLinkStats& js = job_link_[static_cast<std::size_t>(job)];
-      js.reservations += hops;
-      js.wait_ns += route_wait;
-    }
-  }
   return cursor;
-}
-
-void Network::set_job_of_node(std::vector<std::int16_t> jobs, int num_jobs) {
-  job_of_node_ = std::move(jobs);
-  job_link_.assign(static_cast<std::size_t>(num_jobs), JobLinkStats{});
 }
 
 TransferTimes Network::transfer(const TransferRequest& req) {
@@ -293,21 +270,6 @@ void Network::collect_metrics(trace::MetricsRegistry& reg) const {
   reg.counter("net.link_waits").set(waits);
   reg.counter("net.link_wait_ns").set(static_cast<std::uint64_t>(wait_ns));
   if (fault_) fault_->collect_metrics(reg);
-  // Per-job link rows, only in multi-tenant runs (attribution installed)
-  // so stock metric dumps stay byte-identical to single-job output.
-  for (std::size_t j = 0; j < job_link_.size(); ++j) {
-    const std::string prefix = "job." + std::to_string(j) + ".";
-    reg.counter(prefix + "link_reservations")
-        .set(job_link_[j].reservations);
-    reg.counter(prefix + "link_wait_ns")
-        .set(static_cast<std::uint64_t>(job_link_[j].wait_ns));
-  }
-  if (estimator_) {
-    // Flow metrics appear only when the subsystem is installed, so stock
-    // metric dumps stay byte-identical to the seed.
-    reg.counter("net.adaptive_reroutes").set(stats_.adaptive_reroutes);
-    estimator_->collect_metrics(reg);
-  }
 }
 
 void Network::write_link_csv(std::ostream& out) const {

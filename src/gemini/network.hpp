@@ -31,9 +31,6 @@
 namespace ugnirt::fault {
 class FaultInjector;
 }
-namespace ugnirt::flowcontrol {
-class CongestionEstimator;
-}
 
 namespace ugnirt::gemini {
 
@@ -111,6 +108,25 @@ class LinkSchedule {
   SimTime wait_ns_ = 0;             // total queueing delay incurred
 };
 
+/// What sees the wire's link reservations.  The congestion estimator
+/// (src/flowcontrol) and tenancy's per-job link totals (src/tenancy)
+/// implement it, so the wire names neither.
+class LinkObserver {
+ public:
+  /// One hop of a route: `link` carried `duration_ns` of traffic after
+  /// `wait_ns` of queueing, for a transfer initiated by `initiator_node`
+  /// whose route asked to start at `earliest`.
+  virtual void on_link_reserve(std::size_t link, int initiator_node,
+                               SimTime wait_ns, SimTime duration_ns,
+                               SimTime earliest) = 0;
+  /// Estimated load of one link.  Asked only of the observer installed
+  /// with Network::set_route_steering.
+  virtual double link_load(std::size_t /*link*/) const { return 0.0; }
+
+ protected:
+  ~LinkObserver() = default;
+};
+
 class Network {
  public:
   Network(sim::Scheduler& sched, topo::Torus3D torus, MachineConfig config);
@@ -136,35 +152,23 @@ class Network {
   void set_fault_injector(fault::FaultInjector* f) { fault_ = f; }
   fault::FaultInjector* fault_injector() const { return fault_; }
 
-  /// Install (or with nullptr, remove) a congestion estimator.  Not
-  /// owned.  When set, reserve_route feeds it one O(1) EWMA update per
-  /// link reservation, and — when the estimator's config asks for
-  /// adaptive routing — consults it to pick among minimal dimension-
-  /// order route permutations by estimated link load.  When null the
-  /// send path is bit-identical to stock.
-  void set_congestion_estimator(flowcontrol::CongestionEstimator* e) {
-    estimator_ = e;
-  }
-  flowcontrol::CongestionEstimator* congestion_estimator() const {
-    return estimator_;
-  }
+  /// Install (or with nullptr, remove) the link observer.  Not owned.
+  /// reserve_route calls it once per link reservation; loopback and
+  /// ASIC-sibling transfers reserve none.  There is one slot: an
+  /// observer installed over another reads it with link_observer(),
+  /// forwards every call to it and puts it back on removal.  With none
+  /// installed the send path is bit-identical to stock.
+  void set_link_observer(LinkObserver* o) { observer_ = o; }
+  LinkObserver* link_observer() const { return observer_; }
+
+  /// Adaptive routing: pick the minimal dimension-order permutation whose
+  /// links have the lowest summed `s->link_load`.  Not owned; nullptr
+  /// (the default) keeps the stock x->y->z order.
+  void set_route_steering(const LinkObserver* s) { steering_ = s; }
 
   /// Introspection for tests: the schedule of one directional link.
   const LinkSchedule& link_schedule(std::size_t idx) const {
     return links_[idx];
-  }
-
-  /// Install per-node job attribution (tenancy): `jobs[node]` is the job
-  /// id whose traffic initiates from that node, or -1 for unattributed
-  /// (mixed or idle) nodes.  When set, reserve_route accumulates per-job
-  /// link reservations and queueing, published by collect_metrics as
-  /// `job.<id>.link_reservations` / `job.<id>.link_wait_ns` rows.  Empty
-  /// map = stock behavior and stock metric output, bit for bit.
-  void set_job_of_node(std::vector<std::int16_t> jobs, int num_jobs);
-
-  /// Per-job link-queueing totals (tenancy introspection); index = job id.
-  std::uint64_t job_link_reservations(int job) const {
-    return job_link_[static_cast<std::size_t>(job)].reservations;
   }
 
   /// Publish network-wide counters (net.transfers, net.bytes_*,
@@ -183,7 +187,7 @@ class Network {
   SimTime reserve_route(int from, int to, SimTime duration, SimTime earliest);
 
   /// The dimension order a transfer's route corrects in: the stock
-  /// x->y->z order, or — under flow.adaptive_routing — the permutation
+  /// x->y->z order, or — with route steering installed — the permutation
   /// whose minimal route has the lowest estimated load (stock order wins
   /// ties, so an idle network routes exactly as stock).
   const std::array<int, 3>& pick_order(int from, int to);
@@ -200,15 +204,8 @@ class Network {
   std::vector<SimTime> bte_free_;    // per node's BTE engine
   NetworkStats stats_;
   fault::FaultInjector* fault_ = nullptr;
-  flowcontrol::CongestionEstimator* estimator_ = nullptr;
-  // Tenancy attribution: per-initiator-node job ids and the per-job link
-  // accounting they key.  Both empty (and free) outside multi-tenant runs.
-  struct JobLinkStats {
-    std::uint64_t reservations = 0;
-    SimTime wait_ns = 0;
-  };
-  std::vector<std::int16_t> job_of_node_;
-  std::vector<JobLinkStats> job_link_;
+  LinkObserver* observer_ = nullptr;
+  const LinkObserver* steering_ = nullptr;
 };
 
 }  // namespace ugnirt::gemini

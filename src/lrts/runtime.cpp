@@ -11,13 +11,11 @@ std::unique_ptr<converse::Machine> make_machine(
     converse::LayerKind kind, const converse::MachineOptions& options_in) {
   converse::MachineOptions options = options_in;
   options.layer = kind;
-  // Env overrides for every knob, so ablations need no rebuild; this also
-  // sanitizes the caller's own tenancy placement.
+  // Env overrides for every knob, so ablations need no rebuild.
   overlay_env(options.mc);
   overlay_env(options.fault);
   overlay_env(options.aggregation);
   overlay_env(options.flow);
-  overlay_env(options.tenancy);
   std::unique_ptr<converse::MachineLayer> layer;
   switch (kind) {
     case converse::LayerKind::kUgni:

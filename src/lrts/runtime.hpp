@@ -19,9 +19,10 @@
 namespace ugnirt::lrts {
 
 /// Build a machine running layer `kind` (overrides `options.layer`), with
-/// UGNIRT_GEMINI_* / _FAULT_* / _AGG_* / _FLOW_* / _TENANCY_* environment
-/// overrides applied on top of the passed-in options, and
-/// the tenancy placement sanitized.
+/// UGNIRT_GEMINI_* / _FAULT_* / _AGG_* / _FLOW_* environment overrides
+/// applied on top of the passed-in options.  The UGNIRT_TENANCY_* knobs
+/// are not machine options: a multi-tenant program overlays them onto the
+/// TenancyConfig it gives its tenancy::JobManager.
 std::unique_ptr<converse::Machine> make_machine(
     converse::LayerKind kind, const converse::MachineOptions& options = {});
 

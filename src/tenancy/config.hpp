@@ -1,14 +1,14 @@
 // Multi-tenancy configuration.
 //
-// Lives in its own header so converse/machine.hpp can embed it in
-// MachineOptions without pulling in the JobManager/generator machinery.
-// Keys live under "tenancy.*" and are overridable via UGNIRT_TENANCY_*
-// environment variables; `lrts::make_machine` applies them automatically,
-// same as the gemini/fault/agg/flow knobs.
+// Lives in its own header, free of the JobManager/generator machinery, so
+// the config-key freeze test can list it.  Keys live under "tenancy.*";
+// a multi-tenant program overlays the UGNIRT_TENANCY_* environment onto
+// its own TenancyConfig (`overlay_env`) and passes it to JobManager.
+// `lrts::make_machine` does not read these knobs: they are not machine
+// options.
 //
-// Every default preserves stock behavior bit-for-bit: until a driver
-// constructs a JobManager nothing in the send path even looks at this
-// struct.
+// Nothing in the send path looks at this struct: until a program
+// constructs a JobManager a machine runs as a stock single-job one.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +32,8 @@ struct TenancyConfig {
   /// (UGNIRT_TENANCY_PLACEMENT): "compact" (contiguous slab), "scatter"
   /// (round-robin deal across the PE space) or "random" (seeded shuffle —
   /// the fragmented allocations Jha et al. measure on production Gemini
-  /// systems, seeded from the machine seed).
+  /// systems, seeded from the machine seed).  JobManager places any
+  /// other value as "compact".
   std::string placement = "compact";
 
   /// Enforce per-job QoS classes in the InjectionGovernor
@@ -48,9 +49,6 @@ struct TenancyConfig {
     v("placement", placement);
     v("qos_enable", qos_enable);
   }
-
-  /// An unknown placement falls back to "compact".
-  void sanitize();
 };
 
 }  // namespace ugnirt::tenancy

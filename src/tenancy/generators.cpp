@@ -9,31 +9,6 @@
 
 namespace ugnirt::tenancy {
 
-const char* pattern_name(TrafficPattern p) {
-  switch (p) {
-    case TrafficPattern::kKNeighborHalo:
-      return "kneighbor";
-    case TrafficPattern::kAllToAllShuffle:
-      return "alltoall";
-    case TrafficPattern::kCheckpointBurst:
-      return "checkpoint";
-  }
-  return "?";
-}
-
-bool pattern_from_string(const std::string& s, TrafficPattern* out) {
-  if (s == "kneighbor") {
-    *out = TrafficPattern::kKNeighborHalo;
-  } else if (s == "alltoall") {
-    *out = TrafficPattern::kAllToAllShuffle;
-  } else if (s == "checkpoint") {
-    *out = TrafficPattern::kCheckpointBurst;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 namespace {
 inline SimTime now_ns() {
   return static_cast<SimTime>(converse::CmiWallTimer() * 1e9);

@@ -36,8 +36,6 @@ enum class TrafficPattern : std::uint8_t {
   kCheckpointBurst,
 };
 
-const char* pattern_name(TrafficPattern p);
-bool pattern_from_string(const std::string& s, TrafficPattern* out);
 
 struct GeneratorOptions {
   TrafficPattern pattern = TrafficPattern::kKNeighborHalo;

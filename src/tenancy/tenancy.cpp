@@ -5,48 +5,9 @@
 #include <numeric>
 
 #include "flowcontrol/flowcontrol.hpp"
-#include "gemini/network.hpp"
-#include "trace/events.hpp"
 #include "util/rng.hpp"
 
 namespace ugnirt::tenancy {
-
-// ---------------------------------------------------------------------------
-// TenancyConfig
-// ---------------------------------------------------------------------------
-
-void TenancyConfig::sanitize() {
-  Placement p;
-  if (!placement_from_string(placement, &p)) placement = "compact";
-}
-
-// ---------------------------------------------------------------------------
-// Enums
-// ---------------------------------------------------------------------------
-
-const char* qos_name(QosClass q) {
-  switch (q) {
-    case QosClass::kLatency:
-      return "latency";
-    case QosClass::kBulk:
-      return "bulk";
-    case QosClass::kScavenger:
-      return "scavenger";
-  }
-  return "?";
-}
-
-const char* placement_name(Placement p) {
-  switch (p) {
-    case Placement::kCompact:
-      return "compact";
-    case Placement::kScatter:
-      return "scatter";
-    case Placement::kRandom:
-      return "random";
-  }
-  return "?";
-}
 
 bool placement_from_string(const std::string& s, Placement* out) {
   if (s == "compact") {
@@ -67,9 +28,22 @@ bool placement_from_string(const std::string& s, Placement* out) {
 
 JobManager::JobManager(converse::Machine& m, const TenancyConfig& cfg)
     : m_(&m), cfg_(cfg) {
-  placement_from_string(cfg_.placement, &placement_);  // sanitized
+  // The one rule for a junk placement: placement_ keeps kCompact.
+  placement_from_string(cfg_.placement, &placement_);
   job_of_pe_.assign(static_cast<std::size_t>(m.num_pes()), -1);
   rank_of_pe_.assign(static_cast<std::size_t>(m.num_pes()), -1);
+}
+
+JobManager::~JobManager() {
+  if (!placed_) return;
+  // The totals die with the manager: publish them so a machine that
+  // outlives it (a trace session absorbs its registry at teardown) still
+  // reports them.
+  publish_link_metrics();
+  gemini::Network& net = m_->network();
+  assert(net.link_observer() == this &&
+         "link observers are removed in the reverse order of installation");
+  net.set_link_observer(next_observer_);
 }
 
 JobId JobManager::add_job(JobSpec spec) {
@@ -88,7 +62,7 @@ void JobManager::place() {
   (void)total;
   assign_pes();
   apply_qos();
-  install_attribution();
+  install_link_observer();
   placed_ = true;
 }
 
@@ -199,12 +173,12 @@ void JobManager::apply_qos() {
   }
 }
 
-void JobManager::install_attribution() {
-  // Network: per-node job map (a node carries its job's id only when all
-  // its PEs belong to one job — mixed nodes stay unattributed rather
-  // than guessing).
+void JobManager::install_link_observer() {
+  // Per-node job map: a node carries its job's id only when all its PEs
+  // belong to one job — mixed nodes stay unattributed rather than
+  // guessing.
   const int nodes = m_->options().nodes();
-  std::vector<std::int16_t> job_of_node(static_cast<std::size_t>(nodes), -1);
+  job_of_node_.assign(static_cast<std::size_t>(nodes), -1);
   const int ppn = m_->options().effective_pes_per_node();
   for (int node = 0; node < nodes; ++node) {
     std::int16_t job = -2;  // unset
@@ -217,11 +191,30 @@ void JobManager::install_attribution() {
         break;
       }
     }
-    job_of_node[static_cast<std::size_t>(node)] = job == -2 ? -1 : job;
+    job_of_node_[static_cast<std::size_t>(node)] = job == -2 ? -1 : job;
   }
-  m_->network().set_job_of_node(std::move(job_of_node), num_jobs());
-  // Tracer: exported event rows gain a `job` column keyed by PE.
-  if (trace::enabled()) trace::tracer()->set_job_of_pe(job_of_pe_);
+  job_links_.assign(jobs_.size(), LinkTotals{});
+  gemini::Network& net = m_->network();
+  next_observer_ = net.link_observer();
+  net.set_link_observer(this);
+}
+
+void JobManager::on_link_reserve(std::size_t link, int initiator_node,
+                                 SimTime wait_ns, SimTime duration_ns,
+                                 SimTime earliest) {
+  // Rendezvous GETs initiate at the receiver, which for intra-job
+  // traffic is the same job either way.
+  const std::int16_t job =
+      job_of_node_[static_cast<std::size_t>(initiator_node)];
+  if (job >= 0) {
+    LinkTotals& t = job_links_[static_cast<std::size_t>(job)];
+    ++t.reservations;
+    t.wait_ns += wait_ns;
+  }
+  if (next_observer_) {
+    next_observer_->on_link_reserve(link, initiator_node, wait_ns,
+                                    duration_ns, earliest);
+  }
 }
 
 std::string JobManager::metric_name(JobId id, const char* suffix) {
@@ -240,6 +233,19 @@ void JobManager::collect_metrics() {
     std::uint64_t executed = 0;
     for (int pe : job.pes()) executed += m_->pe(pe).msgs_executed();
     m_->metrics().counter(metric_name(job.id(), "msgs_executed")).set(executed);
+  }
+  publish_link_metrics();
+}
+
+void JobManager::publish_link_metrics() {
+  for (std::size_t j = 0; j < job_links_.size(); ++j) {
+    const JobId id = static_cast<JobId>(j);
+    m_->metrics()
+        .counter(metric_name(id, "link_reservations"))
+        .set(job_links_[j].reservations);
+    m_->metrics()
+        .counter(metric_name(id, "link_wait_ns"))
+        .set(static_cast<std::uint64_t>(job_links_[j].wait_ns));
   }
 }
 

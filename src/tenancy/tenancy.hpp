@@ -12,8 +12,10 @@
 //     round-robin deal, or seeded random-fragmented — the allocation
 //     shapes Jha et al. measure), pushes each job's QoS class into the
 //     InjectionGovernor as per-PE window bounds + drain quotas, and
-//     installs job attribution on the Network (per-job link queueing) and
-//     the EventTracer (a `job` column on exported trace rows).
+//     installs itself as the Network's gemini::LinkObserver, charging
+//     each link reservation (and its queueing) to the initiating node's
+//     job.
+//     Trace rows carry no job: their `pe` column joins job_map().
 //   * QoS classes — `latency` jobs get an AIMD window floor so hotspot
 //     backoff cannot starve them; `bulk` and `scavenger` jobs get window
 //     ceilings and deferred-GET drain quotas so their storms cannot
@@ -25,6 +27,10 @@
 //     existing MetricsRegistry CSV/JSON pipeline, so a victim job's p99
 //     reads straight out of the standard exports.
 //
+// The caller owns the TenancyConfig: it overlays the UGNIRT_TENANCY_* env
+// knobs itself (overlay_env) and hands the result to JobManager.  A
+// machine without a JobManager never reads a tenancy knob.
+//
 // Everything is a deterministic function of the seeds, so multi-tenant
 // runs are bit-reproducible.
 #pragma once
@@ -34,6 +40,7 @@
 #include <vector>
 
 #include "converse/machine.hpp"
+#include "gemini/network.hpp"
 #include "tenancy/config.hpp"
 #include "trace/metrics.hpp"
 
@@ -46,8 +53,6 @@ enum class QosClass : std::uint8_t {
   kScavenger,  // background filler: tight ceiling, trickle drain
 };
 
-const char* qos_name(QosClass q);
-
 /// How a job's PEs are carved out of the machine (Jha et al.'s
 /// allocation shapes).
 enum class Placement : std::uint8_t {
@@ -56,7 +61,6 @@ enum class Placement : std::uint8_t {
   kRandom,   // seeded shuffle: fragmented all over the torus
 };
 
-const char* placement_name(Placement p);
 bool placement_from_string(const std::string& s, Placement* out);
 
 using JobId = int;
@@ -89,18 +93,27 @@ class Job {
   std::vector<int> pes_;
 };
 
-class JobManager {
+/// Owns the jobs of one machine.  Placed, it is also the network's link
+/// observer: each hop is charged to the initiating node's job, then
+/// forwarded to the observer it was installed over (the congestion
+/// estimator under flow control).
+class JobManager final : private gemini::LinkObserver {
  public:
   /// Binds to `m` (not owned; must outlive the manager); jobs are added
-  /// with add_job.
+  /// with add_job.  An unknown cfg.placement falls back to compact.
   JobManager(converse::Machine& m, const TenancyConfig& cfg);
+  /// Publishes the final per-job link rows and takes the manager's link
+  /// observer off the network.
+  ~JobManager();
+  JobManager(const JobManager&) = delete;
+  JobManager& operator=(const JobManager&) = delete;
 
   /// Add one job before place(); returns its id (dense, 0-based).
   JobId add_job(JobSpec spec);
 
   /// Carve the PE space by the configured placement, push QoS into the
   /// governor (when flow control is on and cfg.qos_enable), and install
-  /// job attribution on the network and tracer.  Call exactly once, after
+  /// per-job link accounting on the network.  Call exactly once, after
   /// every add_job.
   void place();
   bool placed() const { return placed_; }
@@ -110,7 +123,6 @@ class JobManager {
     return jobs_[static_cast<std::size_t>(id)];
   }
   Placement placement() const { return placement_; }
-  const TenancyConfig& config() const { return cfg_; }
   converse::Machine& machine() { return *m_; }
 
   /// Owning job of a global PE, -1 when unassigned.
@@ -121,8 +133,8 @@ class JobManager {
   int rank_of_pe(int pe) const {
     return rank_of_pe_[static_cast<std::size_t>(pe)];
   }
-  /// The per-PE job map (indexed by global PE; -1 = unassigned), as
-  /// installed on the tracer/network.  Valid after place().
+  /// The per-PE job map (indexed by global PE; -1 = unassigned): joins
+  /// the `pe` column of trace exports to jobs.  Valid after place().
   const std::vector<std::int16_t>& job_map() const { return job_of_pe_; }
 
   /// "job.<id>.<suffix>" — the registry naming scheme for per-job rows.
@@ -133,15 +145,18 @@ class JobManager {
   /// it, and its p50/p90/p99 ride the standard CSV/JSON exports.
   trace::Histogram& delivery_hist(JobId id);
 
-  /// Publish job.<id>.pes / job.<id>.msgs_executed; the per-job link
-  /// rows come from Network::collect_metrics once attribution is
-  /// installed.  Call before Machine::collect_metrics-driven dumps.
+  /// Publish job.<id>.pes / job.<id>.msgs_executed and, once placed,
+  /// job.<id>.link_reservations / job.<id>.link_wait_ns for every job
+  /// (zeros included).  Call before Machine::collect_metrics-driven dumps.
   void collect_metrics();
 
  private:
+  void on_link_reserve(std::size_t link, int initiator_node, SimTime wait_ns,
+                       SimTime duration_ns, SimTime earliest) override;
   void assign_pes();
   void apply_qos();
-  void install_attribution();
+  void install_link_observer();
+  void publish_link_metrics();
 
   converse::Machine* m_;
   TenancyConfig cfg_;
@@ -149,6 +164,14 @@ class JobManager {
   std::vector<Job> jobs_;
   std::vector<std::int16_t> job_of_pe_;
   std::vector<int> rank_of_pe_;
+  // Job of each node, -1 for a node that is idle or shared by jobs.
+  std::vector<std::int16_t> job_of_node_;
+  struct LinkTotals {
+    std::uint64_t reservations = 0;
+    SimTime wait_ns = 0;
+  };
+  std::vector<LinkTotals> job_links_;
+  gemini::LinkObserver* next_observer_ = nullptr;
   bool placed_ = false;
 };
 

@@ -117,8 +117,6 @@ void EventTracer::write_chrome_json(std::ostream& out) const {
     out << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":" << pe
         << ",\"args\":{\"name\":\"" << (pe < 0 ? "comm " : "pe ") << pe
         << "\"}}";
-    const bool jobs = !job_of_pe_.empty();
-    const int job = job_of(pe);
     for (std::size_t i = 0; i < ring.size(); ++i) {
       const Event& ev = ring.at(i);
       // trace_event timestamps are microseconds (double); ours are ns.
@@ -126,28 +124,20 @@ void EventTracer::write_chrome_json(std::ostream& out) const {
           << "\",\"cat\":\"proto\",\"pid\":0,\"tid\":" << pe
           << ",\"ts\":" << static_cast<double>(ev.t) / 1000.0
           << ",\"dur\":" << static_cast<double>(ev.dur) / 1000.0
-          << ",\"args\":{\"peer\":" << ev.peer << ",\"size\":" << ev.size;
-      if (jobs) out << ",\"job\":" << job;
-      out << "}}";
+          << ",\"args\":{\"peer\":" << ev.peer << ",\"size\":" << ev.size
+          << "}}";
     }
   }
   out << "]}";
 }
 
 void EventTracer::write_csv(std::ostream& out) const {
-  // The `job` column appears only when tenancy installed an attribution
-  // map, so single-job exports stay byte-identical to stock.
-  const bool jobs = !job_of_pe_.empty();
-  out << (jobs ? "pe,t_ns,dur_ns,event,peer,size,job\n"
-               : "pe,t_ns,dur_ns,event,peer,size\n");
+  out << "pe,t_ns,dur_ns,event,peer,size\n";
   for (const auto& [pe, ring] : rings_) {
-    const int job = job_of(pe);
     for (std::size_t i = 0; i < ring.size(); ++i) {
       const Event& ev = ring.at(i);
       out << pe << ',' << ev.t << ',' << ev.dur << ','
-          << event_name(ev.type) << ',' << ev.peer << ',' << ev.size;
-      if (jobs) out << ',' << job;
-      out << '\n';
+          << event_name(ev.type) << ',' << ev.peer << ',' << ev.size << '\n';
     }
   }
 }

@@ -124,28 +124,11 @@ class EventTracer {
   }
   const EventRing* ring(int pe) const;
 
-  /// Install per-PE job attribution (tenancy: JobManager::place installs
-  /// its job map here).  Exports then carry each row's owning job —
-  /// write_csv gains a trailing `job` column and the Chrome JSON args a
-  /// "job" field.  Recording stays untouched (attribution is resolved at
-  /// export, costing the hot path nothing); with no map installed the
-  /// output formats are byte-identical to stock.
-  void set_job_of_pe(std::vector<std::int16_t> jobs) {
-    job_of_pe_ = std::move(jobs);
-  }
-  /// Owning job of a PE per the installed map (-1 when unmapped).
-  int job_of(int pe) const {
-    return pe >= 0 && static_cast<std::size_t>(pe) < job_of_pe_.size()
-               ? job_of_pe_[static_cast<std::size_t>(pe)]
-               : -1;
-  }
-
   /// Chrome trace_event JSON ("X" complete events, ts/dur in microseconds;
   /// loads in chrome://tracing and Perfetto).
   void write_chrome_json(std::ostream& out) const;
 
-  /// Flat rows: `pe,t_ns,dur_ns,event,peer,size` (plus a trailing `job`
-  /// column once set_job_of_pe installed an attribution map).
+  /// Flat rows: `pe,t_ns,dur_ns,event,peer,size`.
   void write_csv(std::ostream& out) const;
 
   void clear();
@@ -156,7 +139,6 @@ class EventTracer {
   std::uint64_t total_events_ = 0;
   std::uint64_t type_counts_[kEvCount] = {};
   std::uint64_t dropped_by_type_[kEvCount] = {};  // evicted + rate-limited
-  std::vector<std::int16_t> job_of_pe_;  // tenancy attribution (may be empty)
 };
 
 // ---- global installation ----------------------------------------------

@@ -208,14 +208,6 @@ TEST(ConfigFields, MakeMachineKeepsExactProgrammaticValues) {
   EXPECT_EQ(m->options().mc.smsg_per_byte_ns, 4e-7);
 }
 
-TEST(ConfigFields, MakeMachineSanitizesProgrammaticValues) {
-  MachineOptions o;
-  o.pes = 2;
-  o.tenancy.placement = "diagonal";
-  auto m = lrts::make_machine(LayerKind::kUgni, o);
-  EXPECT_EQ(m->options().tenancy.placement, "compact");
-}
-
 TEST(ConfigFields, EnvSeedTakesTheFullUint64Range) {
   ::setenv("UGNIRT_FAULT_SEED", "17293822569102704641", 1);
   MachineOptions o;

@@ -38,7 +38,6 @@ using converse::kCmiHeaderBytes;
 using converse::LayerKind;
 using converse::MachineOptions;
 using flowcontrol::CongestionEstimator;
-using flowcontrol::FlowConfig;
 using flowcontrol::InjectionGovernor;
 
 // ----------------------------------------------------------------- config ----
@@ -54,7 +53,7 @@ TEST(FlowConfig, EnvOverridesApplyInMakeMachine) {
   EXPECT_TRUE(m->options().flow.enable);
   EXPECT_TRUE(m->options().flow.adaptive_routing);
   EXPECT_NE(m->congestion_estimator(), nullptr);
-  EXPECT_EQ(m->network().congestion_estimator(), m->congestion_estimator());
+  EXPECT_EQ(m->network().link_observer(), m->congestion_estimator());
 }
 
 // Defaults preserve stock behavior: no estimator is even constructed and
@@ -65,7 +64,7 @@ TEST(FlowConfig, DisabledByDefaultLeavesStockMachine) {
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   EXPECT_FALSE(m->options().flow.enable);
   EXPECT_EQ(m->congestion_estimator(), nullptr);
-  EXPECT_EQ(m->network().congestion_estimator(), nullptr);
+  EXPECT_EQ(m->network().link_observer(), nullptr);
   m->collect_metrics();
   std::ostringstream csv;
   m->metrics().write_csv(csv);
@@ -76,7 +75,7 @@ TEST(FlowConfig, DisabledByDefaultLeavesStockMachine) {
 // -------------------------------------------------------------- estimator ----
 
 TEST(FlowEstimator, WaitFreeTrafficKeepsLoadZero) {
-  CongestionEstimator est(FlowConfig{}, 6, 1);
+  CongestionEstimator est(6, 1);
   for (int i = 0; i < 100; ++i) {
     est.on_link_reserve(0, 0, /*wait_ns=*/0, /*duration_ns=*/1000, i * 1000);
   }
@@ -87,7 +86,7 @@ TEST(FlowEstimator, WaitFreeTrafficKeepsLoadZero) {
 }
 
 TEST(FlowEstimator, SustainedQueueingConvergesTowardWaitFraction) {
-  CongestionEstimator est(FlowConfig{}, 6, 1);  // alpha = 0.125
+  CongestionEstimator est(6, 1);  // alpha = 0.125
   // Every reservation waits 3x its service time: sample = 0.75.
   double prev = 0.0;
   for (int i = 0; i < 80; ++i) {
@@ -104,7 +103,7 @@ TEST(FlowEstimator, SustainedQueueingConvergesTowardWaitFraction) {
 }
 
 TEST(FlowEstimator, HotRecoversWhenCongestionClears) {
-  CongestionEstimator est(FlowConfig{}, 6, 2);
+  CongestionEstimator est(6, 2);
   for (int i = 0; i < 40; ++i) {
     est.on_link_reserve(1, 1, 1000, 1000, i * 1000);  // sample = 0.5
   }
@@ -149,7 +148,7 @@ TEST(FlowGovernor, CoolCompletionsGrowWindowAdditively) {
 }
 
 TEST(FlowGovernor, HotCompletionsShrinkWindowMultiplicativelyToFloor) {
-  CongestionEstimator est(FlowConfig{}, 6, 1);
+  CongestionEstimator est(6, 1);
   for (int i = 0; i < 40; ++i) {
     est.on_link_reserve(0, 0, 3000, 1000, i * 1000);  // node 0 hot
   }
@@ -165,7 +164,7 @@ TEST(FlowGovernor, HotCompletionsShrinkWindowMultiplicativelyToFloor) {
 }
 
 TEST(FlowGovernor, ThresholdsAdaptOnlyWhileHot) {
-  CongestionEstimator est(FlowConfig{}, 6, 2);
+  CongestionEstimator est(6, 2);
   for (int i = 0; i < 40; ++i) {
     est.on_link_reserve(0, 0, 3000, 1000, i * 1000);  // node 0: load ~0.75
   }

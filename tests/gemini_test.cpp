@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
 
 #include "gemini/machine_config.hpp"
 #include "gemini/network.hpp"
@@ -252,6 +253,80 @@ TEST(Network, DeterministicTransferTimes) {
     return v;
   };
   EXPECT_EQ(run(), run());
+}
+
+// ---------------------------------------------------------- link observer ----
+
+/// Records every hop; reports `loads[link]` to route steering.
+struct RecordingObserver final : LinkObserver {
+  struct Hop {
+    std::size_t link;
+    int initiator;
+    SimTime wait;
+  };
+  void on_link_reserve(std::size_t link, int initiator_node, SimTime wait_ns,
+                       SimTime, SimTime) override {
+    hops.push_back({link, initiator_node, wait_ns});
+  }
+  double link_load(std::size_t link) const override { return loads[link]; }
+
+  std::vector<Hop> hops;
+  std::vector<double> loads = std::vector<double>(16 * 6, 0.0);
+};
+
+// One call per hop, in route order, naming the link and the initiator (a
+// GET initiates at its reader); per link, the calls' counts and waits
+// sum to the LinkSchedule totals.  Loopback and ASIC-sibling transfers
+// reserve no link and make no call.
+TEST(LinkObserver, OneCallPerHopSummingToTheLinkSchedules) {
+  Network net = make_net(16);
+  RecordingObserver obs;
+  net.set_link_observer(&obs);
+  do_transfer(net, Mechanism::kBtePut, 4096, 0, 2, 2);   // loopback
+  do_transfer(net, Mechanism::kFmaPut, 4096, 0, 5, 4);   // ASIC siblings
+  EXPECT_TRUE(obs.hops.empty());
+  const int legs[][2] = {{0, 5}, {0, 5}, {7, 2}, {3, 12}};
+  std::size_t at = 0;
+  for (const auto& [from, to] : legs) {
+    do_transfer(net, from == 7 ? Mechanism::kBteGet : Mechanism::kFmaPut,
+                1 << 20, 0, from, to);
+    const std::vector<topo::LinkId> route = net.torus().route(from, to);
+    ASSERT_EQ(obs.hops.size(), at + route.size());
+    for (const topo::LinkId& link : route) {
+      EXPECT_EQ(obs.hops[at].link, topo::link_index(link));
+      EXPECT_EQ(obs.hops[at++].initiator, from);
+    }
+  }
+  // The repeated put queues behind the first on its first hop.
+  EXPECT_EQ(obs.hops[0].wait, 0);
+  EXPECT_GT(obs.hops[net.torus().route(0, 5).size()].wait, 0);
+  std::vector<std::uint64_t> calls(net.torus().total_links(), 0);
+  std::vector<SimTime> wait_ns(net.torus().total_links(), 0);
+  for (const RecordingObserver::Hop& hop : obs.hops) {
+    ++calls[hop.link];
+    wait_ns[hop.link] += hop.wait;
+  }
+  for (std::size_t l = 0; l < calls.size(); ++l) {
+    EXPECT_EQ(calls[l], net.link_schedule(l).reservations()) << l;
+    EXPECT_EQ(wait_ns[l], net.link_schedule(l).wait_ns()) << l;
+  }
+}
+
+// Only the observer installed as route steering is asked for link load:
+// the same loads on a plain observer leave the stock x->y->z route.
+TEST(LinkObserver, OnlyTheSteeringObserverMovesRoutes) {
+  RecordingObserver obs;
+  Network plain = make_net(16);
+  for (const topo::LinkId& link : plain.torus().route(0, 5)) {
+    obs.loads[topo::link_index(link)] = 1.0;  // the stock route is hot
+  }
+  plain.set_link_observer(&obs);
+  do_transfer(plain, Mechanism::kFmaPut, 4096, 0, 0, 5);
+  EXPECT_EQ(plain.stats().adaptive_reroutes, 0u);
+  Network steered = make_net(16);
+  steered.set_route_steering(&obs);
+  do_transfer(steered, Mechanism::kFmaPut, 4096, 0, 0, 5);
+  EXPECT_EQ(steered.stats().adaptive_reroutes, 1u);
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
-// Multi-tenancy subsystem tests: TenancyConfig env overrides through
-// make_machine, placement properties (partition/inverse-map invariants
-// for every policy, seeded determinism of the random shuffle), QoS
-// classes landing in the InjectionGovernor as window bounds + drain
-// quotas, generator message accounting, seeded determinism of full
-// two-tenant timelines across runs, the 7-class fault-matrix rerun with
-// two tenants (zero loss in both jobs), per-job metrics/link
-// attribution, and the tracer's opt-in `job` column.
+// Multi-tenancy subsystem tests: placement properties (partition/inverse-
+// map invariants for every policy, seeded determinism of the random
+// shuffle, the compact fallback for an unknown policy), QoS classes
+// landing in the InjectionGovernor as window bounds + drain quotas,
+// generator message accounting, seeded determinism of full two-tenant
+// timelines across runs, the 7-class fault-matrix rerun with two tenants
+// (zero loss in both jobs), and per-job metrics with link attribution
+// that sums to the network's totals.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -38,48 +37,40 @@ using tenancy::TenancyConfig;
 using tenancy::TrafficGenerator;
 using tenancy::TrafficPattern;
 
-// ----------------------------------------------------------------- config ----
-
-TEST(TenancyConfig, EnvOverridesApplyInMakeMachine) {
-  ::setenv("UGNIRT_TENANCY_PLACEMENT", "scatter", 1);
-  ::setenv("UGNIRT_TENANCY_QOS_ENABLE", "0", 1);
-  MachineOptions o;
-  o.pes = 4;
-  auto m = lrts::make_machine(LayerKind::kUgni, o);
-  ::unsetenv("UGNIRT_TENANCY_PLACEMENT");
-  ::unsetenv("UGNIRT_TENANCY_QOS_ENABLE");
-  const TenancyConfig& t = m->options().tenancy;
-  EXPECT_EQ(t.placement, "scatter");
-  EXPECT_FALSE(t.qos_enable);
-}
-
 // -------------------------------------------------------------- placement ----
 
-MachineOptions tenant_options(int pes, const std::string& placement,
-                              int ppn = 1) {
+MachineOptions tenant_options(int pes, int ppn = 1) {
   MachineOptions o;
   o.layer = LayerKind::kUgni;
   o.pes = pes;
   o.pes_per_node = ppn;
-  o.tenancy.placement = placement;
   return o;
 }
 
+TenancyConfig tenancy_config(const std::string& placement,
+                             bool qos_enable = true) {
+  TenancyConfig t;
+  t.placement = placement;
+  t.qos_enable = qos_enable;
+  return t;
+}
+
 /// Build a 3-job manager on `pes` PEs under `placement` and return it
-/// placed, with its machine (seeded with `seed`) kept alive by the caller.
-std::unique_ptr<converse::Machine> placed(const std::string& placement,
-                                          std::unique_ptr<JobManager>* out,
-                                          int pes = 16,
-                                          std::uint64_t seed = 0x5eed) {
-  auto o = tenant_options(pes, placement);
+/// placed, with its machine (seeded with `seed`) in `*m`.  The caller
+/// declares `*m` first, so the machine outlives the manager.
+std::unique_ptr<JobManager> placed(const std::string& placement,
+                                   std::unique_ptr<converse::Machine>* m,
+                                   int pes = 16,
+                                   std::uint64_t seed = 0x5eed) {
+  auto o = tenant_options(pes);
   o.seed = seed;
-  auto m = lrts::make_machine(LayerKind::kUgni, o);
-  *out = std::make_unique<JobManager>(*m, m->options().tenancy);
-  (*out)->add_job({"a", pes / 4, QosClass::kLatency});
-  (*out)->add_job({"b", pes / 2, QosClass::kBulk});
-  (*out)->add_job({"c", pes / 4, QosClass::kScavenger});
-  (*out)->place();
-  return m;
+  *m = lrts::make_machine(LayerKind::kUgni, o);
+  auto jobs = std::make_unique<JobManager>(**m, tenancy_config(placement));
+  jobs->add_job({"a", pes / 4, QosClass::kLatency});
+  jobs->add_job({"b", pes / 2, QosClass::kBulk});
+  jobs->add_job({"c", pes / 4, QosClass::kScavenger});
+  jobs->place();
+  return jobs;
 }
 
 /// Partition + inverse-map invariants every placement must uphold: each
@@ -104,8 +95,8 @@ void check_partition(const JobManager& jobs, int pes) {
 }
 
 TEST(TenancyPlacement, CompactIsContiguousSlabs) {
-  std::unique_ptr<JobManager> jobs;
-  auto m = placed("compact", &jobs);
+  std::unique_ptr<converse::Machine> m;
+  auto jobs = placed("compact", &m);
   check_partition(*jobs, 16);
   EXPECT_EQ(jobs->placement(), Placement::kCompact);
   for (int j = 0; j < jobs->num_jobs(); ++j) {
@@ -116,8 +107,8 @@ TEST(TenancyPlacement, CompactIsContiguousSlabs) {
 }
 
 TEST(TenancyPlacement, ScatterDealsRoundRobin) {
-  std::unique_ptr<JobManager> jobs;
-  auto m = placed("scatter", &jobs);
+  std::unique_ptr<converse::Machine> m;
+  auto jobs = placed("scatter", &m);
   check_partition(*jobs, 16);
   EXPECT_EQ(jobs->placement(), Placement::kScatter);
   // A deal never hands one job a contiguous slab (sizes here are all
@@ -130,13 +121,24 @@ TEST(TenancyPlacement, ScatterDealsRoundRobin) {
 }
 
 TEST(TenancyPlacement, RandomIsSeededDeterministic) {
-  std::unique_ptr<JobManager> a, b, c;
-  auto ma = placed("random", &a, 16, 42);
-  auto mb = placed("random", &b, 16, 42);
-  auto mc = placed("random", &c, 16, 43);
+  std::unique_ptr<converse::Machine> ma, mb, mc;
+  auto a = placed("random", &ma, 16, 42);
+  auto b = placed("random", &mb, 16, 42);
+  auto c = placed("random", &mc, 16, 43);
   check_partition(*a, 16);
   EXPECT_EQ(a->job_map(), b->job_map());  // same seed, same carve
   EXPECT_NE(a->job_map(), c->job_map());  // reseeding moves the carve
+}
+
+// An unknown placement carves exactly as compact: JobManager is the one
+// place that decides, and make_machine never sees the knob.
+TEST(TenancyPlacement, UnknownPlacementFallsBackToCompact) {
+  std::unique_ptr<converse::Machine> mj, mc;
+  auto junk = placed("diagonal", &mj);
+  auto compact = placed("compact", &mc);
+  EXPECT_EQ(junk->placement(), Placement::kCompact);
+  check_partition(*junk, 16);
+  EXPECT_EQ(junk->job_map(), compact->job_map());
 }
 
 // --------------------------------------------------------------------- qos ----
@@ -146,12 +148,12 @@ TEST(TenancyPlacement, RandomIsSeededDeterministic) {
 // scavenger ceilings cap it (clamping the live cwnd down immediately),
 // and drain quotas land per PE.
 TEST(TenancyQos, ClassesLandInGovernorWindows) {
-  auto o = tenant_options(16, "compact");
+  auto o = tenant_options(16);
   o.flow.enable = true;  // window start 8, bounds [2, 64]
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   flowcontrol::InjectionGovernor* gov = m->layer().governor();
   ASSERT_NE(gov, nullptr);
-  JobManager jobs(*m, m->options().tenancy);
+  JobManager jobs(*m, tenancy_config("compact"));
   jobs.add_job({"lat", 4, QosClass::kLatency});
   jobs.add_job({"blk", 8, QosClass::kBulk});
   jobs.add_job({"scv", 4, QosClass::kScavenger});
@@ -176,13 +178,12 @@ TEST(TenancyQos, ClassesLandInGovernorWindows) {
 // qos_enable=false partitions the PE space but leaves the governor
 // byte-identical to stock — the ablation's noqos leg.
 TEST(TenancyQos, DisabledLeavesGovernorStock) {
-  auto o = tenant_options(8, "scatter");
+  auto o = tenant_options(8);
   o.flow.enable = true;
-  o.tenancy.qos_enable = false;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   flowcontrol::InjectionGovernor* gov = m->layer().governor();
   ASSERT_NE(gov, nullptr);
-  JobManager jobs(*m, m->options().tenancy);
+  JobManager jobs(*m, tenancy_config("scatter", /*qos_enable=*/false));
   jobs.add_job({"a", 4, QosClass::kLatency});
   jobs.add_job({"b", 4, QosClass::kScavenger});
   jobs.place();
@@ -201,9 +202,9 @@ TEST(TenancyQos, DisabledLeavesGovernorStock) {
 // expected_messages() is the zero-loss oracle; pin the per-pattern
 // counting rules it encodes.
 TEST(TenancyGenerators, ExpectedMessageFormulas) {
-  auto o = tenant_options(12, "compact");
+  auto o = tenant_options(12);
   auto m = lrts::make_machine(LayerKind::kUgni, o);
-  JobManager jobs(*m, m->options().tenancy);
+  JobManager jobs(*m, tenancy_config("compact"));
   jobs.add_job({"a", 6, QosClass::kLatency});
   jobs.add_job({"b", 4, QosClass::kBulk});
   jobs.add_job({"c", 2, QosClass::kScavenger});
@@ -233,10 +234,10 @@ TEST(TenancyGenerators, ExpectedMessageFormulas) {
 std::string traced_tenant_run() {
   trace::EventTracer tracer(1u << 18);
   trace::set_tracer(&tracer);
-  auto o = tenant_options(16, "scatter", 4);
+  auto o = tenant_options(16, 4);
   o.flow.enable = true;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
-  JobManager jobs(*m, m->options().tenancy);
+  JobManager jobs(*m, tenancy_config("scatter"));
   jobs.add_job({"victim", 6, QosClass::kLatency});
   jobs.add_job({"storm", 6, QosClass::kBulk});
   jobs.add_job({"ckpt", 4, QosClass::kScavenger});
@@ -332,11 +333,11 @@ TEST(TenancyFault, MatrixZeroLossWithTwoTenants) {
     cases.push_back(c);
   }
   for (const Case& fc : cases) {
-    auto o = tenant_options(8, "scatter", 4);
+    auto o = tenant_options(8, 4);
     o.flow.enable = true;
     o.fault = fc.plan;
     auto m = lrts::make_machine(LayerKind::kUgni, o);
-    JobManager jobs(*m, m->options().tenancy);
+    JobManager jobs(*m, tenancy_config("scatter"));
     jobs.add_job({"victim", 4, QosClass::kLatency});
     jobs.add_job({"storm", 4, QosClass::kBulk});
     jobs.place();
@@ -363,15 +364,17 @@ TEST(TenancyFault, MatrixZeroLossWithTwoTenants) {
 
 // Per-job rows ride the standard registry exports: pes/msgs_executed
 // gauges, the delivery histogram with one sample per delivered message,
-// and the network's per-job link counters once attribution is installed.
+// and per-job link counters.  Compact at 4 PEs per node gives every node
+// to one job, so the job rows account for every link reservation: they
+// sum to the network's totals.
 TEST(TenancyMetrics, PerJobRowsAndLinkAttribution) {
   // 32 PEs at 4/node = 8 nodes: each compact job spans two Gemini ASICs,
   // so its traffic actually crosses torus links (ASIC-sibling node pairs
   // bypass them via the Netlink and would never reserve a link).
-  auto o = tenant_options(32, "compact", 4);
+  auto o = tenant_options(32, 4);
   o.flow.enable = true;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
-  JobManager jobs(*m, m->options().tenancy);
+  JobManager jobs(*m, tenancy_config("compact"));
   jobs.add_job({"victim", 16, QosClass::kLatency});
   jobs.add_job({"storm", 16, QosClass::kBulk});
   jobs.place();
@@ -391,43 +394,37 @@ TEST(TenancyMetrics, PerJobRowsAndLinkAttribution) {
   m->run();
   EXPECT_EQ(jobs.delivery_hist(0).count(), vg.expected_messages());
   EXPECT_EQ(jobs.delivery_hist(1).count(), sg.expected_messages());
-  // Compact on ppn=4 gives each job whole nodes, so its inter-node
-  // traffic is attributable and the storm must have reserved links.
-  EXPECT_GT(m->network().job_link_reservations(1), 0u);
   jobs.collect_metrics();
   m->collect_metrics();
+  const trace::MetricsRegistry& reg = m->metrics();
+  auto counter = [&](const std::string& name) -> std::uint64_t {
+    const trace::Counter* c = reg.find_counter(name);
+    EXPECT_NE(c, nullptr) << "metric " << name;
+    return c ? c->value() : 0;
+  };
+  // The storm's inter-node traffic is attributable, so it reserved links.
+  EXPECT_GT(counter("job.1.link_reservations"), 0u);
+  std::uint64_t job_reservations = 0;
+  std::uint64_t job_wait_ns = 0;
+  for (int j = 0; j < jobs.num_jobs(); ++j) {
+    job_reservations += counter(JobManager::metric_name(j, "link_reservations"));
+    job_wait_ns += counter(JobManager::metric_name(j, "link_wait_ns"));
+  }
+  std::uint64_t net_reservations = 0;
+  for (std::size_t l = 0; l < m->network().torus().total_links(); ++l) {
+    net_reservations += m->network().link_schedule(l).reservations();
+  }
+  EXPECT_EQ(job_reservations, net_reservations);
+  EXPECT_EQ(job_wait_ns, counter("net.link_wait_ns"));
+  EXPECT_GT(job_wait_ns, 0u);
   std::ostringstream csv;
-  m->metrics().write_csv(csv);
+  reg.write_csv(csv);
   const std::string s = csv.str();
   for (const char* name :
        {"job.0.pes", "job.0.msgs_executed", "job.0.delivery_us",
         "job.1.pes", "job.1.link_reservations"}) {
     EXPECT_NE(s.find(name), std::string::npos) << "metric " << name;
   }
-}
-
-// The tracer's `job` column is strictly opt-in: present (and correct)
-// once place() installs the attribution map, absent — byte-compatible
-// headers — without it.
-TEST(TenancyTrace, JobColumnOnlyWithAttributionMap) {
-  trace::EventTracer with_map(1u << 12);
-  with_map.record(3, trace::Ev::kSmsgSend, 100, 0, 1, 64);
-  with_map.set_job_of_pe({0, 0, 1, 1});
-  std::ostringstream a;
-  with_map.write_csv(a);
-  EXPECT_NE(a.str().find("pe,t_ns,dur_ns,event,peer,size,job"),
-            std::string::npos);
-  EXPECT_NE(a.str().find("3,100,0,smsg_send,1,64,1"), std::string::npos);
-  EXPECT_EQ(with_map.job_of(3), 1);
-  EXPECT_EQ(with_map.job_of(7), -1);
-
-  trace::EventTracer bare(1u << 12);
-  bare.record(3, trace::Ev::kSmsgSend, 100, 0, 1, 64);
-  std::ostringstream b;
-  bare.write_csv(b);
-  EXPECT_NE(b.str().find("pe,t_ns,dur_ns,event,peer,size\n"),
-            std::string::npos);
-  EXPECT_EQ(b.str().find("job"), std::string::npos);
 }
 
 }  // namespace
