@@ -115,12 +115,10 @@ void Pe::run_step(SimTime t) {
   avail_at_ = ctx_.now();
   if (trace::Tracer* tr = m.tracer()) {
     SimTime app_delta = ctx_.app_total() - app_before;
-    SimTime total = avail_at_ - t;
     // Attribute the app portion at the end of the step (handlers run after
     // the progress engine), overhead before it.
     tr->record(id_, t, avail_at_ - app_delta, trace::SpanKind::kOverhead);
     tr->record(id_, avail_at_ - app_delta, avail_at_, trace::SpanKind::kApp);
-    (void)total;
   }
 
   if (!sched_q_.empty()) {
@@ -348,14 +346,7 @@ void Machine::forward_broadcast(Pe& pe, void* msg) {
   for (int k = 1; k <= kTreeFanout; ++k) {
     int vchild = vrank * kTreeFanout + k;
     if (vchild >= pes) break;
-    int child = (vchild + root) % pes;
-    void* copy = layer_->alloc(pe.ctx(), pe, h->size);
-    pe.ctx().charge(options_.mc.memcpy_cost(h->size));
-    std::memcpy(copy, msg, h->size);
-    CmiMsgHeader* ch = header_of(copy);
-    ch->alloc_pe = pe.id();
-    ch->flags &= static_cast<std::uint16_t>(~kMsgFlagNoFree);
-    send(child, copy);
+    send((vchild + root) % pes, clone_runtime_owned(pe, msg));
   }
 }
 

@@ -130,12 +130,6 @@ struct MachineOptions {
   }
 };
 
-/// Base class for per-PE machine-layer state.
-class LayerPeState {
- public:
-  virtual ~LayerPeState() = default;
-};
-
 /// One simulated processing element.
 class Pe {
  public:
@@ -155,11 +149,6 @@ class Pe {
   void wake(SimTime t);
 
   Rng& rng() { return rng_; }
-
-  LayerPeState* layer_state() const { return layer_state_.get(); }
-  void set_layer_state(std::unique_ptr<LayerPeState> s) {
-    layer_state_ = std::move(s);
-  }
 
   // Scheduler statistics.
   std::uint64_t msgs_executed() const { return msgs_executed_; }
@@ -183,7 +172,6 @@ class Pe {
   std::uint64_t step_gen_ = 0;     // bumped per armed step; older ones return
   SimTime avail_at_ = 0;
   std::uint64_t msgs_executed_ = 0;
-  std::unique_ptr<LayerPeState> layer_state_;
 };
 
 /// The LRTS interface (paper §III-B), object-flavored.  LrtsInit maps to

@@ -17,7 +17,7 @@ namespace {
 constexpr int kCharmTag = 7;
 }  // namespace
 
-struct MpiLayer::PeState final : converse::LayerPeState {
+struct MpiLayer::PeState {
   // Rendezvous sends whose buffers MPI still needs.
   struct OutSend {
     std::unique_ptr<mpilite::Request> req;
@@ -26,10 +26,11 @@ struct MpiLayer::PeState final : converse::LayerPeState {
   std::deque<OutSend> outstanding;
 };
 
+MpiLayer::MpiLayer() = default;
 MpiLayer::~MpiLayer() = default;
 
 MpiLayer::PeState& MpiLayer::state(converse::Pe& pe) {
-  return *static_cast<PeState*>(pe.layer_state());
+  return *states_[static_cast<std::size_t>(pe.id())];
 }
 
 void MpiLayer::ensure_comm(converse::Machine& m) {
@@ -38,13 +39,14 @@ void MpiLayer::ensure_comm(converse::Machine& m) {
   comm_ = std::make_unique<mpilite::MpiComm>(
       m.network(), m.num_pes(), [&m](int rank) { return m.node_of_pe(rank); },
       m.metrics());
+  states_.resize(static_cast<std::size_t>(m.num_pes()));
 }
 
 void MpiLayer::init_pe(converse::Pe& pe) {
   ensure_comm(pe.machine());
   converse::Pe* p = &pe;
   comm_->init_rank(pe.id(), [p](SimTime t) { p->wake(t); });
-  pe.set_layer_state(std::make_unique<PeState>());
+  states_[static_cast<std::size_t>(pe.id())] = std::make_unique<PeState>();
 }
 
 void* MpiLayer::alloc(sim::Context& ctx, converse::Pe&, std::size_t bytes) {
@@ -98,7 +100,6 @@ std::uint32_t MpiLayer::recommended_batch_bytes(converse::Pe& src,
 
 void MpiLayer::advance(sim::Context& ctx, converse::Pe& pe) {
   PeState& s = state(pe);
-  const auto& mc = machine_->options().mc;
 
   // Complete rendezvous sends so their buffers can be released.
   while (!s.outstanding.empty()) {
@@ -120,7 +121,6 @@ void MpiLayer::advance(sim::Context& ctx, converse::Pe& pe) {
                 &status);
     converse::CmiMsgHeader* h = header_of(buf);
     h->alloc_pe = pe.id();
-    (void)mc;
     if (trace::spans_enabled()) {
       // MPI surfaces the message only at receive time, so wire arrival and
       // completion coincide here.

@@ -22,7 +22,7 @@ namespace ugnirt::lrts {
 
 class MpiLayer final : public converse::MachineLayer {
  public:
-  MpiLayer() = default;
+  MpiLayer();
   ~MpiLayer() override;
 
   const char* name() const override { return "MPI"; }
@@ -47,6 +47,7 @@ class MpiLayer final : public converse::MachineLayer {
 
   converse::Machine* machine_ = nullptr;
   std::unique_ptr<mpilite::MpiComm> comm_;
+  std::vector<std::unique_ptr<PeState>> states_;  // indexed by PE id
 };
 
 }  // namespace ugnirt::lrts

@@ -30,6 +30,22 @@ constexpr SimTime kSmpBacklogRetryNs = 500;
 /// One node: the protocol endpoint (NIC + node-shared message pool) plus
 /// the comm-thread actor that drives it.
 struct SmpLayer::NodeState final : UgniEndpoint {
+  explicit NodeState(SmpLayer& l) : layer(&l) {}
+  SmpLayer* layer;
+
+  // The NIC's client: every arrival and returned credit wakes the comm
+  // thread.  A push is seen by the RX poll poll_ns_ into a spin step and
+  // by the TX poll idle_step_ns_ into it, usually before the entry
+  // arrives; a returned credit needs its release time (credit_returned).
+  void nic_wake(SimTime t) override { layer->comm_wake(*this, t); }
+  void cq_pushed(const ugni::Cq& cq, SimTime at) override {
+    layer->cq_pushed(*this, at - (&cq == rx_cq ? layer->poll_ns_
+                                               : layer->idle_step_ns_));
+  }
+  void credit_returned(SimTime, SimTime released) override {
+    layer->credit_returned(*this, released);
+  }
+
   // The communication thread: an actor with its own virtual-time cursor.
   std::unique_ptr<sim::Context> comm_ctx;
   bool comm_scheduled = false;
@@ -95,27 +111,8 @@ void SmpLayer::ensure_domain(converse::Machine& m) {
        /*use_msgq=*/false);
   nodes_.resize(static_cast<std::size_t>(m.options().nodes()));
   for (int n = 0; n < m.options().nodes(); ++n) {
-    auto ns = std::make_unique<NodeState>();
-    NodeState* np = ns.get();
-    open(*np, n, n, [this, np](SimTime t) { comm_wake(*np, t); });
-    // A push is seen by the RX poll poll_ns_ into a spin step and by the
-    // TX poll idle_step_ns_ into it, usually before the entry arrives.
-    np->rx_cq->set_push_notify(
-        [this, np](SimTime at) { cq_pushed(*np, at - poll_ns_); });
-    np->tx_cq->set_push_notify(
-        [this, np](SimTime at) { cq_pushed(*np, at - idle_step_ns_); });
-    // A returned credit is a wake too, but one that needs its release
-    // time (credit_returned), so it replaces open's credit notify.  It asks
-    // for every return, not only those to a dry channel: waking the comm
-    // thread on each one moves the SMP answer and the backward spans the
-    // SMP stamping defect produces (ROADMAP item 4), so the SMP layer
-    // keeps one event per return until that fix lands with the next
-    // benchmark change.
-    np->nic->set_credit_notify(
-        [this, np](SimTime, SimTime released) {
-          credit_returned(*np, released);
-        },
-        ugni::Nic::CreditNotify::kEveryReturn);
+    auto ns = std::make_unique<NodeState>(*this);
+    open(*ns, n, n);
     ns->comm_ctx = std::make_unique<sim::Context>(m.scheduler(), -1000 - n);
     nodes_[static_cast<std::size_t>(n)] = std::move(ns);
   }
@@ -131,7 +128,6 @@ void SmpLayer::init_pe(converse::Pe& pe) {
     n.pool = std::make_unique<mempool::MemPool>(
         arena_, n.nic, pe.machine().options().mc.mempool_init_bytes);
   }
-  pe.set_layer_state(nullptr);
 }
 
 void SmpLayer::collect_metrics(trace::MetricsRegistry& reg) {
@@ -277,7 +273,6 @@ void SmpLayer::sleeping_wake(NodeState& n, SimTime t, bool step_ran) {
 }
 
 void SmpLayer::credit_returned(NodeState& n, SimTime released) {
-  n.backlog.credit_returned();
   const SimTime now = n.comm_ctx->scheduler().now();
   if (!n.asleep) {
     comm_wake(n, now);

@@ -73,6 +73,11 @@ class SmpLayer final : public converse::MachineLayer,
   static_assert(sizeof(InitCtrl<Route>) == 40, "SMP INIT is 40 B on the wire");
   static constexpr std::uint32_t kDataPrefix = sizeof(std::int32_t);
   static constexpr bool kDeliverStampsCq = true;
+  // Every return, not only those to a dry channel: waking the comm thread
+  // on each one moves the SMP answer and the backward spans the SMP
+  // stamping defect produces (ROADMAP item 4), so the SMP layer keeps one
+  // event per return until that fix lands with the next benchmark change.
+  static constexpr auto kCreditNotify = ugni::Nic::CreditNotify::kEveryReturn;
   int peer_of(int dest_pe) const { return machine_->node_of_pe(dest_pe); }
   static int home_pe(const UgniEndpoint&) { return -1; }
   static Route route_to(const UgniEndpoint&, int dest_pe, const void*) {

@@ -36,19 +36,23 @@
 //                                 message, as the SMSG `header` argument
 //   kDeliverStampsCq              deliver() stamps the cq_complete span
 //                                 stage, instead of the core at CQ poll
+//   kCreditNotify                 which returned credits reach the
+//                                 endpoint (ugni::Nic::CreditNotify)
 //   peer_of(pe)                   NIC instance that serves `pe`
 //   home_pe(ep)                   the PE owning `ep`; -1 for a comm thread
 //   route_to(ep, dest_pe, msg)    Route of an outgoing INIT
 //   target_of(ep, route, src)     where an INIT lands and whom to ACK
 //   deliver(ep, pe, msg, t)       hand a received message to `pe`
 //   wake(ep, t)                   ask for a progress call at `t`
+//
+// and the owner's endpoint, the NIC's ugni::NicClient, supplies nic_wake
+// and any other hook it needs.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -261,21 +265,16 @@ class UgniCore {
   }
 
   /// Attach `ep` to the NIC of instance `inst` on `node` with the job's
-  /// CQ size and mailbox geometry (or a MSGQ in MSGQ mode), routing every
-  /// NIC notification, credit returns included, to `notify(SimTime)`.
-  template <typename Notify>
-  void open(Endpoint& ep, int inst, int node, Notify notify) {
+  /// CQ size and mailbox geometry (or a MSGQ in MSGQ mode), as the NIC's
+  /// client.
+  void open(Endpoint& ep, int inst, int node) {
     const auto& mc = machine_->options().mc;
     ugni::gni_smsg_attr_t attr;
     attr.msg_maxsize = smsg_cap_;
     attr.mbox_maxcredit = mc.smsg_mailbox_credits;
     ugni::open_endpoint(*domain_, inst, node, mc.cq_entries, attr, use_msgq_,
-                        notify, ep);
-    // Captured by value, not as a std::function, so the hook stays inline.
-    ep.nic->set_credit_notify([notify, &ep](SimTime now, SimTime /*released*/) {
-      ep.backlog.credit_returned();
-      notify(now);
-    });
+                        ep);
+    ep.nic->set_client(&ep, Owner::kCreditNotify);
   }
 
   /// Endpoint to NIC instance `peer`, connecting on first touch.

@@ -25,8 +25,9 @@ constexpr std::uint32_t kPxshmBatchBytes = 4096;
 // Per-PE and per-node state
 // ---------------------------------------------------------------------------
 
-struct UgniLayer::PeState final : converse::LayerPeState, UgniEndpoint {
+struct UgniLayer::PeState final : UgniEndpoint {
   converse::Pe* pe = nullptr;
+  void nic_wake(SimTime t) override { pe->wake(t); }
 };
 
 /// Intra-node pxshm: one receive queue per local PE.
@@ -58,10 +59,6 @@ void UgniLayer::deliver(UgniEndpoint& ep, int pe, void* msg, SimTime t) {
   static_cast<PeState&>(ep).pe->enqueue(msg, t);
 }
 
-void UgniLayer::wake(UgniEndpoint& ep, SimTime t) {
-  static_cast<PeState&>(ep).pe->wake(t);
-}
-
 // ---------------------------------------------------------------------------
 // Setup
 // ---------------------------------------------------------------------------
@@ -75,7 +72,7 @@ void UgniLayer::collect_metrics(trace::MetricsRegistry& reg) {
 }
 
 UgniLayer::PeState& UgniLayer::state(converse::Pe& pe) {
-  return *static_cast<PeState*>(pe.layer_state());
+  return *states_[static_cast<std::size_t>(pe.id())];
 }
 
 void UgniLayer::ensure_domain(converse::Machine& m) {
@@ -86,7 +83,7 @@ void UgniLayer::ensure_domain(converse::Machine& m) {
     governor_ = std::make_unique<flowcontrol::InjectionGovernor>(
         m.congestion_estimator(), m.num_pes());
   }
-  states_.resize(static_cast<std::size_t>(m.num_pes()), nullptr);
+  states_.resize(static_cast<std::size_t>(m.num_pes()));
   node_shm_.resize(static_cast<std::size_t>(m.options().nodes()));
   for (auto& shm : node_shm_) {
     shm = std::make_unique<NodeShm>();
@@ -100,17 +97,14 @@ void UgniLayer::ensure_domain(converse::Machine& m) {
 
 void UgniLayer::init_pe(converse::Pe& pe) {
   ensure_domain(pe.machine());
-  auto st = std::make_unique<PeState>();
-  PeState* s = st.get();
+  auto& s = states_[static_cast<std::size_t>(pe.id())];
+  s = std::make_unique<PeState>();
   s->pe = &pe;
-  converse::Pe* pptr = &pe;
-  open(*s, pe.id(), pe.node(), [pptr](SimTime t) { pptr->wake(t); });
+  open(*s, pe.id(), pe.node());
   if (pe.machine().options().use_mempool) {
     s->pool = std::make_unique<mempool::MemPool>(
         arena_, s->nic, pe.machine().options().mc.mempool_init_bytes);
   }
-  states_[static_cast<std::size_t>(pe.id())] = s;
-  pe.set_layer_state(std::move(st));
 }
 
 // ---------------------------------------------------------------------------
@@ -171,8 +165,8 @@ void UgniLayer::advance(sim::Context& ctx, converse::Pe& pe) {
 }
 
 bool UgniLayer::has_backlog(const converse::Pe& pe) const {
-  const auto* s = static_cast<const PeState*>(pe.layer_state());
-  return s && (!s->backlog.empty() || !s->deferred_gets.empty());
+  const PeState& s = *states_[static_cast<std::size_t>(pe.id())];
+  return !s.backlog.empty() || !s.deferred_gets.empty();
 }
 
 // ---------------------------------------------------------------------------

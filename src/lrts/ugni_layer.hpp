@@ -67,6 +67,7 @@ class UgniLayer final : public converse::MachineLayer,
   static_assert(sizeof(InitCtrl<Route>) == 48, "uGNI INIT is 48 B on the wire");
   static constexpr std::uint32_t kDataPrefix = 0;
   static constexpr bool kDeliverStampsCq = false;
+  static constexpr auto kCreditNotify = ugni::Nic::CreditNotify::kWhenDry;
   static int peer_of(int dest_pe) { return dest_pe; }
   static int home_pe(const UgniEndpoint& ep) { return ep.nic->inst_id(); }
   static Route route_to(const UgniEndpoint& ep, int dest_pe,
@@ -74,7 +75,7 @@ class UgniLayer final : public converse::MachineLayer,
   static RdvTarget target_of(const UgniEndpoint& ep, const Route& r,
                              int src_inst);
   static void deliver(UgniEndpoint& ep, int pe, void* msg, SimTime t);
-  static void wake(UgniEndpoint& ep, SimTime t);
+  static void wake(UgniEndpoint& ep, SimTime t) { ep.nic_wake(t); }
 
   PeState& state(converse::Pe& pe);
 
@@ -83,9 +84,9 @@ class UgniLayer final : public converse::MachineLayer,
                   std::uint32_t size, void* msg);
   void pxshm_poll(sim::Context& ctx, converse::Pe& pe);
 
-  /// Host bytes of every PE's pool (the pools die with the PEs, first).
+  /// Host bytes of every PE's pool; declared first so it outlives them.
   mempool::HostArena arena_;
-  std::vector<PeState*> states_;  // borrowed; owned by Pe::layer_state
+  std::vector<std::unique_ptr<PeState>> states_;  // indexed by PE id
   std::vector<std::unique_ptr<NodeShm>> node_shm_;
   // Machine option snapshotted at ensure_domain: the send path and the
   // progress engine test it once per call instead of chasing

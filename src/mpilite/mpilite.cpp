@@ -43,9 +43,10 @@ sim::Context& ctx_now() {
 // Per-rank state
 // ---------------------------------------------------------------------------
 
-struct MpiComm::RankState : ugni::ClientEndpoint {
+struct MpiComm::RankState final : ugni::ClientEndpoint {
   int rank = -1;
-  std::function<void(SimTime)> wake;
+  std::function<void(SimTime)> wake;  // the NIC's client only when set
+  void nic_wake(SimTime t) override { wake(t); }
 
   // Pre-registered bounce pool for E1 sends (and E1 receive landings).
   // MPI registers these once at init, so eager traffic never pays
@@ -136,12 +137,8 @@ void MpiComm::init_rank(int rank, std::function<void(SimTime)> wake) {
   attr.msg_maxsize = mc.smsg_max_bytes + 64;
   attr.mbox_maxcredit = mc.mpi_mailbox_credits;
   ugni::open_endpoint(*domain_, rank, node_of_(rank), mc.cq_entries, attr,
-                      /*use_msgq=*/false, s->wake, *s);
-  // Retry stalled sends on credit return.
-  s->nic->set_credit_notify([st = s.get()](SimTime now, SimTime /*released*/) {
-    st->backlog.credit_returned();
-    if (st->wake) st->wake(now);
-  });
+                      /*use_msgq=*/false, *s);
+  if (s->wake) s->nic->set_client(s.get());
   ranks_state_[static_cast<std::size_t>(rank)] = std::move(s);
 }
 
@@ -258,9 +255,7 @@ void MpiComm::isend(int rank, int dest, int tag, const void* buf,
     c_unexpected_->inc();
     if (d.wake) {
       SimTime at = d.unexpected.back().data_ready;
-      network_->scheduler().schedule_at(at, [&d, at] {
-        if (d.wake) d.wake(at);
-      });
+      network_->scheduler().schedule_at(at, [&d, at] { d.nic_wake(at); });
     }
     req->done = buffered;
     return;

@@ -34,19 +34,15 @@ ClientCounters::ClientCounters(trace::MetricsRegistry& r) {
 
 void open_endpoint(Domain& domain, int inst, int node,
                    std::uint32_t cq_entries, const gni_smsg_attr_t& attr,
-                   bool use_msgq, const std::function<void(SimTime)>& notify,
-                   ClientEndpoint& ep) {
+                   bool use_msgq, ClientEndpoint& ep) {
   check(GNI_CdmAttach(&domain, inst, node, &ep.nic), "GNI_CdmAttach");
   check(GNI_CqCreate(ep.nic, cq_entries, &ep.rx_cq), "GNI_CqCreate");
   check(GNI_CqCreate(ep.nic, cq_entries, &ep.tx_cq), "GNI_CqCreate");
   ep.nic->set_smsg_rx_cq(ep.rx_cq);
   ep.nic->set_default_tx_cq(ep.tx_cq);
   ep.nic->set_smsg_attr(attr);
-  ep.rx_cq->set_notify(notify);
-  ep.tx_cq->set_notify(notify);
   if (use_msgq) {
     check(GNI_MsgqInit(ep.nic, 256 * 1024, &ep.msgq), "GNI_MsgqInit");
-    ep.msgq->set_notify(notify);
   }
 }
 

@@ -6,10 +6,12 @@
 // how they bring up a NIC, survive transient uGNI failures or queue SMSG
 // sends that find no mailbox credit, so both use this one copy:
 //
-//   * open_endpoint / connect: attach a NIC, create its RX and TX CQs,
-//     record the mailbox geometry that lazily created channels use, route
-//     every CQ and MSGQ notification to one hook; first-touch channel
-//     setup.
+//   * ClientEndpoint / open_endpoint / connect: attach a NIC, create its
+//     RX and TX CQs, record the mailbox geometry that lazily created
+//     channels use; first-touch channel setup.  The endpoint is the NIC's
+//     one client (ugni::NicClient): CQ arrivals, MSGQ landings and
+//     returned credits reach it as a wake, and a client overrides only
+//     the hooks it needs.
 //   * Retry: real uGNI code treats GNI_RC_NOT_DONE, GNI_RC_ERROR_RESOURCE
 //     and GNI_RC_TRANSACTION_ERROR as transient (credits return, CQ space
 //     frees, the adapter retransmits).  Such failures are retried with
@@ -24,15 +26,15 @@
 //   * drain_cq: a CQ overrun (GNI_RC_ERROR_RESOURCE) is recovered with
 //     GNI_CqErrorRecover and the drain goes on.
 //   * SmsgBacklog: SMSG sends that found no credit wait in order and are
-//     retried from the client's progress engine once a credit has come
-//     back, with backoff and (after kDemoteAfter failures) an offer to
-//     demote while a fault plan is active.
+//     retried from the client's progress engine once the channel the front
+//     stalled on holds a credit again, with backoff and (after
+//     kDemoteAfter failures) an offer to demote while a fault plan is
+//     active.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 
 #include "sim/context.hpp"
 #include "trace/events.hpp"
@@ -70,7 +72,9 @@ constexpr SimTime backoff_for(int attempt) {
 }
 
 /// A client's NIC with its CQs (and shared message queue in MSGQ mode).
-struct ClientEndpoint {
+/// It is the NIC's client once attached (Nic::set_client); a concrete
+/// endpoint supplies nic_wake and overrides the other hooks as it needs.
+struct ClientEndpoint : NicClient {
   gni_nic_handle_t nic = nullptr;
   gni_cq_handle_t rx_cq = nullptr;   // SMSG arrivals
   gni_cq_handle_t tx_cq = nullptr;   // FMA/BTE local completions
@@ -78,16 +82,14 @@ struct ClientEndpoint {
 };
 
 /// Attach `ep` to the NIC of instance `inst` on `node`, create its two CQs
-/// of `cq_entries`, record `attr` as the mailbox geometry of every channel
-/// get_or_connect will create (and a shared MSGQ instead when `use_msgq`),
-/// and route every CQ and MSGQ notification to `notify` (may be empty).
-/// The caller sets the NIC's credit notify (Nic::set_credit_notify), which
-/// tells its SmsgBacklog (credit_returned) and wakes it to retry stalled
-/// sends.  Channel setup stays lazy; nothing here is O(peers).
+/// of `cq_entries`, and record `attr` as the mailbox geometry of every
+/// channel get_or_connect will create (and a shared MSGQ instead when
+/// `use_msgq`).  The caller then makes `ep` the NIC's client
+/// (Nic::set_client) if it wants to be woken.  Channel setup stays lazy;
+/// nothing here is O(peers).
 void open_endpoint(Domain& domain, int inst, int node,
                    std::uint32_t cq_entries, const gni_smsg_attr_t& attr,
-                   bool use_msgq, const std::function<void(SimTime)>& notify,
-                   ClientEndpoint& ep);
+                   bool use_msgq, ClientEndpoint& ep);
 
 /// Endpoint to `peer` via Nic::get_or_connect — the uGNI API owns channel
 /// creation and charges its first touch to the initiator.  A new SMSG
@@ -167,8 +169,9 @@ struct ClientCounters {
 };
 
 /// Credit-stalled SMSG sends of one endpoint, retried in order by flush().
-/// The NIC's credit notify must call credit_returned(): without a fault
-/// plan a front that failed on an SMSG channel is retried only after it.
+/// Nothing is posted to an SMSG channel that holds no credit, and without
+/// a fault plan a front that stalled on one is retried only once that
+/// channel holds a credit again.
 ///
 /// The client is a template parameter, so the send path has no virtual
 /// call and no std::function.  It provides:
@@ -192,13 +195,10 @@ struct SmsgBacklog {
   RingFifo<Entry> q;
   int attempts = 0;      // consecutive failed flush attempts
   SimTime retry_at = 0;  // no flush retry before this instant (fault mode)
-  // A credit came back since the front last failed on an SMSG channel.
-  bool credit_back = true;
+  // The SMSG endpoint the front last failed on (nullptr: a MSGQ send).
+  gni_ep_handle_t stalled_on = nullptr;
 
   bool empty() const { return q.empty(); }
-
-  /// The NIC's credit notify fired: a stalled front may now find a credit.
-  void credit_returned() { credit_back = true; }
 
   /// Post `len` bytes to `dest` now, or queue them behind earlier stalls.
   /// `owned` (the payload itself) passes to the client's smsg_posted once
@@ -209,7 +209,7 @@ struct SmsgBacklog {
             void* owned) {
     gni_ep_handle_t gep = c.smsg_ep(dest);
     if (q.empty()) {
-      gni_return_t rc = c.smsg_post(gep, dest, tag, bytes, len);
+      gni_return_t rc = post(c, gep, dest, tag, bytes, len);
       if (rc == GNI_RC_SUCCESS) {
         n.smsg_sends->inc();
         if (owned) c.smsg_posted(ctx, owned);
@@ -219,7 +219,7 @@ struct SmsgBacklog {
       // injected transient send failure.  Both queue and retry from
       // flush(); anything else is a contract violation.
       check(rc, "GNI_SmsgSendWTag", GNI_RC_NOT_DONE, GNI_RC_ERROR_RESOURCE);
-      if (gep) credit_back = false;
+      stalled_on = gep;
     }
     // Out of credits (or draining in order behind earlier stalls): queue.
     n.credit_stalls->inc();
@@ -241,15 +241,15 @@ struct SmsgBacklog {
   }
 
   /// Retry the queue in order.  Without faults a stall is genuine credit
-  /// exhaustion and the credit-return notify is the precise (and cheapest)
-  /// wake: a front that failed on an SMSG channel had none left, every
-  /// credit that reaches a dry channel calls the notify, and a retry
-  /// before one came back would fail before any charge, so it is skipped.
-  /// With a fault plan active (`faulty`) a stall may be an injected
-  /// starvation window that consumes no credits, so the notify cannot be
-  /// relied on: the flush backs off and re-arms its own wake, and a front
-  /// entry stalled kDemoteAfter times is offered to the client's
-  /// smsg_demote.  MSGQ sends (no SMSG endpoint) are always retried.
+  /// exhaustion of the channel the front stalled on, and every credit that
+  /// reaches a dry channel wakes the client (NicClient).  While that
+  /// channel holds none the flush returns at once, whatever other channel
+  /// of the NIC got a credit back.  With a fault plan active (`faulty`) a
+  /// stall may be an injected starvation window that consumes no credits,
+  /// so the credit count cannot be relied on: the flush backs off and
+  /// re-arms its own wake, and a front entry stalled kDemoteAfter times is
+  /// offered to the client's smsg_demote.  MSGQ sends (no SMSG endpoint)
+  /// are always retried.
   template <class Client>
   void flush(sim::Context& ctx, Client& c, const ClientCounters& n,
              bool faulty) {
@@ -258,16 +258,16 @@ struct SmsgBacklog {
       c.smsg_wake(retry_at);
       return;
     }
-    if (!faulty && !credit_back) return;
+    if (!faulty && stalled_on && stalled_on->credits() == 0) return;
     while (!q.empty()) {
       Entry& e = q.front();
       gni_ep_handle_t gep = c.smsg_ep(e.dest);
-      gni_return_t rc = c.smsg_post(gep, e.dest, e.tag,
-                                    e.msg ? e.msg : e.ctrl.data(), e.len);
+      gni_return_t rc =
+          post(c, gep, e.dest, e.tag, e.msg ? e.msg : e.ctrl.data(), e.len);
       if (rc != GNI_RC_SUCCESS) {  // still stalled
         check(rc, "GNI_SmsgSendWTag (backlog)", GNI_RC_NOT_DONE,
               GNI_RC_ERROR_RESOURCE);
-        if (gep) credit_back = false;
+        stalled_on = gep;
         if (!faulty) return;
         note_failure(++attempts, "SMSG backlog", n.smsg);
         if (attempts >= kDemoteAfter && c.smsg_demote(ctx)) {
@@ -283,6 +283,18 @@ struct SmsgBacklog {
       if (e.msg) c.smsg_posted(ctx, e.msg);
       q.pop_front();
     }
+  }
+
+ private:
+  /// One post, or GNI_RC_NOT_DONE without one when the SMSG channel holds
+  /// no credit: GNI_SmsgSendWTag would fail so before any charge or fault
+  /// draw.
+  template <class Client>
+  static gni_return_t post(Client& c, gni_ep_handle_t gep, int dest,
+                           std::uint8_t tag, const void* bytes,
+                           std::uint32_t len) {
+    if (gep && gep->credits() == 0) return GNI_RC_NOT_DONE;
+    return c.smsg_post(gep, dest, tag, bytes, len);
   }
 };
 

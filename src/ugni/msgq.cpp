@@ -80,8 +80,9 @@ gni_return_t GNI_MsgqSend(gni_nic_handle_t nic, std::int32_t remote_inst,
   msg.at = arrive;
   q->used_bytes_ += total + kMsgqSysHeader;
   q->rx_.push_back(std::move(msg));
-  if (q->notify_) {
-    dom->scheduler().schedule_at(arrive, [q, arrive] { q->notify_(arrive); });
+  if (NicClient* client = remote->client()) {
+    dom->scheduler().schedule_at(arrive,
+                                 [client, arrive] { client->nic_wake(arrive); });
   }
   if (trace::enabled()) {
     trace::emit(trace::Ev::kMsgqSend, req.issue, arrive - req.issue,

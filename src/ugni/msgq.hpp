@@ -14,7 +14,8 @@
 //     senders queue behind each other (modeled via per-queue occupancy),
 //     and every message pays an extra protocol cost over SMSG.
 //   * The receiver polls with GNI_MsgqProgress, which returns the next
-//     delivered message (source + tag + bytes).
+//     delivered message (source + tag + bytes); a landing wakes the
+//     receiving NIC's client (NicClient::nic_wake) at its arrival time.
 //   * Back-pressure: when the pool is full of undelivered bytes, sends
 //     fail with GNI_RC_NOT_DONE until the receiver drains.
 #pragma once
@@ -63,9 +64,6 @@ class Msgq {
   /// Virtual arrival time of the earliest queued message (kNever if none).
   SimTime next_arrival() const { return rx_.empty() ? kNever : rx_.front().at; }
 
-  /// Invoked (at arrival virtual time) when a message lands.
-  void set_notify(std::function<void(SimTime)> fn) { notify_ = std::move(fn); }
-
  private:
   friend gni_return_t GNI_MsgqInit(gni_nic_handle_t, std::uint32_t,
                                    gni_msgq_handle_t*);
@@ -90,7 +88,6 @@ class Msgq {
   InlineBytes last_delivered_;
   // Shared-queue serialization point for concurrent senders.
   SimTime enqueue_free_ = 0;
-  std::function<void(SimTime)> notify_;
 };
 
 }  // namespace ugnirt::ugni

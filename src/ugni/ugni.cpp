@@ -91,15 +91,12 @@ void Cq::push(SimTime at, gni_cq_entry_t entry) {
                       f->inject_cq_overrun(nic_->inst_id());
   if (entries_.size() >= capacity_ || forced) {
     // Real hardware sets an overrun bit and drops; runtimes must size CQs
-    // (or recover via GNI_CqErrorRecover).  Still fire the notify hook so
-    // a sleeping PE wakes up, observes ERROR_RESOURCE, and can recover.
+    // (or recover via GNI_CqErrorRecover).  Still tell the client so a
+    // sleeping PE wakes up, observes ERROR_RESOURCE, and can recover.
     overrun_ = true;
     ++dropped_events_;
     if (forced) emit_fault(at, entry.source_inst, 0);
-    if (push_notify_) push_notify_(nic_->domain()->scheduler().now());
-    if (notify_) {
-      nic_->domain()->scheduler().schedule_at(at, [this, at] { notify_(at); });
-    }
+    notify_client(nic_->domain()->scheduler().now(), at);
     return;
   }
   if (entries_.size() + 1 > max_depth_) {
@@ -110,11 +107,15 @@ void Cq::push(SimTime at, gni_cq_entry_t entry) {
   std::size_t pos = entries_.size();
   while (pos > 0 && entries_[pos - 1].at > at) --pos;
   entries_.insert(pos, Timed{at, entry});
-  if (push_notify_) push_notify_(at);
-  if (notify_) {
-    nic_->domain()->scheduler().schedule_at(
-        at, [this, at] { notify_(at); });
-  }
+  notify_client(at, at);
+}
+
+void Cq::notify_client(SimTime pushed_at, SimTime at) {
+  NicClient* client = nic_->client();
+  if (!client) return;
+  client->cq_pushed(*this, pushed_at);
+  nic_->domain()->scheduler().schedule_at(
+      at, [client, at] { client->nic_wake(at); });
 }
 
 // ---------------------------------------------------------------------------
@@ -704,11 +705,11 @@ gni_return_t GNI_SmsgRelease(gni_ep_handle_t ep) {
   // this one: it joins the count now, with no event and no wake.  (A send
   // that spends the remaining credits before release + hops x hop_ns
   // uses it early.)  Only a credit that reaches a dry channel travels the
-  // wire as an event, unless the sender's notify asks for every return.
+  // wire as an event, unless the sender's client asks for every return.
   if (Ep* sender_ep = ep->resolve_reverse()) {
     Nic* remote = sender_ep->nic_;
     if (sender_ep->credits_ > 0 &&
-        remote->credit_notify_which_ == Nic::CreditNotify::kWhenDry) {
+        remote->credit_notify_ == Nic::CreditNotify::kWhenDry) {
       ++sender_ep->credits_;
       return GNI_RC_SUCCESS;
     }
@@ -724,8 +725,9 @@ gni_return_t GNI_SmsgRelease(gni_ep_handle_t ep) {
     dom->scheduler().schedule_at(at, [sender_ep, released] {
       ++sender_ep->credits_;
       Nic* sender = sender_ep->nic_;
-      if (sender->credit_notify_) {
-        sender->credit_notify_(sender->domain()->scheduler().now(), released);
+      if (sender->client_) {
+        sender->client_->credit_returned(sender->domain()->scheduler().now(),
+                                         released);
       }
     });
   }

@@ -31,7 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <new>
 #include <utility>
@@ -286,11 +285,11 @@ gni_return_t GNI_SmsgGetNextWTag(gni_ep_handle_t ep, void** data_out,
 /// returning a credit to the sender.  Real SMSG piggybacks credits on
 /// reverse traffic and never interrupts the sender for one.  So when the
 /// sender still holds a credit on this channel, the credit joins its count
-/// at once, with no engine event and no notify.  When the sender holds
-/// none, the credit travels the wire: an event at release + hops x hop_ns
-/// adds it and calls the sender's credit notify.  A NIC whose notify asks
-/// for every return (Nic::CreditNotify::kEveryReturn) always gets the
-/// event.
+/// at once, with no engine event and no client call.  When the sender
+/// holds none, the credit travels the wire: an event at release + hops x
+/// hop_ns adds it and calls the sender's NicClient::credit_returned.  A NIC
+/// whose client asks for every return (Nic::CreditNotify::kEveryReturn)
+/// always gets the event.
 /// Returns: SUCCESS | INVALID_PARAM | INVALID_STATE (nothing delivered).
 gni_return_t GNI_SmsgRelease(gni_ep_handle_t ep);
 
@@ -354,8 +353,32 @@ gni_return_t post_transaction(Ep* ep, gni_post_descriptor_t* desc,
 // Emulation objects.
 // ---------------------------------------------------------------------------
 
-/// A completion queue: a bounded FIFO of events plus an optional notify hook
-/// so the simulated runtime can wake an idle PE when an event lands.
+/// The one runtime that attached a NIC (Nic::set_client), told of what its
+/// progress engine can observe so that an idle client can sleep.  A NIC
+/// without a client reports to no one (a program that polls on its own).
+class NicClient {
+ public:
+  /// In an engine event at `t`: an entry arrives on one of the NIC's CQs
+  /// or its MSGQ, or (by default) a returned SMSG credit reaches the NIC.
+  virtual void nic_wake(SimTime t) = 0;
+  /// At push time, before the entry's nic_wake is scheduled: an entry
+  /// arriving at `at` was pushed onto `cq` (for a push that overruns the
+  /// queue, `at` is the engine time: any later poll sees the overrun).  A
+  /// client that stops polling while it waits wakes for the first poll
+  /// that would see the entry, which nic_wake can come after.
+  virtual void cq_pushed(const Cq& /*cq*/, SimTime /*at*/) {}
+  /// A returned SMSG credit reached the NIC `now` (Nic::CreditNotify
+  /// selects which returns do); the peer released it at `released`.
+  virtual void credit_returned(SimTime now, SimTime /*released*/) {
+    nic_wake(now);
+  }
+
+ protected:
+  ~NicClient() = default;
+};
+
+/// A completion queue: a bounded FIFO of events.  A push tells the NIC's
+/// client (NicClient::cq_pushed) and wakes it at the arrival time.
 class Cq {
  public:
   Cq(Nic* nic, std::uint32_t capacity, std::uint32_t index)
@@ -379,21 +402,13 @@ class Cq {
     return entries_.empty() ? kNever : entries_.front().at;
   }
 
-  /// Invoked (at event-arrival virtual time) whenever an entry is pushed.
-  void set_notify(std::function<void(SimTime)> fn) { notify_ = std::move(fn); }
-  /// Invoked when an entry is pushed, at push time, with its arrival time
-  /// (for a push that overruns the queue, the engine time: any later poll
-  /// sees the overrun).  A runtime that stops polling while it waits uses
-  /// it to wake for the first poll that would see the entry, which the
-  /// arrival-time notify can come after.
-  void set_push_notify(std::function<void(SimTime)> fn) {
-    push_notify_ = std::move(fn);
-  }
-
  private:
   UGNIRT_UGNI_API_FRIENDS
 
   void push(SimTime at, gni_cq_entry_t entry);
+  /// Tell the NIC's client of a push made at `pushed_at`, and wake it at
+  /// the arrival time `at`.
+  void notify_client(SimTime pushed_at, SimTime at);
 
   struct Timed {
     SimTime at;
@@ -407,9 +422,8 @@ class Cq {
   bool overrun_ = false;
   std::uint64_t dropped_events_ = 0;
   RingFifo<Timed> entries_;  // kept sorted by arrival time
-  std::function<void(SimTime)> notify_;
-  std::function<void(SimTime)> push_notify_;
 };
+static_assert(sizeof(Cq) <= 64, "a CQ is one cache line");
 
 /// Slab index of no endpoint (an empty peer-table slot, an unlinked pair).
 constexpr std::uint32_t kNoEp = UINT32_MAX;
@@ -432,6 +446,9 @@ class alignas(64) Ep {
   bool bound() const { return remote_inst_ >= 0; }
   /// This endpoint's slot in its domain's slab.
   std::uint32_t index() const { return index_; }
+  /// Send credits this side holds on its SMSG channel: a send finds one
+  /// or fails with GNI_RC_NOT_DONE.
+  std::uint16_t credits() const { return credits_; }
 
   /// The endpoint on the remote NIC bound back to this one, once SMSG
   /// traffic has linked the pair (nullptr before first use and after
@@ -637,7 +654,7 @@ class Nic {
   Msgq* msgq() const { return msgq_; }
   void set_msgq(Msgq* q) { msgq_ = q; }
 
-  /// Which returned SMSG credits call the credit notify.
+  /// Which returned SMSG credits reach the client (credit_returned).
   enum class CreditNotify : std::uint8_t {
     /// Only a credit that comes back to a channel with none left: the
     /// only return a back-pressured send can be waiting for.  Any other
@@ -647,17 +664,14 @@ class Nic {
     kEveryReturn,
   };
 
-  /// Invoked (at credit-return virtual time `now`) when a peer releases
-  /// one of our in-flight SMSG messages and `which` selects the return,
-  /// so a runtime with back-pressured sends can wake up and retry.
-  /// `released` is the engine time of the release, when the return was
-  /// queued.
-  void set_credit_notify(
-      std::function<void(SimTime now, SimTime released)> fn,
-      CreditNotify which = CreditNotify::kWhenDry) {
-    credit_notify_ = std::move(fn);
-    credit_notify_which_ = which;
+  /// Make `client` the one runtime this NIC reports to (nullptr: none),
+  /// and `which` the returned credits it hears of.
+  void set_client(NicClient* client,
+                  CreditNotify which = CreditNotify::kWhenDry) {
+    client_ = client;
+    credit_notify_ = which;
   }
+  NicClient* client() const { return client_; }
 
  private:
   UGNIRT_UGNI_API_FRIENDS
@@ -687,8 +701,8 @@ class Nic {
   std::uint64_t registered_bytes_ = 0;
   std::uint64_t mailbox_bytes_ = 0;
   PeerTable peer_eps_;  // bound endpoints
-  std::function<void(SimTime, SimTime)> credit_notify_;
-  CreditNotify credit_notify_which_ = CreditNotify::kWhenDry;
+  NicClient* client_ = nullptr;
+  CreditNotify credit_notify_ = CreditNotify::kWhenDry;
   // Descriptors completed but not yet claimed via GNI_GetCompleted.
   std::vector<std::pair<std::uint64_t, gni_post_descriptor_t*>> completed_;
   std::uint64_t next_internal_post_id_ = 1;

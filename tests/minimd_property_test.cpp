@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <tuple>
 
 #include "apps/minimd/minimd.hpp"
@@ -36,8 +37,10 @@ TEST_P(MdGrid, EnergyAndMomentumConserved) {
 
 std::string md_name(const ::testing::TestParamInfo<MdParam>& info) {
   auto [grid, pes, layer] = info.param;
-  return "g" + std::to_string(grid) + "_p" + std::to_string(pes) +
-         (layer == LayerKind::kUgni ? "_uGNI" : "_MPI");
+  std::ostringstream name;
+  name << 'g' << grid << "_p" << pes
+       << (layer == LayerKind::kUgni ? "_uGNI" : "_MPI");
+  return name.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(

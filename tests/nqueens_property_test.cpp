@@ -3,6 +3,7 @@
 // statistical behavior of the sampled subtree model.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <tuple>
 
 #include "apps/nqueens/parallel.hpp"
@@ -36,9 +37,10 @@ TEST_P(ExactGrid, CountsAreExact) {
 
 std::string grid_name(const ::testing::TestParamInfo<GridParam>& info) {
   auto [n, thr, pes, layer] = info.param;
-  return "n" + std::to_string(n) + "_t" + std::to_string(thr) + "_p" +
-         std::to_string(pes) +
-         (layer == LayerKind::kUgni ? "_uGNI" : "_MPI");
+  std::ostringstream name;
+  name << 'n' << n << "_t" << thr << "_p" << pes
+       << (layer == LayerKind::kUgni ? "_uGNI" : "_MPI");
+  return name.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(

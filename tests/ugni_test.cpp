@@ -70,20 +70,28 @@ class UgniFixture : public ::testing::Test {
     return n;
   }
 
-  /// Counts nic_[0]'s credit notifies and keeps the last one's times.
-  struct NotifyLog {
+  /// nic_[0]'s client: counts its credit returns and keeps the last one's
+  /// times.
+  struct NotifyLog final : NicClient {
     int calls = 0;
     SimTime now = -1;
     SimTime released = -1;
+    void nic_wake(SimTime) override {}
+    void credit_returned(SimTime t, SimTime r) override {
+      ++calls;
+      now = t;
+      released = r;
+    }
   };
   void log_credit_notify(NotifyLog& log, Nic::CreditNotify which) {
-    nic_[0]->set_credit_notify(
-        [&log](SimTime now, SimTime released) {
-          ++log.calls;
-          log.now = now;
-          log.released = released;
-        },
-        which);
+    nic_[0]->set_client(&log, which);
+  }
+
+  /// Release the oldest message on ep10_ at NIC 1's clock `t`, then run
+  /// the engine until its credit is back with NIC 0.
+  void return_credit(SimTime t) {
+    release10_at(t);
+    engine_.run();
   }
 
   sim::Engine engine_;
@@ -175,7 +183,7 @@ TEST_F(UgniFixture, SmsgReleaseWithoutGetIsInvalid) {
 
 // A sender that still holds credits on the channel cannot be waiting for
 // the one a release returns: it joins the count at once, with no engine
-// event and no notify.
+// event and no client call.
 TEST_F(UgniFixture, CreditReturnToAChannelWithCreditsIsImmediate) {
   NotifyLog log;
   log_credit_notify(log, Nic::CreditNotify::kWhenDry);
@@ -192,7 +200,7 @@ TEST_F(UgniFixture, CreditReturnToAChannelWithCreditsIsImmediate) {
 
 // A sender with no credit left gets the return as an event at
 // release + hops x hop_ns, and not a nanosecond before: the count goes up
-// and the notify gets (return time, release time).
+// and the client gets (return time, release time).
 TEST_F(UgniFixture, CreditReturnToADryChannelIsOneEventAfterTheWire) {
   NotifyLog log;
   log_credit_notify(log, Nic::CreditNotify::kWhenDry);
@@ -215,7 +223,7 @@ TEST_F(UgniFixture, CreditReturnToADryChannelIsOneEventAfterTheWire) {
   EXPECT_EQ(sends_until_dry(), 1);
 }
 
-// A NIC whose notify asks for every return (the SMP layer's) still gets
+// A NIC whose client asks for every return (the SMP layer's) still gets
 // one event per release, even while it holds credits.
 TEST_F(UgniFixture, EveryReturnNotifyKeepsOneEventPerRelease) {
   NotifyLog log;
@@ -532,60 +540,143 @@ TEST_F(UgniFixture, CqOverrunSetsErrorState) {
 
 // ------------------------------------------------------- SMSG backlog ----
 
-/// An SmsgBacklog client over one channel whose credits the test hands
-/// out; it counts every post the backlog makes.
+/// An SmsgBacklog client over one channel that counts every post the
+/// backlog makes.  A post fails while the client holds none of the credits
+/// the test hands out (a starvation window, a full MSGQ); otherwise it
+/// sends on the channel.
 struct CountingSmsgClient {
   gni_ep_handle_t ep = nullptr;  // nullptr: a MSGQ client
   int credits = 0;
   int posts = 0;
   gni_ep_handle_t smsg_ep(int) { return ep; }
-  gni_return_t smsg_post(gni_ep_handle_t, int, std::uint8_t, const void*,
-                         std::uint32_t) {
+  gni_return_t smsg_post(gni_ep_handle_t gep, int, std::uint8_t tag,
+                         const void* bytes, std::uint32_t len) {
     ++posts;
     if (credits == 0) return GNI_RC_NOT_DONE;
     --credits;
-    return GNI_RC_SUCCESS;
+    return gep ? GNI_SmsgSendWTag(gep, nullptr, 0, bytes, len, 0, tag)
+               : GNI_RC_SUCCESS;
   }
   void smsg_posted(sim::Context&, void*) {}
   bool smsg_demote(sim::Context&) { return false; }
   void smsg_wake(SimTime) {}
 };
 
-// Without faults, a front that failed for want of a credit is retried only
-// after the credit notify says one came back: a retry before that would
-// fail before any charge.
+// Without faults nothing is posted to a channel that holds no credit (it
+// would fail before any charge), and a front stalled on one is retried
+// only once a credit has come back to it.
 TEST_F(UgniFixture, BacklogRetriesAStalledFrontOnlyAfterACreditReturns) {
   trace::MetricsRegistry reg;
   ClientCounters n(reg);
-  CountingSmsgClient c{ep01_};
+  CountingSmsgClient c{ep01_, /*credits=*/100};
   SmsgBacklog b;
+  ASSERT_EQ(sends_until_dry(), 8);
   sim::ScopedContext guard(*ctx_[0]);
   for (int i = 0; i < 2; ++i) b.send(*ctx_[0], c, n, 1, 0, "x", 1, nullptr);
-  EXPECT_EQ(c.posts, 1);  // the second queues behind the first
+  EXPECT_EQ(c.posts, 0);  // both queue on the dry channel
+  EXPECT_EQ(b.stalled_on, ep01_);
   for (int i = 0; i < 5; ++i) b.flush(*ctx_[0], c, n, /*faulty=*/false);
-  EXPECT_EQ(c.posts, 1);
-  b.credit_returned();
-  b.flush(*ctx_[0], c, n, false);  // no credit yet after all: fails
-  EXPECT_EQ(c.posts, 2);
-  b.flush(*ctx_[0], c, n, false);
-  EXPECT_EQ(c.posts, 2);
-  c.credits = 1;
-  b.credit_returned();
+  EXPECT_EQ(c.posts, 0);
+  return_credit(100'000);
   b.flush(*ctx_[0], c, n, false);  // the front goes, the next one stalls
-  EXPECT_EQ(c.posts, 4);
+  EXPECT_EQ(c.posts, 1);
   EXPECT_EQ(b.q.size(), 1u);
   b.flush(*ctx_[0], c, n, false);
-  EXPECT_EQ(c.posts, 4);
-  c.credits = 1;
-  b.credit_returned();
+  EXPECT_EQ(c.posts, 1);
+  return_credit(200'000);
   b.flush(*ctx_[0], c, n, false);
-  EXPECT_EQ(c.posts, 5);
+  EXPECT_EQ(c.posts, 2);
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(n.smsg_sends->value(), 2u);
+  EXPECT_EQ(n.credit_stalls->value(), 2u);
 }
 
-// A MSGQ send (no SMSG endpoint) and a fault-mode backlog get no credit
-// notify they could rely on, so their flushes retry as before.
+/// A client endpoint that is its own SmsgBacklog client over real
+/// channels: it counts the backlog's endpoint lookups and posts, and the
+/// wakes its NIC sends.
+struct ChannelClient final : ClientEndpoint {
+  trace::Counter registrations;
+  int lookups = 0;
+  int posts = 0;
+  int wakes = 0;
+  void nic_wake(SimTime) override { ++wakes; }
+  gni_ep_handle_t smsg_ep(int dest) {
+    ++lookups;
+    return connect(*this, dest, registrations);
+  }
+  gni_return_t smsg_post(gni_ep_handle_t gep, int, std::uint8_t tag,
+                         const void* bytes, std::uint32_t len) {
+    ++posts;
+    return GNI_SmsgSendWTag(gep, nullptr, 0, bytes, len, 0, tag);
+  }
+  void smsg_posted(sim::Context&, void*) {}
+  bool smsg_demote(sim::Context&) { return false; }
+  void smsg_wake(SimTime) {}
+};
+
+// One NIC with two dry channels, A to NIC 1 and B to NIC 2, and a backlog
+// front stalled on A.  A credit that comes back to B wakes the client, but
+// the flush it makes neither looks the front's channel up nor posts; A's
+// own credit sends the front.
+TEST(SmsgBacklogGate, ACreditOnAnotherChannelDoesNotRetryTheFront) {
+  sim::Engine engine;
+  gemini::Network net(engine.scheduler(), topo::Torus3D::for_nodes(4),
+                      gemini::MachineConfig{});
+  Domain dom(net);
+  sim::Context ctx(engine.scheduler(), 0);
+  sim::ScopedContext g(ctx);
+  gni_smsg_attr_t attr;  // defaults: 1024 max, 8 credits
+  ChannelClient ep[3];
+  for (int i = 0; i < 3; ++i) {
+    open_endpoint(dom, i, i, 64, attr, /*use_msgq=*/false, ep[i]);
+  }
+  ep[0].nic->set_client(&ep[0]);
+  for (int dest : {1, 2}) {
+    gni_ep_handle_t gep = ep[0].smsg_ep(dest);
+    int sent = 0;
+    while (GNI_SmsgSendWTag(gep, nullptr, 0, "x", 1, 0, 0) == GNI_RC_SUCCESS) {
+      ++sent;
+    }
+    ASSERT_EQ(sent, 8);
+  }
+  // NIC `from` takes its oldest message from NIC 0 and releases it; the
+  // credit comes back to NIC 0 one wire delay later.
+  auto release_from = [&](int from) {
+    ctx.wait_until(ctx.now() + 100'000);
+    gni_ep_handle_t rev = ep[from].nic->ep_for_peer(0);
+    void* data = nullptr;
+    std::uint8_t tag = 0;
+    ASSERT_EQ(GNI_SmsgGetNextWTag(rev, &data, &tag), GNI_RC_SUCCESS);
+    ASSERT_EQ(GNI_SmsgRelease(rev), GNI_RC_SUCCESS);
+    engine.run();
+  };
+
+  trace::MetricsRegistry reg;
+  ClientCounters n(reg);
+  SmsgBacklog b;
+  ep[0].lookups = 0;
+  b.send(ctx, ep[0], n, /*dest=*/1, 0, "a", 1, nullptr);
+  ASSERT_EQ(b.q.size(), 1u);
+  EXPECT_EQ(ep[0].lookups, 1);
+  EXPECT_EQ(ep[0].posts, 0);
+
+  release_from(2);
+  EXPECT_EQ(ep[0].wakes, 1);
+  b.flush(ctx, ep[0], n, /*faulty=*/false);
+  EXPECT_EQ(ep[0].lookups, 1) << "retried a front whose channel is dry";
+  EXPECT_EQ(ep[0].posts, 0);
+
+  release_from(1);
+  EXPECT_EQ(ep[0].wakes, 2);
+  b.flush(ctx, ep[0], n, false);
+  EXPECT_EQ(ep[0].lookups, 2);
+  EXPECT_EQ(ep[0].posts, 1);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(n.smsg_sends->value(), 1u);
+}
+
+// A MSGQ send (no SMSG endpoint) and a fault-mode backlog have no credit
+// count they could rely on, so their flushes retry every time.
 TEST_F(UgniFixture, BacklogRetriesMsgqAndFaultModeFronts) {
   trace::MetricsRegistry reg;
   ClientCounters n(reg);
