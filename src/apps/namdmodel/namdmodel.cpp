@@ -168,14 +168,14 @@ class PatchObj final : public NamdObject {
       aggregate_done(count);
       return;
     }
-    std::vector<std::uint8_t> buf(sizeof(MsgHead) + sizeof(std::int32_t));
-    auto* head = reinterpret_cast<MsgHead*>(buf.data());
-    head->step = m_->step;
-    head->from = id_;
-    std::int32_t c32 = count;
-    std::memcpy(buf.data() + sizeof(MsgHead), &c32, sizeof(c32));
-    m_->array->invoke(agg, kDoneAgg, buf.data(),
-                      static_cast<std::uint32_t>(buf.size()));
+    const MsgHead head{m_->step, id_};
+    const std::int32_t c32 = count;
+    m_->array->invoke_with(
+        agg, kDoneAgg, sizeof(MsgHead) + sizeof(c32), [&](void* payload) {
+          auto* b = static_cast<std::uint8_t*>(payload);
+          std::memcpy(b, &head, sizeof(head));
+          std::memcpy(b + sizeof(head), &c32, sizeof(c32));
+        });
   }
 
   void send_controller_done(int count) {
@@ -299,13 +299,16 @@ class PmeObj final : public NamdObject {
 
 void Model::send_msg(int dest_elem, int method, int from,
                      std::uint32_t bytes) {
-  // Payload: MsgHead followed by `bytes` of (synthetic) data.
-  std::vector<std::uint8_t> buf(sizeof(MsgHead) + bytes);
-  auto* head = reinterpret_cast<MsgHead*>(buf.data());
-  head->step = step;
-  head->from = from;
-  array->invoke(dest_elem, method, buf.data(),
-                static_cast<std::uint32_t>(buf.size()));
+  // Payload: MsgHead followed by `bytes` of synthetic data, which stays
+  // unwritten.  Every handler reads MsgHead only (kDoneAgg one int32 past
+  // it, written by report_done), and nothing hashes or compares payload
+  // bytes, so their values cannot reach a result.
+  const MsgHead head{step, from};
+  array->invoke_with(dest_elem, method,
+                     static_cast<std::uint32_t>(sizeof(MsgHead) + bytes),
+                     [&](void* payload) {
+                       std::memcpy(payload, &head, sizeof(head));
+                     });
 }
 
 void Model::broadcast_step() {
@@ -354,15 +357,20 @@ NamdResult run_namd_model(const converse::MachineOptions& options,
                           const NamdConfig& config,
                           trace::Tracer* tracer) {
   auto machine = lrts::make_machine(options.layer, options);
+  return run_namd_model(*machine, config, tracer);
+}
+
+NamdResult run_namd_model(converse::Machine& machine, const NamdConfig& config,
+                          trace::Tracer* tracer) {
   if (tracer) {
-    tracer->set_pe_count(options.pes);
-    machine->set_tracer(tracer);
+    tracer->set_pe_count(machine.num_pes());
+    machine.set_tracer(tracer);
   }
-  charm::Charm charm(*machine);
+  charm::Charm charm(machine);
 
   Model model;
   model.cfg = config;
-  model.machine = machine.get();
+  model.machine = &machine;
 
   const int atoms = config.system.atoms;
   model.npatch =
@@ -374,7 +382,7 @@ NamdResult run_namd_model(const converse::MachineOptions& options,
   model.npatch = px * py * pz;
   // PME pencil decomposition scales with the machine (NAMD chooses pencil
   // counts from the grid and the core count); cap at 3x the patch count.
-  model.npme = std::clamp(options.pes / 4, 4, model.npatch);
+  model.npme = std::clamp(machine.num_pes() / 4, 4, model.npatch);
 
   // Patches and their 26-neighbourhoods (deduplicated, half-shell).
   model.patches.resize(static_cast<std::size_t>(model.npatch));
@@ -503,12 +511,12 @@ NamdResult run_namd_model(const converse::MachineOptions& options,
   });
   model.array = &array;
 
-  model.done_handler = machine->register_handler([&](void* msg) {
+  model.done_handler = machine.register_handler([&](void* msg) {
     int count = *converse::msg_payload<std::int32_t>(msg);
     CmiFree(msg);
     model.controller_step_done(count);
   });
-  model.start_handler = machine->register_handler([&](void* msg) {
+  model.start_handler = machine.register_handler([&](void* msg) {
     CmiFree(msg);
     int me = CmiMyPe();
     for (int p = 0; p < model.npatch; ++p) {
@@ -518,14 +526,14 @@ NamdResult run_namd_model(const converse::MachineOptions& options,
     }
   });
 
-  machine->start(0, [&] { model.broadcast_step(); });
-  machine->run();
+  machine.start(0, [&] { model.broadcast_step(); });
+  machine.run();
 
   NamdResult result = model.result;
   result.patches = model.npatch;
   result.computes = model.ncomp;
   result.pme_objects = model.npme;
-  result.messages = machine->stats().msgs_sent;
+  result.messages = machine.stats().msgs_sent;
 
   if (tracer) tracer->finalize(model.measure_end);
   SimTime elapsed = model.measure_end - model.measure_start;

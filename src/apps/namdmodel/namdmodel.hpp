@@ -59,4 +59,9 @@ NamdResult run_namd_model(const converse::MachineOptions& options,
                           const NamdConfig& config,
                           trace::Tracer* tracer = nullptr);
 
+/// The same run on `machine`, which must not have run yet; the caller
+/// keeps it to inspect its layer afterwards.
+NamdResult run_namd_model(converse::Machine& machine, const NamdConfig& config,
+                          trace::Tracer* tracer = nullptr);
+
 }  // namespace ugnirt::apps::namdmodel

@@ -45,20 +45,28 @@ ArrayManager::ArrayManager(Charm& charm, int n, Factory factory)
 
 void ArrayManager::invoke(int idx, int method, const void* payload,
                           std::uint32_t bytes) {
+  invoke_with(idx, method, bytes, [payload, bytes](void* dst) {
+    if (bytes) std::memcpy(dst, payload, bytes);
+  });
+}
+
+void* ArrayManager::new_invocation(int idx, int method, std::uint32_t bytes,
+                                   void** payload) {
   assert(idx >= 0 && idx < n_);
-  std::uint32_t total = static_cast<std::uint32_t>(
-      kCmiHeaderBytes + sizeof(ArrayMsgHead) + bytes);
-  void* msg = CmiAlloc(total);
+  void* msg = CmiAlloc(static_cast<std::uint32_t>(
+      kCmiHeaderBytes + sizeof(ArrayMsgHead) + bytes));
   auto* head = msg_payload<ArrayMsgHead>(msg);
   head->idx = idx;
   head->method = method;
   head->bytes = bytes;
-  if (bytes) {
-    std::memcpy(reinterpret_cast<std::uint8_t*>(head) + sizeof(ArrayMsgHead),
-                payload, bytes);
-  }
+  *payload = reinterpret_cast<std::uint8_t*>(head) + sizeof(ArrayMsgHead);
+  return msg;
+}
+
+void ArrayManager::send_invocation(int idx, void* msg) {
   CmiSetHandler(msg, handler_);
-  CmiSyncSendAndFree(location_[static_cast<std::size_t>(idx)], total, msg);
+  CmiSyncSendAndFree(location_[static_cast<std::size_t>(idx)],
+                     converse::header_of(msg)->size, msg);
 }
 
 void ArrayManager::invoke_all(int method, const void* payload,

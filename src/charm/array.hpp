@@ -59,9 +59,20 @@ class ArrayManager {
     return location_[static_cast<std::size_t>(idx)];
   }
 
-  /// Asynchronously invoke `method` on element `idx` with a payload.
-  /// Callable from any PE handler context.
+  /// Asynchronously invoke `method` on element `idx` with a copy of
+  /// `payload`.  Callable from any PE handler context.
   void invoke(int idx, int method, const void* payload, std::uint32_t bytes);
+
+  /// Invoke `method` on element `idx` with a `bytes`-byte payload that
+  /// `fill(void* payload)` writes in place, in the message it travels in,
+  /// so it is written once.  Bytes `fill` leaves alone are sent unwritten.
+  template <class Fill>
+  void invoke_with(int idx, int method, std::uint32_t bytes, Fill&& fill) {
+    void* payload = nullptr;
+    void* msg = new_invocation(idx, method, bytes, &payload);
+    fill(payload);
+    send_invocation(idx, msg);
+  }
 
   /// Invoke on every element (one message per element).
   void invoke_all(int method, const void* payload, std::uint32_t bytes);
@@ -82,6 +93,11 @@ class ArrayManager {
   }
 
  private:
+  /// An addressed message for `bytes` of payload; `*payload` receives
+  /// where they go.
+  void* new_invocation(int idx, int method, std::uint32_t bytes,
+                       void** payload);
+  void send_invocation(int idx, void* msg);
   void deliver(int idx, int method, const void* payload, std::uint32_t bytes);
 
   Charm* charm_;

@@ -10,16 +10,12 @@
 
 namespace ugnirt::lrts {
 
-/// Aggregate + publish the "mempool.*" registry entries over any range of
-/// state holders exposing a `pool` member (unique_ptr/raw pointer to a
-/// mempool::MemPool, null when the pool is disabled).  Holders themselves
-/// may be null (PE slots not yet initialized).  `arena` is the layer's
-/// HostArena behind those pools: its live and peak bytes are the host
-/// bytes of every payload, independent of the system allocator.
+/// The stats of every pool in a range of state holders exposing a `pool`
+/// member (unique_ptr/raw pointer to a mempool::MemPool, null when the
+/// pool is disabled), summed.  Holders themselves may be null (PE slots
+/// not yet initialized).
 template <typename Range>
-void collect_pool_metrics(trace::MetricsRegistry& reg,
-                          const mempool::HostArena& arena,
-                          const Range& holders) {
+mempool::MemPoolStats sum_pool_stats(const Range& holders) {
   mempool::MemPoolStats pool;
   for (const auto& h : holders) {
     if (!h || !h->pool) continue;
@@ -31,7 +27,20 @@ void collect_pool_metrics(trace::MetricsRegistry& reg,
     pool.outstanding += p.outstanding;
     pool.freelist_hits += p.freelist_hits;
     pool.bin_lookups += p.bin_lookups;
+    pool.moves += p.moves;
   }
+  return pool;
+}
+
+/// Publish the "mempool.*" registry entries over the pools of `holders`
+/// (see sum_pool_stats).  `arena` is the layer's HostArena behind those
+/// pools: its live and peak bytes are the host bytes of every payload,
+/// independent of the system allocator.  `moves` has no row.
+template <typename Range>
+void collect_pool_metrics(trace::MetricsRegistry& reg,
+                          const mempool::HostArena& arena,
+                          const Range& holders) {
+  const mempool::MemPoolStats pool = sum_pool_stats(holders);
   reg.counter("mempool.allocs").set(pool.allocs);
   reg.counter("mempool.frees").set(pool.frees);
   reg.counter("mempool.expansions").set(pool.expansions);

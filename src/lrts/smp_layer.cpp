@@ -97,7 +97,12 @@ void SmpLayer::deliver(UgniEndpoint& /*ep*/, int pe, void* msg, SimTime t) {
 // ---------------------------------------------------------------------------
 
 SmpLayer::SmpLayer() = default;
-SmpLayer::~SmpLayer() = default;
+SmpLayer::~SmpLayer() {
+  // Teardown oracle: once every node pool is gone, no payload byte may be
+  // left in the arena; one left behind is a leak.
+  nodes_.clear();
+  assert(arena_.live_bytes() == 0 && "SMP layer leaked arena bytes");
+}
 
 void SmpLayer::ensure_domain(converse::Machine& m) {
   if (domain_) return;
@@ -133,6 +138,10 @@ void SmpLayer::init_pe(converse::Pe& pe) {
 void SmpLayer::collect_metrics(trace::MetricsRegistry& reg) {
   collect_core_metrics(reg);
   collect_pool_metrics(reg, arena_, nodes_);
+}
+
+mempool::MemPoolStats SmpLayer::pool_stats() const {
+  return sum_pool_stats(nodes_);
 }
 
 // ---------------------------------------------------------------------------

@@ -62,6 +62,9 @@ class SmpLayer final : public converse::MachineLayer,
 
   void collect_metrics(trace::MetricsRegistry& reg) override;
 
+  /// The stats of every pool of the layer, summed.
+  mempool::MemPoolStats pool_stats() const;
+
  private:
   friend class UgniCore<SmpLayer>;
   struct NodeState;

@@ -16,9 +16,11 @@
 //     FMA GET (< rdma threshold) or BTE GET (>= threshold).  On GET
 //     completion it sends ACK_TAG, and each side deregisters what it
 //     registered.  Cost without the pool is the paper's Equation 1:
-//     2(Tmalloc+Tregister) + Trdma + 2 Tsmsg.  A pool source stays a live,
-//     registered model block until ACK_TAG, but its host bytes go back to
-//     the arena as soon as the GET has read them (DESIGN.md §8.2).
+//     2(Tmalloc+Tregister) + Trdma + 2 Tsmsg.  A block of the sender's
+//     own pool is given to the GET: it stays a live, registered model
+//     block until ACK_TAG, but the GET moves its host bytes into a pool
+//     landing block, so the large payload is never copied on the host
+//     (DESIGN.md §8.2).
 //   * Memory pool (§IV-B, Fig 7b): message buffers come from
 //     pre-registered slabs, removing Tmalloc/Tregister from the path.
 //   * Persistent messages (§IV-A, Fig 7a): the receiver pre-allocates a
@@ -200,9 +202,9 @@ class UgniCore {
   // so the NIC may hold it from post to GNI_GetCompleted.
 
   // Rendezvous sends waiting for ACK_TAG.  A block of the sender's pool
-  // is freed by id, because the receiver's GET released its host bytes;
-  // any other buffer was registered for the send and is deregistered and
-  // freed through its header.
+  // was given to the receiver's GET, which took its host bytes, so it is
+  // freed by id; any other buffer was registered for the send and is
+  // deregistered and freed through its header.
   struct LargeSend {
     void* msg = nullptr;  // registered buffers only
     ugni::gni_mem_handle_t hndl{};
@@ -212,7 +214,8 @@ class UgniCore {
   SlotMap<LargeSend> sends_;
 
   // Rendezvous receives: GET posted (or deferred), waiting for completion.
-  // The landing buffer and its handle are the descriptor's local side.
+  // The landing buffer and its handle are the descriptor's local side;
+  // a GET that moved a given source rewrote `local_addr` to its bytes.
   struct LargeRecv {
     ugni::gni_post_descriptor_t desc;
     std::uint64_t send_id = 0;
@@ -559,7 +562,7 @@ class UgniCore {
     mempool::MemPool* pool_owner = mempool::MemPool::owner_of(msg);
     if (ep.pool && pool_owner == ep.pool.get()) {
       ls.hndl = ep.pool->handle_of(msg);
-      ls.block = ep.pool->block_of(msg);
+      ls.block = ep.pool->give(msg);
     } else {
       // Heap buffer (no pool, or a heap-fallback allocation), or another
       // pool's block (a pxshm single-copy delivery forwarded): register it.
@@ -591,7 +594,6 @@ class UgniCore {
     ugni::gni_ep_handle_t back = connect(ep, src_peer);
     ugni::post_with_retry(ctx, back, &lr.desc,
                           lr.desc.type == ugni::GNI_POST_RDMA_GET, n_.post);
-    release_source(lr.desc);
     c_rendezvous_gets_->inc();
     if (trace::enabled()) {
       trace::emit(trace::Ev::kRdvGet, ctx.now(), 0, src_peer,
@@ -600,20 +602,6 @@ class UgniCore {
     if (trace::spans_enabled() && lr.span != 0) {
       trace::span_mark(lr.span, trace::Stage::kTransportPost, lr.dest_pe,
                        ctx.now());
-    }
-  }
-
-  /// The GET has copied its source (the post performs the copy, and no
-  /// retry follows a successful post).  When the source is a pool block
-  /// sent under its own slab handle, its sender frees it by block id on
-  /// ACK_TAG, so its host bytes can go now.  Registered sources (heap
-  /// buffers, another pool's blocks) are freed through their header and
-  /// keep their bytes.
-  static void release_source(const ugni::gni_post_descriptor_t& d) {
-    void* src = reinterpret_cast<void*>(d.remote_addr);
-    mempool::MemPool* owner = mempool::MemPool::owner_of(src);
-    if (owner && owner->handle_of(src) == d.remote_mem_hndl) {
-      owner->release_host(src);
     }
   }
 

@@ -1,5 +1,6 @@
 #include "lrts/ugni_layer.hpp"
 
+#include <cassert>
 #include <cstring>
 
 #include "lrts/pool_metrics.hpp"
@@ -64,11 +65,20 @@ void UgniLayer::deliver(UgniEndpoint& ep, int pe, void* msg, SimTime t) {
 // ---------------------------------------------------------------------------
 
 UgniLayer::UgniLayer() = default;
-UgniLayer::~UgniLayer() = default;
+UgniLayer::~UgniLayer() {
+  // Teardown oracle: once every pool is gone, no payload byte may be left
+  // in the arena; one left behind is a leak.
+  states_.clear();
+  assert(arena_.live_bytes() == 0 && "uGNI layer leaked arena bytes");
+}
 
 void UgniLayer::collect_metrics(trace::MetricsRegistry& reg) {
   collect_core_metrics(reg);
   collect_pool_metrics(reg, arena_, states_);
+}
+
+mempool::MemPoolStats UgniLayer::pool_stats() const {
+  return sum_pool_stats(states_);
 }
 
 UgniLayer::PeState& UgniLayer::state(converse::Pe& pe) {

@@ -48,6 +48,9 @@ class UgniLayer final : public converse::MachineLayer,
 
   void collect_metrics(trace::MetricsRegistry& reg) override;
 
+  /// The stats of every pool of the layer, summed.
+  mempool::MemPoolStats pool_stats() const;
+
   /// The injection governor, or nullptr when flow control is disabled;
   /// tenancy installs its per-job QoS through it.
   flowcontrol::InjectionGovernor* governor() override {

@@ -114,7 +114,7 @@ std::uint32_t MemPool::carve(std::size_t bin, std::size_t block) {
     if (slab.size - slab.used >= need) {
       slab.used += need;
       blocks_.push_back(Block{nullptr, kNoBlock, static_cast<std::uint16_t>(i),
-                              static_cast<std::uint16_t>(bin)});
+                              static_cast<std::uint8_t>(bin)});
       return static_cast<std::uint32_t>(blocks_.size() - 1);
     }
   }
@@ -184,9 +184,10 @@ std::uint32_t MemPool::block_of(const void* p) const {
   return h->block;
 }
 
-void MemPool::release_host(void* p) {
-  block_of(p);  // asserts that `p` is live in this pool
-  detach(header_of(p));
+std::uint32_t MemPool::give(void* p) {
+  const std::uint32_t id = block_of(p);
+  blocks_[id].given = true;
+  return id;
 }
 
 void MemPool::free_block(std::uint32_t id) {
@@ -195,6 +196,7 @@ void MemPool::free_block(std::uint32_t id) {
   Block& b = blocks_[id];
   assert(b.next_free == kLiveBlock && "MemPool::free_block of a free block");
   if (b.host) detach(header_of(b.host));
+  b.given = false;
   b.next_free = free_head_[b.bin];
   free_head_[b.bin] = id;
   ++stats_.frees;
@@ -234,6 +236,41 @@ bool MemPool::holds(std::uint32_t slab, std::uint64_t addr,
   Header h;
   return live_header(addr, &h) && blocks_[h.block].slab == slab &&
          len <= HostArena::class_bytes(h.host_class) - kHeaderSize;
+}
+
+void MemPool::deliver(std::uint64_t src, std::uint64_t len,
+                      ugni::RegionOwner* landing, std::uint64_t* dst) {
+  void* p = reinterpret_cast<void*>(src);
+  Header* h = header_of(p);
+  Block& b = blocks_[h->block];
+  // A move within one pool would leave the source's handle naming the
+  // moved bytes, so a re-posted GET could still read them.
+  if (b.given && landing && landing != this &&
+      landing->adopt(*dst, src, arena_)) {
+    b.host = nullptr;  // the landing block owns the bytes and the header
+    *dst = src;
+    ++stats_.moves;
+    return;
+  }
+  std::memcpy(reinterpret_cast<void*>(*dst), p, len);
+  if (b.given) detach(h);
+}
+
+bool MemPool::adopt(std::uint64_t dst, std::uint64_t bytes,
+                    const void* space) {
+  if (space != arena_) return false;
+  Header* own = header_of(reinterpret_cast<void*>(dst));
+  assert(own->pool == this && own->magic == kMagicLive &&
+         "MemPool::adopt: landing is not a live block of this pool");
+  const std::uint32_t id = own->block;
+  detach(own);
+  // The moved bytes keep their host class and live magic; only the owner
+  // changes, so freeing the landing block returns them to the arena.
+  Header* moved = header_of(reinterpret_cast<void*>(bytes));
+  moved->pool = this;
+  moved->block = id;
+  blocks_[id].host = reinterpret_cast<void*>(bytes);
+  return true;
 }
 
 std::size_t MemPool::block_size(const void* p) const {

@@ -23,11 +23,15 @@
 // after a block header naming its owning pool (nullptr for heap buffers),
 // so freeing routes to the right pool in O(1).
 //
-// A live model block may outlive its host bytes: release_host() hands the
-// bytes back to the arena while the block stays allocated, registered and
-// outstanding, and free_block() later frees it by id.  A rendezvous
-// source is released once the receiver's GET has read it, and freed on
-// ACK_TAG (DESIGN.md §8.2).
+// A rendezvous source is a *given* block (give()): its sender will not
+// read it again and frees it by id on ACK_TAG.  The pool, as its slab's
+// RegionOwner, delivers the receiver's GET of it: into a landing block of
+// a pool on the same arena the host bytes move (the landing block adopts
+// them and its own go back to the arena; nothing is copied), into any
+// other landing they are copied and then returned.  Either way the given
+// block stays live, registered and outstanding with no host bytes until
+// free_block().  A block that was not given is copied and left alone
+// (DESIGN.md §8.2).
 #pragma once
 
 #include <array>
@@ -49,6 +53,7 @@ struct MemPoolStats {
   std::uint64_t outstanding = 0;    // live allocations
   std::uint64_t freelist_hits = 0;  // allocs served without carving
   std::uint64_t bin_lookups = 0;    // O(1) size-class resolutions (== allocs)
+  std::uint64_t moves = 0;  // GETs of a given block that moved its bytes
 };
 
 class MemPool final : public ugni::RegionOwner {
@@ -79,13 +84,14 @@ class MemPool final : public ugni::RegionOwner {
   /// Model block id of live buffer `p`, for free_block().
   std::uint32_t block_of(const void* p) const;
 
-  /// Give live buffer `p`'s host bytes back to the arena.  Charges
-  /// nothing.  Its model block stays live (registered and outstanding),
-  /// but `p` is dangling from here on and holds() rejects it.
-  void release_host(void* p);
+  /// Give live buffer `p` away as a rendezvous source: its owner reads it
+  /// no more and frees it by the returned block id.  Charges nothing.
+  /// The first GET of it takes its host bytes (see deliver()), and from
+  /// then on `p` is the landing's, or dangling, and holds() rejects it.
+  std::uint32_t give(void* p);
 
   /// Free model block `id`: charges and counts exactly what free() does,
-  /// and returns its host bytes if release_host() has not.
+  /// and returns its host bytes if a GET has not taken them.
   void free_block(std::uint32_t id);
 
   /// Registered-memory handle of the slab holding `p` (for RDMA
@@ -123,6 +129,18 @@ class MemPool final : public ugni::RegionOwner {
   bool holds(std::uint32_t slab, std::uint64_t addr,
              std::uint64_t len) const override;
 
+  /// RegionOwner: a GET of live block `src`.  A block that was not given
+  /// is copied to `*dst`.  A given block moves into a landing block of
+  /// another pool on this arena (`*dst` becomes `src`), and is otherwise
+  /// copied and its bytes returned.  Charges nothing.
+  void deliver(std::uint64_t src, std::uint64_t len,
+               ugni::RegionOwner* landing, std::uint64_t* dst) override;
+
+  /// RegionOwner: live block `dst` of this pool takes over host bytes
+  /// `bytes`, a block of another pool on arena `space`.
+  bool adopt(std::uint64_t dst, std::uint64_t bytes,
+             const void* space) override;
+
   const MemPoolStats& stats() const { return stats_; }
   ugni::gni_nic_handle_t nic() const { return nic_; }
 
@@ -141,11 +159,13 @@ class MemPool final : public ugni::RegionOwner {
   static constexpr std::uint32_t kNoBlock = UINT32_MAX;
   static constexpr std::uint32_t kLiveBlock = UINT32_MAX - 1;
   struct Block {
-    void* host = nullptr;  // payload while attached: live and not released
+    void* host = nullptr;  // payload while attached: live, bytes not taken
     std::uint32_t next_free = kNoBlock;
     std::uint16_t slab = 0;
-    std::uint16_t bin = 0;
+    std::uint8_t bin = 0;
+    bool given = false;  // see give(); cleared by free_block()
   };
+  static_assert(sizeof(Block) == 16);
 
   // Host block header, just before every returned pointer.  The arena's
   // free-list link overwrites `pool` once the host block is freed.

@@ -284,8 +284,8 @@ bool Nic::handle_valid(const gni_mem_handle_t& h, std::uint64_t addr,
   return addr >= r->addr && addr + len <= r->addr + r->length;
 }
 
-void Nic::set_region_owner(const gni_mem_handle_t& h,
-                           const RegionOwner* owner, std::uint32_t key) {
+void Nic::set_region_owner(const gni_mem_handle_t& h, RegionOwner* owner,
+                           std::uint32_t key) {
   Region* r = region_of(h);
   assert(r && r->valid && "set_region_owner on a dead handle");
   r->owner = owner;
@@ -834,9 +834,17 @@ gni_return_t post_transaction(Ep* ep, gni_post_descriptor_t* desc,
       *reinterpret_cast<std::uint64_t*>(desc->local_addr) = old;
     }
   } else if (is_get) {
-    std::memcpy(reinterpret_cast<void*>(desc->local_addr),
-                reinterpret_cast<const void*>(desc->remote_addr),
-                desc->length);
+    // A source with an owner delivers its own bytes (it may move them
+    // into the landing block; see RegionOwner).
+    if (RegionOwner* src = remote->region_of(desc->remote_mem_hndl)->owner) {
+      src->deliver(desc->remote_addr, desc->length,
+                   nic->region_of(desc->local_mem_hndl)->owner,
+                   &desc->local_addr);
+    } else {
+      std::memcpy(reinterpret_cast<void*>(desc->local_addr),
+                  reinterpret_cast<const void*>(desc->remote_addr),
+                  desc->length);
+    }
   } else {
     std::memcpy(reinterpret_cast<void*>(desc->remote_addr),
                 reinterpret_cast<const void*>(desc->local_addr),

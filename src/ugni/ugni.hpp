@@ -571,13 +571,37 @@ class PeerTable {
 /// bytes behind it live elsewhere on the host (the mempool registers its
 /// slabs this way and serves payloads from a shared host arena).  Posts
 /// against such a region ask the owner instead of range-checking the
-/// address.
+/// address, and a GET whose source region has an owner asks that owner
+/// to deliver the bytes.
+///
+/// Delivery may move instead of copy: when the source block was given
+/// away by its sender and the landing block belongs to an owner on the
+/// same host space, the landing block adopts the source's host bytes and
+/// the GET rewrites its descriptor's `local_addr` to them.  That rewrite
+/// is the owner path's one departure from uGNI, where the landing address
+/// never changes; the initiator reads the delivered bytes at `local_addr`
+/// on completion.  The move charges nothing: the post has already charged
+/// the transfer by size.
 class RegionOwner {
  public:
   /// True when host range [addr, addr+len) is a live block of the region
   /// bound under `key`.
   virtual bool holds(std::uint32_t key, std::uint64_t addr,
                      std::uint64_t len) const = 0;
+
+  /// Deliver a GET of `len` bytes from `src`, a block this owner holds,
+  /// to the landing buffer at `*dst`, whose region is owned by `landing`
+  /// (nullptr: a plain registered range).  Copies, or moves and sets
+  /// `*dst` to `src`.
+  virtual void deliver(std::uint64_t src, std::uint64_t len,
+                       RegionOwner* landing, std::uint64_t* dst) = 0;
+
+  /// Make host bytes `bytes`, a block of host space `space`, the bytes of
+  /// this owner's live landing block at `dst`, and release the landing
+  /// block's own bytes.  False, touching nothing, when `space` is not
+  /// this owner's host space.
+  virtual bool adopt(std::uint64_t dst, std::uint64_t bytes,
+                     const void* space) = 0;
 
  protected:
   ~RegionOwner() = default;
@@ -618,7 +642,7 @@ class Nic {
   /// Route validity checks of the live region behind `h` to `owner`
   /// (nullptr unbinds, leaving only the registered range).  An owner must
   /// unbind or deregister before it is destroyed.
-  void set_region_owner(const gni_mem_handle_t& h, const RegionOwner* owner,
+  void set_region_owner(const gni_mem_handle_t& h, RegionOwner* owner,
                         std::uint32_t key);
 
   /// Endpoint on this NIC bound to `remote_inst`, or nullptr.
@@ -682,7 +706,7 @@ class Nic {
     std::uint32_t generation = 0;
     bool valid = false;
     Cq* dst_cq = nullptr;  // receives remote events for transactions here
-    const RegionOwner* owner = nullptr;  // see set_region_owner
+    RegionOwner* owner = nullptr;  // see set_region_owner
     std::uint32_t owner_key = 0;
   };
 

@@ -7,8 +7,10 @@
 #include <tuple>
 #include <vector>
 
+#include "apps/namdmodel/namdmodel.hpp"
 #include "charm/charm.hpp"
 #include "lrts/runtime.hpp"
+#include "lrts/smp_layer.hpp"
 #include "lrts/ugni_layer.hpp"
 #include "mempool/mempool.hpp"
 
@@ -323,7 +325,9 @@ TEST_P(RendezvousRelease, ReleasedSourceRejectsARepostedGet) {
     ++got;
     EXPECT_TRUE(intact(msg));
     // The GET has completed and the ACK is still on its way: the source
-    // block is outstanding, but its host bytes are gone.
+    // block is outstanding, but its host bytes moved to the landing block,
+    // which delivers them.
+    EXPECT_EQ(msg, src);
     EXPECT_EQ(src_pool->stats().outstanding, 1u);
     EXPECT_FALSE(src_pool->owns(src));
 
@@ -362,9 +366,9 @@ TEST_P(RendezvousRelease, ReleasedSourceRejectsARepostedGet) {
 
 // PE 1 forwards a message it got from PE 0 on its node.  In uGNI mode
 // the pxshm single-copy delivery hands PE 1 a block of PE 0's pool, which
-// PE 1 must register to send: the GET leaves its bytes alone and the ACK
-// frees it through its header.  In SMP mode the node pool owns it, so it
-// is released like any other own block.
+// PE 1 must register to send: the GET copies it, leaves its bytes alone
+// and the ACK frees it through its header.  In SMP mode the node pool
+// owns it, so it is given and moves like any other own block.
 TEST_P(RendezvousRelease, ForwardedIntraNodeDeliveryKeepsItsAckPath) {
   MachineOptions o = options();
   o.use_pxshm = true;
@@ -419,6 +423,39 @@ INSTANTIATE_TEST_SUITE_P(Modes, RendezvousRelease, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "SMP" : "uGNI";
                          });
+
+// The NAMD model on a small machine of four nodes: every rendezvous
+// source is a block of its sender's pool and every landing a pool block
+// on the same arena, so every GET moves its source and none copies.
+template <class Layer>
+void every_namd_get_moves(bool smp) {
+  MachineOptions o;
+  o.layer = LayerKind::kUgni;
+  o.pes = 16;
+  o.pes_per_node = 4;
+  o.smp_mode = smp;
+  auto owned = std::make_unique<Layer>();
+  Layer* layer = owned.get();
+  converse::Machine m(o, std::move(owned));
+  apps::namdmodel::NamdConfig cfg;
+  cfg.system = apps::namdmodel::iapp();
+  cfg.warmup_steps = 1;
+  cfg.steps = 2;
+  const apps::namdmodel::NamdResult r = apps::namdmodel::run_namd_model(m, cfg);
+  EXPECT_GT(r.ms_per_step, 0.0);
+  const std::uint64_t gets = m.metrics().counter("ugni.rendezvous_gets").value();
+  EXPECT_GT(gets, 100u);
+  EXPECT_EQ(layer->pool_stats().moves, gets);
+  EXPECT_EQ(m.metrics().counter("fallback_heap_send").value(), 0u);
+}
+
+TEST(NamdRendezvousMoves, EveryGetMovesOnTheUgniLayer) {
+  every_namd_get_moves<lrts::UgniLayer>(false);
+}
+
+TEST(NamdRendezvousMoves, EveryGetMovesOnTheSmpLayer) {
+  every_namd_get_moves<lrts::SmpLayer>(true);
+}
 
 }  // namespace
 }  // namespace ugnirt

@@ -500,24 +500,35 @@ TEST_F(MemPoolFixture, PoolDestroyedOutsideAContextUnbindsItsSlabs) {
   EXPECT_EQ(arena_.live_bytes(), 0u);
 }
 
-// A rendezvous source gives its host bytes back once the GET has read
-// them; its model block stays live until the ACK frees it by id.
+// A given rendezvous source GET'd into a landing that cannot adopt its
+// bytes (a heap landing) is copied and then gives its host bytes back;
+// its model block stays live until the ACK frees it by id.
 TEST_F(MemPoolFixture, ReleasedHostKeepsTheModelBlockLiveUntilFreedById) {
   sim::ScopedContext guard(*ctx_);
   const std::uint64_t live0 = arena_.live_bytes();
   auto* p = static_cast<std::uint8_t*>(pool_->alloc(1000));
   const std::uint64_t held = arena_.live_bytes() - live0;
   ASSERT_GT(held, 0u);
+  for (int i = 0; i < 1000; ++i) p[i] = static_cast<std::uint8_t>(i * 5 + 1);
   const ugni::gni_mem_handle_t h = pool_->handle_of(p);
   const auto addr = reinterpret_cast<std::uint64_t>(p);
   ASSERT_TRUE(nic_->handle_valid(h, addr, 1000));
   const std::uint32_t id = pool_->block_of(p);
+  EXPECT_EQ(pool_->give(p), id);
   const MemPoolStats before = pool_->stats();
   const std::uint64_t regs = nic_->registered_bytes();
 
+  std::vector<std::uint8_t> heap(1000);
+  std::uint64_t dst = reinterpret_cast<std::uint64_t>(heap.data());
   SimTime t0 = ctx_->now();
-  pool_->release_host(p);
+  pool_->deliver(addr, 1000, /*landing=*/nullptr, &dst);
   EXPECT_EQ(ctx_->now(), t0);  // releasing charges nothing
+  EXPECT_EQ(dst, reinterpret_cast<std::uint64_t>(heap.data()));  // copied
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(heap[static_cast<std::size_t>(i)],
+              static_cast<std::uint8_t>(i * 5 + 1));
+  }
+  EXPECT_EQ(pool_->stats().moves, 0u);
   EXPECT_EQ(arena_.live_bytes(), live0);
   EXPECT_EQ(arena_.peak_bytes(), live0 + held);
   EXPECT_FALSE(nic_->handle_valid(h, addr, 1000));
@@ -559,6 +570,260 @@ TEST_F(MemPoolFixture, FreeByIdOfAnAttachedBlockMatchesFree) {
   EXPECT_EQ(pool_->stats().freelist_hits, hits + 1);
   EXPECT_EQ(pool_->block_of(b), id);
   pool_->free(b);
+}
+
+// A rendezvous receiver's GET of a pool block: NIC 1 pulls from a block
+// of NIC 0's pool into a landing buffer, as the protocol core does.  The
+// two pools share one arena, as every pool of a machine layer does.
+class PoolGetFixture : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kLen = 16 * 1024;
+
+  void SetUp() override {
+    net_ = std::make_unique<gemini::Network>(
+        engine_.scheduler(), topo::Torus3D::for_nodes(2),
+        gemini::MachineConfig{});
+    dom_ = std::make_unique<ugni::Domain>(*net_);
+    ctx_ = std::make_unique<sim::Context>(engine_.scheduler(), 0);
+    sim::ScopedContext guard(*ctx_);
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_EQ(ugni::GNI_CdmAttach(dom_.get(), i, i, &nic_[i]),
+                ugni::GNI_RC_SUCCESS);
+    }
+    ASSERT_EQ(ugni::GNI_CqCreate(nic_[1], 64, &cq_), ugni::GNI_RC_SUCCESS);
+    ASSERT_EQ(ugni::GNI_EpCreate(nic_[1], cq_, &ep_), ugni::GNI_RC_SUCCESS);
+    ASSERT_EQ(ugni::GNI_EpBind(ep_, 0), ugni::GNI_RC_SUCCESS);
+    src_pool_ = std::make_unique<MemPool>(arena_, nic_[0], 64 * 1024);
+    dst_pool_ = std::make_unique<MemPool>(arena_, nic_[1], 64 * 1024);
+  }
+
+  void TearDown() override {
+    sim::ScopedContext guard(*ctx_);
+    src_pool_.reset();
+    dst_pool_.reset();
+    EXPECT_EQ(arena_.live_bytes(), 0u);
+  }
+
+  static std::uint8_t pattern(std::size_t i) {
+    return static_cast<std::uint8_t>(i * 13 + 5);
+  }
+  /// A block of the source pool holding kLen patterned bytes.
+  std::uint8_t* source() {
+    auto* p = static_cast<std::uint8_t*>(src_pool_->alloc(kLen));
+    for (std::size_t i = 0; i < kLen; ++i) p[i] = pattern(i);
+    return p;
+  }
+  static bool patterned(std::uint64_t addr) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(addr);
+    for (std::size_t i = 0; i < kLen; ++i) {
+      if (p[i] != pattern(i)) return false;
+    }
+    return true;
+  }
+  /// The receiver's GET of `src` into `landing`, registered under `lh`.
+  ugni::gni_post_descriptor_t get(void* landing, ugni::gni_mem_handle_t lh,
+                                  std::uint8_t* src) const {
+    ugni::gni_post_descriptor_t d;
+    d.type = ugni::GNI_POST_RDMA_GET;
+    d.cq_mode = 0;
+    d.local_addr = reinterpret_cast<std::uint64_t>(landing);
+    d.local_mem_hndl = lh;
+    d.remote_addr = reinterpret_cast<std::uint64_t>(src);
+    d.remote_mem_hndl = src_pool_->handle_of(src);
+    d.length = kLen;
+    return d;
+  }
+  ugni::gni_return_t post(ugni::gni_post_descriptor_t& d) {
+    sim::ScopedContext guard(*ctx_);
+    return ugni::GNI_PostRdma(ep_, &d);
+  }
+
+  sim::Engine engine_;
+  std::unique_ptr<gemini::Network> net_;
+  std::unique_ptr<ugni::Domain> dom_;
+  std::unique_ptr<sim::Context> ctx_;
+  ugni::gni_nic_handle_t nic_[2] = {};
+  ugni::gni_cq_handle_t cq_ = nullptr;
+  ugni::gni_ep_handle_t ep_ = nullptr;
+  HostArena arena_;
+  std::unique_ptr<MemPool> src_pool_;
+  std::unique_ptr<MemPool> dst_pool_;
+};
+
+// A given block GET'd into a landing block of a pool on the same arena:
+// the landing block adopts the source's bytes, nothing is copied, and the
+// source block keeps no bytes until its ACK frees it by id.
+TEST_F(PoolGetFixture, GivenBlockMovesIntoAPoolLanding) {
+  sim::ScopedContext guard(*ctx_);
+  std::uint8_t* src = source();
+  const std::uint32_t id = src_pool_->give(src);
+  void* landing = dst_pool_->alloc(kLen);
+  ugni::gni_post_descriptor_t d =
+      get(landing, dst_pool_->handle_of(landing), src);
+  const ugni::gni_post_descriptor_t refused = d;
+  const std::uint64_t live = arena_.live_bytes();
+  const std::uint64_t outstanding = src_pool_->stats().outstanding;
+
+  ASSERT_EQ(post(d), ugni::GNI_RC_SUCCESS);
+  EXPECT_EQ(d.local_addr, reinterpret_cast<std::uint64_t>(src));
+  EXPECT_TRUE(patterned(d.local_addr));
+  EXPECT_LT(arena_.live_bytes(), live);  // the landing's own bytes went back
+  EXPECT_EQ(src_pool_->stats().moves, 1u);
+  EXPECT_EQ(dst_pool_->stats().moves, 0u);
+  EXPECT_EQ(src_pool_->stats().outstanding, outstanding);
+  EXPECT_FALSE(src_pool_->owns(src));
+  EXPECT_TRUE(dst_pool_->owns(src));
+  EXPECT_EQ(MemPool::owner_of(src), dst_pool_.get());
+  EXPECT_GE(dst_pool_->block_size(src), kLen);
+  EXPECT_TRUE(nic_[1]->handle_valid(dst_pool_->handle_of(src), d.local_addr,
+                                    kLen));
+
+  // The same GET posted again names a source that holds no bytes.
+  ugni::gni_post_descriptor_t again = refused;
+  again.local_addr = d.local_addr;
+  EXPECT_EQ(post(again), ugni::GNI_RC_PERMISSION_ERROR);
+
+  src_pool_->free_block(id);
+  EXPECT_EQ(src_pool_->stats().outstanding, outstanding - 1);
+  EXPECT_TRUE(dst_pool_->owns(src));  // the ACK leaves the moved bytes
+  dst_pool_->free(src);
+  EXPECT_EQ(arena_.live_bytes(), 0u);
+}
+
+// A move is bookkeeping: the post has charged the transfer by size, and
+// delivering a given block charges nothing more.
+TEST_F(PoolGetFixture, MoveChargesNothing) {
+  sim::ScopedContext guard(*ctx_);
+  std::uint8_t* src = source();
+  src_pool_->give(src);
+  void* landing = dst_pool_->alloc(kLen);
+  std::uint64_t dst = reinterpret_cast<std::uint64_t>(landing);
+  const SimTime t0 = ctx_->now();
+  src_pool_->deliver(reinterpret_cast<std::uint64_t>(src), kLen,
+                     dst_pool_.get(), &dst);
+  EXPECT_EQ(ctx_->now(), t0);
+  EXPECT_EQ(dst, reinterpret_cast<std::uint64_t>(src));
+  EXPECT_EQ(src_pool_->stats().moves, 1u);
+  dst_pool_->free(src);
+}
+
+// A given block GET'd into a heap landing (the fallback after a refused
+// slab) is copied, and then its bytes go back to the arena.
+TEST_F(PoolGetFixture, GivenBlockIntoAHeapLandingIsCopiedAndReleased) {
+  sim::ScopedContext guard(*ctx_);
+  std::uint8_t* src = source();
+  const std::uint32_t id = src_pool_->give(src);
+  std::vector<std::uint8_t> heap(kLen);
+  ugni::gni_mem_handle_t hh{};
+  ASSERT_EQ(ugni::GNI_MemRegister(nic_[1],
+                                  reinterpret_cast<std::uint64_t>(heap.data()),
+                                  kLen, nullptr, 0, &hh),
+            ugni::GNI_RC_SUCCESS);
+  ugni::gni_post_descriptor_t d = get(heap.data(), hh, src);
+  const std::uint64_t live = arena_.live_bytes();
+  ASSERT_EQ(post(d), ugni::GNI_RC_SUCCESS);
+  EXPECT_EQ(d.local_addr, reinterpret_cast<std::uint64_t>(heap.data()));
+  EXPECT_TRUE(patterned(d.local_addr));
+  EXPECT_LT(arena_.live_bytes(), live);
+  EXPECT_FALSE(src_pool_->owns(src));
+  EXPECT_EQ(src_pool_->stats().moves, 0u);
+  EXPECT_EQ(post(d), ugni::GNI_RC_PERMISSION_ERROR);
+  src_pool_->free_block(id);
+  EXPECT_EQ(arena_.live_bytes(), 0u);
+}
+
+// A landing block of a pool on another arena cannot adopt the bytes: the
+// given source is copied and released, the landing keeps its own bytes.
+TEST_F(PoolGetFixture, GivenBlockIntoAnotherArenasPoolIsCopied) {
+  sim::ScopedContext guard(*ctx_);
+  HostArena other_arena;
+  auto other = std::make_unique<MemPool>(other_arena, nic_[1], 64 * 1024);
+  std::uint8_t* src = source();
+  const std::uint32_t id = src_pool_->give(src);
+  void* landing = other->alloc(kLen);
+  ugni::gni_post_descriptor_t d = get(landing, other->handle_of(landing), src);
+  ASSERT_EQ(post(d), ugni::GNI_RC_SUCCESS);
+  EXPECT_EQ(d.local_addr, reinterpret_cast<std::uint64_t>(landing));
+  EXPECT_TRUE(patterned(d.local_addr));
+  EXPECT_FALSE(src_pool_->owns(src));
+  EXPECT_TRUE(other->owns(landing));
+  EXPECT_EQ(src_pool_->stats().moves, 0u);
+  src_pool_->free_block(id);
+  other->free(landing);
+  other.reset();
+  EXPECT_EQ(other_arena.live_bytes(), 0u);
+}
+
+// A post refused by fault injection delivers nothing: the given source
+// keeps its bytes and the landing its own.  The retry moves them.
+TEST_F(PoolGetFixture, RefusedPostMovesNothingAndItsRetryMoves) {
+  sim::ScopedContext guard(*ctx_);
+  fault::FaultPlan plan;
+  plan.enabled = true;
+  plan.p_post_error = 1.0;
+  fault::FaultInjector faults(plan);
+  std::uint8_t* src = source();
+  const std::uint32_t id = src_pool_->give(src);
+  void* landing = dst_pool_->alloc(kLen);
+  ugni::gni_post_descriptor_t d =
+      get(landing, dst_pool_->handle_of(landing), src);
+  const std::uint64_t live = arena_.live_bytes();
+
+  net_->set_fault_injector(&faults);
+  EXPECT_EQ(post(d), ugni::GNI_RC_TRANSACTION_ERROR);
+  net_->set_fault_injector(nullptr);
+  EXPECT_EQ(d.local_addr, reinterpret_cast<std::uint64_t>(landing));
+  EXPECT_TRUE(src_pool_->owns(src));
+  EXPECT_TRUE(dst_pool_->owns(landing));
+  EXPECT_TRUE(patterned(reinterpret_cast<std::uint64_t>(src)));
+  EXPECT_EQ(arena_.live_bytes(), live);
+  EXPECT_EQ(src_pool_->stats().moves, 0u);
+
+  ASSERT_EQ(post(d), ugni::GNI_RC_SUCCESS);
+  EXPECT_EQ(d.local_addr, reinterpret_cast<std::uint64_t>(src));
+  EXPECT_TRUE(patterned(d.local_addr));
+  EXPECT_EQ(src_pool_->stats().moves, 1u);
+  EXPECT_FALSE(src_pool_->owns(src));
+  src_pool_->free_block(id);
+  dst_pool_->free(src);
+}
+
+// A block that was not given (its owner may read it again) is copied and
+// stays valid, bytes and handle.
+TEST_F(PoolGetFixture, BlockNotGivenIsCopiedAndStaysValid) {
+  sim::ScopedContext guard(*ctx_);
+  std::uint8_t* src = source();
+  void* landing = dst_pool_->alloc(kLen);
+  ugni::gni_post_descriptor_t d =
+      get(landing, dst_pool_->handle_of(landing), src);
+  const std::uint64_t live = arena_.live_bytes();
+  ASSERT_EQ(post(d), ugni::GNI_RC_SUCCESS);
+  EXPECT_EQ(d.local_addr, reinterpret_cast<std::uint64_t>(landing));
+  EXPECT_TRUE(patterned(d.local_addr));
+  EXPECT_EQ(arena_.live_bytes(), live);
+  EXPECT_TRUE(src_pool_->owns(src));
+  EXPECT_TRUE(patterned(reinterpret_cast<std::uint64_t>(src)));
+  EXPECT_EQ(src_pool_->stats().moves, 0u);
+  ASSERT_EQ(post(d), ugni::GNI_RC_SUCCESS);  // still a valid source
+  src_pool_->free(src);
+  dst_pool_->free(landing);
+}
+
+// Pools destroyed right after a move, with neither block freed: the moved
+// bytes go back with the landing pool, exactly once.
+TEST_F(PoolGetFixture, PoolsDestroyedAfterAMoveReturnEveryByte) {
+  sim::ScopedContext guard(*ctx_);
+  std::uint8_t* src = source();
+  src_pool_->give(src);
+  void* landing = dst_pool_->alloc(kLen);
+  ugni::gni_post_descriptor_t d =
+      get(landing, dst_pool_->handle_of(landing), src);
+  ASSERT_EQ(post(d), ugni::GNI_RC_SUCCESS);
+  ASSERT_EQ(src_pool_->stats().moves, 1u);
+  src_pool_.reset();
+  EXPECT_GT(arena_.live_bytes(), 0u);  // the landing pool holds the bytes
+  dst_pool_.reset();
+  EXPECT_EQ(arena_.live_bytes(), 0u);
 }
 
 TEST(HostArenaClasses, FineThenBoundedCoarseSteps) {

@@ -7,6 +7,8 @@
 
 #include "converse/machine.hpp"
 #include "lrts/runtime.hpp"
+#include "lrts/smp_layer.hpp"
+#include "lrts/ugni_layer.hpp"
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "trace/metrics.hpp"
@@ -695,6 +697,125 @@ TEST_F(UgniFixture, BacklogRetriesMsgqAndFaultModeFronts) {
     bf.flush(*ctx_[0], faulty, n, /*faulty=*/true);
   }
   EXPECT_EQ(faulty.posts, 4);
+}
+
+// ------------------------------------------------------- region owners ----
+
+/// A source region owner that records the GETs it is asked to deliver
+/// and moves each one: the landing address becomes the source's.
+struct MovingOwner final : RegionOwner {
+  std::uint64_t base = 0, length = 0;
+  int delivered = 0;
+  const RegionOwner* landing = this;  // not yet asked
+  bool holds(std::uint32_t, std::uint64_t addr,
+             std::uint64_t len) const override {
+    return addr >= base && addr + len <= base + length;
+  }
+  void deliver(std::uint64_t src, std::uint64_t, RegionOwner* to,
+               std::uint64_t* dst) override {
+    ++delivered;
+    landing = to;
+    *dst = src;
+  }
+  bool adopt(std::uint64_t, std::uint64_t, const void*) override {
+    return false;
+  }
+};
+
+// A GET from a region with an owner asks the owner to deliver, once the
+// post is valid, and completes with the address the owner left in the
+// descriptor.  A stale or short source handle is refused before it.
+TEST_F(UgniRdmaFixture, GetFromAnOwnedRegionAsksItsOwner) {
+  MovingOwner owner;
+  owner.base = reinterpret_cast<std::uint64_t>(src_.data());
+  owner.length = kLen;
+  nic_[0]->set_region_owner(src_h_, &owner, 0);
+  gni_post_descriptor_t d;
+  d.type = GNI_POST_FMA_GET;
+  d.local_addr = reinterpret_cast<std::uint64_t>(dst_.data());
+  d.local_mem_hndl = dst_h_;
+  d.remote_addr = owner.base;
+  d.remote_mem_hndl = src_h_;
+  d.length = 1024;
+  sim::ScopedContext guard(*ctx_[1]);
+
+  gni_post_descriptor_t shorted = d;
+  shorted.length = kLen + 1;
+  EXPECT_EQ(GNI_PostFma(ep10_, &shorted), GNI_RC_PERMISSION_ERROR);
+  EXPECT_EQ(owner.delivered, 0);
+
+  ASSERT_EQ(GNI_PostFma(ep10_, &d), GNI_RC_SUCCESS);
+  EXPECT_EQ(owner.delivered, 1);
+  EXPECT_EQ(owner.landing, nullptr);  // dst_ is a plain registered range
+  EXPECT_EQ(d.local_addr, owner.base);
+  EXPECT_NE(std::memcmp(dst_.data(), src_.data(), 1024), 0);  // no copy
+
+  ctx_[1]->wait_until(100'000'000);
+  gni_cq_entry_t ev;
+  ASSERT_EQ(GNI_CqGetEvent(tx_cq_[1], &ev), GNI_RC_SUCCESS);
+  gni_post_descriptor_t* done = nullptr;
+  ASSERT_EQ(GNI_GetCompleted(tx_cq_[1], ev, &done), GNI_RC_SUCCESS);
+  EXPECT_EQ(done->local_addr, owner.base);
+
+  gni_mem_handle_t copy = src_h_;
+  {
+    sim::ScopedContext g0(*ctx_[0]);
+    ASSERT_EQ(GNI_MemDeregister(nic_[0], &copy), GNI_RC_SUCCESS);
+  }
+  d.local_addr = reinterpret_cast<std::uint64_t>(dst_.data());
+  EXPECT_EQ(GNI_PostFma(ep10_, &d), GNI_RC_PERMISSION_ERROR);
+  EXPECT_EQ(owner.delivered, 1);
+}
+
+// A machine stopped right after a rendezvous GET moved its source into
+// the landing block, before the GET completed, and then destroyed: the
+// layer's teardown check finds the arena empty, and the sanitizer build
+// finds no leak and no double free.
+template <class Layer>
+void destroy_right_after_a_move(bool smp) {
+  converse::MachineOptions o;
+  o.layer = converse::LayerKind::kUgni;
+  o.pes = 4;
+  o.pes_per_node = 2;
+  o.smp_mode = smp;
+  auto owned = std::make_unique<Layer>();
+  Layer* layer = owned.get();
+  int got = 0;
+  converse::Machine m(o, std::move(owned));
+  const int h = m.register_handler([&got](void* msg) {
+    ++got;
+    converse::CmiFree(msg);
+  });
+  m.start(0, [h] {
+    const std::uint32_t total = 64 * 1024;
+    void* msg = converse::CmiAlloc(total);
+    converse::CmiSetHandler(msg, h);
+    converse::CmiSyncSendAndFree(2, total, msg);  // PE 2: the other node
+  });
+  // Polls every 10 ns of virtual time; stops the engine at the first move.
+  struct Watch {
+    converse::Machine* m;
+    Layer* layer;
+    void poll() {
+      if (layer->pool_stats().moves > 0 || m->scheduler().now() > 1'000'000) {
+        m->stop();
+        return;
+      }
+      m->scheduler().schedule_after(10, [this] { poll(); });
+    }
+  } watch{&m, layer};
+  m.scheduler().schedule_at(0, [w = &watch] { w->poll(); });
+  m.run();
+  EXPECT_EQ(layer->pool_stats().moves, 1u);
+  EXPECT_EQ(got, 0) << "the GET completed before the machine stopped";
+}
+
+TEST(MoveTeardown, UgniMachineDestroyedRightAfterAMove) {
+  destroy_right_after_a_move<lrts::UgniLayer>(false);
+}
+
+TEST(MoveTeardown, SmpMachineDestroyedRightAfterAMove) {
+  destroy_right_after_a_move<lrts::SmpLayer>(true);
 }
 
 // ---------------------------------------------------------- event gate ----
