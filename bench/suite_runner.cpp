@@ -34,6 +34,7 @@
 #include "lrts/runtime.hpp"
 #include "lrts/ugni_layer.hpp"
 #include "trace/metrics.hpp"
+#include "trace/session.hpp"
 #include "trace/spans.hpp"
 #include "util/alloc_count.hpp"
 
@@ -71,14 +72,16 @@ converse::MachineOptions smp_options(int pes = 2) {
 
 /// Run `fn` with every submit sampled into a private SpanCollector and
 /// append `<prefix>.<stage>.{p50,p99}_ns` metrics for each stage that saw
-/// traffic, plus the end-to-end total.
+/// traffic, plus the end-to-end total.  A trace session's collector is
+/// back in place once `fn` returns.
 template <typename Fn>
 void with_span_metrics(const std::string& prefix, std::vector<Metric>& out,
                        Fn&& fn) {
   trace::SpanCollector col(trace::SpanConfig{/*sample=*/1});
-  trace::set_span_collector(&col);
-  fn();
-  trace::set_span_collector(nullptr);
+  {
+    trace::SinkScope sinks(trace::tracer(), &col);
+    fn();
+  }
 
   trace::MetricsRegistry reg;
   col.fill_histograms(reg);
@@ -290,6 +293,9 @@ void write_scale(const char* path) {
 
 int main(int argc, char** argv) {
   const std::string which = argc > 1 ? argv[1] : "all";
+  // A session the environment asks for installs its sinks before the first
+  // machine runs, so with_span_metrics' scope nests inside them.
+  trace::TraceSession::active();
   if (which == "core" || which == "all") write_core("BENCH_core.json");
   if (which == "scale" || which == "all") write_scale("BENCH_scale.json");
   if (which == "scalepoint") {

@@ -134,7 +134,8 @@ void Aggregator::ship(sim::Context& ctx, converse::Pe& src, int dest_pe,
   h_flush_msgs_->add(static_cast<double>(buf.writer->count()));
   h_flush_bytes_->add(static_cast<double>(bh->size));
   if (trace::enabled()) {
-    trace::emit(trace::Ev::kAggFlush, ctx.now(), 0, dest_pe, bh->size);
+    trace::emit(ctx.pe(), trace::Ev::kAggFlush, ctx.now(), 0, dest_pe,
+                bh->size);
   }
   if (trace::spans_enabled()) {
     // Sampled sub-messages ride inside the frame with their span ids in

@@ -15,8 +15,25 @@
 namespace ugnirt::converse {
 
 namespace {
-Machine* g_running = nullptr;
+// The machine whose run() is on the calling thread's stack.
+constinit thread_local Machine* t_running = nullptr;
 }  // namespace
+
+/// Enters `pe` on the calling thread: makes it the machine's current PE and
+/// its context the thread's, and restores both on exit.
+class Machine::PeScope {
+ public:
+  explicit PeScope(Pe& pe)
+      : m_(pe.machine()), prev_pe_(m_.current_pe_), ctx_(pe.ctx()) {
+    m_.current_pe_ = &pe;
+  }
+  ~PeScope() { m_.current_pe_ = prev_pe_; }
+
+ private:
+  Machine& m_;
+  Pe* prev_pe_;
+  sim::ScopedContext ctx_;
+};
 
 // ---------------------------------------------------------------------------
 // MachineLayer defaults
@@ -79,10 +96,8 @@ void Pe::run_step(SimTime t) {
   ctx_.set_now(t);
   SimTime app_before = ctx_.app_total();
 
-  Pe* prev_pe = m.current_pe_;
-  m.current_pe_ = this;
   {
-    sim::ScopedContext guard(ctx_);
+    Machine::PeScope enter(*this);
     m.layer_->advance(ctx_, *this);
     ctx_.charge(m.options().mc.sched_loop_ns);
     if (!sched_q_.empty()) {
@@ -95,8 +110,8 @@ void Pe::run_step(SimTime t) {
       ++msgs_executed_;
       ++m.stats_.msgs_executed;
       if (trace::enabled()) {
-        trace::emit(trace::Ev::kMsgExec, exec_start, ctx_.now() - exec_start,
-                    msg_src, msg_size);
+        trace::emit(id_, trace::Ev::kMsgExec, exec_start,
+                    ctx_.now() - exec_start, msg_src, msg_size);
       }
     }
     if (m.aggregator_) {
@@ -109,7 +124,6 @@ void Pe::run_step(SimTime t) {
       }
     }
   }
-  m.current_pe_ = prev_pe;
   ++m.stats_.steps;
 
   avail_at_ = ctx_.now();
@@ -172,12 +186,10 @@ Machine::Machine(MachineOptions options, std::unique_ptr<MachineLayer> layer)
   }
   // Layer init runs inside each PE's context so setup costs are charged.
   for (auto& pe : pes_) {
-    current_pe_ = pe.get();
-    sim::ScopedContext guard(pe->ctx());
+    PeScope enter(*pe);
     layer_->init_pe(*pe);
     pe->avail_at_ = pe->ctx().now();
   }
-  current_pe_ = nullptr;
   if (options_.aggregation.enable) {
     aggregator_ = std::make_unique<aggregation::Aggregator>(*this);
   }
@@ -190,7 +202,7 @@ Machine::~Machine() {
     collect_metrics();
     session->absorb(metrics_);
   }
-  if (g_running == this) g_running = nullptr;
+  if (t_running == this) t_running = nullptr;
 }
 
 void Machine::collect_metrics() {
@@ -212,7 +224,7 @@ int Machine::register_handler(CmiHandler fn) {
   return static_cast<int>(handlers_.size()) - 1;
 }
 
-Machine* Machine::running() { return g_running; }
+Machine* Machine::running() { return t_running; }
 
 Pe& Machine::current_pe() {
   assert(current_pe_ && "no PE is executing");
@@ -467,23 +479,18 @@ void Machine::start(int pe_id, std::function<void()> fn) {
     starts_.pop_front();
     Pe& pe = *s.pe;
     pe.ctx().set_now(std::max(engine_.now(), pe.avail_at_));
-    Pe* prev = current_pe_;
-    current_pe_ = &pe;
-    {
-      sim::ScopedContext guard(pe.ctx());
-      s.fn();
-    }
-    current_pe_ = prev;
+    PeScope enter(pe);
+    s.fn();
     pe.avail_at_ = pe.ctx().now();
     pe.wake(pe.avail_at_);
   });
 }
 
 SimTime Machine::run() {
-  Machine* prev = g_running;
-  g_running = this;
+  Machine* prev = t_running;
+  t_running = this;
   engine_.run();
-  g_running = prev;
+  t_running = prev;
   return engine_.now();
 }
 

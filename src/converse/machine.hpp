@@ -315,7 +315,8 @@ class Machine {
   /// Stop the machine (callable from a handler when the app is done).
   void stop() { engine_.stop(); }
 
-  /// The machine currently executing (valid inside handlers/start fns).
+  /// The machine running on the calling thread (valid inside handlers and
+  /// start fns).
   static Machine* running();
   /// The PE currently executing.
   Pe& current_pe();
@@ -343,6 +344,7 @@ class Machine {
 
  private:
   friend class Pe;
+  class PeScope;
 
   void dispatch(Pe& pe, void* msg);
   /// One flat-table entry: the System/Bcast/AggBatch decisions are baked

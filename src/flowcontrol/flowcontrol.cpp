@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "sim/context.hpp"
 #include "trace/events.hpp"
 #include "util/stats.hpp"
 
@@ -35,9 +36,13 @@ void CongestionEstimator::on_link_reserve(std::size_t link,
     if (now - last_sample_[link] >= kSamplePeriodNs) {
       last_sample_[link] = now;
       // size carries the smoothed load in parts-per-million, peer the link.
-      trace::emit(trace::Ev::kCongestionSample, now, 0,
-                  static_cast<int>(link),
-                  static_cast<std::uint32_t>(ll * 1e6));
+      // Recorded for the PE whose post reserved the link; a reservation
+      // made outside any PE records nothing.
+      if (const sim::Context* c = sim::current()) {
+        trace::emit(c->pe(), trace::Ev::kCongestionSample, now, 0,
+                    static_cast<int>(link),
+                    static_cast<std::uint32_t>(ll * 1e6));
+      }
     } else {
       // Suppressed by the per-link sample period: record the drop so the
       // exported sample stream is never mistaken for the full load signal.
@@ -89,14 +94,10 @@ void InjectionGovernor::set_pe_qos(int pe, const QosParams& qos) {
   ++qos_pes_;
 }
 
-bool InjectionGovernor::try_acquire(int pe, int dest, std::uint32_t bytes,
-                                    SimTime now) {
+bool InjectionGovernor::try_acquire(int pe) {
   PeWindow& w = pe_[static_cast<std::size_t>(pe)];
   if (w.outstanding >= static_cast<std::uint32_t>(w.cwnd)) {
     ++stalls_;
-    if (trace::enabled()) {
-      trace::emit(trace::Ev::kInjectionStall, now, 0, dest, bytes);
-    }
     return false;
   }
   ++w.outstanding;

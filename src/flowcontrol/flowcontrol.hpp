@@ -104,9 +104,9 @@ class InjectionGovernor {
 
   /// Admission check for a governed post (rendezvous GET).  On success
   /// the transaction counts against `pe`'s window.  On refusal (window
-  /// full) the caller must defer and re-try from its progress engine; a
-  /// kInjectionStall event is emitted.
-  bool try_acquire(int pe, int dest, std::uint32_t bytes, SimTime now);
+  /// full) the caller must defer, record a kInjectionStall event and
+  /// re-try from its progress engine.
+  bool try_acquire(int pe);
 
   /// Whether try_acquire would admit, without side effects — progress
   /// engines poll this so drain retries don't inflate the stall count.

@@ -293,7 +293,7 @@ class UgniCore {
       // back to a plain heap buffer; free_buf routes it back to the heap.
       c_fallback_heap_->inc();
       if (trace::enabled()) {
-        trace::emit(trace::Ev::kFallback, ctx.now(), 0, /*peer=*/-1,
+        trace::emit(ctx.pe(), trace::Ev::kFallback, ctx.now(), 0, /*peer=*/-1,
                     static_cast<std::uint32_t>(bytes));
       }
     }
@@ -334,7 +334,7 @@ class UgniCore {
       // Pool expansion failed: heap-registered buffer instead.
       c_fallback_heap_->inc();
       if (trace::enabled()) {
-        trace::emit(trace::Ev::kFallback, ctx.now(), 0, peer, size);
+        trace::emit(ctx.pe(), trace::Ev::kFallback, ctx.now(), 0, peer, size);
       }
     }
     ctx.charge(machine_->options().mc.malloc_cost(size));
@@ -414,7 +414,8 @@ class UgniCore {
     if (governor_) governor_->note_post(ep.nic->inst_id());
     c_persistent_puts_->inc();
     if (trace::enabled()) {
-      trace::emit(trace::Ev::kPersistPut, ctx.now(), 0, tx.dest_pe, size);
+      trace::emit(ctx.pe(), trace::Ev::kPersistPut, ctx.now(), 0, tx.dest_pe,
+                  size);
     }
     if (trace::spans_enabled()) {
       mark_msg_spans(msg, trace::Stage::kTransportPost, owner().home_pe(ep),
@@ -545,7 +546,7 @@ class UgniCore {
     ep.backlog.q.pop_front();
     c_fallback_rendezvous_->inc();
     if (trace::enabled()) {
-      trace::emit(trace::Ev::kFallback, ctx.now(), 0, dest_pe, size);
+      trace::emit(ctx.pe(), trace::Ev::kFallback, ctx.now(), 0, dest_pe, size);
     }
     UGNIRT_TRACELOG("smsg starvation: demoting " << size << " B -> pe "
                                                  << dest_pe
@@ -573,7 +574,7 @@ class UgniCore {
     }
     const std::uint64_t id = sends_.insert(ls);
     if (trace::enabled()) {
-      trace::emit(trace::Ev::kRdvInit, ctx.now(), 0, dest_pe, size);
+      trace::emit(ctx.pe(), trace::Ev::kRdvInit, ctx.now(), 0, dest_pe, size);
     }
 
     InitCtrl<typename Owner::Route> ctrl;
@@ -596,7 +597,7 @@ class UgniCore {
                           lr.desc.type == ugni::GNI_POST_RDMA_GET, n_.post);
     c_rendezvous_gets_->inc();
     if (trace::enabled()) {
-      trace::emit(trace::Ev::kRdvGet, ctx.now(), 0, src_peer,
+      trace::emit(ctx.pe(), trace::Ev::kRdvGet, ctx.now(), 0, src_peer,
                   static_cast<std::uint32_t>(lr.desc.length));
     }
     if (trace::spans_enabled() && lr.span != 0) {
@@ -626,9 +627,7 @@ class UgniCore {
       const std::uint64_t rid = ep.deferred_gets.front();
       ep.deferred_gets.pop_front();
       const LargeRecv& lr = *recvs_.find(rid);
-      governor_->try_acquire(inst, lr.reply_pe,
-                             static_cast<std::uint32_t>(lr.desc.length),
-                             ctx.now());
+      governor_->try_acquire(inst);
       if (spans && lr.span != 0) {
         trace::span_mark(lr.span, trace::Stage::kGovAdmit, lr.dest_pe,
                          ctx.now());
@@ -744,8 +743,11 @@ class UgniCore {
     // AIMD admission: a full window defers the GET (the sender's buffer
     // stays pinned behind the INIT/ACK protocol, so deferral is safe);
     // drain_deferred_gets re-admits as completions free slots.
-    if (governor_ && !governor_->try_acquire(ep.nic->inst_id(), to.reply_pe,
-                                             ctrl.size, ctx.now())) {
+    if (governor_ && !governor_->try_acquire(ep.nic->inst_id())) {
+      if (trace::enabled()) {
+        trace::emit(ctx.pe(), trace::Ev::kInjectionStall, ctx.now(), 0,
+                    to.reply_pe, ctrl.size);
+      }
       if (trace::spans_enabled() && to.span != 0) {
         trace::span_mark(to.span, trace::Stage::kGovDefer, to.dest_pe,
                          ctx.now());
@@ -814,7 +816,7 @@ class UgniCore {
       }
       AckCtrl ack{lr.send_id};
       if (trace::enabled()) {
-        trace::emit(trace::Ev::kRdvAck, ctx.now(), 0,
+        trace::emit(ctx.pe(), trace::Ev::kRdvAck, ctx.now(), 0,
                     owner().peer_of(lr.reply_pe),
                     static_cast<std::uint32_t>(desc->length));
       }

@@ -229,7 +229,7 @@ void UgniLayer::pxshm_send(sim::Context& ctx, converse::Pe& src, int dest_pe,
   ctx.charge(mc.memcpy_cost(size) + mc.pxshm_notify_ns);
   c_pxshm_msgs_->inc();
   if (trace::enabled()) {
-    trace::emit(trace::Ev::kPxshmEnq, ctx.now(), 0, dest_pe, size);
+    trace::emit(ctx.pe(), trace::Ev::kPxshmEnq, ctx.now(), 0, dest_pe, size);
   }
   if (trace::spans_enabled()) {
     mark_msg_spans(msg, trace::Stage::kTransportPost, src.id(), ctx.now());
@@ -267,7 +267,7 @@ void UgniLayer::pxshm_poll(sim::Context& ctx, converse::Pe& pe) {
     NodeShm::Entry e = q.front();
     q.pop_front();
     if (ev_on) {
-      trace::emit(trace::Ev::kPxshmDeq, ctx.now(), 0,
+      trace::emit(ctx.pe(), trace::Ev::kPxshmDeq, ctx.now(), 0,
                   header_of(e.msg)->src_pe, e.size);
     }
     if (spans_on) {

@@ -95,7 +95,7 @@ bool MemPool::add_slab(std::size_t min_bytes) {
   stats_.slab_bytes += size;
   ++stats_.expansions;
   if (trace::enabled()) {
-    trace::emit(trace::Ev::kPoolExpand, ctx().now(), 0, /*peer=*/-1,
+    trace::emit(c.pe(), trace::Ev::kPoolExpand, c.now(), 0, /*peer=*/-1,
                 static_cast<std::uint32_t>(size));
   }
   UGNIRT_DEBUG("mempool slab +" << size << " B (total "
@@ -142,7 +142,8 @@ void MemPool::detach(Header* h) {
 
 void* MemPool::alloc(std::size_t bytes) {
   const auto& mc = nic_->domain()->config();
-  ctx().charge(mc.mempool_alloc_ns);
+  sim::Context& c = ctx();
+  c.charge(mc.mempool_alloc_ns);
   std::size_t bin = bin_of(bytes);
   // The size class resolves in O(1) (bit_ceil + countr_zero, no search);
   // the counter lets tests and the registry assert the fast path held
@@ -155,13 +156,13 @@ void* MemPool::alloc(std::size_t bytes) {
     free_head_[bin] = blocks_[id].next_free;
     ++stats_.freelist_hits;
     if (trace::enabled()) {
-      trace::emit(trace::Ev::kPoolHit, ctx().now(), 0, /*peer=*/-1,
+      trace::emit(c.pe(), trace::Ev::kPoolHit, c.now(), 0, /*peer=*/-1,
                   static_cast<std::uint32_t>(bytes));
     }
     return attach(id, bytes);
   }
   if (trace::enabled()) {
-    trace::emit(trace::Ev::kPoolMiss, ctx().now(), 0, /*peer=*/-1,
+    trace::emit(c.pe(), trace::Ev::kPoolMiss, c.now(), 0, /*peer=*/-1,
                 static_cast<std::uint32_t>(bytes));
   }
   id = carve(bin, bin_block_size(bin));

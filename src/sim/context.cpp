@@ -6,30 +6,32 @@
 
 namespace ugnirt::sim {
 
+namespace detail {
+constinit thread_local Context* t_current = nullptr;
+}  // namespace detail
+
 namespace {
-Context* g_current = nullptr;
 
 bool log_context(long long* t_ns, int* pe) {
-  if (!g_current) return false;
-  *t_ns = static_cast<long long>(g_current->now());
-  *pe = g_current->pe();
+  const Context* c = current();
+  if (!c) return false;
+  *t_ns = static_cast<long long>(c->now());
+  *pe = c->pe();
   return true;
 }
 
-// Wire the logger's time/PE prefix to the active simulation context as
-// soon as this translation unit is loaded.
+// Wire the logger's time/PE prefix to the calling thread's context once,
+// when this translation unit is loaded.
 struct LogContextInstaller {
   LogContextInstaller() { set_log_context_provider(&log_context); }
 } g_log_context_installer;
 }  // namespace
 
-Context* current() { return g_current; }
-
-ScopedContext::ScopedContext(Context& ctx) : prev_(g_current) {
-  g_current = &ctx;
+ScopedContext::ScopedContext(Context& ctx) : prev_(detail::t_current) {
+  detail::t_current = &ctx;
 }
 
-ScopedContext::~ScopedContext() { g_current = prev_; }
+ScopedContext::~ScopedContext() { detail::t_current = prev_; }
 
 void Context::charge(SimTime ns) {
   assert(ns >= 0);

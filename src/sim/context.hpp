@@ -6,23 +6,16 @@
 // overhead, ...) and application code calls charge_app() for its modeled
 // compute.  The uGNI/MPI emulation layers find the caller's context through
 // sim::current() — mirroring how the real APIs implicitly run on the calling
-// core — which keeps the emulated signatures close to Cray's.
+// core — which keeps the emulated signatures close to Cray's.  Everything
+// else takes its Context (or PE id) as an argument.
 #pragma once
 
 #include <cassert>
-#include <cstdint>
 
 #include "sim/scheduler.hpp"
 #include "util/units.hpp"
 
 namespace ugnirt::sim {
-
-/// What a slice of charged time represents; consumed by the tracer to build
-/// the paper's Figure 12 style utilization profiles.
-enum class CostKind : std::uint8_t {
-  kOverhead = 0,  // runtime/communication bookkeeping (black in Projections)
-  kApp = 1,       // useful application compute (yellow in Projections)
-};
 
 class Context {
  public:
@@ -66,11 +59,16 @@ class Context {
   SimTime app_total_ = 0;
 };
 
-/// The context of the PE currently executing, or nullptr outside a step.
-/// Single-threaded simulation, so a plain global suffices.
-Context* current();
+namespace detail {
+extern constinit thread_local Context* t_current;  // no init wrapper
+}  // namespace detail
 
-/// RAII guard installing a context as current for the duration of a step.
+/// The context of the PE executing on the calling thread, or nullptr
+/// outside a step.
+inline Context* current() { return detail::t_current; }
+
+/// RAII guard making a context the calling thread's current one until it
+/// closes, then restoring the previous one.
 class ScopedContext {
  public:
   explicit ScopedContext(Context& ctx);

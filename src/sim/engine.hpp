@@ -14,8 +14,9 @@
 // never fire need no drain at teardown.  Nothing is cancelled: an owner
 // that re-arms a step earlier supersedes the pending one (scheduler.hpp).
 //
-// The engine is single-threaded: one thread drives run() and every
-// callback runs on it.
+// An engine is single-threaded: one thread drives run() and every callback
+// runs on it.  Engines share no state, so machines on different threads
+// run side by side.
 //
 // Scheduling-facing code never sees this class: protocol state machines
 // hold the concrete sim::Scheduler handle (scheduler.hpp) minted by

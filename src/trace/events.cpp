@@ -2,8 +2,6 @@
 
 #include <ostream>
 
-#include "sim/context.hpp"
-
 namespace ugnirt::trace {
 
 const char* event_name(Ev type) {
@@ -142,25 +140,8 @@ void EventTracer::write_csv(std::ostream& out) const {
   }
 }
 
-void EventTracer::clear() {
-  rings_.clear();
-  total_events_ = 0;
-  for (auto& c : type_counts_) c = 0;
-  for (auto& c : dropped_by_type_) c = 0;
-}
-
 namespace detail {
-EventTracer* g_tracer = nullptr;
-}
-
-void set_tracer(EventTracer* t) { detail::g_tracer = t; }
-
-void emit(Ev type, SimTime t, SimTime dur, int peer, std::uint32_t size) {
-  EventTracer* tr = detail::g_tracer;
-  if (!tr) return;
-  sim::Context* ctx = sim::current();
-  if (!ctx) return;
-  tr->record(ctx->pe(), type, t, dur, peer, size);
-}
+constinit thread_local EventTracer* t_tracer = nullptr;
+}  // namespace detail
 
 }  // namespace ugnirt::trace

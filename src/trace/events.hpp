@@ -9,9 +9,9 @@
 // so tracing a long run costs bounded memory.
 //
 // Tracing is off by default and *zero-cost* when off: emission sites are
-// guarded by `trace::enabled()`, a single inlined pointer test against the
-// installed global tracer.  Enable via `UGNIRT_TRACE=1` (see session.hpp)
-// or install an EventTracer programmatically with `set_tracer()`.
+// guarded by `trace::enabled()`, one inlined test of the calling thread's
+// tracer pointer.  Enable via `UGNIRT_TRACE=1` (see session.hpp) or open a
+// `trace::SinkScope`.  Each site passes the PE id it runs on.
 //
 // Exports: Chrome `trace_event` JSON (open in chrome://tracing or
 // https://ui.perfetto.dev) and a flat CSV.
@@ -95,8 +95,8 @@ class EventRing {
   std::vector<Event> buf_;
 };
 
-/// Per-PE event rings plus exporters.  One tracer spans all Machines alive
-/// while it is installed; negative "pe" ids are comm-thread actors.
+/// Per-PE event rings plus exporters.  One tracer spans all Machines run on
+/// its thread while installed; negative "pe" ids are comm-thread actors.
 class EventTracer {
  public:
   explicit EventTracer(std::size_t ring_capacity = 1u << 16)
@@ -131,8 +131,6 @@ class EventTracer {
   /// Flat rows: `pe,t_ns,dur_ns,event,peer,size`.
   void write_csv(std::ostream& out) const;
 
-  void clear();
-
  private:
   std::size_t ring_capacity_;
   std::map<int, EventRing> rings_;  // keyed by pe id (sorted for export)
@@ -141,24 +139,26 @@ class EventTracer {
   std::uint64_t dropped_by_type_[kEvCount] = {};  // evicted + rate-limited
 };
 
-// ---- global installation ----------------------------------------------
+// ---- per-thread installation (see SinkScope in session.hpp) ------------
 
 namespace detail {
-extern EventTracer* g_tracer;
+// constinit: no dynamic initializer, so a read is one TLS load with no
+// init-wrapper call.
+extern constinit thread_local EventTracer* t_tracer;
+}  // namespace detail
+
+/// True when this thread has an EventTracer; the one test hot paths make.
+inline bool enabled() { return detail::t_tracer != nullptr; }
+
+inline EventTracer* tracer() { return detail::t_tracer; }
+
+/// Record on behalf of PE `pe`; call after checking enabled() so the
+/// disabled path stays free.  With no tracer it does nothing.
+inline void emit(int pe, Ev type, SimTime t, SimTime dur = 0, int peer = -1,
+                 std::uint32_t size = 0) {
+  if (EventTracer* tr = detail::t_tracer) {
+    tr->record(pe, type, t, dur, peer, size);
+  }
 }
-
-/// True when an EventTracer is installed; the one test hot paths make.
-inline bool enabled() { return detail::g_tracer != nullptr; }
-
-inline EventTracer* tracer() { return detail::g_tracer; }
-
-/// Install (or with nullptr, remove) the process-wide tracer.  Not owned.
-void set_tracer(EventTracer* t);
-
-/// Record on behalf of the currently-executing simulated PE (via
-/// sim::current()); no-op outside a PE context or when tracing is off.
-/// Call only after checking enabled() so the disabled path stays free.
-void emit(Ev type, SimTime t, SimTime dur = 0, int peer = -1,
-          std::uint32_t size = 0);
 
 }  // namespace ugnirt::trace

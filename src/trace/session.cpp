@@ -31,14 +31,11 @@ std::size_t env_size(const char* name, std::size_t fallback) {
 TraceSession::TraceSession(std::size_t ring_capacity, std::string output_base,
                            bool base_from_env, SpanConfig span_cfg)
     : events_(ring_capacity),
+      spans_(span_cfg.sample > 0 ? std::make_unique<SpanCollector>(span_cfg)
+                                 : nullptr),
       output_base_(std::move(output_base)),
-      base_from_env_(base_from_env) {
-  set_tracer(&events_);
-  if (span_cfg.sample > 0) {
-    spans_ = std::make_unique<SpanCollector>(span_cfg);
-    set_span_collector(spans_.get());
-  }
-}
+      base_from_env_(base_from_env),
+      sinks_(&events_, spans_.get()) {}
 
 TraceSession* TraceSession::active() {
   // Function-local static: first caller pays the env parse; the session
@@ -120,8 +117,6 @@ void TraceSession::flush() {
 
 TraceSession::~TraceSession() {
   if (!flushed_) flush();
-  set_span_collector(nullptr);
-  set_tracer(nullptr);
 }
 
 }  // namespace ugnirt::trace

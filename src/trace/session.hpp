@@ -8,11 +8,12 @@
 //                             UGNIRT_TRACE; 0/unset = spans off)
 //   UGNIRT_SPAN_MAX_SPANS=N   retained-span cap (default 1M)
 //
-// When active, the session installs a global EventTracer (see events.hpp)
-// — plus a global SpanCollector when span sampling is on (spans.hpp) —
-// and accumulates per-Machine MetricsRegistry snapshots that Machines
-// absorb into it at destruction.  At process exit — or on an explicit
-// flush() — it writes:
+// When active, the session opens a SinkScope that installs its EventTracer
+// (see events.hpp) — plus its SpanCollector when span sampling is on
+// (spans.hpp) — on the thread that first asked for it, and accumulates
+// per-Machine MetricsRegistry snapshots that Machines absorb into it at
+// destruction.  Machines on other threads are not traced.  At process
+// exit — or on an explicit flush() — it writes:
 //
 //   <base>.trace.json    Chrome trace_event JSON (Perfetto-loadable)
 //   <base>.events.csv    flat event rows
@@ -35,10 +36,34 @@
 
 namespace ugnirt::trace {
 
+/// Makes `events` and `spans` (not owned; nullptr turns one off) the
+/// calling thread's trace sinks until the scope closes, then puts back what
+/// it replaced.  The only way to install a sink: a TraceSession opens one,
+/// and tests and benches open their own around the runs they trace.
+class SinkScope {
+ public:
+  SinkScope(EventTracer* events, SpanCollector* spans)
+      : prev_events_(detail::t_tracer), prev_spans_(detail::t_spans) {
+    detail::t_tracer = events;
+    detail::t_spans = spans;
+  }
+  ~SinkScope() {
+    detail::t_tracer = prev_events_;
+    detail::t_spans = prev_spans_;
+  }
+  SinkScope(const SinkScope&) = delete;
+  SinkScope& operator=(const SinkScope&) = delete;
+
+ private:
+  EventTracer* prev_events_;
+  SpanCollector* prev_spans_;
+};
+
 class TraceSession {
  public:
   /// The singleton, or nullptr when UGNIRT_TRACE is off.  The first call
-  /// reads the environment; later calls are a plain pointer load.
+  /// reads the environment and installs the session's sinks on the calling
+  /// thread; later calls are a plain pointer load.
   static TraceSession* active();
 
   EventTracer& events() { return events_; }
@@ -57,7 +82,6 @@ class TraceSession {
   void set_output_base(const std::string& base) {
     if (!base_from_env_) output_base_ = base;
   }
-  const std::string& output_base() const { return output_base_; }
 
   /// Write all output files and the stderr table now.  Idempotent per
   /// accumulated state; called automatically at process exit.
@@ -78,6 +102,7 @@ class TraceSession {
   std::string output_base_;
   bool base_from_env_ = false;
   bool flushed_ = false;
+  SinkScope sinks_;  // after the sinks it installs, so it closes first
 };
 
 }  // namespace ugnirt::trace

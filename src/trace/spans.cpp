@@ -158,30 +158,8 @@ void SpanCollector::write_breakdown(std::ostream& out) const {
       << std::left;
 }
 
-void SpanCollector::clear() {
-  spans_.clear();
-  submit_seq_ = 0;
-}
-
-// ---------------------------------------------------------------------------
-// Global installation
-// ---------------------------------------------------------------------------
-
 namespace detail {
-SpanCollector* g_spans = nullptr;
-}
-
-void set_span_collector(SpanCollector* c) { detail::g_spans = c; }
-
-std::uint32_t span_begin(std::int32_t src_pe, std::int32_t dst_pe,
-                         std::uint32_t bytes, SimTime t) {
-  SpanCollector* c = detail::g_spans;
-  return c ? c->begin(src_pe, dst_pe, bytes, t) : 0;
-}
-
-void span_mark(std::uint32_t id, Stage stage, std::int32_t pe, SimTime t) {
-  SpanCollector* c = detail::g_spans;
-  if (c) c->mark(id, stage, pe, t);
-}
+constinit thread_local SpanCollector* t_spans = nullptr;
+}  // namespace detail
 
 }  // namespace ugnirt::trace

@@ -19,10 +19,11 @@
 //
 // Sampling is controlled by `UGNIRT_SPAN_SAMPLE=N` (every Nth submitted
 // message starts a span; 0 = off) and is *zero-cost when off*: every
-// emission site is guarded by `spans_enabled()`, one inlined pointer test,
-// and no allocation or atomic happens on the unsampled path.  The span id
-// rides in the Converse envelope (CmiMsgHeader::span_id), so it survives
-// every memcpy-based hop — aggregation frame packing, mailbox copies,
+// emission site is guarded by `spans_enabled()`, one inlined test of the
+// calling thread's collector (installed by a `trace::SinkScope`), and no
+// allocation or atomic happens on the unsampled path.  The span id rides
+// in the Converse envelope (CmiMsgHeader::span_id), so it survives every
+// memcpy-based hop — aggregation frame packing, mailbox copies,
 // rendezvous GETs — without side tables.
 #pragma once
 
@@ -83,8 +84,8 @@ struct Span {
   std::vector<SpanMark> marks;  // in mark order (virtual time is monotone)
 };
 
-/// Owns every sampled span for a process.  Spans are identified by dense
-/// 1-based ids (0 means "not sampled"), so lookup is an index, not a hash.
+/// Owns the spans sampled while it is installed, by dense 1-based id (0
+/// means "not sampled"), so lookup is an index, not a hash.
 class SpanCollector {
  public:
   explicit SpanCollector(SpanConfig cfg = {}) : cfg_(cfg) {}
@@ -115,32 +116,33 @@ class SpanCollector {
   /// p99 and share of total sampled latency.
   void write_breakdown(std::ostream& out) const;
 
-  void clear();
-
  private:
   SpanConfig cfg_;
   std::uint64_t submit_seq_ = 0;
   std::vector<Span> spans_;  // id -> spans_[id - 1]
 };
 
-// ---- global installation (mirrors events.hpp) --------------------------
+// ---- per-thread installation (mirrors events.hpp) ----------------------
 
 namespace detail {
-extern SpanCollector* g_spans;
+extern constinit thread_local SpanCollector* t_spans;
+}  // namespace detail
+
+/// True when this thread has a SpanCollector; the one test hot paths make.
+inline bool spans_enabled() { return detail::t_spans != nullptr; }
+
+inline SpanCollector* spans() { return detail::t_spans; }
+
+/// Instrumentation sites call these after checking spans_enabled(); with
+/// no collector they do nothing.
+inline std::uint32_t span_begin(std::int32_t src_pe, std::int32_t dst_pe,
+                                std::uint32_t bytes, SimTime t) {
+  SpanCollector* c = detail::t_spans;
+  return c ? c->begin(src_pe, dst_pe, bytes, t) : 0;
 }
-
-/// True when a SpanCollector is installed; the one test hot paths make.
-inline bool spans_enabled() { return detail::g_spans != nullptr; }
-
-inline SpanCollector* spans() { return detail::g_spans; }
-
-/// Install (or with nullptr, remove) the process-wide collector.  Not owned.
-void set_span_collector(SpanCollector* c);
-
-/// Convenience wrappers used by instrumentation sites; call only after
-/// checking spans_enabled() so the disabled path stays free.
-std::uint32_t span_begin(std::int32_t src_pe, std::int32_t dst_pe,
-                         std::uint32_t bytes, SimTime t);
-void span_mark(std::uint32_t id, Stage stage, std::int32_t pe, SimTime t);
+inline void span_mark(std::uint32_t id, Stage stage, std::int32_t pe,
+                      SimTime t) {
+  if (SpanCollector* c = detail::t_spans) c->mark(id, stage, pe, t);
+}
 
 }  // namespace ugnirt::trace

@@ -58,7 +58,7 @@ void note_failure(int attempt, const char* what, const RetryCounters& n) {
 SimTime traced_backoff(sim::Context& ctx, int attempt, int peer) {
   const SimTime pause = backoff_for(attempt);
   if (trace::enabled()) {
-    trace::emit(trace::Ev::kRetryBackoff, ctx.now(), pause, peer,
+    trace::emit(ctx.pe(), trace::Ev::kRetryBackoff, ctx.now(), pause, peer,
                 static_cast<std::uint32_t>(attempt));
   }
   return pause;

@@ -224,7 +224,7 @@ struct SmsgBacklog {
     // Out of credits (or draining in order behind earlier stalls): queue.
     n.credit_stalls->inc();
     if (trace::enabled()) {
-      trace::emit(trace::Ev::kCreditStall, ctx.now(), 0, dest, len);
+      trace::emit(ctx.pe(), trace::Ev::kCreditStall, ctx.now(), 0, dest, len);
     }
     UGNIRT_TRACELOG("smsg credit stall -> " << dest << " (" << len
                                             << " B queued)");

@@ -85,7 +85,7 @@ gni_return_t GNI_MsgqSend(gni_nic_handle_t nic, std::int32_t remote_inst,
                                  [client, arrive] { client->nic_wake(arrive); });
   }
   if (trace::enabled()) {
-    trace::emit(trace::Ev::kMsgqSend, req.issue, arrive - req.issue,
+    trace::emit(c.pe(), trace::Ev::kMsgqSend, req.issue, arrive - req.issue,
                 remote_inst, total);
   }
   return GNI_RC_SUCCESS;

@@ -35,9 +35,9 @@ fault::FaultInjector* injector(const Nic* nic) {
   return nic->domain()->network().fault_injector();
 }
 
-void emit_fault(SimTime t, int peer, std::uint32_t size) {
+void emit_fault(int pe, SimTime t, int peer, std::uint32_t size) {
   if (trace::enabled()) {
-    trace::emit(trace::Ev::kFaultInject, t, 0, peer, size);
+    trace::emit(pe, trace::Ev::kFaultInject, t, 0, peer, size);
   }
 }
 
@@ -95,7 +95,7 @@ void Cq::push(SimTime at, gni_cq_entry_t entry) {
     // sleeping PE wakes up, observes ERROR_RESOURCE, and can recover.
     overrun_ = true;
     ++dropped_events_;
-    if (forced) emit_fault(at, entry.source_inst, 0);
+    if (forced) emit_fault(ctx().pe(), at, entry.source_inst, 0);
     notify_client(nic_->domain()->scheduler().now(), at);
     return;
   }
@@ -445,7 +445,8 @@ gni_return_t GNI_CqErrorRecover(gni_cq_handle_t cq,
   }
 
   if (trace::enabled()) {
-    trace::emit(trace::Ev::kCqRecover, c.now(), 0, /*peer=*/-1, recovered);
+    trace::emit(c.pe(), trace::Ev::kCqRecover, c.now(), 0, /*peer=*/-1,
+                recovered);
   }
   if (recovered_out) *recovered_out = recovered;
   return GNI_RC_SUCCESS;
@@ -475,7 +476,7 @@ gni_return_t GNI_MemRegister(gni_nic_handle_t nic, std::uint64_t address,
     // MDD/TLB entries exhausted: the failed attempt still pays the setup
     // trap into the driver, but no pages are pinned.
     c.charge(mc.mem_reg_base_ns);
-    emit_fault(c.now(), -1,
+    emit_fault(c.pe(), c.now(), -1,
                static_cast<std::uint32_t>(
                    std::min<std::uint64_t>(length, UINT32_MAX)));
     return GNI_RC_ERROR_RESOURCE;
@@ -483,7 +484,7 @@ gni_return_t GNI_MemRegister(gni_nic_handle_t nic, std::uint64_t address,
   const SimTime t0 = c.now();
   c.charge(mc.reg_cost(length));
   if (trace::enabled()) {
-    trace::emit(trace::Ev::kMemReg, t0, c.now() - t0, /*peer=*/-1,
+    trace::emit(c.pe(), trace::Ev::kMemReg, t0, c.now() - t0, /*peer=*/-1,
                 static_cast<std::uint32_t>(std::min<std::uint64_t>(
                     length, UINT32_MAX)));
   }
@@ -509,7 +510,7 @@ gni_return_t GNI_MemDeregister(gni_nic_handle_t nic, gni_mem_handle_t* hndl) {
   const SimTime t0 = c.now();
   c.charge(mc.dereg_cost(r->length));
   if (trace::enabled()) {
-    trace::emit(trace::Ev::kMemDereg, t0, c.now() - t0, /*peer=*/-1,
+    trace::emit(c.pe(), trace::Ev::kMemDereg, t0, c.now() - t0, /*peer=*/-1,
                 static_cast<std::uint32_t>(std::min<std::uint64_t>(
                     r->length, UINT32_MAX)));
   }
@@ -625,7 +626,7 @@ gni_return_t GNI_SmsgSendWTag(gni_ep_handle_t ep, const void* header,
     if (f->inject_smsg_error(nic->inst_id())) {
       // SSID pool exhausted: the send trap burns CPU but nothing is sent.
       c.charge(dom->config().smsg_cpu_send_ns);
-      emit_fault(c.now(), ep->remote_inst_, total);
+      emit_fault(c.pe(), c.now(), ep->remote_inst_, total);
       return GNI_RC_ERROR_RESOURCE;
     }
   }
@@ -663,7 +664,7 @@ gni_return_t GNI_SmsgSendWTag(gni_ep_handle_t ep, const void* header,
     remote->smsg_rx_cq_->push(arrival, entry);
   }
   if (trace::enabled()) {
-    trace::emit(trace::Ev::kSmsgSend, req.issue, arrival - req.issue,
+    trace::emit(c.pe(), trace::Ev::kSmsgSend, req.issue, arrival - req.issue,
                 ep->remote_inst_, total);
   }
   return GNI_RC_SUCCESS;
@@ -685,7 +686,7 @@ gni_return_t GNI_SmsgGetNextWTag(gni_ep_handle_t ep, void** data_out,
     *tag_out = msg.tag;
     if (arrival_out) *arrival_out = msg.at;
     if (trace::enabled()) {
-      trace::emit(trace::Ev::kSmsgRecv, c.now(), 0, ep->remote_inst_,
+      trace::emit(c.pe(), trace::Ev::kSmsgRecv, c.now(), 0, ep->remote_inst_,
                   msg.bytes.size());
     }
     return GNI_RC_SUCCESS;
@@ -771,7 +772,7 @@ gni_return_t post_transaction(Ep* ep, gni_post_descriptor_t* desc,
     // The adapter exhausted its link-level retries: the descriptor write
     // is charged, the transaction is not.  The initiator must re-post.
     c.charge(is_rdma ? dom->config().bte_desc_ns : dom->config().fma_desc_ns);
-    emit_fault(c.now(), ep->remote_inst(),
+    emit_fault(c.pe(), c.now(), ep->remote_inst(),
                static_cast<std::uint32_t>(
                    std::min<std::uint64_t>(desc->length, UINT32_MAX)));
     return GNI_RC_TRANSACTION_ERROR;
@@ -801,7 +802,7 @@ gni_return_t post_transaction(Ep* ep, gni_post_descriptor_t* desc,
   gemini::TransferTimes t = dom->network().transfer(req);
   c.wait_until(t.cpu_done);
   if (trace::enabled()) {
-    trace::emit(is_rdma ? trace::Ev::kBtePost : trace::Ev::kFmaPost,
+    trace::emit(c.pe(), is_rdma ? trace::Ev::kBtePost : trace::Ev::kFmaPost,
                 req.issue, t.initiator_complete - req.issue,
                 ep->remote_inst(),
                 static_cast<std::uint32_t>(std::min<std::uint64_t>(
@@ -898,7 +899,7 @@ gni_return_t GNI_GetCompleted(gni_cq_handle_t cq, const gni_cq_entry_t& event,
       done.erase(it);
       if (trace::enabled()) {
         if (sim::Context* c = sim::current()) {
-          trace::emit(trace::Ev::kPostDone, c->now(), 0, /*peer=*/-1,
+          trace::emit(c->pe(), trace::Ev::kPostDone, c->now(), 0, /*peer=*/-1,
                       static_cast<std::uint32_t>(std::min<std::uint64_t>(
                           (*desc_out)->length, UINT32_MAX)));
         }

@@ -1,6 +1,6 @@
 // Minimal leveled logger.  Off by default; enable with UGNIRT_LOG=debug
-// (or trace/info/warn/error/off).  When a simulated PE context is active,
-// messages are prefixed with the virtual time and PE id, e.g.
+// (or trace/info/warn/error/off).  When the logging thread runs a simulated
+// PE, messages are prefixed with its virtual time and PE id, e.g.
 // `[ugnirt DEBUG t=123456ns pe=3] ...` — the context comes from a provider
 // hook installed by the sim layer so util stays dependency-free.
 #pragma once
@@ -26,8 +26,9 @@ inline bool log_enabled(LogLevel level) {
   return static_cast<int>(level) >= static_cast<int>(log_threshold());
 }
 
-/// Hook filling in (virtual time ns, pe id); returns false when no
-/// simulation context is active.  Installed once by the sim layer.
+/// Hook filling in (virtual time ns, pe id) from the calling thread's
+/// simulation context; false when it has none.  The sim layer sets it once
+/// at load, so every thread reads the same pointer.
 using LogContextProvider = bool (*)(long long* t_ns, int* pe);
 void set_log_context_provider(LogContextProvider provider);
 

@@ -18,6 +18,7 @@
 #include "lrts/runtime.hpp"
 #include "trace/events.hpp"
 #include "trace/metrics.hpp"
+#include "trace/session.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -382,7 +383,7 @@ TEST(AggFault, MatrixZeroLossWithAggregationEnabled) {
 
 std::string traced_agg_run(std::uint64_t seed) {
   trace::EventTracer tracer(1u << 18);
-  trace::set_tracer(&tracer);
+  trace::SinkScope sinks(&tracer, nullptr);
   auto o = agg_options(6);
   o.pes_per_node = 2;
   o.fault = base_plan();
@@ -391,7 +392,6 @@ std::string traced_agg_run(std::uint64_t seed) {
   o.fault.p_smsg_error = 0.2;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   auto received = run_kneighbor(*m, 2, 4, 64);
-  trace::set_tracer(nullptr);
   for (int pe = 0; pe < 6; ++pe) {
     EXPECT_EQ(received[static_cast<std::size_t>(pe)], 16) << "pe " << pe;
   }
@@ -411,14 +411,13 @@ TEST(AggDeterminism, SameSeedSameEventTraceWithAggregation) {
 
 TEST(AggObservability, MetricsAndChromeTraceCarryAggregation) {
   trace::EventTracer tracer(1u << 18);
-  trace::set_tracer(&tracer);
+  trace::SinkScope sinks(&tracer, nullptr);
   auto m = lrts::make_machine(LayerKind::kUgni, agg_options(4));
   auto received = run_kneighbor(*m, 1, 16, 32);
   for (int pe = 0; pe < 4; ++pe) {
     EXPECT_EQ(received[static_cast<std::size_t>(pe)], 32) << "pe " << pe;
   }
   m->collect_metrics();
-  trace::set_tracer(nullptr);
 
   std::ostringstream csv;
   m->metrics().write_csv(csv);

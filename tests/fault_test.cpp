@@ -20,6 +20,7 @@
 #include "sim/engine.hpp"
 #include "trace/events.hpp"
 #include "trace/metrics.hpp"
+#include "trace/session.hpp"
 #include "ugni/client.hpp"
 #include "ugni/ugni.hpp"
 
@@ -429,7 +430,7 @@ TEST(Demotion, CreditStarvationFallsBackToRendezvous) {
 /// event-trace CSV.
 std::string traced_run(std::uint64_t seed) {
   trace::EventTracer tracer(1u << 18);
-  trace::set_tracer(&tracer);
+  trace::SinkScope sinks(&tracer, nullptr);
   MachineOptions o;
   o.pes = 6;
   o.pes_per_node = 2;
@@ -441,7 +442,6 @@ std::string traced_run(std::uint64_t seed) {
   o.fault.p_cq_overrun = 0.02;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   auto received = run_kneighbor(*m, 2, 4, 1024);
-  trace::set_tracer(nullptr);
   for (int pe = 0; pe < 6; ++pe) {
     EXPECT_EQ(received[static_cast<std::size_t>(pe)], 16) << "pe " << pe;
   }

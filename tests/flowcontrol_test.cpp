@@ -23,6 +23,7 @@
 #include "lrts/runtime.hpp"
 #include "trace/events.hpp"
 #include "trace/metrics.hpp"
+#include "trace/session.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -122,11 +123,11 @@ TEST(FlowGovernor, AdmitsUpToWindowThenStalls) {
   const int start = static_cast<int>(flowcontrol::kWindowStart);
   for (int i = 0; i < start; ++i) {
     EXPECT_TRUE(gov.would_admit(0));
-    EXPECT_TRUE(gov.try_acquire(0, 1, 4096, i));
+    EXPECT_TRUE(gov.try_acquire(0));
   }
   EXPECT_EQ(gov.outstanding(0), flowcontrol::kWindowStart);
   EXPECT_FALSE(gov.would_admit(0));
-  EXPECT_FALSE(gov.try_acquire(0, 1, 4096, 99));
+  EXPECT_FALSE(gov.try_acquire(0));
   // Windows are per PE: PE 1 is unaffected.
   EXPECT_TRUE(gov.would_admit(1));
   // A completion frees exactly one slot.
@@ -390,13 +391,12 @@ int run_hotspot(converse::Machine& m, int msgs, std::uint32_t payload) {
 // observability surface must be populated.
 TEST(FlowEndToEnd, HotspotPacingStallsButLosesNothing) {
   trace::EventTracer tracer(1u << 18);
-  trace::set_tracer(&tracer);
+  trace::SinkScope sinks(&tracer, nullptr);
   auto o = flow_options(8);
   constexpr int kMsgs = 6;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   const int received = run_hotspot(*m, kMsgs, 16 * 1024);
   m->collect_metrics();
-  trace::set_tracer(nullptr);
   EXPECT_EQ(received, 7 * kMsgs);
 
   EXPECT_GT(m->metrics().counter("flow.injection_stalls").value(), 0u);
@@ -534,7 +534,7 @@ TEST(FlowFault, MatrixZeroLossWithFlowControlEnabled) {
 
 std::string traced_flow_run(std::uint64_t seed) {
   trace::EventTracer tracer(1u << 18);
-  trace::set_tracer(&tracer);
+  trace::SinkScope sinks(&tracer, nullptr);
   auto o = flow_options(8);
   o.flow.adaptive_routing = true;
   o.fault = base_plan();
@@ -545,7 +545,6 @@ std::string traced_flow_run(std::uint64_t seed) {
   const int received = run_hotspot(*m, 4, 8 * 1024);
   EXPECT_EQ(received, 7 * 4);
   m->collect_metrics();
-  trace::set_tracer(nullptr);
   std::ostringstream out;
   tracer.write_csv(out);          // full virtual-time event timeline
   m->metrics().write_csv(out);    // plus the counter surface

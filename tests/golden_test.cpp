@@ -8,7 +8,8 @@
 // spans JSON and the metrics CSV without its host-memory rows
 // (mempool.host_bytes*).  The test compares them with
 // tests/data/golden/fig10.txt, so a change that moves one simulated event,
-// span or statistic fails here.
+// span or statistic fails here.  ConcurrentMachines computes the uGNI and
+// SMP none/fault lines on two threads at once and checks the same file.
 //
 // `test_golden --update` rewrites the file from the current tree instead
 // of comparing.  Regenerate only for a change meant to move virtual time.
@@ -22,10 +23,13 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "apps/microbench/microbench.hpp"
 #include "trace/events.hpp"
 #include "trace/metrics.hpp"
+#include "trace/session.hpp"
 #include "trace/spans.hpp"
 
 namespace ugnirt {
@@ -110,17 +114,16 @@ std::string digest(bool smp, const Variant& v) {
   span_cfg.sample = 1;
   trace::SpanCollector spans(span_cfg);
   trace::MetricsRegistry metrics;
-  trace::set_tracer(&tracer);
-  trace::set_span_collector(&spans);
   std::ostringstream results;
-  for (std::uint32_t size = 32; size <= 1024 * 1024; size *= 2) {
-    results << size << ' '
-            << apps::bench::charm_kneighbor(o, size, /*k=*/1, /*iters=*/8,
-                                            &metrics)
-            << '\n';
+  {
+    trace::SinkScope sinks(&tracer, &spans);
+    for (std::uint32_t size = 32; size <= 1024 * 1024; size *= 2) {
+      results << size << ' '
+              << apps::bench::charm_kneighbor(o, size, /*k=*/1, /*iters=*/8,
+                                              &metrics)
+              << '\n';
+    }
   }
-  trace::set_span_collector(nullptr);
-  trace::set_tracer(nullptr);
   spans.fill_histograms(metrics);
 
   std::ostringstream events, span_json;
@@ -173,6 +176,31 @@ INSTANTIATE_TEST_SUITE_P(Golden, Fig10, ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& p) {
                            return p.param ? "smp" : "ugni";
                          });
+
+// Machines keep no process-wide state: the uGNI and SMP runs, each on its
+// own thread under its own sinks and at the same time, give the digests
+// they give alone.
+TEST(ConcurrentMachines, TwoThreadsMatchTheirGoldenLines) {
+  if (g_update) GTEST_SKIP() << "--update compares nothing";
+  const std::map<std::string, std::string> golden = read_golden();
+  std::vector<std::string> lines[2];
+  std::thread threads[2];
+  for (int smp = 0; smp < 2; ++smp) {
+    threads[smp] = std::thread([&lines, smp] {
+      for (const Variant& v : {kVariants[0], kVariants[1]}) {
+        lines[smp].push_back(digest(smp == 1, v));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::vector<std::string>& per_thread : lines) {
+    for (const std::string& line : per_thread) {
+      auto it = golden.find(line.substr(0, line.find(' ')));
+      ASSERT_NE(it, golden.end()) << line;
+      EXPECT_EQ(line, it->second);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ugnirt

@@ -25,6 +25,7 @@
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "trace/events.hpp"
+#include "trace/session.hpp"
 #include "ugni/ugni.hpp"
 
 namespace ugnirt {
@@ -46,7 +47,7 @@ using converse::MachineOptions;
 /// trace mismatch.
 std::string traced_run(bool all_subsystems = false) {
   trace::EventTracer tracer(1u << 18);
-  trace::set_tracer(&tracer);
+  trace::SinkScope sinks(&tracer, nullptr);
   MachineOptions o;
   o.pes = 12;
   o.pes_per_node = 1;
@@ -81,7 +82,6 @@ std::string traced_run(bool all_subsystems = false) {
     });
   }
   m->run();
-  trace::set_tracer(nullptr);
   for (int pe = 0; pe < pes; ++pe) {
     EXPECT_EQ(received[static_cast<std::size_t>(pe)], 16) << "pe " << pe;
   }

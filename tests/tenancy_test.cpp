@@ -22,6 +22,7 @@
 #include "tenancy/tenancy.hpp"
 #include "trace/events.hpp"
 #include "trace/metrics.hpp"
+#include "trace/session.hpp"
 
 namespace ugnirt {
 namespace {
@@ -233,7 +234,7 @@ TEST(TenancyGenerators, ExpectedMessageFormulas) {
 /// bit-identity witness for the determinism test.
 std::string traced_tenant_run() {
   trace::EventTracer tracer(1u << 18);
-  trace::set_tracer(&tracer);
+  trace::SinkScope sinks(&tracer, nullptr);
   auto o = tenant_options(16, 4);
   o.flow.enable = true;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
@@ -267,7 +268,6 @@ std::string traced_tenant_run() {
   }
   jobs.collect_metrics();
   m->collect_metrics();
-  trace::set_tracer(nullptr);
   std::ostringstream out;
   tracer.write_csv(out);
   m->metrics().write_csv(out);

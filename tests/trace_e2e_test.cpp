@@ -233,6 +233,36 @@ TEST(TraceE2E, SpanArtifactsReconcile) {
   EXPECT_DOUBLE_EQ(stage_sum, total->sum());
 }
 
+// A scope opened while the session is open, as suite_runner's span probes
+// do, samples every submit of its run into its own collector, and closing
+// it puts the session's collector back for the runs that follow.
+TEST(TraceE2E, ScopedCollectorRestoresSessionCollector) {
+  trace::TraceSession* session = trace::TraceSession::active();
+  ASSERT_NE(session, nullptr);
+  ScopedOutputBase out(*session);
+  trace::SpanCollector* session_col = session->span_collector();
+  ASSERT_NE(session_col, nullptr);
+  ASSERT_EQ(trace::spans(), session_col);
+  const std::uint64_t before = session_col->submits_seen();
+
+  trace::SpanCollector col(trace::SpanConfig{/*sample=*/1});
+  {
+    trace::SinkScope sinks(trace::tracer(), &col);
+    run_traffic();
+  }
+  // Two payloads, eight legs each.
+  EXPECT_EQ(col.submits_seen(), 16u);
+  EXPECT_EQ(col.span_count(), 16u);
+  EXPECT_EQ(session_col->submits_seen(), before);
+
+  EXPECT_EQ(trace::spans(), session_col);
+  EXPECT_EQ(trace::tracer(), &session->events());
+  run_traffic();
+  EXPECT_EQ(session_col->submits_seen(), before + 16);
+  EXPECT_EQ(col.submits_seen(), 16u);
+  session->flush();
+}
+
 }  // namespace
 }  // namespace ugnirt::converse
 

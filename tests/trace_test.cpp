@@ -4,15 +4,15 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "converse/machine.hpp"
 #include "lrts/runtime.hpp"
-#include "sim/context.hpp"
-#include "sim/engine.hpp"
 #include "trace/events.hpp"
 #include "trace/metrics.hpp"
+#include "trace/session.hpp"
 #include "trace/spans.hpp"
 #include "trace/tracer.hpp"
 #include "util/config.hpp"
@@ -359,28 +359,41 @@ TEST(EventTracer, AllEventTypesHaveDistinctNames) {
   }
 }
 
-TEST(EmitGuard, DisabledByDefaultAndNoopWithoutContext) {
+TEST(EmitGuard, DisabledByDefaultAndScopeRestoresPrevious) {
   ASSERT_FALSE(trace::enabled());
-  trace::EventTracer tracer(8);
-  trace::set_tracer(&tracer);
-  EXPECT_TRUE(trace::enabled());
-  // No sim context installed: emit must drop the event, not crash.
-  trace::emit(trace::Ev::kSmsgSend, 100);
-  EXPECT_EQ(tracer.total_events(), 0u);
-
-  // With a context, emit records under the context's PE id.
-  sim::Engine engine;
-  sim::Context ctx(engine.scheduler(), 7);
+  ASSERT_FALSE(trace::spans_enabled());
+  trace::EventTracer outer(8);
+  trace::EventTracer inner(8);
+  trace::SpanCollector spans(trace::SpanConfig{/*sample=*/1});
   {
-    sim::ScopedContext guard(ctx);
-    trace::emit(trace::Ev::kSmsgSend, 100, 40, 3, 96);
+    trace::SinkScope scope(&outer, &spans);
+    EXPECT_TRUE(trace::enabled());
+    EXPECT_TRUE(trace::spans_enabled());
+    // emit records under the PE id its caller passes.
+    trace::emit(7, trace::Ev::kSmsgSend, 100, 40, 3, 96);
+    {
+      trace::SinkScope nested(&inner, nullptr);
+      EXPECT_EQ(trace::tracer(), &inner);
+      EXPECT_FALSE(trace::spans_enabled());
+      trace::emit(2, trace::Ev::kSmsgRecv, 150);
+    }
+    // Closing the nested scope put back the sinks it replaced.
+    EXPECT_EQ(trace::tracer(), &outer);
+    EXPECT_EQ(trace::spans(), &spans);
+    // Sinks belong to the thread that installed them.
+    bool other_thread_traced = true;
+    std::thread([&] {
+      other_thread_traced = trace::enabled() || trace::spans_enabled();
+    }).join();
+    EXPECT_FALSE(other_thread_traced);
   }
-  EXPECT_EQ(tracer.total_events(), 1u);
-  ASSERT_NE(tracer.ring(7), nullptr);
-  EXPECT_EQ(tracer.ring(7)->at(0).peer, 3);
-
-  trace::set_tracer(nullptr);
   EXPECT_FALSE(trace::enabled());
+  EXPECT_FALSE(trace::spans_enabled());
+  EXPECT_EQ(outer.total_events(), 1u);
+  ASSERT_NE(outer.ring(7), nullptr);
+  EXPECT_EQ(outer.ring(7)->at(0).peer, 3);
+  EXPECT_EQ(inner.total_events(), 1u);
+  EXPECT_NE(inner.ring(2), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -694,9 +707,10 @@ RunResult run_traffic() {
 
 TEST(SpanE2E, StagesAreOrderedAndSpansComplete) {
   trace::SpanCollector col(trace::SpanConfig{/*sample=*/1});
-  trace::set_span_collector(&col);
-  spane2e::run_traffic();
-  trace::set_span_collector(nullptr);
+  {
+    trace::SinkScope sinks(nullptr, &col);
+    spane2e::run_traffic();
+  }
 
   ASSERT_GT(col.span_count(), 0u);
   std::size_t delivered = 0, with_transport = 0;
@@ -731,9 +745,11 @@ TEST(SpanE2E, SamplingOffLeavesVirtualTimeBitIdentical) {
   spane2e::RunResult off = spane2e::run_traffic();
 
   trace::SpanCollector col(trace::SpanConfig{/*sample=*/1});
-  trace::set_span_collector(&col);
-  spane2e::RunResult on = spane2e::run_traffic();
-  trace::set_span_collector(nullptr);
+  spane2e::RunResult on;
+  {
+    trace::SinkScope sinks(nullptr, &col);
+    on = spane2e::run_traffic();
+  }
 
   EXPECT_GT(col.span_count(), 0u);
   EXPECT_EQ(off.end_time, on.end_time);
