@@ -162,6 +162,9 @@ Machine::Machine(MachineOptions options, std::unique_ptr<MachineLayer> layer)
     : options_(options),
       layer_(std::move(layer)) {
   assert(options_.pes >= 1);
+  // Open the trace session (when the environment asks for one) before any
+  // PE runs, so the first machine's events reach its sinks.
+  trace::TraceSession::active();
   network_ = std::make_unique<gemini::Network>(
       engine_.scheduler(), topo::Torus3D::for_nodes(options_.nodes()),
       options_.mc);

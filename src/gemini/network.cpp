@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <iterator>
 #include <ostream>
 
 #include "fault/fault.hpp"
@@ -32,71 +31,107 @@ Network::Network(sim::Scheduler& sched, topo::Torus3D torus,
       torus_(std::move(torus)),
       config_(config),
       links_(torus_.total_links()),
-      bte_free_(static_cast<std::size_t>(torus_.nodes()), 0) {}
+      bte_free_(static_cast<std::size_t>(torus_.nodes()), 0),
+      dims_(torus_.dims()) {
+  // Node ids run x fastest, then y, then z (topo::Torus3D::node_of).
+  coords_.reserve(static_cast<std::size_t>(torus_.nodes()));
+  for (int z = 0; z < dims_[2]; ++z) {
+    for (int y = 0; y < dims_[1]; ++y) {
+      for (int x = 0; x < dims_[0]; ++x) coords_.push_back({x, y, z});
+    }
+  }
+  // So one hop along a dimension moves the node id by the product of the
+  // lower dimensions, and there are six links per node (topo::link_index).
+  link_stride_ = {6, 6 * static_cast<std::size_t>(dims_[0]),
+                  6 * static_cast<std::size_t>(dims_[0]) *
+                      static_cast<std::size_t>(dims_[1])};
+}
 
 SimTime LinkSchedule::reserve(SimTime earliest, SimTime duration,
                               bool* waited) {
-  // Grow the list exactly when an insert would, also when the interval
-  // merges: the heap then sees the same allocations whichever way a
-  // reservation lands, so peak RSS and the models keyed on real heap
-  // addresses (the MPI baseline's uDREG cache, ROADMAP item 2) do not
-  // depend on it.
-  if (busy_.size() == busy_.capacity()) {
-    busy_.reserve(busy_.size() + std::max<std::size_t>(busy_.size(), 1));
+  if (!b_) {
+    b_ = std::make_unique<Block>();
+    std::fill_n(b_->start, kSlots, kNever);
+    std::fill_n(b_->end, kSlots, kNever);
   }
+  Block& b = *b_;
+  SimTime* const s = b.start;
+  SimTime* const e = b.end;
   // The list is sorted, disjoint and non-touching, so the ends are sorted
   // too.  An interval that ends at or before `earliest` can neither delay
-  // the candidate nor fit it: start the search after all of them.
-  const auto first = std::partition_point(
-      busy_.begin(), busy_.end(),
-      [earliest](const Busy& b) { return b.end <= earliest; });
-  // Find the first idle gap of `duration` at or after `earliest`.
+  // the candidate nor fit it: count them (unused slots end at kNever, so
+  // every slot can be counted) and start the search after them.
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < kSlots; ++i) at += e[i] <= earliest;
+  // Find the first idle gap of `duration` at or after `earliest`.  Every
+  // interval from here on ends after the candidate (the first by the count
+  // above, the others by the gaps), so one that leaves no room pushes the
+  // candidate to its end.  At most kMaxIntervals slots are live, so the
+  // search stops at the first unused slot, which starts at kNever.
   SimTime candidate = earliest;
-  auto at = first;
-  for (; at != busy_.end(); ++at) {
-    if (candidate + duration <= at->start) break;  // fits before this one
-    if (at->end > candidate) candidate = at->end;  // pushed past it
-  }
+  for (; candidate + duration > s[at]; ++at) candidate = e[at];
   if (candidate > earliest) {
     *waited = true;
-    ++waits_;
-    wait_ns_ += candidate - earliest;
+    ++b.waits;
+    b.wait_ns += candidate - earliest;
   }
-  ++reservations_;
-  busy_ns_ += duration;
+  ++b.reservations;
+  b.busy_ns += duration;
   // Everything before `at` ends at or before the candidate and `at`
   // starts at or after its end, so the new interval can only touch its
   // two neighbours: merge with them, or insert it between them.
+  std::size_t n = b.n;
+  auto erase = [s, e, &n](std::size_t i) {
+    std::copy(s + i + 1, s + n, s + i);
+    std::copy(e + i + 1, e + n, e + i);
+    --n;
+    s[n] = kNever;
+    e[n] = kNever;
+  };
   const SimTime end = candidate + duration;
-  const bool left = at != busy_.begin() && std::prev(at)->end == candidate;
-  const bool right = at != busy_.end() && at->start == end;
+  const bool left = at > 0 && e[at - 1] == candidate;
+  const bool right = s[at] == end;
   if (left && right) {
-    std::prev(at)->end = at->end;
-    busy_.erase(at);
+    e[at - 1] = e[at];
+    erase(at);
   } else if (left) {
-    std::prev(at)->end = end;
+    e[at - 1] = end;
   } else if (right) {
-    at->start = candidate;
+    s[at] = candidate;
   } else {
-    busy_.insert(at, Busy{candidate, end});
+    std::copy_backward(s + at, s + n, s + n + 1);
+    std::copy_backward(e + at, e + n, e + n + 1);
+    s[at] = candidate;
+    e[at] = end;
+    ++n;
   }
-  if (busy_.size() > kMaxIntervals) {
+  if (n > kMaxIntervals) {
     // Bound the bookkeeping: merge the pair with the smallest gap (the
     // first such pair; over-reserves slightly).  One insert adds at most
     // one interval, so one merge restores the bound.
     std::size_t best = 0;
-    SimTime best_gap = kNever;
-    for (std::size_t i = 0; i + 1 < busy_.size(); ++i) {
-      SimTime gap = busy_[i + 1].start - busy_[i].end;
-      if (gap < best_gap) {
-        best_gap = gap;
-        best = i;
-      }
+    SimTime best_gap = s[1] - e[0];
+    for (std::size_t i = 1; i < kMaxIntervals; ++i) {
+      const SimTime gap = s[i + 1] - e[i];
+      const bool smaller = gap < best_gap;
+      best = smaller ? i : best;
+      best_gap = smaller ? gap : best_gap;
     }
-    busy_[best].end = busy_[best + 1].end;
-    busy_.erase(busy_.begin() + static_cast<std::ptrdiff_t>(best) + 1);
+    e[best] = e[best + 1];
+    erase(best + 1);
   }
+  b.n = n;
   return candidate;
+}
+
+std::vector<LinkSchedule::Busy> LinkSchedule::intervals() const {
+  std::vector<Busy> out;
+  if (b_) {
+    for (std::size_t i = 0; i < b_->n; ++i) {
+      out.push_back(Busy{b_->start[i], b_->end[i]});
+    }
+  }
+  return out;
 }
 
 const std::array<int, 3>& Network::pick_order(int from, int to) {
@@ -130,27 +165,58 @@ const std::array<int, 3>& Network::pick_order(int from, int to) {
   return kOrders[best];
 }
 
-SimTime Network::reserve_route(int from, int to, SimTime duration,
-                               SimTime earliest) {
-  if (from == to) return earliest;  // NIC loopback: no torus links used
-  // Each Gemini ASIC serves two nodes over the Netlink (paper Fig 2):
-  // traffic between ASIC siblings never enters the torus.
+SimTime Network::reserve_route(int from, int to, const Route& r,
+                               SimTime duration, SimTime earliest) {
+  // NIC loopback uses no torus link, and each Gemini ASIC serves two nodes
+  // over the Netlink (paper Fig 2): traffic between ASIC siblings never
+  // enters the torus.
   if (from / 2 == to / 2) return earliest;
   // Cut-through pipelining: the head flit claims each link as it reaches
   // it, so congestion on a link only delays *downstream* hops, and idle
   // gaps before future-dated reservations are backfilled.
   SimTime cursor = earliest;
   bool waited = false;
-  const std::array<int, 3>& order = pick_order(from, to);
-  torus_.for_each_link(from, to, order, [&](const topo::LinkId& link) {
-    const std::size_t idx = topo::link_index(link);
+  auto hop = [&](std::size_t idx) {
     const SimTime start = links_[idx].reserve(cursor, duration, &waited);
     if (observer_) {
       observer_->on_link_reserve(idx, from, start - cursor, duration,
                                  earliest);
     }
     cursor = start;
-  });
+  };
+  // The walk topo::Torus3D::for_each_link makes, on link indices: a hop
+  // along `dim` moves the current node's first link by that dimension's
+  // stride, and back by a whole ring when it wraps.
+  const std::array<int, 3>& at = coords_[static_cast<std::size_t>(from)];
+  std::size_t node_link = static_cast<std::size_t>(from) * 6;
+  for (int dim : pick_order(from, to)) {
+    const int last = dims_[dim] - 1;
+    const std::size_t stride = link_stride_[dim];
+    const std::size_t wrap = stride * static_cast<std::size_t>(last);
+    int c = at[dim];  // unchanged by the dimensions walked before it
+    const std::size_t dir = static_cast<std::size_t>(dim) * 2;
+    for (int d = r.delta[dim]; d > 0; --d) {
+      hop(node_link + dir + 1);
+      if (c == last) {
+        c = 0;
+        node_link -= wrap;
+      } else {
+        ++c;
+        node_link += stride;
+      }
+    }
+    for (int d = r.delta[dim]; d < 0; ++d) {
+      hop(node_link + dir);
+      if (c == 0) {
+        c = last;
+        node_link += wrap;
+      } else {
+        --c;
+        node_link -= stride;
+      }
+    }
+  }
+  assert(node_link == static_cast<std::size_t>(to) * 6);
   if (waited) ++stats_.link_conflicts;
   return cursor;
 }
@@ -160,7 +226,10 @@ TransferTimes Network::transfer(const TransferRequest& req) {
   TransferTimes t;
   ++stats_.transfers;
 
-  const SimTime prop = propagation(req.initiator_node, req.remote_node);
+  // The route's geometry, once: its hop count sets the one-way wire
+  // propagation, and reserve_route walks its links.
+  const Route path = route(req.initiator_node, req.remote_node);
+  const SimTime prop = static_cast<SimTime>(path.hops) * c.hop_ns;
 
   // Link faults: a blackout delays the route reservation, degradation
   // stretches serialization (both the link occupancy and the payload
@@ -188,7 +257,7 @@ TransferTimes Network::transfer(const TransferRequest& req) {
       SimTime wire = c.smsg_wire_startup_ns + payload;
       // Links are occupied only for the packet's wire serialization at the
       // link rate; the NIC pipeline startup is not a link resource.
-      SimTime start = reserve_route(req.initiator_node, req.remote_node,
+      SimTime start = reserve_route(req.initiator_node, req.remote_node, path,
                                     scaled(transfer_time(req.bytes, c.link_bw)),
                                     t.cpu_done + fault_delay);
       t.data_arrival = start + wire + prop;
@@ -205,7 +274,7 @@ TransferTimes Network::transfer(const TransferRequest& req) {
       // The CPU owns the FMA window for the entire payload push/pull.
       t.cpu_done = req.issue + c.fma_desc_ns + startup + stream;
       SimTime start =
-          reserve_route(req.initiator_node, req.remote_node,
+          reserve_route(req.initiator_node, req.remote_node, path,
                         scaled(transfer_time(req.bytes, c.link_bw)),
                         req.issue + c.fma_desc_ns + startup + fault_delay);
       if (is_get) {
@@ -232,7 +301,7 @@ TransferTimes Network::transfer(const TransferRequest& req) {
       // The DMA engine streams queued descriptors back to back; the
       // startup pipeline adds latency per transfer but does not idle the
       // engine between them.
-      SimTime start = reserve_route(req.initiator_node, req.remote_node,
+      SimTime start = reserve_route(req.initiator_node, req.remote_node, path,
                                     scaled(transfer_time(req.bytes, c.link_bw)),
                                     engine_ready + fault_delay);
       bte_free_[nic] = start + stream;

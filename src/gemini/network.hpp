@@ -20,6 +20,7 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <vector>
 
 #include "gemini/machine_config.hpp"
@@ -78,6 +79,12 @@ struct NetworkStats {
 /// future-dated reservation (work-conserving FIFO would otherwise let one
 /// late-cursor sender block the link for everyone — an artifact, not
 /// physics).
+///
+/// A link that never carried traffic is one null pointer.  The first
+/// reservation allocates the link's one block: its counters and the
+/// interval starts and ends as two fixed arrays with room for the one
+/// interval an insert adds before the bound is restored.  Unused slots
+/// hold kNever, so whole-array scans need no length check.
 class LinkSchedule {
  public:
   struct Busy {
@@ -90,22 +97,28 @@ class LinkSchedule {
   /// reserves it.  Sets *waited when the start had to move.
   SimTime reserve(SimTime earliest, SimTime duration, bool* waited);
 
-  std::uint64_t reservations() const { return reservations_; }
-  SimTime busy_ns() const { return busy_ns_; }
-  std::uint64_t waits() const { return waits_; }
-  SimTime wait_ns() const { return wait_ns_; }
+  std::uint64_t reservations() const { return b_ ? b_->reservations : 0; }
+  SimTime busy_ns() const { return b_ ? b_->busy_ns : 0; }
+  std::uint64_t waits() const { return b_ ? b_->waits : 0; }
+  SimTime wait_ns() const { return b_ ? b_->wait_ns : 0; }
 
-  /// Snapshot of the busy list (sorted by start, with a gap between
+  /// Copy of the busy list (sorted by start, with a gap between
   /// neighbours, at most kMaxIntervals entries) — introspection for
   /// property tests.
-  const std::vector<Busy>& intervals() const { return busy_; }
+  std::vector<Busy> intervals() const;
 
  private:
-  std::vector<Busy> busy_;  // sorted by start, non-touching
-  std::uint64_t reservations_ = 0;  // transfers routed over this link
-  SimTime busy_ns_ = 0;             // total reserved wire time
-  std::uint64_t waits_ = 0;         // reservations pushed past `earliest`
-  SimTime wait_ns_ = 0;             // total queueing delay incurred
+  static constexpr std::size_t kSlots = kMaxIntervals + 1;
+  struct Block {
+    std::uint64_t reservations = 0;  // transfers routed over this link
+    SimTime busy_ns = 0;             // total reserved wire time
+    std::uint64_t waits = 0;         // reservations pushed past `earliest`
+    SimTime wait_ns = 0;             // total queueing delay incurred
+    std::size_t n = 0;               // live intervals, <= kMaxIntervals
+    SimTime start[kSlots];           // sorted, non-touching; kNever unused
+    SimTime end[kSlots];
+  };
+  std::unique_ptr<Block> b_;
 };
 
 /// What sees the wire's link reservations.  The congestion estimator
@@ -143,7 +156,8 @@ class Network {
   sim::Scheduler& scheduler() const { return *sched_; }
   const NetworkStats& stats() const { return stats_; }
 
-  int hops(int a, int b) const { return torus_.hops(a, b); }
+  /// Minimal hop count between two nodes; equals torus().hops(a, b).
+  int hops(int a, int b) const { return route(a, b).hops; }
 
   /// Install (or with nullptr, remove) a fault injector.  Not owned.  When
   /// set, transfer() consults it for per-route degradation/blackout windows
@@ -182,9 +196,35 @@ class Network {
   void write_link_csv(std::ostream& out) const;
 
  private:
-  /// Reserve every link on the route for `duration` starting no earlier than
-  /// `earliest`; returns the actual start (>= earliest) honoring occupancy.
-  SimTime reserve_route(int from, int to, SimTime duration, SimTime earliest);
+  /// A minimal route's geometry: the signed displacement along each
+  /// dimension (the positive direction wins ties, as in topo::Torus3D)
+  /// and the hop count.
+  struct Route {
+    std::array<int, 3> delta;
+    int hops;
+  };
+
+  /// The geometry of the route from `from` to `to`, read from the
+  /// coordinate table: no division on the send path.
+  Route route(int from, int to) const {
+    const std::array<int, 3>& a = coords_[static_cast<std::size_t>(from)];
+    const std::array<int, 3>& b = coords_[static_cast<std::size_t>(to)];
+    Route r{};
+    for (int d = 0; d < 3; ++d) {
+      const int n = dims_[d];
+      int fwd = b[d] - a[d];
+      if (fwd < 0) fwd += n;  // hops going positive, in [0, n)
+      r.delta[d] = fwd <= n - fwd ? fwd : fwd - n;
+      r.hops += r.delta[d] < 0 ? -r.delta[d] : r.delta[d];
+    }
+    return r;
+  }
+
+  /// Reserve every link of route `r` from `from` to `to` for `duration`
+  /// starting no earlier than `earliest`; returns the actual start
+  /// (>= earliest) honoring occupancy.
+  SimTime reserve_route(int from, int to, const Route& r, SimTime duration,
+                        SimTime earliest);
 
   /// The dimension order a transfer's route corrects in: the stock
   /// x->y->z order, or — with route steering installed — the permutation
@@ -192,16 +232,14 @@ class Network {
   /// ties, so an idle network routes exactly as stock).
   const std::array<int, 3>& pick_order(int from, int to);
 
-  /// One-way wire propagation between the nodes.
-  SimTime propagation(int from, int to) const {
-    return static_cast<SimTime>(torus_.hops(from, to)) * config_.hop_ns;
-  }
-
   sim::Scheduler* sched_;
   topo::Torus3D torus_;
   MachineConfig config_;
   std::vector<LinkSchedule> links_;  // per directional link
   std::vector<SimTime> bte_free_;    // per node's BTE engine
+  std::vector<std::array<int, 3>> coords_;  // per node: its x, y, z
+  std::array<int, 3> dims_;                 // torus_.dims()
+  std::array<std::size_t, 3> link_stride_;  // link-index step per hop
   NetworkStats stats_;
   fault::FaultInjector* fault_ = nullptr;
   LinkObserver* observer_ = nullptr;

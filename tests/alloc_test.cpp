@@ -82,11 +82,45 @@ TEST(AllocGate, KNeighborRunsAllocateLittlePerMessage) {
     const double third = knb_round(*m, h, delivered);
     std::printf("operator new per delivered message: %.3f, %.3f, %.3f\n",
                 first, second, third);
-    EXPECT_LE(first, 4.0);
+    EXPECT_LE(first, 2.5);
     EXPECT_LE(third, 1.5);
   }
   EXPECT_EQ(alloc_count::now().net_since(start), 0)
       << "allocations outlived the machine";
+}
+
+// A link's schedule is one block, allocated by its first reservation:
+// 10,000 reservations on one link, which insert, merge and hit the
+// interval bound, make exactly one operator new.  Destroying the network
+// frees it.
+TEST(AllocGate, LinkScheduleAllocatesOncePerLink) {
+  const Counts start = alloc_count::now();
+  {
+    sim::Engine engine;
+    gemini::Network net(engine.scheduler(), topo::Torus3D(2, 2, 2),
+                        gemini::MachineConfig{});
+    // Node 0 reaches node 2 over one link: its y+ link.
+    const std::size_t link = topo::link_index(topo::LinkId{0, 1, true});
+    Rng rng(10000);
+    gemini::TransferRequest req;
+    req.mech = gemini::Mechanism::kFmaPut;
+    req.initiator_node = 0;
+    req.remote_node = 2;
+    const Counts c0 = alloc_count::now();
+    for (int i = 0; i < 10000; ++i) {
+      req.bytes = 64 + rng.next_below(4096);
+      req.issue = static_cast<SimTime>(i) * 200 + rng.next_below(40000000);
+      net.transfer(req);
+    }
+    const Counts c1 = alloc_count::now();
+    EXPECT_EQ(c1.news - c0.news, 1u);
+    EXPECT_EQ(net.link_schedule(link).reservations(), 10000u);
+    EXPECT_GT(net.link_schedule(link).waits(), 0u);
+    EXPECT_EQ(net.link_schedule(link).intervals().size(),
+              gemini::LinkSchedule::kMaxIntervals);
+  }
+  EXPECT_EQ(alloc_count::now().net_since(start), 0)
+      << "allocations outlived the network";
 }
 
 // Channel setup at the paper's Table I scale: 3,840 NICs each open

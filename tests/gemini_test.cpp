@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <vector>
 
@@ -7,6 +8,7 @@
 #include "gemini/network.hpp"
 #include "sim/engine.hpp"
 #include "util/config.hpp"
+#include "util/rng.hpp"
 
 namespace ugnirt::gemini {
 namespace {
@@ -327,6 +329,106 @@ TEST(LinkObserver, OnlyTheSteeringObserverMovesRoutes) {
   steered.set_route_steering(&obs);
   do_transfer(steered, Mechanism::kFmaPut, 4096, 0, 0, 5);
   EXPECT_EQ(steered.stats().adaptive_reroutes, 1u);
+}
+
+// ---------------------------------------------------------- route oracle ----
+
+/// The links topo::Torus3D::for_each_link visits, as link indices.
+std::vector<std::size_t> torus_links(const topo::Torus3D& t, int a, int b,
+                                     const std::array<int, 3>& order) {
+  std::vector<std::size_t> links;
+  t.for_each_link(a, b, order, [&links](const topo::LinkId& l) {
+    links.push_back(topo::link_index(l));
+  });
+  return links;
+}
+
+/// The order route steering must pick for a -> b under `loads`: the lowest
+/// summed load, the first of the six in a tie.
+std::array<int, 3> coolest_order(const topo::Torus3D& t, int a, int b,
+                                 const RecordingObserver& loads) {
+  static constexpr std::array<std::array<int, 3>, 6> kOrders = {{
+      {0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0},
+  }};
+  std::array<int, 3> best = kOrders[0];
+  double best_load = 0.0;
+  for (std::size_t i = 0; i < kOrders.size(); ++i) {
+    double load = 0.0;
+    for (std::size_t l : torus_links(t, a, b, kOrders[i])) {
+      load += loads.link_load(l);
+    }
+    if (i == 0 || load < best_load) {
+      best = kOrders[i];
+      best_load = load;
+    }
+  }
+  return best;
+}
+
+/// Checks one pair: Network::hops equals Torus3D::hops, and the transfer
+/// reserves exactly the links for_each_link visits, in order (none between
+/// ASIC siblings).  With `steered`, the network steers routes by the
+/// observer's loads and the links are those of the coolest order.
+void check_route(Network& net, RecordingObserver& obs, int a, int b,
+                 bool steered) {
+  const topo::Torus3D& t = net.torus();
+  ASSERT_EQ(net.hops(a, b), t.hops(a, b)) << a << " -> " << b;
+  obs.hops.clear();
+  do_transfer(net, Mechanism::kFmaPut, 64, 0, a, b);
+  std::vector<std::size_t> got;
+  for (const RecordingObserver::Hop& hop : obs.hops) got.push_back(hop.link);
+  std::vector<std::size_t> want;
+  if (a / 2 != b / 2) {
+    want = torus_links(t, a, b,
+                       steered ? coolest_order(t, a, b, obs)
+                               : std::array<int, 3>{0, 1, 2});
+  }
+  ASSERT_EQ(got, want) << a << " -> " << b;
+}
+
+// The network computes a route's geometry from its own coordinate table
+// and walks link indices; topo::Torus3D is the oracle.  Every pair of
+// 2x2x2, 2x3x5 and the 160-node torus of Tables I and II, stock and
+// steered by a fixed pseudo-random load per link.
+TEST(RouteOracle, EveryPairOfSmallToriMatchesTorus3D) {
+  for (const topo::Torus3D& torus :
+       {topo::Torus3D(2, 2, 2), topo::Torus3D(2, 3, 5),
+        topo::Torus3D::for_nodes(160)}) {
+    for (const bool steered : {false, true}) {
+      sim::Engine engine;
+      Network net(engine.scheduler(), torus, MachineConfig{});
+      RecordingObserver obs;
+      obs.loads.resize(torus.total_links());
+      for (std::size_t l = 0; l < obs.loads.size(); ++l) {
+        obs.loads[l] = static_cast<double>((l * 0x9E3779B97F4A7C15ull) >> 58);
+      }
+      net.set_link_observer(&obs);
+      if (steered) net.set_route_steering(&obs);
+      for (int a = 0; a < torus.nodes(); ++a) {
+        for (int b = 0; b < torus.nodes(); ++b) {
+          ASSERT_NO_FATAL_FAILURE(check_route(net, obs, a, b, steered));
+        }
+      }
+    }
+  }
+}
+
+// 20,000 seeded pairs of the 65,536-node torus, on a fresh network every
+// 1,000 pairs so the touched link schedules stay few.
+TEST(RouteOracle, SeededPairsOfTheLargeTorusMatchTorus3D) {
+  const topo::Torus3D torus = topo::Torus3D::for_nodes(65536);
+  sim::Engine engine;
+  RecordingObserver obs;
+  Rng rng(65536);
+  for (int batch = 0; batch < 20; ++batch) {
+    Network net(engine.scheduler(), torus, MachineConfig{});
+    net.set_link_observer(&obs);
+    for (int i = 0; i < 1000; ++i) {
+      const int a = static_cast<int>(rng.next_below(65536));
+      const int b = static_cast<int>(rng.next_below(65536));
+      ASSERT_NO_FATAL_FAILURE(check_route(net, obs, a, b, false));
+    }
+  }
 }
 
 }  // namespace
